@@ -42,6 +42,9 @@ struct CellState {
 pub struct MaterializedView {
     query: CubeQuery,
     cells: BTreeMap<CellKey, CellState>,
+    /// Earliest interval end (epoch millis) among held contributions,
+    /// `i64::MAX` when there are none: a horizon below it retracts nothing.
+    min_end: i64,
     contributions: u64,
     retractions: u64,
 }
@@ -54,6 +57,7 @@ impl MaterializedView {
         MaterializedView {
             query,
             cells: BTreeMap::new(),
+            min_end: i64::MAX,
             contributions: 0,
             retractions: 0,
         }
@@ -79,6 +83,7 @@ impl MaterializedView {
         });
         cell.contribs.push((end, slot.numeric));
         cell.acc.absorb(slot.numeric);
+        self.min_end = self.min_end.min(end);
         self.contributions += 1;
         true
     }
@@ -86,13 +91,23 @@ impl MaterializedView {
     /// Retract the contributions of events the warehouse evicts at
     /// `horizon` (those whose interval ends at or before it). Touched cells
     /// refold their survivors; emptied cells disappear. Returns the number
-    /// of contributions retracted.
+    /// of contributions retracted. O(1) when nothing expires.
     pub fn retract_before(&mut self, horizon: Timestamp) -> usize {
         let h = horizon.as_millis();
+        if h < self.min_end {
+            return 0;
+        }
         let mut retracted = 0;
+        let mut min_end = i64::MAX;
         self.cells.retain(|_, cell| {
             let before = cell.contribs.len();
-            cell.contribs.retain(|&(end, _)| end > h);
+            cell.contribs.retain(|&(end, _)| {
+                let keep = end > h;
+                if keep {
+                    min_end = min_end.min(end);
+                }
+                keep
+            });
             let gone = before - cell.contribs.len();
             if gone > 0 {
                 retracted += gone;
@@ -103,6 +118,7 @@ impl MaterializedView {
             }
             !cell.contribs.is_empty()
         });
+        self.min_end = min_end;
         self.retractions += retracted as u64;
         retracted
     }

@@ -130,12 +130,32 @@ pub struct Pruner {
     /// Skip blocks whose theme filter (generation ≥ 1 only) excludes this
     /// subtree.
     pub theme: Option<Theme>,
+    /// Skip what cannot hold a *cold* event (set by cold-tier queries only).
+    pub frontier: Option<ColdFrontier>,
+}
+
+/// How far coldness can reach in a log: an event is cold only if a later
+/// horizon marker covers its interval end, so nothing after the last marker
+/// and nothing starting past the highest horizon is cold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColdFrontier {
+    /// Segment number of the last horizon marker: later segments are hot.
+    pub last_marker_segment: u32,
+    /// Highest horizon ever recorded (ms): blocks whose events all start
+    /// after it are hot.
+    pub max_horizon: i64,
 }
 
 impl Pruner {
-    /// A pruner that skips nothing beyond event-free blocks.
+    /// A pruner that skips nothing: full scans read every record.
     pub fn keep_all() -> Pruner {
         Pruner::default()
+    }
+
+    /// True when any constraint is set, i.e. only *event* records matter to
+    /// the scan and event-free blocks may be skipped.
+    pub fn is_constrained(&self) -> bool {
+        self.time.is_some() || self.theme.is_some() || self.frontier.is_some()
     }
 }
 

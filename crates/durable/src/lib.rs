@@ -64,7 +64,7 @@ pub mod warehouse;
 pub use codec::{crc32, Record, CODEC_VERSION};
 pub use compact::{CompactionPolicy, CompactionStats};
 pub use error::DurableError;
-pub use index::{Pruner, ThemeFilter};
+pub use index::{ColdFrontier, Pruner, ThemeFilter};
 pub use log::{DurableConfig, FsyncPolicy, LogPos, RecoveryReport, SegmentLog};
 pub use tmp::TempDir;
 pub use warehouse::DurableWarehouse;

@@ -218,9 +218,14 @@ impl IndexBlock {
     /// Can any event in this block satisfy every constraint in `pruner`?
     /// With no constraints, always true (full scans read everything).
     fn may_match(&self, pruner: &Pruner) -> bool {
-        let constrained = pruner.time.is_some() || pruner.theme.is_some();
-        if constrained && self.min_start == i64::MAX {
+        if pruner.is_constrained() && self.min_start == i64::MAX {
             return false; // no events in the block
+        }
+        if pruner
+            .frontier
+            .is_some_and(|f| self.min_start > f.max_horizon)
+        {
+            return false; // every event here ends after every horizon
         }
         if let Some(range) = &pruner.time {
             if !self.may_overlap(range) {
@@ -300,7 +305,10 @@ impl Segment {
 
     /// May any block in the segment match the pruner's constraints?
     fn may_match(&self, pruner: &Pruner) -> bool {
-        self.blocks.iter().any(|b| b.may_match(pruner))
+        pruner
+            .frontier
+            .is_none_or(|f| self.number <= f.last_marker_segment)
+            && self.blocks.iter().any(|b| b.may_match(pruner))
     }
 
     fn meta(&self) -> SegmentMeta {
@@ -649,7 +657,7 @@ impl SegmentLog {
     ) -> Result<Vec<(LogPos, Record)>, DurableError> {
         self.scan_pruned(&Pruner {
             time: range.cloned(),
-            theme: None,
+            ..Pruner::default()
         })
     }
 
@@ -657,9 +665,10 @@ impl SegmentLog {
     /// blocks whose zone index proves they cannot hold a matching event are
     /// skipped without touching the disk, and decoded blocks of sealed
     /// segments are served from (and fill) the LRU block cache. The result
-    /// is a superset of the matching events, in append order — exactly the
-    /// records a full scan would return from the blocks that survived
-    /// pruning.
+    /// is a superset of the matching events (the matching *cold* events,
+    /// under a [`ColdFrontier`](crate::index::ColdFrontier)), in append
+    /// order — exactly the records a full scan would return from the blocks
+    /// that survived pruning.
     pub fn scan_pruned(&mut self, pruner: &Pruner) -> Result<Vec<(LogPos, Record)>, DurableError> {
         // Unsynced frames are in the OS page cache, readable by a fresh
         // handle, so no sync is needed for read-your-writes here.
@@ -667,7 +676,7 @@ impl SegmentLog {
         let mut bytes_read = 0u64;
         let mut scanned = 0u64;
         let mut pruned = 0u64;
-        let constrained = pruner.time.is_some() || pruner.theme.is_some();
+        let constrained = pruner.is_constrained();
         let active_idx = self.segments.len().saturating_sub(1);
         let (hits0, misses0) = (self.cache.hits(), self.cache.misses());
         for (i, seg) in self.segments.iter().enumerate() {
@@ -850,7 +859,7 @@ fn scan_segment(
     if seg.frames == 0 {
         return Ok(0);
     }
-    let constrained = pruner.time.is_some() || pruner.theme.is_some();
+    let constrained = pruner.is_constrained();
     let mut file: Option<File> = None;
     let mut frame_idx: u32 = 0;
     let mut bytes_read = 0u64;
@@ -1466,8 +1475,8 @@ mod tests {
         // the compacted segment. The generation-0 active segment carries no
         // filter, so its events still come back (pruning is a superset).
         let absent = Pruner {
-            time: None,
             theme: Some(Theme::new("traffic").unwrap()),
+            ..Pruner::default()
         };
         let pruned = log.scan_pruned(&absent).unwrap();
         assert!(
@@ -1477,8 +1486,8 @@ mod tests {
             "bloom filter excludes the absent subtree from the compacted range"
         );
         let present = Pruner {
-            time: None,
             theme: Some(Theme::new("weather").unwrap()),
+            ..Pruner::default()
         };
         let kept_events = log
             .scan_pruned(&present)

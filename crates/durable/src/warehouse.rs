@@ -5,9 +5,9 @@
 //! becomes visible in the hot [`EventWarehouse`] (write-ahead discipline),
 //! so the hot store is always reconstructible from disk. Retention flips
 //! from *discard* to *spill*: [`DurableWarehouse::evict_before`] removes old
-//! events from the hot indexes exactly as before, but writes a horizon
+//! events from the hot indexes exactly as before, but first writes a horizon
 //! marker to the log instead of forgetting them — the events stay readable
-//! in the sealed segments.
+//! in the log's segments.
 //!
 //! # The hot/cold split
 //!
@@ -27,7 +27,7 @@
 use crate::codec::Record;
 use crate::compact::{self, CompactionPolicy, CompactionStats, MergeRun};
 use crate::error::DurableError;
-use crate::index::Pruner;
+use crate::index::{ColdFrontier, Pruner};
 use crate::log::{DurableConfig, LogPos, RecoveryReport, SegmentLog};
 use sl_obs::{Metrics, MetricsSnapshot, Stopwatch};
 use sl_ops::OpCheckpoint;
@@ -190,15 +190,30 @@ impl DurableWarehouse {
         Ok(())
     }
 
-    /// Retention that spills instead of discarding: evict from the hot
-    /// indexes as usual, then write a horizon marker so the evicted events
-    /// are served from cold segments from now on. Returns how many events
-    /// went cold.
+    /// Retention that spills instead of discarding: write a horizon marker,
+    /// then evict from the hot indexes, so the evicted events are served
+    /// from cold segments from now on. Returns how many events went cold.
+    ///
+    /// The marker goes first (write-ahead, like [`DurableWarehouse::insert`]):
+    /// if the append fails nothing is evicted and both tiers still agree. A
+    /// horizon that expires no hot event returns `Ok(0)` without touching
+    /// the log — such a marker could change no coldness verdict, now or
+    /// after a reopen, because every earlier event ending at or before it
+    /// is already covered by a later marker (or it would still be hot).
     pub fn evict_before(&mut self, horizon: Timestamp) -> Result<usize, DurableError> {
-        let evicted = self.hot.evict_before(horizon);
+        if self.hot.next_expiry().is_none_or(|end| end > horizon) {
+            return Ok(0);
+        }
         let pos = self.log.append(&Record::Horizon(horizon))?;
+        // The new marker is the last one: it raises exactly the trailing
+        // run of suffix maxima that were below it.
+        let h = horizon.as_millis();
+        for max in self.suffix_max.iter_mut().rev().take_while(|m| **m < h) {
+            *max = h;
+        }
+        self.suffix_max.push(h);
         self.markers.push((pos, horizon));
-        self.suffix_max = suffix_maxima(&self.markers);
+        let evicted = self.hot.evict_before(horizon);
         self.metrics.counter("events_spilled").add(evicted as u64);
         Ok(evicted)
     }
@@ -403,16 +418,23 @@ impl DurableWarehouse {
     }
 
     /// Cold-tier matches for `q`. With `pruned`, the zone indexes skip
-    /// blocks/segments that cannot overlap `q.time` or (for compacted
-    /// segments, via their theme filters) cannot contain `q.theme`.
+    /// blocks/segments that cannot overlap `q.time`, (for compacted
+    /// segments, via their theme filters) cannot contain `q.theme`, or lie
+    /// past the cold frontier — the un-evicted tail of the log.
     fn cold_matches(&mut self, q: &EventQuery, pruned: bool) -> Result<Vec<Event>, DurableError> {
-        if self.markers.is_empty() {
+        let (Some((last_marker, _)), Some(&max_horizon)) =
+            (self.markers.last(), self.suffix_max.first())
+        else {
             return Ok(Vec::new()); // nothing has ever been evicted
-        }
+        };
         let pruner = if pruned {
             Pruner {
                 time: q.time,
                 theme: q.theme.clone(),
+                frontier: Some(ColdFrontier {
+                    last_marker_segment: last_marker.segment,
+                    max_horizon,
+                }),
             }
         } else {
             Pruner::keep_all()
@@ -573,6 +595,104 @@ mod tests {
         assert_eq!(dw.hot().len(), 50, "30 cold, 50 hot after replay");
         assert_eq!(sorted(dw.query(&EventQuery::all()).unwrap()), before);
         assert_eq!(sorted(dw.query_scan(&EventQuery::all()).unwrap()), before);
+    }
+
+    #[test]
+    fn idle_evictions_write_nothing_and_reopen_is_identical() {
+        let dir = TempDir::new("dw-idle").unwrap();
+        let hot_of = |dw: &DurableWarehouse| -> Vec<Event> { dw.hot().iter().cloned().collect() };
+        let (hot_before, all_before) = {
+            let mut dw = DurableWarehouse::open(DurableConfig::at(dir.path())).unwrap();
+            // Before anything is stored, and below every stored event: idle.
+            assert_eq!(dw.evict_before(minutes(5)).unwrap(), 0);
+            assert_eq!(dw.log().last_pos(), None, "no frame for an empty store");
+            for m in 10..40 {
+                dw.insert(event(m, "weather/rain")).unwrap();
+            }
+            let (pos, bytes) = (dw.log().last_pos(), dw.log().disk_bytes());
+            // Minute 10's interval ends at minute 11: horizon 10 expires nothing.
+            assert_eq!(dw.evict_before(minutes(10)).unwrap(), 0);
+            assert_eq!(dw.log().last_pos(), pos, "idle eviction appends no frame");
+            assert_eq!(dw.log().disk_bytes(), bytes);
+
+            // Real and idle evictions interleaved with late arrivals.
+            assert_eq!(dw.evict_before(minutes(20)).unwrap(), 10);
+            assert_eq!(dw.evict_before(minutes(20)).unwrap(), 0, "already cold");
+            assert_eq!(dw.evict_before(minutes(15)).unwrap(), 0, "lower horizon");
+            dw.insert(event(12, "social/tweet")).unwrap(); // late: stays hot
+            assert_eq!(dw.evict_before(minutes(5)).unwrap(), 0);
+            for m in 40..50 {
+                dw.insert(event(m, "weather/rain")).unwrap();
+            }
+            assert_eq!(
+                dw.evict_before(minutes(30)).unwrap(),
+                11,
+                "tail and late one"
+            );
+            assert_eq!(dw.evict_before(minutes(25)).unwrap(), 0);
+            assert_eq!(dw.markers.len(), 2, "one marker per real eviction");
+            (hot_of(&dw), dw.query(&EventQuery::all()).unwrap())
+        };
+        let mut dw = DurableWarehouse::open(DurableConfig::at(dir.path())).unwrap();
+        assert_eq!(hot_of(&dw), hot_before, "same hot events in the same order");
+        assert_eq!(dw.query(&EventQuery::all()).unwrap(), all_before);
+        let queries = [
+            EventQuery::all(),
+            EventQuery::all().in_time(TimeInterval::new(minutes(15), minutes(35))),
+            EventQuery::all().with_theme(Theme::new("social").unwrap()),
+        ];
+        for q in queries {
+            assert_eq!(
+                sorted(dw.query(&q).unwrap()),
+                sorted(dw.query_scan(&q).unwrap()),
+                "disagreement on {q:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn failed_marker_append_evicts_nothing() {
+        let dir = TempDir::new("dw-wal-order").unwrap();
+        // One frame per segment, so the marker append has to rotate.
+        let config = DurableConfig::at(dir.path()).with_segment_max_bytes(1);
+        let mut dw = DurableWarehouse::open(config).unwrap();
+        for m in 0..10 {
+            dw.insert(event(m, "weather")).unwrap();
+        }
+        // With the directory gone the rotation — and so the append — fails.
+        std::fs::remove_dir_all(dir.path()).unwrap();
+        assert!(dw.evict_before(minutes(5)).is_err());
+        assert_eq!(dw.hot().len(), 10, "write-ahead: no marker, no eviction");
+        assert!(dw.markers.is_empty() && dw.suffix_max.is_empty());
+    }
+
+    #[test]
+    fn hot_window_query_skips_the_unevicted_log_tail() {
+        let dir = TempDir::new("dw-frontier").unwrap();
+        let config = DurableConfig::at(dir.path()).with_segment_max_bytes(400);
+        let mut dw = DurableWarehouse::open(config).unwrap();
+        for m in 0..40 {
+            dw.insert(event(m, "weather")).unwrap();
+        }
+        dw.evict_before(minutes(20)).unwrap();
+        for m in 40..80 {
+            dw.insert(event(m, "weather")).unwrap();
+        }
+        let bytes_read = |dw: &DurableWarehouse| {
+            let snap = dw.metrics_snapshot();
+            snap.counters.get("log/bytes_read").copied().unwrap_or(0)
+        };
+        // Everything in [50, 70) was logged after the only marker and
+        // starts past its horizon: no block can hold a cold match.
+        let hot_window = EventQuery::all().in_time(TimeInterval::new(minutes(50), minutes(70)));
+        let before = bytes_read(&dw);
+        assert_eq!(dw.query(&hot_window).unwrap().len(), 20);
+        assert_eq!(bytes_read(&dw), before, "no cold block decoded");
+        // A window reaching below the horizon still finds its cold half.
+        let straddling = EventQuery::all().in_time(TimeInterval::new(minutes(10), minutes(30)));
+        let merged = dw.query(&straddling).unwrap();
+        assert!(bytes_read(&dw) > before);
+        assert_eq!(sorted(merged), sorted(dw.query_scan(&straddling).unwrap()));
     }
 
     #[test]

@@ -91,7 +91,7 @@ impl EventWarehouse {
                 positions.dedup();
                 positions
                     .into_iter()
-                    .map(|p| self.at(p))
+                    .filter_map(|p| self.at(p))
                     .filter(|e| q.matches(e))
                     .collect()
             }

@@ -5,7 +5,8 @@ use sl_stt::{
     Event, SpatialGranularity, SpatialGranule, TemporalGranularity, Theme, Timestamp, Tuple,
 };
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 /// Store configuration.
 #[derive(Debug, Clone)]
@@ -39,15 +40,20 @@ pub struct WarehouseStats {
     pub queries: u64,
     /// Sealed segments.
     pub segments: u64,
+    /// Stored events pinned at the `World` granule.
+    pub world_events: u64,
 }
 
-/// Position of an event: (segment, offset).
+/// Position of an event: (segment, offset). Stable until the store repacks
+/// (see [`EventWarehouse::evict_before`]).
 pub(crate) type Pos = (u32, u32);
 
 /// The Event Data Warehouse.
 pub struct EventWarehouse {
     config: WarehouseConfig,
-    pub(crate) segments: Vec<Vec<Event>>,
+    /// Slots in insertion order; `None` is the tombstone of an evicted
+    /// event, so survivors keep their [`Pos`] and the indexes stay valid.
+    pub(crate) segments: Vec<Vec<Option<Event>>>,
     /// time-index granule -> positions.
     pub(crate) time_index: BTreeMap<i64, Vec<Pos>>,
     /// grid cell -> positions (only for events with sub-world granules).
@@ -60,6 +66,12 @@ pub struct EventWarehouse {
     /// has to scan for them — part of keeping [`EventWarehouse::query`] a
     /// pure read (`&self`).
     pub(crate) world_events: u64,
+    /// Live events by interval end, earliest first: exactly one entry per
+    /// live event, so eviction pops the expired ones and touches nothing
+    /// else.
+    expiry: BinaryHeap<Reverse<(Timestamp, Pos)>>,
+    /// Tombstoned slots (and dead index entries) since the last repack.
+    tombstones: usize,
     /// Queries answered. Interior-mutable so the read path stays `&self`;
     /// folded into [`WarehouseStats::queries`] by [`EventWarehouse::stats`].
     queries: Cell<u64>,
@@ -78,6 +90,8 @@ impl EventWarehouse {
             theme_index: BTreeMap::new(),
             stats: WarehouseStats::default(),
             world_events: 0,
+            expiry: BinaryHeap::new(),
+            tombstones: 0,
             queries: Cell::new(0),
             metrics: Metrics::new(),
         }
@@ -97,6 +111,7 @@ impl EventWarehouse {
     pub fn stats(&self) -> WarehouseStats {
         WarehouseStats {
             queries: self.queries.get(),
+            world_events: self.world_events,
             ..self.stats
         }
     }
@@ -143,10 +158,11 @@ impl EventWarehouse {
             .or_default()
             .push(pos);
 
+        self.expiry.push(Reverse((event.time_interval().end, pos)));
         self.segments
             .last_mut()
             .expect("segment exists")
-            .push(event);
+            .push(Some(event));
         self.stats.events += 1;
     }
 
@@ -187,14 +203,15 @@ impl EventWarehouse {
         self.metrics.snapshot()
     }
 
-    /// Look up an event by position.
-    pub(crate) fn at(&self, pos: Pos) -> &Event {
-        &self.segments[pos.0 as usize][pos.1 as usize]
+    /// Look up an event by position; `None` if it was evicted since the
+    /// position was indexed.
+    pub(crate) fn at(&self, pos: Pos) -> Option<&Event> {
+        self.segments[pos.0 as usize][pos.1 as usize].as_ref()
     }
 
     /// Iterate every stored event (oldest first within segments).
     pub fn iter(&self) -> impl Iterator<Item = &Event> {
-        self.segments.iter().flatten()
+        self.segments.iter().flatten().flatten()
     }
 
     /// Time range `(min, max)` of stored events' interval starts.
@@ -213,32 +230,60 @@ impl EventWarehouse {
         self.queries.set(self.queries.get() + 1);
     }
 
+    /// The earliest interval end among stored events: `evict_before(h)`
+    /// evicts something iff this is `Some(end)` with `end <= h`. O(1).
+    pub fn next_expiry(&self) -> Option<Timestamp> {
+        self.expiry.peek().map(|Reverse((end, _))| *end)
+    }
+
     /// Retention: drop every event whose interval ends at or before
-    /// `horizon`, rebuilding segments and indexes. Returns how many events
-    /// were evicted. O(live events); meant for periodic housekeeping, not
-    /// the per-tuple path.
+    /// `horizon`. Returns how many events were evicted.
+    ///
+    /// O(evicted · log n): expired events are popped off the expiry order
+    /// and their slots tombstoned; survivors, their positions and the
+    /// indexes are untouched (queries skip dead positions). Once tombstones
+    /// outnumber live events the store repacks — O(n), amortised over the
+    /// evictions that caused it — so slots and index entries stay within
+    /// 2× the live events even when one far-future event outlives
+    /// everything inserted after it.
     pub fn evict_before(&mut self, horizon: Timestamp) -> usize {
-        let retained: Vec<Event> = self
-            .iter()
-            .filter(|e| e.time_interval().end > horizon)
-            .cloned()
-            .collect();
-        let evicted = self.stats.events as usize - retained.len();
-        let stats = self.stats;
-        self.segments = vec![Vec::new()];
+        let mut evicted = 0;
+        while let Some(&Reverse((end, pos))) = self.expiry.peek() {
+            if end > horizon {
+                break;
+            }
+            self.expiry.pop();
+            let event = self.segments[pos.0 as usize][pos.1 as usize]
+                .take()
+                .expect("expiry entries point at live slots");
+            if event.sgranule == SpatialGranule::World {
+                self.world_events -= 1;
+            }
+            evicted += 1;
+        }
+        self.stats.events -= evicted as u64;
+        self.tombstones += evicted;
+        if self.tombstones > self.len() {
+            self.repack();
+        }
+        evicted
+    }
+
+    /// Drop every tombstone: re-insert the live events, in order, into
+    /// fresh segments and indexes.
+    fn repack(&mut self) {
+        let old = std::mem::replace(&mut self.segments, vec![Vec::new()]);
         self.time_index.clear();
         self.space_index.clear();
         self.theme_index.clear();
-        self.world_events = 0; // re-counted as retained events re-insert
-        self.stats = WarehouseStats {
-            events: 0,
-            segments: 0,
-            ..stats
-        };
-        for e in retained {
-            self.insert(e);
+        self.expiry.clear();
+        self.tombstones = 0;
+        self.world_events = 0; // re-counted as live events re-insert
+        self.stats.events = 0;
+        self.stats.segments = 0;
+        for event in old.into_iter().flatten().flatten() {
+            self.insert(event);
         }
-        evicted
     }
 }
 
@@ -401,7 +446,7 @@ mod tests {
         for e in w.iter() {
             assert!(e.time_interval().end > horizon);
         }
-        // Indexes were rebuilt consistently: query equals scan.
+        // Indexes skip the evicted positions: query equals scan.
         let q =
             crate::query::EventQuery::all().with_theme(crate::store::tests::theme_of("weather"));
         let scan = w.query_scan(&q).len();
@@ -435,5 +480,40 @@ mod tests {
         assert_eq!(w.time_index.len(), 50);
         // One theme.
         assert_eq!(w.theme_index.len(), 1);
+    }
+
+    /// A far-future event inserted first pins the front of the store while
+    /// everything behind it expires: slots and index entries must still
+    /// track the live population, not the eviction history.
+    #[test]
+    fn eviction_keeps_memory_within_twice_live() {
+        let mut w = EventWarehouse::new(WarehouseConfig {
+            segment_capacity: 64,
+            ..Default::default()
+        });
+        w.insert(event(1_000_000_000, "weather", 34.7, 0.0));
+        const WINDOW: i64 = 100; // minutes retained behind the newest event
+        for i in 0..100_000i64 {
+            w.insert(event(i * 60, "weather/temperature", 34.7, 0.0));
+            let evicted = w.evict_before(Timestamp::from_secs((i - WINDOW) * 60));
+            assert!(evicted <= 1);
+            let live = w.len();
+            assert!(live <= WINDOW as usize + 2);
+            let bound = 2 * live + 1;
+            let slots: usize = w.segments.iter().map(Vec::len).sum();
+            let time_total: usize = w.time_index.values().map(Vec::len).sum();
+            let theme_total: usize = w.theme_index.values().map(Vec::len).sum();
+            let space_total: usize = w.space_index.values().map(Vec::len).sum();
+            for held in [slots, time_total, theme_total, space_total] {
+                assert!(held <= bound, "{held} entries for {live} live events");
+            }
+            assert_eq!(w.expiry.len(), live);
+            assert!(w.time_index.len() <= bound, "dead granules linger");
+        }
+        assert_eq!(w.iter().count(), w.len());
+        assert_eq!(
+            w.iter().next(),
+            Some(&event(1_000_000_000, "weather", 34.7, 0.0))
+        );
     }
 }

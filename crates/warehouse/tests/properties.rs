@@ -1,5 +1,6 @@
 //! Property-based tests: the indexed query path always agrees with the
-//! brute-force scan, and roll-ups conserve event counts.
+//! brute-force scan, roll-ups conserve event counts, and incremental
+//! eviction is indistinguishable from filtering the store.
 
 use proptest::prelude::*;
 use sl_stt::{
@@ -71,8 +72,79 @@ fn arb_query() -> impl Strategy<Value = EventQuery> {
         })
 }
 
+/// One step of an ingest/retention interleaving.
+#[derive(Debug, Clone)]
+enum StoreOp {
+    Insert(Event),
+    /// `evict_before` at this many seconds.
+    Evict(i64),
+    /// `evict_before` exactly at the interval end of the n-th stored event
+    /// (modulo the population): the `end <= horizon` boundary.
+    EvictAtEndOf(usize),
+}
+
+fn arb_store_op() -> impl Strategy<Value = StoreOp> {
+    // Horizons span the whole event range and are not monotone, so events
+    // arrive both long before and long after the horizons around them.
+    (0u8..6, arb_event(), 0i64..2_100_000, 0usize..400).prop_map(|(kind, event, sec, n)| match kind
+    {
+        0 => StoreOp::Evict(sec),
+        1 => StoreOp::EvictAtEndOf(n),
+        _ => StoreOp::Insert(event),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `evict_before` behaves like filtering `iter()`: same return value,
+    /// same survivors in the same order, exact counters, and the indexes
+    /// keep answering like a scan — whatever the interleaving of inserts
+    /// and (non-monotone) horizons, across tombstoning and repacks.
+    #[test]
+    fn eviction_equals_filtering(
+        ops in proptest::collection::vec(arb_store_op(), 0..400),
+        queries in proptest::collection::vec(arb_query(), 1..4),
+        segment_capacity in 1usize..64,
+    ) {
+        let mut w = EventWarehouse::new(WarehouseConfig {
+            segment_capacity,
+            ..Default::default()
+        });
+        let mut model: Vec<Event> = Vec::new();
+        for op in ops {
+            let horizon = match op {
+                StoreOp::Insert(e) => {
+                    model.push(e.clone());
+                    w.insert(e);
+                    continue;
+                }
+                StoreOp::Evict(sec) => Timestamp::from_secs(sec),
+                StoreOp::EvictAtEndOf(n) => match model.get(n % model.len().max(1)) {
+                    Some(e) => e.time_interval().end,
+                    None => continue,
+                },
+            };
+            let before = model.len();
+            model.retain(|e| e.time_interval().end > horizon);
+            prop_assert_eq!(w.evict_before(horizon), before - model.len());
+            prop_assert!(w.iter().eq(model.iter()), "survivors or their order differ");
+            prop_assert_eq!(w.len(), model.len());
+            let world = model
+                .iter()
+                .filter(|e| e.sgranule == sl_stt::SpatialGranule::World)
+                .count();
+            prop_assert_eq!(w.stats().world_events, world as u64);
+            let earliest_end = model.iter().map(|e| e.time_interval().end).min();
+            prop_assert_eq!(w.next_expiry(), earliest_end);
+            for q in &queries {
+                let want: Vec<&Event> = model.iter().filter(|e| q.matches(e)).collect();
+                prop_assert_eq!(&w.query(q), &want, "query {:?}", q);
+                prop_assert_eq!(&w.query_scan(q), &want, "scan {:?}", q);
+            }
+        }
+        prop_assert!(w.iter().eq(model.iter()));
+    }
 
     /// Indexed queries return exactly the scan result, for arbitrary data
     /// and arbitrary conjunctive queries.

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate, tiered to match .github/workflows/ci.yml:
 #
-#   scripts/check.sh --fast   # the PR fast loop: build, tests, fmt,
-#                             # clippy -D warnings, doc -D warnings
+#   scripts/check.sh --fast   # the PR fast loop: build, tests (root package
+#                             # + the storage crates), fmt, clippy -D
+#                             # warnings, doc -D warnings
 #   scripts/check.sh          # everything: fast tier + the chaos/durable/
 #                             # parallel/overload/cq gates, the lint and
 #                             # example gates, the bench smokes, and the
@@ -24,6 +25,11 @@ done
 # ---------------------------------------------------------------- fast tier
 cargo build --release
 cargo test -q
+# Storage gate: the hot store, the durable tier (codec/log/warehouse
+# property suites, compaction-equivalence, torn-tail) and the view layer
+# share the retention path; their own suites are not part of the root
+# package's `cargo test`.
+cargo test -q -p sl-warehouse -p sl-durable -p sl-cq
 # Doctest gate: the documented crates' crate-root examples must run.
 cargo test --doc -q -p sl-stt -p sl-ops -p sl-engine -p sl-obs -p sl-durable
 cargo fmt --check
@@ -37,10 +43,8 @@ fi
 
 # ---------------------------------------------------------------- full tier
 cargo test -p sl-engine --test chaos
-# Crash-recovery gate: the durable codec/log/warehouse property suite
-# (including the compaction-equivalence and torn-tail suites) plus the
-# engine-level kill-and-reopen tests must hold on every commit.
-cargo test -p sl-durable -q
+# Crash-recovery gate: the engine-level kill-and-reopen tests must hold on
+# every commit (the sl-durable suites run in the fast tier).
 cargo test -p sl-engine --test durable_recovery
 # Parallel-execution gate: sequential-vs-parallel output equivalence
 # (fault-free, under chaos, every shard key, mid-run switch).
@@ -88,12 +92,11 @@ BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
 BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
     cargo run --release -q -p sl-bench --bin exp_e10_overload -- --test
 
-# Continuous-query gate: the sl-cq unit suite, then the engine-level
-# equivalence suite (views byte-identical to rescans under arbitrary
-# interleavings, eviction, chaos, compaction, and durable restart; unused
-# hub byte-invisible), the live-dashboard example, and the E11 smoke
-# (incremental maintenance >=10x over rescans at 100 subscribers).
-cargo test -p sl-cq -q
+# Continuous-query gate (the sl-cq unit suite runs in the fast tier): the
+# engine-level equivalence suite (views byte-identical to rescans under
+# arbitrary interleavings, eviction, chaos, compaction, and durable
+# restart; unused hub byte-invisible), the live-dashboard example, and the
+# E11 smoke (incremental maintenance >=10x over rescans at 100 subscribers).
 cargo test -p sl-engine --test cq_equivalence
 cargo run --release -q --example continuous_dashboard >/dev/null
 BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
