@@ -132,7 +132,7 @@ fn run_once(sensors: u64, policy: Option<OverflowPolicy>, virtual_secs: u64) -> 
     let mut max_depth = 0u64;
     for tick in 1..=(virtual_secs * 2) {
         e.run_until(t0v + Duration::from_millis(tick * 500));
-        for (_, depth) in e.ingress().depths() {
+        for (_, depth) in e.ingress_depths() {
             max_depth = max_depth.max(depth);
         }
     }

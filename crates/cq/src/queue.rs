@@ -3,33 +3,20 @@
 //! Every subscriber gets its own [`PushQueue`]: the hub pushes matched
 //! deltas at ingest time, the client drains them at its own pace. A slow
 //! client must not stall ingest or exhaust memory, so queues are bounded
-//! and a [`QueuePolicy`] (mirroring the engine's ingress `OverflowPolicy`
-//! variant for variant) decides what happens when one fills up. Every
+//! and a [`QueuePolicy`] (the engine's ingress `OverflowPolicy`, one enum
+//! defined in `sl-faults`) decides what happens when one fills up. Every
 //! outcome is explicit: shed deltas are counted, and the `Block` policy
 //! never silently drops — it marks the subscriber *lagged* so the client
 //! knows it must re-synchronise with a snapshot.
 
 use std::collections::VecDeque;
 
-/// What to do when a subscriber's queue is full. Mirrors the engine's
-/// ingress `OverflowPolicy` so deployments can reuse one mental model for
-/// both ends of the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QueuePolicy {
-    /// No silent loss: on overflow the queue is cleared and the subscriber
-    /// is marked [lagged](PushQueue::is_lagged). Deltas are withheld until
-    /// the client catches up from a snapshot (the push-side analogue of
-    /// blocking the producer, which a single-threaded ingest loop cannot
-    /// literally do).
-    Block,
-    /// Drop the oldest queued delta to admit the new one.
-    ShedOldest,
-    /// Drop the incoming delta, keeping the queued backlog.
-    ShedNewest,
-    /// Admit an overflowing delta with this probability (displacing the
-    /// oldest), otherwise drop it. Deterministic per queue.
-    Sample(f64),
-}
+/// What to do when a subscriber's queue is full: the engine's ingress
+/// [`OverflowPolicy`](sl_faults::OverflowPolicy) under its historical
+/// `sl-cq` name. On a subscriber queue `Block` clears the backlog and marks
+/// the subscriber [lagged](PushQueue::is_lagged); `Sample` draws from a
+/// per-queue deterministic sampler.
+pub use sl_faults::OverflowPolicy as QueuePolicy;
 
 /// How a push was handled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,6 +2,7 @@
 //! cadence, and overload-control knobs.
 
 use crate::shard::ShardKey;
+pub use sl_faults::OverflowPolicy;
 use sl_faults::RetryPolicy;
 use sl_ops::PriorityClass;
 use sl_stt::{Duration, SpatialGranularity, TemporalGranularity};
@@ -108,23 +109,6 @@ impl Default for EngineConfig {
             retention: None,
         }
     }
-}
-
-/// What a full bounded ingress queue does with overflow.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum OverflowPolicy {
-    /// Never shed: revoke generation credit from the sensors feeding the
-    /// saturated operator (propagated through the broker) until the queue
-    /// drains. Zero loss; the burst is absorbed by pausing the source.
-    Block,
-    /// Condemn the oldest queued tuple to admit the newest (freshness wins).
-    ShedOldest,
-    /// Drop the incoming tuple, keeping what was already queued.
-    ShedNewest,
-    /// On overflow, a seeded coin decides: with probability `p` the oldest
-    /// queued tuple is condemned (the new one is admitted), otherwise the
-    /// incoming tuple is shed. Either way the queue never exceeds its bound.
-    Sample(f64),
 }
 
 /// Overload-control knobs (see `DESIGN.md` §5g).

@@ -1,26 +1,53 @@
 //! Runtime state of a deployed dataflow.
 //!
 //! [`Engine::deploy`](crate::Engine::deploy) compiles a conceptual dataflow
-//! to SCN commands and actuates each one into the structures here: every
-//! source becomes a [`SourceRuntime`] (a broker subscription plus the set of
-//! currently bound sensors and the acquisition gate that Trigger-On/Off
-//! flip), every operator a [`ServiceRuntime`] (a live [`Operator`] process
-//! pinned to a network node — the node changes when the engine migrates it
-//! off an overloaded host), and every sink a [`SinkRuntime`]. The edges
-//! record the network flows reserved for inter-node tuple transfer, and the
-//! `consumers` map is the fan-out table the execution loop consults when an
-//! operator emits.
+//! to SCN commands and actuates each one *once* into the structures here;
+//! afterwards tuples follow what was installed and no hop looks a name up
+//! again. Every source becomes a [`SourceRuntime`] (a broker subscription,
+//! the currently bound sensors, the acquisition gate that Trigger-On/Off
+//! flip, and its resolved consumers). Every operator and every sink becomes
+//! one [`Endpoint`] record in the engine's endpoint table, addressed by the
+//! [`EndpointId`] that events, shard jobs and consumer lists carry. The
+//! record owns everything the engine knows about that delivery target: its
+//! placement, the live [`Operator`] process or the sink kind, its resolved
+//! consumers, its circuit breaker, its backlog-migration stamp, its span
+//! key and the monitor slot holding its counters and ingress queue state.
 //!
-//! Everything here is plain state — the behaviour (delivery, ticking,
-//! migration, accounting) lives in [`crate::engine`].
+//! **Lifetime rule: an id is never reused; events outlive deployments, ids
+//! do not.** `undeploy` retires the record ([`Role::Retired`] — only the
+//! names stay, for dead letters), so an event still in flight towards it is
+//! dropped where it lands and can never reach a later deployment that
+//! reuses the name.
+//!
+//! A [`Deployment`] keeps the *one* name index (`services` / `sinks`:
+//! name → id, borrowed-`&str` lookups) for callers that speak names: the
+//! public API, the monitor, reports, and the name-ordered sweeps (fan-out,
+//! preemption, watermarks) whose order is observable.
+//!
+//! Everything here is plain state — the behaviour lives in
+//! [`crate::engine`] (actuation, ticking, migration) and
+//! `crate::delivery` (the hop).
 
 use sl_dataflow::Dataflow;
 use sl_dsn::SinkKind;
+use sl_faults::CircuitBreaker;
 use sl_netsim::{FlowId, NodeId, ProcessId};
+use sl_obs::SpanKey;
 use sl_ops::Operator;
 use sl_pubsub::{SubscriptionFilter, SubscriptionId};
-use sl_stt::{SchemaRef, SensorId};
-use std::collections::{BTreeMap, BTreeSet};
+use sl_stt::{SchemaRef, SensorId, Timestamp, Tuple};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// Handle of one delivery target (service or sink): an index into the
+/// engine's endpoint table, assigned by `deploy()` and never reused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EndpointId(pub(crate) u32);
+
+impl EndpointId {
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Runtime state of one dataflow source.
 pub struct SourceRuntime {
@@ -34,6 +61,11 @@ pub struct SourceRuntime {
     pub active: bool,
     /// Sensors currently bound.
     pub sensors: BTreeSet<SensorId>,
+    /// (consumer, port) pairs reading from this source, in install order.
+    pub consumers: Vec<(EndpointId, usize)>,
+    /// The last few tuples produced (at most 8, newest last) — the Figure 2
+    /// bottom panel's "data sample coming from each source" (demo P1).
+    pub recent: VecDeque<Tuple>,
 }
 
 /// Runtime state of one operator process.
@@ -42,20 +74,74 @@ pub struct ServiceRuntime {
     pub process: ProcessId,
     /// The live operator.
     pub op: Box<dyn Operator>,
-    /// Node currently hosting the process.
-    pub node: NodeId,
     /// Producer names in port order.
     pub inputs: Vec<String>,
     /// Whether a periodic tick is scheduled (blocking operators).
     pub blocking: bool,
+    /// (consumer, port) pairs reading this operator's output, in install
+    /// order.
+    pub consumers: Vec<(EndpointId, usize)>,
+    /// Slot of this operator's counters and ingress state in the monitor,
+    /// bound by name on first touch (so the monitor lists an operator from
+    /// its first tuple or tick, and a same-name redeploy continues the
+    /// counters of its predecessor).
+    pub counters: Option<usize>,
+    /// `deployment/operator@node`, rebuilt when the process moves.
+    pub span: SpanKey,
+    /// Last backlog-driven re-placement (ping-pong damper).
+    pub last_backlog_migration: Option<Timestamp>,
 }
 
 /// Runtime state of one sink.
 pub struct SinkRuntime {
     /// Destination kind.
     pub kind: SinkKind,
-    /// Node hosting the sink endpoint.
+    /// Slot of this sink's delivered-tuples total in the monitor, bound by
+    /// name on the first arrival.
+    pub count: Option<usize>,
+    /// The `e2e/{deployment}/{sink}_us` histogram key.
+    pub e2e_key: String,
+}
+
+/// What an [`Endpoint`] currently is.
+pub enum Role {
+    /// An operator process.
+    Service(ServiceRuntime),
+    /// A sink endpoint.
+    Sink(SinkRuntime),
+    /// Torn down with its deployment; whatever still arrives is dropped.
+    Retired,
+}
+
+/// One delivery target: everything the engine keeps per service or sink.
+pub struct Endpoint {
+    /// `(deployment, name)` — for dead letters, log lines and reports.
+    pub names: (String, String),
+    /// Node currently hosting the process or sink endpoint.
     pub node: NodeId,
+    /// The service or sink behind the id.
+    pub role: Role,
+    /// Circuit breaker of the delivery path into this endpoint; created by
+    /// the path's first failure.
+    pub breaker: Option<CircuitBreaker>,
+}
+
+impl Endpoint {
+    /// The operator process, if this endpoint is a live service.
+    pub fn service(&self) -> Option<&ServiceRuntime> {
+        match &self.role {
+            Role::Service(svc) => Some(svc),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the operator process of a live service.
+    pub fn service_mut(&mut self) -> Option<&mut ServiceRuntime> {
+        match &mut self.role {
+            Role::Service(svc) => Some(svc),
+            _ => None,
+        }
+    }
 }
 
 /// One dataflow edge with its installed flow (service/sink edges only;
@@ -80,14 +166,15 @@ pub struct Deployment {
     pub dsn_text: String,
     /// Source runtimes by name.
     pub sources: BTreeMap<String, SourceRuntime>,
-    /// Service runtimes by name.
-    pub services: BTreeMap<String, ServiceRuntime>,
-    /// Sink runtimes by name.
-    pub sinks: BTreeMap<String, SinkRuntime>,
+    /// Service endpoints by name.
+    pub services: BTreeMap<String, EndpointId>,
+    /// Sink endpoints by name.
+    pub sinks: BTreeMap<String, EndpointId>,
     /// Edges with flows.
     pub edges: Vec<EdgeRuntime>,
-    /// `consumers[name]` = (consumer, port) pairs reading from `name`.
-    pub consumers: BTreeMap<String, Vec<(String, usize)>>,
+    /// Monitor slot of the `~sources` pseudo-operator (tuples the sources
+    /// delivered), bound on the first delivery.
+    pub sources_slot: Option<usize>,
 }
 
 /// A read-only snapshot of one service's placement and capabilities, for
@@ -127,18 +214,22 @@ pub struct DeploymentView {
 
 impl Deployment {
     /// A read-only capability/placement snapshot of this deployment.
-    pub fn view(&self, name: &str) -> DeploymentView {
+    pub fn view(&self, name: &str, endpoints: &[Endpoint]) -> DeploymentView {
         let services = self
             .services
             .iter()
-            .map(|(n, s)| ServiceView {
-                name: n.clone(),
-                kind: s.op.kind().to_string(),
-                node: s.node,
-                blocking: s.blocking,
-                shardable: s.op.is_shardable(),
-                checkpointable: s.op.checkpoint().is_some(),
-                inputs: s.inputs.clone(),
+            .filter_map(|(n, id)| {
+                let ep = endpoints.get(id.index())?;
+                let s = ep.service()?;
+                Some(ServiceView {
+                    name: n.clone(),
+                    kind: s.op.kind().to_string(),
+                    node: ep.node,
+                    blocking: s.blocking,
+                    shardable: s.op.is_shardable(),
+                    checkpointable: s.op.checkpoint().is_some(),
+                    inputs: s.inputs.clone(),
+                })
             })
             .collect();
         let (active, gated): (Vec<_>, Vec<_>) = self.sources.iter().partition(|(_, s)| s.active);
@@ -150,20 +241,11 @@ impl Deployment {
         }
     }
 
-    /// The node hosting a named endpoint (service or sink).
-    pub fn node_of(&self, name: &str) -> Option<NodeId> {
+    /// The id behind a named endpoint (service or sink).
+    pub fn endpoint(&self, name: &str) -> Option<EndpointId> {
         self.services
             .get(name)
-            .map(|s| s.node)
-            .or_else(|| self.sinks.get(name).map(|s| s.node))
-    }
-
-    /// Names of services placed on `node`.
-    pub fn services_on(&self, node: NodeId) -> Vec<&str> {
-        self.services
-            .iter()
-            .filter(|(_, s)| s.node == node)
-            .map(|(n, _)| n.as_str())
-            .collect()
+            .or_else(|| self.sinks.get(name))
+            .copied()
     }
 }

@@ -1,31 +1,37 @@
 //! The [`Engine`]: deployment actuation and the discrete-event execution
 //! loop.
+//!
+//! `deploy()` resolves every name once: each service and sink becomes one
+//! [`Endpoint`] record in `Engine::endpoints`, and from then on events,
+//! consumer lists and shard jobs carry its [`EndpointId`]. `undeploy()`
+//! retires the records; ids are never reused, so an event that outlives its
+//! deployment is dropped where it lands instead of finding a namesake. The
+//! hop between endpoints — route, transfer, breaker, admission, retry, DLQ,
+//! and the bookkeeping after an operator ran — is `crate::delivery`; this
+//! file keeps sensors, actuation, the event loop, storage and control.
 
 use crate::config::{EngineConfig, OverflowPolicy, PlacementPolicy};
 use crate::deployment::{
-    Deployment, DeploymentView, EdgeRuntime, ServiceRuntime, SinkRuntime, SourceRuntime,
+    Deployment, DeploymentView, EdgeRuntime, Endpoint, EndpointId, Role, ServiceRuntime,
+    SinkRuntime, SourceRuntime,
 };
 use crate::error::EngineError;
 use crate::monitor::{ControlRecord, Monitor, PlacementChange};
-use crate::overload::IngressTable;
 use crate::shard::ShardPool;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sl_cq::{CqHub, CqPoll, QueuePolicy, SubscriberId, ViewId};
+use sl_cq::{CqHub, CqPoll, SubscriberId, ViewId};
 use sl_dataflow::{to_dsn, validate, Dataflow};
 use sl_dsn::{compile, print_document, ScnCommand, SinkKind};
 use sl_durable::{CompactionStats, DurableConfig, DurableWarehouse};
-use sl_faults::{
-    BreakerDecision, BreakerState, CircuitBreaker, DeadLetterQueue, DropReason, FaultAction,
-    FaultPlan, ShedPolicy,
-};
+use sl_faults::{BreakerState, DeadLetterQueue, DropReason, FaultAction, FaultPlan};
 use sl_netsim::{
     EventQueue, FlowTable, LinkId, LoadTracker, NetError, NetStats, NodeId, ProcessId, QosSpec,
     Route, RoutingTable, Topology,
 };
 use sl_obs::{Metrics, MetricsSnapshot, SpanKey, Tracer};
-use sl_ops::{shard_checkpoint_name, ControlAction, OpCheckpoint, OpContext, PriorityClass};
+use sl_ops::{shard_checkpoint_name, ControlAction, OpCheckpoint, OpContext, TupleOutcome};
 use sl_pubsub::enrich::{enrich, EnrichPolicy};
 use sl_pubsub::{Broker, BrokerEvent, SensorAdvertisement, SubscriptionId};
 use sl_sensors::{decode_payload, SensorSim};
@@ -34,26 +40,24 @@ use sl_warehouse::{CubeCell, CubeQuery, EventQuery, EventWarehouse};
 use std::collections::{BTreeMap, HashMap};
 
 /// Events driving the engine.
-enum Ev {
+pub(crate) enum Ev {
     /// A sensor's sampling instant.
     SensorEmit(u64),
     /// A tuple arrives at a service or sink after network transfer.
     Deliver {
-        deployment: String,
-        target: String,
+        to: EndpointId,
         port: usize,
         tuple: Tuple,
     },
     /// A blocking operator's periodic tick.
-    Tick { deployment: String, service: String },
+    Tick(EndpointId),
     /// Monitor sampling (rates, demand refresh, migration check).
     MonitorSample,
     /// A scheduled fault-plan action fires.
     Fault(FaultAction),
     /// Re-attempt a delivery that previously found no route.
     RetryDeliver {
-        deployment: String,
-        target: String,
+        to: EndpointId,
         port: usize,
         tuple: Tuple,
         /// Node the tuple is buffered on (where it was produced).
@@ -65,9 +69,9 @@ enum Ev {
     },
 }
 
-struct SensorEntry {
+pub(crate) struct SensorEntry {
     sim: Box<dyn SensorSim>,
-    ad: SensorAdvertisement,
+    pub(crate) ad: SensorAdvertisement,
     /// Silently stalled (fault injection): scheduled but not emitting.
     stalled: bool,
     /// Corrupting wire payloads (fault injection).
@@ -107,18 +111,6 @@ impl WarehouseTier {
     }
 }
 
-/// The engine's ingress [`OverflowPolicy`] vocabulary, translated onto
-/// `sl-cq`'s subscriber queues (variant for variant) so one config idiom
-/// covers both ends of the pipeline.
-fn queue_policy(p: OverflowPolicy) -> QueuePolicy {
-    match p {
-        OverflowPolicy::Block => QueuePolicy::Block,
-        OverflowPolicy::ShedOldest => QueuePolicy::ShedOldest,
-        OverflowPolicy::ShedNewest => QueuePolicy::ShedNewest,
-        OverflowPolicy::Sample(p) => QueuePolicy::Sample(p),
-    }
-}
-
 /// A terminally undeliverable tuple, parked in the engine's dead-letter
 /// queue together with its [`DropReason`].
 #[derive(Debug, Clone)]
@@ -133,35 +125,36 @@ pub struct DeadTuple {
 
 /// The StreamLoader execution engine. See the crate docs for the model.
 pub struct Engine {
-    topology: Topology,
-    queue: EventQueue<Ev>,
-    broker: Broker,
+    pub(crate) topology: Topology,
+    pub(crate) queue: EventQueue<Ev>,
+    pub(crate) broker: Broker,
     flows: FlowTable,
     loads: LoadTracker,
-    net_stats: NetStats,
-    monitor: Monitor,
+    pub(crate) net_stats: NetStats,
+    pub(crate) monitor: Monitor,
     warehouse: WarehouseTier,
-    sensors: BTreeMap<u64, SensorEntry>,
-    deployments: BTreeMap<String, Deployment>,
+    pub(crate) sensors: BTreeMap<u64, SensorEntry>,
+    /// Active deployments; each holds the name → id index of its endpoints.
+    pub(crate) deployments: BTreeMap<String, Deployment>,
+    /// One record per service or sink ever deployed, indexed by
+    /// [`EndpointId`]; `undeploy` retires a record, nothing reuses its id.
+    pub(crate) endpoints: Vec<Endpoint>,
     /// subscription -> (deployment, source).
     sub_index: HashMap<u64, (String, String)>,
     /// Route cache keyed by (from, to) node.
     route_cache: HashMap<(u32, u32), Option<Route>>,
-    /// Last few tuples seen per (deployment, source) — the Figure 2 bottom
-    /// panel's "data sample coming from each source" (demo P1).
-    recent_samples: HashMap<(String, String), std::collections::VecDeque<Tuple>>,
-    config: EngineConfig,
-    rng: StdRng,
+    pub(crate) config: EngineConfig,
+    pub(crate) rng: StdRng,
     last_monitor_at: Timestamp,
     next_pid: u64,
     /// Terminally undeliverable tuples, classified by drop reason.
-    dlq: DeadLetterQueue<DeadTuple>,
+    pub(crate) dlq: DeadLetterQueue<DeadTuple>,
     /// Latest blocking-operator state snapshots, keyed (deployment, service),
     /// restored onto the migration target after a node crash.
     checkpoints: HashMap<(String, String), OpCheckpoint>,
     /// Engine-level instruments: event-loop timing, enrichment counters,
     /// per-tuple spans, end-to-end latency, queue depth.
-    metrics: Metrics,
+    pub(crate) metrics: Metrics,
     /// Wall-clock origin for span timestamps (virtual time measures the
     /// simulation; spans measure the host's processing cost).
     epoch: std::time::Instant,
@@ -170,13 +163,6 @@ pub struct Engine {
     pool: Option<ShardPool>,
     /// Steal count already exported to the `shard/steals` counter.
     last_steals: u64,
-    /// Overload control: per-operator in-flight depths, deferred shed
-    /// markers, and per-window high-watermarks.
-    ingress: IngressTable,
-    /// Circuit breakers per delivery path, keyed (deployment, target).
-    breakers: BTreeMap<(String, String), CircuitBreaker>,
-    /// Last backlog-driven re-placement per operator (ping-pong damper).
-    last_backlog_migration: HashMap<(String, String), Timestamp>,
     /// Continuous queries: standing subscriptions and materialized views,
     /// fed inline by the warehouse ingest path. Idle (and free) until the
     /// first registration.
@@ -200,9 +186,9 @@ impl Engine {
             warehouse: WarehouseTier::Memory(Box::new(EventWarehouse::with_defaults())),
             sensors: BTreeMap::new(),
             deployments: BTreeMap::new(),
+            endpoints: Vec::new(),
             sub_index: HashMap::new(),
             route_cache: HashMap::new(),
-            recent_samples: HashMap::new(),
             rng: StdRng::seed_from_u64(config.seed),
             last_monitor_at: start,
             dlq: DeadLetterQueue::new(config.dlq_capacity),
@@ -213,9 +199,6 @@ impl Engine {
             epoch: std::time::Instant::now(),
             pool: None,
             last_steals: 0,
-            ingress: IngressTable::new(),
-            breakers: BTreeMap::new(),
-            last_backlog_migration: HashMap::new(),
             cq: CqHub::new(),
         }
     }
@@ -404,7 +387,7 @@ impl Engine {
         capacity: Option<usize>,
         policy: OverflowPolicy,
     ) -> SubscriberId {
-        self.cq.subscribe(name, q, capacity, queue_policy(policy))
+        self.cq.subscribe(name, q, capacity, policy)
     }
 
     /// Remove a standing subscription.
@@ -525,63 +508,62 @@ impl Engine {
         self.deployments.keys().map(String::as_str).collect()
     }
 
+    fn deployment(&self, name: &str) -> Result<&Deployment, EngineError> {
+        self.deployments
+            .get(name)
+            .ok_or_else(|| EngineError::UnknownDeployment(name.to_string()))
+    }
+
     /// The DSN text of a deployment (demo P2's translation display).
     pub fn dsn_text(&self, deployment: &str) -> Result<&str, EngineError> {
-        self.deployments
-            .get(deployment)
-            .map(|d| d.dsn_text.as_str())
-            .ok_or_else(|| EngineError::UnknownDeployment(deployment.to_string()))
+        Ok(&self.deployment(deployment)?.dsn_text)
     }
 
     /// The deployed dataflow (for rendering).
     pub fn dataflow(&self, deployment: &str) -> Result<&Dataflow, EngineError> {
-        self.deployments
-            .get(deployment)
-            .map(|d| &d.dataflow)
-            .ok_or_else(|| EngineError::UnknownDeployment(deployment.to_string()))
+        Ok(&self.deployment(deployment)?.dataflow)
     }
 
     /// A read-only capability/placement snapshot of a deployment (see
     /// [`DeploymentView`]): per-service shard/checkpoint capabilities,
     /// current placement, and source acquisition state.
     pub fn deployment_view(&self, deployment: &str) -> Result<DeploymentView, EngineError> {
-        self.deployments
-            .get(deployment)
-            .map(|d| d.view(deployment))
-            .ok_or_else(|| EngineError::UnknownDeployment(deployment.to_string()))
+        Ok(self
+            .deployment(deployment)?
+            .view(deployment, &self.endpoints))
+    }
+
+    /// The live endpoint (service or sink) behind a name pair.
+    fn endpoint(&self, deployment: &str, name: &str) -> Option<&Endpoint> {
+        let id = self.deployments.get(deployment)?.endpoint(name)?;
+        self.endpoints.get(id.index())
+    }
+
+    fn source(&self, deployment: &str, source: &str) -> Option<&SourceRuntime> {
+        self.deployments.get(deployment)?.sources.get(source)
     }
 
     /// Node currently hosting a service.
     pub fn node_of(&self, deployment: &str, service: &str) -> Option<NodeId> {
-        self.deployments
-            .get(deployment)
-            .and_then(|d| d.node_of(service))
+        self.endpoint(deployment, service).map(|ep| ep.node)
     }
 
     /// Whether a source is currently acquiring.
     pub fn source_active(&self, deployment: &str, source: &str) -> Option<bool> {
-        self.deployments
-            .get(deployment)
-            .and_then(|d| d.sources.get(source))
-            .map(|s| s.active)
+        self.source(deployment, source).map(|s| s.active)
     }
 
     /// The last few tuples (at most 8, newest last) a source produced —
     /// what the design GUI shows as the per-source data sample (demo P1).
     pub fn recent_samples(&self, deployment: &str, source: &str) -> Vec<Tuple> {
-        self.recent_samples
-            .get(&(deployment.to_string(), source.to_string()))
-            .map(|d| d.iter().cloned().collect())
-            .unwrap_or_default()
+        let src = self.source(deployment, source);
+        src.map_or_else(Vec::new, |s| s.recent.iter().cloned().collect())
     }
 
     /// Sensors currently bound to a source.
     pub fn bound_sensors(&self, deployment: &str, source: &str) -> Vec<SensorId> {
-        self.deployments
-            .get(deployment)
-            .and_then(|d| d.sources.get(source))
-            .map(|s| s.sensors.iter().copied().collect())
-            .unwrap_or_default()
+        let src = self.source(deployment, source);
+        src.map_or_else(Vec::new, |s| s.sensors.iter().copied().collect())
     }
 
     // ------------------------------------------------------------------
@@ -676,7 +658,9 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Deploy a conceptual dataflow: validate, translate to DSN, compile to
-    /// SCN and actuate every command on the network.
+    /// SCN and actuate every command on the network. Names are resolved
+    /// here, once: every service and sink gets its [`Endpoint`] record and
+    /// every consumer list holds ids.
     pub fn deploy(&mut self, dataflow: Dataflow) -> Result<(), EngineError> {
         let name = dataflow.name.clone();
         if self.deployments.contains_key(&name) {
@@ -694,160 +678,205 @@ impl Engine {
             services: BTreeMap::new(),
             sinks: BTreeMap::new(),
             edges: Vec::new(),
-            consumers: BTreeMap::new(),
+            sources_slot: None,
         };
-
         for command in &program.commands {
-            match command {
-                ScnCommand::BindSource {
-                    source,
-                    filter,
-                    active,
-                } => {
-                    let subscription: SubscriptionId = self.broker.subscribe(filter.clone());
-                    self.sub_index
-                        .insert(subscription.0, (name.clone(), source.clone()));
-                    let schema = report.schemas[source].clone();
-                    let mut runtime = SourceRuntime {
-                        filter: filter.clone(),
-                        subscription,
-                        schema,
-                        active: *active,
-                        sensors: Default::default(),
-                    };
-                    for ad in self.broker.matching(subscription)? {
-                        if runtime.schema.subsumed_by(&ad.schema) {
-                            runtime.sensors.insert(ad.id);
-                        } else {
-                            self.monitor.membership.push(format!(
-                                "[{}] ! {} matches `{name}/{source}` but lacks required attributes; skipped",
-                                self.queue.now(),
-                                ad.name
-                            ));
-                        }
-                    }
-                    deployment.sources.insert(source.clone(), runtime);
-                }
-                ScnCommand::SpawnProcess {
-                    service,
-                    spec,
-                    inputs,
-                } => {
-                    let input_schemas: Vec<SchemaRef> =
-                        inputs.iter().map(|i| report.schemas[i].clone()).collect();
-                    let mut op =
-                        spec.instantiate(&input_schemas)
-                            .map_err(|error| EngineError::Op {
-                                deployment: name.clone(),
-                                operator: service.clone(),
-                                error,
-                            })?;
-                    let demand = self.config.initial_demand * op.cost_per_tuple();
-                    let node = self.pick_node(&deployment, inputs, demand)?;
-                    let process = ProcessId(self.next_pid);
-                    self.next_pid += 1;
-                    self.loads
-                        .place(&self.topology, process, node, demand, false)?;
-                    self.monitor.placements.push(PlacementChange {
-                        at: self.queue.now(),
-                        deployment: name.clone(),
-                        operator: service.clone(),
-                        from: None,
-                        to: node,
-                        reason: "initial placement".into(),
-                    });
-                    let blocking = op.is_blocking();
-                    // A checkpoint staged under this (deployment, service)
-                    // — recovered from the durable log by `open_durable` —
-                    // re-seeds the window cache before the first tuple
-                    // arrives: the restart continues where the crashed
-                    // process checkpointed.
-                    if self.config.checkpoint_enabled && blocking {
-                        if let Some(ckpt) = self
-                            .checkpoints
-                            .get(&(name.clone(), shard_checkpoint_name(service, 0, 1)))
-                            .cloned()
-                        {
-                            let (n_tuples, n_bytes) = (ckpt.len(), ckpt.byte_size());
-                            op.restore(ckpt);
-                            self.metrics
-                                .counter("checkpoint/restored_tuples")
-                                .add(n_tuples as u64);
-                            self.metrics
-                                .counter("checkpoint/restored_bytes")
-                                .add(n_bytes as u64);
-                            self.monitor.durability.push(format!(
-                                "[{}] {name}/{service}: window cache restored from checkpoint ({n_tuples} tuples, {n_bytes} B)",
-                                self.queue.now()
-                            ));
-                        }
-                    }
-                    if let Some(period) = op.timer_period() {
-                        self.queue.schedule_in(
-                            period,
-                            Ev::Tick {
-                                deployment: name.clone(),
-                                service: service.clone(),
-                            },
-                        );
-                    }
-                    deployment.services.insert(
-                        service.clone(),
-                        ServiceRuntime {
-                            process,
-                            op,
-                            node,
-                            inputs: inputs.clone(),
-                            blocking,
-                        },
-                    );
-                }
-                ScnCommand::ConfigureSink { sink, kind } => {
-                    // Sinks live on the least-loaded node (the EDW endpoint).
-                    let node = self
-                        .loads
-                        .least_loaded(&self.topology, self.topology.node_ids(), 0.0)
-                        .unwrap_or(NodeId(0));
-                    self.monitor.placements.push(PlacementChange {
-                        at: self.queue.now(),
-                        deployment: name.clone(),
-                        operator: sink.clone(),
-                        from: None,
-                        to: node,
-                        reason: "sink endpoint".into(),
-                    });
-                    deployment
-                        .sinks
-                        .insert(sink.clone(), SinkRuntime { kind: *kind, node });
-                }
-                ScnCommand::InstallFlow {
-                    from,
-                    to,
-                    port,
-                    qos,
-                } => {
-                    let flow = match (deployment.node_of(from), deployment.node_of(to)) {
-                        (Some(a), Some(b)) if a != b => {
-                            Some(self.install_flow_with_fallback(a, b, qos, &name, from, to)?)
-                        }
-                        _ => None, // source-fed edge or co-located endpoints
-                    };
-                    deployment.edges.push(EdgeRuntime {
-                        from: from.clone(),
-                        to: to.clone(),
-                        port: *port,
-                        flow,
-                    });
-                    deployment
-                        .consumers
-                        .entry(from.clone())
-                        .or_default()
-                        .push((to.clone(), *port));
-                }
+            if let Err(e) = self.actuate(&name, &mut deployment, &report, command) {
+                // Nothing of a half-actuated deployment may stay behind: its
+                // endpoints would keep ticking with no name to undeploy by.
+                self.teardown(deployment);
+                return Err(e);
             }
         }
         self.deployments.insert(name, deployment);
         Ok(())
+    }
+
+    /// Actuate one SCN command of deployment `name`.
+    fn actuate(
+        &mut self,
+        name: &str,
+        deployment: &mut Deployment,
+        report: &sl_dataflow::ValidationReport,
+        command: &ScnCommand,
+    ) -> Result<(), EngineError> {
+        match command {
+            ScnCommand::BindSource {
+                source,
+                filter,
+                active,
+            } => {
+                let subscription: SubscriptionId = self.broker.subscribe(filter.clone());
+                self.sub_index
+                    .insert(subscription.0, (name.to_string(), source.clone()));
+                let runtime = SourceRuntime {
+                    filter: filter.clone(),
+                    subscription,
+                    schema: report.schemas[source].clone(),
+                    active: *active,
+                    sensors: Default::default(),
+                    consumers: Vec::new(),
+                    recent: Default::default(),
+                };
+                // Registered before the fallible lookup, so a failed deploy
+                // still finds the subscription to drop.
+                let src = deployment.sources.entry(source.clone()).or_insert(runtime);
+                for ad in self.broker.matching(subscription)? {
+                    if src.schema.subsumed_by(&ad.schema) {
+                        src.sensors.insert(ad.id);
+                    } else {
+                        self.monitor.membership.push(format!(
+                            "[{}] ! {} matches `{name}/{source}` but lacks required attributes; skipped",
+                            self.queue.now(),
+                            ad.name
+                        ));
+                    }
+                }
+            }
+            ScnCommand::SpawnProcess {
+                service,
+                spec,
+                inputs,
+            } => {
+                let input_schemas: Vec<SchemaRef> =
+                    inputs.iter().map(|i| report.schemas[i].clone()).collect();
+                let mut op = spec
+                    .instantiate(&input_schemas)
+                    .map_err(|error| EngineError::Op {
+                        deployment: name.to_string(),
+                        operator: service.clone(),
+                        error,
+                    })?;
+                let demand = self.config.initial_demand * op.cost_per_tuple();
+                let node = self.pick_node(deployment, inputs, demand)?;
+                let process = ProcessId(self.next_pid);
+                self.next_pid += 1;
+                self.loads
+                    .place(&self.topology, process, node, demand, false)?;
+                let blocking = op.is_blocking();
+                // A checkpoint staged under this (deployment, service)
+                // — recovered from the durable log by `open_durable` —
+                // re-seeds the window cache before the first tuple
+                // arrives: the restart continues where the crashed
+                // process checkpointed.
+                if self.config.checkpoint_enabled && blocking {
+                    if let Some(ckpt) = self
+                        .checkpoints
+                        .get(&(name.to_string(), shard_checkpoint_name(service, 0, 1)))
+                        .cloned()
+                    {
+                        let (n_tuples, n_bytes) = (ckpt.len(), ckpt.byte_size());
+                        op.restore(ckpt);
+                        self.metrics
+                            .counter("checkpoint/restored_tuples")
+                            .add(n_tuples as u64);
+                        self.metrics
+                            .counter("checkpoint/restored_bytes")
+                            .add(n_bytes as u64);
+                        self.monitor.durability.push(format!(
+                            "[{}] {name}/{service}: window cache restored from checkpoint ({n_tuples} tuples, {n_bytes} B)",
+                            self.queue.now()
+                        ));
+                    }
+                }
+                let period = op.timer_period();
+                let role = Role::Service(ServiceRuntime {
+                    process,
+                    op,
+                    inputs: inputs.clone(),
+                    blocking,
+                    consumers: Vec::new(),
+                    counters: None,
+                    span: SpanKey::new(name, service.as_str(), node.to_string()),
+                    last_backlog_migration: None,
+                });
+                let id = self.add_endpoint(name, service, node, role, "initial placement");
+                deployment.services.insert(service.clone(), id);
+                if let Some(period) = period {
+                    self.queue.schedule_in(period, Ev::Tick(id));
+                }
+            }
+            ScnCommand::ConfigureSink { sink, kind } => {
+                // Sinks live on the least-loaded node (the EDW endpoint).
+                let node = self
+                    .loads
+                    .least_loaded(&self.topology, self.topology.node_ids(), 0.0)
+                    .unwrap_or(NodeId(0));
+                let role = Role::Sink(SinkRuntime {
+                    kind: *kind,
+                    count: None,
+                    e2e_key: format!("e2e/{name}/{sink}_us"),
+                });
+                let id = self.add_endpoint(name, sink, node, role, "sink endpoint");
+                deployment.sinks.insert(sink.clone(), id);
+            }
+            ScnCommand::InstallFlow {
+                from,
+                to,
+                port,
+                qos,
+            } => {
+                let flow = match (self.node_in(deployment, from), self.node_in(deployment, to)) {
+                    (Some(a), Some(b)) if a != b => {
+                        Some(self.install_flow_with_fallback(a, b, qos, name, from, to)?)
+                    }
+                    _ => None, // source-fed edge or co-located endpoints
+                };
+                deployment.edges.push(EdgeRuntime {
+                    from: from.clone(),
+                    to: to.clone(),
+                    port: *port,
+                    flow,
+                });
+                if let Some(consumer) = deployment.endpoint(to) {
+                    let producer = deployment
+                        .services
+                        .get(from)
+                        .and_then(|id| self.endpoints.get_mut(id.index()))
+                        .and_then(Endpoint::service_mut);
+                    match (producer, deployment.sources.get_mut(from)) {
+                        (Some(svc), _) => svc.consumers.push((consumer, *port)),
+                        (None, Some(src)) => src.consumers.push((consumer, *port)),
+                        (None, None) => {}
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Mint the record (and the never-reused id) of a freshly placed
+    /// service or sink.
+    fn add_endpoint(
+        &mut self,
+        deployment: &str,
+        name: &str,
+        node: NodeId,
+        role: Role,
+        reason: &str,
+    ) -> EndpointId {
+        self.monitor.placements.push(PlacementChange {
+            at: self.queue.now(),
+            deployment: deployment.to_string(),
+            operator: name.to_string(),
+            from: None,
+            to: node,
+            reason: reason.into(),
+        });
+        let id = EndpointId(self.endpoints.len() as u32);
+        self.endpoints.push(Endpoint {
+            names: (deployment.to_string(), name.to_string()),
+            node,
+            role,
+            breaker: None,
+        });
+        id
+    }
+
+    /// The node hosting a named endpoint of `deployment` (service or sink).
+    fn node_in(&self, deployment: &Deployment, name: &str) -> Option<NodeId> {
+        let id = deployment.endpoint(name)?;
+        self.endpoints.get(id.index()).map(|ep| ep.node)
     }
 
     fn install_flow_with_fallback(
@@ -874,32 +903,54 @@ impl Engine {
         }
     }
 
-    /// Tear a deployment down: drop subscriptions, flows and processes.
+    /// Tear a deployment down: drop subscriptions, flows and processes, and
+    /// retire its endpoints. Tuples still in flight towards them are
+    /// dropped on arrival.
     pub fn undeploy(&mut self, name: &str) -> Result<(), EngineError> {
         let deployment = self
             .deployments
             .remove(name)
             .ok_or_else(|| EngineError::UnknownDeployment(name.to_string()))?;
+        self.teardown(deployment);
+        // Drop the deployment's checkpoints: a later deployment reusing the
+        // name must start from clean operator state, not resurrect this one.
+        self.checkpoints.retain(|(dep, _), _| dep != name);
+        Ok(())
+    }
+
+    /// Release everything `actuate` installed for `deployment`.
+    fn teardown(&mut self, deployment: Deployment) {
         for (_, src) in deployment.sources {
             let _ = self.broker.unsubscribe(src.subscription);
             self.sub_index.remove(&src.subscription.0);
         }
-        for (_, svc) in deployment.services {
-            self.loads.remove(svc.process);
+        for id in deployment
+            .services
+            .values()
+            .chain(deployment.sinks.values())
+        {
+            let Some(ep) = self.endpoints.get_mut(id.index()) else {
+                continue;
+            };
+            // The record's breaker, backlog stamp and operator go with it;
+            // what it shared with the rest of the engine is handed back.
+            if let Role::Service(svc) = std::mem::replace(&mut ep.role, Role::Retired) {
+                self.loads.remove(svc.process);
+                if let Some(slot) = svc.counters {
+                    self.monitor.op_at_mut(slot).ingress = Default::default();
+                }
+                // Cached shard replicas of the operator are stale too.
+                if let Some(pool) = &self.pool {
+                    pool.invalidate(*id);
+                }
+            }
+            ep.breaker = None;
         }
         for edge in deployment.edges {
             if let Some(flow) = edge.flow {
                 let _ = self.flows.uninstall(flow);
             }
         }
-        // Drop the deployment's checkpoints: a later deployment reusing the
-        // name must start from clean operator state, not resurrect this one.
-        self.checkpoints.retain(|(dep, _), _| dep != name);
-        // Cached shard replicas of the torn-down operators are stale too.
-        if let Some(pool) = &self.pool {
-            pool.invalidate_deployment(name);
-        }
-        Ok(())
     }
 
     /// Flip a source's acquisition gate (also exercised by triggers).
@@ -937,9 +988,10 @@ impl Engine {
         let mut df = dep.dataflow.clone();
         df.replace_spec(service, spec.clone())?;
         let report = validate(&df)?;
-        let svc = dep
-            .services
-            .get_mut(service)
+        let id = dep.services.get(service).copied();
+        let svc = id
+            .and_then(|id| self.endpoints.get_mut(id.index()))
+            .and_then(Endpoint::service_mut)
             .ok_or_else(|| EngineError::UnknownDeployment(format!("{deployment}/{service}")))?;
         let input_schemas: Vec<SchemaRef> = svc
             .inputs
@@ -959,19 +1011,13 @@ impl Engine {
         svc.op = op;
         dep.dataflow = df;
         dep.dsn_text = print_document(&to_dsn(&dep.dataflow));
-        if let (false, Some(period)) = (was_blocking, period) {
-            self.queue.schedule_in(
-                period,
-                Ev::Tick {
-                    deployment: deployment.to_string(),
-                    service: service.to_string(),
-                },
-            );
+        if let (false, Some(period), Some(id)) = (was_blocking, period, id) {
+            self.queue.schedule_in(period, Ev::Tick(id));
         }
         // Shard replicas cached for the old operator must not keep
         // processing tuples meant for the replacement.
-        if let Some(pool) = &self.pool {
-            pool.invalidate(deployment, service);
+        if let (Some(pool), Some(id)) = (&self.pool, id) {
+            pool.invalidate(id);
         }
         self.monitor.console.push(format!(
             "[{}] {deployment}/{service} replaced on the fly",
@@ -1037,17 +1083,26 @@ impl Engine {
         &self.config
     }
 
-    /// The overload-control ingress table: per-operator in-flight depths
-    /// and watermarks (populated once deliveries flow).
-    pub fn ingress(&self) -> &IngressTable {
-        &self.ingress
+    /// Every live service's in-flight ingress depth, in `(deployment,
+    /// service)` name order.
+    pub fn ingress_depths(&self) -> impl Iterator<Item = (&(String, String), u64)> {
+        self.deployments
+            .values()
+            .flat_map(|d| d.services.values())
+            .filter_map(|id| Some((&self.endpoints.get(id.index())?.names, self.depth(*id))))
+    }
+
+    /// Total in-flight deliveries across every live service's ingress queue.
+    pub fn total_inflight(&self) -> u64 {
+        self.ingress_depths().map(|(_, depth)| depth).sum()
     }
 
     /// Current circuit-breaker state for a delivery path, if one has been
     /// created (breakers materialise on the first failure of a path).
     pub fn breaker_state(&self, deployment: &str, target: &str) -> Option<BreakerState> {
-        self.breakers
-            .get(&(deployment.to_string(), target.to_string()))
+        self.endpoint(deployment, target)?
+            .breaker
+            .as_ref()
             .map(|b| b.state())
     }
 
@@ -1157,90 +1212,71 @@ impl Engine {
             .recovery
             .push(format!("[{now}] {node} crashed"));
 
-        // Services hosted on the crashed node, with their current demands.
-        let on_node: HashMap<u64, f64> = self
-            .loads
-            .processes_on(node)
-            .into_iter()
-            .map(|(p, d)| (p.0, d))
-            .collect();
-        let mut victims: Vec<(String, String, ProcessId, f64)> = Vec::new();
-        for (dep_name, dep) in &self.deployments {
-            for (s_name, s) in dep.services.iter().filter(|(_, s)| s.node == node) {
-                let demand = on_node.get(&s.process.0).copied().unwrap_or(1.0);
-                victims.push((dep_name.clone(), s_name.clone(), s.process, demand));
-            }
+        // Services hosted on the crashed node are evacuated; sink endpoints
+        // on it move to the least-loaded live node (their tuples would
+        // otherwise dead-letter until restart).
+        let on_node = |id: &&EndpointId| {
+            let ep = self.endpoints.get(id.index());
+            ep.is_some_and(|ep| ep.node == node)
+        };
+        let deployments = self.deployments.values();
+        let services = deployments.clone().flat_map(|dep| dep.services.values());
+        let victims: Vec<EndpointId> = services.filter(on_node).copied().collect();
+        let sinks = deployments.flat_map(|dep| dep.sinks.values());
+        let sink_victims: Vec<EndpointId> = sinks.filter(on_node).copied().collect();
+        for id in victims {
+            self.recover_service(now, id);
         }
-        for (dep_name, svc_name, process, demand) in victims {
-            self.recover_service(now, &dep_name, &svc_name, process, demand, node);
-        }
-
-        // Sink endpoints on the crashed node move to the least-loaded live
-        // node (their tuples would otherwise dead-letter until restart).
-        let sink_victims: Vec<(String, String)> = self
-            .deployments
-            .iter()
-            .flat_map(|(d, dep)| {
-                dep.sinks
-                    .iter()
-                    .filter(|(_, s)| s.node == node)
-                    .map(move |(s_name, _)| (d.clone(), s_name.clone()))
-            })
-            .collect();
-        for (dep_name, sink_name) in sink_victims {
-            let candidates: Vec<NodeId> = self
-                .topology
-                .node_ids()
-                .filter(|n| self.topology.node_is_up(*n))
-                .collect();
-            let Some(target) = self
-                .loads
-                .least_loaded(&self.topology, candidates.iter().copied(), 0.0)
-                .or_else(|| candidates.first().copied())
-            else {
-                continue;
-            };
-            if let Some(sink) = self
-                .deployments
-                .get_mut(&dep_name)
-                .and_then(|d| d.sinks.get_mut(&sink_name))
-            {
-                sink.node = target;
+        for id in sink_victims {
+            if let Some(target) = self.recovery_node(0.0) {
+                self.relocate(now, id, target, "recovery: node crash".into());
             }
-            self.monitor.placements.push(PlacementChange {
-                at: now,
-                deployment: dep_name.clone(),
-                operator: sink_name.clone(),
-                from: Some(node),
-                to: target,
-                reason: "recovery: node crash".into(),
-            });
-            self.reinstall_flows_for(&dep_name, &sink_name);
         }
     }
 
-    /// Re-place one service off a crashed node and restore its operator
-    /// state from the latest checkpoint (or wipe it when checkpointing is
-    /// off — modelling the unrecovered state loss).
-    fn recover_service(
-        &mut self,
-        now: Timestamp,
-        dep_name: &str,
-        svc_name: &str,
-        process: ProcessId,
-        demand: f64,
-        crashed: NodeId,
-    ) {
+    /// The least-loaded live node with room for `demand` (any live node when
+    /// none has room: recovery beats capacity guarantees).
+    fn recovery_node(&self, demand: f64) -> Option<NodeId> {
         let candidates: Vec<NodeId> = self
             .topology
             .node_ids()
             .filter(|n| self.topology.node_is_up(*n))
             .collect();
-        let Some(target) = self
-            .loads
+        self.loads
             .least_loaded(&self.topology, candidates.iter().copied(), demand)
             .or_else(|| candidates.first().copied())
-        else {
+    }
+
+    /// Move an endpoint to `target`: record the placement change, rebuild
+    /// what was derived from the old node and re-route the flows touching it.
+    fn relocate(&mut self, now: Timestamp, id: EndpointId, target: NodeId, reason: String) {
+        let ep = &mut self.endpoints[id.index()];
+        self.monitor.placements.push(PlacementChange {
+            at: now,
+            deployment: ep.names.0.clone(),
+            operator: ep.names.1.clone(),
+            from: Some(ep.node),
+            to: target,
+            reason,
+        });
+        ep.node = target;
+        if let Some(svc) = ep.service_mut() {
+            svc.span.node = target.to_string();
+        }
+        self.reinstall_flows_for(id);
+    }
+
+    /// Re-place one service off a crashed node and restore its operator
+    /// state from the latest checkpoint (or wipe it when checkpointing is
+    /// off — modelling the unrecovered state loss).
+    fn recover_service(&mut self, now: Timestamp, id: EndpointId) {
+        let ep = &self.endpoints[id.index()];
+        let Some(process) = ep.service().map(|svc| svc.process) else {
+            return;
+        };
+        let (dep_name, svc_name) = ep.names.clone();
+        let demand = self.loads.demand_of(process).unwrap_or(1.0);
+        let Some(target) = self.recovery_node(demand) else {
             self.monitor.recovery.push(format!(
                 "[{now}] {dep_name}/{svc_name}: no live node to recover onto"
             ));
@@ -1252,19 +1288,14 @@ impl Engine {
             .place(&self.topology, process, target, demand, false);
         let restored = if self.config.checkpoint_enabled {
             self.checkpoints
-                .get(&(dep_name.to_string(), shard_checkpoint_name(svc_name, 0, 1)))
+                .get(&(dep_name.clone(), shard_checkpoint_name(&svc_name, 0, 1)))
                 .cloned()
                 .unwrap_or_default()
         } else {
             OpCheckpoint::empty()
         };
         let (n_tuples, n_bytes) = (restored.len(), restored.byte_size());
-        if let Some(svc) = self
-            .deployments
-            .get_mut(dep_name)
-            .and_then(|d| d.services.get_mut(svc_name))
-        {
-            svc.node = target;
+        if let Some(svc) = self.endpoints[id.index()].service_mut() {
             // The crash lost the in-memory window cache; re-seed it from the
             // checkpoint (an empty checkpoint wipes it).
             svc.op.restore(restored);
@@ -1275,18 +1306,10 @@ impl Engine {
         self.metrics
             .counter("checkpoint/restored_bytes")
             .add(n_bytes as u64);
-        self.monitor.placements.push(PlacementChange {
-            at: now,
-            deployment: dep_name.to_string(),
-            operator: svc_name.to_string(),
-            from: Some(crashed),
-            to: target,
-            reason: "recovery: node crash".into(),
-        });
         self.monitor.recovery.push(format!(
             "[{now}] {dep_name}/{svc_name}: recovered onto {target} ({n_tuples} tuples, {n_bytes} B restored)"
         ));
-        self.reinstall_flows_for(dep_name, svc_name);
+        self.relocate(now, id, target, "recovery: node crash".into());
     }
 
     // ------------------------------------------------------------------
@@ -1305,7 +1328,7 @@ impl Engine {
                 // Node of the first placed upstream service, or the node
                 // hosting most sensors of the first upstream source.
                 for input in inputs {
-                    if let Some(node) = deployment.node_of(input) {
+                    if let Some(node) = self.node_in(deployment, input) {
                         return Ok(node);
                     }
                     if let Some(src) = deployment.sources.get(input) {
@@ -1369,7 +1392,7 @@ impl Engine {
 
     /// Network delay of a tuple from node `a` to node `b`, recording link
     /// statistics; `None` when unreachable.
-    fn transfer(&mut self, a: NodeId, b: NodeId, bytes: usize) -> Option<Duration> {
+    pub(crate) fn transfer(&mut self, a: NodeId, b: NodeId, bytes: usize) -> Option<Duration> {
         let route = self.route_between(a, b)?;
         let mut total = Duration::ZERO;
         for link in route.links.clone() {
@@ -1380,195 +1403,6 @@ impl Engine {
         }
         self.net_stats.record_node_rx(b, bytes);
         Some(total)
-    }
-
-    // ------------------------------------------------------------------
-    // Retrying delivery & dead letters
-    // ------------------------------------------------------------------
-
-    /// Handle a delivery that found no route: log and count the failure,
-    /// then either schedule a backed-off retry or dead-letter the tuple.
-    #[allow(clippy::too_many_arguments)]
-    fn fail_delivery(
-        &mut self,
-        now: Timestamp,
-        deployment: String,
-        target: String,
-        port: usize,
-        tuple: Tuple,
-        from_node: NodeId,
-        target_node: NodeId,
-        attempt: u32,
-        first_failed_at: Timestamp,
-    ) {
-        if attempt == 0 {
-            // Never a silent drop: the failure is logged and counted even
-            // when retries are disabled.
-            self.metrics.counter("drops/no_route").inc();
-            self.monitor.console.push(format!(
-                "[{now}] warn: no route {from_node} -> {target_node} for {deployment}/{target}"
-            ));
-        }
-        if self.config.overload.breaker_enabled {
-            // Record the failure on the path's breaker; once it is open the
-            // tuple fails fast to the DLQ instead of feeding a retry storm
-            // against a route that is known dead.
-            let threshold = self.config.overload.breaker_threshold;
-            let cooldown = self.config.overload.breaker_cooldown;
-            let br = self
-                .breakers
-                .entry((deployment.clone(), target.clone()))
-                .or_insert_with(|| CircuitBreaker::new(threshold, cooldown));
-            let opened = br.on_failure(now);
-            let open_now = br.state() == BreakerState::Open;
-            if opened {
-                self.metrics.counter("breaker/opened").inc();
-                self.monitor.pressure.push(format!(
-                    "[{now}] breaker OPEN for {deployment}/{target}: failing fast for {} ms",
-                    cooldown.as_millis()
-                ));
-            }
-            if open_now {
-                self.metrics.counter("breaker/fail_fast").inc();
-                self.dead_letter(now, deployment, target, tuple, DropReason::BreakerOpen);
-                return;
-            }
-        }
-        if self.config.retry_enabled && attempt < self.config.retry.max_attempts {
-            let backoff = self.config.retry.backoff(attempt);
-            self.metrics.counter("retry/scheduled").inc();
-            // Absolute time off the failing event's timestamp, so retries
-            // fire at the same instant whether the failure was handled
-            // sequentially or merged out of a parallel batch. (If a backoff
-            // is ever shorter than the batch window the retry clamps to the
-            // clock — a bounded deviation the default policy never hits.)
-            self.queue.schedule_at(
-                now + backoff,
-                Ev::RetryDeliver {
-                    deployment,
-                    target,
-                    port,
-                    tuple,
-                    from_node,
-                    attempt: attempt + 1,
-                    first_failed_at,
-                },
-            );
-        } else {
-            let reason = if self.config.retry_enabled {
-                DropReason::RetriesExhausted
-            } else {
-                DropReason::NoRoute
-            };
-            self.dead_letter(now, deployment, target, tuple, reason);
-        }
-    }
-
-    /// Park a terminally undeliverable tuple in the DLQ.
-    fn dead_letter(
-        &mut self,
-        now: Timestamp,
-        deployment: String,
-        target: String,
-        tuple: Tuple,
-        reason: DropReason,
-    ) {
-        self.metrics
-            .counter(&format!("dlq/{}", reason.metric_key()))
-            .inc();
-        *self
-            .monitor
-            .dead_letters
-            .entry(reason.metric_key())
-            .or_insert(0) += 1;
-        if matches!(reason, DropReason::Shed { .. }) {
-            self.metrics.counter("backpressure/shed").inc();
-        }
-        self.monitor.recovery.push(format!(
-            "[{now}] {deployment}/{target}: tuple dead-lettered ({reason})"
-        ));
-        self.dlq.push(
-            reason,
-            DeadTuple {
-                deployment,
-                target,
-                tuple,
-            },
-        );
-        self.metrics.gauge("dlq/depth").set(self.dlq.depth() as i64);
-    }
-
-    /// Re-attempt a failed delivery after its backoff. Route placement is
-    /// re-resolved, so retries survive target migration and link repair.
-    #[allow(clippy::too_many_arguments)]
-    fn on_retry_deliver(
-        &mut self,
-        now: Timestamp,
-        deployment: String,
-        target: String,
-        port: usize,
-        tuple: Tuple,
-        from_node: NodeId,
-        attempt: u32,
-        first_failed_at: Timestamp,
-    ) {
-        if self.config.overload.breaker_enabled {
-            if let Some(br) = self.breakers.get_mut(&(deployment.clone(), target.clone())) {
-                match br.decide(now) {
-                    BreakerDecision::FailFast => {
-                        self.metrics.counter("breaker/fail_fast").inc();
-                        self.dead_letter(now, deployment, target, tuple, DropReason::BreakerOpen);
-                        return;
-                    }
-                    BreakerDecision::Probe => {
-                        self.metrics.counter("breaker/probes").inc();
-                        self.monitor.pressure.push(format!(
-                            "[{now}] breaker half-open: probing {deployment}/{target}"
-                        ));
-                    }
-                    BreakerDecision::Allow => {}
-                }
-            }
-        }
-        let target_node = match self
-            .deployments
-            .get(&deployment)
-            .and_then(|d| d.node_of(&target))
-        {
-            Some(n) => n,
-            None => {
-                // Undeployed or re-wired while the tuple waited.
-                return self.dead_letter(
-                    now,
-                    deployment,
-                    target,
-                    tuple,
-                    DropReason::TargetVanished,
-                );
-            }
-        };
-        let bytes = tuple.byte_size();
-        match self.transfer(from_node, target_node, bytes) {
-            Some(delay) => {
-                self.metrics.counter("retry/delivered").inc();
-                self.metrics
-                    .hist("recovery/redelivery_ms")
-                    .record(now.since(first_failed_at).as_millis());
-                let deliver_at = now + delay + self.config.processing_delay;
-                self.admit_and_schedule(now, deliver_at, deployment, target, port, tuple);
-            }
-            None => self.fail_delivery(
-                now,
-                deployment,
-                target,
-                port,
-                tuple,
-                from_node,
-                target_node,
-                attempt,
-                first_failed_at,
-            ),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1605,7 +1439,7 @@ impl Engine {
         }
         let window = self.config.processing_delay;
         while let Some((now, ev)) = self.queue.pop_until(deadline) {
-            if !batch_eligible(&self.deployments, &self.ingress, &ev) {
+            if !batch_eligible(&self.endpoints, &self.monitor, &ev) {
                 self.handle(now, ev);
                 continue;
             }
@@ -1619,7 +1453,7 @@ impl Engine {
             loop {
                 let eligible = match self.queue.peek() {
                     Some((t, head)) if t < horizon && t <= deadline => {
-                        batch_eligible(&self.deployments, &self.ingress, head)
+                        batch_eligible(&self.endpoints, &self.monitor, head)
                     }
                     _ => false,
                 };
@@ -1646,15 +1480,13 @@ impl Engine {
     fn handle_parallel_batch(&mut self, batch: Vec<(Timestamp, Ev)>) {
         struct Member {
             at: Timestamp,
-            dep: String,
-            target: String,
+            to: EndpointId,
             trace: u64,
             job: usize,
             slot: usize,
         }
         struct PendingJob {
-            dep: String,
-            target: String,
+            to: EndpointId,
             port: usize,
             shard: usize,
             items: Vec<(Timestamp, Tuple)>,
@@ -1675,25 +1507,17 @@ impl Engine {
         // count). If any operator refuses to replicate, fall back to inline
         // sequential processing of the whole batch — exactly equivalent,
         // just slower.
-        let mut by_op: HashMap<(&str, &str), usize> = HashMap::new();
+        let mut by_op: HashMap<EndpointId, usize> = HashMap::new();
         for (_, ev) in &batch {
-            if let Ev::Deliver {
-                deployment, target, ..
-            } = ev
-            {
-                *by_op.entry((deployment, target)).or_insert(0) += 1;
+            if let Ev::Deliver { to, .. } = ev {
+                *by_op.entry(*to).or_insert(0) += 1;
             }
         }
-        for ((dep, target), n) in by_op {
-            let Some(op) = self
-                .deployments
-                .get(dep)
-                .and_then(|d| d.services.get(target))
-                .map(|s| &*s.op)
-            else {
-                continue; // undeployed mid-window; the job will error per item
+        for (to, n) in by_op {
+            let Some(svc) = self.endpoints.get(to.index()).and_then(Endpoint::service) else {
+                continue; // unreachable: eligibility admits only live services
             };
-            if !pool.ensure_replicas(dep, target, op, n.min(workers)) {
+            if !pool.ensure_replicas(to, &*svc.op, n.min(workers)) {
                 self.pool = Some(pool);
                 for (t, ev) in batch {
                     self.handle(t, ev);
@@ -1702,28 +1526,20 @@ impl Engine {
             }
         }
 
-        // Group the batch into jobs keyed (deployment, target, shard), in
-        // first-touch order; remember where each member's item landed.
+        // Group the batch into jobs keyed (endpoint, shard), in first-touch
+        // order; remember where each member's item landed.
         let mut jobs: Vec<PendingJob> = Vec::new();
-        let mut job_index: HashMap<(String, String, usize), usize> = HashMap::new();
+        let mut job_index: HashMap<(EndpointId, usize), usize> = HashMap::new();
         let mut members: Vec<Member> = Vec::with_capacity(batch.len());
         for (i, (at, ev)) in batch.into_iter().enumerate() {
-            let Ev::Deliver {
-                deployment,
-                target,
-                port,
-                tuple,
-            } = ev
-            else {
+            let Ev::Deliver { to, port, tuple } = ev else {
                 continue; // unreachable: eligibility admits only Deliver
             };
             let shard = shard_key.shard_of(&tuple, i, workers);
             let trace = tuple.meta.trace;
-            let key = (deployment.clone(), target.clone(), shard);
-            let job = *job_index.entry(key).or_insert_with(|| {
+            let job = *job_index.entry((to, shard)).or_insert_with(|| {
                 jobs.push(PendingJob {
-                    dep: deployment.clone(),
-                    target: target.clone(),
+                    to,
                     port,
                     shard,
                     items: Vec::new(),
@@ -1733,8 +1549,7 @@ impl Engine {
             jobs[job].items.push((at, tuple));
             members.push(Member {
                 at,
-                dep: deployment,
-                target,
+                to,
                 trace,
                 job,
                 slot: jobs[job].items.len() - 1,
@@ -1744,16 +1559,14 @@ impl Engine {
         // Submit every job, then block until all report back (the barrier).
         let num_jobs = jobs.len();
         let mut base_id = 0u64;
-        let mut job_meta: Vec<(String, String, usize, usize)> = Vec::with_capacity(num_jobs);
         for (ji, job) in jobs.into_iter().enumerate() {
             self.metrics
                 .gauge(&format!("shard/{}/queue_depth", job.shard))
                 .set(job.items.len() as i64);
-            let id = pool.submit(&job.dep, &job.target, job.port, job.shard, job.items);
+            let id = pool.submit(job.to, job.port, job.shard, job.items);
             if ji == 0 {
                 base_id = id;
             }
-            job_meta.push((job.dep, job.target, job.shard, ji));
         }
         let mut results: Vec<Option<crate::shard::ShardJobResult>> =
             (0..num_jobs).map(|_| None).collect();
@@ -1776,9 +1589,8 @@ impl Engine {
 
         // Per-shard accounting for this batch.
         let mut batched_tuples = 0u64;
-        for (ji, r) in results.iter().enumerate() {
-            let Some(r) = r else { continue };
-            let shard = job_meta[ji].2;
+        for r in results.iter().flatten() {
+            let shard = r.home;
             self.metrics
                 .hist(&format!("shard/{shard}/batch_us"))
                 .record(r.wall_us);
@@ -1821,49 +1633,19 @@ impl Engine {
                 .get_mut(m.job)
                 .and_then(|s| s.get_mut(m.slot))
                 .and_then(Option::take);
-            let Some(node) = self
-                .deployments
-                .get(&m.dep)
-                .and_then(|d| d.services.get(&m.target))
-                .map(|s| s.node)
-            else {
-                continue;
-            };
-            self.monitor.op_mut(&m.dep, &m.target).queue_depth.add(-1);
-            self.ingress.on_processed(&m.dep, &m.target);
-            self.regrant_credits(m.at);
             let Some(item) = item else {
+                self.release(m.at, m.to);
+                let (dep, target) = &self.endpoints[m.to.index()].names;
                 self.monitor.console.push(format!(
-                    "[{}] error: {}/{}: tuple lost in shard pool",
-                    m.at, m.dep, m.target
+                    "[{}] error: {dep}/{target}: tuple lost in shard pool",
+                    m.at
                 ));
                 continue;
             };
-            if m.trace != 0 {
-                let key = SpanKey::new(&m.dep, &m.target, node.to_string());
-                let tracer = self.metrics.tracer();
-                tracer.span_enter(m.trace, key.clone(), item.wall0);
-                tracer.span_exit(m.trace, &key, item.wall1);
-            }
-            let wall = item.wall1.saturating_sub(item.wall0);
-            let outcome = item.outcome;
-            {
-                let counters = self.monitor.op_mut(&m.dep, &m.target);
-                counters.record_in();
-                counters.add_out(outcome.emitted.len() as u64);
-                counters.add_dropped(outcome.dropped);
-                counters.proc_latency.record(wall);
-            }
-            self.metrics.hist("ev/deliver_us").record(wall);
-            if let Some(e) = outcome.error {
-                self.monitor.console.push(format!(
-                    "[{}] error: {}/{}: {e}; tuple dropped",
-                    m.at, m.dep, m.target
-                ));
-                continue;
-            }
-            self.forward(m.at, &m.dep, &m.target, node, outcome.emitted);
-            self.apply_controls(m.at, &m.dep, &m.target, outcome.controls);
+            self.metrics
+                .hist("ev/deliver_us")
+                .record(item.wall1.saturating_sub(item.wall0));
+            self.settle(m.at, m.to, m.trace, item.wall0, item.wall1, item.outcome);
         }
     }
 
@@ -1880,20 +1662,12 @@ impl Engine {
                 self.on_sensor_emit(now, id);
                 "ev/emit_us"
             }
-            Ev::Deliver {
-                deployment,
-                target,
-                port,
-                tuple,
-            } => {
-                self.on_deliver(now, &deployment, &target, port, tuple);
+            Ev::Deliver { to, port, tuple } => {
+                self.on_deliver(now, to, port, tuple);
                 "ev/deliver_us"
             }
-            Ev::Tick {
-                deployment,
-                service,
-            } => {
-                self.on_tick(now, &deployment, &service);
+            Ev::Tick(service) => {
+                self.on_tick(now, service);
                 "ev/tick_us"
             }
             Ev::MonitorSample => {
@@ -1905,24 +1679,16 @@ impl Engine {
                 "ev/fault_us"
             }
             Ev::RetryDeliver {
-                deployment,
-                target,
+                to,
                 port,
                 tuple,
                 from_node,
                 attempt,
                 first_failed_at,
             } => {
-                self.on_retry_deliver(
-                    now,
-                    deployment,
-                    target,
-                    port,
-                    tuple,
-                    from_node,
-                    attempt,
-                    first_failed_at,
-                );
+                // Placement is re-resolved by the hop, so retries survive
+                // target migration and link repair.
+                self.send(now, from_node, to, port, tuple, attempt, first_failed_at);
                 "ev/retry_us"
             }
         };
@@ -2064,56 +1830,34 @@ impl Engine {
         // downstream are keyed by it.
         tuple.meta.trace = self.metrics.tracer().next_trace_id();
 
-        // Fan out to every active bound source.
-        let mut deliveries: Vec<(String, String, usize, Tuple, NodeId)> = Vec::new();
-        let mut samples: Vec<(String, String, Tuple)> = Vec::new();
-        for (dep_name, dep) in &self.deployments {
-            for (src_name, src) in &dep.sources {
+        // Fan out to every active bound source, in (deployment, source,
+        // consumer install) order.
+        let mut deliveries: Vec<(usize, EndpointId, usize, Tuple)> = Vec::new();
+        for (dep_name, dep) in &mut self.deployments {
+            for src in dep.sources.values_mut() {
                 if !src.active || !src.sensors.contains(&SensorId(id)) {
                     continue;
                 }
                 let Some(projected) = project(&tuple, &src.schema) else {
                     continue;
                 };
-                samples.push((dep_name.clone(), src_name.clone(), projected.clone()));
-                if let Some(consumers) = dep.consumers.get(src_name) {
-                    for (to, port) in consumers {
-                        deliveries.push((
-                            dep_name.clone(),
-                            to.clone(),
-                            *port,
-                            projected.clone(),
-                            ad.node,
-                        ));
-                    }
+                // Tuples the sources delivered are accounted under the
+                // `~sources` pseudo-operator, per consumer.
+                for &(to, port) in &src.consumers {
+                    let sources = *dep
+                        .sources_slot
+                        .get_or_insert_with(|| self.monitor.bind_op(dep_name, "~sources"));
+                    deliveries.push((sources, to, port, projected.clone()));
                 }
-                // Source-level accounting.
-                // (recorded under the source's name so Figure 3 can show
-                // per-source rates too)
+                if src.recent.len() >= 8 {
+                    src.recent.pop_front();
+                }
+                src.recent.push_back(projected);
             }
         }
-        for (dep, source, t) in samples {
-            let ring = self.recent_samples.entry((dep, source)).or_default();
-            if ring.len() >= 8 {
-                ring.pop_front();
-            }
-            ring.push_back(t);
-        }
-        for (dep, to, port, t, from_node) in deliveries {
-            self.monitor.op_mut(&dep, "~sources").record_in();
-            let Some(target_node) = self.deployments[&dep].node_of(&to) else {
-                continue;
-            };
-            let bytes = t.byte_size();
-            match self.transfer(from_node, target_node, bytes) {
-                Some(delay) => {
-                    let deliver_at = now + delay + self.config.processing_delay;
-                    self.admit_and_schedule(now, deliver_at, dep, to, port, t);
-                }
-                None => {
-                    self.fail_delivery(now, dep, to, port, t, from_node, target_node, 0, now);
-                }
-            }
+        for (sources, to, port, t) in deliveries {
+            self.monitor.op_at_mut(sources).record_in();
+            self.send(now, ad.node, to, port, t, 0, now);
         }
     }
 
@@ -2124,24 +1868,12 @@ impl Engine {
         let Some(cap) = self.config.overload.queue_capacity else {
             return false;
         };
-        for (dep_name, dep) in &self.deployments {
-            for (src_name, src) in &dep.sources {
-                if !src.active || !src.sensors.contains(&ad.id) {
-                    continue;
-                }
-                let Some(consumers) = dep.consumers.get(src_name) else {
-                    continue;
-                };
-                for (to, _) in consumers {
-                    if dep.services.contains_key(to)
-                        && self.ingress.depth(dep_name, to) >= cap as u64
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        self.deployments
+            .values()
+            .flat_map(|dep| dep.sources.values())
+            .filter(|src| src.active && src.sensors.contains(&ad.id))
+            .flat_map(|src| &src.consumers)
+            .any(|(to, _)| self.depth(*to) >= cap as u64)
     }
 
     /// Block-mode flow control, the release half: once processing drains a
@@ -2150,7 +1882,7 @@ impl Engine {
     /// sampling instant is not enough — sensors late in a tick's emission
     /// order would find the queue refilled by earlier emitters every time
     /// and starve permanently.
-    fn regrant_credits(&mut self, now: Timestamp) {
+    pub(crate) fn regrant_credits(&mut self, now: Timestamp) {
         if self.config.overload.queue_capacity.is_none()
             || self.config.overload.policy != OverflowPolicy::Block
             || self.broker.credits().revoked_count() == 0
@@ -2171,100 +1903,81 @@ impl Engine {
         }
     }
 
-    fn on_deliver(
-        &mut self,
-        now: Timestamp,
-        dep_name: &str,
-        target: &str,
-        port: usize,
-        tuple: Tuple,
-    ) {
+    fn on_deliver(&mut self, now: Timestamp, to: EndpointId, port: usize, tuple: Tuple) {
+        let Some(ep) = self.endpoints.get_mut(to.index()) else {
+            return;
+        };
+        let (dep_name, target) = (&ep.names.0, &ep.names.1);
+        let svc = match &mut ep.role {
+            // Undeployed while the tuple was in flight.
+            Role::Retired => return,
+            Role::Sink(sink) => {
+                let slot = *sink
+                    .count
+                    .get_or_insert_with(|| self.monitor.bind_sink(dep_name, target));
+                self.monitor.count_sink_at(slot);
+                // End-to-end virtual latency: sensor sampling instant to sink.
+                let e2e = now.since(tuple.meta.timestamp);
+                self.metrics
+                    .hist(&sink.e2e_key)
+                    .record((e2e.as_secs_f64() * 1e6) as u64);
+                match sink.kind {
+                    SinkKind::Warehouse => {
+                        let (tgran, sgran) =
+                            (self.config.warehouse_tgran, self.config.warehouse_sgran);
+                        // Translate once; the same batch feeds the store and,
+                        // when anything is registered, the continuous-query
+                        // hub (delta evaluation, no rescans). The hub only
+                        // sees events the hot store accepted, so views stay
+                        // byte-identical to a rescan even if durable ingest
+                        // fails.
+                        let events = sl_warehouse::tuple_events(&tuple, tgran, sgran);
+                        let batch = (!self.cq.is_idle()).then(|| events.clone());
+                        let stored = match &mut self.warehouse {
+                            WarehouseTier::Memory(w) => {
+                                w.ingest_events(events);
+                                true
+                            }
+                            WarehouseTier::Durable(d) => {
+                                // Log-first ingest; an I/O failure loses this
+                                // tuple's events but must not tear down the run.
+                                match d.ingest_events(events) {
+                                    Ok(_) => true,
+                                    Err(e) => {
+                                        self.monitor.console.push(format!(
+                                            "[{now}] error: {dep_name}/{target}: durable ingest: {e}"
+                                        ));
+                                        false
+                                    }
+                                }
+                            }
+                        };
+                        if let Some(batch) = batch.filter(|_| stored) {
+                            self.cq.on_events(&batch);
+                        }
+                    }
+                    SinkKind::Console => {
+                        if self.monitor.console.len() < self.config.console_capacity {
+                            self.monitor
+                                .console
+                                .push(format!("[{now}] {dep_name}/{target}: {tuple}"));
+                        }
+                    }
+                    SinkKind::Visualization => {}
+                }
+                return;
+            }
+            Role::Service(svc) => svc,
+        };
         // Overload control: a deferred shed marker condemns this arrival —
         // the oldest in flight for this operator — before it reaches the
         // operator. Its depth slot was already released at condemnation.
-        if let Some(policy) = self.ingress.take_pending_shed(dep_name, target) {
-            let operator = format!("{dep_name}/{target}");
-            self.dead_letter(
-                now,
-                dep_name.to_string(),
-                target.to_string(),
-                tuple,
-                DropReason::Shed { policy, operator },
-            );
-            return;
+        let condemned = svc
+            .counters
+            .and_then(|slot| self.monitor.op_at_mut(slot).ingress.pending.pop_front());
+        if let Some(policy) = condemned {
+            return self.shed(now, to, tuple, policy);
         }
-        let Some(dep) = self.deployments.get_mut(dep_name) else {
-            return;
-        };
-        // Sink?
-        if let Some(sink) = dep.sinks.get(target) {
-            let kind = sink.kind;
-            self.monitor.count_sink(dep_name, target);
-            // End-to-end virtual latency: sensor sampling instant to sink.
-            let e2e = now.since(tuple.meta.timestamp);
-            self.metrics
-                .hist(&format!("e2e/{dep_name}/{target}_us"))
-                .record((e2e.as_secs_f64() * 1e6) as u64);
-            match kind {
-                SinkKind::Warehouse => {
-                    let (tgran, sgran) = (self.config.warehouse_tgran, self.config.warehouse_sgran);
-                    // Translate once; the same batch feeds the store and,
-                    // when anything is registered, the continuous-query
-                    // hub (delta evaluation, no rescans). The hub only
-                    // sees events the hot store accepted, so views stay
-                    // byte-identical to a rescan even if durable ingest
-                    // fails.
-                    let events = sl_warehouse::tuple_events(&tuple, tgran, sgran);
-                    let batch = (!self.cq.is_idle()).then(|| events.clone());
-                    let stored = match &mut self.warehouse {
-                        WarehouseTier::Memory(w) => {
-                            w.ingest_events(events);
-                            true
-                        }
-                        WarehouseTier::Durable(d) => {
-                            // Log-first ingest; an I/O failure loses this
-                            // tuple's events but must not tear down the run.
-                            match d.ingest_events(events) {
-                                Ok(_) => true,
-                                Err(e) => {
-                                    self.monitor.console.push(format!(
-                                        "[{now}] error: {dep_name}/{target}: durable ingest: {e}"
-                                    ));
-                                    false
-                                }
-                            }
-                        }
-                    };
-                    if let Some(batch) = batch.filter(|_| stored) {
-                        self.cq.on_events(&batch);
-                    }
-                }
-                SinkKind::Console => {
-                    if self.monitor.console.len() < self.config.console_capacity {
-                        self.monitor
-                            .console
-                            .push(format!("[{now}] {dep_name}/{target}: {tuple}"));
-                    }
-                }
-                SinkKind::Visualization => {}
-            }
-            return;
-        }
-        if !dep.services.contains_key(target) {
-            return;
-        }
-        self.monitor.op_mut(dep_name, target).queue_depth.add(-1);
-        self.ingress.on_processed(dep_name, target);
-        self.regrant_credits(now);
-        // Re-borrow after the credit sweep released `dep`.
-        let Some(svc) = self
-            .deployments
-            .get_mut(dep_name)
-            .and_then(|d| d.services.get_mut(target))
-        else {
-            return;
-        };
-        let node = svc.node;
         let trace = tuple.meta.trace;
         let mut ctx = OpContext::new(now);
         let wall0 = self.epoch.elapsed().as_micros() as u64;
@@ -2274,42 +1987,32 @@ impl Engine {
         let (emitted, controls) = ctx.take();
         // Snapshot blocking-operator state after every absorbed tuple so a
         // node crash can restore the cache on the recovery placement.
-        let ckpt = if self.config.checkpoint_enabled && svc.blocking {
-            svc.op.checkpoint()
-        } else {
-            None
+        self.checkpoint(to);
+        let outcome = TupleOutcome {
+            emitted,
+            controls,
+            dropped,
+            error: result.err(),
         };
-        if let Some(ckpt) = ckpt {
-            self.store_checkpoint(dep_name, target, ckpt);
-        }
-        if trace != 0 {
-            let key = SpanKey::new(dep_name, target, node.to_string());
-            let tracer = self.metrics.tracer();
-            tracer.span_enter(trace, key.clone(), wall0);
-            tracer.span_exit(trace, &key, wall1);
-        }
-        {
-            let counters = self.monitor.op_mut(dep_name, target);
-            counters.record_in();
-            counters.add_out(emitted.len() as u64);
-            counters.add_dropped(dropped);
-            counters.proc_latency.record(wall1.saturating_sub(wall0));
-        }
-        if let Err(e) = result {
-            self.monitor.console.push(format!(
-                "[{now}] error: {dep_name}/{target}: {e}; tuple dropped"
-            ));
-            return;
-        }
-        self.forward(now, dep_name, target, node, emitted);
-        self.apply_controls(now, dep_name, target, controls);
+        self.settle(now, to, trace, wall0, wall1, outcome);
     }
 
-    /// Record a fresh blocking-operator snapshot: into the in-memory map
-    /// (crash recovery within this process) and — with a durable backend —
-    /// into the segment log, so a restarted process can restore the window
-    /// cache at deploy time.
-    fn store_checkpoint(&mut self, dep_name: &str, service: &str, ckpt: OpCheckpoint) {
+    /// Snapshot a blocking operator's state, if checkpointing is on: into
+    /// the in-memory map (crash recovery within this process) and — with a
+    /// durable backend — into the segment log, so a restarted process can
+    /// restore the window cache at deploy time.
+    fn checkpoint(&mut self, service: EndpointId) {
+        let ep = &self.endpoints[service.index()];
+        let Some(svc) = ep.service().filter(|svc| svc.blocking) else {
+            return;
+        };
+        if !self.config.checkpoint_enabled {
+            return;
+        }
+        let Some(ckpt) = svc.op.checkpoint() else {
+            return;
+        };
+        let (dep_name, service) = &ep.names;
         // Blocking operators are single-owner (never sharded), so the slot
         // name is always the plain `service` spelling — which keeps keys
         // byte-compatible with checkpoints persisted before the parallel
@@ -2327,17 +2030,18 @@ impl Engine {
                 ));
             }
         }
-        self.checkpoints.insert((dep_name.to_string(), slot), ckpt);
+        self.checkpoints.insert((dep_name.clone(), slot), ckpt);
     }
 
-    fn on_tick(&mut self, now: Timestamp, dep_name: &str, service: &str) {
-        let Some(dep) = self.deployments.get_mut(dep_name) else {
+    fn on_tick(&mut self, now: Timestamp, service: EndpointId) {
+        // A tick addressed to a retired endpoint ends its chain here.
+        let Some(svc) = self
+            .endpoints
+            .get_mut(service.index())
+            .and_then(Endpoint::service_mut)
+        else {
             return;
         };
-        let Some(svc) = dep.services.get_mut(service) else {
-            return;
-        };
-        let node = svc.node;
         let Some(period) = svc.op.timer_period() else {
             return;
         };
@@ -2348,258 +2052,34 @@ impl Engine {
         let (emitted, controls) = ctx.take();
         // A tick usually flushes the window: checkpoint the (often empty)
         // post-emission cache so a later crash doesn't resurrect old state.
-        let ckpt = if self.config.checkpoint_enabled && svc.blocking {
-            svc.op.checkpoint()
-        } else {
-            None
-        };
-        if let Some(ckpt) = ckpt {
-            self.store_checkpoint(dep_name, service, ckpt);
-        }
-        {
-            let counters = self.monitor.op_mut(dep_name, service);
+        self.checkpoint(service);
+        if let Some(counters) = self.counters(service) {
             counters.add_out(emitted.len() as u64);
             counters.proc_latency.record(wall1.saturating_sub(wall0));
         }
         // Re-arm the tick first (even on error — blocking ops must keep
         // ticking).
-        self.queue.schedule_in(
-            period,
-            Ev::Tick {
-                deployment: dep_name.to_string(),
-                service: service.to_string(),
-            },
-        );
+        self.queue.schedule_in(period, Ev::Tick(service));
         if let Err(e) = result {
+            let (dep_name, name) = &self.endpoints[service.index()].names;
             self.monitor
                 .console
-                .push(format!("[{now}] error: {dep_name}/{service} tick: {e}"));
+                .push(format!("[{now}] error: {dep_name}/{name} tick: {e}"));
             return;
         }
-        self.forward(now, dep_name, service, node, emitted);
-        self.apply_controls(now, dep_name, service, controls);
-    }
-
-    /// Forward operator outputs to their consumers over the network.
-    ///
-    /// `base` is the virtual time the producing event fired at. Deliveries
-    /// are scheduled at `base + delay + processing_delay` absolutely (not
-    /// relative to the clock): in the sequential loop `base` *is* the
-    /// clock, and in a parallel merge the clock has already advanced past
-    /// earlier batch members — absolute scheduling keeps child times
-    /// identical either way.
-    fn forward(
-        &mut self,
-        base: Timestamp,
-        dep_name: &str,
-        from: &str,
-        from_node: NodeId,
-        emitted: Vec<Tuple>,
-    ) {
-        if emitted.is_empty() {
-            return;
-        }
-        let Some(dep) = self.deployments.get(dep_name) else {
-            return;
-        };
-        let Some(consumers) = dep.consumers.get(from) else {
-            return;
-        };
-        let consumers = consumers.clone();
-        for tuple in emitted {
-            for (to, port) in &consumers {
-                let Some(target_node) = self.deployments[dep_name].node_of(to) else {
-                    continue;
-                };
-                let bytes = tuple.byte_size();
-                match self.transfer(from_node, target_node, bytes) {
-                    Some(delay) => {
-                        let deliver_at = base + delay + self.config.processing_delay;
-                        self.admit_and_schedule(
-                            base,
-                            deliver_at,
-                            dep_name.to_string(),
-                            to.clone(),
-                            *port,
-                            tuple.clone(),
-                        );
-                    }
-                    None => {
-                        self.fail_delivery(
-                            base,
-                            dep_name.to_string(),
-                            to.clone(),
-                            *port,
-                            tuple.clone(),
-                            from_node,
-                            target_node,
-                            0,
-                            base,
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Admission control for every scheduled delivery: successful transfers
-    /// close half-open breakers, the global cap triggers priority
-    /// preemption, a full per-operator queue applies the configured
-    /// [`OverflowPolicy`], and what survives is scheduled as a `Deliver`
-    /// event with its ingress slot accounted. With the overload layer off
-    /// (the default) this reduces to gauge bookkeeping plus scheduling —
-    /// the historical behaviour.
-    #[allow(clippy::too_many_arguments)]
-    fn admit_and_schedule(
-        &mut self,
-        now: Timestamp,
-        deliver_at: Timestamp,
-        dep: String,
-        target: String,
-        port: usize,
-        tuple: Tuple,
-    ) {
-        let is_service = self
-            .deployments
-            .get(&dep)
-            .is_some_and(|d| d.services.contains_key(&target));
-
-        // A successful transfer on this path closes its breaker (and ends a
-        // half-open probe). Centralised here so every success path counts.
-        if self.config.overload.breaker_enabled {
-            if let Some(br) = self.breakers.get_mut(&(dep.clone(), target.clone())) {
-                if br.on_success() {
-                    self.metrics.counter("breaker/closed").inc();
-                    self.monitor.pressure.push(format!(
-                        "[{now}] breaker CLOSED for {dep}/{target} (probe succeeded)"
-                    ));
-                }
-            }
-        }
-
-        if is_service && self.config.overload.admission_enabled() {
-            // Global cap: shed from the lowest-priority backlog first. The
-            // incoming tuple is only dropped when nothing of lower-or-equal
-            // priority has queued work to preempt.
-            if let Some(gcap) = self.config.overload.global_capacity {
-                if self.ingress.total_inflight() >= gcap as u64 {
-                    let priorities = self.config.overload.priorities.clone();
-                    let rank = |d: &str| {
-                        priorities
-                            .iter()
-                            .find(|(name, _)| name == d)
-                            .map(|(_, c)| *c as u8)
-                            .unwrap_or(PriorityClass::Normal as u8)
-                    };
-                    match self
-                        .ingress
-                        .preemption_victim((dep.as_str(), target.as_str()), rank)
-                    {
-                        Some((vdep, vop)) if rank(&vdep) <= rank(&dep) => {
-                            self.ingress
-                                .condemn_oldest(&vdep, &vop, ShedPolicy::Priority);
-                            self.monitor.op_mut(&vdep, &vop).queue_depth.add(-1);
-                            self.metrics.counter("backpressure/preempted").inc();
-                        }
-                        _ => {
-                            let operator = format!("{dep}/{target}");
-                            self.dead_letter(
-                                now,
-                                dep,
-                                target,
-                                tuple,
-                                DropReason::Shed {
-                                    policy: ShedPolicy::Priority,
-                                    operator,
-                                },
-                            );
-                            return;
-                        }
-                    }
-                }
-            }
-            // Per-operator bound: apply the configured overflow policy.
-            if let Some(cap) = self.config.overload.queue_capacity {
-                if self.ingress.depth(&dep, &target) >= cap as u64 {
-                    match self.config.overload.policy {
-                        OverflowPolicy::Block => {
-                            // Sources are credit-gated before they emit;
-                            // overshoot on an interior edge cannot be
-                            // blocked retroactively, so it is admitted
-                            // (and visible in this counter).
-                            self.metrics.counter("backpressure/block_overflow").inc();
-                        }
-                        OverflowPolicy::ShedNewest => {
-                            let operator = format!("{dep}/{target}");
-                            self.dead_letter(
-                                now,
-                                dep,
-                                target,
-                                tuple,
-                                DropReason::Shed {
-                                    policy: ShedPolicy::Newest,
-                                    operator,
-                                },
-                            );
-                            return;
-                        }
-                        OverflowPolicy::ShedOldest => {
-                            self.ingress
-                                .condemn_oldest(&dep, &target, ShedPolicy::Oldest);
-                            self.monitor.op_mut(&dep, &target).queue_depth.add(-1);
-                        }
-                        OverflowPolicy::Sample(p) => {
-                            // Seeded coin: heads condemns the oldest (the
-                            // newcomer is admitted), tails sheds the
-                            // newcomer. The queue stays bounded either way.
-                            if self.rng.gen::<f64>() < p {
-                                self.ingress
-                                    .condemn_oldest(&dep, &target, ShedPolicy::Sample);
-                                self.monitor.op_mut(&dep, &target).queue_depth.add(-1);
-                            } else {
-                                let operator = format!("{dep}/{target}");
-                                self.dead_letter(
-                                    now,
-                                    dep,
-                                    target,
-                                    tuple,
-                                    DropReason::Shed {
-                                        policy: ShedPolicy::Sample,
-                                        operator,
-                                    },
-                                );
-                                return;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        if is_service {
-            self.ingress.admit(&dep, &target);
-            self.monitor.op_mut(&dep, &target).queue_depth.add(1);
-        }
-        self.queue.schedule_at(
-            deliver_at,
-            Ev::Deliver {
-                deployment: dep,
-                target,
-                port,
-                tuple,
-            },
-        );
+        self.forward(now, service, emitted);
+        self.apply_controls(now, service, controls);
     }
 
     /// Apply trigger control actions: gate/ungate source acquisition.
-    fn apply_controls(
+    pub(crate) fn apply_controls(
         &mut self,
         now: Timestamp,
-        dep_name: &str,
-        operator: &str,
+        operator: EndpointId,
         controls: Vec<ControlAction>,
     ) {
         for action in controls {
+            let (dep_name, operator) = &self.endpoints[operator.index()].names;
             let activate = action.is_activate();
             if let Some(dep) = self.deployments.get_mut(dep_name) {
                 for target in action.targets() {
@@ -2610,8 +2090,8 @@ impl Engine {
             }
             self.monitor.controls.push(ControlRecord {
                 at: now,
-                deployment: dep_name.to_string(),
-                operator: operator.to_string(),
+                deployment: dep_name.clone(),
+                operator: operator.clone(),
                 action,
             });
         }
@@ -2657,31 +2137,34 @@ impl Engine {
         }
 
         // Refresh process demands from observed rates.
-        let mut updates: Vec<(ProcessId, f64)> = Vec::new();
-        for (dep_name, dep) in &self.deployments {
-            for (svc_name, svc) in &dep.services {
-                if let Some(c) = self.monitor.op(dep_name, svc_name) {
-                    if let Some((_, rate)) = c.rate_series.last() {
-                        let demand = (rate * svc.op.cost_per_tuple()).max(1.0);
-                        updates.push((svc.process, demand));
-                    }
-                }
+        // The same sweep drains the ingress watermarks (name order, every
+        // window regardless, so they never span more than one monitor
+        // period) for backlog-driven re-placement below.
+        let mut watermarks: Vec<(EndpointId, u64)> = Vec::new();
+        let services = self.deployments.values().flat_map(|d| d.services.values());
+        for &id in services {
+            let Some(svc) = self.endpoints.get(id.index()).and_then(Endpoint::service) else {
+                continue;
+            };
+            let Some(slot) = svc.counters else {
+                continue;
+            };
+            let counters = self.monitor.op_at_mut(slot);
+            if let Some((_, rate)) = counters.rate_series.last() {
+                let demand = (rate * svc.op.cost_per_tuple()).max(1.0);
+                self.loads.set_demand(svc.process, demand);
             }
-        }
-        for (p, d) in updates {
-            self.loads.set_demand(p, d);
+            watermarks.push((id, counters.ingress.drain_watermark()));
         }
 
-        // Overload-control gauges and backlog-driven re-placement. The
-        // watermarks are drained every window regardless so they never span
-        // more than one monitor period.
+        // Overload-control gauges and backlog-driven re-placement.
+        let inflight = self.total_inflight();
         self.metrics
             .gauge("backpressure/inflight")
-            .set(self.ingress.total_inflight() as i64);
+            .set(inflight as i64);
         self.metrics
             .gauge("backpressure/throttled_sensors")
             .set(self.broker.credits().revoked_count() as i64);
-        let watermarks = self.ingress.drain_watermarks();
         if let Some(cap) = self.config.overload.queue_capacity {
             if self.config.overload.backlog_migration && self.config.migration_enabled {
                 self.migrate_backlogged(now, cap, &watermarks);
@@ -2801,40 +2284,26 @@ impl Engine {
     /// a whole monitor window: sustained backlog is an overload signal CPU
     /// utilisation misses (a slow node under light average load still
     /// starves its queue). One migration per operator per cooldown window.
-    fn migrate_backlogged(
-        &mut self,
-        now: Timestamp,
-        cap: usize,
-        watermarks: &[((String, String), u64)],
-    ) {
+    fn migrate_backlogged(&mut self, now: Timestamp, cap: usize, watermarks: &[(EndpointId, u64)]) {
         let threshold =
             (((cap as f64) * self.config.overload.backlog_threshold).ceil() as u64).max(1);
         let cooldown = self.config.monitor_period.saturating_mul(4);
-        for ((dep_name, svc_name), hwm) in watermarks {
-            if *hwm < threshold {
+        for &(id, hwm) in watermarks {
+            if hwm < threshold {
                 continue;
             }
-            let key = (dep_name.clone(), svc_name.clone());
-            if let Some(last) = self.last_backlog_migration.get(&key) {
-                if now.since(*last).as_millis() < cooldown.as_millis() {
-                    continue;
-                }
-            }
-            let Some((process, node)) = self
-                .deployments
-                .get(dep_name)
-                .and_then(|d| d.services.get(svc_name))
-                .map(|svc| (svc.process, svc.node))
-            else {
+            let ep = &self.endpoints[id.index()];
+            let Some(svc) = ep.service() else {
                 continue;
             };
-            let demand = self
-                .loads
-                .processes_on(node)
-                .into_iter()
-                .find(|(p, _)| *p == process)
-                .map(|(_, d)| d)
-                .unwrap_or(1.0);
+            if svc
+                .last_backlog_migration
+                .is_some_and(|last| now.since(last).as_millis() < cooldown.as_millis())
+            {
+                continue;
+            }
+            let (process, node) = (svc.process, ep.node);
+            let demand = self.loads.demand_of(process).unwrap_or(1.0);
             let candidates = self.topology.node_ids().filter(|n| *n != node);
             let Some(target) = self.loads.least_loaded(&self.topology, candidates, demand) else {
                 continue;
@@ -2846,29 +2315,18 @@ impl Engine {
             {
                 continue;
             }
-            if let Some(svc) = self
-                .deployments
-                .get_mut(dep_name)
-                .and_then(|d| d.services.get_mut(svc_name))
-            {
-                svc.node = target;
-            }
-            self.monitor.placements.push(PlacementChange {
-                at: now,
-                deployment: dep_name.clone(),
-                operator: svc_name.clone(),
-                from: Some(node),
-                to: target,
-                reason: format!("migration: backlog {hwm}/{cap} at {dep_name}/{svc_name}"),
-            });
-            self.monitor.pressure.push(format!(
-                "[{now}] backlog {hwm}/{cap} at {dep_name}/{svc_name}: moved off {node}"
-            ));
+            let (dep_name, svc_name) = &ep.names;
+            let at = format!("backlog {hwm}/{cap} at {dep_name}/{svc_name}");
+            self.monitor
+                .pressure
+                .push(format!("[{now}] {at}: moved off {node}"));
             self.metrics
                 .counter("backpressure/backlog_migrations")
                 .inc();
-            self.last_backlog_migration.insert(key, now);
-            self.reinstall_flows_for(dep_name, svc_name);
+            if let Some(svc) = self.endpoints[id.index()].service_mut() {
+                svc.last_backlog_migration = Some(now);
+            }
+            self.relocate(now, id, target, format!("migration: {at}"));
         }
     }
 
@@ -2897,16 +2355,17 @@ impl Engine {
             let Some(target) = self.loads.least_loaded(&self.topology, candidates, demand) else {
                 continue;
             };
-            // Find which deployment/service owns this process.
-            let mut owner: Option<(String, String)> = None;
-            for (dep_name, dep) in &self.deployments {
-                for (svc_name, svc) in &dep.services {
-                    if svc.process == process {
-                        owner = Some((dep_name.clone(), svc_name.clone()));
-                    }
-                }
-            }
-            let Some((dep_name, svc_name)) = owner else {
+            // Find which service owns this process.
+            let owns = |id: &&EndpointId| {
+                let svc = self.endpoints.get(id.index()).and_then(Endpoint::service);
+                svc.is_some_and(|svc| svc.process == process)
+            };
+            let Some(&owner) = self
+                .deployments
+                .values()
+                .flat_map(|dep| dep.services.values())
+                .find(owns)
+            else {
                 continue;
             };
             if self
@@ -2916,55 +2375,39 @@ impl Engine {
             {
                 continue;
             }
-            if let Some(svc) = self
-                .deployments
-                .get_mut(&dep_name)
-                .and_then(|d| d.services.get_mut(&svc_name))
-            {
-                svc.node = target;
-            }
-            self.monitor.placements.push(PlacementChange {
-                at: now,
-                deployment: dep_name.clone(),
-                operator: svc_name.clone(),
-                from: Some(node),
-                to: target,
-                reason: format!("migration: {node} overloaded"),
-            });
-            self.reinstall_flows_for(&dep_name, &svc_name);
+            self.relocate(now, owner, target, format!("migration: {node} overloaded"));
         }
     }
 
-    /// After a migration, re-route the flows touching a service.
-    fn reinstall_flows_for(&mut self, dep_name: &str, service: &str) {
-        let Some(dep) = self.deployments.get(dep_name) else {
+    /// After a migration, re-route the flows touching an endpoint.
+    fn reinstall_flows_for(&mut self, id: EndpointId) {
+        let (dep_name, name) = self.endpoints[id.index()].names.clone();
+        let Some(dep) = self.deployments.get(&dep_name) else {
             return;
         };
         let affected: Vec<(usize, String, String)> = dep
             .edges
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.from == service || e.to == service)
+            .filter(|(_, e)| e.from == name || e.to == name)
             .map(|(i, e)| (i, e.from.clone(), e.to.clone()))
             .collect();
         for (idx, from, to) in affected {
-            let old = self.deployments[dep_name].edges[idx].flow;
-            if let Some(f) = old {
+            let Some(dep) = self.deployments.get(&dep_name) else {
+                return;
+            };
+            if let Some(f) = dep.edges[idx].flow {
                 let _ = self.flows.uninstall(f);
             }
-            let (a, b) = {
-                let dep = &self.deployments[dep_name];
-                (dep.node_of(&from), dep.node_of(&to))
-            };
-            let new_flow = match (a, b) {
+            let new_flow = match (self.node_in(dep, &from), self.node_in(dep, &to)) {
                 (Some(a), Some(b)) if a != b => {
-                    let qos = self.deployments[dep_name].dataflow.qos_for(&from, &to);
-                    self.install_flow_with_fallback(a, b, &qos, dep_name, &from, &to)
+                    let qos = dep.dataflow.qos_for(&from, &to);
+                    self.install_flow_with_fallback(a, b, &qos, &dep_name, &from, &to)
                         .ok()
                 }
                 _ => None,
             };
-            if let Some(dep) = self.deployments.get_mut(dep_name) {
+            if let Some(dep) = self.deployments.get_mut(&dep_name) {
                 dep.edges[idx].flow = new_flow;
             }
         }
@@ -2976,27 +2419,20 @@ impl Engine {
 /// else — sinks, ticks, faults, retries, monitor samples, and stateful or
 /// blocking operators — is handled inline on the engine thread, exactly as
 /// the sequential loop would.
-fn batch_eligible(
-    deployments: &BTreeMap<String, Deployment>,
-    ingress: &IngressTable,
-    ev: &Ev,
-) -> bool {
-    let Ev::Deliver {
-        deployment, target, ..
-    } = ev
-    else {
+fn batch_eligible(endpoints: &[Endpoint], monitor: &Monitor, ev: &Ev) -> bool {
+    let Ev::Deliver { to, .. } = ev else {
+        return false;
+    };
+    let Some(svc) = endpoints.get(to.index()).and_then(Endpoint::service) else {
         return false;
     };
     // An operator with deferred shed markers pending must consume them
     // inline (in arrival order) through `on_deliver`; markers cannot appear
     // mid-collection because no events are handled while a batch drains.
-    if ingress.has_pending_shed(deployment, target) {
-        return false;
-    }
-    deployments
-        .get(deployment)
-        .and_then(|d| d.services.get(target))
-        .is_some_and(|svc| !svc.blocking && svc.op.is_shardable())
+    let condemned = svc
+        .counters
+        .is_some_and(|slot| !monitor.op_at(slot).ingress.pending.is_empty());
+    !condemned && !svc.blocking && svc.op.is_shardable()
 }
 
 /// Project a sensor tuple onto a source's declared schema (types checked at
@@ -3216,6 +2652,124 @@ mod tests {
             .monitor()
             .op("d", "all")
             .is_none_or(|c| c.tuples_in() == 0));
+    }
+
+    fn agg_flow(name: &str) -> Dataflow {
+        DataflowBuilder::new(name)
+            .source(
+                "temp",
+                SubscriptionFilter::any().with_theme(Theme::new("weather/temperature").unwrap()),
+                temp_schema(),
+            )
+            .aggregate(
+                "avg",
+                "temp",
+                Duration::from_secs(30),
+                &[],
+                sl_ops::AggFunc::Avg,
+                Some("temperature"),
+            )
+            .sink("out", SinkKind::Visualization, &["avg"])
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn events_of_a_torn_down_deployment_never_reach_its_namesake() {
+        // Windows the sink has received by t = 600 s, with or without a
+        // same-name redeploy at t = 10 s.
+        let windows = |redeploy: bool| {
+            let mut e = engine();
+            e.add_sensor(temp_sensor(1, 3)).unwrap();
+            e.deploy(agg_flow("w")).unwrap();
+            e.run_until(start() + Duration::from_secs(10));
+            if redeploy {
+                // The sample taken at t = 10 s is in flight towards `avg`.
+                assert_eq!(e.total_inflight(), 1);
+                e.undeploy("w").unwrap();
+                assert_eq!(e.total_inflight(), 0);
+                e.deploy(agg_flow("w")).unwrap();
+                // It lands before the next sample (t = 20 s) — on the
+                // retired endpoint, not on the new `avg`.
+                e.run_until(start() + Duration::from_secs(15));
+                assert_eq!(e.monitor().op("w", "avg").unwrap().tuples_in(), 0);
+            }
+            e.run_until(start() + Duration::from_secs(600));
+            e.monitor().sink_count("w", "out")
+        };
+        // The old deployment's tick chain must not tick the new aggregate
+        // beside the new chain (that doubled the windows).
+        assert_eq!(windows(false), 19);
+        assert_eq!(windows(true), 19);
+    }
+
+    #[test]
+    fn undeploy_drops_queue_depth_and_breaker_with_the_endpoint() {
+        let mut t = Topology::new();
+        let edge = t.add_node(NodeSpec::edge("sensor-host", 10.0));
+        let hub = t.add_node(NodeSpec::edge("hub", 1_000_000.0));
+        let link = t
+            .add_link(edge, hub, Duration::from_millis(1), 10_000_000)
+            .unwrap();
+        let mut cfg = EngineConfig {
+            migration_enabled: false,
+            ..Default::default()
+        };
+        cfg.overload.queue_capacity = Some(64);
+        cfg.overload.global_capacity = Some(64);
+        cfg.overload.breaker_enabled = true;
+        cfg.overload.breaker_threshold = 1;
+        let mut e = Engine::new(t, cfg, start());
+        for id in 1..=20 {
+            e.add_sensor(temp_sensor(id, edge.0)).unwrap();
+        }
+        let depth_of_all = |e: &Engine| e.ingress_depths().map(|(_, d)| d).collect::<Vec<_>>();
+
+        // A dead route opens the path's breaker; it goes with the endpoint.
+        e.deploy(simple_flow("d")).unwrap();
+        assert_eq!(e.node_of("d", "all"), Some(hub));
+        e.set_link_up(link, false).unwrap();
+        e.run_until(start() + Duration::from_secs(10));
+        assert_eq!(e.breaker_state("d", "all"), Some(BreakerState::Open));
+        e.undeploy("d").unwrap();
+        e.set_link_up(link, true).unwrap();
+        e.deploy(simple_flow("d")).unwrap();
+        assert_eq!(e.breaker_state("d", "all"), None);
+
+        // 20 deliveries in flight at undeploy are released with the queue.
+        e.run_until(start() + Duration::from_secs(20));
+        assert_eq!(depth_of_all(&e), [20]);
+        assert_eq!(e.total_inflight(), 20);
+        e.undeploy("d").unwrap();
+        e.run_until(start() + Duration::from_secs(25));
+        assert_eq!(e.total_inflight(), 0);
+        assert!(depth_of_all(&e).is_empty());
+
+        // A namesake starts from an empty queue.
+        e.deploy(simple_flow("d")).unwrap();
+        assert_eq!(depth_of_all(&e), [0]);
+        e.run_until(start() + Duration::from_secs(30));
+        assert_eq!(depth_of_all(&e), [20]);
+        assert_eq!(e.total_inflight(), 20);
+    }
+
+    #[test]
+    fn failed_deploy_leaves_nothing_behind() {
+        let mut t = Topology::new();
+        let edge = t.add_node(NodeSpec::edge("sensor-host", 10.0));
+        t.add_node(NodeSpec::edge("hub", 1_000_000.0));
+        let mut e = Engine::new(t, EngineConfig::default(), start());
+        e.add_sensor(temp_sensor(1, edge.0)).unwrap();
+        // No link: the source-fed aggregate spawns on the hub, then its
+        // flow from the edge cannot be installed.
+        assert!(e.deploy(agg_flow("w")).is_err());
+        assert!(e.deployment_names().is_empty());
+        assert_eq!(e.loads().len(), 0);
+        assert_eq!(e.broker().subscription_count(), 0);
+        // The spawned aggregate's tick was already scheduled; it must find
+        // its endpoint retired instead of ticking an orphan for ever.
+        e.run_until(start() + Duration::from_mins(5));
+        assert!(e.monitor().op("w", "avg").is_none());
     }
 
     #[test]

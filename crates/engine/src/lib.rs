@@ -61,6 +61,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod delivery;
 pub mod deployment;
 pub mod engine;
 pub mod error;
@@ -73,6 +74,6 @@ pub use deployment::{DeploymentView, ServiceView};
 pub use engine::{DeadTuple, Engine};
 pub use error::EngineError;
 pub use monitor::{CqStat, Monitor, OpCounters, PlacementChange, ShardStat};
-pub use overload::{IngressState, IngressTable};
+pub use overload::IngressState;
 pub use shard::{ShardKey, ShardPool};
 pub use sl_cq::{CqPoll, SubscriberId, ViewId};

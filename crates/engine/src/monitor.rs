@@ -6,8 +6,9 @@
 //! assignment changes" (paper §3, Figure 3). [`Monitor`] is the collection
 //! point for all of it.
 
+use crate::overload::IngressState;
 use sl_netsim::{NodeId, TimeSeries};
-use sl_obs::{Counter, Gauge, HistSummary, Histogram, MetricsSnapshot};
+use sl_obs::{Counter, HistSummary, Histogram, MetricsSnapshot};
 use sl_ops::ControlAction;
 use sl_stt::Timestamp;
 use std::collections::BTreeMap;
@@ -29,10 +30,11 @@ pub struct OpCounters {
     pub rate_series: TimeSeries,
     /// Per-tuple processing latency (wall-clock microseconds).
     pub proc_latency: Histogram,
-    /// Tuples currently in flight *towards this operator* (scheduled
-    /// deliveries not yet processed). Attributed per operator rather than
-    /// per engine, so a backed-up service is visible in the report.
-    pub queue_depth: Gauge,
+    /// The operator's ingress queue. Its `depth` is the tuples currently
+    /// in flight *towards this operator* (scheduled deliveries not yet
+    /// processed) — attributed per operator rather than per engine, so a
+    /// backed-up service is visible in the report.
+    pub ingress: IngressState,
 }
 
 impl OpCounters {
@@ -102,11 +104,51 @@ pub struct ControlRecord {
     pub action: ControlAction,
 }
 
+/// Per-name records in dense slots: the engine binds a name to its slot
+/// once and then addresses the slot; readers look names up (borrowed, no
+/// key is built) or walk them in `(deployment, name)` order.
+#[derive(Debug, Default)]
+struct Slots<T> {
+    by_name: BTreeMap<String, BTreeMap<String, usize>>,
+    slots: Vec<((String, String), T)>,
+}
+
+impl<T: Default> Slots<T> {
+    /// The slot of `(deployment, name)`, created on first use.
+    fn bind(&mut self, deployment: &str, name: &str) -> usize {
+        if let Some(slot) = self.by_name.get(deployment).and_then(|m| m.get(name)) {
+            return *slot;
+        }
+        let slot = self.slots.len();
+        self.slots
+            .push(((deployment.to_string(), name.to_string()), T::default()));
+        self.by_name
+            .entry(deployment.to_string())
+            .or_default()
+            .insert(name.to_string(), slot);
+        slot
+    }
+
+    fn get(&self, deployment: &str, name: &str) -> Option<&T> {
+        let slot = *self.by_name.get(deployment)?.get(name)?;
+        self.slots.get(slot).map(|(_, v)| v)
+    }
+
+    /// Every record with its names, in `(deployment, name)` order.
+    fn iter(&self) -> impl Iterator<Item = (&(String, String), &T)> {
+        self.by_name
+            .values()
+            .flat_map(|m| m.values())
+            .filter_map(|slot| self.slots.get(*slot))
+            .map(|(names, v)| (names, v))
+    }
+}
+
 /// The monitor: counters, series and logs for every deployment.
 #[derive(Debug, Default)]
 pub struct Monitor {
-    /// (deployment, operator) -> counters.
-    ops: BTreeMap<(String, String), OpCounters>,
+    /// Per-operator counters.
+    ops: Slots<OpCounters>,
     /// Placement history, oldest first.
     pub placements: Vec<PlacementChange>,
     /// Control-action history.
@@ -114,7 +156,7 @@ pub struct Monitor {
     /// Console-sink output (capped by the engine).
     pub console: Vec<String>,
     /// Tuples delivered to each sink.
-    sink_counts: BTreeMap<(String, String), u64>,
+    sink_counts: Slots<u64>,
     /// Sensor join/leave log lines.
     pub membership: Vec<String>,
     /// Fault-recovery log lines (retries exhausted, crash recoveries,
@@ -178,41 +220,46 @@ impl Monitor {
         Monitor::default()
     }
 
-    /// Counters for one operator (created on first touch).
-    pub fn op_mut(&mut self, deployment: &str, operator: &str) -> &mut OpCounters {
-        self.ops
-            .entry((deployment.to_string(), operator.to_string()))
-            .or_insert_with(|| OpCounters {
-                rate_series: TimeSeries::new(512),
-                ..Default::default()
-            })
+    /// The slot of one operator's counters (created on first touch), for
+    /// [`Monitor::op_at`] / [`Monitor::op_at_mut`].
+    pub fn bind_op(&mut self, deployment: &str, operator: &str) -> usize {
+        self.ops.bind(deployment, operator)
+    }
+
+    /// Counters in a slot handed out by [`Monitor::bind_op`].
+    pub fn op_at(&self, slot: usize) -> &OpCounters {
+        &self.ops.slots[slot].1
+    }
+
+    /// Mutable counters in a slot handed out by [`Monitor::bind_op`].
+    pub fn op_at_mut(&mut self, slot: usize) -> &mut OpCounters {
+        &mut self.ops.slots[slot].1
     }
 
     /// Read-only counters, if the operator has been touched.
     pub fn op(&self, deployment: &str, operator: &str) -> Option<&OpCounters> {
-        self.ops
-            .get(&(deployment.to_string(), operator.to_string()))
+        self.ops.get(deployment, operator)
     }
 
-    /// All per-operator counters.
+    /// All per-operator counters, in `(deployment, operator)` order.
     pub fn all_ops(&self) -> impl Iterator<Item = (&(String, String), &OpCounters)> {
         self.ops.iter()
     }
 
-    /// Record a tuple delivered to a sink.
-    pub fn count_sink(&mut self, deployment: &str, sink: &str) {
-        *self
-            .sink_counts
-            .entry((deployment.to_string(), sink.to_string()))
-            .or_insert(0) += 1;
+    /// The slot of one sink's total (created on first touch), for
+    /// [`Monitor::count_sink_at`].
+    pub fn bind_sink(&mut self, deployment: &str, sink: &str) -> usize {
+        self.sink_counts.bind(deployment, sink)
+    }
+
+    /// Record a tuple delivered to the sink in a [`Monitor::bind_sink`] slot.
+    pub fn count_sink_at(&mut self, slot: usize) {
+        self.sink_counts.slots[slot].1 += 1;
     }
 
     /// Tuples delivered to a sink so far.
     pub fn sink_count(&self, deployment: &str, sink: &str) -> u64 {
-        self.sink_counts
-            .get(&(deployment.to_string(), sink.to_string()))
-            .copied()
-            .unwrap_or(0)
+        self.sink_counts.get(deployment, sink).copied().unwrap_or(0)
     }
 
     /// Sample all operator rates at `now` given the elapsed seconds since
@@ -221,7 +268,7 @@ impl Monitor {
         if elapsed_secs <= 0.0 {
             return;
         }
-        for counters in self.ops.values_mut() {
+        for (_, counters) in &mut self.ops.slots {
             let tuples_in = counters.tuples_in.get();
             let delta = tuples_in - counters.in_at_last_sample;
             counters.in_at_last_sample = tuples_in;
@@ -237,7 +284,7 @@ impl Monitor {
     pub fn conservation_violations(&self, passthrough_ops: &[(String, String)]) -> Vec<String> {
         let mut bad = Vec::new();
         for key in passthrough_ops {
-            if let Some(c) = self.ops.get(key) {
+            if let Some(c) = self.op(&key.0, &key.1) {
                 if c.tuples_out() + c.dropped() > c.tuples_in() {
                     bad.push(format!(
                         "{}/{}: out {} + dropped {} > in {}",
@@ -259,7 +306,7 @@ impl Monitor {
         let mut out = String::new();
         let _ = writeln!(out, "monitor @ {now}");
         let _ = writeln!(out, "  operators:");
-        for ((dep, op), c) in &self.ops {
+        for ((dep, op), c) in self.ops.iter() {
             let rate = c.rate_series.last().map_or(0.0, |(_, r)| r);
             let mut line = format!(
                 "    {dep}/{op}: in={} out={} dropped={} rate={rate:.1} tuples/s",
@@ -276,11 +323,11 @@ impl Monitor {
                     c.proc_latency.p99().unwrap_or(0)
                 );
             }
-            let _ = write!(line, " depth={}", c.queue_depth.get());
+            let _ = write!(line, " depth={}", c.ingress.depth);
             let _ = writeln!(out, "{line}");
         }
         let _ = writeln!(out, "  sinks:");
-        for ((dep, sink), n) in &self.sink_counts {
+        for ((dep, sink), n) in self.sink_counts.iter() {
             let _ = writeln!(out, "    {dep}/{sink}: {n} tuples");
         }
         if !self.placements.is_empty() {
@@ -380,7 +427,7 @@ impl Monitor {
     /// `deployment/operator/<metric>`).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        for ((dep, op), c) in &self.ops {
+        for ((dep, op), c) in self.ops.iter() {
             snap.counters
                 .insert(format!("{dep}/{op}/tuples_in"), c.tuples_in());
             snap.counters
@@ -394,9 +441,9 @@ impl Monitor {
                 );
             }
             snap.gauges
-                .insert(format!("{dep}/{op}/queue_depth"), c.queue_depth.get());
+                .insert(format!("{dep}/{op}/queue_depth"), c.ingress.depth as i64);
         }
-        for ((dep, sink), n) in &self.sink_counts {
+        for ((dep, sink), n) in self.sink_counts.iter() {
             snap.counters
                 .insert(format!("{dep}/{sink}/sink_tuples"), *n);
         }
@@ -411,6 +458,18 @@ impl Monitor {
 mod tests {
     #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
+
+    impl Monitor {
+        fn op_mut(&mut self, deployment: &str, operator: &str) -> &mut OpCounters {
+            let slot = self.bind_op(deployment, operator);
+            self.op_at_mut(slot)
+        }
+
+        fn count_sink(&mut self, deployment: &str, sink: &str) {
+            let slot = self.bind_sink(deployment, sink);
+            self.count_sink_at(slot);
+        }
+    }
 
     #[test]
     fn counters_and_rates() {

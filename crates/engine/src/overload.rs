@@ -8,15 +8,17 @@
 //! dead-lettered instead of processed. Queue depth is conserved (+1
 //! admitted, −1 condemned), so every queue stays ≤ its bound at all times.
 //!
-//! [`IngressTable`] tracks, per `(deployment, operator)`: the current
-//! in-flight depth, the pending-shed markers, and a per-monitor-window
-//! high-watermark that feeds backlog-driven re-placement.
+//! [`IngressState`] is one operator's queue: the in-flight depth (the only
+//! copy of that number — the monitor's `depth=` column and `queue_depth`
+//! gauge read it), the pending-shed markers, and a per-monitor-window
+//! high-watermark that feeds backlog-driven re-placement. It lives in the
+//! operator's monitor slot; `crate::delivery` is its only writer.
 
 use sl_faults::ShedPolicy;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Per-operator ingress state.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct IngressState {
     /// Scheduled-but-undelivered deliveries bound for this operator.
     pub depth: u64,
@@ -26,121 +28,45 @@ pub struct IngressState {
     pub high_watermark: u64,
 }
 
-/// Admission bookkeeping for every bounded operator queue.
-#[derive(Debug, Default)]
-pub struct IngressTable {
-    map: BTreeMap<(String, String), IngressState>,
-    total_inflight: u64,
-}
-
-impl IngressTable {
-    /// An empty table.
-    pub fn new() -> IngressTable {
-        IngressTable::default()
-    }
-
-    /// Current in-flight depth for one operator queue.
-    pub fn depth(&self, dep: &str, op: &str) -> u64 {
-        self.map
-            .get(&(dep.to_string(), op.to_string()))
-            .map(|s| s.depth)
-            .unwrap_or(0)
-    }
-
-    /// Total in-flight deliveries across every operator queue.
-    pub fn total_inflight(&self) -> u64 {
-        self.total_inflight
-    }
-
+impl IngressState {
     /// Record an admitted delivery (depth +1, watermark refreshed).
-    pub fn admit(&mut self, dep: &str, op: &str) {
-        let s = self
-            .map
-            .entry((dep.to_string(), op.to_string()))
-            .or_default();
-        s.depth += 1;
-        s.high_watermark = s.high_watermark.max(s.depth);
-        self.total_inflight += 1;
+    pub fn admit(&mut self) {
+        self.depth += 1;
+        self.high_watermark = self.high_watermark.max(self.depth);
     }
 
-    /// Condemn the oldest in-flight delivery of this operator: push a
-    /// deferred shed marker and release its depth slot immediately (the
-    /// marker's arrival consumes no further accounting).
-    pub fn condemn_oldest(&mut self, dep: &str, op: &str, policy: ShedPolicy) {
-        let s = self
-            .map
-            .entry((dep.to_string(), op.to_string()))
-            .or_default();
-        s.pending.push_back(policy);
-        s.depth = s.depth.saturating_sub(1);
-        self.total_inflight = self.total_inflight.saturating_sub(1);
-    }
-
-    /// If this operator has a deferred shed pending, consume it: the
-    /// arriving delivery is the condemned one. Its depth slot was already
-    /// released at condemnation, so nothing else is decremented.
-    pub fn take_pending_shed(&mut self, dep: &str, op: &str) -> Option<ShedPolicy> {
-        self.map
-            .get_mut(&(dep.to_string(), op.to_string()))?
-            .pending
-            .pop_front()
-    }
-
-    /// True if the operator has deferred sheds waiting (such operators are
-    /// excluded from batched execution so markers are consumed in order).
-    pub fn has_pending_shed(&self, dep: &str, op: &str) -> bool {
-        self.map
-            .get(&(dep.to_string(), op.to_string()))
-            .map(|s| !s.pending.is_empty())
-            .unwrap_or(false)
+    /// Condemn the oldest in-flight delivery: push a deferred shed marker
+    /// and release its depth slot immediately (the marker's arrival
+    /// consumes no further accounting).
+    pub fn condemn_oldest(&mut self, policy: ShedPolicy) {
+        self.pending.push_back(policy);
+        self.release();
     }
 
     /// Record a delivered (processed) tuple: depth −1.
-    pub fn on_processed(&mut self, dep: &str, op: &str) {
-        if let Some(s) = self.map.get_mut(&(dep.to_string(), op.to_string())) {
-            s.depth = s.depth.saturating_sub(1);
-        }
-        self.total_inflight = self.total_inflight.saturating_sub(1);
+    pub fn release(&mut self) {
+        self.depth = self.depth.saturating_sub(1);
     }
 
-    /// Per-window high-watermarks (operator key → watermark), resetting
-    /// each to the *current* depth for the next window.
-    pub fn drain_watermarks(&mut self) -> Vec<((String, String), u64)> {
-        self.map
-            .iter_mut()
-            .map(|(k, s)| {
-                let hwm = s.high_watermark;
-                s.high_watermark = s.depth;
-                (k.clone(), hwm)
-            })
-            .collect()
+    /// This window's high-watermark, restarting the next window from the
+    /// *current* depth.
+    pub fn drain_watermark(&mut self) -> u64 {
+        std::mem::replace(&mut self.high_watermark, self.depth)
     }
+}
 
-    /// Every queue's current depth, in key order.
-    pub fn depths(&self) -> impl Iterator<Item = (&(String, String), u64)> {
-        self.map.iter().map(|(k, s)| (k, s.depth))
-    }
-
-    /// The deployment with the lowest priority-then-largest-depth standing
-    /// among those with queued work, excluding `except` — the preemption
-    /// victim when the global cap is hit. `class_of` maps a deployment to
-    /// its priority rank (lower rank sheds first). Within the victim
-    /// deployment the deepest queue is chosen (ties: BTreeMap key order).
-    pub fn preemption_victim(
-        &self,
-        except: (&str, &str),
-        class_of: impl Fn(&str) -> u8,
-    ) -> Option<(String, String)> {
-        self.map
-            .iter()
-            .filter(|((dep, op), s)| s.depth > 0 && (dep.as_str(), op.as_str()) != except)
-            .min_by(|((dep_a, _), sa), ((dep_b, _), sb)| {
-                class_of(dep_a)
-                    .cmp(&class_of(dep_b))
-                    .then(sb.depth.cmp(&sa.depth))
-            })
-            .map(|(k, _)| k.clone())
-    }
+/// The preemption victim when the global cap is hit: among `queues` —
+/// `(priority rank of the deployment, depth, queue)` in name order, the
+/// incoming tuple's own queue excluded by the caller — the one with queued
+/// work in the lowest class (lower rank sheds first), deepest first; ties
+/// go to the first in iteration order. Returns its rank with it.
+pub fn preemption_victim<Q>(queues: impl Iterator<Item = (u8, u64, Q)>) -> Option<(u8, Q)> {
+    queues
+        .filter(|(_, depth, _)| *depth > 0)
+        .min_by(|(class_a, depth_a, _), (class_b, depth_b, _)| {
+            class_a.cmp(class_b).then(depth_b.cmp(depth_a))
+        })
+        .map(|(class, _, queue)| (class, queue))
 }
 
 #[cfg(test)]
@@ -149,68 +75,69 @@ mod tests {
 
     #[test]
     fn admit_and_process_conserve_depth() {
-        let mut t = IngressTable::new();
-        t.admit("d", "hot");
-        t.admit("d", "hot");
-        t.admit("d", "cold");
-        assert_eq!(t.depth("d", "hot"), 2);
-        assert_eq!(t.total_inflight(), 3);
-        t.on_processed("d", "hot");
-        assert_eq!(t.depth("d", "hot"), 1);
-        assert_eq!(t.total_inflight(), 2);
+        let (mut hot, mut cold) = (IngressState::default(), IngressState::default());
+        hot.admit();
+        hot.admit();
+        cold.admit();
+        assert_eq!((hot.depth, cold.depth), (2, 1));
+        hot.release();
+        assert_eq!((hot.depth, cold.depth), (1, 1));
+        // Releasing an empty queue (a marker-condemned arrival) saturates.
+        cold.release();
+        cold.release();
+        assert_eq!(cold.depth, 0);
     }
 
     #[test]
     fn condemn_releases_slot_and_defers_the_shed() {
-        let mut t = IngressTable::new();
-        t.admit("d", "hot");
-        t.admit("d", "hot");
+        let mut q = IngressState::default();
+        q.admit();
+        q.admit();
         // Queue full at 2: condemn the oldest, admit the newest.
-        t.condemn_oldest("d", "hot", ShedPolicy::Oldest);
-        t.admit("d", "hot");
-        assert_eq!(t.depth("d", "hot"), 2); // bound respected
-        assert!(t.has_pending_shed("d", "hot"));
+        q.condemn_oldest(ShedPolicy::Oldest);
+        q.admit();
+        assert_eq!(q.depth, 2, "bound respected");
         // The next arrival is the condemned one: consumed, no decrement.
-        assert_eq!(t.take_pending_shed("d", "hot"), Some(ShedPolicy::Oldest));
-        assert!(!t.has_pending_shed("d", "hot"));
-        assert_eq!(t.take_pending_shed("d", "hot"), None);
-        assert_eq!(t.depth("d", "hot"), 2);
+        assert_eq!(q.pending.pop_front(), Some(ShedPolicy::Oldest));
+        assert_eq!(q.pending.pop_front(), None);
+        assert_eq!(q.depth, 2);
     }
 
     #[test]
     fn watermarks_reset_to_current_depth() {
-        let mut t = IngressTable::new();
-        t.admit("d", "hot");
-        t.admit("d", "hot");
-        t.on_processed("d", "hot");
-        let w: BTreeMap<_, _> = t.drain_watermarks().into_iter().collect();
-        assert_eq!(w[&("d".to_string(), "hot".to_string())], 2);
+        let mut q = IngressState::default();
+        q.admit();
+        q.admit();
+        q.release();
+        assert_eq!(q.drain_watermark(), 2);
         // After the drain, the watermark restarts from the live depth (1).
-        let w: BTreeMap<_, _> = t.drain_watermarks().into_iter().collect();
-        assert_eq!(w[&("d".to_string(), "hot".to_string())], 1);
+        assert_eq!(q.drain_watermark(), 1);
     }
 
     #[test]
     fn preemption_picks_lowest_class_then_deepest() {
-        let mut t = IngressTable::new();
-        t.admit("low", "a");
-        t.admit("low", "b");
-        t.admit("low", "b");
-        t.admit("high", "c");
-        let class = |dep: &str| if dep == "high" { 3u8 } else { 0 };
-        // Lowest class wins; within it the deepest queue.
-        assert_eq!(
-            t.preemption_victim(("x", "y"), class),
-            Some(("low".to_string(), "b".to_string()))
-        );
+        // (deployment, operator, depth) in name order, as the engine
+        // sweeps them; `high` outranks the rest.
+        let queues = [
+            ("high", "c", 1u64),
+            ("low", "a", 1),
+            ("low", "b", 2),
+            ("low", "z", 2),
+        ];
+        let victim = |except: (&str, &str)| {
+            preemption_victim(
+                queues
+                    .iter()
+                    .filter(|(d, o, _)| (*d, *o) != except)
+                    .map(|(d, o, depth)| (if *d == "high" { 3u8 } else { 0 }, *depth, (*d, *o))),
+            )
+            .map(|(_, q)| q)
+        };
+        // Lowest class wins; within it the deepest queue, ties by name.
+        assert_eq!(victim(("x", "y")), Some(("low", "b")));
         // The incoming tuple's own queue is excluded.
-        assert_eq!(
-            t.preemption_victim(("low", "b"), class),
-            Some(("low".to_string(), "a".to_string()))
-        );
-        // Nothing but the excluded queue and higher classes with no depth:
-        let mut t2 = IngressTable::new();
-        t2.admit("only", "op");
-        assert_eq!(t2.preemption_victim(("only", "op"), |_| 0), None);
+        assert_eq!(victim(("low", "b")), Some(("low", "z")));
+        // Nothing but empty queues: no victim.
+        assert_eq!(preemption_victim([(0u8, 0u64, "idle")].into_iter()), None);
     }
 }

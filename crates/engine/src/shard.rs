@@ -20,6 +20,7 @@
 //! engine blocks on the barrier, which is what makes invalidation of
 //! cached replicas race-free.
 
+use crate::deployment::EndpointId;
 use sl_ops::{Operator, TupleOutcome};
 use sl_stt::{Timestamp, Tuple};
 use std::collections::{HashMap, VecDeque};
@@ -87,13 +88,13 @@ impl ShardKey {
 }
 
 /// A unit of work: one shard's slice of the current batch, all destined for
-/// the same operator (`key = (deployment, service)`) and input port.
+/// the same operator (`key`, its endpoint id) and input port.
 struct ShardJob {
     id: u64,
     /// The worker the job was queued on (its shard); a different worker may
     /// steal and execute it.
     home: usize,
-    key: (String, String),
+    key: EndpointId,
     port: usize,
     items: Vec<(Timestamp, Tuple)>,
 }
@@ -133,7 +134,7 @@ struct Shared {
     cv: Condvar,
 }
 
-type ReplicaCache = HashMap<(String, String), Vec<Box<dyn Operator>>>;
+type ReplicaCache = HashMap<EndpointId, Vec<Box<dyn Operator>>>;
 
 fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, std::sync::PoisonError<MutexGuard<'a, T>>>,
@@ -208,17 +209,10 @@ impl ShardPool {
         self.steals.load(Ordering::Relaxed)
     }
 
-    /// Top the replica cache for `(deployment, service)` up to `need`
+    /// Top the replica cache for the operator behind `key` up to `need`
     /// copies of `op`. Returns false (and caches nothing new) if the
     /// operator refuses to replicate — the engine then processes it inline.
-    pub fn ensure_replicas(
-        &self,
-        deployment: &str,
-        service: &str,
-        op: &dyn Operator,
-        need: usize,
-    ) -> bool {
-        let key = (deployment.to_string(), service.to_string());
+    pub fn ensure_replicas(&self, key: EndpointId, op: &dyn Operator, need: usize) -> bool {
         let mut cache = relock(self.replicas.lock());
         let slot = cache.entry(key).or_default();
         while slot.len() < need {
@@ -230,22 +224,17 @@ impl ShardPool {
         true
     }
 
-    /// Drop cached replicas of one operator (after `replace_operator`).
-    pub fn invalidate(&self, deployment: &str, service: &str) {
-        relock(self.replicas.lock()).remove(&(deployment.to_string(), service.to_string()));
-    }
-
-    /// Drop every cached replica of one deployment (after `undeploy`).
-    pub fn invalidate_deployment(&self, deployment: &str) {
-        relock(self.replicas.lock()).retain(|(dep, _), _| dep != deployment);
+    /// Drop cached replicas of one operator (after `replace_operator`, or
+    /// when `undeploy` retires its endpoint).
+    pub fn invalidate(&self, key: EndpointId) {
+        relock(self.replicas.lock()).remove(&key);
     }
 
     /// Queue one job on the home shard's deque and wake the workers.
     /// Returns the job id echoed in its [`ShardJobResult`].
     pub fn submit(
         &mut self,
-        deployment: &str,
-        service: &str,
+        key: EndpointId,
         port: usize,
         home: usize,
         items: Vec<(Timestamp, Tuple)>,
@@ -255,7 +244,7 @@ impl ShardPool {
         let job = ShardJob {
             id,
             home: home % self.handles.len().max(1),
-            key: (deployment.to_string(), service.to_string()),
+            key,
             port,
             items,
         };
@@ -378,6 +367,9 @@ mod tests {
     use sl_ops::FilterOp;
     use sl_stt::{AttrType, Field, GeoPoint, Schema, SchemaRef, SensorId, SttMeta, Theme, Value};
 
+    /// The operator the tests' jobs are keyed by.
+    const F: EndpointId = EndpointId(0);
+
     fn schema() -> SchemaRef {
         Schema::new(vec![Field::new("v", AttrType::Float)])
             .unwrap()
@@ -435,12 +427,12 @@ mod tests {
         let schema = schema();
         let op = FilterOp::new("v > 10", &schema).unwrap();
         let mut pool = ShardPool::new(2, Instant::now());
-        assert!(pool.ensure_replicas("d", "f", &op, 2));
+        assert!(pool.ensure_replicas(F, &op, 2));
         let items: Vec<(Timestamp, Tuple)> = (0..20)
             .map(|i| (Timestamp::from_secs(i), tuple(i as f64, i as u64, 34.7)))
             .collect();
-        let id0 = pool.submit("d", "f", 0, 0, items[..10].to_vec());
-        let id1 = pool.submit("d", "f", 0, 1, items[10..].to_vec());
+        let id0 = pool.submit(F, 0, 0, items[..10].to_vec());
+        let id1 = pool.submit(F, 0, 1, items[10..].to_vec());
         let mut results: Vec<ShardJobResult> = vec![pool.recv().unwrap(), pool.recv().unwrap()];
         results.sort_by_key(|r| r.id);
         assert_eq!(results[0].id, id0);
@@ -461,13 +453,7 @@ mod tests {
     #[test]
     fn missing_replica_surfaces_errors_not_hangs() {
         let mut pool = ShardPool::new(1, Instant::now());
-        let id = pool.submit(
-            "d",
-            "f",
-            0,
-            0,
-            vec![(Timestamp::EPOCH, tuple(1.0, 1, 34.7))],
-        );
+        let id = pool.submit(F, 0, 0, vec![(Timestamp::EPOCH, tuple(1.0, 1, 34.7))]);
         let r = pool.recv().unwrap();
         assert_eq!(r.id, id);
         assert!(r.items[0].outcome.error.is_some());
@@ -478,11 +464,8 @@ mod tests {
         let schema = schema();
         let op = FilterOp::new("v > 0", &schema).unwrap();
         let pool = ShardPool::new(1, Instant::now());
-        assert!(pool.ensure_replicas("d", "f", &op, 1));
-        pool.invalidate("d", "f");
-        assert_eq!(relock(pool.replicas.lock()).len(), 0);
-        assert!(pool.ensure_replicas("d", "f", &op, 1));
-        pool.invalidate_deployment("d");
+        assert!(pool.ensure_replicas(F, &op, 1));
+        pool.invalidate(F);
         assert_eq!(relock(pool.replicas.lock()).len(), 0);
     }
 }

@@ -603,7 +603,7 @@ mod burst_bounds {
             let t0 = e.now();
             for tick in 1..=100u64 {
                 e.run_until(t0 + Duration::from_millis(tick * 500));
-                for (key, depth) in e.ingress().depths() {
+                for (key, depth) in e.ingress_depths() {
                     prop_assert!(
                         depth <= cap as u64,
                         "queue {key:?} at depth {depth} exceeds bound {cap} \

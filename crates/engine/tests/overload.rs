@@ -119,7 +119,7 @@ fn run_checking_bounds(e: &mut Engine, total: Duration, cap: u64) {
     while elapsed.as_millis() < total.as_millis() {
         elapsed = elapsed + step;
         e.run_until(t0 + elapsed);
-        for (key, depth) in e.ingress().depths() {
+        for (key, depth) in e.ingress_depths() {
             assert!(
                 depth <= cap,
                 "queue {key:?} at depth {depth} exceeds bound {cap} after {elapsed:?}"

@@ -36,6 +36,40 @@ impl fmt::Display for ShedPolicy {
     }
 }
 
+/// What a full bounded queue does with overflow — the one vocabulary for
+/// both ends of the pipeline (the engine's per-operator ingress queues and
+/// `sl-cq`'s per-subscriber delta queues).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum OverflowPolicy {
+    /// Never shed silently. Ingress: revoke generation credit from the
+    /// sensors feeding the saturated operator until the queue drains.
+    /// Subscriber queues cannot pause the single-threaded ingest loop, so
+    /// there overflow clears the backlog and marks the subscriber lagged
+    /// until it catches up from a snapshot.
+    Block,
+    /// Shed the oldest queued item to admit the newest (freshness wins).
+    ShedOldest,
+    /// Drop the incoming item, keeping what was already queued.
+    ShedNewest,
+    /// On overflow a seeded coin decides: with probability `p` the oldest
+    /// queued item is shed (the new one is admitted), otherwise the
+    /// incoming item is. Either way the queue never exceeds its bound.
+    Sample(f64),
+}
+
+impl OverflowPolicy {
+    /// The drop discipline this policy's sheds are accounted under
+    /// (`None` for [`OverflowPolicy::Block`], which never sheds).
+    pub fn shed_policy(self) -> Option<ShedPolicy> {
+        match self {
+            OverflowPolicy::Block => None,
+            OverflowPolicy::ShedOldest => Some(ShedPolicy::Oldest),
+            OverflowPolicy::ShedNewest => Some(ShedPolicy::Newest),
+            OverflowPolicy::Sample(_) => Some(ShedPolicy::Sample),
+        }
+    }
+}
+
 /// Why a tuple could not be delivered. Every terminal drop in the engine is
 /// classified under exactly one of these.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -25,6 +25,6 @@ pub mod plan;
 pub mod retry;
 
 pub use breaker::{BreakerDecision, BreakerState, CircuitBreaker};
-pub use dlq::{DeadLetterQueue, DropReason, ShedPolicy};
+pub use dlq::{DeadLetterQueue, DropReason, OverflowPolicy, ShedPolicy};
 pub use plan::{FaultAction, FaultEvent, FaultPlan};
 pub use retry::RetryPolicy;

@@ -80,17 +80,17 @@ impl Metrics {
 
     /// The counter named `name`, created at zero on first use.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_string()).or_default()
+        instrument(&mut self.counters, name)
     }
 
     /// The gauge named `name`, created at zero on first use.
     pub fn gauge(&mut self, name: &str) -> &mut Gauge {
-        self.gauges.entry(name.to_string()).or_default()
+        instrument(&mut self.gauges, name)
     }
 
     /// The histogram named `name`, created empty on first use.
     pub fn hist(&mut self, name: &str) -> &mut Histogram {
-        self.hists.entry(name.to_string()).or_default()
+        instrument(&mut self.hists, name)
     }
 
     /// The embedded span tracer.
@@ -147,6 +147,16 @@ impl Metrics {
         }
         snap
     }
+}
+
+/// Look `name` up before allocating a key for it: instruments are touched
+/// per event, created once.
+fn instrument<'a, T: Default>(map: &'a mut BTreeMap<String, T>, name: &str) -> &'a mut T {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), T::default());
+    }
+    map.get_mut(name)
+        .expect("present: inserted above on a miss")
 }
 
 /// Wall-clock stopwatch for timing code sections into a [`Histogram`].

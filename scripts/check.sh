@@ -2,10 +2,10 @@
 # Local CI gate, tiered to match .github/workflows/ci.yml:
 #
 #   scripts/check.sh --fast   # the PR fast loop: build, tests (root package
-#                             # + the storage crates), fmt, clippy -D
-#                             # warnings, doc -D warnings
-#   scripts/check.sh          # everything: fast tier + the chaos/durable/
-#                             # parallel/overload/cq gates, the lint and
+#                             # + the storage crates + the whole sl-engine
+#                             # suite), fmt, clippy -D warnings, doc -D
+#                             # warnings
+#   scripts/check.sh          # everything: fast tier + the lint and
 #                             # example gates, the bench smokes, and the
 #                             # bench-compare regression diff
 #
@@ -30,6 +30,11 @@ cargo test -q
 # share the retention path; their own suites are not part of the root
 # package's `cargo test`.
 cargo test -q -p sl-warehouse -p sl-durable -p sl-cq
+# Engine gate: the crate's unit tests (delivery chokepoint, ingress state,
+# shard pool, monitor, config) and its integration suites — chaos,
+# durable_recovery, parallel_equivalence, overload, cq_equivalence. Under
+# 2 s to run, so all of it belongs on every PR.
+cargo test -q -p sl-engine
 # Doctest gate: the documented crates' crate-root examples must run.
 cargo test --doc -q -p sl-stt -p sl-ops -p sl-engine -p sl-obs -p sl-durable
 cargo fmt --check
@@ -42,16 +47,9 @@ if [ "$FAST" = 1 ]; then
 fi
 
 # ---------------------------------------------------------------- full tier
-cargo test -p sl-engine --test chaos
-# Crash-recovery gate: the engine-level kill-and-reopen tests must hold on
-# every commit (the sl-durable suites run in the fast tier).
-cargo test -p sl-engine --test durable_recovery
-# Parallel-execution gate: sequential-vs-parallel output equivalence
-# (fault-free, under chaos, every shard key, mid-run switch).
-cargo test -p sl-engine --test parallel_equivalence
-
-# The durable tests create scratch dirs under $TMPDIR; a leftover one means
-# a TempDir leaked (Drop did not run or failed to clean up).
+# The durable tests (fast tier) create scratch dirs under $TMPDIR; a
+# leftover one means a TempDir leaked (Drop did not run or failed to clean
+# up).
 stray=$(find "${TMPDIR:-/tmp}" -maxdepth 1 -name 'sl-durable-*' -print -quit)
 if [ -n "$stray" ]; then
     echo "check.sh: stray durable scratch dir left behind: $stray" >&2
@@ -69,10 +67,6 @@ cargo run --release -q --bin sl-lint -- --deny-warnings --nict \
 cargo run --release -q --bin sl-lint -- --deny-warnings --format json \
     --config examples/deploy/ci.conf --fault-plan examples/deploy/ci.plan \
     examples/dsn/*.dsn >/dev/null
-
-# Overload-control gate: bounded queues, shedding accounting, credit
-# backpressure, breakers, and backlog-driven re-placement.
-cargo test -p sl-engine --test overload
 
 # Bench smokes. Each asserts its experiment's headline claim at reduced
 # scale and, with BENCH_JSON_DIR set, writes its JSON rows to a scratch
@@ -92,12 +86,10 @@ BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
 BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
     cargo run --release -q -p sl-bench --bin exp_e10_overload -- --test
 
-# Continuous-query gate (the sl-cq unit suite runs in the fast tier): the
-# engine-level equivalence suite (views byte-identical to rescans under
-# arbitrary interleavings, eviction, chaos, compaction, and durable
-# restart; unused hub byte-invisible), the live-dashboard example, and the
-# E11 smoke (incremental maintenance >=10x over rescans at 100 subscribers).
-cargo test -p sl-engine --test cq_equivalence
+# Continuous-query gate (the sl-cq unit suite and the engine-level
+# equivalence suite run in the fast tier): the live-dashboard example and
+# the E11 smoke (incremental maintenance >=10x over rescans at 100
+# subscribers).
 cargo run --release -q --example continuous_dashboard >/dev/null
 BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
     cargo run --release -q -p sl-bench --bin exp_e11_cq -- --test

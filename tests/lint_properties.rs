@@ -141,7 +141,7 @@ proptest! {
         let mut peaks: std::collections::BTreeMap<String, u64> = Default::default();
         for _ in 0..240 {
             session.run_for(Duration::from_secs(1));
-            for ((_dep, op), depth) in session.engine().ingress().depths() {
+            for ((_dep, op), depth) in session.engine().ingress_depths() {
                 let peak = peaks.entry(op.clone()).or_insert(0);
                 *peak = (*peak).max(depth);
             }
