@@ -9,9 +9,10 @@
 //! one [`Endpoint`] record in the engine's endpoint table, addressed by the
 //! [`EndpointId`] that events, shard jobs and consumer lists carry. The
 //! record owns everything the engine knows about that delivery target: its
-//! placement, the live [`Operator`] process or the sink kind, its resolved
-//! consumers, its circuit breaker, its backlog-migration stamp, its span
-//! key and the monitor slot holding its counters and ingress queue state.
+//! placement, the live [`Operator`] process (with its shard replicas and
+//! latest checkpoint) or the sink kind, its resolved consumers, its circuit
+//! breaker, its backlog-migration stamp, its span key and the monitor slot
+//! holding its counters and ingress queue state.
 //!
 //! **Lifetime rule: an id is never reused; events outlive deployments, ids
 //! do not.** `undeploy` retires the record ([`Role::Retired`] — only the
@@ -33,7 +34,7 @@ use sl_dsn::SinkKind;
 use sl_faults::CircuitBreaker;
 use sl_netsim::{FlowId, NodeId, ProcessId};
 use sl_obs::SpanKey;
-use sl_ops::Operator;
+use sl_ops::{OpCheckpoint, Operator};
 use sl_pubsub::{SubscriptionFilter, SubscriptionId};
 use sl_stt::{SchemaRef, SensorId, Timestamp, Tuple};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -72,8 +73,14 @@ pub struct SourceRuntime {
 pub struct ServiceRuntime {
     /// The process id in the load tracker.
     pub process: ProcessId,
-    /// The live operator.
+    /// The live operator; swapped only through [`ServiceRuntime::set_op`].
     pub op: Box<dyn Operator>,
+    /// Copies of `op` for the shard workers, made on demand. A shard job
+    /// borrows one for its run and its result hands it back.
+    pub replicas: Vec<Box<dyn Operator>>,
+    /// Latest snapshot of a blocking `op`'s window cache, restored onto the
+    /// recovery placement after a node crash.
+    pub checkpoint: Option<OpCheckpoint>,
     /// Producer names in port order.
     pub inputs: Vec<String>,
     /// Whether a periodic tick is scheduled (blocking operators).
@@ -90,6 +97,15 @@ pub struct ServiceRuntime {
     pub span: SpanKey,
     /// Last backlog-driven re-placement (ping-pong damper).
     pub last_backlog_migration: Option<Timestamp>,
+}
+
+impl ServiceRuntime {
+    /// Swap the live operator. Replicas and the checkpoint were derived
+    /// from the old one, so neither survives it.
+    pub fn set_op(&mut self, op: Box<dyn Operator>) {
+        self.blocking = op.is_blocking();
+        (self.op, self.replicas, self.checkpoint) = (op, Vec::new(), None);
+    }
 }
 
 /// Runtime state of one sink.

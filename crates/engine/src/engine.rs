@@ -17,7 +17,7 @@ use crate::deployment::{
 };
 use crate::error::EngineError;
 use crate::monitor::{ControlRecord, Monitor, PlacementChange};
-use crate::shard::ShardPool;
+use crate::shard::{invoke, ShardJob, ShardJobResult, ShardPool};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -31,7 +31,7 @@ use sl_netsim::{
     Route, RoutingTable, Topology,
 };
 use sl_obs::{Metrics, MetricsSnapshot, SpanKey, Tracer};
-use sl_ops::{shard_checkpoint_name, ControlAction, OpCheckpoint, OpContext, TupleOutcome};
+use sl_ops::{ControlAction, OpCheckpoint, OpContext};
 use sl_pubsub::enrich::{enrich, EnrichPolicy};
 use sl_pubsub::{Broker, BrokerEvent, SensorAdvertisement, SubscriptionId};
 use sl_sensors::{decode_payload, SensorSim};
@@ -149,8 +149,9 @@ pub struct Engine {
     next_pid: u64,
     /// Terminally undeliverable tuples, classified by drop reason.
     pub(crate) dlq: DeadLetterQueue<DeadTuple>,
-    /// Latest blocking-operator state snapshots, keyed (deployment, service),
-    /// restored onto the migration target after a node crash.
+    /// Blocking-operator snapshots [`Engine::open_durable`] recovered from
+    /// the log, keyed (deployment, service), until that deployment's
+    /// `deploy()` moves them onto its service records.
     checkpoints: HashMap<(String, String), OpCheckpoint>,
     /// Engine-level instruments: event-loop timing, enrichment counters,
     /// per-tuple spans, end-to-end latency, queue depth.
@@ -158,8 +159,8 @@ pub struct Engine {
     /// Wall-clock origin for span timestamps (virtual time measures the
     /// simulation; spans measure the host's processing cost).
     epoch: std::time::Instant,
-    /// The shard worker pool, spawned lazily on the first parallel run
-    /// (None while `config.parallelism <= 1`).
+    /// The shard worker pool, spawned by the first parallel run (None while
+    /// `config.parallelism <= 1`).
     pool: Option<ShardPool>,
     /// Steal count already exported to the `shard/steals` counter.
     last_steals: u64,
@@ -688,6 +689,9 @@ impl Engine {
                 return Err(e);
             }
         }
+        // Whatever `open_durable` staged for this deployment now lives on
+        // its service records.
+        self.checkpoints.retain(|(dep, _), _| *dep != name);
         self.deployments.insert(name, deployment);
         Ok(())
     }
@@ -759,30 +763,30 @@ impl Engine {
                 // re-seeds the window cache before the first tuple
                 // arrives: the restart continues where the crashed
                 // process checkpointed.
-                if self.config.checkpoint_enabled && blocking {
-                    if let Some(ckpt) = self
-                        .checkpoints
-                        .get(&(name.to_string(), shard_checkpoint_name(service, 0, 1)))
-                        .cloned()
-                    {
-                        let (n_tuples, n_bytes) = (ckpt.len(), ckpt.byte_size());
-                        op.restore(ckpt);
-                        self.metrics
-                            .counter("checkpoint/restored_tuples")
-                            .add(n_tuples as u64);
-                        self.metrics
-                            .counter("checkpoint/restored_bytes")
-                            .add(n_bytes as u64);
-                        self.monitor.durability.push(format!(
-                            "[{}] {name}/{service}: window cache restored from checkpoint ({n_tuples} tuples, {n_bytes} B)",
-                            self.queue.now()
-                        ));
-                    }
+                let staged = self.checkpoints.get(&(name.to_string(), service.clone()));
+                let checkpoint = staged
+                    .filter(|_| self.config.checkpoint_enabled && blocking)
+                    .cloned();
+                if let Some(ckpt) = &checkpoint {
+                    let (n_tuples, n_bytes) = (ckpt.len(), ckpt.byte_size());
+                    op.restore(ckpt.clone());
+                    self.metrics
+                        .counter("checkpoint/restored_tuples")
+                        .add(n_tuples as u64);
+                    self.metrics
+                        .counter("checkpoint/restored_bytes")
+                        .add(n_bytes as u64);
+                    self.monitor.durability.push(format!(
+                        "[{}] {name}/{service}: window cache restored from checkpoint ({n_tuples} tuples, {n_bytes} B)",
+                        self.queue.now()
+                    ));
                 }
                 let period = op.timer_period();
                 let role = Role::Service(ServiceRuntime {
                     process,
                     op,
+                    replicas: Vec::new(),
+                    checkpoint,
                     inputs: inputs.clone(),
                     blocking,
                     consumers: Vec::new(),
@@ -912,9 +916,6 @@ impl Engine {
             .remove(name)
             .ok_or_else(|| EngineError::UnknownDeployment(name.to_string()))?;
         self.teardown(deployment);
-        // Drop the deployment's checkpoints: a later deployment reusing the
-        // name must start from clean operator state, not resurrect this one.
-        self.checkpoints.retain(|(dep, _), _| dep != name);
         Ok(())
     }
 
@@ -932,16 +933,13 @@ impl Engine {
             let Some(ep) = self.endpoints.get_mut(id.index()) else {
                 continue;
             };
-            // The record's breaker, backlog stamp and operator go with it;
-            // what it shared with the rest of the engine is handed back.
+            // The record's breaker, backlog stamp, operator, replicas and
+            // checkpoint go with it; what it shared with the rest of the
+            // engine is handed back.
             if let Role::Service(svc) = std::mem::replace(&mut ep.role, Role::Retired) {
                 self.loads.remove(svc.process);
                 if let Some(slot) = svc.counters {
                     self.monitor.op_at_mut(slot).ingress = Default::default();
-                }
-                // Cached shard replicas of the operator are stale too.
-                if let Some(pool) = &self.pool {
-                    pool.invalidate(*id);
                 }
             }
             ep.breaker = None;
@@ -1005,19 +1003,22 @@ impl Engine {
                 operator: service.to_string(),
                 error,
             })?;
-        let was_blocking = svc.blocking;
-        svc.blocking = op.is_blocking();
+        let (was_blocking, stale_checkpoint) = (svc.blocking, svc.checkpoint.is_some());
         let period = op.timer_period();
-        svc.op = op;
+        svc.set_op(op);
+        if let (true, WarehouseTier::Durable(d)) = (stale_checkpoint, &mut self.warehouse) {
+            // The log still holds the old operator's window; supersede it,
+            // or a restart would restore it into the replacement.
+            if let Err(e) = d.persist_checkpoint(deployment, service, &OpCheckpoint::empty()) {
+                self.monitor.console.push(format!(
+                    "error: clearing checkpoint {deployment}/{service}: {e}"
+                ));
+            }
+        }
         dep.dataflow = df;
         dep.dsn_text = print_document(&to_dsn(&dep.dataflow));
         if let (false, Some(period), Some(id)) = (was_blocking, period, id) {
             self.queue.schedule_in(period, Ev::Tick(id));
-        }
-        // Shard replicas cached for the old operator must not keep
-        // processing tuples meant for the replacement.
-        if let (Some(pool), Some(id)) = (&self.pool, id) {
-            pool.invalidate(id);
         }
         self.monitor.console.push(format!(
             "[{}] {deployment}/{service} replaced on the fly",
@@ -1074,8 +1075,12 @@ impl Engine {
     /// The latest blocking-operator snapshot for `(deployment, service)` —
     /// taken live, or staged by [`Engine::open_durable`] recovery.
     pub fn checkpoint_of(&self, deployment: &str, service: &str) -> Option<&OpCheckpoint> {
-        self.checkpoints
-            .get(&(deployment.to_string(), service.to_string()))
+        match self.endpoint(deployment, service) {
+            Some(ep) => ep.service()?.checkpoint.as_ref(),
+            None => self
+                .checkpoints
+                .get(&(deployment.to_string(), service.to_string())),
+        }
     }
 
     /// The active configuration (read-only).
@@ -1271,8 +1276,13 @@ impl Engine {
     /// off — modelling the unrecovered state loss).
     fn recover_service(&mut self, now: Timestamp, id: EndpointId) {
         let ep = &self.endpoints[id.index()];
-        let Some(process) = ep.service().map(|svc| svc.process) else {
+        let Some(svc) = ep.service() else {
             return;
+        };
+        let process = svc.process;
+        let restored = match &svc.checkpoint {
+            Some(ckpt) if self.config.checkpoint_enabled => ckpt.clone(),
+            _ => OpCheckpoint::empty(),
         };
         let (dep_name, svc_name) = ep.names.clone();
         let demand = self.loads.demand_of(process).unwrap_or(1.0);
@@ -1286,14 +1296,6 @@ impl Engine {
         let _ = self
             .loads
             .place(&self.topology, process, target, demand, false);
-        let restored = if self.config.checkpoint_enabled {
-            self.checkpoints
-                .get(&(dep_name.clone(), shard_checkpoint_name(&svc_name, 0, 1)))
-                .cloned()
-                .unwrap_or_default()
-        } else {
-            OpCheckpoint::empty()
-        };
         let (n_tuples, n_bytes) = (restored.len(), restored.byte_size());
         if let Some(svc) = self.endpoints[id.index()].service_mut() {
             // The crash lost the in-memory window cache; re-seed it from the
@@ -1411,149 +1413,105 @@ impl Engine {
 
     /// Run the virtual clock forward to `deadline`.
     ///
-    /// With `config.parallelism <= 1` this is the classic sequential loop.
-    /// Otherwise eligible deliveries — consecutive queue-head events inside
+    /// Every event is popped by the one loop below and handled inline,
+    /// except that with `config.parallelism > 1` (and a pool with live
+    /// workers) eligible deliveries — consecutive queue-head events inside
     /// one processing-delay window, all targeting shardable non-blocking
     /// operators — are drained as a batch, fanned out across the shard
     /// pool, and merged back in drained order (the epoch barrier), which
     /// keeps outputs byte-identical to sequential execution.
     pub fn run_until(&mut self, deadline: Timestamp) {
-        if self.config.parallelism <= 1 {
-            while let Some((now, ev)) = self.queue.pop_until(deadline) {
-                self.handle(now, ev);
+        if self.config.parallelism > 1 && self.pool.is_none() {
+            let pool = ShardPool::new(self.config.parallelism, self.epoch);
+            if pool.workers() == 0 {
+                // Thread spawning failed: degrade to sequential, don't die.
+                self.monitor
+                    .console
+                    .push("warn: shard pool has no workers; running sequentially".into());
             }
-            return;
+            self.pool = Some(pool);
         }
-        if self.pool.is_none() {
-            self.pool = Some(ShardPool::new(self.config.parallelism, self.epoch));
-        }
-        if self.pool.as_ref().is_none_or(|p| p.workers() == 0) {
-            // Thread spawning failed: degrade to sequential, don't die.
-            self.monitor
-                .console
-                .push("warn: shard pool has no workers; running sequentially".into());
-            while let Some((now, ev)) = self.queue.pop_until(deadline) {
-                self.handle(now, ev);
-            }
-            return;
-        }
-        let window = self.config.processing_delay;
+        // Out of `self` while events run, so a batch can use both.
+        let mut pool = self.pool.take();
+        let mut live = pool.as_mut().filter(|p| p.workers() > 0);
         while let Some((now, ev)) = self.queue.pop_until(deadline) {
-            if !batch_eligible(&self.endpoints, &self.monitor, &ev) {
-                self.handle(now, ev);
-                continue;
-            }
-            // Drain consecutive eligible events with times in
-            // [now, now + window). Children of these events are scheduled at
-            // least one full window later (delay + processing_delay), so no
-            // drained event's descendant can belong to this batch — that is
-            // what makes the merge order-equivalent to sequential.
-            let mut batch = vec![(now, ev)];
-            let horizon = now + window;
-            loop {
-                let eligible = match self.queue.peek() {
-                    Some((t, head)) if t < horizon && t <= deadline => {
-                        batch_eligible(&self.endpoints, &self.monitor, head)
+            let mut batch = Vec::new();
+            if live.is_some() && batch_eligible(&self.endpoints, &self.monitor, &ev) {
+                // Drain consecutive eligible events with times in
+                // [now, now + window). Children of these events are
+                // scheduled at least one full window later (delay +
+                // processing_delay), so no drained event's descendant can
+                // belong to this batch — that is what makes the merge
+                // order-equivalent to sequential.
+                let horizon = now + self.config.processing_delay;
+                while let Some((t, head)) = self.queue.peek() {
+                    if t >= horizon
+                        || t > deadline
+                        || !batch_eligible(&self.endpoints, &self.monitor, head)
+                    {
+                        break;
                     }
-                    _ => false,
-                };
-                if !eligible {
-                    break;
-                }
-                match self.queue.pop() {
-                    Some(member) => batch.push(member),
-                    None => break,
+                    batch.extend(self.queue.pop());
                 }
             }
-            if batch.len() == 1 {
+            match &mut live {
                 // Parallel dispatch costs more than it saves for one tuple.
-                let Some((t, ev)) = batch.pop() else { continue };
-                self.handle(t, ev);
-            } else {
-                self.handle_parallel_batch(batch);
+                Some(pool) if !batch.is_empty() => {
+                    batch.insert(0, (now, ev));
+                    self.run_sharded(pool, batch);
+                }
+                _ => self.handle(now, ev),
             }
         }
+        self.pool = pool;
     }
 
     /// Execute a drained batch of eligible deliveries on the shard pool and
     /// merge the results back in drained order.
-    fn handle_parallel_batch(&mut self, batch: Vec<(Timestamp, Ev)>) {
+    fn run_sharded(&mut self, pool: &mut ShardPool, batch: Vec<(Timestamp, Ev)>) {
+        /// Where one drained delivery went: into a job, or — its operator
+        /// would not replicate — nowhere, so the merge runs it inline.
         struct Member {
             at: Timestamp,
             to: EndpointId,
             trace: u64,
-            job: usize,
-            slot: usize,
+            job: Result<usize, (usize, Tuple)>,
         }
-        struct PendingJob {
-            to: EndpointId,
-            port: usize,
-            shard: usize,
-            items: Vec<(Timestamp, Tuple)>,
-        }
-        // Take the pool out so `self` stays free for the merge phase; it is
-        // restored before returning on every path.
-        let Some(mut pool) = self.pool.take() else {
-            for (t, ev) in batch {
-                self.handle(t, ev);
-            }
-            return;
-        };
         let workers = pool.workers();
         let shard_key = self.config.shard_key;
 
-        // Top up operator replicas before taking the batch apart: as many
-        // copies per operator as members could need (capped at the worker
-        // count). If any operator refuses to replicate, fall back to inline
-        // sequential processing of the whole batch — exactly equivalent,
-        // just slower.
-        let mut by_op: HashMap<EndpointId, usize> = HashMap::new();
-        for (_, ev) in &batch {
-            if let Ev::Deliver { to, .. } = ev {
-                *by_op.entry(*to).or_insert(0) += 1;
-            }
-        }
-        for (to, n) in by_op {
-            let Some(svc) = self.endpoints.get(to.index()).and_then(Endpoint::service) else {
-                continue; // unreachable: eligibility admits only live services
-            };
-            if !pool.ensure_replicas(to, &*svc.op, n.min(workers)) {
-                self.pool = Some(pool);
-                for (t, ev) in batch {
-                    self.handle(t, ev);
-                }
-                return;
-            }
-        }
-
         // Group the batch into jobs keyed (endpoint, shard), in first-touch
-        // order; remember where each member's item landed.
-        let mut jobs: Vec<PendingJob> = Vec::new();
-        let mut job_index: HashMap<(EndpointId, usize), usize> = HashMap::new();
+        // order. Each job borrows one replica from its endpoint's record;
+        // a member's item is the next one of its job.
+        let mut jobs: Vec<ShardJob> = Vec::new();
+        let mut job_index: HashMap<(EndpointId, usize), Option<usize>> = HashMap::new();
         let mut members: Vec<Member> = Vec::with_capacity(batch.len());
         for (i, (at, ev)) in batch.into_iter().enumerate() {
             let Ev::Deliver { to, port, tuple } = ev else {
                 continue; // unreachable: eligibility admits only Deliver
             };
-            let shard = shard_key.shard_of(&tuple, i, workers);
+            let home = shard_key.shard_of(&tuple, i, workers);
             let trace = tuple.meta.trace;
-            let job = *job_index.entry((to, shard)).or_insert_with(|| {
-                jobs.push(PendingJob {
-                    to,
+            let job = *job_index.entry((to, home)).or_insert_with(|| {
+                let svc = self.endpoints.get_mut(to.index())?.service_mut()?;
+                let op = svc.replicas.pop().or_else(|| svc.op.replicate())?;
+                jobs.push(ShardJob {
+                    home,
+                    key: to,
+                    op,
                     port,
-                    shard,
                     items: Vec::new(),
                 });
-                jobs.len() - 1
+                Some(jobs.len() - 1)
             });
-            jobs[job].items.push((at, tuple));
-            members.push(Member {
-                at,
-                to,
-                trace,
-                job,
-                slot: jobs[job].items.len() - 1,
-            });
+            let job = match job {
+                Some(job) => {
+                    jobs[job].items.push((at, tuple));
+                    Ok(job)
+                }
+                None => Err((port, tuple)),
+            };
+            members.push(Member { at, to, trace, job });
         }
 
         // Submit every job, then block until all report back (the barrier).
@@ -1561,15 +1519,14 @@ impl Engine {
         let mut base_id = 0u64;
         for (ji, job) in jobs.into_iter().enumerate() {
             self.metrics
-                .gauge(&format!("shard/{}/queue_depth", job.shard))
+                .gauge(&format!("shard/{}/queue_depth", job.home))
                 .set(job.items.len() as i64);
-            let id = pool.submit(job.to, job.port, job.shard, job.items);
+            let id = pool.submit(job);
             if ji == 0 {
                 base_id = id;
             }
         }
-        let mut results: Vec<Option<crate::shard::ShardJobResult>> =
-            (0..num_jobs).map(|_| None).collect();
+        let mut results: Vec<Option<ShardJobResult>> = (0..num_jobs).map(|_| None).collect();
         for _ in 0..num_jobs {
             match pool.recv() {
                 Some(r) => {
@@ -1587,9 +1544,14 @@ impl Engine {
             }
         }
 
-        // Per-shard accounting for this batch.
+        // Per-shard accounting for this batch; every replica goes home.
         let mut batched_tuples = 0u64;
-        for r in results.iter().flatten() {
+        let mut slots: Vec<std::vec::IntoIter<_>> = Vec::with_capacity(num_jobs);
+        for r in results {
+            let Some(r) = r else {
+                slots.push(Vec::new().into_iter());
+                continue;
+            };
             let shard = r.home;
             self.metrics
                 .hist(&format!("shard/{shard}/batch_us"))
@@ -1604,6 +1566,11 @@ impl Engine {
             if r.stolen {
                 stat.stolen += 1;
             }
+            let lender = self.endpoints.get_mut(r.key.index());
+            if let Some(svc) = lender.and_then(Endpoint::service_mut) {
+                svc.replicas.push(r.op);
+            }
+            slots.push(r.items.into_iter());
         }
         self.metrics.counter("shard/batches").add(num_jobs as u64);
         self.metrics
@@ -1616,24 +1583,18 @@ impl Engine {
         self.last_steals = steals;
         self.monitor.steals = steals;
 
-        // Pull the per-item outcomes out so each member can take its slot.
-        let mut slots: Vec<Vec<Option<crate::shard::ItemResult>>> = results
-            .into_iter()
-            .map(|r| match r {
-                Some(r) => r.items.into_iter().map(Some).collect(),
-                None => Vec::new(),
-            })
-            .collect();
-        self.pool = Some(pool);
-
         // Merge in drained order: counters, spans, forwards and controls
         // fire exactly as the sequential loop would have fired them.
         for m in members {
-            let item = slots
-                .get_mut(m.job)
-                .and_then(|s| s.get_mut(m.slot))
-                .and_then(Option::take);
-            let Some(item) = item else {
+            let job = match m.job {
+                Ok(job) => job,
+                Err((port, tuple)) => {
+                    let to = m.to;
+                    self.handle(m.at, Ev::Deliver { to, port, tuple });
+                    continue;
+                }
+            };
+            let Some((outcome, wall0, wall1)) = slots.get_mut(job).and_then(Iterator::next) else {
                 self.release(m.at, m.to);
                 let (dep, target) = &self.endpoints[m.to.index()].names;
                 self.monitor.console.push(format!(
@@ -1644,8 +1605,8 @@ impl Engine {
             };
             self.metrics
                 .hist("ev/deliver_us")
-                .record(item.wall1.saturating_sub(item.wall0));
-            self.settle(m.at, m.to, m.trace, item.wall0, item.wall1, item.outcome);
+                .record(wall1.saturating_sub(wall0));
+            self.settle(m.at, m.to, m.trace, wall0, wall1, outcome);
         }
     }
 
@@ -1979,58 +1940,43 @@ impl Engine {
             return self.shed(now, to, tuple, policy);
         }
         let trace = tuple.meta.trace;
-        let mut ctx = OpContext::new(now);
-        let wall0 = self.epoch.elapsed().as_micros() as u64;
-        let result = svc.op.on_tuple(port, tuple, &mut ctx);
-        let wall1 = self.epoch.elapsed().as_micros() as u64;
-        let dropped = ctx.dropped();
-        let (emitted, controls) = ctx.take();
+        let (outcome, wall0, wall1) = invoke(&mut *svc.op, port, now, tuple, self.epoch);
         // Snapshot blocking-operator state after every absorbed tuple so a
         // node crash can restore the cache on the recovery placement.
         self.checkpoint(to);
-        let outcome = TupleOutcome {
-            emitted,
-            controls,
-            dropped,
-            error: result.err(),
-        };
         self.settle(now, to, trace, wall0, wall1, outcome);
     }
 
-    /// Snapshot a blocking operator's state, if checkpointing is on: into
-    /// the in-memory map (crash recovery within this process) and — with a
-    /// durable backend — into the segment log, so a restarted process can
-    /// restore the window cache at deploy time.
+    /// Snapshot a blocking operator's state, if checkpointing is on: onto
+    /// its record (crash recovery within this process) and — with a durable
+    /// backend — into the segment log under the plain `(deployment,
+    /// service)` names, so a restarted process can restore the window cache
+    /// at deploy time.
     fn checkpoint(&mut self, service: EndpointId) {
-        let ep = &self.endpoints[service.index()];
-        let Some(svc) = ep.service().filter(|svc| svc.blocking) else {
-            return;
-        };
         if !self.config.checkpoint_enabled {
             return;
         }
+        let ep = &mut self.endpoints[service.index()];
+        let svc = match &mut ep.role {
+            Role::Service(svc) if svc.blocking => svc,
+            _ => return,
+        };
         let Some(ckpt) = svc.op.checkpoint() else {
             return;
         };
-        let (dep_name, service) = &ep.names;
-        // Blocking operators are single-owner (never sharded), so the slot
-        // name is always the plain `service` spelling — which keeps keys
-        // byte-compatible with checkpoints persisted before the parallel
-        // layer existed. The helper documents the `service#shardN` scheme
-        // for any future shard-local state.
-        let slot = shard_checkpoint_name(service, 0, 1);
         self.metrics.counter("checkpoint/taken").inc();
         self.metrics
             .gauge("checkpoint/bytes")
             .set(ckpt.byte_size() as i64);
         if let WarehouseTier::Durable(d) = &mut self.warehouse {
-            if let Err(e) = d.persist_checkpoint(dep_name, &slot, &ckpt) {
+            let (dep_name, name) = &ep.names;
+            if let Err(e) = d.persist_checkpoint(dep_name, name, &ckpt) {
                 self.monitor.console.push(format!(
-                    "error: persisting checkpoint {dep_name}/{slot}: {e}"
+                    "error: persisting checkpoint {dep_name}/{name}: {e}"
                 ));
             }
         }
-        self.checkpoints.insert((dep_name.clone(), slot), ckpt);
+        svc.checkpoint = Some(ckpt);
     }
 
     fn on_tick(&mut self, now: Timestamp, service: EndpointId) {
@@ -2907,6 +2853,84 @@ mod tests {
                 }
             )
             .is_err());
+    }
+
+    #[test]
+    fn replace_operator_discards_the_old_operators_checkpoint() {
+        let mut e = engine();
+        e.add_sensor(temp_sensor(1, 3)).unwrap();
+        e.deploy(agg_flow("w")).unwrap();
+        e.run_for(Duration::from_secs(25));
+        assert!(e.checkpoint_of("w", "avg").is_some_and(|c| !c.is_empty()));
+        e.replace_operator(
+            "w",
+            "avg",
+            sl_ops::OpSpec::Aggregate {
+                period: Duration::from_secs(30),
+                group_by: Vec::new(),
+                func: sl_ops::AggFunc::Max,
+                attr: Some("temperature".into()),
+                sliding: None,
+            },
+        )
+        .unwrap();
+        assert!(e.checkpoint_of("w", "avg").is_none());
+        // A crash right after the swap has nothing of the old window to
+        // restore into the replacement.
+        let node = e.node_of("w", "avg").unwrap();
+        e.inject_fault(FaultAction::NodeCrash { node: node.0 });
+        let recovered = e.monitor().recovery.iter().find(|l| l.contains("w/avg"));
+        let recovered = recovered.expect("the aggregate was evacuated");
+        assert!(
+            recovered.contains("(0 tuples, 0 B restored)"),
+            "{recovered}"
+        );
+    }
+
+    #[test]
+    fn a_shardable_operator_that_will_not_replicate_runs_inline() {
+        /// Pass-through that claims to be shardable but hands out no copy.
+        struct Stubborn(SchemaRef);
+        impl sl_ops::Operator for Stubborn {
+            fn kind(&self) -> &'static str {
+                "stubborn"
+            }
+            fn output_schema(&self) -> SchemaRef {
+                self.0.clone()
+            }
+            fn on_tuple(
+                &mut self,
+                _port: usize,
+                tuple: Tuple,
+                ctx: &mut OpContext,
+            ) -> Result<(), sl_ops::OpError> {
+                ctx.emit(tuple);
+                Ok(())
+            }
+            fn is_shardable(&self) -> bool {
+                true
+            }
+        }
+        // Four sensors on one node and one period: every round is a batch.
+        let run = |stubborn: bool| {
+            let mut e = engine();
+            e.set_parallelism(2);
+            for id in 1..=4 {
+                e.add_sensor(temp_sensor(id, 3)).unwrap();
+            }
+            e.deploy(simple_flow("d")).unwrap();
+            if stubborn {
+                let id = e.deployments["d"].services["all"];
+                let svc = e.endpoints[id.index()].service_mut().unwrap();
+                svc.set_op(Box::new(Stubborn(temp_schema())));
+            }
+            e.run_for(Duration::from_mins(2));
+            let batched = e.metrics.counter_value("shard/batched_tuples");
+            (batched, e.monitor().sink_count("d", "out"))
+        };
+        let (batched, delivered) = run(false);
+        assert!(batched > 0, "the flow forms batches");
+        assert_eq!(run(true), (0, delivered), "same output, no shard job");
     }
 
     #[test]

@@ -9,21 +9,25 @@
 //!   granule hash, by producing sensor, or round-robin,
 //! * [`ShardPool`] owns the worker threads: per-worker job deques with
 //!   work-stealing (an idle worker takes from the *back* of a busy
-//!   worker's queue), a shared replica cache of stateless operator copies,
-//!   and an mpsc channel carrying results back to the engine thread,
+//!   worker's queue) and an mpsc channel carrying results back to the
+//!   engine thread. A job owns the operator replica it runs — lent by the
+//!   operator's endpoint record and handed back in the result — so the
+//!   pool shares no operator state,
 //! * [`ShardJobResult`] attributes outcomes to each input tuple so the
 //!   engine can merge a batch back in the exact order it drained the
-//!   events — the epoch barrier.
+//!   events — the epoch barrier,
+//! * `invoke` is the one call into [`Operator::on_tuple`], for the engine
+//!   thread and the workers alike.
 //!
 //! Everything here is `std`-only (`std::thread`, `std::sync::mpsc`,
 //! `Mutex`/`Condvar`); the pool is quiescent between batches because the
-//! engine blocks on the barrier, which is what makes invalidation of
-//! cached replicas race-free.
+//! engine blocks on the barrier, so every replica is back on its record
+//! before the engine handles the next event.
 
 use crate::deployment::EndpointId;
-use sl_ops::{Operator, TupleOutcome};
+use sl_ops::{OpContext, Operator, TupleOutcome};
 use sl_stt::{Timestamp, Tuple};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -87,30 +91,39 @@ impl ShardKey {
     }
 }
 
-/// A unit of work: one shard's slice of the current batch, all destined for
-/// the same operator (`key`, its endpoint id) and input port.
-struct ShardJob {
-    id: u64,
-    /// The worker the job was queued on (its shard); a different worker may
-    /// steal and execute it.
-    home: usize,
-    key: EndpointId,
+/// Run one tuple through `op`: the outcome attributed to that input, and
+/// the wall-clock window (µs since `epoch`) the call took.
+pub(crate) fn invoke(
+    op: &mut dyn Operator,
     port: usize,
-    items: Vec<(Timestamp, Tuple)>,
+    at: Timestamp,
+    tuple: Tuple,
+    epoch: Instant,
+) -> (TupleOutcome, u64, u64) {
+    let mut ctx = OpContext::new(at);
+    let wall0 = epoch.elapsed().as_micros() as u64;
+    let result = op.on_tuple(port, tuple, &mut ctx);
+    let wall1 = epoch.elapsed().as_micros() as u64;
+    (ctx.finish(result), wall0, wall1)
 }
 
-/// One input tuple's result, with the wall-clock window (µs since the pool
-/// epoch) its share of the batch took to process.
-pub struct ItemResult {
-    /// What the operator produced for this input.
-    pub outcome: TupleOutcome,
-    /// Processing start, µs since the engine epoch.
-    pub wall0: u64,
-    /// Processing end, µs since the engine epoch.
-    pub wall1: u64,
+/// A unit of work: one shard's slice of the current batch, all destined for
+/// the same operator and input port, with the replica that processes it.
+pub struct ShardJob {
+    /// The shard: the worker whose deque the job is queued on (a different
+    /// worker may steal and execute it).
+    pub home: usize,
+    /// The endpoint whose record lent `op` and gets it back.
+    pub key: EndpointId,
+    /// The replica to run the items on.
+    pub op: Box<dyn Operator>,
+    /// Input port of every item.
+    pub port: usize,
+    /// `(delivery time, tuple)` pairs, in drained order.
+    pub items: Vec<(Timestamp, Tuple)>,
 }
 
-/// A completed [`ShardPool`] job: per-item outcomes in input order.
+/// A completed [`ShardPool`] job: per-item results in input order.
 pub struct ShardJobResult {
     /// Job id, as returned by [`ShardPool::submit`].
     pub id: u64,
@@ -118,14 +131,19 @@ pub struct ShardJobResult {
     pub home: usize,
     /// True if a worker other than `home` stole and executed it.
     pub stolen: bool,
-    /// One result per input item, in input order.
-    pub items: Vec<ItemResult>,
+    /// The endpoint the replica belongs to.
+    pub key: EndpointId,
+    /// The replica, handed back.
+    pub op: Box<dyn Operator>,
+    /// Per input item, in input order: its outcome and the wall-clock
+    /// window (µs since the pool epoch) its call took.
+    pub items: Vec<(TupleOutcome, u64, u64)>,
     /// Total job wall time in µs.
     pub wall_us: u64,
 }
 
 struct PoolState {
-    queues: Vec<VecDeque<ShardJob>>,
+    queues: Vec<VecDeque<(u64, ShardJob)>>,
     shutdown: bool,
 }
 
@@ -134,25 +152,22 @@ struct Shared {
     cv: Condvar,
 }
 
-type ReplicaCache = HashMap<EndpointId, Vec<Box<dyn Operator>>>;
-
 fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, std::sync::PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {
-    // A poisoned lock means a worker panicked mid-batch; the data (job
-    // queues / replica caches) is still structurally sound, so keep going.
+    // A poisoned lock means a worker panicked mid-batch; the job queues are
+    // still structurally sound, so keep going.
     r.unwrap_or_else(|e| e.into_inner())
 }
 
-/// The shard worker pool: `N` threads, per-worker deques with stealing, a
-/// shared stateless-replica cache, and a result channel back to the engine.
+/// The shard worker pool: `N` threads, per-worker deques with stealing, and
+/// a result channel back to the engine.
 ///
 /// The engine dispatches one job per `(operator, shard)` of a drained
 /// batch, then blocks until every job reports back (the epoch barrier), so
 /// the pool is always quiescent between batches.
 pub struct ShardPool {
     shared: Arc<Shared>,
-    replicas: Arc<Mutex<ReplicaCache>>,
     steals: Arc<AtomicU64>,
     results: mpsc::Receiver<ShardJobResult>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -172,25 +187,22 @@ impl ShardPool {
             }),
             cv: Condvar::new(),
         });
-        let replicas: Arc<Mutex<ReplicaCache>> = Arc::new(Mutex::new(HashMap::new()));
         let steals = Arc::new(AtomicU64::new(0));
         let (tx, rx) = mpsc::channel();
         let mut handles = Vec::with_capacity(workers);
         for me in 0..workers {
             let shared = Arc::clone(&shared);
-            let replicas = Arc::clone(&replicas);
             let steals = Arc::clone(&steals);
             let tx = tx.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("sl-shard-{me}"))
-                .spawn(move || worker_loop(me, workers, &shared, &replicas, &steals, &tx, epoch));
+                .spawn(move || worker_loop(me, workers, &shared, &steals, &tx, epoch));
             if let Ok(h) = spawned {
                 handles.push(h);
             }
         }
         ShardPool {
             shared,
-            replicas,
             steals,
             results: rx,
             handles,
@@ -209,50 +221,13 @@ impl ShardPool {
         self.steals.load(Ordering::Relaxed)
     }
 
-    /// Top the replica cache for the operator behind `key` up to `need`
-    /// copies of `op`. Returns false (and caches nothing new) if the
-    /// operator refuses to replicate — the engine then processes it inline.
-    pub fn ensure_replicas(&self, key: EndpointId, op: &dyn Operator, need: usize) -> bool {
-        let mut cache = relock(self.replicas.lock());
-        let slot = cache.entry(key).or_default();
-        while slot.len() < need {
-            match op.replicate() {
-                Some(r) => slot.push(r),
-                None => return false,
-            }
-        }
-        true
-    }
-
-    /// Drop cached replicas of one operator (after `replace_operator`, or
-    /// when `undeploy` retires its endpoint).
-    pub fn invalidate(&self, key: EndpointId) {
-        relock(self.replicas.lock()).remove(&key);
-    }
-
-    /// Queue one job on the home shard's deque and wake the workers.
-    /// Returns the job id echoed in its [`ShardJobResult`].
-    pub fn submit(
-        &mut self,
-        key: EndpointId,
-        port: usize,
-        home: usize,
-        items: Vec<(Timestamp, Tuple)>,
-    ) -> u64 {
+    /// Queue `job` on its home shard's deque and wake the workers. Returns
+    /// the job id echoed in its [`ShardJobResult`].
+    pub fn submit(&mut self, mut job: ShardJob) -> u64 {
         let id = self.next_job;
         self.next_job += 1;
-        let job = ShardJob {
-            id,
-            home: home % self.handles.len().max(1),
-            key,
-            port,
-            items,
-        };
-        {
-            let mut st = relock(self.shared.state.lock());
-            let q = job.home;
-            st.queues[q].push_back(job);
-        }
+        job.home %= self.handles.len().max(1);
+        relock(self.shared.state.lock()).queues[job.home].push_back((id, job));
         self.shared.cv.notify_all();
         id
     }
@@ -279,7 +254,6 @@ fn worker_loop(
     me: usize,
     workers: usize,
     shared: &Shared,
-    replicas: &Mutex<ReplicaCache>,
     steals: &AtomicU64,
     tx: &mpsc::Sender<ShardJobResult>,
     epoch: Instant,
@@ -287,7 +261,7 @@ fn worker_loop(
     loop {
         // Take the next job: own queue front first, then steal from the
         // back of the busiest neighbour's queue.
-        let (job, stolen) = {
+        let ((id, job), stolen) = {
             let mut st = relock(shared.state.lock());
             loop {
                 if let Some(j) = st.queues[me].pop_front() {
@@ -311,46 +285,25 @@ fn worker_loop(
         if stolen {
             steals.fetch_add(1, Ordering::Relaxed);
         }
-        let mut replica = relock(replicas.lock()).get_mut(&job.key).and_then(Vec::pop);
+        let ShardJob {
+            home,
+            key,
+            mut op,
+            port,
+            items,
+        } = job;
         let t0 = epoch.elapsed().as_micros() as u64;
-        let outcomes = match replica.as_deref_mut() {
-            Some(op) => op.process_batch(job.port, &job.items),
-            // No replica cached (ensure_replicas was skipped or refused):
-            // surface per-item errors instead of guessing at semantics.
-            None => job
-                .items
-                .iter()
-                .map(|_| {
-                    TupleOutcome::error(sl_ops::OpError::BadSpec(
-                        "no shard replica available".into(),
-                    ))
-                })
-                .collect(),
-        };
-        let t1 = epoch.elapsed().as_micros() as u64;
-        if let Some(op) = replica {
-            relock(replicas.lock()).entry(job.key).or_default().push(op);
-        }
-        // Attribute the job's wall time evenly across its items so span and
-        // latency instruments stay populated per tuple.
-        let n = outcomes.len().max(1) as u64;
-        let share = t1.saturating_sub(t0) / n;
-        let items = outcomes
+        let items = items
             .into_iter()
-            .enumerate()
-            .map(|(k, outcome)| {
-                let k = k as u64;
-                ItemResult {
-                    outcome,
-                    wall0: t0 + k * share,
-                    wall1: if k + 1 == n { t1 } else { t0 + (k + 1) * share },
-                }
-            })
+            .map(|(at, tuple)| invoke(&mut *op, port, at, tuple, epoch))
             .collect();
+        let t1 = epoch.elapsed().as_micros() as u64;
         let done = ShardJobResult {
-            id: job.id,
-            home: job.home,
+            id,
+            home,
             stolen,
+            key,
+            op,
             items,
             wall_us: t1.saturating_sub(t0),
         };
@@ -427,45 +380,41 @@ mod tests {
         let schema = schema();
         let op = FilterOp::new("v > 10", &schema).unwrap();
         let mut pool = ShardPool::new(2, Instant::now());
-        assert!(pool.ensure_replicas(F, &op, 2));
         let items: Vec<(Timestamp, Tuple)> = (0..20)
             .map(|i| (Timestamp::from_secs(i), tuple(i as f64, i as u64, 34.7)))
             .collect();
-        let id0 = pool.submit(F, 0, 0, items[..10].to_vec());
-        let id1 = pool.submit(F, 0, 1, items[10..].to_vec());
+        let mut job = |home: usize, items: &[(Timestamp, Tuple)]| {
+            pool.submit(ShardJob {
+                home,
+                key: F,
+                op: op.replicate().unwrap(),
+                port: 0,
+                items: items.to_vec(),
+            })
+        };
+        let id0 = job(0, &items[..10]);
+        let id1 = job(1, &items[10..]);
         let mut results: Vec<ShardJobResult> = vec![pool.recv().unwrap(), pool.recv().unwrap()];
         results.sort_by_key(|r| r.id);
         assert_eq!(results[0].id, id0);
         assert_eq!(results[1].id, id1);
+        // Each result hands its replica back, addressed to the lender.
+        assert!(results
+            .iter()
+            .all(|r| r.key == F && r.op.kind() == "filter"));
         // v in 0..=10 dropped (11 tuples), the rest emitted — in order.
-        let all: Vec<&ItemResult> = results.iter().flat_map(|r| r.items.iter()).collect();
+        let all: Vec<&TupleOutcome> = results
+            .iter()
+            .flat_map(|r| r.items.iter().map(|(outcome, _, _)| outcome))
+            .collect();
         assert_eq!(all.len(), 20);
-        for (i, item) in all.iter().enumerate() {
-            assert!(item.outcome.error.is_none());
+        for (i, outcome) in all.iter().enumerate() {
+            assert!(outcome.error.is_none());
             if i <= 10 {
-                assert_eq!(item.outcome.dropped, 1, "item {i}");
+                assert_eq!(outcome.dropped, 1, "item {i}");
             } else {
-                assert_eq!(item.outcome.emitted.len(), 1, "item {i}");
+                assert_eq!(outcome.emitted.len(), 1, "item {i}");
             }
         }
-    }
-
-    #[test]
-    fn missing_replica_surfaces_errors_not_hangs() {
-        let mut pool = ShardPool::new(1, Instant::now());
-        let id = pool.submit(F, 0, 0, vec![(Timestamp::EPOCH, tuple(1.0, 1, 34.7))]);
-        let r = pool.recv().unwrap();
-        assert_eq!(r.id, id);
-        assert!(r.items[0].outcome.error.is_some());
-    }
-
-    #[test]
-    fn invalidation_clears_cached_replicas() {
-        let schema = schema();
-        let op = FilterOp::new("v > 0", &schema).unwrap();
-        let pool = ShardPool::new(1, Instant::now());
-        assert!(pool.ensure_replicas(F, &op, 1));
-        pool.invalidate(F);
-        assert_eq!(relock(pool.replicas.lock()).len(), 0);
     }
 }

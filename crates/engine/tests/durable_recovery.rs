@@ -327,3 +327,35 @@ fn compaction_survives_restart_without_losing_acknowledged_state() {
     assert_eq!(ckpt_bytes(restored), ckpt_bytes(&ckpt_at_kill));
     assert!(e.dlq().is_empty(), "clean shutdown: nothing torn");
 }
+
+#[test]
+fn replaced_operator_checkpoint_does_not_survive_a_restart() {
+    let dir = TempDir::new("engine-replace").unwrap();
+    let durable = || DurableConfig::at(dir.path()).with_fsync(FsyncPolicy::Always);
+
+    // Incarnation 1: leave a mid-window checkpoint in the log, replace the
+    // operator, and die before the replacement absorbs a tuple.
+    {
+        let mut e = durable_engine(durable());
+        e.run_for(Duration::from_secs(100));
+        assert!(e.checkpoint_of("w", "sum").is_some_and(|c| !c.is_empty()));
+        e.replace_operator(
+            "w",
+            "sum",
+            sl_ops::OpSpec::Aggregate {
+                period: Duration::from_secs(30),
+                group_by: Vec::new(),
+                func: sl_ops::AggFunc::Max,
+                attr: Some("temperature".into()),
+                sliding: None,
+            },
+        )
+        .unwrap();
+        assert!(e.checkpoint_of("w", "sum").is_none());
+    }
+
+    // Incarnation 2: the old operator's window is not restored into
+    // whatever is deployed under its name.
+    let e = durable_engine(durable());
+    assert!(e.checkpoint_of("w", "sum").is_some_and(|c| c.is_empty()));
+}

@@ -214,3 +214,38 @@ fn set_parallelism_mid_run_keeps_equivalence() {
     e.run_for(Duration::from_secs(45));
     assert_eq!(seq, digest(&e));
 }
+
+#[test]
+fn replace_operator_mid_run_keeps_equivalence() {
+    // The first half runs `keep` as pass-all — under parallelism 2 on shard
+    // replicas, which the replacement must not inherit: a replica of the
+    // old filter would keep passing tuples the new one blocks.
+    let replaced = |parallelism: usize| {
+        let mut e = build(7, parallelism, ShardKey::Space);
+        e.run_for(Duration::from_secs(45));
+        let keep = e.monitor().op("p", "keep").expect("keep ran");
+        assert_eq!(keep.dropped(), 0, "pass-all so far");
+        let passed = keep.tuples_out();
+        e.replace_operator(
+            "p",
+            "keep",
+            sl_ops::OpSpec::Filter {
+                condition: "temperature > 1000".into(),
+            },
+        )
+        .unwrap();
+        e.run_for(Duration::from_secs(45));
+        (passed, digest(&e))
+    };
+    let (passed, seq) = replaced(1);
+    let (passed_par, par) = replaced(2);
+    assert_eq!(passed, passed_par);
+    assert_eq!(seq, par);
+    // Nothing passes the new predicate: the console sink holds exactly what
+    // the old filter had let through, and the rest was dropped.
+    assert!(passed > 50, "batches must flow before the swap");
+    assert_eq!(par.console_sink, passed);
+    let keep = par.ops.iter().find(|op| op.1 == "keep").expect("keep ran");
+    assert_eq!((keep.3, keep.4), (passed, keep.2 - passed));
+    assert!(keep.4 > 50, "the replacement filtered the second half");
+}

@@ -11,32 +11,6 @@
 
 use sl_stt::Tuple;
 
-/// The checkpoint name for one shard of a service.
-///
-/// With a single shard (`shards <= 1`) this is the plain service name, so
-/// checkpoints written by a sequential engine restore unchanged under a
-/// parallel one and vice versa — crash recovery (`sl-faults`) and durable
-/// restore (`sl-durable`) key checkpoints by this name on both the store
-/// and the restore path. With real sharding (`shards > 1`) each shard's
-/// state gets a disjoint `name#shardN` key. Stateless shardable operators
-/// never checkpoint, and stateful (blocking) operators are single-owner,
-/// so today every live checkpoint uses the `shards <= 1` spelling; the
-/// sharded spelling exists so a future sharded *stateful* operator cannot
-/// silently collide with the single-owner one.
-///
-/// ```
-/// use sl_ops::shard_checkpoint_name;
-/// assert_eq!(shard_checkpoint_name("agg", 0, 1), "agg");
-/// assert_eq!(shard_checkpoint_name("agg", 2, 4), "agg#shard2");
-/// ```
-pub fn shard_checkpoint_name(service: &str, shard: usize, shards: usize) -> String {
-    if shards <= 1 {
-        service.to_string()
-    } else {
-        format!("{service}#shard{shard}")
-    }
-}
-
 /// A snapshot of one operator's buffered tuples, tagged by input port
 /// (only Join distinguishes ports; everything else uses port 0).
 #[derive(Debug, Clone, Default)]

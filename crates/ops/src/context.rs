@@ -38,12 +38,12 @@ impl ControlAction {
     }
 }
 
-/// Everything one input tuple produced during a batch invocation
-/// ([`crate::Operator::process_batch`]).
+/// Everything one input tuple produced: what [`OpContext::finish`] makes of
+/// one [`crate::Operator::on_tuple`] call.
 ///
 /// Unlike [`OpContext`], which accumulates across calls, a `TupleOutcome`
 /// attributes outputs to the *individual* input tuple that caused them, so
-/// a parallel executor can merge batch results back into the sequential
+/// a parallel executor can merge shard results back into the sequential
 /// order deterministically (per-tuple forwarding, accounting, and error
 /// reporting all need the attribution).
 #[derive(Debug, Default)]
@@ -56,32 +56,6 @@ pub struct TupleOutcome {
     pub dropped: u64,
     /// The processing error, if the operator rejected the tuple.
     pub error: Option<OpError>,
-}
-
-impl TupleOutcome {
-    /// Outcome that emits a single tuple.
-    pub fn emit(tuple: Tuple) -> TupleOutcome {
-        TupleOutcome {
-            emitted: vec![tuple],
-            ..TupleOutcome::default()
-        }
-    }
-
-    /// Outcome that consciously drops the input.
-    pub fn dropped() -> TupleOutcome {
-        TupleOutcome {
-            dropped: 1,
-            ..TupleOutcome::default()
-        }
-    }
-
-    /// Outcome carrying a processing error.
-    pub fn error(error: OpError) -> TupleOutcome {
-        TupleOutcome {
-            error: Some(error),
-            ..TupleOutcome::default()
-        }
-    }
 }
 
 /// Collects everything an operator produces during one invocation.
@@ -143,6 +117,17 @@ impl OpContext {
             std::mem::take(&mut self.emitted),
             std::mem::take(&mut self.controls),
         )
+    }
+
+    /// Close one invocation: everything collected so far plus the call's
+    /// `result`, attributed to the input tuple that caused it.
+    pub fn finish(self, result: Result<(), OpError>) -> TupleOutcome {
+        TupleOutcome {
+            emitted: self.emitted,
+            controls: self.controls,
+            dropped: self.dropped,
+            error: result.err(),
+        }
     }
 
     /// Reset for reuse at a new time, keeping allocations.

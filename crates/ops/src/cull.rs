@@ -8,10 +8,10 @@
 //! Tuples *outside* the region pass through untouched — culling thins a
 //! hot region of the stream, it does not select it (that is Filter's job).
 
-use crate::context::{OpContext, TupleOutcome};
+use crate::context::OpContext;
 use crate::error::OpError;
 use crate::Operator;
-use sl_stt::{BoundingBox, SchemaRef, TimeInterval, Timestamp, Tuple};
+use sl_stt::{BoundingBox, SchemaRef, TimeInterval, Tuple};
 
 /// Shared decimation state.
 #[derive(Debug, Default)]
@@ -90,28 +90,6 @@ impl Operator for CullTimeOp {
         }
         Ok(())
     }
-
-    /// Batch path advancing the decimation counter in input order. Culling
-    /// is deliberately *not* shardable: the 1-in-`r` guarantee lives in the
-    /// shared counter, so the operator must see the stream as one sequence.
-    fn process_batch(&mut self, port: usize, batch: &[(Timestamp, Tuple)]) -> Vec<TupleOutcome> {
-        batch
-            .iter()
-            .map(|(_, tuple)| {
-                if port != 0 {
-                    return TupleOutcome::error(OpError::BadPort {
-                        kind: self.kind(),
-                        port,
-                    });
-                }
-                if self.interval.contains(tuple.meta.timestamp) && !self.state.keep(self.rate) {
-                    TupleOutcome::dropped()
-                } else {
-                    TupleOutcome::emit(tuple.clone())
-                }
-            })
-            .collect()
-    }
 }
 
 /// Cull Space: decimate tuples positioned inside a bounding box. Tuples
@@ -176,28 +154,6 @@ impl Operator for CullSpaceOp {
             ctx.emit(tuple);
         }
         Ok(())
-    }
-
-    /// Batch path advancing the decimation counter in input order (Cull is
-    /// not shardable: the 1-in-`r` guarantee lives in the shared counter).
-    fn process_batch(&mut self, port: usize, batch: &[(Timestamp, Tuple)]) -> Vec<TupleOutcome> {
-        batch
-            .iter()
-            .map(|(_, tuple)| {
-                if port != 0 {
-                    return TupleOutcome::error(OpError::BadPort {
-                        kind: self.kind(),
-                        port,
-                    });
-                }
-                let inside = tuple.meta.location.is_some_and(|p| self.area.contains(&p));
-                if inside && !self.state.keep(self.rate) {
-                    TupleOutcome::dropped()
-                } else {
-                    TupleOutcome::emit(tuple.clone())
-                }
-            })
-            .collect()
     }
 }
 

@@ -1,11 +1,11 @@
 //! Filter — `σ(s, cond)`: "Filter out tuples in s that do not adhere to the
 //! condition cond" (Table 1). Non-blocking.
 
-use crate::context::{OpContext, TupleOutcome};
+use crate::context::OpContext;
 use crate::error::OpError;
 use crate::Operator;
 use sl_expr::CompiledExpr;
-use sl_stt::{SchemaRef, Timestamp, Tuple};
+use sl_stt::{SchemaRef, Tuple};
 
 /// The Filter operator.
 #[derive(Debug)]
@@ -57,27 +57,6 @@ impl Operator for FilterOp {
 
     fn cost_per_tuple(&self) -> f64 {
         1.0 + self.predicate.expr().size() as f64 * 0.1
-    }
-
-    /// Batch fast path: evaluate the predicate over the slice, cloning only
-    /// the tuples that pass.
-    fn process_batch(&mut self, port: usize, batch: &[(Timestamp, Tuple)]) -> Vec<TupleOutcome> {
-        batch
-            .iter()
-            .map(|(_, tuple)| {
-                if port != 0 {
-                    return TupleOutcome::error(OpError::BadPort {
-                        kind: self.kind(),
-                        port,
-                    });
-                }
-                match self.predicate.eval_predicate(tuple) {
-                    Ok(true) => TupleOutcome::emit(tuple.clone()),
-                    Ok(false) => TupleOutcome::dropped(),
-                    Err(e) => TupleOutcome::error(e.into()),
-                }
-            })
-            .collect()
     }
 
     fn is_shardable(&self) -> bool {

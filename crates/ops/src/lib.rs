@@ -29,12 +29,13 @@
 //!
 //! ## Example
 //!
-//! Non-blocking operators also expose the batch fast path used by the
-//! sharded executor ([`Operator::process_batch`]); outcomes stay attributed
-//! to their input tuples so a parallel merge preserves sequential order:
+//! [`Operator::on_tuple`] is the only way a tuple reaches an operator — in
+//! the sequential loop and on a shard worker alike. Outputs collect in an
+//! [`OpContext`]; [`OpContext::finish`] attributes them to the one input
+//! that caused them, so a parallel merge preserves sequential order:
 //!
 //! ```
-//! use sl_ops::{FilterOp, Operator};
+//! use sl_ops::{FilterOp, OpContext, Operator};
 //! use sl_stt::{
 //!     AttrType, Field, GeoPoint, Schema, SensorId, SttMeta, Theme, Timestamp, Tuple, Value,
 //! };
@@ -57,12 +58,13 @@
 //! };
 //! let mut hot = FilterOp::new("temperature > 30", &schema).unwrap();
 //! assert!(hot.is_shardable());
-//! let outcomes = hot.process_batch(
-//!     0,
-//!     &[(Timestamp::from_secs(0), tuple(35.0)), (Timestamp::from_secs(0), tuple(12.0))],
-//! );
-//! assert_eq!(outcomes[0].emitted.len(), 1); // 35 °C passes
-//! assert_eq!(outcomes[1].dropped, 1); // 12 °C is filtered out
+//! let mut run = |t: Tuple| {
+//!     let mut ctx = OpContext::new(Timestamp::from_secs(0));
+//!     let result = hot.on_tuple(0, t, &mut ctx);
+//!     ctx.finish(result)
+//! };
+//! assert_eq!(run(tuple(35.0)).emitted.len(), 1); // 35 °C passes
+//! assert_eq!(run(tuple(12.0)).dropped, 1); // 12 °C is filtered out
 //! ```
 #![warn(missing_docs)]
 
@@ -81,7 +83,7 @@ pub mod virtual_prop;
 pub mod window;
 
 pub use aggregate::{AggFunc, AggregateOp};
-pub use checkpoint::{shard_checkpoint_name, OpCheckpoint};
+pub use checkpoint::OpCheckpoint;
 pub use context::{ControlAction, OpContext, TupleOutcome};
 pub use cull::{CullSpaceOp, CullTimeOp};
 pub use error::OpError;
@@ -98,13 +100,16 @@ use sl_stt::{Duration, SchemaRef, Timestamp, Tuple};
 /// A runtime stream operator.
 ///
 /// The engine pushes tuples in via [`on_tuple`] (with the input port index:
-/// only Join has two ports) and, for blocking operators, calls [`on_timer`]
+/// only Join has two ports) — the one tuple entry point, whether the call
+/// comes from the event loop or from a shard worker running a
+/// [`replicate`]d copy — and, for blocking operators, calls [`on_timer`]
 /// every [`timer_period`] of virtual time. Both emit output tuples and
 /// control actions through the [`OpContext`].
 ///
 /// [`on_tuple`]: Operator::on_tuple
 /// [`on_timer`]: Operator::on_timer
 /// [`timer_period`]: Operator::timer_period
+/// [`replicate`]: Operator::replicate
 pub trait Operator: Send {
     /// Short kind name for logs and monitoring (e.g. `"filter"`).
     fn kind(&self) -> &'static str;
@@ -157,39 +162,11 @@ pub trait Operator: Send {
     /// crash. Default: no-op (stateless operators).
     fn restore(&mut self, _ckpt: OpCheckpoint) {}
 
-    /// Process a batch of input tuples in one call, attributing outputs to
-    /// each input individually.
-    ///
-    /// `batch` carries `(delivery time, tuple)` pairs; the returned vector
-    /// has exactly one [`TupleOutcome`] per input, in input order. The
-    /// default implementation replays the batch through
-    /// [`Operator::on_tuple`] one tuple at a time, so every operator gets a
-    /// batch path for free; the non-blocking Table-1 operators override it
-    /// with allocation-light fast paths. The parallel executor relies on
-    /// the per-input attribution to merge shard results back into the
-    /// sequential processing order.
-    fn process_batch(&mut self, port: usize, batch: &[(Timestamp, Tuple)]) -> Vec<TupleOutcome> {
-        batch
-            .iter()
-            .map(|(at, tuple)| {
-                let mut ctx = OpContext::new(*at);
-                let result = self.on_tuple(port, tuple.clone(), &mut ctx);
-                let dropped = ctx.dropped();
-                let (emitted, controls) = ctx.take();
-                TupleOutcome {
-                    emitted,
-                    controls,
-                    dropped,
-                    error: result.err(),
-                }
-            })
-            .collect()
-    }
-
     /// True if invocations on this operator commute: it keeps no state
     /// across tuples, so the executor may fan a batch out across parallel
     /// shard workers (each working on a [`Operator::replicate`]d copy) and
-    /// merge the outcomes in input order without changing the outputs.
+    /// merge the outcomes in input order without changing the outputs. A
+    /// shardable operator must be able to [`Operator::replicate`].
     ///
     /// Default `false`. Note that non-blocking is *not* sufficient: Cull is
     /// non-blocking but keeps a decimation counter, so it must stay

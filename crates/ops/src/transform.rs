@@ -14,11 +14,11 @@
 //! All right-hand sides are evaluated against the *input* tuple, then
 //! assigned at once (no left-to-right dependency), so `a := b, b := a` swaps.
 
-use crate::context::{OpContext, TupleOutcome};
+use crate::context::OpContext;
 use crate::error::OpError;
 use crate::Operator;
 use sl_expr::{CompiledExpr, ExprType};
-use sl_stt::{Field, Schema, SchemaRef, Timestamp, Tuple, Value};
+use sl_stt::{Field, Schema, SchemaRef, Tuple, Value};
 
 /// The Transform operator.
 #[derive(Debug)]
@@ -92,24 +92,6 @@ impl TransformOp {
     pub fn assignments(&self) -> &[(String, String)] {
         &self.sources
     }
-
-    /// Apply the simultaneous assignments to one tuple.
-    fn apply(&self, tuple: &Tuple) -> Result<Tuple, OpError> {
-        debug_assert_eq!(tuple.schema().len(), self.in_schema.len());
-        let mut new_values: Vec<(usize, Value)> = Vec::with_capacity(self.assignments.len());
-        for (idx, expr) in &self.assignments {
-            new_values.push((*idx, expr.eval(tuple)?));
-        }
-        let mut values = tuple.values().to_vec();
-        for (idx, v) in new_values {
-            values[idx] = v;
-        }
-        Ok(Tuple::new(
-            self.out_schema.clone(),
-            values,
-            tuple.meta.clone(),
-        )?)
-    }
 }
 
 impl Operator for TransformOp {
@@ -149,26 +131,6 @@ impl Operator for TransformOp {
             .iter()
             .map(|(_, e)| e.expr().size() as f64 * 0.2)
             .sum::<f64>()
-    }
-
-    /// Batch fast path: apply the assignments tuple by tuple without the
-    /// per-call context machinery.
-    fn process_batch(&mut self, port: usize, batch: &[(Timestamp, Tuple)]) -> Vec<TupleOutcome> {
-        batch
-            .iter()
-            .map(|(_, tuple)| {
-                if port != 0 {
-                    return TupleOutcome::error(OpError::BadPort {
-                        kind: self.kind(),
-                        port,
-                    });
-                }
-                match self.apply(tuple) {
-                    Ok(out) => TupleOutcome::emit(out),
-                    Err(e) => TupleOutcome::error(e),
-                }
-            })
-            .collect()
     }
 
     fn is_shardable(&self) -> bool {

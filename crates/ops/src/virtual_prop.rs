@@ -6,11 +6,11 @@
 //! and humidity" (§2) — `⊎s⟨apparent_temperature,
 //! apparent_temperature(temperature, humidity)⟩`.
 
-use crate::context::{OpContext, TupleOutcome};
+use crate::context::OpContext;
 use crate::error::OpError;
 use crate::Operator;
 use sl_expr::{CompiledExpr, ExprType};
-use sl_stt::{AttrType, Field, SchemaRef, Timestamp, Tuple};
+use sl_stt::{AttrType, Field, SchemaRef, Tuple};
 
 /// The Virtual Property operator.
 #[derive(Debug)]
@@ -82,31 +82,6 @@ impl Operator for VirtualPropertyOp {
 
     fn cost_per_tuple(&self) -> f64 {
         1.0 + self.spec.expr().size() as f64 * 0.2
-    }
-
-    /// Batch fast path: evaluate the specification and extend each tuple.
-    fn process_batch(&mut self, port: usize, batch: &[(Timestamp, Tuple)]) -> Vec<TupleOutcome> {
-        batch
-            .iter()
-            .map(|(_, tuple)| {
-                if port != 0 {
-                    return TupleOutcome::error(OpError::BadPort {
-                        kind: self.kind(),
-                        port,
-                    });
-                }
-                let extended = self.spec.eval(tuple).map_err(OpError::from).and_then(|v| {
-                    tuple
-                        .clone()
-                        .extended(self.out_schema.clone(), v)
-                        .map_err(OpError::from)
-                });
-                match extended {
-                    Ok(out) => TupleOutcome::emit(out),
-                    Err(e) => TupleOutcome::error(e),
-                }
-            })
-            .collect()
     }
 
     fn is_shardable(&self) -> bool {

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate, tiered to match .github/workflows/ci.yml:
 #
-#   scripts/check.sh --fast   # the PR fast loop: build, tests (root package
-#                             # + the storage crates + the whole sl-engine
-#                             # suite), fmt, clippy -D warnings, doc -D
+#   scripts/check.sh --fast   # the PR fast loop: build, every test in the
+#                             # workspace, fmt, clippy -D warnings, doc -D
 #                             # warnings
 #   scripts/check.sh          # everything: fast tier + the lint and
 #                             # example gates, the bench smokes, and the
@@ -24,22 +23,17 @@ done
 
 # ---------------------------------------------------------------- fast tier
 cargo build --release
+# `default-members` in the root Cargo.toml makes this the whole workspace:
+# the root package's integration suites, every crate's unit, integration and
+# doc tests (storage, views, the engine's chaos / durable_recovery /
+# parallel_equivalence / overload / cq_equivalence suites) and the vendored
+# shims'.
 cargo test -q
-# Storage gate: the hot store, the durable tier (codec/log/warehouse
-# property suites, compaction-equivalence, torn-tail) and the view layer
-# share the retention path; their own suites are not part of the root
-# package's `cargo test`.
-cargo test -q -p sl-warehouse -p sl-durable -p sl-cq
-# Engine gate: the crate's unit tests (delivery chokepoint, ingress state,
-# shard pool, monitor, config) and its integration suites — chaos,
-# durable_recovery, parallel_equivalence, overload, cq_equivalence. Under
-# 2 s to run, so all of it belongs on every PR.
-cargo test -q -p sl-engine
-# Doctest gate: the documented crates' crate-root examples must run.
-cargo test --doc -q -p sl-stt -p sl-ops -p sl-engine -p sl-obs -p sl-durable
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
+# The root package only, as before `default-members`: its `sl-lint` binary
+# and the `sl_lint` library would otherwise write the same doc directory.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p streamloader
 
 if [ "$FAST" = 1 ]; then
     echo "check.sh: fast tier green"
@@ -87,7 +81,7 @@ BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
     cargo run --release -q -p sl-bench --bin exp_e10_overload -- --test
 
 # Continuous-query gate (the sl-cq unit suite and the engine-level
-# equivalence suite run in the fast tier): the live-dashboard example and
+# equivalence suite run in the fast tier's `cargo test`): the live-dashboard example and
 # the E11 smoke (incremental maintenance >=10x over rescans at 100
 # subscribers).
 cargo run --release -q --example continuous_dashboard >/dev/null

@@ -110,19 +110,36 @@ impl StreamLoader {
         validate(dataflow)
     }
 
+    /// What the analyzer knows about this session: its live topology, sensor
+    /// registry and engine configuration, plus the deployment facts the
+    /// `SL05x`–`SL09x` tier reasons with.
+    fn lint_inputs<'a>(
+        &'a self,
+        fault_plan: Option<&'a sl_faults::FaultPlan>,
+    ) -> (sl_lint::LintContext<'a>, sl_lint::DeployModel<'a>) {
+        let ctx = sl_lint::LintContext {
+            topology: Some(self.engine.topology()),
+            registry: Some(self.engine.broker().registry()),
+            // SL034 (unmitigated overload) is silenced when this session
+            // already has an admission layer configured.
+            config: sl_lint::LintConfig::for_engine(self.engine.config()),
+        };
+        let model = sl_lint::DeployModel {
+            config: self.engine.config(),
+            fault_plan,
+            durable: self.engine.durable_warehouse().is_some(),
+            compaction: self.engine.compaction_enabled(),
+        };
+        (ctx, model)
+    }
+
     /// Statically analyze a dataflow against this session's live sensor
     /// registry and network topology: granularity consistency, cache
     /// boundedness, rate/volume feasibility, and dead code, on top of the
     /// structural checks of [`StreamLoader::check`]. Never stops at the
     /// first problem — the report accumulates every finding.
     pub fn lint(&self, dataflow: &Dataflow) -> sl_lint::LintReport {
-        // SL034 (unmitigated overload) is silenced when this session
-        // already has an admission layer configured.
-        let ctx = sl_lint::LintContext {
-            topology: Some(self.engine.topology()),
-            registry: Some(self.engine.broker().registry()),
-            config: sl_lint::LintConfig::for_engine(self.engine.config()),
-        };
+        let (ctx, _) = self.lint_inputs(None);
         sl_lint::lint_dataflow(dataflow, &ctx)
     }
 
@@ -140,17 +157,7 @@ impl StreamLoader {
         dataflow: &Dataflow,
         fault_plan: Option<&sl_faults::FaultPlan>,
     ) -> sl_lint::LintReport {
-        let ctx = sl_lint::LintContext {
-            topology: Some(self.engine.topology()),
-            registry: Some(self.engine.broker().registry()),
-            config: sl_lint::LintConfig::for_engine(self.engine.config()),
-        };
-        let model = sl_lint::DeployModel {
-            config: self.engine.config(),
-            fault_plan,
-            durable: self.engine.durable_warehouse().is_some(),
-            compaction: self.engine.compaction_enabled(),
-        };
+        let (ctx, model) = self.lint_inputs(fault_plan);
         sl_lint::lint_deployment(dataflow, &ctx, &model)
     }
 
@@ -163,17 +170,7 @@ impl StreamLoader {
         dataflow: &Dataflow,
         fault_plan: Option<&sl_faults::FaultPlan>,
     ) -> std::collections::BTreeMap<String, f64> {
-        let ctx = sl_lint::LintContext {
-            topology: Some(self.engine.topology()),
-            registry: Some(self.engine.broker().registry()),
-            config: sl_lint::LintConfig::for_engine(self.engine.config()),
-        };
-        let model = sl_lint::DeployModel {
-            config: self.engine.config(),
-            fault_plan,
-            durable: self.engine.durable_warehouse().is_some(),
-            compaction: self.engine.compaction_enabled(),
-        };
+        let (ctx, model) = self.lint_inputs(fault_plan);
         sl_lint::predicted_peak_depths(dataflow, &ctx, &model)
     }
 
