@@ -165,9 +165,6 @@ impl CqHub {
             self.metrics
                 .gauge("subscribers")
                 .set(self.subs.len() as i64);
-            self.metrics
-                .gauge(&format!("sub/{}/queue_depth", id.0))
-                .set(0);
         }
         removed
     }
@@ -245,7 +242,6 @@ impl CqHub {
         self.metrics.counter("fanout_deltas").add(fanout);
         self.metrics.counter("dropped_deltas").add(dropped);
         self.metrics.hist("match_us").record(sw.elapsed_us());
-        self.refresh_depth_gauges();
     }
 
     /// Mirror a warehouse `evict_before(horizon)`: every view retracts the
@@ -269,9 +265,6 @@ impl CqHub {
         self.metrics
             .counter("delivered_deltas")
             .add(deltas.len() as u64);
-        self.metrics
-            .gauge(&format!("sub/{}/queue_depth", id.0))
-            .set(0);
         Some(CqPoll {
             deltas,
             dropped: sub.queue.dropped(),
@@ -287,9 +280,6 @@ impl CqHub {
         match self.subs.get_mut(&id.0) {
             Some(sub) => {
                 sub.queue.mark_caught_up();
-                self.metrics
-                    .gauge(&format!("sub/{}/queue_depth", id.0))
-                    .set(0);
                 true
             }
             None => false,
@@ -345,22 +335,16 @@ impl CqHub {
     /// Snapshot of the hub's instruments: `match_us` latency histogram,
     /// `fanout_deltas`/`dropped_deltas`/`delivered_deltas` and
     /// `view_contributions`/`view_retractions` counters, `subscribers`/
-    /// `views` gauges, and a `sub/<id>/queue_depth` gauge per subscriber.
+    /// `views` gauges, and a `sub/<id>/queue_depth` gauge per subscriber —
+    /// read off the subscriber's queue here, so it is exact at every
+    /// snapshot and leaves the snapshot with an unsubscribed subscriber.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    fn refresh_depth_gauges(&mut self) {
-        let depths: Vec<(u64, i64)> = self
-            .subs
-            .iter()
-            .map(|(&id, s)| (id, s.queue.len() as i64))
-            .collect();
-        for (id, depth) in depths {
-            self.metrics
-                .gauge(&format!("sub/{id}/queue_depth"))
-                .set(depth);
+        let mut snap = self.metrics.snapshot();
+        for (id, sub) in &self.subs {
+            let depth = sub.queue.len() as i64;
+            snap.gauges.insert(format!("sub/{id}/queue_depth"), depth);
         }
+        snap
     }
 }
 
@@ -499,5 +483,10 @@ mod tests {
         );
         assert!(hub.unsubscribe(sid));
         assert!(hub.poll(sid).is_none());
+        assert!(hub
+            .metrics_snapshot()
+            .gauges
+            .keys()
+            .all(|k| !k.starts_with("sub/")));
     }
 }

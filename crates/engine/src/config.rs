@@ -1,5 +1,5 @@
-//! Engine configuration: placement policy, migration thresholds, monitoring
-//! cadence, and overload-control knobs.
+//! Engine configuration: placement policy, monitoring cadence and
+//! overload-control knobs — and, as constants, the values no caller varies.
 
 use crate::shard::ShardKey;
 pub use sl_faults::OverflowPolicy;
@@ -22,31 +22,39 @@ pub enum PlacementPolicy {
     Random,
 }
 
+/// Utilisation above which a node sheds processes.
+pub const MIGRATION_THRESHOLD: f64 = 0.9;
+/// Per-tuple processing latency added at each operator hop; also the width
+/// of a parallel execution batch (`DESIGN.md` §5f).
+pub const PROCESSING_DELAY: Duration = Duration::from_millis(1);
+/// Estimated demand (ops/sec) assumed for a fresh process before real rates
+/// are observed.
+pub const INITIAL_DEMAND: f64 = 50.0;
+/// Temporal granularity used when loading tuples into the warehouse.
+pub const WAREHOUSE_TGRAN: TemporalGranularity = TemporalGranularity::Minute;
+/// Spatial granularity used when loading tuples into the warehouse.
+pub const WAREHOUSE_SGRAN: SpatialGranularity = SpatialGranularity::Grid { level: 8 };
+/// Cap on retained console-sink lines.
+pub const CONSOLE_CAPACITY: usize = 1000;
+/// Silence tolerated before the liveness watchdog presumes a sensor dead, in
+/// multiples of its advertised generation period.
+pub const LIVENESS_GRACE: u32 = 3;
+/// Fraction of `queue_capacity` a queue's per-window high-watermark must
+/// reach for its operator to count as backlogged and be re-placed.
+pub const BACKLOG_THRESHOLD: f64 = 0.75;
+
 /// Engine knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Initial placement policy.
     pub placement: PlacementPolicy,
-    /// Utilisation above which a node sheds processes.
-    pub migration_threshold: f64,
-    /// Enable runtime migration at all.
+    /// Enable runtime migration at all (CPU- and backlog-driven).
     pub migration_enabled: bool,
     /// Monitor sampling period (the Figure 3 refresh).
     pub monitor_period: Duration,
-    /// Per-tuple processing latency added at each operator hop.
-    pub processing_delay: Duration,
-    /// Estimated demand (ops/sec) assumed for a fresh process before real
-    /// rates are observed.
-    pub initial_demand: f64,
-    /// Temporal granularity used when loading tuples into the warehouse.
-    pub warehouse_tgran: TemporalGranularity,
-    /// Spatial granularity used when loading tuples into the warehouse.
-    pub warehouse_sgran: SpatialGranularity,
     /// RNG seed (placement randomisation and nothing else — sensors own
     /// their seeds).
     pub seed: u64,
-    /// Cap on retained console-sink lines.
-    pub console_capacity: usize,
     /// Re-delivery attempts after a routing failure. With
     /// [`retry_enabled`](EngineConfig::retry_enabled) off the policy is
     /// ignored and failed deliveries go straight to the dead-letter queue.
@@ -57,11 +65,9 @@ pub struct EngineConfig {
     /// Dead-letter queue capacity per engine (oldest entries evicted;
     /// drop *counters* are never evicted).
     pub dlq_capacity: usize,
-    /// Expire sensors that stop producing (heartbeat watchdog).
+    /// Expire sensors that stop producing (heartbeat watchdog, after
+    /// [`LIVENESS_GRACE`] silent periods).
     pub liveness_enabled: bool,
-    /// Silence tolerated before a sensor is presumed dead, in multiples of
-    /// its advertised generation period.
-    pub liveness_grace: u32,
     /// Checkpoint blocking-operator caches so node crashes don't lose
     /// window state.
     pub checkpoint_enabled: bool,
@@ -88,20 +94,13 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             placement: PlacementPolicy::LeastLoaded,
-            migration_threshold: 0.9,
             migration_enabled: true,
             monitor_period: Duration::from_secs(1),
-            processing_delay: Duration::from_millis(1),
-            initial_demand: 50.0,
-            warehouse_tgran: TemporalGranularity::Minute,
-            warehouse_sgran: SpatialGranularity::grid(8),
             seed: 7,
-            console_capacity: 1000,
             retry: RetryPolicy::new(),
             retry_enabled: true,
             dlq_capacity: 256,
             liveness_enabled: true,
-            liveness_grace: 3,
             checkpoint_enabled: true,
             parallelism: 1,
             shard_key: ShardKey::Space,
@@ -133,11 +132,6 @@ pub struct OverloadConfig {
     pub breaker_threshold: u32,
     /// Open-state dwell before a half-open probe delivery.
     pub breaker_cooldown: Duration,
-    /// Let sustained backlog (not just CPU) trigger operator re-placement.
-    pub backlog_migration: bool,
-    /// Fraction of `queue_capacity` a queue's per-window high-watermark
-    /// must reach to count as backlogged, in (0, 1].
-    pub backlog_threshold: f64,
 }
 
 impl Default for OverloadConfig {
@@ -150,8 +144,6 @@ impl Default for OverloadConfig {
             breaker_enabled: false,
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_secs(5),
-            backlog_migration: true,
-            backlog_threshold: 0.75,
         }
     }
 }
@@ -177,8 +169,6 @@ pub enum ConfigError {
     PriorityCollision(String),
     /// `overload.breaker_threshold` was 0 with breakers enabled.
     ZeroBreakerThreshold,
-    /// `overload.backlog_threshold` outside `(0, 1]`.
-    BacklogThreshold(f64),
     /// `retention` was `Some(0)` (a window that evicts everything, every
     /// sample). Use `None` to disable retention instead.
     ZeroRetention,
@@ -201,9 +191,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroBreakerThreshold => {
                 write!(f, "overload.breaker_threshold must be at least 1")
-            }
-            ConfigError::BacklogThreshold(t) => {
-                write!(f, "overload.backlog_threshold {t} outside (0, 1]")
             }
             ConfigError::ZeroRetention => {
                 write!(
@@ -242,9 +229,6 @@ impl EngineConfig {
         if o.breaker_enabled && o.breaker_threshold == 0 {
             return Err(ConfigError::ZeroBreakerThreshold);
         }
-        if !(o.backlog_threshold > 0.0 && o.backlog_threshold <= 1.0) {
-            return Err(ConfigError::BacklogThreshold(o.backlog_threshold));
-        }
         if self.retention.is_some_and(|r| r.is_zero()) {
             return Err(ConfigError::ZeroRetention);
         }
@@ -261,12 +245,11 @@ mod tests {
         let c = EngineConfig::default();
         assert_eq!(c.placement, PlacementPolicy::LeastLoaded);
         assert!(c.migration_enabled);
-        assert!(c.migration_threshold > 0.5 && c.migration_threshold <= 1.0);
         assert!(!c.monitor_period.is_zero());
         assert!(c.retry_enabled);
         assert!(c.retry.max_attempts > 0);
         assert!(c.dlq_capacity > 0);
-        assert!(c.liveness_enabled && c.liveness_grace >= 2);
+        assert!(c.liveness_enabled);
         assert!(c.checkpoint_enabled);
         assert_eq!(c.parallelism, 1);
         assert_eq!(c.shard_key, ShardKey::Space);
@@ -276,7 +259,6 @@ mod tests {
         assert_eq!(c.overload.global_capacity, None);
         assert!(!c.overload.admission_enabled());
         assert!(!c.overload.breaker_enabled);
-        assert!(c.overload.backlog_migration);
         assert!(c.validate().is_ok());
     }
 
@@ -315,9 +297,5 @@ mod tests {
         // Disabled breakers tolerate a zero threshold (it is unused).
         c.overload.breaker_enabled = false;
         assert!(c.validate().is_ok());
-
-        let mut c = EngineConfig::default();
-        c.overload.backlog_threshold = 0.0;
-        assert_eq!(c.validate(), Err(ConfigError::BacklogThreshold(0.0)));
     }
 }

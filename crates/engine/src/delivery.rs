@@ -22,7 +22,7 @@
 //! retired by `undeploy` makes the hop a drop — or a `TargetVanished` dead
 //! letter for a retry — and the settlement a no-op.
 
-use crate::config::OverflowPolicy;
+use crate::config::{OverflowPolicy, PROCESSING_DELAY};
 use crate::deployment::{EndpointId, Role};
 use crate::engine::{DeadTuple, Engine, Ev};
 use crate::monitor::OpCounters;
@@ -37,7 +37,7 @@ impl Engine {
     /// Deliver `tuple` from `from_node` to input `port` of endpoint `to`.
     ///
     /// `base` is the virtual time the producing event fired at. The arrival
-    /// is scheduled at `base + delay + processing_delay` absolutely (not
+    /// is scheduled at `base + delay + PROCESSING_DELAY` absolutely (not
     /// relative to the clock): in the sequential loop `base` *is* the clock,
     /// and in a parallel merge the clock has already advanced past earlier
     /// batch members — absolute scheduling keeps child times identical
@@ -91,7 +91,7 @@ impl Engine {
                         .hist("recovery/redelivery_ms")
                         .record(base.since(first_failed_at).as_millis());
                 }
-                let deliver_at = base + delay + self.config.processing_delay;
+                let deliver_at = base + delay + PROCESSING_DELAY;
                 self.admit(base, deliver_at, to, port, tuple);
             }
             None => self.fail(base, from_node, to, port, tuple, attempt, first_failed_at),
@@ -289,9 +289,7 @@ impl Engine {
             return;
         };
         if trace != 0 {
-            let tracer = self.metrics.tracer();
-            tracer.span_enter(trace, svc.span.clone(), wall0);
-            tracer.span_exit(trace, &svc.span, wall1);
+            self.metrics.tracer().record(trace, &svc.span, wall0, wall1);
         }
         self.release(at, service);
         let Some(counters) = self.counters(service) else {
@@ -387,6 +385,14 @@ impl Engine {
         self.dead_letter(now, deployment, target, tuple, reason);
     }
 
+    /// Account one loss under `reason` in the `dlq/…` counter and the
+    /// monitor's never-evicted totals — with or without a tuple to park.
+    pub(crate) fn count_dead_letter(&mut self, reason: &DropReason) {
+        let key = reason.metric_key();
+        self.metrics.counter(&format!("dlq/{key}")).inc();
+        *self.monitor.dead_letters.entry(key).or_insert(0) += 1;
+    }
+
     /// Park a terminally undeliverable tuple in the DLQ.
     pub(crate) fn dead_letter(
         &mut self,
@@ -396,14 +402,7 @@ impl Engine {
         tuple: Tuple,
         reason: DropReason,
     ) {
-        self.metrics
-            .counter(&format!("dlq/{}", reason.metric_key()))
-            .inc();
-        *self
-            .monitor
-            .dead_letters
-            .entry(reason.metric_key())
-            .or_insert(0) += 1;
+        self.count_dead_letter(&reason);
         if matches!(reason, DropReason::Shed { .. }) {
             self.metrics.counter("backpressure/shed").inc();
         }

@@ -26,8 +26,9 @@
 //! preemption, watermarks) whose order is observable.
 //!
 //! Everything here is plain state — the behaviour lives in
-//! [`crate::engine`] (actuation, ticking, migration) and
-//! `crate::delivery` (the hop).
+//! [`crate::engine`] (actuation, ticking, routing), `crate::delivery` (the
+//! hop), `crate::sources` (binding, acquisition), `crate::storage` (sinks,
+//! checkpoints) and `crate::control` (placement changes).
 
 use sl_dataflow::Dataflow;
 use sl_dsn::SinkKind;
@@ -35,7 +36,7 @@ use sl_faults::CircuitBreaker;
 use sl_netsim::{FlowId, NodeId, ProcessId};
 use sl_obs::SpanKey;
 use sl_ops::{OpCheckpoint, Operator};
-use sl_pubsub::{SubscriptionFilter, SubscriptionId};
+use sl_pubsub::SubscriptionId;
 use sl_stt::{SchemaRef, SensorId, Timestamp, Tuple};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -48,12 +49,23 @@ impl EndpointId {
     pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The id a service's CPU demand is tracked under in the load tracker.
+    /// Derived, so a record and its load cannot name different processes;
+    /// ids are minted in creation order, which keeps the tracker's id-order
+    /// tie-breaks.
+    pub(crate) fn process(self) -> ProcessId {
+        ProcessId(u64::from(self.0))
+    }
+
+    /// The endpoint whose load is tracked as `process`.
+    pub(crate) fn of_process(process: ProcessId) -> EndpointId {
+        EndpointId(process.0 as u32)
+    }
 }
 
 /// Runtime state of one dataflow source.
 pub struct SourceRuntime {
-    /// The sensor filter.
-    pub filter: SubscriptionFilter,
     /// The broker subscription backing it.
     pub subscription: SubscriptionId,
     /// Declared tuple schema (tuples are projected onto it).
@@ -71,8 +83,6 @@ pub struct SourceRuntime {
 
 /// Runtime state of one operator process.
 pub struct ServiceRuntime {
-    /// The process id in the load tracker.
-    pub process: ProcessId,
     /// The live operator; swapped only through [`ServiceRuntime::set_op`].
     pub op: Box<dyn Operator>,
     /// Copies of `op` for the shard workers, made on demand. A shard job
@@ -168,8 +178,6 @@ pub struct EdgeRuntime {
     pub from: String,
     /// Consumer name.
     pub to: String,
-    /// Consumer port.
-    pub port: usize,
     /// Installed flow, when both endpoints are placed.
     pub flow: Option<FlowId>,
 }

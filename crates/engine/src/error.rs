@@ -31,14 +31,6 @@ pub enum EngineError {
     UnknownDeployment(String),
     /// A sensor id is unknown to the engine.
     UnknownSensor(u64),
-    /// At deployment, a source matched a sensor whose schema cannot provide
-    /// the declared attributes.
-    SchemaMismatch {
-        /// The source.
-        source: String,
-        /// The offending sensor.
-        sensor: String,
-    },
     /// No continuous-query subscription with this handle.
     UnknownSubscriber(u64),
     /// No materialized view with this handle.
@@ -65,12 +57,6 @@ impl fmt::Display for EngineError {
             EngineError::DuplicateDeployment(n) => write!(f, "deployment `{n}` already exists"),
             EngineError::UnknownDeployment(n) => write!(f, "unknown deployment `{n}`"),
             EngineError::UnknownSensor(id) => write!(f, "unknown sensor #{id}"),
-            EngineError::SchemaMismatch { source, sensor } => {
-                write!(
-                    f,
-                    "sensor `{sensor}` cannot serve source `{source}`: schema mismatch"
-                )
-            }
             EngineError::UnknownSubscriber(id) => write!(f, "unknown subscriber s{id}"),
             EngineError::UnknownView(id) => write!(f, "unknown view v{id}"),
             EngineError::Durable(e) => write!(f, "durable storage: {e}"),

@@ -61,6 +61,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod control;
 mod delivery;
 pub mod deployment;
 pub mod engine;
@@ -68,8 +69,14 @@ pub mod error;
 pub mod monitor;
 pub mod overload;
 pub mod shard;
+mod sources;
+mod storage;
 
-pub use config::{ConfigError, EngineConfig, OverflowPolicy, OverloadConfig, PlacementPolicy};
+pub use config::{
+    ConfigError, EngineConfig, OverflowPolicy, OverloadConfig, PlacementPolicy, BACKLOG_THRESHOLD,
+    CONSOLE_CAPACITY, INITIAL_DEMAND, LIVENESS_GRACE, MIGRATION_THRESHOLD, PROCESSING_DELAY,
+    WAREHOUSE_SGRAN, WAREHOUSE_TGRAN,
+};
 pub use deployment::{DeploymentView, ServiceView};
 pub use engine::{DeadTuple, Engine};
 pub use error::EngineError;

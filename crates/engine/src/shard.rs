@@ -24,6 +24,7 @@
 //! engine blocks on the barrier, so every replica is back on its record
 //! before the engine handles the next event.
 
+use crate::config::WAREHOUSE_SGRAN;
 use crate::deployment::EndpointId;
 use sl_ops::{OpContext, Operator, TupleOutcome};
 use sl_stt::{Timestamp, Tuple};
@@ -75,9 +76,9 @@ impl ShardKey {
             ShardKey::Sensor => sensor_hash() as usize,
             ShardKey::Space => match tuple.meta.location {
                 Some(p) => {
-                    // Grid-8 granule (matches the default warehouse spatial
-                    // granularity): ~0.004° cells.
-                    let edge = 1.0 / 256.0;
+                    // The warehouse's spatial granule (`WAREHOUSE_SGRAN`,
+                    // grid-8: ~0.004° cells), so a shard owns whole cells.
+                    let edge = WAREHOUSE_SGRAN.cell_deg().unwrap_or(1.0);
                     let ix = (p.lon / edge).floor() as i64;
                     let iy = (p.lat / edge).floor() as i64;
                     let mut key = [0u8; 16];

@@ -1,0 +1,507 @@
+//! Loading: the Event Data Warehouse, the continuous queries fed from it,
+//! and the blocking-operator checkpoints logged beside it (paper §3: the
+//! third concern the engine coordinates, after acquisition and execution).
+//!
+//! [`Storage`] holds the backend — plain in-memory indexes, or the
+//! crash-safe tier from `sl-durable` — and the [`CqHub`], both private to
+//! this module. That makes three rules this module's invariant instead of a
+//! convention of its callers: the hub sees exactly the events the hot store
+//! accepted ([`Engine::store`] is the only ingest), views retract under the
+//! horizon the hot store evicts under ([`Engine::evict_warehouse_before`]
+//! is the only eviction), and a view registered late is seeded from the hot
+//! store ([`Engine::register_view`]).
+
+use crate::config::{EngineConfig, OverflowPolicy, WAREHOUSE_SGRAN, WAREHOUSE_TGRAN};
+use crate::deployment::{EndpointId, Role};
+use crate::engine::Engine;
+use crate::error::EngineError;
+use crate::monitor::CqStat;
+use sl_cq::{CqHub, CqPoll, SubscriberId, ViewId};
+use sl_durable::{CompactionStats, DurableConfig, DurableError, DurableWarehouse};
+use sl_faults::DropReason;
+use sl_netsim::Topology;
+use sl_obs::{Metrics, MetricsSnapshot};
+use sl_ops::{OpCheckpoint, Operator};
+use sl_stt::{Event, Timestamp, Tuple};
+use sl_warehouse::{CubeCell, CubeQuery, EventQuery, EventWarehouse};
+use std::collections::{BTreeMap, HashMap};
+
+/// The Event Data Warehouse backend. Either way the hot [`EventWarehouse`]
+/// is reachable, so the read-side API is identical.
+enum WarehouseTier {
+    Memory(Box<EventWarehouse>),
+    Durable(Box<DurableWarehouse>),
+}
+
+/// Everything the engine stores: the warehouse, the continuous queries over
+/// it, and the checkpoints recovered from its log.
+pub(crate) struct Storage {
+    tier: WarehouseTier,
+    /// Standing subscriptions and materialized views, fed inline by the
+    /// ingest path. Idle (and free) until the first registration.
+    cq: CqHub,
+    /// Blocking-operator snapshots [`Engine::open_durable`] recovered from
+    /// the log, keyed (deployment, service), until that deployment's
+    /// `deploy()` moves them onto its service records.
+    pub(crate) staged: HashMap<(String, String), OpCheckpoint>,
+}
+
+impl Storage {
+    /// An empty in-memory warehouse with nothing registered.
+    pub(crate) fn memory() -> Storage {
+        Storage {
+            tier: WarehouseTier::Memory(Box::new(EventWarehouse::with_defaults())),
+            cq: CqHub::new(),
+            staged: HashMap::new(),
+        }
+    }
+
+    fn hot(&self) -> &EventWarehouse {
+        match &self.tier {
+            WarehouseTier::Memory(w) => w,
+            WarehouseTier::Durable(d) => d.hot(),
+        }
+    }
+
+    fn durable_mut(&mut self) -> Option<&mut DurableWarehouse> {
+        match &mut self.tier {
+            WarehouseTier::Memory(_) => None,
+            WarehouseTier::Durable(d) => Some(d),
+        }
+    }
+
+    /// Log `ckpt` under the plain `(deployment, service)` names on the
+    /// durable tier, so a restarted process can restore the window cache at
+    /// deploy time (an empty one supersedes what the log held). A failure
+    /// is a console line, not an error; the in-memory tier logs nothing.
+    pub(crate) fn log_checkpoint(
+        &mut self,
+        console: &mut Vec<String>,
+        verb: &str,
+        deployment: &str,
+        service: &str,
+        ckpt: &OpCheckpoint,
+    ) {
+        if let Some(d) = self.durable_mut() {
+            if let Err(e) = d.persist_checkpoint(deployment, service, ckpt) {
+                console.push(format!(
+                    "error: {verb} checkpoint {deployment}/{service}: {e}"
+                ));
+            }
+        }
+    }
+}
+
+/// Re-seed `op`'s window cache from `ckpt` (an empty one wipes it) and
+/// count what came back; returns the `N tuples, B B` of the caller's log
+/// line.
+pub(crate) fn restore_window(
+    metrics: &mut Metrics,
+    op: &mut dyn Operator,
+    ckpt: OpCheckpoint,
+) -> String {
+    let (n_tuples, n_bytes) = (ckpt.len(), ckpt.byte_size());
+    op.restore(ckpt);
+    metrics
+        .counter("checkpoint/restored_tuples")
+        .add(n_tuples as u64);
+    metrics
+        .counter("checkpoint/restored_bytes")
+        .add(n_bytes as u64);
+    format!("{n_tuples} tuples, {n_bytes} B")
+}
+
+impl Engine {
+    /// Create an engine whose Event Data Warehouse persists to the segment
+    /// log at `durable.dir`, recovering whatever a previous incarnation
+    /// left there: hot indexes are rebuilt from the non-evicted log tail,
+    /// and blocking-operator checkpoints are staged so the next
+    /// [`Engine::deploy`] of the same dataflow restores their window
+    /// caches. A torn log tail (crash mid-write) is truncated, surfaced in
+    /// the monitor's durability section, and accounted in the DLQ under
+    /// [`DropReason::TornTail`].
+    pub fn open_durable(
+        topology: Topology,
+        config: EngineConfig,
+        start: Timestamp,
+        durable: DurableConfig,
+    ) -> Result<Engine, EngineError> {
+        let mut engine = Engine::new(topology, config, start);
+        let mut dw = DurableWarehouse::open(durable)?;
+        let report = dw.recovery_report();
+        let recovered = dw.take_checkpoints();
+        engine.monitor.durability.push(format!(
+            "[{start}] opened durable warehouse: {} events hot, {} checkpoints staged, {} segments",
+            dw.hot().len(),
+            recovered.len(),
+            dw.segment_count()
+        ));
+        if report.lossy() {
+            // The torn tail held records that were appended but never made
+            // stable; they are gone by design (only fsynced bytes are
+            // promised). Account the loss in the drop taxonomy.
+            engine.count_dead_letter(&DropReason::TornTail);
+            engine.dlq.note(DropReason::TornTail);
+            engine.monitor.durability.push(format!(
+                "[{start}] recovery truncated a torn tail: {} bytes, {} segments dropped",
+                report.truncated_bytes, report.dropped_segments
+            ));
+            engine.monitor.recovery.push(format!(
+                "[{start}] durable log: torn tail truncated ({} bytes)",
+                report.truncated_bytes
+            ));
+        }
+        engine.storage.staged = recovered;
+        engine.storage.tier = WarehouseTier::Durable(Box::new(dw));
+        Ok(engine)
+    }
+
+    /// The Event Data Warehouse (the hot in-memory view under either
+    /// backend).
+    pub fn warehouse(&self) -> &EventWarehouse {
+        self.storage.hot()
+    }
+
+    /// Mutable warehouse access (for queries, which update stats). With a
+    /// durable backend this is the *hot* tier only; prefer
+    /// [`Engine::query_warehouse`] and [`Engine::evict_warehouse_before`],
+    /// which include the cold segments and spill instead of discarding.
+    pub fn warehouse_mut(&mut self) -> &mut EventWarehouse {
+        match &mut self.storage.tier {
+            WarehouseTier::Memory(w) => w,
+            WarehouseTier::Durable(d) => d.hot_mut(),
+        }
+    }
+
+    /// The durable warehouse, when the engine was created with
+    /// [`Engine::open_durable`].
+    pub fn durable_warehouse(&self) -> Option<&DurableWarehouse> {
+        match &self.storage.tier {
+            WarehouseTier::Memory(_) => None,
+            WarehouseTier::Durable(d) => Some(d),
+        }
+    }
+
+    /// Load a tuple that reached warehouse sink `sink`. It is translated to
+    /// events once; the same batch feeds the store and, when anything is
+    /// registered, the continuous-query hub (delta evaluation, no rescans).
+    /// A durable ingest is log-first, and an I/O failure loses this tuple's
+    /// events without tearing down the run — the hub is then not fed
+    /// either, so views stay byte-identical to a rescan.
+    pub(crate) fn store(&mut self, now: Timestamp, sink: EndpointId, tuple: &Tuple) {
+        let events = sl_warehouse::tuple_events(tuple, WAREHOUSE_TGRAN, WAREHOUSE_SGRAN);
+        let storage = &mut self.storage;
+        let batch = (!storage.cq.is_idle()).then(|| events.clone());
+        let stored = match &mut storage.tier {
+            WarehouseTier::Memory(w) => {
+                w.ingest_events(events);
+                Ok(())
+            }
+            WarehouseTier::Durable(d) => d.ingest_events(events).map(drop),
+        };
+        match stored {
+            Ok(()) => {
+                if let Some(batch) = batch {
+                    storage.cq.on_events(&batch);
+                }
+            }
+            Err(e) => {
+                let (deployment, target) = &self.endpoints[sink.index()].names;
+                self.monitor.console.push(format!(
+                    "[{now}] error: {deployment}/{target}: durable ingest: {e}"
+                ));
+            }
+        }
+    }
+
+    /// Answer an [`EventQuery`] against the full warehouse: hot indexes
+    /// only for the in-memory backend, hot merged with the cold segment
+    /// scan for the durable one.
+    pub fn query_warehouse(&mut self, q: &EventQuery) -> Result<Vec<Event>, EngineError> {
+        match &mut self.storage.tier {
+            WarehouseTier::Memory(w) => Ok(w.query(q).into_iter().cloned().collect()),
+            WarehouseTier::Durable(d) => Ok(d.query(q)?),
+        }
+    }
+
+    /// Apply the retention horizon: the in-memory backend discards events
+    /// older than `horizon`, the durable backend spills them to cold
+    /// segments (they remain queryable). Materialized views mirror the hot
+    /// tier, so they retract the evicted events' contributions under the
+    /// same horizon predicate. Returns how many events left the hot indexes.
+    pub fn evict_warehouse_before(&mut self, horizon: Timestamp) -> Result<usize, EngineError> {
+        let evicted = match &mut self.storage.tier {
+            WarehouseTier::Memory(w) => w.evict_before(horizon),
+            WarehouseTier::Durable(d) => d.evict_before(horizon)?,
+        };
+        if !self.storage.cq.is_idle() {
+            self.storage.cq.on_evict(horizon);
+        }
+        Ok(evicted)
+    }
+
+    /// Force all durable-log appends onto stable storage (no-op for the
+    /// in-memory backend).
+    pub fn sync_warehouse(&mut self) -> Result<(), EngineError> {
+        match self.storage.durable_mut() {
+            Some(d) => Ok(d.sync()?),
+            None => Ok(()),
+        }
+    }
+
+    /// True when the durable backend's compaction policy is enabled (always
+    /// false for the in-memory backend). Drives the monitor-tick
+    /// maintenance step and lint SL092's deployment model.
+    pub fn compaction_enabled(&self) -> bool {
+        self.durable_warehouse()
+            .is_some_and(DurableWarehouse::compaction_enabled)
+    }
+
+    /// Force-merge every sealed cold segment now, regardless of policy
+    /// thresholds (`Ok(None)` for the in-memory backend or when fewer than
+    /// two sealed segments exist). The background equivalent runs from the
+    /// monitor tick when the policy is enabled.
+    pub fn compact_warehouse(&mut self) -> Result<Option<CompactionStats>, EngineError> {
+        Ok(self.compact(self.now(), true)?)
+    }
+
+    /// One compaction step, counted and logged: `explicit` merges every
+    /// sealed segment, otherwise the durable config's policy decides
+    /// whether anything is due. A memory-backed engine and a durable one
+    /// with the policy disabled both skip this for free.
+    fn compact(
+        &mut self,
+        now: Timestamp,
+        explicit: bool,
+    ) -> Result<Option<CompactionStats>, DurableError> {
+        let Some(d) = self.storage.durable_mut() else {
+            return Ok(None);
+        };
+        let (stats, label) = if explicit {
+            (d.compact_now(now)?, " (explicit)")
+        } else {
+            (d.maybe_compact(now)?, "")
+        };
+        if let Some(s) = &stats {
+            self.metrics.counter("maintenance/compactions").inc();
+            let mut line = format!(
+                "[{now}] compaction{label}: {} segments -> 1 (gen {}), {} bytes reclaimed",
+                s.segments_in,
+                s.generation,
+                s.bytes_reclaimed()
+            );
+            if !explicit {
+                line += &format!(", {} records dropped", s.records_dropped());
+            }
+            self.monitor.durability.push(line);
+        }
+        Ok(stats)
+    }
+
+    /// The storage half of the monitor tick: retention, one policy-gated
+    /// compaction step, and the report's continuous-query section.
+    pub(crate) fn maintain_storage(&mut self, now: Timestamp) {
+        // Retention: age out the hot tail (the durable backend spills to
+        // cold segments instead of discarding). Default-off.
+        if let Some(window) = self.config.retention {
+            let horizon = now.saturating_sub(window);
+            match self.evict_warehouse_before(horizon) {
+                Ok(0) => {}
+                Ok(evicted) => {
+                    self.metrics
+                        .counter("retention/evicted")
+                        .add(evicted as u64);
+                    self.monitor.continuous.push(format!(
+                        "[{now}] retention: {evicted} events evicted before {horizon}"
+                    ));
+                }
+                Err(e) => {
+                    self.monitor
+                        .console
+                        .push(format!("[{now}] error: retention eviction: {e}"));
+                }
+            }
+        }
+        if let Err(e) = self.compact(now, false) {
+            self.monitor
+                .console
+                .push(format!("[{now}] error: compaction: {e}"));
+        }
+        if !self.storage.cq.is_idle() {
+            self.refresh_cq_monitor(now);
+        }
+    }
+
+    /// Rebuild the monitor's continuous-query section from hub stats and
+    /// log lag transitions (a subscriber falling behind is an operational
+    /// event, not just a gauge).
+    fn refresh_cq_monitor(&mut self, now: Timestamp) {
+        let mut table = BTreeMap::new();
+        for s in self.storage.cq.subscription_stats() {
+            let was_lagged = self
+                .monitor
+                .cq
+                .get(&s.id.to_string())
+                .is_some_and(|st| st.lagged);
+            if s.lagged && !was_lagged {
+                self.monitor.continuous.push(format!(
+                    "[{now}] subscriber '{}' ({}) lagged: queue overflowed, awaiting catch-up",
+                    s.name, s.id
+                ));
+            }
+            table.insert(
+                s.id.to_string(),
+                CqStat {
+                    kind: format!("subscription '{}'", s.name),
+                    depth: s.depth,
+                    delivered: s.delivered,
+                    dropped: s.dropped,
+                    lagged: s.lagged,
+                    ..CqStat::default()
+                },
+            );
+        }
+        for v in self.storage.cq.view_stats() {
+            table.insert(
+                v.id.to_string(),
+                CqStat {
+                    kind: format!("view '{}'", v.name),
+                    cells: v.cells,
+                    contributions: v.contributions,
+                    ..CqStat::default()
+                },
+            );
+        }
+        self.monitor.cq = table;
+    }
+
+    /// Snapshot a blocking operator's state, if checkpointing is on: onto
+    /// its record (crash recovery within this process) and — with a durable
+    /// backend — into the segment log.
+    pub(crate) fn checkpoint(&mut self, service: EndpointId) {
+        if !self.config.checkpoint_enabled {
+            return;
+        }
+        let ep = &mut self.endpoints[service.index()];
+        let svc = match &mut ep.role {
+            Role::Service(svc) if svc.blocking => svc,
+            _ => return,
+        };
+        let Some(ckpt) = svc.op.checkpoint() else {
+            return;
+        };
+        self.metrics.counter("checkpoint/taken").inc();
+        self.metrics
+            .gauge("checkpoint/bytes")
+            .set(ckpt.byte_size() as i64);
+        let (console, (deployment, name)) = (&mut self.monitor.console, &ep.names);
+        self.storage
+            .log_checkpoint(console, "persisting", deployment, name, &ckpt);
+        svc.checkpoint = Some(ckpt);
+    }
+
+    /// The latest blocking-operator snapshot for `(deployment, service)` —
+    /// taken live, or staged by [`Engine::open_durable`] recovery.
+    pub fn checkpoint_of(&self, deployment: &str, service: &str) -> Option<&OpCheckpoint> {
+        match self.endpoint(deployment, service) {
+            Some(ep) => ep.service()?.checkpoint.as_ref(),
+            None => self
+                .storage
+                .staged
+                .get(&(deployment.to_string(), service.to_string())),
+        }
+    }
+
+    /// Register a standing [`EventQuery`]: every warehouse-bound event
+    /// matching `q` is pushed to a per-subscriber queue of `capacity`
+    /// deltas (`None` = unbounded; lint SL091 flags that under admission
+    /// control), governed by `policy` on overflow — the same shed/block
+    /// vocabulary as ingress overload control. Drain with
+    /// [`Engine::poll_deltas`].
+    pub fn subscribe_events(
+        &mut self,
+        name: &str,
+        q: EventQuery,
+        capacity: Option<usize>,
+        policy: OverflowPolicy,
+    ) -> SubscriberId {
+        self.storage.cq.subscribe(name, q, capacity, policy)
+    }
+
+    /// Remove a standing subscription.
+    pub fn unsubscribe_events(&mut self, id: SubscriberId) -> Result<(), EngineError> {
+        if self.storage.cq.unsubscribe(id) {
+            Ok(())
+        } else {
+            Err(EngineError::UnknownSubscriber(id.0))
+        }
+    }
+
+    /// Drain a subscriber's pending deltas (matched events since the last
+    /// poll). If the poll reports `lagged`, the subscriber's queue
+    /// overflowed under `Block` and deltas are withheld until
+    /// [`Engine::catch_up`].
+    pub fn poll_deltas(&mut self, id: SubscriberId) -> Result<CqPoll, EngineError> {
+        let poll = self.storage.cq.poll(id);
+        poll.ok_or(EngineError::UnknownSubscriber(id.0))
+    }
+
+    /// Re-synchronise a late or lagged subscriber: returns a snapshot of
+    /// the full warehouse (cold segments included under a durable backend)
+    /// under the subscription's query, plus the hub sequence number the
+    /// snapshot is current to, and clears the lag flag. Deltas polled
+    /// afterwards strictly follow the snapshot.
+    pub fn catch_up(&mut self, id: SubscriberId) -> Result<(Vec<Event>, u64), EngineError> {
+        let q = self.storage.cq.subscription_query(id);
+        let q = q.ok_or(EngineError::UnknownSubscriber(id.0))?.clone();
+        let snapshot = self.query_warehouse(&q)?;
+        self.storage.cq.mark_caught_up(id);
+        Ok((snapshot, self.storage.cq.seq()))
+    }
+
+    /// Register a materialized roll-up view over `q`: the answer is
+    /// maintained incrementally from the ingest path (O(affected cells)
+    /// per tuple, retraction on eviction) and read with
+    /// [`Engine::view_cells`] — byte-identical to rerunning the roll-up,
+    /// without the rescan. The view is seeded from the hot store, so late
+    /// registration is exact too.
+    pub fn register_view(&mut self, name: &str, q: CubeQuery) -> ViewId {
+        let Storage { tier, cq, .. } = &mut self.storage;
+        let hot = match tier {
+            WarehouseTier::Memory(w) => &**w,
+            WarehouseTier::Durable(d) => d.hot(),
+        };
+        cq.register_view(name, q, hot.iter())
+    }
+
+    /// The current cells of a materialized view (sorted, same order and
+    /// bits as `EventWarehouse::rollup` over the hot store).
+    pub fn view_cells(&self, id: ViewId) -> Result<Vec<CubeCell>, EngineError> {
+        let cells = self.storage.cq.view_cells(id);
+        cells.ok_or(EngineError::UnknownView(id.0))
+    }
+
+    /// Remove a materialized view.
+    pub fn drop_view(&mut self, id: ViewId) -> Result<(), EngineError> {
+        if self.storage.cq.drop_view(id) {
+            Ok(())
+        } else {
+            Err(EngineError::UnknownView(id.0))
+        }
+    }
+
+    /// The continuous-query hub (registration stats for monitors/lint).
+    pub fn cq(&self) -> &CqHub {
+        &self.storage.cq
+    }
+
+    /// Add the `warehouse/`, `cq/` and — with a durable backend —
+    /// `durable/` sections to a unified snapshot.
+    pub(crate) fn absorb_storage_metrics(&self, snap: &mut MetricsSnapshot) {
+        snap.absorb("warehouse", &self.storage.hot().metrics_snapshot());
+        if let Some(d) = self.durable_warehouse() {
+            snap.absorb("durable", &d.metrics_snapshot());
+        }
+        snap.absorb("cq", &self.storage.cq.metrics_snapshot());
+    }
+}

@@ -9,7 +9,7 @@
 
 use crate::analysis::{width_bytes, StreamProps};
 use sl_dsn::DsnDocument;
-use sl_engine::{EngineConfig, OverflowPolicy};
+use sl_engine::{EngineConfig, OverflowPolicy, PROCESSING_DELAY};
 use sl_faults::{FaultAction, FaultPlan};
 use sl_netsim::{LinkId, Topology};
 use sl_pubsub::{SensorRegistry, SubscriptionFilter};
@@ -249,8 +249,9 @@ impl DeployGraph {
         }
 
         // In-flight window: a delivery is scheduled ahead by its route
-        // latency (bounded by a few worst-case hops) plus the per-hop
-        // processing delay; 5 ms of margin absorbs serialization delay.
+        // latency (bounded by a few worst-case hops) plus the engine's
+        // per-hop processing delay; 5 ms of margin absorbs serialization
+        // delay.
         let max_latency_s = topology
             .map(|t| {
                 (0..t.link_count() as u32)
@@ -259,7 +260,7 @@ impl DeployGraph {
                     .fold(0.0, f64::max)
             })
             .unwrap_or(0.0);
-        let window_s = model.config.processing_delay.as_secs_f64() + 4.0 * max_latency_s + 0.005;
+        let window_s = PROCESSING_DELAY.as_secs_f64() + 4.0 * max_latency_s + 0.005;
 
         DeployGraph {
             ops,

@@ -72,10 +72,10 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
         .flat_map(|s| registry.discover(&s.filter))
         .collect();
 
-    // SL062: the Space key hashes a tuple's spatial granule; tuples from
-    // unlocated sensors (no advertised position, no enrichment yet) all
-    // hash the sensor id instead, collapsing the intended geographic
-    // partition.
+    // SL062: the Space key hashes a tuple's spatial granule (a cell of
+    // `sl_engine::WAREHOUSE_SGRAN`); tuples from unlocated sensors (no
+    // advertised position, no enrichment yet) all hash the sensor id
+    // instead, collapsing the intended geographic partition.
     if model.config.shard_key == ShardKey::Space && any_shardable {
         let unlocated = bound.iter().filter(|ad| ad.location.is_none()).count();
         if unlocated > 0 {

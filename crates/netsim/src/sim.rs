@@ -10,15 +10,10 @@ use sl_stt::{Duration, Timestamp};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Handle to a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventHandle(u64);
-
 struct Entry<M> {
     time: Timestamp,
     seq: u64,
     msg: M,
-    cancelled_id: u64,
 }
 
 impl<M> PartialEq for Entry<M> {
@@ -47,7 +42,6 @@ pub struct EventQueue<M> {
     heap: BinaryHeap<Entry<M>>,
     now: Timestamp,
     seq: u64,
-    cancelled: std::collections::HashSet<u64>,
     processed: u64,
 }
 
@@ -58,7 +52,6 @@ impl<M> EventQueue<M> {
             heap: BinaryHeap::new(),
             now: start,
             seq: 0,
-            cancelled: std::collections::HashSet::new(),
             processed: 0,
         }
     }
@@ -73,78 +66,48 @@ impl<M> EventQueue<M> {
         self.processed
     }
 
-    /// Number of events still scheduled (including cancelled ones not yet
-    /// drained).
+    /// Number of events still scheduled.
     pub fn pending(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len()
     }
 
-    /// True if no live events remain.
+    /// True if no events remain.
     pub fn is_idle(&self) -> bool {
-        self.pending() == 0
+        self.heap.is_empty()
     }
 
     /// Schedule `msg` at absolute time `at`. Scheduling in the past is
     /// clamped to `now` (the message fires immediately, preserving order).
-    pub fn schedule_at(&mut self, at: Timestamp, msg: M) -> EventHandle {
-        let t = at.max(self.now);
+    pub fn schedule_at(&mut self, at: Timestamp, msg: M) {
+        let time = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry {
-            time: t,
-            seq,
-            msg,
-            cancelled_id: seq,
-        });
-        EventHandle(seq)
+        self.heap.push(Entry { time, seq, msg });
     }
 
     /// Schedule `msg` after `delay` of virtual time.
-    pub fn schedule_in(&mut self, delay: Duration, msg: M) -> EventHandle {
+    pub fn schedule_in(&mut self, delay: Duration, msg: M) {
         self.schedule_at(self.now + delay, msg)
     }
 
-    /// Cancel a previously scheduled event. Cancelling an already-fired or
-    /// already-cancelled event is a no-op.
-    pub fn cancel(&mut self, handle: EventHandle) {
-        self.cancelled.insert(handle.0);
-    }
-
-    /// Pop the next live event, advancing the clock to its time.
+    /// Pop the next event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(Timestamp, M)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.cancelled_id) {
-                continue;
-            }
-            debug_assert!(entry.time >= self.now, "time went backwards");
-            self.now = entry.time;
-            self.processed += 1;
-            return Some((entry.time, entry.msg));
-        }
-        None
+        let entry = self.heap.pop()?;
+        debug_assert!(entry.time >= self.now, "time went backwards");
+        self.now = entry.time;
+        self.processed += 1;
+        Some((entry.time, entry.msg))
     }
 
-    /// Time of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<Timestamp> {
-        // Drain cancelled entries from the top first.
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.contains(&top.cancelled_id) {
-                if let Some(e) = self.heap.pop() {
-                    self.cancelled.remove(&e.cancelled_id);
-                }
-            } else {
-                return Some(top.time);
-            }
-        }
-        None
+    /// Time of the next event without popping it.
+    pub fn peek_time(&self) -> Option<Timestamp> {
+        self.heap.peek().map(|top| top.time)
     }
 
-    /// Time and message of the next live event without popping it. The
-    /// clock does not advance. Used by the parallel engine to test whether
-    /// the queue head is eligible to join the current execution batch.
-    pub fn peek(&mut self) -> Option<(Timestamp, &M)> {
-        self.peek_time()?;
-        // peek_time drained cancelled entries, so the top is live.
+    /// Time and message of the next event without popping it. The clock
+    /// does not advance. Used by the parallel engine to test whether the
+    /// queue head is eligible to join the current execution batch.
+    pub fn peek(&self) -> Option<(Timestamp, &M)> {
         self.heap.peek().map(|top| (top.time, &top.msg))
     }
 
@@ -213,26 +176,13 @@ mod tests {
     }
 
     #[test]
-    fn cancellation() {
+    fn peek_shows_the_head_without_advancing_the_clock() {
         let mut q = EventQueue::new(Timestamp::EPOCH);
-        let h1 = q.schedule_at(Timestamp::from_secs(1), "a");
         q.schedule_at(Timestamp::from_secs(2), "b");
-        q.cancel(h1);
-        assert_eq!(q.pending(), 1);
-        let (_, m) = q.pop().unwrap();
-        assert_eq!(m, "b");
-        assert!(q.pop().is_none());
-        // Cancelling again (or after firing) is harmless.
-        q.cancel(h1);
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new(Timestamp::EPOCH);
-        let h = q.schedule_at(Timestamp::from_secs(1), "a");
-        q.schedule_at(Timestamp::from_secs(2), "b");
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(Timestamp::from_secs(2)));
+        q.schedule_at(Timestamp::from_secs(1), "a");
+        assert_eq!(q.peek_time(), Some(Timestamp::from_secs(1)));
+        assert_eq!(q.peek(), Some((Timestamp::from_secs(1), &"a")));
+        assert_eq!((q.now(), q.pending()), (Timestamp::EPOCH, 2));
     }
 
     #[test]
@@ -250,9 +200,9 @@ mod tests {
     fn is_idle() {
         let mut q: EventQueue<()> = EventQueue::new(Timestamp::EPOCH);
         assert!(q.is_idle());
-        let h = q.schedule_in(Duration::from_secs(1), ());
+        q.schedule_in(Duration::from_secs(1), ());
         assert!(!q.is_idle());
-        q.cancel(h);
+        q.pop();
         assert!(q.is_idle());
     }
 }

@@ -32,29 +32,27 @@ proptest! {
         prop_assert_eq!(popped, times.len());
     }
 
-    /// Cancelling a random subset removes exactly those events.
+    /// `pending()` is exactly scheduled − popped, and `is_idle()` agrees,
+    /// for any interleaving of `schedule_at`, `pop` and `pop_until`.
     #[test]
-    fn event_queue_cancellation(
-        times in proptest::collection::vec(0i64..100, 1..100),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 1..100),
+    fn event_queue_pending_counts_scheduled_minus_popped(
+        ops in proptest::collection::vec((0u8..3, 0i64..100), 1..200),
     ) {
         let mut q = EventQueue::new(Timestamp::EPOCH);
-        let mut expect = Vec::new();
-        for (i, t) in times.iter().enumerate() {
-            let h = q.schedule_at(Timestamp::from_secs(*t), i);
-            if *cancel_mask.get(i).unwrap_or(&false) {
-                q.cancel(h);
-            } else {
-                expect.push(i);
+        let (mut scheduled, mut popped) = (0usize, 0usize);
+        for (op, t) in ops {
+            match op {
+                0 => {
+                    q.schedule_at(Timestamp::from_secs(t), t);
+                    scheduled += 1;
+                }
+                1 => popped += usize::from(q.pop().is_some()),
+                _ => popped += usize::from(q.pop_until(Timestamp::from_secs(t)).is_some()),
             }
+            prop_assert_eq!(q.pending(), scheduled - popped);
+            prop_assert_eq!(q.is_idle(), scheduled == popped);
+            prop_assert_eq!(q.processed(), popped as u64);
         }
-        let mut got: Vec<usize> = Vec::new();
-        while let Some((_, i)) = q.pop() {
-            got.push(i);
-        }
-        got.sort_unstable();
-        expect.sort_unstable();
-        prop_assert_eq!(got, expect);
     }
 
     /// Dijkstra routes are genuinely shortest: for every destination the

@@ -3,8 +3,8 @@
 //! Std-only (zero-dependency) observability primitives for the StreamLoader
 //! reproduction: fixed-bucket latency [`Histogram`]s with p50/p95/p99/max,
 //! monotonic [`Counter`]s and point-in-time [`Gauge`]s, a lightweight span
-//! API ([`Tracer::span_enter`] / [`Tracer::span_exit`]) keyed by
-//! deployment/operator/node with per-tuple trace ids, and a
+//! API ([`Tracer::record`]) keyed by deployment/operator/node with
+//! per-tuple trace ids, and a
 //! [`MetricsSnapshot`] that serializes to JSON (and back) and renders as a
 //! human-readable table.
 //!
@@ -27,9 +27,8 @@
 //! // A span: one tuple's residence inside one operator instance.
 //! let trace = m.tracer().next_trace_id();
 //! let key = SpanKey::new("osaka-hot-weather", "hourly_avg", "n2");
-//! m.tracer().span_enter(trace, key.clone(), 1_000);
-//! let took = m.tracer().span_exit(trace, &key, 1_350);
-//! assert_eq!(took, Some(350));
+//! let took = m.tracer().record(trace, &key, 1_000, 1_350);
+//! assert_eq!(took, 350);
 //!
 //! // Freeze, export, and re-import.
 //! let snap = m.snapshot();
@@ -139,11 +138,9 @@ impl Metrics {
         for (key, h) in self.tracer.histograms() {
             snap.hists.insert(format!("span/{key}"), HistSummary::of(h));
         }
-        if self.tracer.completed_spans() > 0 || self.tracer.unmatched_exits() > 0 {
+        if self.tracer.completed_spans() > 0 {
             snap.counters
                 .insert("spans_completed".into(), self.tracer.completed_spans());
-            snap.counters
-                .insert("spans_unmatched_exit".into(), self.tracer.unmatched_exits());
         }
         snap
     }
@@ -210,14 +207,11 @@ mod tests {
         let mut m = Metrics::new();
         let key = SpanKey::new("d", "op", "n1");
         let t = m.tracer().next_trace_id();
-        m.tracer().span_enter(t, key.clone(), 100);
-        m.tracer().span_exit(t, &key, 150);
-        m.tracer().span_exit(999, &key, 200); // unmatched
+        m.tracer().record(t, &key, 100, 150);
         let snap = m.snapshot();
         assert_eq!(snap.hists["span/d/op@n1"].count, 1);
         assert_eq!(snap.hists["span/d/op@n1"].max, 50);
         assert_eq!(snap.counters["spans_completed"], 1);
-        assert_eq!(snap.counters["spans_unmatched_exit"], 1);
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Lightweight span tracing.
 //!
-//! A span is one tuple's residence inside one operator instance: it is
-//! opened with [`Tracer::span_enter`] when the tuple arrives and closed with
-//! [`Tracer::span_exit`] when processing finishes. Spans are keyed by
-//! `(trace id, SpanKey)` where the trace id travels with the tuple (see the
-//! `trace` field on the STT tuple metadata) and the [`SpanKey`] names the
-//! deployment / operator / node the span executed on.
+//! A span is one tuple's residence inside one operator instance. The engine
+//! times the operator call itself and hands the finished span to
+//! [`Tracer::record`]: the trace id travels with the tuple (see the `trace`
+//! field on the STT tuple metadata), the [`SpanKey`] names the deployment /
+//! operator / node the span executed on, and the two instants are **host
+//! wall-clock microseconds** since the producer's epoch — spans measure what
+//! processing costs the host, not the simulation's virtual time.
 //!
-//! Closed spans feed a per-key latency [`Histogram`] and a bounded ring of
-//! recent [`SpanRecord`]s for debugging; open spans use O(1) memory each and
-//! are dropped (and counted) if they are never closed.
+//! Each span feeds a per-key latency [`Histogram`] and a bounded ring of the
+//! most recent spans for debugging.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crate::hist::Histogram;
@@ -52,29 +52,31 @@ impl fmt::Display for SpanKey {
     }
 }
 
-/// One completed span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanRecord {
+/// One completed span, as read back from the recent-span ring.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanRecord<'a> {
     /// The tuple's trace id.
     pub trace: u64,
     /// Where the span executed.
-    pub key: SpanKey,
-    /// Virtual-time start, in microseconds.
+    pub key: &'a SpanKey,
+    /// Wall-clock start, in microseconds since the producer's epoch.
     pub start_us: u64,
     /// Span duration, in microseconds.
     pub duration_us: u64,
 }
 
-/// Span registry: allocates trace ids, matches enters to exits, and
-/// aggregates per-key latency histograms.
+/// Span registry: allocates trace ids and aggregates per-key latency
+/// histograms.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     next_trace: u64,
-    open: HashMap<(u64, SpanKey), u64>,
-    per_key: BTreeMap<SpanKey, Histogram>,
-    recent: VecDeque<SpanRecord>,
+    /// Slot of each key seen so far.
+    slot_of: BTreeMap<SpanKey, usize>,
+    /// Per-key histograms, in first-seen (slot) order.
+    per_key: Vec<(SpanKey, Histogram)>,
+    /// `(trace, slot, start_us, duration_us)` of the latest spans.
+    recent: VecDeque<(u64, usize, u64, u64)>,
     completed: u64,
-    unmatched_exits: u64,
 }
 
 impl Tracer {
@@ -91,71 +93,58 @@ impl Tracer {
         self.next_trace
     }
 
-    /// Open a span for `trace` at `key`, starting at virtual time `now_us`.
-    /// Re-entering an already-open `(trace, key)` pair restarts that span.
-    pub fn span_enter(&mut self, trace: u64, key: SpanKey, now_us: u64) {
-        self.open.insert((trace, key), now_us);
-    }
-
-    /// Close the span for `trace` at `key` at virtual time `now_us`,
-    /// returning its duration in microseconds. Returns `None` (and counts an
-    /// unmatched exit) if no such span is open.
-    pub fn span_exit(&mut self, trace: u64, key: &SpanKey, now_us: u64) -> Option<u64> {
-        let Some(start) = self.open.remove(&(trace, key.clone())) else {
-            self.unmatched_exits += 1;
-            return None;
+    /// Record the span `trace` spent at `key` between wall-clock instants
+    /// `start_us` and `end_us`, returning its duration in microseconds. The
+    /// key is cloned once, the first time it is seen.
+    pub fn record(&mut self, trace: u64, key: &SpanKey, start_us: u64, end_us: u64) -> u64 {
+        let slot = match self.slot_of.get(key) {
+            Some(slot) => *slot,
+            None => {
+                self.per_key.push((key.clone(), Histogram::new()));
+                self.slot_of.insert(key.clone(), self.per_key.len() - 1);
+                self.per_key.len() - 1
+            }
         };
-        let duration = now_us.saturating_sub(start);
-        self.per_key
-            .entry(key.clone())
-            .or_default()
-            .record(duration);
+        let duration = end_us.saturating_sub(start_us);
+        self.per_key[slot].1.record(duration);
         if self.recent.len() == RECENT_SPAN_CAPACITY {
             self.recent.pop_front();
         }
-        self.recent.push_back(SpanRecord {
-            trace,
-            key: key.clone(),
-            start_us: start,
-            duration_us: duration,
-        });
+        self.recent.push_back((trace, slot, start_us, duration));
         self.completed += 1;
-        Some(duration)
+        duration
     }
 
-    /// Number of spans currently open.
-    #[must_use]
-    pub fn open_spans(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Number of spans closed so far.
+    /// Number of spans recorded so far.
     #[must_use]
     pub fn completed_spans(&self) -> u64 {
         self.completed
     }
 
-    /// Number of `span_exit` calls that found no matching open span.
-    #[must_use]
-    pub fn unmatched_exits(&self) -> u64 {
-        self.unmatched_exits
-    }
-
-    /// Latency histogram for one span key, if any span there has completed.
+    /// Latency histogram for one span key, if any span was recorded there.
     #[must_use]
     pub fn key_histogram(&self, key: &SpanKey) -> Option<&Histogram> {
-        self.per_key.get(key)
+        self.slot_of.get(key).map(|slot| &self.per_key[*slot].1)
     }
 
     /// All per-key latency histograms, ordered by key.
     pub fn histograms(&self) -> impl Iterator<Item = (&SpanKey, &Histogram)> {
-        self.per_key.iter()
+        self.slot_of
+            .iter()
+            .map(|(key, slot)| (key, &self.per_key[*slot].1))
     }
 
-    /// The most recently completed spans, oldest first (bounded ring of
+    /// The most recently recorded spans, oldest first (bounded ring of
     /// [`RECENT_SPAN_CAPACITY`]).
-    pub fn recent_spans(&self) -> impl Iterator<Item = &SpanRecord> {
-        self.recent.iter()
+    pub fn recent_spans(&self) -> impl Iterator<Item = SpanRecord<'_>> {
+        self.recent
+            .iter()
+            .map(|&(trace, slot, start_us, duration_us)| SpanRecord {
+                trace,
+                key: &self.per_key[slot].0,
+                start_us,
+                duration_us,
+            })
     }
 }
 
@@ -164,34 +153,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn enter_exit_records_duration_per_key() {
+    fn record_feeds_the_key_histogram_and_the_ring() {
         let mut t = Tracer::new();
         let key = SpanKey::new("osaka", "hourly_avg", "n2");
         let id = t.next_trace_id();
         assert_eq!(id, 1);
-        t.span_enter(id, key.clone(), 1_000);
-        assert_eq!(t.open_spans(), 1);
-        assert_eq!(t.span_exit(id, &key, 1_750), Some(750));
-        assert_eq!(t.open_spans(), 0);
+        assert_eq!(t.record(id, &key, 1_000, 1_750), 750);
         assert_eq!(t.completed_spans(), 1);
         let h = t.key_histogram(&key).unwrap();
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), Some(750));
         let rec: Vec<_> = t.recent_spans().collect();
         assert_eq!(rec.len(), 1);
-        assert_eq!(rec[0].trace, 1);
+        assert_eq!((rec[0].trace, rec[0].key), (1, &key));
         assert_eq!(rec[0].start_us, 1_000);
         assert_eq!(rec[0].duration_us, 750);
     }
 
     #[test]
-    fn unmatched_exit_is_counted_not_recorded() {
+    fn a_clock_that_went_backwards_records_a_zero_duration() {
         let mut t = Tracer::new();
         let key = SpanKey::new("d", "op", "n1");
-        assert_eq!(t.span_exit(7, &key, 100), None);
-        assert_eq!(t.unmatched_exits(), 1);
-        assert_eq!(t.completed_spans(), 0);
-        assert!(t.key_histogram(&key).is_none());
+        assert_eq!(t.record(7, &key, 100, 40), 0);
+        assert_eq!(t.key_histogram(&key).unwrap().max(), Some(0));
     }
 
     #[test]
@@ -200,13 +184,15 @@ mod tests {
         let a = SpanKey::new("d", "filter", "n1");
         let b = SpanKey::new("d", "agg", "n2");
         let id = t.next_trace_id();
-        t.span_enter(id, a.clone(), 0);
-        t.span_enter(id, b.clone(), 10);
-        assert_eq!(t.open_spans(), 2);
-        assert_eq!(t.span_exit(id, &a, 5), Some(5));
-        assert_eq!(t.span_exit(id, &b, 40), Some(30));
+        t.record(id, &a, 0, 5);
+        t.record(id, &b, 10, 40);
         assert_eq!(t.key_histogram(&a).unwrap().max(), Some(5));
         assert_eq!(t.key_histogram(&b).unwrap().max(), Some(30));
+        // Histograms come back in key order, whatever the recording order.
+        let keys: Vec<_> = t.histograms().map(|(k, _)| k).collect();
+        assert_eq!(keys, [&b, &a]);
+        let ring: Vec<_> = t.recent_spans().map(|r| r.key).collect();
+        assert_eq!(ring, [&a, &b]);
     }
 
     #[test]
@@ -215,8 +201,7 @@ mod tests {
         let key = SpanKey::new("d", "op", "n1");
         for _ in 0..(RECENT_SPAN_CAPACITY + 10) {
             let id = t.next_trace_id();
-            t.span_enter(id, key.clone(), 0);
-            t.span_exit(id, &key, 1);
+            t.record(id, &key, 0, 1);
         }
         assert_eq!(t.recent_spans().count(), RECENT_SPAN_CAPACITY);
         // Oldest entries were evicted: the first retained trace id is 11.

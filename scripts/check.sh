@@ -5,8 +5,9 @@
 #                             # workspace, fmt, clippy -D warnings, doc -D
 #                             # warnings
 #   scripts/check.sh          # everything: fast tier + the lint and
-#                             # example gates, the bench smokes, and the
-#                             # bench-compare regression diff
+#                             # example gates, the bench smokes, the
+#                             # bench-compare regression diff, and the
+#                             # benchmark/ package's build + smoke
 #
 # The build is offline by construction (crates.io is unreachable; all
 # third-party deps are vendored shims under vendor/) — see README "Building".
@@ -99,5 +100,16 @@ BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
 # (0.5) and overridable via BENCH_COMPARE_TOLERANCE. To accept a genuine
 # perf change, regenerate the baseline with the full experiment binary.
 cargo run --release -q -p sl-bench --bin bench-compare -- . "$BENCH_SMOKE_DIR"
+
+# The measure of record: benchmark/ is a standalone package over the public
+# API that the driver builds from a PR's checkout unmodified, so an API
+# break must fail here first. Its smoke runs all five workloads with every
+# output check on (<1 s each). cargo refreshes benchmark/Cargo.lock in place
+# (the `sl-cq -> sl-faults` edge); a PR must not touch benchmark/, so the
+# committed lock is put back whatever happens.
+lock_backup=$(mktemp)
+cp benchmark/Cargo.lock "$lock_backup"
+trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
+bash benchmark/run.sh --smoke >/dev/null
 
 echo "check.sh: all green"
