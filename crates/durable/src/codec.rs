@@ -77,7 +77,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub enum Record {
     /// A warehouse event (the LOAD output of the ETL pipeline).
     Event(Event),
-    /// A blocking operator's window cache, snapshotted after processing.
+    /// A blocking operator's whole window cache: the *base* of its
+    /// checkpoint log, superseding every earlier frame of the same key.
     Checkpoint {
         /// Deployment (dataflow) name.
         deployment: String,
@@ -85,6 +86,20 @@ pub enum Record {
         service: String,
         /// The snapshotted cache.
         state: OpCheckpoint,
+    },
+    /// What changed in that window cache since the previous frame of the
+    /// same key (see `sl_ops::CheckpointDelta`; a delta that resets the
+    /// window is logged as a [`Record::Checkpoint`] instead). Recovery folds
+    /// base and deltas in log order.
+    CheckpointDelta {
+        /// Deployment (dataflow) name.
+        deployment: String,
+        /// Service (operator) name within the deployment.
+        service: String,
+        /// Tuples dropped from the front of the window.
+        evicted: usize,
+        /// `(port, tuple)` pairs appended to it, in arrival order.
+        appended: Vec<(usize, Tuple)>,
     },
     /// A retention horizon marker: every event *before this marker in the
     /// log* whose interval ends at or before the horizon has been evicted
@@ -95,33 +110,31 @@ pub enum Record {
 const KIND_EVENT: u8 = 1;
 const KIND_CHECKPOINT: u8 = 2;
 const KIND_HORIZON: u8 = 3;
+const KIND_CHECKPOINT_DELTA: u8 = 4;
 
 impl Record {
     /// Encode into a frame payload (kind tag + body). The caller wraps this
     /// in the `[len][payload][crc]` frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Vec::with_capacity(64);
         match self {
-            Record::Event(e) => {
-                w.push(KIND_EVENT);
-                put_event(&mut w, e);
-            }
+            Record::Event(e) => encode_event(e),
             Record::Checkpoint {
                 deployment,
                 service,
                 state,
-            } => {
-                w.push(KIND_CHECKPOINT);
-                put_str(&mut w, deployment);
-                put_str(&mut w, service);
-                put_checkpoint(&mut w, state);
-            }
+            } => encode_checkpoint(deployment, service, &state.tuples),
+            Record::CheckpointDelta {
+                deployment,
+                service,
+                evicted,
+                appended,
+            } => encode_checkpoint_delta(deployment, service, *evicted, appended),
             Record::Horizon(t) => {
-                w.push(KIND_HORIZON);
+                let mut w = vec![KIND_HORIZON];
                 put_i64(&mut w, t.as_millis());
+                w
             }
         }
-        w
     }
 
     /// Decode a frame payload. The CRC has already been verified by the
@@ -137,6 +150,12 @@ impl Record {
                 state: get_checkpoint(&mut r)?,
             },
             KIND_HORIZON => Record::Horizon(Timestamp::from_millis(r.i64("horizon")?)),
+            KIND_CHECKPOINT_DELTA => Record::CheckpointDelta {
+                deployment: r.str("deployment")?,
+                service: r.str("service")?,
+                evicted: r.u32("evicted count")? as usize,
+                appended: get_checkpoint(&mut r)?.tuples,
+            },
             other => {
                 return Err(DurableError::corrupt(format!(
                     "unknown record kind {other}"
@@ -146,6 +165,45 @@ impl Record {
         r.finish()?;
         Ok(rec)
     }
+}
+
+/// The payload of `Record::Event`, encoded from a borrow: the append path
+/// writes what it is about to keep without cloning it into a [`Record`].
+pub(crate) fn encode_event(e: &Event) -> Vec<u8> {
+    let mut w = Vec::with_capacity(64);
+    w.push(KIND_EVENT);
+    put_event(&mut w, e);
+    w
+}
+
+/// The payload of `Record::Checkpoint`, encoded from borrows.
+pub(crate) fn encode_checkpoint(
+    deployment: &str,
+    service: &str,
+    tuples: &[(usize, Tuple)],
+) -> Vec<u8> {
+    let mut w = Vec::with_capacity(64);
+    w.push(KIND_CHECKPOINT);
+    put_str(&mut w, deployment);
+    put_str(&mut w, service);
+    put_checkpoint(&mut w, tuples);
+    w
+}
+
+/// The payload of `Record::CheckpointDelta`, encoded from borrows.
+pub(crate) fn encode_checkpoint_delta(
+    deployment: &str,
+    service: &str,
+    evicted: usize,
+    appended: &[(usize, Tuple)],
+) -> Vec<u8> {
+    let mut w = Vec::with_capacity(64);
+    w.push(KIND_CHECKPOINT_DELTA);
+    put_str(&mut w, deployment);
+    put_str(&mut w, service);
+    put_u32(&mut w, evicted as u32);
+    put_checkpoint(&mut w, appended);
+    w
 }
 
 // ---------------------------------------------------------------------------
@@ -523,9 +581,9 @@ fn get_tuple(r: &mut Reader<'_>) -> Result<Tuple, DurableError> {
     Tuple::new(schema, values, meta).map_err(|e| DurableError::corrupt(format!("tuple: {e}")))
 }
 
-fn put_checkpoint(w: &mut Vec<u8>, c: &OpCheckpoint) {
-    put_u32(w, c.tuples.len() as u32);
-    for (port, tuple) in &c.tuples {
+fn put_checkpoint(w: &mut Vec<u8>, tuples: &[(usize, Tuple)]) {
+    put_u32(w, tuples.len() as u32);
+    for (port, tuple) in tuples {
         put_u32(w, *port as u32);
         put_tuple(w, tuple);
     }
@@ -716,6 +774,47 @@ mod tests {
         }
         // Determinism: re-encoding the decode equals the original bytes.
         assert_eq!(Record::decode(&bytes).unwrap().encode(), bytes);
+    }
+
+    #[test]
+    fn checkpoint_delta_round_trip_and_base_bytes_unchanged() {
+        let schema = Schema::new(vec![Field::new("v", AttrType::Int)])
+            .unwrap()
+            .into_ref();
+        let meta = SttMeta::without_location(
+            Timestamp::from_secs(3),
+            Theme::new("weather/rain").unwrap(),
+            SensorId(9),
+        );
+        let tuple = Tuple::new(schema, vec![Value::Int(4)], meta).unwrap();
+        let rec = Record::CheckpointDelta {
+            deployment: "agg".into(),
+            service: "mean".into(),
+            evicted: 3,
+            appended: vec![(1, tuple.clone())],
+        };
+        let bytes = rec.encode();
+        assert_eq!(bytes[0], KIND_CHECKPOINT_DELTA);
+        match Record::decode(&bytes).unwrap() {
+            Record::CheckpointDelta {
+                evicted, appended, ..
+            } => {
+                assert_eq!(evicted, 3);
+                assert_eq!(appended, vec![(1, tuple.clone())]);
+            }
+            other => panic!("wrong kind: {other:?}"),
+        }
+        assert_eq!(Record::decode(&bytes).unwrap().encode(), bytes);
+        // The borrowed encoder writes the very frame `Record::Checkpoint`
+        // always wrote: kind, names, count, (port, tuple)*.
+        let base = encode_checkpoint("agg", "mean", &[(1, tuple.clone())]);
+        let mut by_hand = vec![KIND_CHECKPOINT];
+        put_str(&mut by_hand, "agg");
+        put_str(&mut by_hand, "mean");
+        put_u32(&mut by_hand, 1);
+        put_u32(&mut by_hand, 1);
+        put_tuple(&mut by_hand, &tuple);
+        assert_eq!(base, by_hand);
     }
 
     #[test]

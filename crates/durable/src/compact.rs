@@ -13,9 +13,12 @@
 //! * **Redundant horizon markers** — a marker is dead weight when a later
 //!   marker anywhere in the log carries an equal or higher horizon (the
 //!   suffix-maximum over every log position is unchanged by removing it).
-//! * **Superseded checkpoints** — recovery is last-write-wins per
-//!   `(deployment, service)`, so within the merged run only the final
-//!   snapshot of each key matters.
+//! * **Superseded checkpoint frames** — recovery folds each
+//!   `(deployment, service)` checkpoint log from its last base on, so
+//!   within the merged run every frame before a key's last base is dead,
+//!   and that base with the deltas after it is rewritten as one base. A
+//!   run holding deltas of a key but no base keeps them verbatim: their
+//!   base lives in an earlier segment.
 //! * **Expired cold events** — when [`CompactionPolicy::cold_retention`]
 //!   bounds the cold tier, events already evicted from the hot store whose
 //!   interval ended before `now - cold_retention` are aged out for good.
@@ -196,7 +199,8 @@ pub struct CompactionStats {
     pub events_dropped: u64,
     /// Redundant horizon markers removed.
     pub markers_dropped: u64,
-    /// Superseded checkpoints removed.
+    /// Checkpoint frames removed: superseded by a later base, or folded
+    /// into it.
     pub checkpoints_dropped: u64,
     /// Wall-clock pause, in microseconds.
     pub duration_us: u64,

@@ -21,8 +21,8 @@
 //!   path (verified against a brute-force reference).
 //! * [`compact`] — size-tiered storage maintenance: small sealed segments
 //!   merge into generation-N segments (order preserved exactly, so query
-//!   results stay byte-identical), redundant horizon markers and
-//!   superseded checkpoints drop, and expired cold events age out under
+//!   results stay byte-identical), redundant horizon markers drop,
+//!   checkpoint logs collapse onto their last base, and expired cold events age out under
 //!   [`CompactionPolicy::cold_retention`](compact::CompactionPolicy).
 //! * [`index`] — per-block zone indexes for compacted segments: time
 //!   bounds plus a bloom-style [`ThemeFilter`](index::ThemeFilter) over
@@ -30,7 +30,8 @@
 //!   cold queries prune whole blocks and seek instead of scanning. Decoded
 //!   blocks of sealed segments are served from a small LRU cache.
 //!
-//! Engine operator checkpoints ride the same log, so a crashed node's
+//! Engine operator checkpoints ride the same log — a base frame plus delta
+//! frames per operator, folded on open — so a crashed node's
 //! blocking-operator window caches restore from disk through the existing
 //! recovery path (`sl-engine`'s `open_durable`).
 //!

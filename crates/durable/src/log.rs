@@ -54,7 +54,7 @@ use crate::compact::{CompactionPolicy, SegmentMeta};
 use crate::error::DurableError;
 use crate::index::{decode_sidecar, encode_sidecar, Pruner, Sidecar, ThemeFilter, ZoneEntry};
 use sl_obs::{Metrics, MetricsSnapshot, Stopwatch};
-use sl_stt::{Theme, TimeInterval};
+use sl_stt::{Event, Theme, TimeInterval};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -151,7 +151,7 @@ pub struct LogPos {
 pub struct RecoveryReport {
     /// Event records recovered.
     pub events: u64,
-    /// Checkpoint records recovered.
+    /// Checkpoint records recovered (bases and deltas).
     pub checkpoints: u64,
     /// Horizon markers recovered.
     pub horizons: u64,
@@ -369,13 +369,16 @@ fn header_bytes() -> [u8; HEADER_LEN as usize] {
     h
 }
 
+/// The time bounds of an event, as the zone index keeps them.
+pub(crate) fn event_time(e: &Event) -> (i64, i64) {
+    let iv = e.time_interval();
+    (iv.start.as_millis(), iv.end.as_millis())
+}
+
 /// The event time bounds of a record, if it is an event.
 fn record_time(rec: &Record) -> Option<(i64, i64)> {
     match rec {
-        Record::Event(e) => {
-            let iv = e.time_interval();
-            Some((iv.start.as_millis(), iv.end.as_millis()))
-        }
+        Record::Event(e) => Some(event_time(e)),
         _ => None,
     }
 }
@@ -438,7 +441,9 @@ impl SegmentLog {
             for rec in recs {
                 match &rec.1 {
                     Record::Event(_) => report.events += 1,
-                    Record::Checkpoint { .. } => report.checkpoints += 1,
+                    Record::Checkpoint { .. } | Record::CheckpointDelta { .. } => {
+                        report.checkpoints += 1
+                    }
                     Record::Horizon(_) => report.horizons += 1,
                 }
                 records.push(rec);
@@ -555,8 +560,17 @@ impl SegmentLog {
     /// Append one record, rotating and fsyncing per policy. Returns the
     /// record's position.
     pub fn append(&mut self, rec: &Record) -> Result<LogPos, DurableError> {
-        let payload = rec.encode();
-        let framed = frame(&payload);
+        self.append_payload(&rec.encode(), record_time(rec))
+    }
+
+    /// Append one already-encoded record payload; `time` is its event time
+    /// bounds when it is an event (what the zone index tracks).
+    pub(crate) fn append_payload(
+        &mut self,
+        payload: &[u8],
+        time: Option<(i64, i64)>,
+    ) -> Result<LogPos, DurableError> {
+        let framed = frame(payload);
 
         // Rotate *before* writing if the active segment is full (never leave
         // a frame straddling the size bound mid-write).
@@ -570,7 +584,6 @@ impl SegmentLog {
 
         self.active.write_all(&framed)?;
         let index_every = self.config.index_every;
-        let time = record_time(rec);
         let pos = {
             let seg = self.active_segment()?;
             let pos = LogPos {

@@ -20,17 +20,21 @@
 //! interval is ancient. Queries merge a block-skipping cold-segment scan
 //! with the hot index path and never see an event twice.
 //!
-//! Operator checkpoints ride the same log (kind 2 frames), so a restarted
-//! process recovers both its warehouse and its blocking operators' window
-//! caches from one directory.
+//! Operator checkpoints ride the same log, so a restarted process recovers
+//! both its warehouse and its blocking operators' window caches from one
+//! directory. A window is logged as a base (kind 2: the whole cache, as
+//! every earlier version of this crate wrote it) followed by deltas (kind
+//! 4: front evictions + appends), so a frame costs what the window changed
+//! by, not what it holds; opening folds them per `(deployment, service)`
+//! in log order.
 
-use crate::codec::Record;
+use crate::codec::{encode_checkpoint, encode_checkpoint_delta, encode_event, Record};
 use crate::compact::{self, CompactionPolicy, CompactionStats, MergeRun};
 use crate::error::DurableError;
 use crate::index::{ColdFrontier, Pruner};
-use crate::log::{DurableConfig, LogPos, RecoveryReport, SegmentLog};
+use crate::log::{event_time, DurableConfig, LogPos, RecoveryReport, SegmentLog};
 use sl_obs::{Metrics, MetricsSnapshot, Stopwatch};
-use sl_ops::OpCheckpoint;
+use sl_ops::{CheckpointDelta, OpCheckpoint};
 use sl_stt::{Event, SpatialGranularity, TemporalGranularity, Timestamp, Tuple};
 use sl_warehouse::{tuple_events, EventQuery, EventWarehouse, WarehouseConfig};
 use std::collections::HashMap;
@@ -68,34 +72,52 @@ impl DurableWarehouse {
         let sw = Stopwatch::start();
         let (log, records, _report) = SegmentLog::open(config)?;
 
-        // Pass 1: markers and latest checkpoints.
-        let mut markers: Vec<(LogPos, Timestamp)> = Vec::new();
+        // Pass 1: the horizon markers, which decide what pass 2 keeps hot.
+        let markers: Vec<(LogPos, Timestamp)> = records
+            .iter()
+            .filter_map(|(pos, rec)| match rec {
+                Record::Horizon(h) => Some((*pos, *h)),
+                _ => None,
+            })
+            .collect();
+        let suffix_max = suffix_maxima(&markers);
+
+        // Pass 2 consumes the records in log order: non-cold events rebuild
+        // the hot store, and each checkpoint log folds to its latest state —
+        // a base supersedes what came before it, a delta extends it (one
+        // whose base was lost extends nothing).
+        let mut hot = EventWarehouse::new(hot_config);
+        let mut rebuilt = 0u64;
         let mut recovered: HashMap<(String, String), OpCheckpoint> = HashMap::new();
-        for (pos, rec) in &records {
+        for (pos, rec) in records {
             match rec {
-                Record::Horizon(h) => markers.push((*pos, *h)),
+                Record::Event(event) => {
+                    if !is_cold(&markers, &suffix_max, pos, &event) {
+                        hot.insert(event);
+                        rebuilt += 1;
+                    }
+                }
                 Record::Checkpoint {
                     deployment,
                     service,
                     state,
                 } => {
-                    // Last write wins: later snapshots supersede earlier.
-                    recovered.insert((deployment.clone(), service.clone()), state.clone());
+                    recovered.insert((deployment, service), state);
                 }
-                Record::Event(_) => {}
-            }
-        }
-        let suffix_max = suffix_maxima(&markers);
-
-        // Pass 2: non-cold events rebuild the hot store, in log order.
-        let mut hot = EventWarehouse::new(hot_config);
-        let mut rebuilt = 0u64;
-        for (pos, rec) in records {
-            if let Record::Event(event) = rec {
-                if !is_cold(&markers, &suffix_max, pos, &event) {
-                    hot.insert(event);
-                    rebuilt += 1;
-                }
+                Record::CheckpointDelta {
+                    deployment,
+                    service,
+                    evicted,
+                    appended,
+                } => recovered
+                    .entry((deployment, service))
+                    .or_default()
+                    .apply(CheckpointDelta {
+                        reset: false,
+                        evicted,
+                        appended,
+                    }),
+                Record::Horizon(_) => {}
             }
         }
 
@@ -145,9 +167,14 @@ impl DurableWarehouse {
     /// Append one event durably, then make it hot. The log write happens
     /// first: a crash between the two replays the event on reopen.
     pub fn insert(&mut self, event: Event) -> Result<(), DurableError> {
-        self.log.append(&Record::Event(event.clone()))?;
+        self.log_event(&event)?;
         self.hot.insert(event);
         Ok(())
+    }
+
+    fn log_event(&mut self, event: &Event) -> Result<LogPos, DurableError> {
+        let time = Some(event_time(event));
+        self.log.append_payload(&encode_event(event), time)
     }
 
     /// Durable counterpart of [`EventWarehouse::ingest_tuple`]: translate
@@ -169,23 +196,27 @@ impl DurableWarehouse {
     /// how many events were stored.
     pub fn ingest_events(&mut self, events: Vec<Event>) -> Result<usize, DurableError> {
         for event in &events {
-            self.log.append(&Record::Event(event.clone()))?;
+            self.log_event(event)?;
         }
         Ok(self.hot.ingest_events(events))
     }
 
-    /// Persist a blocking operator's window snapshot.
+    /// Extend the checkpoint log of `(deployment, service)` by what its
+    /// window changed by: a delta that resets the window is written as a
+    /// base frame (its appended tuples are the whole cache), anything else
+    /// as a delta frame.
     pub fn persist_checkpoint(
         &mut self,
         deployment: &str,
         service: &str,
-        state: &OpCheckpoint,
+        delta: &CheckpointDelta,
     ) -> Result<(), DurableError> {
-        self.log.append(&Record::Checkpoint {
-            deployment: deployment.to_string(),
-            service: service.to_string(),
-            state: state.clone(),
-        })?;
+        let payload = if delta.reset {
+            encode_checkpoint(deployment, service, &delta.appended)
+        } else {
+            encode_checkpoint_delta(deployment, service, delta.evicted, &delta.appended)
+        };
+        self.log.append_payload(&payload, None)?;
         self.metrics.counter("checkpoints_persisted").inc();
         Ok(())
     }
@@ -273,17 +304,36 @@ impl DurableWarehouse {
             .cold_retention
             .map(|w| now.saturating_sub(w).as_millis());
 
-        // Last checkpoint per key within the merged range: recovery is
-        // last-write-wins, so earlier snapshots of the same key are dead.
-        let mut last_ckpt: HashMap<(&str, &str), usize> = HashMap::new();
+        // Recovery folds each key's checkpoint log from its last base on, so
+        // within the merged range every frame before that base is dead, and
+        // the base with the deltas after it is one base. A key with deltas
+        // but no base in the range keeps them: its base lives further back.
+        let mut folds: HashMap<(&str, &str), (usize, OpCheckpoint)> = HashMap::new();
         for (i, (_, rec)) in input.iter().enumerate() {
-            if let Record::Checkpoint {
-                deployment,
-                service,
-                ..
-            } = rec
-            {
-                last_ckpt.insert((deployment.as_str(), service.as_str()), i);
+            match rec {
+                Record::Checkpoint {
+                    deployment,
+                    service,
+                    state,
+                } => {
+                    folds.insert((deployment, service), (i, state.clone()));
+                }
+                Record::CheckpointDelta {
+                    deployment,
+                    service,
+                    evicted,
+                    appended,
+                } => {
+                    if let Some((_, fold)) = folds.get_mut(&(deployment.as_str(), service.as_str()))
+                    {
+                        fold.apply(CheckpointDelta {
+                            reset: false,
+                            evicted: *evicted,
+                            appended: appended.clone(),
+                        });
+                    }
+                }
+                _ => {}
             }
         }
 
@@ -321,11 +371,23 @@ impl DurableWarehouse {
                     deployment,
                     service,
                     ..
+                } => match folds.get_mut(&(deployment.as_str(), service.as_str())) {
+                    Some((base, fold)) if *base == i => kept.push(Record::Checkpoint {
+                        deployment: deployment.clone(),
+                        service: service.clone(),
+                        state: std::mem::take(fold),
+                    }),
+                    _ => checkpoints_dropped += 1,
+                },
+                Record::CheckpointDelta {
+                    deployment,
+                    service,
+                    ..
                 } => {
-                    if last_ckpt.get(&(deployment.as_str(), service.as_str())) == Some(&i) {
-                        kept.push(rec.clone());
-                    } else {
+                    if folds.contains_key(&(deployment.as_str(), service.as_str())) {
                         checkpoints_dropped += 1;
+                    } else {
+                        kept.push(rec.clone());
                     }
                 }
             }
@@ -742,21 +804,34 @@ mod tests {
         .unwrap();
         {
             let mut dw = DurableWarehouse::open(DurableConfig::at(dir.path())).unwrap();
-            let ck = OpCheckpoint {
-                tuples: vec![(0, tuple.clone())],
+            let base = |tuples: &[&Tuple]| CheckpointDelta {
+                reset: true,
+                evicted: 0,
+                appended: tuples.iter().map(|t| (0, (*t).clone())).collect(),
             };
-            dw.persist_checkpoint("agg", "mean", &ck).unwrap();
-            // A later snapshot supersedes the earlier one.
-            let ck2 = OpCheckpoint {
-                tuples: vec![(0, tuple.clone()), (0, tuple)],
+            dw.persist_checkpoint("agg", "mean", &base(&[&tuple]))
+                .unwrap();
+            // A later base supersedes the earlier one; deltas extend it.
+            dw.persist_checkpoint("agg", "mean", &base(&[&tuple, &tuple]))
+                .unwrap();
+            let grow = CheckpointDelta {
+                reset: false,
+                evicted: 1,
+                appended: vec![(1, tuple.clone()), (1, tuple.clone())],
             };
-            dw.persist_checkpoint("agg", "mean", &ck2).unwrap();
+            dw.persist_checkpoint("agg", "mean", &grow).unwrap();
+            // A delta whose base was never logged extends an empty window.
+            dw.persist_checkpoint("agg", "orphan", &grow).unwrap();
         }
         let mut dw = DurableWarehouse::open(DurableConfig::at(dir.path())).unwrap();
-        let cks = dw.take_checkpoints();
-        assert_eq!(cks.len(), 1);
-        let ck = &cks[&("agg".to_string(), "mean".to_string())];
-        assert_eq!(ck.tuples.len(), 2, "last write wins");
+        let mut cks = dw.take_checkpoints();
+        assert_eq!(cks.len(), 2);
+        let ck = cks
+            .remove(&("agg".to_string(), "mean".to_string()))
+            .unwrap();
+        let ports: Vec<usize> = ck.tuples.iter().map(|(port, _)| *port).collect();
+        assert_eq!(ports, vec![0, 1, 1], "last base, one evicted, two appended");
+        assert_eq!(cks[&("agg".to_string(), "orphan".to_string())].len(), 2);
         assert!(dw.take_checkpoints().is_empty(), "drained");
     }
 

@@ -137,6 +137,20 @@ fn arb_record() -> impl Strategy<Value = Record> {
                 service,
                 state: OpCheckpoint { tuples },
             }),
+        (
+            "[a-z]{1,8}",
+            "[a-z]{1,8}",
+            0usize..100_000,
+            proptest::collection::vec((0usize..4, arb_tuple()), 0..4),
+        )
+            .prop_map(
+                |(deployment, service, evicted, appended)| Record::CheckpointDelta {
+                    deployment,
+                    service,
+                    evicted,
+                    appended,
+                }
+            ),
         any::<i64>().prop_map(|ms| Record::Horizon(Timestamp::from_millis(ms))),
     ]
 }

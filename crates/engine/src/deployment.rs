@@ -88,9 +88,14 @@ pub struct ServiceRuntime {
     /// Copies of `op` for the shard workers, made on demand. A shard job
     /// borrows one for its run and its result hands it back.
     pub replicas: Vec<Box<dyn Operator>>,
-    /// Latest snapshot of a blocking `op`'s window cache, restored onto the
-    /// recovery placement after a node crash.
+    /// A blocking `op`'s window cache as its checkpoint log has it — the
+    /// last base with every delta since folded in — restored onto the
+    /// recovery placement after a node crash. `None` until the first record:
+    /// that one is forced to be a base.
     pub checkpoint: Option<OpCheckpoint>,
+    /// `checkpoint`'s `byte_size()`, kept by the fold so the
+    /// `checkpoint/bytes` gauge costs what a delta touched.
+    pub checkpoint_bytes: usize,
     /// Producer names in port order.
     pub inputs: Vec<String>,
     /// Whether a periodic tick is scheduled (blocking operators).
@@ -114,7 +119,8 @@ impl ServiceRuntime {
     /// from the old one, so neither survives it.
     pub fn set_op(&mut self, op: Box<dyn Operator>) {
         self.blocking = op.is_blocking();
-        (self.op, self.replicas, self.checkpoint) = (op, Vec::new(), None);
+        (self.op, self.replicas) = (op, Vec::new());
+        (self.checkpoint, self.checkpoint_bytes) = (None, 0);
     }
 }
 
@@ -251,7 +257,9 @@ impl Deployment {
                     node: ep.node,
                     blocking: s.blocking,
                     shardable: s.op.is_shardable(),
-                    checkpointable: s.op.checkpoint().is_some(),
+                    // Blocking ⇔ checkpointable (pinned by `sl-ops`'s spec
+                    // tests): no need to snapshot a window to learn it.
+                    checkpointable: s.blocking,
                     inputs: s.inputs.clone(),
                 })
             })

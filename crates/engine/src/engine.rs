@@ -38,7 +38,7 @@ use sl_netsim::{
     Topology,
 };
 use sl_obs::{Metrics, MetricsSnapshot, SpanKey, Tracer};
-use sl_ops::{OpCheckpoint, OpContext};
+use sl_ops::{CheckpointDelta, OpContext};
 use sl_pubsub::Broker;
 use sl_stt::{Duration, SchemaRef, SensorId, Timestamp, Tuple};
 use std::collections::{BTreeMap, HashMap};
@@ -364,6 +364,7 @@ impl Engine {
                     op,
                     replicas: Vec::new(),
                     checkpoint: None,
+                    checkpoint_bytes: 0,
                     inputs: inputs.clone(),
                     blocking,
                     consumers: Vec::new(),
@@ -396,6 +397,7 @@ impl Engine {
                 if let (Some(ckpt), Some(svc)) =
                     (staged.cloned(), self.endpoints[id.index()].service_mut())
                 {
+                    svc.checkpoint_bytes = ckpt.byte_size();
                     let restored = restore_window(&mut self.metrics, &mut *svc.op, ckpt.clone());
                     svc.checkpoint = Some(ckpt);
                     self.monitor.durability.push(format!(
@@ -598,9 +600,13 @@ impl Engine {
         if stale_checkpoint {
             // The log still holds the old operator's window; supersede it,
             // or a restart would restore it into the replacement.
-            let (console, empty) = (&mut self.monitor.console, OpCheckpoint::empty());
+            let empty_base = CheckpointDelta {
+                reset: true,
+                ..CheckpointDelta::default()
+            };
+            let console = &mut self.monitor.console;
             self.storage
-                .log_checkpoint(console, "clearing", deployment, service, &empty);
+                .log_checkpoint(console, "clearing", deployment, service, &empty_base);
         }
         dep.dataflow = df;
         dep.dsn_text = print_document(&to_dsn(&dep.dataflow));
@@ -1031,8 +1037,8 @@ impl Engine {
         }
         let trace = tuple.meta.trace;
         let (outcome, wall0, wall1) = invoke(&mut *svc.op, port, now, tuple, self.epoch);
-        // Snapshot blocking-operator state after every absorbed tuple so a
-        // node crash can restore the cache on the recovery placement.
+        // Log what a blocking operator absorbed, so a node crash can restore
+        // the cache on the recovery placement.
         self.checkpoint(to);
         self.settle(now, to, trace, wall0, wall1, outcome);
     }
@@ -1054,8 +1060,8 @@ impl Engine {
         let result = svc.op.on_timer(now, &mut ctx);
         let wall1 = self.epoch.elapsed().as_micros() as u64;
         let (emitted, controls) = ctx.take();
-        // A tick usually flushes the window: checkpoint the (often empty)
-        // post-emission cache so a later crash doesn't resurrect old state.
+        // A tick usually flushes the window: log that, so a later crash
+        // doesn't resurrect old state.
         self.checkpoint(service);
         if let Some(counters) = self.counters(service) {
             counters.add_out(emitted.len() as u64);

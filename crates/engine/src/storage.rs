@@ -21,7 +21,7 @@ use sl_durable::{CompactionStats, DurableConfig, DurableError, DurableWarehouse}
 use sl_faults::DropReason;
 use sl_netsim::Topology;
 use sl_obs::{Metrics, MetricsSnapshot};
-use sl_ops::{OpCheckpoint, Operator};
+use sl_ops::{CheckpointDelta, OpCheckpoint, Operator};
 use sl_stt::{Event, Timestamp, Tuple};
 use sl_warehouse::{CubeCell, CubeQuery, EventQuery, EventWarehouse};
 use std::collections::{BTreeMap, HashMap};
@@ -40,9 +40,9 @@ pub(crate) struct Storage {
     /// Standing subscriptions and materialized views, fed inline by the
     /// ingest path. Idle (and free) until the first registration.
     cq: CqHub,
-    /// Blocking-operator snapshots [`Engine::open_durable`] recovered from
-    /// the log, keyed (deployment, service), until that deployment's
-    /// `deploy()` moves them onto its service records.
+    /// Blocking-operator windows [`Engine::open_durable`] folded out of the
+    /// log, keyed (deployment, service), until that deployment's `deploy()`
+    /// copies them onto its service records.
     pub(crate) staged: HashMap<(String, String), OpCheckpoint>,
 }
 
@@ -70,20 +70,21 @@ impl Storage {
         }
     }
 
-    /// Log `ckpt` under the plain `(deployment, service)` names on the
-    /// durable tier, so a restarted process can restore the window cache at
-    /// deploy time (an empty one supersedes what the log held). A failure
-    /// is a console line, not an error; the in-memory tier logs nothing.
+    /// Extend the checkpoint log of the plain `(deployment, service)` names
+    /// on the durable tier by `delta`, so a restarted process can restore
+    /// the window cache at deploy time (an empty base supersedes what the
+    /// log held). A failure is a console line, not an error; the in-memory
+    /// tier logs nothing.
     pub(crate) fn log_checkpoint(
         &mut self,
         console: &mut Vec<String>,
         verb: &str,
         deployment: &str,
         service: &str,
-        ckpt: &OpCheckpoint,
+        delta: &CheckpointDelta,
     ) {
         if let Some(d) = self.durable_mut() {
-            if let Err(e) = d.persist_checkpoint(deployment, service, ckpt) {
+            if let Err(e) = d.persist_checkpoint(deployment, service, delta) {
                 console.push(format!(
                     "error: {verb} checkpoint {deployment}/{service}: {e}"
                 ));
@@ -375,9 +376,10 @@ impl Engine {
         self.monitor.cq = table;
     }
 
-    /// Snapshot a blocking operator's state, if checkpointing is on: onto
-    /// its record (crash recovery within this process) and — with a durable
-    /// backend — into the segment log.
+    /// Log what changed in a blocking operator's window since the last call,
+    /// if checkpointing is on: folded onto its record (crash recovery within
+    /// this process) and — with a durable backend — appended to the segment
+    /// log. Costs what the change touched, not what the window holds.
     pub(crate) fn checkpoint(&mut self, service: EndpointId) {
         if !self.config.checkpoint_enabled {
             return;
@@ -387,21 +389,41 @@ impl Engine {
             Role::Service(svc) if svc.blocking => svc,
             _ => return,
         };
-        let Some(ckpt) = svc.op.checkpoint() else {
+        let Some(mut delta) = svc.op.checkpoint_delta() else {
             return;
         };
+        let fold = match &mut svc.checkpoint {
+            // A tick on an already-empty window, say: nothing to log.
+            Some(fold) if delta.is_noop_on(fold) => return,
+            Some(fold) => fold,
+            // Nothing of this operator is logged yet, so its first delta
+            // holds everything it buffered — and must be a base: whatever
+            // the log holds under these names is a predecessor's window.
+            None => {
+                delta.reset = true;
+                svc.checkpoint.insert(OpCheckpoint::empty())
+            }
+        };
         self.metrics.counter("checkpoint/taken").inc();
-        self.metrics
-            .gauge("checkpoint/bytes")
-            .set(ckpt.byte_size() as i64);
         let (console, (deployment, name)) = (&mut self.monitor.console, &ep.names);
         self.storage
-            .log_checkpoint(console, "persisting", deployment, name, &ckpt);
-        svc.checkpoint = Some(ckpt);
+            .log_checkpoint(console, "persisting", deployment, name, &delta);
+        let gone: usize = if delta.reset {
+            svc.checkpoint_bytes
+        } else {
+            let evicted = fold.tuples.iter().take(delta.evicted);
+            evicted.map(|(_, t)| t.byte_size()).sum()
+        };
+        svc.checkpoint_bytes = svc.checkpoint_bytes - gone + delta.byte_size();
+        fold.apply(delta);
+        self.metrics
+            .gauge("checkpoint/bytes")
+            .set(svc.checkpoint_bytes as i64);
     }
 
-    /// The latest blocking-operator snapshot for `(deployment, service)` —
-    /// taken live, or staged by [`Engine::open_durable`] recovery.
+    /// The latest blocking-operator window for `(deployment, service)` — the
+    /// fold of what was logged live, or staged by [`Engine::open_durable`]
+    /// recovery.
     pub fn checkpoint_of(&self, deployment: &str, service: &str) -> Option<&OpCheckpoint> {
         match self.endpoint(deployment, service) {
             Some(ep) => ep.service()?.checkpoint.as_ref(),

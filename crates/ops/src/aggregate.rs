@@ -7,7 +7,7 @@
 //! within each group. One output tuple per non-empty group is emitted,
 //! stamped at the window boundary.
 
-use crate::checkpoint::OpCheckpoint;
+use crate::checkpoint::{CheckpointDelta, OpCheckpoint};
 use crate::context::OpContext;
 use crate::error::OpError;
 use crate::window::{EvictionStrategy, SlidingWindow, TumblingCache};
@@ -342,19 +342,25 @@ impl Operator for AggregateOp {
     }
 
     fn on_timer(&mut self, now: Timestamp, ctx: &mut OpContext) -> Result<(), OpError> {
-        let tuples: Vec<Tuple> = match &mut self.cache {
+        // A tumbling window is flushed by the tick; a sliding one is kept
+        // and grouped in place.
+        let drained = match &mut self.cache {
             AggCache::Tumbling(c) => c.drain(),
             AggCache::Sliding(w) => {
                 w.evict(now);
-                w.iter().cloned().collect()
+                Vec::new()
             }
+        };
+        let tuples: Vec<&Tuple> = match &self.cache {
+            AggCache::Tumbling(_) => drained.iter().collect(),
+            AggCache::Sliding(w) => w.iter().collect(),
         };
         if tuples.is_empty() {
             return Ok(());
         }
         // Group deterministically (BTreeMap over rendered keys).
         let mut groups: BTreeMap<String, Vec<&Tuple>> = BTreeMap::new();
-        for t in &tuples {
+        for t in tuples {
             groups
                 .entry(group_key(t, &self.group_idx))
                 .or_default()
@@ -396,21 +402,29 @@ impl Operator for AggregateOp {
         Some(OpCheckpoint::single_port(tuples))
     }
 
+    fn checkpoint_delta(&mut self) -> Option<CheckpointDelta> {
+        Some(match &mut self.cache {
+            AggCache::Tumbling(c) => c.take_delta(0),
+            AggCache::Sliding(w) => w.take_delta(0),
+        })
+    }
+
     fn restore(&mut self, ckpt: OpCheckpoint) {
+        let tuples = ckpt.tuples.into_iter().filter(|(port, _)| *port == 0);
         match &mut self.cache {
             AggCache::Tumbling(c) => {
                 c.clear();
-                for t in ckpt.port(0) {
-                    c.push(t.clone());
+                for (_, t) in tuples {
+                    c.push(t);
                 }
             }
             AggCache::Sliding(w) => {
                 w.clear();
-                for t in ckpt.port(0) {
+                for (_, t) in tuples {
                     // Re-insert against the tuple's own timestamp so the
                     // window's eviction horizon is unchanged by the restore.
                     let at = t.meta.timestamp;
-                    w.push(t.clone(), at);
+                    w.push(t, at);
                 }
             }
         }

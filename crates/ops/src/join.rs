@@ -13,7 +13,7 @@
 //!
 //! The A3-style ablation bench compares the two on equality predicates.
 
-use crate::checkpoint::OpCheckpoint;
+use crate::checkpoint::{CheckpointDelta, OpCheckpoint};
 use crate::context::OpContext;
 use crate::error::OpError;
 use crate::window::TumblingCache;
@@ -285,14 +285,23 @@ impl Operator for JoinOp {
         Some(OpCheckpoint { tuples })
     }
 
+    fn checkpoint_delta(&mut self) -> Option<CheckpointDelta> {
+        // Both sides are drained and restored together, so their deltas
+        // agree on `reset`.
+        let mut delta = self.left.take_delta(0);
+        delta.appended.extend(self.right.take_delta(1).appended);
+        Some(delta)
+    }
+
     fn restore(&mut self, ckpt: OpCheckpoint) {
         self.left.clear();
         self.right.clear();
-        for t in ckpt.port(0) {
-            self.left.push(t.clone());
-        }
-        for t in ckpt.port(1) {
-            self.right.push(t.clone());
+        for (port, t) in ckpt.tuples {
+            match port {
+                0 => self.left.push(t),
+                1 => self.right.push(t),
+                _ => {}
+            }
         }
     }
 }

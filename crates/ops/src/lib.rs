@@ -83,7 +83,7 @@ pub mod virtual_prop;
 pub mod window;
 
 pub use aggregate::{AggFunc, AggregateOp};
-pub use checkpoint::OpCheckpoint;
+pub use checkpoint::{CheckpointDelta, OpCheckpoint};
 pub use context::{ControlAction, OpContext, TupleOutcome};
 pub use cull::{CullSpaceOp, CullTimeOp};
 pub use error::OpError;
@@ -149,9 +149,21 @@ pub trait Operator: Send {
     ///
     /// `None` means the operator is stateless (nothing to recover) —
     /// the default for non-blocking operators. Blocking operators return
-    /// their window cache so the engine can re-seed a fresh placement
-    /// after a node crash.
+    /// their whole window cache, at a cost that grows with it: this is the
+    /// specification of the state [`Operator::checkpoint_delta`] logs
+    /// incrementally, not what the engine calls per tuple.
     fn checkpoint(&self) -> Option<OpCheckpoint> {
+        None
+    }
+
+    /// Drain what changed in the buffered tuples since the last call (since
+    /// creation, for the first) — `None` for stateless operators.
+    ///
+    /// Folding the drained deltas in order ([`OpCheckpoint::apply`]) onto
+    /// the checkpoint held at the previous drain yields, per port and in
+    /// arrival order, exactly [`Operator::checkpoint`]. An operator nobody
+    /// drains accumulates nothing.
+    fn checkpoint_delta(&mut self) -> Option<CheckpointDelta> {
         None
     }
 
@@ -159,7 +171,9 @@ pub trait Operator: Send {
     ///
     /// Any currently cached tuples are discarded first, so restoring
     /// [`OpCheckpoint::empty`] models the state loss of an unrecovered
-    /// crash. Default: no-op (stateless operators).
+    /// crash. The next [`Operator::checkpoint_delta`] is a base: the
+    /// restored state need not be what the log held. Default: no-op
+    /// (stateless operators).
     fn restore(&mut self, _ckpt: OpCheckpoint) {}
 
     /// True if invocations on this operator commute: it keeps no state

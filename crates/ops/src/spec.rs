@@ -458,7 +458,7 @@ mod tests {
         });
         for spec in specs {
             let inputs = vec![schema(); spec.input_ports()];
-            let op = spec.instantiate(&inputs).unwrap();
+            let mut op = spec.instantiate(&inputs).unwrap();
             assert_eq!(
                 spec.is_shardable(),
                 op.is_shardable(),
@@ -471,6 +471,10 @@ mod tests {
                 "checkpoint mismatch for {}",
                 spec.kind()
             );
+            // Blocking ⇔ checkpointable, snapshot and log alike: what lets
+            // the engine read the capability off `is_blocking`.
+            assert_eq!(spec.checkpointable(), op.is_blocking());
+            assert_eq!(spec.checkpointable(), op.checkpoint_delta().is_some());
             // Order sensitivity is exactly the non-shardable, non-blocking
             // middle ground: the cull decimation counters.
             assert_eq!(

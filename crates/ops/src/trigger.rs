@@ -12,7 +12,7 @@
 //! into source (de)activation. Observed tuples also pass through unchanged,
 //! so a trigger can sit inline in a dataflow without consuming its input.
 
-use crate::checkpoint::OpCheckpoint;
+use crate::checkpoint::{CheckpointDelta, OpCheckpoint};
 use crate::context::{ControlAction, OpContext};
 use crate::error::OpError;
 use crate::window::TumblingCache;
@@ -224,10 +224,16 @@ impl Operator for TriggerOp {
         Some(OpCheckpoint::single_port(self.cache.tuples().to_vec()))
     }
 
+    fn checkpoint_delta(&mut self) -> Option<CheckpointDelta> {
+        Some(self.cache.take_delta(0))
+    }
+
     fn restore(&mut self, ckpt: OpCheckpoint) {
         self.cache.clear();
-        for t in ckpt.port(0) {
-            self.cache.push(t.clone());
+        for (port, t) in ckpt.tuples {
+            if port == 0 {
+                self.cache.push(t);
+            }
         }
     }
 }

@@ -8,7 +8,13 @@
 //!   tick (Aggregation, Join, Trigger),
 //! * [`SlidingWindow`] — retain the last `d` of virtual time, with either a
 //!   ring-buffer eviction or a naive rescan (the A3 ablation compares them).
+//!
+//! Both keep a cursor over their lifetime counters that says how much of the
+//! cache a checkpoint log has already been told, so `take_delta` hands out
+//! only what changed since ([`CheckpointDelta`]) and an undrained cursor
+//! costs nothing.
 
+use crate::checkpoint::CheckpointDelta;
 use sl_stt::{Duration, Timestamp, Tuple};
 use std::collections::VecDeque;
 
@@ -18,6 +24,11 @@ pub struct TumblingCache {
     tuples: Vec<Tuple>,
     /// Total tuples ever inserted (monitoring).
     inserted: u64,
+    /// `inserted` as of the last [`TumblingCache::take_delta`] or emptying:
+    /// the tuples pushed since are the cache's unlogged tail.
+    logged: u64,
+    /// Emptied (drained or cleared) since the last delta.
+    reset: bool,
 }
 
 impl TumblingCache {
@@ -49,7 +60,9 @@ impl TumblingCache {
 
     /// Drain the cache for processing (the tick).
     pub fn drain(&mut self) -> Vec<Tuple> {
-        std::mem::take(&mut self.tuples)
+        let drained = std::mem::take(&mut self.tuples);
+        self.clear();
+        drained
     }
 
     /// Lifetime insert count.
@@ -63,6 +76,22 @@ impl TumblingCache {
     /// [`inserted`]: TumblingCache::inserted
     pub fn clear(&mut self) {
         self.tuples.clear();
+        (self.reset, self.logged) = (true, self.inserted);
+    }
+
+    /// What changed since the last call, with tuples tagged `port`: the
+    /// tuples pushed since, after a `reset` if the cache was emptied in
+    /// between. One clone per tuple handed out.
+    pub fn take_delta(&mut self, port: usize) -> CheckpointDelta {
+        let unlogged = (self.inserted - self.logged) as usize;
+        let tail = &self.tuples[self.tuples.len() - unlogged..];
+        let delta = CheckpointDelta {
+            reset: self.reset,
+            evicted: 0,
+            appended: tail.iter().map(|t| (port, t.clone())).collect(),
+        };
+        (self.reset, self.logged) = (false, self.inserted);
+        delta
     }
 }
 
@@ -83,7 +112,13 @@ pub struct SlidingWindow {
     span: Duration,
     strategy: EvictionStrategy,
     tuples: VecDeque<Tuple>,
+    inserted: u64,
     evicted: u64,
+    /// (`inserted`, `evicted`) as of the last [`SlidingWindow::take_delta`].
+    logged: (u64, u64),
+    /// Cleared, or evicted from elsewhere than the front (`Rescan`), since
+    /// the last delta: the next one restarts the log.
+    reset: bool,
 }
 
 impl SlidingWindow {
@@ -93,7 +128,10 @@ impl SlidingWindow {
             span,
             strategy,
             tuples: VecDeque::new(),
+            inserted: 0,
             evicted: 0,
+            logged: (0, 0),
+            reset: false,
         }
     }
 
@@ -108,6 +146,7 @@ impl SlidingWindow {
     /// ring strategy badly out-of-order tuples may survive slightly long.
     pub fn push(&mut self, tuple: Tuple, now: Timestamp) {
         self.tuples.push_back(tuple);
+        self.inserted += 1;
         self.evict(now);
     }
 
@@ -128,7 +167,9 @@ impl SlidingWindow {
             EvictionStrategy::Rescan => {
                 let before = self.tuples.len();
                 self.tuples.retain(|t| t.meta.timestamp >= horizon);
-                self.evicted += (before - self.tuples.len()) as u64;
+                let removed = before - self.tuples.len();
+                self.evicted += removed as u64;
+                self.reset |= removed > 0;
             }
         }
     }
@@ -159,6 +200,36 @@ impl SlidingWindow {
     /// [`evicted`]: SlidingWindow::evicted
     pub fn clear(&mut self) {
         self.tuples.clear();
+        self.reset = true;
+    }
+
+    /// What changed since the last call, with tuples tagged `port`: how
+    /// many tuples left by the front, and the tuples pushed since that are
+    /// still in the window — or, after a `reset`, the whole window. One
+    /// clone per tuple handed out.
+    pub fn take_delta(&mut self, port: usize) -> CheckpointDelta {
+        let len = self.tuples.len();
+        let pushed = (self.inserted - self.logged.0) as usize;
+        let dropped = (self.evicted - self.logged.1) as usize;
+        // Front eviction reaches a tuple pushed since the last delta only
+        // after every older one: the survivors of those pushes are the
+        // window's tail, and the rest of `dropped` came out of what the
+        // log already holds.
+        let (evicted, kept) = if self.reset {
+            (0, len)
+        } else {
+            let kept = pushed.min(len);
+            (dropped - (pushed - kept), kept)
+        };
+        let delta = CheckpointDelta {
+            reset: self.reset,
+            evicted,
+            appended: (self.tuples.iter().skip(len - kept))
+                .map(|t| (port, t.clone()))
+                .collect(),
+        };
+        (self.reset, self.logged) = (false, (self.inserted, self.evicted));
+        delta
     }
 }
 
@@ -251,6 +322,40 @@ mod tests {
         w.push(tuple_at(0, 0), Timestamp::from_secs(0));
         w.evict(Timestamp::from_secs(100));
         assert!(w.is_empty());
+    }
+
+    #[test]
+    fn deltas_count_only_what_the_log_already_held_as_evicted() {
+        let mut w = SlidingWindow::new(Duration::from_secs(10), EvictionStrategy::RingBuffer);
+        w.push(tuple_at(0, 0), Timestamp::from_secs(0));
+        let first = w.take_delta(0);
+        assert_eq!(
+            (first.reset, first.evicted, first.appended.len()),
+            (false, 0, 1)
+        );
+        // Two arrivals since; the second expires the logged tuple *and* the
+        // first arrival, which the log never saw.
+        w.push(tuple_at(5, 1), Timestamp::from_secs(5));
+        w.push(tuple_at(30, 2), Timestamp::from_secs(30));
+        let second = w.take_delta(0);
+        assert_eq!((second.reset, second.evicted), (false, 1));
+        let stamps: Vec<_> = second
+            .appended
+            .iter()
+            .map(|(_, t)| t.meta.timestamp)
+            .collect();
+        assert_eq!(stamps, vec![Timestamp::from_secs(30)]);
+        // An undrained cache hands everything out at once, after a reset if
+        // it was emptied in between.
+        let mut c = TumblingCache::new();
+        c.push(tuple_at(1, 1));
+        c.drain();
+        c.push(tuple_at(2, 2));
+        c.push(tuple_at(3, 3));
+        let delta = c.take_delta(1);
+        assert!(delta.reset && delta.appended.iter().all(|(port, _)| *port == 1));
+        assert_eq!(delta.appended.len(), 2);
+        assert!(c.take_delta(1).appended.is_empty());
     }
 
     #[test]

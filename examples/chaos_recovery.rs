@@ -116,6 +116,8 @@ fn main() {
     for line in &session.engine().monitor().recovery {
         println!("  {line}");
     }
+    let restored = session.metrics().counters["engine/checkpoint/restored_tuples"];
+    assert!(restored > 0, "the crash met a half-filled window");
 
     println!("\ndead-letter queue ({} total):", session.dlq().total());
     for (reason, n) in session.dlq().by_reason() {

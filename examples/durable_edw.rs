@@ -98,6 +98,8 @@ fn main() {
     for line in &session.engine().monitor().durability {
         println!("  durability: {line}");
     }
+    let restored = session.metrics().counters["engine/checkpoint/restored_tuples"];
+    assert!(restored > 0, "the window cached at kill time came back");
 
     // Keep going: the restored window cache means the aggregate picks up
     // exactly where the dead process left off.

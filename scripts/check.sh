@@ -5,8 +5,9 @@
 #                             # workspace, fmt, clippy -D warnings, doc -D
 #                             # warnings
 #   scripts/check.sh          # everything: fast tier + the lint and
-#                             # example gates, the bench smokes, the
-#                             # bench-compare regression diff, and the
+#                             # example gates, the checkpoint owner grep,
+#                             # the recovery examples, the bench smokes,
+#                             # the bench-compare regression diff, and the
 #                             # benchmark/ package's build + smoke
 #
 # The build is offline by construction (crates.io is unreachable; all
@@ -62,6 +63,23 @@ cargo run --release -q --bin sl-lint -- --deny-warnings --nict \
 cargo run --release -q --bin sl-lint -- --deny-warnings --format json \
     --config examples/deploy/ci.conf --fault-plan examples/deploy/ci.plan \
     examples/dsn/*.dsn >/dev/null
+
+# Owner grep: the engine logs a blocking operator's window as base + deltas
+# (`storage.rs::checkpoint` drains `Operator::checkpoint_delta`). The
+# whole-window `Operator::checkpoint()` is the specification that log is
+# tested against; called from engine code it costs O(window) per call.
+for f in crates/engine/src/*.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n '\.checkpoint()'; then
+        echo "check.sh: whole-window .checkpoint() call in non-test $f" >&2
+        exit 1
+    fi
+done
+
+# Recovery end to end, each asserting what it restored: a node crash
+# mid-window re-seeds the aggregate from the folded checkpoint log, and a
+# killed process restores its warehouse and window from the durable log.
+cargo run --release -q --example chaos_recovery >/dev/null
+cargo run --release -q --example durable_edw >/dev/null
 
 # Bench smokes. Each asserts its experiment's headline claim at reduced
 # scale and, with BENCH_JSON_DIR set, writes its JSON rows to a scratch
