@@ -1,10 +1,14 @@
 //! A small LRU cache of decoded index blocks, fronting the cold-segment
 //! read path.
 //!
-//! Cold queries re-read the same sealed segments over and over; decoding a
-//! frame (checksum, grammar, string allocation) costs far more than cloning
-//! the already-decoded records. The cache maps one *index block* of a
-//! sealed segment to its decoded records. Keys carry the segment's
+//! Cold queries re-read the same sealed segments over and over. Reading a
+//! block costs a seek, a checksum and a grammar parse per frame (the theme
+//! is parsed once per scan, the frame is checked where it lies — see
+//! [`crate::log`]); a block served from here costs none of that. The cache
+//! maps one *index block* of a sealed segment to **all** of its decoded
+//! records, whatever the scan that filled it was looking for, so the next
+//! scan can ask a different question of it; a scan clones out of a cached
+//! block only the records its predicate keeps. Keys carry the segment's
 //! generation, so a compaction — which replaces input segments with a new
 //! generation under new keys — never serves stale data: entries for the
 //! deleted inputs simply age out.
@@ -15,7 +19,7 @@
 //!
 //! Eviction is least-recently-used via a monotonic touch tick; with the
 //! default capacity of 64 blocks the linear eviction scan is noise next to
-//! one avoided frame decode.
+//! one avoided block read.
 
 use crate::codec::Record;
 use std::collections::HashMap;
@@ -56,6 +60,11 @@ impl BlockCache {
             hits: 0,
             misses: 0,
         }
+    }
+
+    /// Does the cache hold anything at all (capacity above 0)?
+    pub fn enabled(&self) -> bool {
+        self.capacity > 0
     }
 
     /// Look a block up, refreshing its recency. Counts a hit or miss.

@@ -25,6 +25,7 @@ use sl_stt::{
     AttrType, Event, Field, GeoPoint, Schema, SensorId, SpatialGranule, SttMeta,
     TemporalGranularity, Theme, Timestamp, Tuple, Unit, Value,
 };
+use std::collections::HashMap;
 
 /// On-disk format version, stamped into every segment header.
 pub const CODEC_VERSION: u8 = 1;
@@ -35,12 +36,14 @@ pub const CODEC_VERSION: u8 = 1;
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE, reflected polynomial 0xEDB88320) — table-driven, built at
-// compile time so the hot path is one lookup per byte.
+// CRC-32 (IEEE, reflected polynomial 0xEDB88320) — slicing-by-8: eight
+// tables built at compile time, so the hot path folds eight bytes per step.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `CRC_TABLES[0]` is the classic one-byte table; `CRC_TABLES[k][i]` is the
+/// CRC of byte `i` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -53,17 +56,40 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE) of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -141,18 +167,29 @@ impl Record {
     /// caller; errors here mean the payload grammar itself is damaged (or
     /// written by a future codec).
     pub fn decode(payload: &[u8]) -> Result<Record, DurableError> {
-        let mut r = Reader::new(payload);
+        Record::decode_with(payload, &mut ThemeTable::default())
+    }
+
+    /// [`Record::decode`] for one payload of many: themes already met are
+    /// taken from `themes`, new ones are parsed and added to it. The record
+    /// (or error) is the same whatever the table held.
+    pub fn decode_with(payload: &[u8], themes: &mut ThemeTable) -> Result<Record, DurableError> {
+        let mut r = Reader {
+            buf: payload,
+            pos: 0,
+            themes,
+        };
         let rec = match r.u8("record kind")? {
             KIND_EVENT => Record::Event(get_event(&mut r)?),
             KIND_CHECKPOINT => Record::Checkpoint {
-                deployment: r.str("deployment")?,
-                service: r.str("service")?,
+                deployment: r.str("deployment")?.to_string(),
+                service: r.str("service")?.to_string(),
                 state: get_checkpoint(&mut r)?,
             },
             KIND_HORIZON => Record::Horizon(Timestamp::from_millis(r.i64("horizon")?)),
             KIND_CHECKPOINT_DELTA => Record::CheckpointDelta {
-                deployment: r.str("deployment")?,
-                service: r.str("service")?,
+                deployment: r.str("deployment")?.to_string(),
+                service: r.str("service")?.to_string(),
                 evicted: r.u32("evicted count")? as usize,
                 appended: get_checkpoint(&mut r)?.tuples,
             },
@@ -165,6 +202,16 @@ impl Record {
         r.finish()?;
         Ok(rec)
     }
+}
+
+/// The themes one scan has parsed so far, keyed by their spelling on disk
+/// (canonical or not), so that each distinct theme of a scan is parsed
+/// once and every other frame carrying it shares the result. Made per
+/// scan and dropped with it; a spelling `Theme::new` rejects is never
+/// stored.
+#[derive(Debug, Default)]
+pub struct ThemeTable {
+    parsed: HashMap<Box<str>, Theme>,
 }
 
 /// The payload of `Record::Event`, encoded from a borrow: the append path
@@ -249,13 +296,10 @@ fn put_str(w: &mut Vec<u8>, s: &str) {
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    themes: &'a mut ThemeTable,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
     fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], DurableError> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
         match end {
@@ -304,10 +348,10 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
-    fn str(&mut self, what: &str) -> Result<String, DurableError> {
+    fn str(&mut self, what: &str) -> Result<&'a str, DurableError> {
         let len = self.u32(what)? as usize;
         let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| DurableError::corrupt(format!("{what}: invalid utf-8")))
     }
 
@@ -392,7 +436,7 @@ fn get_value(r: &mut Reader<'_>) -> Result<Value, DurableError> {
         },
         VAL_INT => Value::Int(r.i64("int")?),
         VAL_FLOAT => Value::Float(r.f64("float")?),
-        VAL_STR => Value::Str(r.str("str")?),
+        VAL_STR => Value::Str(r.str("str")?.to_string()),
         VAL_TIME => Value::Time(Timestamp::from_millis(r.i64("time")?)),
         VAL_GEO => Value::Geo(GeoPoint::new_unchecked(r.f64("lat")?, r.f64("lon")?)),
         other => return Err(DurableError::corrupt(format!("unknown value tag {other}"))),
@@ -473,7 +517,12 @@ fn put_theme(w: &mut Vec<u8>, t: &Theme) {
 
 fn get_theme(r: &mut Reader<'_>) -> Result<Theme, DurableError> {
     let s = r.str("theme")?;
-    Theme::new(&s).map_err(|e| DurableError::corrupt(format!("theme `{s}`: {e}")))
+    if let Some(theme) = r.themes.parsed.get(s) {
+        return Ok(theme.clone());
+    }
+    let theme = Theme::new(s).map_err(|e| DurableError::corrupt(format!("theme `{s}`: {e}")))?;
+    r.themes.parsed.insert(s.into(), theme.clone());
+    Ok(theme)
 }
 
 fn put_event(w: &mut Vec<u8>, e: &Event) {
@@ -513,12 +562,12 @@ fn get_field(r: &mut Reader<'_>) -> Result<Field, DurableError> {
         .ok_or_else(|| DurableError::corrupt(format!("unknown attr type tag {ty_tag}")))?;
     let unit_tag = r.u8("unit")? as usize;
     if unit_tag == 0 {
-        Ok(Field::new(&name, ty))
+        Ok(Field::new(name, ty))
     } else {
         let unit = *Unit::ALL
             .get(unit_tag - 1)
             .ok_or_else(|| DurableError::corrupt(format!("unknown unit tag {unit_tag}")))?;
-        Ok(Field::with_unit(&name, ty, unit))
+        Ok(Field::with_unit(name, ty, unit))
     }
 }
 
@@ -612,12 +661,13 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Outcome of pulling one frame off a byte slice during recovery.
-pub enum FrameRead {
+/// Outcome of pulling one frame off a byte slice.
+pub enum FrameRead<'a> {
     /// A complete, checksum-verified payload and the bytes it consumed.
     Ok {
-        /// The verified payload (kind byte + body).
-        payload: Vec<u8>,
+        /// The verified payload (kind byte + body), where it lies in the
+        /// slice it was read from.
+        payload: &'a [u8],
         /// Total frame size on disk, including length prefix and CRC.
         consumed: usize,
     },
@@ -632,7 +682,7 @@ pub enum FrameRead {
 }
 
 /// Pull one frame from `buf`. Never panics on any input.
-pub fn read_frame(buf: &[u8]) -> FrameRead {
+pub fn read_frame(buf: &[u8]) -> FrameRead<'_> {
     if buf.is_empty() {
         return FrameRead::End;
     }
@@ -667,7 +717,7 @@ pub fn read_frame(buf: &[u8]) -> FrameRead {
         };
     }
     FrameRead::Ok {
-        payload: payload.to_vec(),
+        payload,
         consumed: need,
     }
 }
@@ -683,6 +733,48 @@ mod tests {
         // The classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The one-table, one-byte-per-step CRC-32 that `crc32` must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_equals_bytewise_at_every_length_and_alignment() {
+        // A fixed pseudo-random buffer (a 64-bit LCG's high bytes).
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let buf: Vec<u8> = (0..72)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let slice = &buf[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_equals_bytewise_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..300),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
     }
 
     fn sample_event() -> Event {

@@ -362,4 +362,58 @@ mod tests {
         );
         assert!(decode_sidecar(b"").is_err());
     }
+
+    /// A sidecar is bytes the system may not have written: whatever they
+    /// are, `decode_sidecar` answers `Ok` or `Err` and never panics.
+    #[test]
+    fn decode_sidecar_never_panics_on_a_damaged_sidecar() {
+        let mut filter = ThemeFilter::new();
+        filter.insert(&theme("weather/rain"));
+        let entry = ZoneEntry {
+            offset: 8,
+            frames: 64,
+            min_start: 1000,
+            max_end: 2000,
+            filter,
+        };
+        let good = encode_sidecar(&Sidecar {
+            frames: 128,
+            bytes: 9000,
+            entries: vec![entry, entry],
+        });
+        for cut in 0..good.len() {
+            assert!(decode_sidecar(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        for i in 0..good.len() {
+            for bit in 0..8 {
+                let mut bad = good.clone();
+                bad[i] ^= 1 << bit;
+                assert!(decode_sidecar(&bad).is_err(), "byte {i}, bit {bit}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn decode_sidecar_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..160),
+            count in proptest::any::<u32>(),
+        ) {
+            let _ = decode_sidecar(&bytes);
+            // The same bytes as a body that passes every check before the
+            // grammar: magic, version and a matching checksum, under both
+            // their own entry count and an arbitrary one.
+            for count in [None, Some(count)] {
+                let mut framed = SIDECAR_MAGIC.to_vec();
+                framed.push(SIDECAR_VERSION);
+                framed.extend_from_slice(&bytes);
+                if let (Some(count), Some(field)) = (count, framed.get_mut(17..21)) {
+                    field.copy_from_slice(&count.to_le_bytes());
+                }
+                let crc = crc32(&framed);
+                framed.extend_from_slice(&crc.to_le_bytes());
+                let _ = decode_sidecar(&framed);
+            }
+        }
+    }
 }

@@ -49,7 +49,7 @@
 //! and byte counters are exported through [`SegmentLog::metrics_snapshot`].
 
 use crate::cache::{BlockCache, BlockKey};
-use crate::codec::{frame, read_frame, FrameRead, Record, CODEC_VERSION};
+use crate::codec::{frame, read_frame, FrameRead, Record, ThemeTable, CODEC_VERSION};
 use crate::compact::{CompactionPolicy, SegmentMeta};
 use crate::error::DurableError;
 use crate::index::{decode_sidecar, encode_sidecar, Pruner, Sidecar, ThemeFilter, ZoneEntry};
@@ -435,9 +435,10 @@ impl SegmentLog {
         let mut records = Vec::new();
         let mut segments = Vec::new();
         let mut corrupted_at: Option<usize> = None;
+        let mut themes = ThemeTable::default();
 
         for (i, r) in refs.iter().enumerate() {
-            let (seg, recs, clean) = recover_segment(r, &config, &mut report)?;
+            let (seg, recs, clean) = recover_segment(r, &config, &mut themes, &mut report)?;
             for rec in recs {
                 match &rec.1 {
                     Record::Event(_) => report.events += 1,
@@ -658,7 +659,7 @@ impl SegmentLog {
     /// Scan the whole log, decoding every record in append order. This is
     /// the brute-force reference reader: no index, no pruning.
     pub fn scan(&mut self) -> Result<Vec<(LogPos, Record)>, DurableError> {
-        self.scan_pruned(&Pruner::keep_all())
+        self.scan_pruned(&Pruner::keep_all(), &mut |_, _| true)
     }
 
     /// Scan only records that may be events overlapping `range`, using the
@@ -668,24 +669,36 @@ impl SegmentLog {
         &mut self,
         range: Option<&TimeInterval>,
     ) -> Result<Vec<(LogPos, Record)>, DurableError> {
-        self.scan_pruned(&Pruner {
-            time: range.cloned(),
-            ..Pruner::default()
-        })
+        self.scan_pruned(
+            &Pruner {
+                time: range.cloned(),
+                ..Pruner::default()
+            },
+            &mut |_, _| true,
+        )
     }
 
     /// Scan the log under `pruner`'s constraints: whole segments and index
     /// blocks whose zone index proves they cannot hold a matching event are
     /// skipped without touching the disk, and decoded blocks of sealed
-    /// segments are served from (and fill) the LRU block cache. The result
-    /// is a superset of the matching events (the matching *cold* events,
-    /// under a [`ColdFrontier`](crate::index::ColdFrontier)), in append
-    /// order — exactly the records a full scan would return from the blocks
-    /// that survived pruning.
-    pub fn scan_pruned(&mut self, pruner: &Pruner) -> Result<Vec<(LogPos, Record)>, DurableError> {
+    /// segments are served from (and fill) the LRU block cache. Of the
+    /// records in the blocks that survived pruning — a superset of the
+    /// matching events (the matching *cold* events, under a
+    /// [`ColdFrontier`](crate::index::ColdFrontier)) — the result holds
+    /// those `keep` accepts, in append order.
+    ///
+    /// `keep` chooses what is returned, not what is checked: every frame of
+    /// a visited block is checksum-verified and fully decoded before `keep`
+    /// sees it, so damage in a frame nobody asked for still fails the scan.
+    pub fn scan_pruned(
+        &mut self,
+        pruner: &Pruner,
+        keep: &mut dyn FnMut(LogPos, &Record) -> bool,
+    ) -> Result<Vec<(LogPos, Record)>, DurableError> {
         // Unsynced frames are in the OS page cache, readable by a fresh
         // handle, so no sync is needed for read-your-writes here.
         let mut out = Vec::new();
+        let mut themes = ThemeTable::default();
         let mut bytes_read = 0u64;
         let mut scanned = 0u64;
         let mut pruned = 0u64;
@@ -700,7 +713,16 @@ impl SegmentLog {
                 pruned += 1;
                 continue;
             }
-            bytes_read += scan_segment(seg, pruner, i != active_idx, &mut self.cache, &mut out)?;
+            let sealed = i != active_idx;
+            bytes_read += scan_segment(
+                seg,
+                pruner,
+                sealed,
+                &mut self.cache,
+                &mut themes,
+                keep,
+                &mut out,
+            )?;
             scanned += 1;
         }
         self.metrics.counter("bytes_read").add(bytes_read);
@@ -728,11 +750,21 @@ impl SegmentLog {
         last: u32,
     ) -> Result<Vec<(LogPos, Record)>, DurableError> {
         let mut out = Vec::new();
-        let keep = Pruner::keep_all();
+        let all = Pruner::keep_all();
+        let mut themes = ThemeTable::default();
         let active_idx = self.segments.len().saturating_sub(1);
         for (i, seg) in self.segments.iter().enumerate() {
             if seg.number >= first && seg.last <= last {
-                scan_segment(seg, &keep, i != active_idx, &mut self.cache, &mut out)?;
+                let sealed = i != active_idx;
+                scan_segment(
+                    seg,
+                    &all,
+                    sealed,
+                    &mut self.cache,
+                    &mut themes,
+                    &mut |_, _| true,
+                    &mut out,
+                )?;
             }
         }
         Ok(out)
@@ -860,19 +892,26 @@ impl SegmentLog {
 }
 
 /// Read one segment, skipping index blocks that cannot match `pruner` and
-/// serving sealed blocks from the cache. Returns how many bytes were read
-/// from disk.
+/// serving sealed blocks from the cache; the records `keep` accepts are
+/// appended to `out`. Every frame of a visited block is verified and decoded
+/// whether or not `keep` accepts it. Returns how many bytes were read from
+/// disk.
 fn scan_segment(
     seg: &Segment,
     pruner: &Pruner,
     sealed: bool,
     cache: &mut BlockCache,
+    themes: &mut ThemeTable,
+    keep: &mut dyn FnMut(LogPos, &Record) -> bool,
     out: &mut Vec<(LogPos, Record)>,
 ) -> Result<u64, DurableError> {
     if seg.frames == 0 {
         return Ok(0);
     }
     let constrained = pruner.is_constrained();
+    // A block the cache will hold is decoded into it and the kept records
+    // are cloned out; any other block gives its kept records away.
+    let cacheable = sealed && cache.enabled();
     let mut file: Option<File> = None;
     let mut frame_idx: u32 = 0;
     let mut bytes_read = 0u64;
@@ -886,16 +925,16 @@ fn scan_segment(
             generation: seg.generation,
             offset: block.offset,
         };
-        if sealed {
+        if cacheable {
             if let Some(cached) = cache.get(key) {
                 for (fi, rec) in cached {
-                    out.push((
-                        LogPos {
-                            segment: seg.number,
-                            frame: *fi,
-                        },
-                        rec.clone(),
-                    ));
+                    let pos = LogPos {
+                        segment: seg.number,
+                        frame: *fi,
+                    };
+                    if keep(pos, rec) {
+                        out.push((pos, rec.clone()));
+                    }
                 }
                 frame_idx += block.frames;
                 continue;
@@ -914,13 +953,25 @@ fn scan_segment(
         f.read_exact(&mut buf)?;
         bytes_read += len as u64;
         let mut at = 0usize;
-        let mut decoded: Vec<(u32, Record)> = Vec::with_capacity(block.frames as usize);
+        let mut decoded: Vec<(u32, Record)> =
+            Vec::with_capacity(if cacheable { block.frames as usize } else { 0 });
         for _ in 0..block.frames {
             match read_frame(&buf[at..]) {
                 FrameRead::Ok { payload, consumed } => {
                     at += consumed;
-                    let rec = Record::decode(&payload)?;
-                    decoded.push((frame_idx, rec));
+                    let rec = Record::decode_with(payload, themes)?;
+                    let pos = LogPos {
+                        segment: seg.number,
+                        frame: frame_idx,
+                    };
+                    if cacheable {
+                        if keep(pos, &rec) {
+                            out.push((pos, rec.clone()));
+                        }
+                        decoded.push((frame_idx, rec));
+                    } else if keep(pos, &rec) {
+                        out.push((pos, rec));
+                    }
                     frame_idx += 1;
                 }
                 // The in-memory index said a frame is here; the disk
@@ -940,16 +991,7 @@ fn scan_segment(
                 }
             }
         }
-        for (fi, rec) in &decoded {
-            out.push((
-                LogPos {
-                    segment: seg.number,
-                    frame: *fi,
-                },
-                rec.clone(),
-            ));
-        }
-        if sealed {
+        if cacheable {
             cache.put(key, decoded);
         }
     }
@@ -1123,10 +1165,11 @@ fn verify_segment(path: &Path) -> Result<bool, DurableError> {
         return Ok(false);
     }
     let mut offset = HEADER_LEN as usize;
+    let mut themes = ThemeTable::default();
     while offset < bytes.len() {
         match read_frame(&bytes[offset..]) {
             FrameRead::Ok { payload, consumed } => {
-                if Record::decode(&payload).is_err() {
+                if Record::decode_with(payload, &mut themes).is_err() {
                     return Ok(false);
                 }
                 offset += consumed;
@@ -1159,6 +1202,7 @@ type RecoveredSegment = (Segment, Vec<(LogPos, Record)>, bool);
 fn recover_segment(
     r: &SegRef,
     config: &DurableConfig,
+    themes: &mut ThemeTable,
     report: &mut RecoveryReport,
 ) -> Result<RecoveredSegment, DurableError> {
     let bytes = fs::read(&r.path)?;
@@ -1186,7 +1230,7 @@ fn recover_segment(
     while offset < bytes.len() {
         match read_frame(&bytes[offset..]) {
             FrameRead::Ok { payload, consumed } => {
-                match Record::decode(&payload) {
+                match Record::decode_with(payload, themes) {
                     Ok(rec) => {
                         let pos = LogPos {
                             segment: r.first,
@@ -1408,6 +1452,59 @@ mod tests {
     }
 
     #[test]
+    fn broken_grammar_in_a_rejected_frame_still_fails_the_scan() {
+        use crate::codec::crc32;
+        for cache_blocks in [0, 64] {
+            let dir = TempDir::new("log-rejected-corrupt").unwrap();
+            let config = DurableConfig {
+                index_every: 4,
+                ..cfg(&dir)
+                    .with_segment_max_bytes(512)
+                    .with_cache_blocks(cache_blocks)
+            };
+            let (mut log, _, _) = SegmentLog::open(config).unwrap();
+            for m in 0..40 {
+                log.append(&event(m)).unwrap();
+            }
+            assert!(log.segment_count() > 1);
+            let first = log.segments[0].path.clone();
+
+            // Frame 5 of the first (sealed) segment: an unknown record kind
+            // under a checksum that matches — the grammar is what is broken.
+            let mut bytes = fs::read(&first).unwrap();
+            let mut at = HEADER_LEN as usize;
+            for _ in 0..5 {
+                let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+                at += 4 + len + 4;
+            }
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            bytes[at + 4] = 99;
+            let crc = crc32(&bytes[at + 4..at + 4 + len]);
+            bytes[at + 4 + len..at + 8 + len].copy_from_slice(&crc.to_le_bytes());
+            fs::write(&first, &bytes).unwrap();
+
+            let keeping = log.scan_pruned(&Pruner::keep_all(), &mut |_, _| true);
+            let rejecting = log.scan_pruned(&Pruner::keep_all(), &mut |_, _| false);
+            let (Err(keeping), Err(rejecting)) = (keeping, rejecting) else {
+                panic!("a visited block with a broken frame must fail the scan");
+            };
+            assert!(matches!(rejecting, DurableError::Corrupt(_)));
+            assert_eq!(keeping.to_string(), rejecting.to_string());
+            assert!(rejecting.to_string().contains("unknown record kind 99"));
+
+            // A pruner that never visits the damaged block does not see it.
+            let later = Pruner {
+                time: Some(TimeInterval::new(
+                    Timestamp::from_millis(30 * 60_000),
+                    Timestamp::from_millis(31 * 60_000),
+                )),
+                ..Pruner::default()
+            };
+            assert_eq!(log.scan_pruned(&later, &mut |_, _| false).unwrap().len(), 0);
+        }
+    }
+
+    #[test]
     fn fsync_policies_track_synced_pos() {
         let dir = TempDir::new("log-fsync").unwrap();
         let config = cfg(&dir).with_fsync(FsyncPolicy::EveryN(5));
@@ -1491,7 +1588,7 @@ mod tests {
             theme: Some(Theme::new("traffic").unwrap()),
             ..Pruner::default()
         };
-        let pruned = log.scan_pruned(&absent).unwrap();
+        let pruned = log.scan_pruned(&absent, &mut |_, _| true).unwrap();
         assert!(
             pruned
                 .iter()
@@ -1503,11 +1600,11 @@ mod tests {
             ..Pruner::default()
         };
         let kept_events = log
-            .scan_pruned(&present)
+            .scan_pruned(&present, &mut |pos, r| {
+                matches!(r, Record::Event(_)) && pos.segment <= last
+            })
             .unwrap()
-            .into_iter()
-            .filter(|(pos, r)| matches!(r, Record::Event(_)) && pos.segment <= last)
-            .count();
+            .len();
         assert!(kept_events > 0, "present theme survives pruning");
 
         // Reopen: the compacted segment and its sidecar survive verbatim.

@@ -501,16 +501,21 @@ impl DurableWarehouse {
         } else {
             Pruner::keep_all()
         };
-        let mut out = Vec::new();
-        let records = self.log.scan_pruned(&pruner)?;
-        for (pos, rec) in records {
-            if let Record::Event(event) = rec {
-                if is_cold(&self.markers, &self.suffix_max, pos, &event) && q.matches(&event) {
-                    out.push(event);
-                }
-            }
-        }
-        Ok(out)
+        // The scan hands back (and so clones or moves) only what the query
+        // returns; it still verifies and decodes every frame it visits.
+        let (markers, suffix_max) = (&self.markers, &self.suffix_max);
+        let mut cold_match = |pos: LogPos, rec: &Record| match rec {
+            Record::Event(event) => is_cold(markers, suffix_max, pos, event) && q.matches(event),
+            _ => false,
+        };
+        let records = self.log.scan_pruned(&pruner, &mut cold_match)?;
+        Ok(records
+            .into_iter()
+            .filter_map(|(_, rec)| match rec {
+                Record::Event(event) => Some(event),
+                _ => None,
+            })
+            .collect())
     }
 
     /// Force everything appended so far onto stable storage.

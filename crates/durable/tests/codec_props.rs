@@ -6,6 +6,7 @@
 #![allow(clippy::disallowed_methods)] // tests may panic freely
 
 use proptest::prelude::*;
+use sl_durable::codec::ThemeTable;
 use sl_durable::Record;
 use sl_ops::OpCheckpoint;
 use sl_stt::{
@@ -194,4 +195,50 @@ proptest! {
             );
         }
     }
+
+    /// Decoding a sequence of payloads through one shared theme table gives,
+    /// payload by payload, what `Record::decode` gives alone — repeated,
+    /// non-canonical and invalid theme spellings included, and an invalid
+    /// one leaves no trace on what follows it.
+    #[test]
+    fn shared_theme_table_changes_no_decode(
+        seq in proptest::collection::vec(
+            prop_oneof![
+                arb_record().prop_map(|rec| rec.encode()),
+                (arb_event(), prop_oneof![
+                    Just("weather/rain"),
+                    Just("Weather/ Rain"),
+                    Just("a//b"),
+                    Just(" social/Tweet/"),
+                    Just(""),
+                    Just("weather"),
+                ]).prop_map(|(event, spelling)| event_with_theme_spelling(event, spelling)),
+            ],
+            1..24,
+        ),
+    ) {
+        let outcome = |r: Result<Record, sl_durable::DurableError>| match r {
+            Ok(rec) => Ok(rec.encode()),
+            Err(e) => Err(e.to_string()),
+        };
+        let mut themes = ThemeTable::default();
+        for payload in &seq {
+            prop_assert_eq!(
+                outcome(Record::decode_with(payload, &mut themes)),
+                outcome(Record::decode(payload))
+            );
+        }
+    }
+}
+
+/// An event payload whose theme field holds `spelling` byte for byte — what
+/// a writer other than this codec might have left on disk. The theme is the
+/// payload's last field: a `u32` length and the bytes.
+fn event_with_theme_spelling(mut event: Event, spelling: &str) -> Vec<u8> {
+    event.theme = Theme::new("x").unwrap();
+    let mut payload = Record::Event(event).encode();
+    payload.truncate(payload.len() - 5);
+    payload.extend_from_slice(&(spelling.len() as u32).to_le_bytes());
+    payload.extend_from_slice(spelling.as_bytes());
+    payload
 }

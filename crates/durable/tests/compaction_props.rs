@@ -20,6 +20,7 @@ use proptest::prelude::*;
 use sl_durable::{
     CompactionPolicy, DurableConfig, DurableWarehouse, FsyncPolicy, Record, SegmentLog, TempDir,
 };
+use sl_durable::{LogPos, Pruner};
 use sl_stt::{
     Event, GeoPoint, SpatialGranularity, TemporalGranularity, Theme, TimeInterval, Timestamp, Value,
 };
@@ -148,6 +149,104 @@ proptest! {
                 "compacted log disagrees with its own scan on {:?}", q
             );
         }
+    }
+}
+
+/// The pruners the predicate-scan property runs under: none, a time
+/// window, a theme subtree (which only compacted segments can prune by).
+fn pruners() -> Vec<Pruner> {
+    vec![
+        Pruner::keep_all(),
+        Pruner {
+            time: Some(TimeInterval::new(minutes(40), minutes(160))),
+            ..Pruner::default()
+        },
+        Pruner {
+            theme: Some(Theme::new("weather").unwrap()),
+            ..Pruner::default()
+        },
+    ]
+}
+
+/// A predicate that reads both of its arguments and splits every block.
+fn keep(pos: LogPos, rec: &Record) -> bool {
+    match rec {
+        Record::Event(e) => e.tgranule % 3 != 0 || e.theme.as_str() == "social/tweet",
+        _ => pos.frame.is_multiple_of(2),
+    }
+}
+
+/// Open the log at `dir` with each cache size and check, under every
+/// pruner, that the predicate scan is the accept-all scan filtered by the
+/// predicate — positions and order included — both when the blocks are read
+/// from disk (first pass) and when sealed ones come from the cache (second).
+fn check_predicate_scans(dir: &Path) {
+    for cache_blocks in [0, 2, 64] {
+        let config = DurableConfig {
+            index_every: 4,
+            ..small_config(dir).with_cache_blocks(cache_blocks)
+        };
+        let (mut log, _, report) = SegmentLog::open(config).unwrap();
+        assert!(!report.lossy());
+        for pruner in &pruners() {
+            for pass in 0..2 {
+                let encoded = |records: Vec<(LogPos, Record)>| -> Vec<(LogPos, Vec<u8>)> {
+                    records.into_iter().map(|(p, r)| (p, r.encode())).collect()
+                };
+                let all = log.scan_pruned(pruner, &mut |_, _| true).unwrap();
+                let want: Vec<(LogPos, Record)> =
+                    all.into_iter().filter(|(p, r)| keep(*p, r)).collect();
+                let got = log.scan_pruned(pruner, &mut keep).unwrap();
+                assert_eq!(
+                    encoded(got),
+                    encoded(want),
+                    "cache_blocks {cache_blocks}, pass {pass}, {pruner:?}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Over random logs (sealed segments under an active one, before and
+    /// after a forced compaction), handing the scan a predicate returns
+    /// exactly what filtering the full scan by it would.
+    #[test]
+    fn predicate_scan_equals_filtered_full_scan(
+        ops in proptest::collection::vec(
+            prop_oneof![
+                (0i64..240, prop_oneof![
+                    Just("weather/temperature"),
+                    Just("weather/rain"),
+                    Just("social/tweet"),
+                ]).prop_map(|(m, t)| (0u8, m, t)),
+                (0i64..240).prop_map(|m| (1u8, m, "")),
+            ],
+            64..120,
+        ),
+    ) {
+        let dir = TempDir::new("cprop-keep").unwrap();
+        let config = small_config(dir.path()).with_fsync(FsyncPolicy::OnSeal);
+        {
+            let mut w = DurableWarehouse::open(config.clone()).unwrap();
+            for (op, m, theme) in &ops {
+                match op {
+                    0 => w.insert(event(*m, theme)).unwrap(),
+                    _ => {
+                        w.evict_before(minutes(*m)).unwrap();
+                    }
+                }
+            }
+            prop_assert!(w.segment_count() > 2, "sealed segments under an active one");
+        }
+        check_predicate_scans(dir.path());
+        {
+            let mut w = DurableWarehouse::open(config).unwrap();
+            prop_assert!(w.compact_now(minutes(10_000)).unwrap().is_some());
+        }
+        check_predicate_scans(dir.path());
     }
 }
 

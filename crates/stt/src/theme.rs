@@ -24,6 +24,15 @@ pub struct Theme {
 impl Theme {
     /// Parse a theme path, validating that no segment is empty.
     pub fn new(path: &str) -> Result<Theme, SttError> {
+        // Already canonical (what every stored or derived path is): no
+        // segment to trim or lowercase, so the path is shared as it stands.
+        let canonical = path
+            .split('/')
+            .all(|seg| !seg.is_empty() && seg == seg.trim())
+            && !path.bytes().any(|b| b.is_ascii_uppercase());
+        if canonical {
+            return Ok(Theme { path: path.into() });
+        }
         let trimmed = path.trim().trim_matches('/');
         if trimmed.is_empty() || trimmed.split('/').any(|seg| seg.trim().is_empty()) {
             return Err(SttError::InvalidTheme(path.to_string()));
@@ -77,6 +86,21 @@ impl Theme {
         self.path.rfind('/').map(|i| Theme {
             path: self.path[..i].into(),
         })
+    }
+
+    /// The ancestor `depth` segments deep (1 = the root segment), or the
+    /// theme itself when it is no deeper than that or `depth` is 0. A
+    /// prefix of a valid path cut at a `/` is a valid path.
+    pub fn ancestor(&self, depth: usize) -> Theme {
+        let cut = depth
+            .checked_sub(1)
+            .and_then(|n| self.path.match_indices('/').nth(n));
+        match cut {
+            Some((i, _)) => Theme {
+                path: self.path[..i].into(),
+            },
+            None => self.clone(),
+        }
     }
 
     /// Extend the path with a child segment.
@@ -219,6 +243,11 @@ mod tests {
         assert!(t.parent().unwrap().parent().unwrap().parent().is_none());
         let c = Theme::new("weather").unwrap().child("wind").unwrap();
         assert_eq!(c.as_str(), "weather/wind");
+        assert_eq!(t.ancestor(1).as_str(), "weather");
+        assert_eq!(t.ancestor(2).as_str(), "weather/rain");
+        for same in [0, 3, 4] {
+            assert_eq!(t.ancestor(same), t);
+        }
     }
 
     #[test]

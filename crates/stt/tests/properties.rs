@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sl_stt::{
-    BoundingBox, GeoPoint, SpatialGranularity, TemporalGranularity, Timestamp, Unit, Value,
+    BoundingBox, GeoPoint, SpatialGranularity, TemporalGranularity, Theme, Timestamp, Unit, Value,
 };
 
 fn arb_timestamp() -> impl Strategy<Value = Timestamp> {
@@ -168,6 +168,50 @@ proptest! {
         let parsed = Value::parse_as(&v.to_string(), sl_stt::AttrType::Int).unwrap();
         prop_assert_eq!(parsed, v);
     }
+
+    /// `Theme::new` shares canonical input as it stands; whatever the
+    /// spelling, the outcome is what normalising every path would give.
+    #[test]
+    fn theme_new_equals_the_normalising_path(path in arb_theme_spelling()) {
+        let got = Theme::new(&path).map(|t| t.as_str().to_string()).ok();
+        prop_assert_eq!(got, normalised(&path), "spelling {:?}", path);
+    }
+
+    /// `ancestor(depth)` is the first `depth` segments, validated or not.
+    #[test]
+    fn theme_ancestor_is_the_segment_prefix(path in "[ab/]{1,9}", depth in 0usize..6) {
+        if let Ok(theme) = Theme::new(&path) {
+            let segs: Vec<&str> = theme.segments().collect();
+            let want = if depth == 0 || segs.len() <= depth {
+                theme.clone()
+            } else {
+                Theme::new(&segs[..depth].join("/")).unwrap()
+            };
+            prop_assert_eq!(theme.ancestor(depth), want);
+        }
+    }
+}
+
+/// Theme spellings over a small alphabet, so that canonical paths, upper
+/// case, inner and outer whitespace (ASCII and not), doubled and edge
+/// slashes and non-ASCII letters all turn up often.
+fn arb_theme_spelling() -> impl Strategy<Value = String> {
+    "[abAZ /\u{3000}\u{e9}\u{c9}]{0,10}"
+}
+
+/// What `Theme::new` makes of a path when it normalises unconditionally:
+/// trim, strip edge slashes, reject blank segments, trim and ASCII-lowercase
+/// each segment.
+fn normalised(path: &str) -> Option<String> {
+    let trimmed = path.trim().trim_matches('/');
+    if trimmed.is_empty() || trimmed.split('/').any(|seg| seg.trim().is_empty()) {
+        return None;
+    }
+    let segs: Vec<String> = trimmed
+        .split('/')
+        .map(|s| s.trim().to_ascii_lowercase())
+        .collect();
+    Some(segs.join("/"))
 }
 
 fn arb_value() -> impl Strategy<Value = Value> {

@@ -78,15 +78,12 @@ pub fn cell_slot(event: &Event, q: &CubeQuery) -> Option<CellSlot> {
     if !q.select.matches(event) {
         return None;
     }
-    let coarse = event.coarsened(q.tgran, q.sgran).ok()?;
-    let theme = theme_at_depth(&event.theme, q.theme_depth);
+    let tgranule = event.tgran.coarsen(event.tgranule, q.tgran).ok()?;
+    let sgranule = event.sgranule.coarsen(q.sgran).ok()?;
+    let theme = event.theme.ancestor(q.theme_depth);
     Some(CellSlot {
-        key: (
-            coarse.tgranule,
-            coarse.sgranule.to_string(),
-            theme.to_string(),
-        ),
-        sgranule: coarse.sgranule,
+        key: (tgranule, sgranule.to_string(), theme.to_string()),
+        sgranule,
         theme,
         numeric: numeric_value(&event.value),
     })
@@ -197,16 +194,6 @@ pub fn numeric_value(v: &Value) -> Option<f64> {
         Value::Int(_) | Value::Float(_) | Value::Bool(_) => v.as_f64().ok(),
         _ => None,
     }
-}
-
-/// The ancestor of `theme` at the given depth (or the theme itself when
-/// shallower).
-pub fn theme_at_depth(theme: &Theme, depth: usize) -> Theme {
-    let segs: Vec<&str> = theme.segments().collect();
-    if depth == 0 || segs.len() <= depth {
-        return theme.clone();
-    }
-    Theme::new(&segs[..depth].join("/")).expect("prefix of a valid theme")
 }
 
 #[cfg(test)]

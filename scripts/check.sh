@@ -8,7 +8,8 @@
 #                             # example gates, the checkpoint owner grep,
 #                             # the recovery examples, the bench smokes,
 #                             # the bench-compare regression diff, and the
-#                             # benchmark/ package's build + smoke
+#                             # benchmark/ package's build, smoke and own
+#                             # tests
 #
 # The build is offline by construction (crates.io is unreachable; all
 # third-party deps are vendored shims under vendor/) — see README "Building".
@@ -122,12 +123,15 @@ cargo run --release -q -p sl-bench --bin bench-compare -- . "$BENCH_SMOKE_DIR"
 # The measure of record: benchmark/ is a standalone package over the public
 # API that the driver builds from a PR's checkout unmodified, so an API
 # break must fail here first. Its smoke runs all five workloads with every
-# output check on (<1 s each). cargo refreshes benchmark/Cargo.lock in place
+# output check on (<1 s each); its own tests (not workspace members, so the
+# fast tier's `cargo test` never sees them) hold BENCHMARK.json to the
+# binary. cargo refreshes benchmark/Cargo.lock in place
 # (the `sl-cq -> sl-faults` edge); a PR must not touch benchmark/, so the
 # committed lock is put back whatever happens.
 lock_backup=$(mktemp)
 cp benchmark/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
 bash benchmark/run.sh --smoke >/dev/null
+(cd benchmark && CARGO_TARGET_DIR=../target cargo test --offline --release -q)
 
 echo "check.sh: all green"
