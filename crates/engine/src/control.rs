@@ -192,7 +192,7 @@ impl Engine {
         });
         ep.node = target;
         if let Some(svc) = ep.service_mut() {
-            svc.span.node = target.to_string();
+            svc.span = None;
         }
         self.reinstall_flows_for(id);
         true
@@ -240,18 +240,18 @@ impl Engine {
         }
 
         // Observability gauges: event-queue depth and per-link queued bytes.
-        self.metrics
-            .gauge("event_queue_depth")
-            .set(self.queue.pending() as i64);
-        let reserved: Vec<_> = self.flows.reserved_links().collect();
-        for (link, bytes) in reserved {
+        self.set_tick_gauge(0, self.queue.pending() as i64);
+        for (link, bytes) in self.flows.reserved_links() {
             self.net_stats.set_link_queued(link, bytes);
         }
 
-        // Refresh process demands from observed rates.
-        // The same sweep drains the ingress watermarks (name order, every
-        // window regardless, so they never span more than one monitor
-        // period) for backlog-driven re-placement below.
+        // Refresh process demands from observed rates (the tracker ignores
+        // an unchanged one). The same sweep drains the ingress watermarks
+        // (name order, every window regardless, so they never span more
+        // than one monitor period); backlog-driven re-placement below reads
+        // them when it runs.
+        let backlog_cap = self.config.overload.queue_capacity;
+        let backlog_cap = backlog_cap.filter(|_| self.config.migration_enabled);
         let mut watermarks: Vec<(EndpointId, u64)> = Vec::new();
         let services = self.deployments.values().flat_map(|d| d.services.values());
         for &id in services {
@@ -266,29 +266,44 @@ impl Engine {
                 let demand = (rate * svc.op.cost_per_tuple()).max(1.0);
                 self.loads.set_demand(id.process(), demand);
             }
-            watermarks.push((id, counters.ingress.drain_watermark()));
+            let hwm = counters.ingress.drain_watermark();
+            if backlog_cap.is_some() {
+                watermarks.push((id, hwm));
+            }
         }
 
         // Overload-control gauges.
-        let inflight = self.total_inflight();
-        self.metrics
-            .gauge("backpressure/inflight")
-            .set(inflight as i64);
-        self.metrics
-            .gauge("backpressure/throttled_sensors")
-            .set(self.broker.credits().revoked_count() as i64);
+        self.set_tick_gauge(1, self.total_inflight() as i64);
+        self.set_tick_gauge(2, self.broker.credits().revoked_count() as i64);
 
         if self.config.migration_enabled {
-            if let Some(cap) = self.config.overload.queue_capacity {
+            if let Some(cap) = backlog_cap {
                 self.migrate_backlogged(now, cap, &watermarks);
             }
-            self.migrate_overloaded(now);
+            // Nothing the scan reads moved since it last found nothing to
+            // move: it would find the same.
+            let version = self.loads.version();
+            if self.overload_scanned_at != Some(version) {
+                self.overload_scanned_at = Some(version);
+                self.migrate_overloaded(now);
+            }
         }
 
         self.maintain_storage(now);
 
         self.queue
             .schedule_in(self.config.monitor_period, Ev::MonitorSample);
+    }
+
+    /// Set the `k`-th of the monitor tick's gauges (`Handles::tick`).
+    fn set_tick_gauge(&mut self, k: usize, value: i64) {
+        const NAMES: [&str; 3] = [
+            "event_queue_depth",
+            "backpressure/inflight",
+            "backpressure/throttled_sensors",
+        ];
+        let id = *self.handles.tick[k].get_or_insert_with(|| self.metrics.gauge_id(NAMES[k]));
+        self.metrics.gauge_at(id).set(value);
     }
 
     /// Re-place operators whose ingress queues stayed near their bound for

@@ -30,6 +30,7 @@ use crate::overload::preemption_victim;
 use rand::Rng;
 use sl_faults::{BreakerDecision, BreakerState, CircuitBreaker, DropReason, ShedPolicy};
 use sl_netsim::NodeId;
+use sl_obs::SpanKey;
 use sl_ops::{PriorityClass, TupleOutcome};
 use sl_stt::{Timestamp, Tuple};
 
@@ -285,11 +286,18 @@ impl Engine {
         wall1: u64,
         outcome: TupleOutcome,
     ) {
-        let Some(svc) = self.endpoints[service.index()].service() else {
+        let ep = &mut self.endpoints[service.index()];
+        let Role::Service(svc) = &mut ep.role else {
             return;
         };
         if trace != 0 {
-            self.metrics.tracer().record(trace, &svc.span, wall0, wall1);
+            let tracer = self.metrics.tracer();
+            let span = *svc.span.get_or_insert_with(|| {
+                let (deployment, operator) = &ep.names;
+                let node = ep.node.to_string();
+                tracer.slot(&SpanKey::new(deployment.as_str(), operator.as_str(), node))
+            });
+            tracer.record_at(trace, span, wall0, wall1);
         }
         self.release(at, service);
         let Some(counters) = self.counters(service) else {

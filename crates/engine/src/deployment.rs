@@ -11,7 +11,7 @@
 //! record owns everything the engine knows about that delivery target: its
 //! placement, the live [`Operator`] process (with its shard replicas and
 //! latest checkpoint) or the sink kind, its resolved consumers, its circuit
-//! breaker, its backlog-migration stamp, its span key and the monitor slot
+//! breaker, its backlog-migration stamp, its span slot and the monitor slot
 //! holding its counters and ingress queue state.
 //!
 //! **Lifetime rule: an id is never reused; events outlive deployments, ids
@@ -34,7 +34,7 @@ use sl_dataflow::Dataflow;
 use sl_dsn::SinkKind;
 use sl_faults::CircuitBreaker;
 use sl_netsim::{FlowId, NodeId, ProcessId};
-use sl_obs::SpanKey;
+use sl_obs::{HistId, SpanSlot};
 use sl_ops::{OpCheckpoint, Operator};
 use sl_pubsub::SubscriptionId;
 use sl_stt::{SchemaRef, SensorId, Timestamp, Tuple};
@@ -108,8 +108,9 @@ pub struct ServiceRuntime {
     /// its first tuple or tick, and a same-name redeploy continues the
     /// counters of its predecessor).
     pub counters: Option<usize>,
-    /// `deployment/operator@node`, rebuilt when the process moves.
-    pub span: SpanKey,
+    /// Tracer slot of `deployment/operator@node`, resolved by the first
+    /// traced tuple and reset when the process moves.
+    pub span: Option<SpanSlot>,
     /// Last backlog-driven re-placement (ping-pong damper).
     pub last_backlog_migration: Option<Timestamp>,
 }
@@ -131,8 +132,9 @@ pub struct SinkRuntime {
     /// Slot of this sink's delivered-tuples total in the monitor, bound by
     /// name on the first arrival.
     pub count: Option<usize>,
-    /// The `e2e/{deployment}/{sink}_us` histogram key.
-    pub e2e_key: String,
+    /// The `e2e/{deployment}/{sink}_us` histogram, resolved on the first
+    /// arrival.
+    pub e2e: Option<HistId>,
 }
 
 /// What an [`Endpoint`] currently is.

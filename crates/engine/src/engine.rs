@@ -37,7 +37,7 @@ use sl_netsim::{
     EventQueue, FlowTable, LoadTracker, NetError, NetStats, NodeId, QosSpec, Route, RoutingTable,
     Topology,
 };
-use sl_obs::{Metrics, MetricsSnapshot, SpanKey, Tracer};
+use sl_obs::{CounterId, GaugeId, HistId, Metrics, MetricsSnapshot, Tracer};
 use sl_ops::{CheckpointDelta, OpContext};
 use sl_pubsub::Broker;
 use sl_stt::{Duration, SchemaRef, SensorId, Timestamp, Tuple};
@@ -71,6 +71,41 @@ pub(crate) enum Ev {
         /// When the original delivery failed (recovery-latency baseline).
         first_failed_at: Timestamp,
     },
+}
+
+/// What an event was, for its `ev/*_us` wall-time histogram.
+#[derive(Clone, Copy)]
+enum EvKind {
+    Emit,
+    Deliver,
+    Tick,
+    Monitor,
+    Fault,
+    Retry,
+}
+
+/// The `ev/*_us` histogram names, in [`EvKind`] order.
+const EV_HISTS: [&str; 6] = [
+    "ev/emit_us",
+    "ev/deliver_us",
+    "ev/tick_us",
+    "ev/monitor_us",
+    "ev/fault_us",
+    "ev/retry_us",
+];
+
+/// Handles of the instruments touched per event or per monitor tick, each
+/// resolved by name the first time it fires (so an instrument that never
+/// fired stays out of the snapshot).
+#[derive(Default)]
+pub(crate) struct Handles {
+    /// Indexed by [`EvKind`].
+    pub(crate) ev: [Option<HistId>; 6],
+    /// `enrich/located`, `enrich/restamped`, `enrich/rethemed`.
+    pub(crate) enrich: [Option<CounterId>; 3],
+    /// `event_queue_depth`, `backpressure/inflight`,
+    /// `backpressure/throttled_sensors`.
+    pub(crate) tick: [Option<GaugeId>; 3],
 }
 
 /// A terminally undeliverable tuple, parked in the engine's dead-letter
@@ -114,6 +149,12 @@ pub struct Engine {
     /// Engine-level instruments: event-loop timing, enrichment counters,
     /// per-tuple spans, end-to-end latency, queue depth.
     pub(crate) metrics: Metrics,
+    /// The hot-path instruments of `metrics`, by handle.
+    pub(crate) handles: Handles,
+    /// `loads.version()` the last overload scan started from. While it has
+    /// not moved, the scan would read the demands and placements it read
+    /// then, and it moved nothing then.
+    pub(crate) overload_scanned_at: Option<u64>,
     /// Wall-clock origin for span timestamps (virtual time measures the
     /// simulation; spans measure the host's processing cost).
     epoch: std::time::Instant,
@@ -145,6 +186,8 @@ impl Engine {
             dlq: DeadLetterQueue::new(config.dlq_capacity),
             config,
             metrics: Metrics::new(),
+            handles: Handles::default(),
+            overload_scanned_at: None,
             epoch: std::time::Instant::now(),
             pool: None,
         }
@@ -369,7 +412,7 @@ impl Engine {
                     blocking,
                     consumers: Vec::new(),
                     counters: None,
-                    span: SpanKey::new(name, service.as_str(), node.to_string()),
+                    span: None,
                     last_backlog_migration: None,
                 });
                 let id = self.add_endpoint(
@@ -415,7 +458,7 @@ impl Engine {
                 let role = Role::Sink(SinkRuntime {
                     kind: *kind,
                     count: None,
-                    e2e_key: format!("e2e/{name}/{sink}_us"),
+                    e2e: None,
                 });
                 let id = self.add_endpoint(name, sink, node, role, None, "sink endpoint")?;
                 deployment.sinks.insert(sink.clone(), id);
@@ -939,9 +982,7 @@ impl Engine {
                 ));
                 continue;
             };
-            self.metrics
-                .hist("ev/deliver_us")
-                .record(wall1.saturating_sub(wall0));
+            self.record_ev(EvKind::Deliver, wall1.saturating_sub(wall0));
             self.settle(m.at, m.to, m.trace, wall0, wall1, outcome);
         }
     }
@@ -957,23 +998,23 @@ impl Engine {
         let kind = match ev {
             Ev::SensorEmit(id) => {
                 self.on_sensor_emit(now, id);
-                "ev/emit_us"
+                EvKind::Emit
             }
             Ev::Deliver { to, port, tuple } => {
                 self.on_deliver(now, to, port, tuple);
-                "ev/deliver_us"
+                EvKind::Deliver
             }
             Ev::Tick(service) => {
                 self.on_tick(now, service);
-                "ev/tick_us"
+                EvKind::Tick
             }
             Ev::MonitorSample => {
                 self.on_monitor_sample(now);
-                "ev/monitor_us"
+                EvKind::Monitor
             }
             Ev::Fault(action) => {
                 self.apply_fault(now, action);
-                "ev/fault_us"
+                EvKind::Fault
             }
             Ev::RetryDeliver {
                 to,
@@ -986,11 +1027,18 @@ impl Engine {
                 // Placement is re-resolved by the hop, so retries survive
                 // target migration and link repair.
                 self.send(now, from_node, to, port, tuple, attempt, first_failed_at);
-                "ev/retry_us"
+                EvKind::Retry
             }
         };
         let t1 = self.epoch.elapsed().as_micros() as u64;
-        self.metrics.hist(kind).record(t1.saturating_sub(t0));
+        self.record_ev(kind, t1.saturating_sub(t0));
+    }
+
+    /// Add one event's wall time to its `ev/*_us` histogram.
+    fn record_ev(&mut self, kind: EvKind, wall_us: u64) {
+        let k = kind as usize;
+        let id = *self.handles.ev[k].get_or_insert_with(|| self.metrics.hist_id(EV_HISTS[k]));
+        self.metrics.hist_at(id).record(wall_us);
     }
 
     fn on_deliver(&mut self, now: Timestamp, to: EndpointId, port: usize, tuple: Tuple) {
@@ -1007,10 +1055,13 @@ impl Engine {
                     .get_or_insert_with(|| self.monitor.bind_sink(dep_name, target));
                 self.monitor.count_sink_at(slot);
                 // End-to-end virtual latency: sensor sampling instant to sink.
-                let e2e = now.since(tuple.meta.timestamp);
+                let e2e = *sink.e2e.get_or_insert_with(|| {
+                    self.metrics.hist_id(&format!("e2e/{dep_name}/{target}_us"))
+                });
+                let latency = now.since(tuple.meta.timestamp);
                 self.metrics
-                    .hist(&sink.e2e_key)
-                    .record((e2e.as_secs_f64() * 1e6) as u64);
+                    .hist_at(e2e)
+                    .record((latency.as_secs_f64() * 1e6) as u64);
                 match sink.kind {
                     SinkKind::Warehouse => self.store(now, to, &tuple),
                     SinkKind::Console => {

@@ -21,10 +21,16 @@ use sl_pubsub::enrich::{enrich, EnrichPolicy};
 use sl_pubsub::{BrokerEvent, SensorAdvertisement, SubscriptionFilter};
 use sl_sensors::{decode_payload, SensorSim};
 use sl_stt::{Duration, SchemaRef, SensorId, Timestamp, Tuple, Value};
+use std::sync::Arc;
+
+/// The enrichment counters, in `Handles::enrich` order.
+const ENRICH_COUNTERS: [&str; 3] = ["enrich/located", "enrich/restamped", "enrich/rethemed"];
 
 pub(crate) struct SensorEntry {
     sim: Box<dyn SensorSim>,
-    pub(crate) ad: SensorAdvertisement,
+    /// Resolved once at plug-in and shared with the broker's registry: an
+    /// emission, a credit re-grant or a rejoin bumps it, never copies it.
+    pub(crate) ad: Arc<SensorAdvertisement>,
     /// Silently stalled (fault injection): scheduled but not emitting.
     stalled: bool,
     /// Corrupting wire payloads (fault injection).
@@ -43,9 +49,9 @@ impl Engine {
     /// Plug a sensor in: publish its advertisement, bind it to matching
     /// deployed sources, and start its sampling schedule.
     pub fn add_sensor(&mut self, sim: Box<dyn SensorSim>) -> Result<SensorId, EngineError> {
-        let ad = sim.advertisement();
+        let ad = Arc::new(sim.advertisement());
         let id = ad.id;
-        let events = self.broker.publish(ad.clone())?;
+        let events = self.broker.publish(Arc::clone(&ad))?;
         self.apply_broker_events(events);
         self.monitor
             .membership
@@ -277,7 +283,7 @@ impl Engine {
         let Some(entry) = self.sensors.get_mut(&id) else {
             return;
         };
-        let ad = entry.ad.clone();
+        let ad = Arc::clone(&entry.ad);
         // Fault injection: a bursting sensor emits `rate_scale`× faster
         // than its advertised period (floored at 1 ms).
         let scale = entry.rate_scale.max(1) as u64;
@@ -340,7 +346,7 @@ impl Engine {
             // Clean rejoin: a sensor the watchdog expired (or that dropped
             // out) re-publishes its advertisement the moment it produces
             // again, re-binding matching sources.
-            if let Ok(events) = self.broker.publish(ad.clone()) {
+            if let Ok(events) = self.broker.publish(Arc::clone(&ad)) {
                 self.apply_broker_events(events);
             }
             self.metrics.counter("liveness/rejoined").inc();
@@ -381,14 +387,13 @@ impl Engine {
             Err(_) => raw, // decoder and encoder disagree: fall back to raw
         };
         let enriched = enrich(&mut tuple, &ad, now, &EnrichPolicy::default());
-        if enriched.located {
-            self.metrics.counter("enrich/located").inc();
-        }
-        if enriched.restamped {
-            self.metrics.counter("enrich/restamped").inc();
-        }
-        if enriched.rethemed {
-            self.metrics.counter("enrich/rethemed").inc();
+        let changed = [enriched.located, enriched.restamped, enriched.rethemed];
+        for (k, changed) in changed.into_iter().enumerate() {
+            if changed {
+                let handle = &mut self.handles.enrich[k];
+                let id = *handle.get_or_insert_with(|| self.metrics.counter_id(ENRICH_COUNTERS[k]));
+                self.metrics.counter_at(id).inc();
+            }
         }
         if skew_ms != 0 {
             // Fault injection: the sensor's clock runs fast (positive) or
@@ -471,7 +476,7 @@ impl Engine {
             let Some(entry) = self.sensors.get(&id.0) else {
                 continue;
             };
-            let ad = entry.ad.clone();
+            let ad = Arc::clone(&entry.ad);
             if !self.blocked_by_backpressure(&ad) && self.broker.set_credit(id, true) {
                 self.monitor
                     .pressure

@@ -27,6 +27,8 @@ pub struct LoadTracker {
     placements: HashMap<ProcessId, (NodeId, f64)>,
     /// node -> total demand.
     demand: HashMap<NodeId, f64>,
+    /// Bumped by every change to a placement or a demand.
+    version: u64,
 }
 
 impl LoadTracker {
@@ -54,12 +56,14 @@ impl LoadTracker {
         self.remove(proc);
         self.placements.insert(proc, (node, demand));
         *self.demand.entry(node).or_insert(0.0) += demand;
+        self.version += 1;
         Ok(())
     }
 
     /// Remove a process; no-op if it was never placed.
     pub fn remove(&mut self, proc: ProcessId) {
         if let Some((node, d)) = self.placements.remove(&proc) {
+            self.version += 1;
             if let Some(total) = self.demand.get_mut(&node) {
                 *total = (*total - d).max(0.0);
                 if *total == 0.0 {
@@ -70,9 +74,14 @@ impl LoadTracker {
     }
 
     /// Update the demand of an already-placed process (operators' demand
-    /// follows their observed tuple rate).
+    /// follows their observed tuple rate). Setting the demand it already has
+    /// changes nothing.
     pub fn set_demand(&mut self, proc: ProcessId, demand: f64) {
         if let Some((node, old)) = self.placements.get_mut(&proc) {
+            if *old == demand {
+                return;
+            }
+            self.version += 1;
             let node = *node;
             let delta = demand - *old;
             *old = demand;
@@ -81,6 +90,13 @@ impl LoadTracker {
                 *total = total.max(0.0);
             }
         }
+    }
+
+    /// A counter that moves whenever a placement or a demand changes: two
+    /// equal readings bracket a stretch in which every answer of this
+    /// tracker stayed the same.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Node a process currently runs on.
@@ -236,6 +252,30 @@ mod tests {
         // Unknown process: no-op.
         lt.set_demand(ProcessId(9), 100.0);
         assert_eq!(lt.demand_on(a), 5.0);
+    }
+
+    #[test]
+    fn version_moves_with_every_change_and_only_then() {
+        let (t, a, b) = topo();
+        let mut lt = LoadTracker::new();
+        let mut last = lt.version();
+        let mut moved = |lt: &LoadTracker| {
+            let now = lt.version();
+            (std::mem::replace(&mut last, now) != now, lt.demand_on(a))
+        };
+        lt.place(&t, ProcessId(1), a, 10.0, true).unwrap();
+        assert_eq!(moved(&lt), (true, 10.0));
+        lt.set_demand(ProcessId(1), 10.0); // same demand
+        lt.set_demand(ProcessId(9), 5.0); // unknown process
+        assert!(lt.place(&t, ProcessId(2), a, 500.0, true).is_err());
+        lt.remove(ProcessId(9));
+        assert_eq!(moved(&lt), (false, 10.0));
+        lt.set_demand(ProcessId(1), 20.0);
+        assert_eq!(moved(&lt), (true, 20.0));
+        lt.place(&t, ProcessId(1), b, 20.0, true).unwrap();
+        assert_eq!(moved(&lt), (true, 0.0));
+        lt.remove(ProcessId(1));
+        assert_eq!(moved(&lt), (true, 0.0));
     }
 
     #[test]

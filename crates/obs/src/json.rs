@@ -195,7 +195,7 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
         text.parse::<f64>().map(Json::Num).map_err(|_| ParseError {
             at: start,
             msg: format!("invalid number '{text}'"),
@@ -241,7 +241,9 @@ impl Parser<'_> {
                     // on char boundaries is safe).
                     let rest = std::str::from_utf8(&self.bytes[self.pos..])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
+                    let Some(c) = rest.chars().next() else {
+                        return Err(self.err("unterminated string"));
+                    };
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -305,6 +307,7 @@ impl Parser<'_> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     #[test]

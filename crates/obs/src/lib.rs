@@ -50,7 +50,7 @@ pub mod span;
 pub use hist::Histogram;
 pub use metric::{Counter, Gauge};
 pub use snapshot::{HistSummary, MetricsSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
-pub use span::{SpanKey, SpanRecord, Tracer};
+pub use span::{SpanKey, SpanRecord, SpanSlot, Tracer};
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -62,13 +62,33 @@ use std::time::Instant;
 /// [`MetricsSnapshot`] with [`Metrics::snapshot`]. Completed spans from the
 /// embedded [`Tracer`] appear in the snapshot as `span/<dep>/<op>@<node>`
 /// histograms.
+///
+/// Each kind lives in one slot vector behind its name index. A hot path
+/// resolves a name once ([`Metrics::hist_id`], …) and then reaches the
+/// instrument by handle ([`Metrics::hist_at`], …); `hist(name)` *is*
+/// `hist_at(hist_id(name))`, so a handle and a name address the same
+/// instrument and the snapshot cannot tell them apart. Resolving a name
+/// creates its instrument: resolve a handle where the instrument is first
+/// used, or a key that never fired shows up in the snapshot.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
-    counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
-    hists: BTreeMap<String, Histogram>,
+    counters: Slots<Counter>,
+    gauges: Slots<Gauge>,
+    hists: Slots<Histogram>,
     tracer: Tracer,
 }
+
+/// Handle of a counter in one [`Metrics`] (from [`Metrics::counter_id`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(usize);
+
+/// Handle of a gauge in one [`Metrics`] (from [`Metrics::gauge_id`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeId(usize);
+
+/// Handle of a histogram in one [`Metrics`] (from [`Metrics::hist_id`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistId(usize);
 
 impl Metrics {
     /// An empty registry.
@@ -77,19 +97,52 @@ impl Metrics {
         Self::default()
     }
 
+    /// The handle of the counter named `name`, created at zero on first use.
+    pub fn counter_id(&mut self, name: &str) -> CounterId {
+        CounterId(self.counters.id(name))
+    }
+
+    /// The handle of the gauge named `name`, created at zero on first use.
+    pub fn gauge_id(&mut self, name: &str) -> GaugeId {
+        GaugeId(self.gauges.id(name))
+    }
+
+    /// The handle of the histogram named `name`, created empty on first use.
+    pub fn hist_id(&mut self, name: &str) -> HistId {
+        HistId(self.hists.id(name))
+    }
+
+    /// The counter behind a handle of this registry.
+    pub fn counter_at(&mut self, id: CounterId) -> &mut Counter {
+        &mut self.counters.slots[id.0]
+    }
+
+    /// The gauge behind a handle of this registry.
+    pub fn gauge_at(&mut self, id: GaugeId) -> &mut Gauge {
+        &mut self.gauges.slots[id.0]
+    }
+
+    /// The histogram behind a handle of this registry.
+    pub fn hist_at(&mut self, id: HistId) -> &mut Histogram {
+        &mut self.hists.slots[id.0]
+    }
+
     /// The counter named `name`, created at zero on first use.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        instrument(&mut self.counters, name)
+        let id = self.counter_id(name);
+        self.counter_at(id)
     }
 
     /// The gauge named `name`, created at zero on first use.
     pub fn gauge(&mut self, name: &str) -> &mut Gauge {
-        instrument(&mut self.gauges, name)
+        let id = self.gauge_id(name);
+        self.gauge_at(id)
     }
 
     /// The histogram named `name`, created empty on first use.
     pub fn hist(&mut self, name: &str) -> &mut Histogram {
-        instrument(&mut self.hists, name)
+        let id = self.hist_id(name);
+        self.hist_at(id)
     }
 
     /// The embedded span tracer.
@@ -126,13 +179,13 @@ impl Metrics {
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        for (name, c) in &self.counters {
+        for (name, c) in self.counters.iter() {
             snap.counters.insert(name.clone(), c.get());
         }
-        for (name, g) in &self.gauges {
+        for (name, g) in self.gauges.iter() {
             snap.gauges.insert(name.clone(), g.get());
         }
-        for (name, h) in &self.hists {
+        for (name, h) in self.hists.iter() {
             snap.hists.insert(name.clone(), HistSummary::of(h));
         }
         for (key, h) in self.tracer.histograms() {
@@ -146,14 +199,33 @@ impl Metrics {
     }
 }
 
-/// Look `name` up before allocating a key for it: instruments are touched
-/// per event, created once.
-fn instrument<'a, T: Default>(map: &'a mut BTreeMap<String, T>, name: &str) -> &'a mut T {
-    if !map.contains_key(name) {
-        map.insert(name.to_string(), T::default());
+/// Instruments of one kind: a slot vector behind a name index. A slot is
+/// never removed, so a handle stays valid for the registry's lifetime.
+#[derive(Debug, Clone, Default)]
+struct Slots<T> {
+    index: BTreeMap<String, usize>,
+    slots: Vec<T>,
+}
+
+impl<T: Default> Slots<T> {
+    /// The slot of `name`; the key is allocated only when it is new.
+    fn id(&mut self, name: &str) -> usize {
+        if let Some(&id) = self.index.get(name) {
+            return id;
+        }
+        self.slots.push(T::default());
+        self.index.insert(name.to_string(), self.slots.len() - 1);
+        self.slots.len() - 1
     }
-    map.get_mut(name)
-        .expect("present: inserted above on a miss")
+
+    fn get(&self, name: &str) -> Option<&T> {
+        self.index.get(name).map(|&id| &self.slots[id])
+    }
+
+    /// Every instrument, in name order.
+    fn iter(&self) -> impl Iterator<Item = (&String, &T)> {
+        self.index.iter().map(|(name, &id)| (name, &self.slots[id]))
+    }
 }
 
 /// Wall-clock stopwatch for timing code sections into a [`Histogram`].
@@ -185,6 +257,7 @@ impl Stopwatch {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     #[test]
@@ -223,6 +296,40 @@ mod tests {
         let snap = m.snapshot();
         let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn handles_and_names_address_one_storage() {
+        // The same work, once by name and once through handles resolved
+        // where each instrument is first used.
+        let key = SpanKey::new("d", "op", "n1");
+        let mut by_name = Metrics::new();
+        let mut by_handle = Metrics::new();
+        let (mut c, mut g, mut h, mut s) = (None, None, None, None);
+        for i in 0..5u64 {
+            by_name.counter("z/hits").add(i);
+            by_name.gauge("a/depth").set(i as i64 - 2);
+            by_name.hist("m/lat_us").record(i * 100);
+            let t = by_name.tracer().next_trace_id();
+            by_name.tracer().record(t, &key, i, 3 * i);
+
+            let id = *c.get_or_insert_with(|| by_handle.counter_id("z/hits"));
+            by_handle.counter_at(id).add(i);
+            let id = *g.get_or_insert_with(|| by_handle.gauge_id("a/depth"));
+            by_handle.gauge_at(id).set(i as i64 - 2);
+            let id = *h.get_or_insert_with(|| by_handle.hist_id("m/lat_us"));
+            by_handle.hist_at(id).record(i * 100);
+            let t = by_handle.tracer().next_trace_id();
+            let slot = *s.get_or_insert_with(|| by_handle.tracer().slot(&key));
+            by_handle.tracer().record_at(t, slot, i, 3 * i);
+        }
+        // Mixed: a handle and a name reach the same instrument.
+        by_name.counter("b/mixed").add(2);
+        let id = by_handle.counter_id("b/mixed");
+        by_handle.counter_at(id).inc();
+        by_handle.counter("b/mixed").inc();
+        assert_eq!(by_handle.snapshot().to_json(), by_name.snapshot().to_json());
+        assert_eq!(by_handle.counter_value("z/hits"), 10);
     }
 
     #[test]

@@ -65,6 +65,10 @@ pub struct SpanRecord<'a> {
     pub duration_us: u64,
 }
 
+/// Handle of one span key in one [`Tracer`] (from [`Tracer::slot`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanSlot(usize);
+
 /// Span registry: allocates trace ids and aggregates per-key latency
 /// histograms.
 #[derive(Debug, Clone, Default)]
@@ -93,24 +97,34 @@ impl Tracer {
         self.next_trace
     }
 
+    /// The slot of `key`, created (its histogram empty) the first time the
+    /// key is seen; the key is cloned only then. A hot path resolves the
+    /// slot once and records through [`Tracer::record_at`].
+    pub fn slot(&mut self, key: &SpanKey) -> SpanSlot {
+        if let Some(&slot) = self.slot_of.get(key) {
+            return SpanSlot(slot);
+        }
+        self.per_key.push((key.clone(), Histogram::new()));
+        self.slot_of.insert(key.clone(), self.per_key.len() - 1);
+        SpanSlot(self.per_key.len() - 1)
+    }
+
     /// Record the span `trace` spent at `key` between wall-clock instants
-    /// `start_us` and `end_us`, returning its duration in microseconds. The
-    /// key is cloned once, the first time it is seen.
+    /// `start_us` and `end_us`, returning its duration in microseconds.
     pub fn record(&mut self, trace: u64, key: &SpanKey, start_us: u64, end_us: u64) -> u64 {
-        let slot = match self.slot_of.get(key) {
-            Some(slot) => *slot,
-            None => {
-                self.per_key.push((key.clone(), Histogram::new()));
-                self.slot_of.insert(key.clone(), self.per_key.len() - 1);
-                self.per_key.len() - 1
-            }
-        };
+        let slot = self.slot(key);
+        self.record_at(trace, slot, start_us, end_us)
+    }
+
+    /// [`Tracer::record`] for a key already resolved to `slot` (a slot of
+    /// this tracer).
+    pub fn record_at(&mut self, trace: u64, slot: SpanSlot, start_us: u64, end_us: u64) -> u64 {
         let duration = end_us.saturating_sub(start_us);
-        self.per_key[slot].1.record(duration);
+        self.per_key[slot.0].1.record(duration);
         if self.recent.len() == RECENT_SPAN_CAPACITY {
             self.recent.pop_front();
         }
-        self.recent.push_back((trace, slot, start_us, duration));
+        self.recent.push_back((trace, slot.0, start_us, duration));
         self.completed += 1;
         duration
     }
@@ -150,6 +164,7 @@ impl Tracer {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     #[test]

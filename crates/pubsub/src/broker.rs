@@ -14,6 +14,7 @@ use sl_obs::{Metrics, MetricsSnapshot, Stopwatch};
 use sl_stt::{SensorId, Timestamp};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of an active subscription.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,8 +33,8 @@ pub enum BrokerEvent {
     SensorJoined {
         /// The affected subscription.
         subscription: SubscriptionId,
-        /// The new sensor's advertisement.
-        ad: SensorAdvertisement,
+        /// The new sensor's advertisement (shared with the registry).
+        ad: Arc<SensorAdvertisement>,
     },
     /// A sensor matching the subscription left.
     SensorLeft {
@@ -53,6 +54,11 @@ pub struct Broker {
     /// Liveness watchdog: virtual time each sensor last produced a sample
     /// (seeded at publish).
     last_seen: BTreeMap<u64, Timestamp>,
+    /// `(grace, t)`: with that grace, no registered sensor can be stale at
+    /// any instant `<= t`. `None` when something may have moved the earliest
+    /// deadline down (a publish, a first heartbeat, one that went backwards);
+    /// forward heartbeats and unpublishes only move deadlines up or away.
+    quiet_until: Option<(u32, Timestamp)>,
     /// Backpressure: which sensors currently hold generation credit.
     credits: CreditTable,
     /// Observability: publish/unpublish match latency and event counters.
@@ -101,8 +107,14 @@ impl Broker {
 
     /// Publish a sensor, returning the notifications to deliver (one per
     /// matching subscription, in subscription order).
-    pub fn publish(&mut self, ad: SensorAdvertisement) -> Result<Vec<BrokerEvent>, PubSubError> {
-        self.registry.publish(ad.clone())?;
+    pub fn publish(
+        &mut self,
+        ad: impl Into<Arc<SensorAdvertisement>>,
+    ) -> Result<Vec<BrokerEvent>, PubSubError> {
+        let ad = ad.into();
+        self.registry.publish(Arc::clone(&ad))?;
+        // A heartbeat recorded before the ad now counts for the watchdog.
+        self.quiet_until = None;
         let sw = Stopwatch::start();
         let events: Vec<BrokerEvent> = self
             .subscriptions
@@ -110,7 +122,7 @@ impl Broker {
             .filter(|(_, f)| f.matches(&ad))
             .map(|(id, _)| BrokerEvent::SensorJoined {
                 subscription: SubscriptionId(*id),
-                ad: ad.clone(),
+                ad: Arc::clone(&ad),
             })
             .collect();
         self.metrics.hist("match_us").record(sw.elapsed_us());
@@ -124,6 +136,15 @@ impl Broker {
     /// Unpublish a sensor, returning leave notifications for subscriptions
     /// that were matching it.
     pub fn unpublish(&mut self, id: SensorId) -> Result<Vec<BrokerEvent>, PubSubError> {
+        self.withdraw(id).map(|(_, events)| events)
+    }
+
+    /// Unpublish `id`, returning its advertisement and the leave
+    /// notifications.
+    fn withdraw(
+        &mut self,
+        id: SensorId,
+    ) -> Result<(Arc<SensorAdvertisement>, Vec<BrokerEvent>), PubSubError> {
         let ad = self.registry.unpublish(id)?;
         self.last_seen.remove(&id.0);
         let sw = Stopwatch::start();
@@ -141,7 +162,7 @@ impl Broker {
         self.metrics
             .counter("notifications")
             .add(events.len() as u64);
-        Ok(events)
+        Ok((ad, events))
     }
 
     /// Sensors currently matching a subscription (the initial binding set
@@ -155,7 +176,10 @@ impl Broker {
     /// (virtual time). The engine calls this on every emission; sensors
     /// without any recorded heartbeat are exempt from the watchdog.
     pub fn heartbeat(&mut self, id: SensorId, now: Timestamp) {
-        self.last_seen.insert(id.0, now);
+        match self.last_seen.insert(id.0, now) {
+            Some(seen) if seen <= now => {}
+            _ => self.quiet_until = None,
+        }
     }
 
     /// Virtual time of a sensor's last heartbeat, if any was recorded.
@@ -170,27 +194,48 @@ impl Broker {
     /// Each stale sensor is auto-unpublished; the return carries its (now
     /// expired) advertisement alongside the leave notifications to deliver,
     /// in sensor-id order. Expiries increment the `expired` counter.
+    ///
+    /// A sweep costs nothing until some sensor can have gone stale: each
+    /// full pass remembers the earliest deadline it saw (`last_seen +
+    /// budget`), and until `now` passes it the answer is known to be empty.
     pub fn sweep_stale(
         &mut self,
         now: Timestamp,
         grace: u32,
-    ) -> Vec<(SensorAdvertisement, Vec<BrokerEvent>)> {
-        let stale: Vec<SensorId> = self
-            .last_seen
-            .iter()
-            .filter_map(|(id, seen)| {
-                let ad = self.registry.get(SensorId(*id)).ok()?;
-                let budget = ad.period.saturating_mul(grace as u64);
-                (!budget.is_zero() && now.since(*seen) > budget).then_some(SensorId(*id))
-            })
-            .collect();
+    ) -> Vec<(Arc<SensorAdvertisement>, Vec<BrokerEvent>)> {
+        if self
+            .quiet_until
+            .is_some_and(|(g, quiet)| g == grace && now <= quiet)
+        {
+            return Vec::new();
+        }
+        let mut stale = Vec::new();
+        let mut quiet = Timestamp::from_millis(i64::MAX);
+        for (&id, &seen) in &self.last_seen {
+            let Ok(ad) = self.registry.get(SensorId(id)) else {
+                continue;
+            };
+            let budget = ad.period.saturating_mul(u64::from(grace));
+            if budget.is_zero() {
+                continue;
+            }
+            if now.since(seen) > budget {
+                stale.push(SensorId(id));
+            } else {
+                let budget = i64::try_from(budget.as_millis()).unwrap_or(i64::MAX);
+                let deadline = Timestamp::from_millis(seen.as_millis().saturating_add(budget));
+                quiet = quiet.min(deadline);
+            }
+        }
+        self.quiet_until = Some((grace, quiet));
         let mut expired = Vec::with_capacity(stale.len());
         for id in stale {
-            // get() above proved the sensor is registered.
-            let ad = self.registry.get(id).expect("checked above").clone();
-            let events = self.unpublish(id).expect("checked above");
+            // The scan above found it registered.
+            let Ok(expiry) = self.withdraw(id) else {
+                continue;
+            };
             self.metrics.counter("expired").inc();
-            expired.push((ad, events));
+            expired.push(expiry);
         }
         expired
     }
@@ -225,6 +270,7 @@ impl Broker {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use crate::message::SensorKind;
     use sl_netsim::NodeId;

@@ -217,6 +217,7 @@ impl BrokerOverlay {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use crate::message::SensorKind;
     use sl_netsim::NodeId;

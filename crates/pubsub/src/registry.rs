@@ -12,6 +12,7 @@ use crate::PubSubError;
 use sl_netsim::NodeId;
 use sl_stt::{SensorId, SpatialGranularity, SpatialGranule};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Criteria for organising the sensor directory in the discovery UI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,10 +31,12 @@ pub enum GroupCriterion {
     PeriodBand,
 }
 
-/// The sensor directory.
+/// The sensor directory. Advertisements are shared, not copied: whoever
+/// plugged the sensor in (the engine's sensor table) holds the same
+/// [`Arc`], and every join notification bumps it.
 #[derive(Debug, Default)]
 pub struct SensorRegistry {
-    sensors: BTreeMap<u64, SensorAdvertisement>,
+    sensors: BTreeMap<u64, Arc<SensorAdvertisement>>,
     next_id: u64,
 }
 
@@ -54,7 +57,8 @@ impl SensorRegistry {
     }
 
     /// Publish a sensor. Fails if the id is already present.
-    pub fn publish(&mut self, ad: SensorAdvertisement) -> Result<(), PubSubError> {
+    pub fn publish(&mut self, ad: impl Into<Arc<SensorAdvertisement>>) -> Result<(), PubSubError> {
+        let ad = ad.into();
         let id = ad.id.0;
         if self.sensors.contains_key(&id) {
             return Err(PubSubError::DuplicateSensor(id));
@@ -65,7 +69,7 @@ impl SensorRegistry {
     }
 
     /// Remove a sensor (it left the network), returning its advertisement.
-    pub fn unpublish(&mut self, id: SensorId) -> Result<SensorAdvertisement, PubSubError> {
+    pub fn unpublish(&mut self, id: SensorId) -> Result<Arc<SensorAdvertisement>, PubSubError> {
         self.sensors
             .remove(&id.0)
             .ok_or(PubSubError::UnknownSensor(id.0))
@@ -75,6 +79,7 @@ impl SensorRegistry {
     pub fn get(&self, id: SensorId) -> Result<&SensorAdvertisement, PubSubError> {
         self.sensors
             .get(&id.0)
+            .map(Arc::as_ref)
             .ok_or(PubSubError::UnknownSensor(id.0))
     }
 
@@ -95,7 +100,7 @@ impl SensorRegistry {
 
     /// All advertisements, in id order (deterministic).
     pub fn all(&self) -> impl Iterator<Item = &SensorAdvertisement> {
-        self.sensors.values()
+        self.sensors.values().map(Arc::as_ref)
     }
 
     /// Discovery: all sensors matching `filter`, in id order.
@@ -103,19 +108,19 @@ impl SensorRegistry {
         &'a self,
         filter: &'a SubscriptionFilter,
     ) -> impl Iterator<Item = &'a SensorAdvertisement> + 'a {
-        self.sensors.values().filter(move |ad| filter.matches(ad))
+        self.all().filter(move |ad| filter.matches(ad))
     }
 
     /// Sensors hosted on a given network node.
     pub fn on_node(&self, node: NodeId) -> impl Iterator<Item = &SensorAdvertisement> {
-        self.sensors.values().filter(move |ad| ad.node == node)
+        self.all().filter(move |ad| ad.node == node)
     }
 
     /// Organise the directory under `criterion`: returns group label →
     /// sensor ids, labels sorted.
     pub fn group_by(&self, criterion: GroupCriterion) -> BTreeMap<String, Vec<SensorId>> {
         let mut groups: BTreeMap<String, Vec<SensorId>> = BTreeMap::new();
-        for ad in self.sensors.values() {
+        for ad in self.all() {
             let key = match criterion {
                 GroupCriterion::ThemeRoot => ad
                     .theme
@@ -161,8 +166,7 @@ impl SensorRegistry {
     /// first (demo P3: react "when sensors ... are modified on the fly").
     pub fn replacements_for(&self, departed: &SensorAdvertisement) -> Vec<&SensorAdvertisement> {
         let mut candidates: Vec<&SensorAdvertisement> = self
-            .sensors
-            .values()
+            .all()
             .filter(|ad| ad.id != departed.id)
             .filter(|ad| ad.theme.is_a(&departed.theme) || departed.theme.is_a(&ad.theme))
             .filter(|ad| departed.schema.subsumed_by(&ad.schema))
@@ -198,6 +202,7 @@ pub fn census(registry: &SensorRegistry) -> (usize, usize) {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use sl_stt::{AttrType, Duration, Field, GeoPoint, Schema, Theme};
 

@@ -6,9 +6,29 @@
 //! deliberately forgiving — missing attributes become null, malformed values
 //! become null — because sensors send garbage and the dataflow must keep
 //! running (validation rules downstream decide what to drop).
+//!
+//! One emission costs what its bytes cost: [`WireFormat::encode`] writes
+//! every cell into one pre-sized buffer, and [`decode_payload`] walks the
+//! payload as borrowed slices straight into [`Value`]s — a value is only
+//! copied out when it becomes a `Str`, and an attribute is found by a scan
+//! over the schema's fields.
+//!
+//! What each format carries losslessly (`decode(encode(t)) == t`):
+//!
+//! * **CSV** — every finite value. A `Str` holding `,`, `"`, leading or
+//!   trailing whitespace, or equal to `null` is quoted on the wire, and a
+//!   quoted cell is taken verbatim. The one exception: `Str("")` is an empty
+//!   cell, which reads back as `Null`.
+//! * **JSON** — every finite value (a non-finite `Float` is written as
+//!   `null`). Strings escape `\` and `"`; field names are written as is.
+//! * **Key-value** — no escaping: a `Str` loses its `;` and `=` (written as
+//!   spaces) and its edge whitespace, one wrapped in `"…"` loses the quotes,
+//!   and `Str("")` / `Str("null")` read back as `Null`.
 
 use bytes::Bytes;
-use sl_stt::{AttrType, SchemaRef, SttError, SttMeta, Tuple, Value};
+use sl_stt::{trim_field, AttrType, SchemaRef, SttError, SttMeta, Tuple, Value};
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// The payload encoding a sensor uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,85 +48,112 @@ impl WireFormat {
     /// Encode a tuple's values (metadata travels out of band in the
     /// simulated transport).
     pub fn encode(self, tuple: &Tuple) -> Bytes {
-        let schema = tuple.schema();
-        match self {
-            WireFormat::Csv => {
-                let mut out = String::new();
-                for (i, v) in tuple.values().iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&csv_cell(v));
-                }
-                Bytes::from(out)
+        let cells = tuple.schema().fields().iter().zip(tuple.values());
+        // Room for every name and a typical cell: the buffer rarely grows.
+        let size = cells.clone().map(|(f, v)| match v {
+            Value::Str(s) => f.name.len() + s.len() + 8,
+            _ => f.name.len() + 48,
+        });
+        let mut out = String::with_capacity(size.sum::<usize>() + 2);
+        let (open, sep, close) = match self {
+            WireFormat::Csv => ("", ',', ""),
+            WireFormat::Json => ("{", ',', "}"),
+            WireFormat::KeyValue => ("", ';', ""),
+        };
+        out.push_str(open);
+        for (i, (field, value)) in cells.enumerate() {
+            if i > 0 {
+                out.push(sep);
             }
-            WireFormat::Json => {
-                let mut out = String::from("{");
-                for (i, (f, v)) in schema.fields().iter().zip(tuple.values()).enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("\"{}\":{}", f.name, json_cell(v)));
+            let written = match self {
+                WireFormat::Csv => csv_cell(&mut out, value),
+                WireFormat::Json => {
+                    out.push('"');
+                    out.push_str(&field.name);
+                    out.push_str("\":");
+                    json_cell(&mut out, value)
                 }
-                out.push('}');
-                Bytes::from(out)
-            }
-            WireFormat::KeyValue => {
-                let mut out = String::new();
-                for (i, (f, v)) in schema.fields().iter().zip(tuple.values()).enumerate() {
-                    if i > 0 {
-                        out.push(';');
-                    }
-                    out.push_str(&format!("{}={}", f.name, kv_cell(v)));
+                WireFormat::KeyValue => {
+                    out.push_str(&field.name);
+                    out.push('=');
+                    kv_cell(&mut out, value)
                 }
-                Bytes::from(out)
-            }
+            };
+            debug_assert!(written.is_ok(), "writing into a String cannot fail");
         }
+        out.push_str(close);
+        Bytes::from(out)
     }
 }
 
-fn csv_cell(v: &Value) -> String {
+fn csv_cell(out: &mut String, v: &Value) -> fmt::Result {
     match v {
-        Value::Null => String::new(),
+        Value::Null => Ok(()),
+        Value::Str(s)
+            if s.bytes().any(|b| b == b',' || b == b'"')
+                || trim_field(s).len() != s.len()
+                || s == "null" =>
+        {
+            out.push('"');
+            push_escaped(out, s, '"', b"\"");
+            out.write_char('"')
+        }
+        Value::Str(s) => out.write_str(s),
+        Value::Geo(g) => write!(out, "\"{},{}\"", g.lat, g.lon),
+        scalar => scalar_cell(out, scalar),
+    }
+}
+
+fn json_cell(out: &mut String, v: &Value) -> fmt::Result {
+    match v {
+        Value::Null => out.write_str("null"),
+        Value::Float(f) if !f.is_finite() => out.write_str("null"),
         Value::Str(s) => {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
+            out.push('"');
+            push_escaped(out, s, '\\', b"\\\"");
+            out.write_char('"')
         }
-        Value::Geo(g) => format!("\"{},{}\"", g.lat, g.lon),
-        Value::Time(t) => t.as_millis().to_string(),
-        other => other.to_string(),
+        Value::Geo(g) => write!(out, "[{},{}]", g.lat, g.lon),
+        scalar => scalar_cell(out, scalar),
     }
 }
 
-fn json_cell(v: &Value) -> String {
+fn kv_cell(out: &mut String, v: &Value) -> fmt::Result {
     match v {
-        Value::Null => "null".into(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f.is_finite() {
-                f.to_string()
-            } else {
-                "null".into()
+        Value::Null => Ok(()),
+        Value::Str(s) => {
+            for c in s.chars() {
+                out.push(if c == ';' || c == '=' { ' ' } else { c });
             }
+            Ok(())
         }
-        Value::Str(s) => format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
-        Value::Time(t) => t.as_millis().to_string(),
-        Value::Geo(g) => format!("[{},{}]", g.lat, g.lon),
+        Value::Geo(g) => write!(out, "{},{}", g.lat, g.lon),
+        scalar => scalar_cell(out, scalar),
     }
 }
 
-fn kv_cell(v: &Value) -> String {
+/// A flag, number or instant — written alike by every format.
+fn scalar_cell(out: &mut String, v: &Value) -> fmt::Result {
     match v {
-        Value::Null => String::new(),
-        Value::Str(s) => s.replace([';', '='], " "),
-        Value::Geo(g) => format!("{},{}", g.lat, g.lon),
-        Value::Time(t) => t.as_millis().to_string(),
-        other => other.to_string(),
+        Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => write!(out, "{i}"),
+        Value::Float(x) => write!(out, "{x}"),
+        Value::Time(t) => write!(out, "{}", t.as_millis()),
+        other => write!(out, "{other}"),
     }
+}
+
+/// Append `s` with `escape` before each of its `special` (ASCII) bytes.
+fn push_escaped(out: &mut String, s: &str, escape: char, special: &[u8]) {
+    let mut from = 0;
+    for (at, b) in s.bytes().enumerate() {
+        if special.contains(&b) {
+            out.push_str(&s[from..at]);
+            out.push(escape);
+            from = at;
+        }
+    }
+    out.push_str(&s[from..]);
 }
 
 /// Extract a tuple from a payload: parse per the format, then coerce each
@@ -120,28 +167,38 @@ pub fn decode_payload(
 ) -> Result<Tuple, SttError> {
     let text =
         std::str::from_utf8(payload).map_err(|_| SttError::Parse("payload is not UTF-8".into()))?;
-    let mut values = vec![Value::Null; schema.len()];
+    let fields = schema.fields();
+    let mut values = vec![Value::Null; fields.len()];
+    // A handful of fields: a scan, and no error built for a key they lack.
+    let slot = |key: &str| fields.iter().position(|f| f.name == key);
     match format {
         WireFormat::Csv => {
-            for (i, cell) in split_csv(text).into_iter().enumerate() {
-                if i >= schema.len() {
+            let mut rest = Some(text);
+            for (value, field) in values.iter_mut().zip(fields) {
+                let Some(line) = rest else {
                     break;
-                }
-                values[i] = coerce(&cell, schema.fields()[i].ty);
+                };
+                let (cell, quoted, next) = first_csv_cell(line);
+                rest = next;
+                *value = match field.ty {
+                    AttrType::Str if quoted => Value::Str(cell.into_owned()),
+                    ty => coerce(&cell, ty),
+                };
             }
         }
-        WireFormat::Json => {
-            for (key, raw) in parse_flat_json(text)? {
-                if let Ok(idx) = schema.index_of(&key) {
-                    values[idx] = coerce(&raw, schema.fields()[idx].ty);
-                }
+        WireFormat::Json => json_pairs(text, |key, raw| {
+            if let Some(i) = slot(key) {
+                values[i] = coerce(raw, fields[i].ty);
             }
-        }
+        })?,
         WireFormat::KeyValue => {
-            for pair in text.split(';') {
-                if let Some((k, v)) = pair.split_once('=') {
-                    if let Ok(idx) = schema.index_of(k.trim()) {
-                        values[idx] = coerce(v.trim(), schema.fields()[idx].ty);
+            let mut rest = Some(text);
+            while let Some(line) = rest {
+                let (pair, next) = split_at_byte(line, b';');
+                rest = next;
+                if let (key, Some(raw)) = split_at_byte(pair, b'=') {
+                    if let Some(i) = slot(trim_field(key)) {
+                        values[i] = coerce(raw, fields[i].ty);
                     }
                 }
             }
@@ -150,132 +207,161 @@ pub fn decode_payload(
     Tuple::new(schema.clone(), values, meta)
 }
 
-/// Coerce a textual cell into the target type; failures yield null.
+/// `s` before the first `byte`, and what follows it (`None` without one).
+/// Fields are short: a byte loop beats `str::split`'s searcher set-up.
+fn split_at_byte(s: &str, byte: u8) -> (&str, Option<&str>) {
+    match s.bytes().position(|b| b == byte) {
+        Some(k) => (&s[..k], Some(&s[k + 1..])),
+        None => (s, None),
+    }
+}
+
+/// Coerce a textual cell into the target type; failures yield null. A
+/// `Str` wrapped in JSON quotes loses them and the encoder's escapes.
 fn coerce(cell: &str, ty: AttrType) -> Value {
-    let cell = cell.trim();
+    let cell = trim_field(cell);
     if cell.is_empty() || cell == "null" {
         return Value::Null;
     }
-    // JSON arrays as geo pairs.
-    if ty == AttrType::Geo {
-        let stripped = cell
-            .strip_prefix('[')
-            .and_then(|s| s.strip_suffix(']'))
-            .unwrap_or(cell);
-        return Value::parse_as(stripped, ty).unwrap_or(Value::Null);
+    match ty {
+        // JSON arrays as geo pairs.
+        AttrType::Geo => {
+            let pair = cell.strip_prefix('[').and_then(|s| s.strip_suffix(']'));
+            Value::parse_as(pair.unwrap_or(cell), ty).unwrap_or(Value::Null)
+        }
+        AttrType::Str => Value::Str(
+            match cell.strip_prefix('"').and_then(|s| s.strip_suffix('"')) {
+                Some(inner) => unescape(inner),
+                None => cell.to_string(),
+            },
+        ),
+        _ => Value::parse_as(cell, ty).unwrap_or(Value::Null),
     }
-    // Strip JSON string quotes for Str cells.
-    if ty == AttrType::Str {
-        let inner = cell
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .map(|s| s.replace("\\\"", "\"").replace("\\\\", "\\"));
-        return Value::Str(inner.unwrap_or_else(|| cell.to_string()));
-    }
-    Value::parse_as(cell, ty).unwrap_or(Value::Null)
 }
 
-/// Minimal CSV splitter handling quoted cells.
-fn split_csv(line: &str) -> Vec<String> {
-    let mut cells = Vec::new();
-    let mut cur = String::new();
-    let mut in_q = false;
-    let mut chars = line.chars().peekable();
-    while let Some(c) = chars.next() {
+/// Undo `\"` then `\\` in one pass: a run of `k` backslashes keeps
+/// `ceil(k / 2)` of them, or `ceil((k - 1) / 2)` when its last one escapes
+/// a quote.
+fn unescape(inner: &str) -> String {
+    if !inner.bytes().any(|b| b == b'\\') {
+        return inner.to_string();
+    }
+    let mut out = String::with_capacity(inner.len());
+    let mut run = 0usize;
+    for c in inner.chars() {
+        if c == '\\' {
+            run += 1;
+            continue;
+        }
+        let kept = if c == '"' { run.saturating_sub(1) } else { run };
+        out.extend(std::iter::repeat_n('\\', kept.div_ceil(2)));
+        out.push(c);
+        run = 0;
+    }
+    out.extend(std::iter::repeat_n('\\', run.div_ceil(2)));
+    out
+}
+
+/// The first cell of a CSV line: its text with the quoting undone, whether
+/// any of it was quoted on the wire, and the rest of the line after its
+/// comma (`None` after the last cell). Borrowed unless quotes have to be
+/// taken out of the middle of it.
+fn first_csv_cell(line: &str) -> (Cow<'_, str>, bool, Option<&str>) {
+    let bytes = line.as_bytes();
+    let Some(i) = bytes.iter().position(|&b| b == b',' || b == b'"') else {
+        return (Cow::Borrowed(line), false, None);
+    };
+    if bytes[i] == b',' {
+        return (Cow::Borrowed(&line[..i]), false, Some(&line[i + 1..]));
+    }
+    // `"text"` up to the comma or the end: the text itself.
+    if let Some((text, Some(after))) = line.strip_prefix('"').map(|s| split_at_byte(s, b'"')) {
+        match after.as_bytes().first() {
+            None => return (Cow::Borrowed(text), true, None),
+            Some(b',') => return (Cow::Borrowed(text), true, Some(&after[1..])),
+            Some(_) => {}
+        }
+    }
+    // Anything else: toggle on each quote, a doubled one inside quotes is
+    // a literal `"`, an unterminated one runs to the end of the line.
+    let mut cell = String::new();
+    let mut in_quotes = false;
+    let mut chars = line.char_indices().peekable();
+    while let Some((at, c)) = chars.next() {
         match c {
-            '"' => {
-                if in_q && chars.peek() == Some(&'"') {
-                    cur.push('"');
-                    chars.next();
-                } else {
-                    in_q = !in_q;
-                }
-            }
-            ',' if !in_q => {
-                cells.push(std::mem::take(&mut cur));
-            }
-            _ => cur.push(c),
+            '"' if in_quotes && chars.next_if(|&(_, c)| c == '"').is_some() => cell.push('"'),
+            '"' => in_quotes = !in_quotes,
+            ',' if !in_quotes => return (Cow::Owned(cell), true, Some(&line[at + 1..])),
+            c => cell.push(c),
         }
     }
-    cells.push(cur);
-    cells
+    (Cow::Owned(cell), true, None)
 }
 
-/// Minimal flat-JSON-object parser: `{"k": scalar, ...}` with string, number,
-/// bool, null and `[a,b]` array values. Returns raw value text per key.
-fn parse_flat_json(text: &str) -> Result<Vec<(String, String)>, SttError> {
-    let t = text.trim();
-    let inner = t
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| SttError::Parse("not a JSON object".into()))?;
-    let mut out = Vec::new();
+/// Walk a flat JSON object — `{"k": scalar, ...}` with string, number,
+/// bool, null and `[a,b]` values — handing each key and its raw value text
+/// to `pair` in document order.
+fn json_pairs(text: &str, mut pair: impl FnMut(&str, &str)) -> Result<(), SttError> {
+    let err = |msg: &str| Err(SttError::Parse(msg.into()));
+    let inner = trim_field(text).strip_prefix('{');
+    let Some(inner) = inner.and_then(|s| s.strip_suffix('}')) else {
+        return err("not a JSON object");
+    };
     let bytes = inner.as_bytes();
+    let skip = |mut i: usize, commas: bool| {
+        while bytes
+            .get(i)
+            .is_some_and(|b| b.is_ascii_whitespace() || (commas && *b == b','))
+        {
+            i += 1;
+        }
+        i
+    };
+    let find = |from: usize, byte: u8| {
+        let rest = bytes.get(from..).unwrap_or_default();
+        rest.iter().position(|b| *b == byte).map(|k| from + k)
+    };
     let mut i = 0;
-    while i < bytes.len() {
-        // Skip whitespace and commas.
-        while i < bytes.len() && (bytes[i].is_ascii_whitespace() || bytes[i] == b',') {
-            i += 1;
+    loop {
+        i = skip(i, true);
+        match bytes.get(i) {
+            None => return Ok(()),
+            Some(b'"') => {}
+            Some(_) => return err("expected a JSON key"),
         }
-        if i >= bytes.len() {
-            break;
+        let Some(end) = find(i + 1, b'"') else {
+            return err("unterminated JSON key");
+        };
+        let key = &inner[i + 1..end];
+        i = skip(end + 1, false);
+        if bytes.get(i) != Some(&b':') {
+            return err("expected `:` in JSON object");
         }
-        if bytes[i] != b'"' {
-            return Err(SttError::Parse("expected a JSON key".into()));
-        }
-        i += 1;
-        let kstart = i;
-        while i < bytes.len() && bytes[i] != b'"' {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            return Err(SttError::Parse("unterminated JSON key".into()));
-        }
-        let key = inner[kstart..i].to_string();
-        i += 1;
-        while i < bytes.len() && (bytes[i].is_ascii_whitespace()) {
-            i += 1;
-        }
-        if i >= bytes.len() || bytes[i] != b':' {
-            return Err(SttError::Parse("expected `:` in JSON object".into()));
-        }
-        i += 1;
-        while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        let vstart = i;
-        if i < bytes.len() && bytes[i] == b'"' {
-            i += 1;
-            while i < bytes.len() {
-                if bytes[i] == b'\\' {
-                    i += 2;
-                    continue;
+        let start = skip(i + 1, false);
+        i = match bytes.get(start) {
+            // Up to the first quote after an even run of backslashes (a
+            // backslash escapes the byte after it, whatever it is).
+            Some(b'"') => {
+                let mut from = start + 1;
+                loop {
+                    let Some(quote) = find(from, b'"') else {
+                        return err("unterminated JSON string");
+                    };
+                    let run = bytes[start + 1..quote].iter().rev();
+                    if run.take_while(|b| **b == b'\\').count() % 2 == 0 {
+                        break quote + 1;
+                    }
+                    from = quote + 1;
                 }
-                if bytes[i] == b'"' {
-                    break;
-                }
-                i += 1;
             }
-            if i >= bytes.len() {
-                return Err(SttError::Parse("unterminated JSON string".into()));
-            }
-            i += 1;
-        } else if i < bytes.len() && bytes[i] == b'[' {
-            while i < bytes.len() && bytes[i] != b']' {
-                i += 1;
-            }
-            if i >= bytes.len() {
-                return Err(SttError::Parse("unterminated JSON array".into()));
-            }
-            i += 1;
-        } else {
-            while i < bytes.len() && bytes[i] != b',' {
-                i += 1;
-            }
-        }
-        out.push((key, inner[vstart..i].trim().to_string()));
+            Some(b'[') => match find(start, b']') {
+                Some(end) => end + 1,
+                None => return err("unterminated JSON array"),
+            },
+            _ => find(start, b',').unwrap_or(bytes.len()),
+        };
+        pair(key, &inner[start..i]);
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -342,10 +428,57 @@ mod tests {
         }
     }
 
+    /// Every cell of a CSV line, with its quoted-on-the-wire flag.
+    fn csv_cells(line: &str) -> Vec<(String, bool)> {
+        let mut cells = Vec::new();
+        let mut rest = Some(line);
+        while let Some(line) = rest {
+            let (cell, quoted, next) = first_csv_cell(line);
+            cells.push((cell.into_owned(), quoted));
+            rest = next;
+        }
+        cells
+    }
+
     #[test]
     fn csv_quoted_cells() {
-        let cells = split_csv("a,\"b,c\",\"say \"\"hi\"\"\",d");
-        assert_eq!(cells, vec!["a", "b,c", "say \"hi\"", "d"]);
+        let cells = csv_cells("a,\"b,c\",\"say \"\"hi\"\"\",d,x\"y\"z,\"open,end");
+        let plain = |s: &str| (s.to_string(), false);
+        let quoted = |s: &str| (s.to_string(), true);
+        assert_eq!(
+            cells,
+            vec![
+                plain("a"),
+                quoted("b,c"),
+                quoted("say \"hi\""),
+                plain("d"),
+                quoted("xyz"),
+                quoted("open,end"),
+            ]
+        );
+        assert_eq!(csv_cells(""), vec![plain("")]);
+        assert_eq!(csv_cells("a,"), vec![plain("a"), plain("")]);
+        assert_eq!(csv_cells("\"\",b"), vec![quoted(""), plain("b")]);
+    }
+
+    #[test]
+    fn csv_strings_survive_their_own_wire_format() {
+        let s = Schema::new(vec![Field::new("msg", AttrType::Str)])
+            .unwrap()
+            .into_ref();
+        for text in ["\"hi\"", " padded ", "null", "a \"b\", c", "\t"] {
+            let t = Tuple::new(s.clone(), vec![Value::Str(text.into())], meta()).unwrap();
+            let payload = WireFormat::Csv.encode(&t);
+            let back = decode_payload(&payload, WireFormat::Csv, &s, meta()).unwrap();
+            assert_eq!(
+                back.get("msg").unwrap(),
+                &Value::Str(text.into()),
+                "{payload:?}"
+            );
+        }
+        // What needs no quoting is still written bare.
+        let t = Tuple::new(s.clone(), vec![Value::Str("NULL x".into())], meta()).unwrap();
+        assert_eq!(&WireFormat::Csv.encode(&t)[..], b"NULL x");
     }
 
     #[test]

@@ -70,4 +70,4 @@ pub use theme::{Theme, ThemeTaxonomy};
 pub use time::{Duration, TemporalGranularity, TimeInterval, Timestamp};
 pub use tuple::{SensorId, SttMeta, Tuple};
 pub use units::{Quantity, Unit};
-pub use value::Value;
+pub use value::{trim_field, Value};

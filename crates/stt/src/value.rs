@@ -207,13 +207,18 @@ impl Value {
     /// and by validation-rule checks (paper §2: "data conform to given
     /// validation rules").
     pub fn parse_as(text: &str, ty: AttrType) -> Result<Value, SttError> {
-        let text = text.trim();
+        let text = trim_field(text);
         match ty {
-            AttrType::Bool => match text.to_ascii_lowercase().as_str() {
-                "true" | "1" | "yes" | "t" => Ok(Value::Bool(true)),
-                "false" | "0" | "no" | "f" => Ok(Value::Bool(false)),
-                _ => Err(SttError::Parse(format!("`{text}` is not a Bool"))),
-            },
+            AttrType::Bool => {
+                let is = |words: [&str; 4]| words.iter().any(|w| text.eq_ignore_ascii_case(w));
+                if is(["true", "1", "yes", "t"]) {
+                    Ok(Value::Bool(true))
+                } else if is(["false", "0", "no", "f"]) {
+                    Ok(Value::Bool(false))
+                } else {
+                    Err(SttError::Parse(format!("`{text}` is not a Bool")))
+                }
+            }
             AttrType::Int => text
                 .parse::<i64>()
                 .map(Value::Int)
@@ -254,6 +259,17 @@ impl Value {
             Value::Str(s) => s.len(),
             Value::Geo(_) => 16,
         }
+    }
+}
+
+/// `text.trim()`, without decoding a char when both ends are visible ASCII
+/// — the usual shape of a field cut out of a wire payload.
+pub fn trim_field(text: &str) -> &str {
+    let visible = |b: Option<&u8>| b.is_some_and(u8::is_ascii_graphic);
+    if visible(text.as_bytes().first()) && visible(text.as_bytes().last()) {
+        text
+    } else {
+        text.trim()
     }
 }
 
@@ -432,6 +448,35 @@ mod tests {
             }
             other => panic!("expected Geo, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn trim_field_is_trim() {
+        for text in [
+            "",
+            " ",
+            "a",
+            " a",
+            "a\t",
+            "\u{3000}x",
+            "x\u{3000}",
+            "é",
+            " é ",
+            "a b",
+        ] {
+            assert_eq!(trim_field(text), text.trim(), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn bool_parsing_ignores_ascii_case() {
+        for (text, b) in [("TRUE", true), ("Yes", true), ("T", true), ("No", false)] {
+            assert_eq!(
+                Value::parse_as(text, AttrType::Bool).unwrap(),
+                Value::Bool(b)
+            );
+        }
+        assert!(Value::parse_as("truth", AttrType::Bool).is_err());
     }
 
     #[test]
