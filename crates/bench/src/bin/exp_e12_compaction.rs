@@ -6,7 +6,7 @@
 //! them. Compaction merges the fragments into one generation-1 segment
 //! with a per-block zone index (time bounds + a bloom-style theme filter
 //! persisted in the `.szi` sidecar), so the same queries prune whole
-//! blocks, seek instead of scanning, and fit the decoded-block cache.
+//! blocks and seek instead of scanning.
 //!
 //! Both configurations ingest the identical theme-clustered stream and
 //! evict everything cold; one is then force-compacted. Every query's

@@ -27,8 +27,9 @@
 //! * [`index`] — per-block zone indexes for compacted segments: time
 //!   bounds plus a bloom-style [`ThemeFilter`](index::ThemeFilter) over
 //!   theme-path prefixes, persisted in checksummed `.szi` sidecars, so
-//!   cold queries prune whole blocks and seek instead of scanning. Decoded
-//!   blocks of sealed segments are served from a small LRU cache.
+//!   cold queries prune whole blocks and seek instead of scanning. A
+//!   visited block is read, verified and decoded afresh on every scan, and
+//!   each record is moved to its caller, never copied.
 //!
 //! Engine operator checkpoints ride the same log — a base frame plus delta
 //! frames per operator, folded on open — so a crashed node's
@@ -53,7 +54,6 @@
 //! ```
 #![warn(missing_docs)]
 
-mod cache;
 pub mod codec;
 pub mod compact;
 pub mod error;

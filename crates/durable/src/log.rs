@@ -48,7 +48,6 @@
 //! `OnSeal` only guarantees sealed segments. The fsync latency histogram
 //! and byte counters are exported through [`SegmentLog::metrics_snapshot`].
 
-use crate::cache::{BlockCache, BlockKey};
 use crate::codec::{frame, read_frame, FrameRead, Record, ThemeTable, CODEC_VERSION};
 use crate::compact::{CompactionPolicy, SegmentMeta};
 use crate::error::DurableError;
@@ -88,15 +87,11 @@ pub struct DurableConfig {
     pub index_every: u32,
     /// Background storage maintenance: when and what to compact.
     pub compaction: CompactionPolicy,
-    /// Capacity of the decoded-block LRU cache fronting cold reads
-    /// (0 disables caching).
-    pub cache_blocks: usize,
 }
 
 impl DurableConfig {
     /// Defaults rooted at `dir`: fsync every write (the safe default),
-    /// 1 MiB segments, an index block every 64 frames, compaction off,
-    /// a 64-block cache.
+    /// 1 MiB segments, an index block every 64 frames, compaction off.
     pub fn at(dir: impl Into<PathBuf>) -> DurableConfig {
         DurableConfig {
             dir: dir.into(),
@@ -104,7 +99,6 @@ impl DurableConfig {
             segment_max_bytes: 1024 * 1024,
             index_every: 64,
             compaction: CompactionPolicy::default(),
-            cache_blocks: 64,
         }
     }
 
@@ -123,12 +117,6 @@ impl DurableConfig {
     /// Replace the compaction policy.
     pub fn with_compaction(mut self, policy: CompactionPolicy) -> DurableConfig {
         self.compaction = policy;
-        self
-    }
-
-    /// Replace the block-cache capacity (0 disables caching).
-    pub fn with_cache_blocks(mut self, blocks: usize) -> DurableConfig {
-        self.cache_blocks = blocks;
         self
     }
 }
@@ -403,7 +391,6 @@ pub struct SegmentLog {
     synced_pos: Option<LogPos>,
     last_pos: Option<LogPos>,
     report: RecoveryReport,
-    cache: BlockCache,
     metrics: Metrics,
 }
 
@@ -510,7 +497,6 @@ impl SegmentLog {
             .add(report.sidecars_rebuilt);
         metrics.hist("recovery_us").record(report.duration_us);
 
-        let cache = BlockCache::new(config.cache_blocks);
         let log = SegmentLog {
             config,
             segments,
@@ -520,7 +506,6 @@ impl SegmentLog {
             synced_pos: last_pos,
             last_pos,
             report,
-            cache,
             metrics,
         };
         Ok((log, records, report))
@@ -659,7 +644,7 @@ impl SegmentLog {
     /// Scan the whole log, decoding every record in append order. This is
     /// the brute-force reference reader: no index, no pruning.
     pub fn scan(&mut self) -> Result<Vec<(LogPos, Record)>, DurableError> {
-        self.scan_pruned(&Pruner::keep_all(), &mut |_, _| true)
+        self.collect(&Pruner::keep_all())
     }
 
     /// Scan only records that may be events overlapping `range`, using the
@@ -669,43 +654,42 @@ impl SegmentLog {
         &mut self,
         range: Option<&TimeInterval>,
     ) -> Result<Vec<(LogPos, Record)>, DurableError> {
-        self.scan_pruned(
-            &Pruner {
-                time: range.cloned(),
-                ..Pruner::default()
-            },
-            &mut |_, _| true,
-        )
+        self.collect(&Pruner {
+            time: range.cloned(),
+            ..Pruner::default()
+        })
+    }
+
+    /// Every record [`SegmentLog::scan_pruned`] visits under `pruner`.
+    fn collect(&mut self, pruner: &Pruner) -> Result<Vec<(LogPos, Record)>, DurableError> {
+        let mut out = Vec::new();
+        self.scan_pruned(pruner, &mut |pos, rec| out.push((pos, rec)))?;
+        Ok(out)
     }
 
     /// Scan the log under `pruner`'s constraints: whole segments and index
     /// blocks whose zone index proves they cannot hold a matching event are
-    /// skipped without touching the disk, and decoded blocks of sealed
-    /// segments are served from (and fill) the LRU block cache. Of the
-    /// records in the blocks that survived pruning — a superset of the
-    /// matching events (the matching *cold* events, under a
-    /// [`ColdFrontier`](crate::index::ColdFrontier)) — the result holds
-    /// those `keep` accepts, in append order.
+    /// skipped without touching the disk. Every record of every block that
+    /// survived pruning — a superset of the matching events (the matching
+    /// *cold* events, under a [`ColdFrontier`](crate::index::ColdFrontier))
+    /// — is handed to `visit` by value, in append order.
     ///
-    /// `keep` chooses what is returned, not what is checked: every frame of
-    /// a visited block is checksum-verified and fully decoded before `keep`
-    /// sees it, so damage in a frame nobody asked for still fails the scan.
+    /// Each frame is checksum-verified and fully decoded before `visit`
+    /// sees it, so damage in a frame the caller will discard still fails
+    /// the scan; records `visit` has already been given are then moot.
     pub fn scan_pruned(
         &mut self,
         pruner: &Pruner,
-        keep: &mut dyn FnMut(LogPos, &Record) -> bool,
-    ) -> Result<Vec<(LogPos, Record)>, DurableError> {
+        visit: &mut dyn FnMut(LogPos, Record),
+    ) -> Result<(), DurableError> {
         // Unsynced frames are in the OS page cache, readable by a fresh
         // handle, so no sync is needed for read-your-writes here.
-        let mut out = Vec::new();
-        let mut themes = ThemeTable::default();
+        let mut reader = BlockReader::default();
         let mut bytes_read = 0u64;
         let mut scanned = 0u64;
         let mut pruned = 0u64;
         let constrained = pruner.is_constrained();
-        let active_idx = self.segments.len().saturating_sub(1);
-        let (hits0, misses0) = (self.cache.hits(), self.cache.misses());
-        for (i, seg) in self.segments.iter().enumerate() {
+        for seg in &self.segments {
             if seg.frames == 0 {
                 continue;
             }
@@ -713,16 +697,7 @@ impl SegmentLog {
                 pruned += 1;
                 continue;
             }
-            let sealed = i != active_idx;
-            bytes_read += scan_segment(
-                seg,
-                pruner,
-                sealed,
-                &mut self.cache,
-                &mut themes,
-                keep,
-                &mut out,
-            )?;
+            bytes_read += reader.scan_segment(seg, pruner, visit)?;
             scanned += 1;
         }
         self.metrics.counter("bytes_read").add(bytes_read);
@@ -730,16 +705,7 @@ impl SegmentLog {
             self.metrics.counter("cold/segments_scanned").add(scanned);
             self.metrics.counter("cold/segments_pruned").add(pruned);
         }
-        self.metrics
-            .counter("cache/hits")
-            .add(self.cache.hits() - hits0);
-        self.metrics
-            .counter("cache/misses")
-            .add(self.cache.misses() - misses0);
-        self.metrics
-            .gauge("cache/hit_rate")
-            .set(self.cache.hit_rate_pct());
-        Ok(out)
+        Ok(())
     }
 
     /// Decode every record of the segments covering numbers
@@ -751,20 +717,10 @@ impl SegmentLog {
     ) -> Result<Vec<(LogPos, Record)>, DurableError> {
         let mut out = Vec::new();
         let all = Pruner::keep_all();
-        let mut themes = ThemeTable::default();
-        let active_idx = self.segments.len().saturating_sub(1);
-        for (i, seg) in self.segments.iter().enumerate() {
+        let mut reader = BlockReader::default();
+        for seg in &self.segments {
             if seg.number >= first && seg.last <= last {
-                let sealed = i != active_idx;
-                scan_segment(
-                    seg,
-                    &all,
-                    sealed,
-                    &mut self.cache,
-                    &mut themes,
-                    &mut |_, _| true,
-                    &mut out,
-                )?;
+                reader.scan_segment(seg, &all, &mut |pos, rec| out.push((pos, rec)))?;
             }
         }
         Ok(out)
@@ -891,111 +847,79 @@ impl SegmentLog {
     }
 }
 
-/// Read one segment, skipping index blocks that cannot match `pruner` and
-/// serving sealed blocks from the cache; the records `keep` accepts are
-/// appended to `out`. Every frame of a visited block is verified and decoded
-/// whether or not `keep` accepts it. Returns how many bytes were read from
-/// disk.
-fn scan_segment(
-    seg: &Segment,
-    pruner: &Pruner,
-    sealed: bool,
-    cache: &mut BlockCache,
-    themes: &mut ThemeTable,
-    keep: &mut dyn FnMut(LogPos, &Record) -> bool,
-    out: &mut Vec<(LogPos, Record)>,
-) -> Result<u64, DurableError> {
-    if seg.frames == 0 {
-        return Ok(0);
-    }
-    let constrained = pruner.is_constrained();
-    // A block the cache will hold is decoded into it and the kept records
-    // are cloned out; any other block gives its kept records away.
-    let cacheable = sealed && cache.enabled();
-    let mut file: Option<File> = None;
-    let mut frame_idx: u32 = 0;
-    let mut bytes_read = 0u64;
-    for (bi, block) in seg.blocks.iter().enumerate() {
-        if constrained && !block.may_match(pruner) {
-            frame_idx += block.frames;
-            continue;
-        }
-        let key = BlockKey {
-            segment: seg.number,
-            generation: seg.generation,
-            offset: block.offset,
-        };
-        if cacheable {
-            if let Some(cached) = cache.get(key) {
-                for (fi, rec) in cached {
-                    let pos = LogPos {
-                        segment: seg.number,
-                        frame: *fi,
-                    };
-                    if keep(pos, rec) {
-                        out.push((pos, rec.clone()));
-                    }
-                }
+/// What one scan reuses across every block and segment it reads: the block
+/// buffer, which only ever grows to the largest block, and the theme table.
+#[derive(Default)]
+struct BlockReader {
+    buf: Vec<u8>,
+    themes: ThemeTable,
+}
+
+impl BlockReader {
+    /// Read one segment, skipping index blocks that cannot match `pruner`;
+    /// every frame of a visited block is verified, decoded and handed to
+    /// `visit`. Returns how many bytes were read from disk.
+    fn scan_segment(
+        &mut self,
+        seg: &Segment,
+        pruner: &Pruner,
+        visit: &mut dyn FnMut(LogPos, Record),
+    ) -> Result<u64, DurableError> {
+        let constrained = pruner.is_constrained();
+        let mut file: Option<File> = None;
+        let mut frame_idx: u32 = 0;
+        let mut bytes_read = 0u64;
+        for (bi, block) in seg.blocks.iter().enumerate() {
+            if constrained && !block.may_match(pruner) {
                 frame_idx += block.frames;
                 continue;
             }
-        }
-        let end_offset = seg.blocks.get(bi + 1).map_or(seg.bytes, |next| next.offset);
-        let len = (end_offset - block.offset) as usize;
-        if file.is_none() {
-            file = Some(File::open(&seg.path)?);
-        }
-        let f = file
-            .as_mut()
-            .ok_or_else(|| DurableError::corrupt("segment file just opened is gone"))?;
-        f.seek(SeekFrom::Start(block.offset))?;
-        let mut buf = vec![0u8; len];
-        f.read_exact(&mut buf)?;
-        bytes_read += len as u64;
-        let mut at = 0usize;
-        let mut decoded: Vec<(u32, Record)> =
-            Vec::with_capacity(if cacheable { block.frames as usize } else { 0 });
-        for _ in 0..block.frames {
-            match read_frame(&buf[at..]) {
-                FrameRead::Ok { payload, consumed } => {
-                    at += consumed;
-                    let rec = Record::decode_with(payload, themes)?;
-                    let pos = LogPos {
-                        segment: seg.number,
-                        frame: frame_idx,
-                    };
-                    if cacheable {
-                        if keep(pos, &rec) {
-                            out.push((pos, rec.clone()));
-                        }
-                        decoded.push((frame_idx, rec));
-                    } else if keep(pos, &rec) {
-                        out.push((pos, rec));
+            let end_offset = seg.blocks.get(bi + 1).map_or(seg.bytes, |next| next.offset);
+            let len = (end_offset - block.offset) as usize;
+            let f = match &mut file {
+                Some(f) => f,
+                None => file.insert(File::open(&seg.path)?),
+            };
+            f.seek(SeekFrom::Start(block.offset))?;
+            if self.buf.len() < len {
+                self.buf.resize(len, 0);
+            }
+            let bytes = &mut self.buf[..len];
+            f.read_exact(bytes)?;
+            bytes_read += len as u64;
+            let mut at = 0usize;
+            for _ in 0..block.frames {
+                match read_frame(&bytes[at..]) {
+                    FrameRead::Ok { payload, consumed } => {
+                        at += consumed;
+                        let rec = Record::decode_with(payload, &mut self.themes)?;
+                        let pos = LogPos {
+                            segment: seg.number,
+                            frame: frame_idx,
+                        };
+                        visit(pos, rec);
+                        frame_idx += 1;
                     }
-                    frame_idx += 1;
-                }
-                // The in-memory index said a frame is here; the disk
-                // disagrees. Surface it — this is post-recovery damage, not
-                // a torn tail.
-                FrameRead::Torn { why } => {
-                    return Err(DurableError::corrupt(format!(
-                        "{}: frame {frame_idx}: {why}",
-                        seg.path.display()
-                    )))
-                }
-                FrameRead::End => {
-                    return Err(DurableError::corrupt(format!(
-                        "{}: unexpected end at frame {frame_idx}",
-                        seg.path.display()
-                    )))
+                    // The in-memory index said a frame is here; the disk
+                    // disagrees. Surface it — this is post-recovery damage,
+                    // not a torn tail.
+                    FrameRead::Torn { why } => {
+                        return Err(DurableError::corrupt(format!(
+                            "{}: frame {frame_idx}: {why}",
+                            seg.path.display()
+                        )))
+                    }
+                    FrameRead::End => {
+                        return Err(DurableError::corrupt(format!(
+                            "{}: unexpected end at frame {frame_idx}",
+                            seg.path.display()
+                        )))
+                    }
                 }
             }
         }
-        if cacheable {
-            cache.put(key, decoded);
-        }
+        Ok(bytes_read)
     }
-    Ok(bytes_read)
 }
 
 /// One segment file present in the directory, as named.
@@ -1454,54 +1378,56 @@ mod tests {
     #[test]
     fn broken_grammar_in_a_rejected_frame_still_fails_the_scan() {
         use crate::codec::crc32;
-        for cache_blocks in [0, 64] {
-            let dir = TempDir::new("log-rejected-corrupt").unwrap();
-            let config = DurableConfig {
-                index_every: 4,
-                ..cfg(&dir)
-                    .with_segment_max_bytes(512)
-                    .with_cache_blocks(cache_blocks)
-            };
-            let (mut log, _, _) = SegmentLog::open(config).unwrap();
-            for m in 0..40 {
-                log.append(&event(m)).unwrap();
-            }
-            assert!(log.segment_count() > 1);
-            let first = log.segments[0].path.clone();
-
-            // Frame 5 of the first (sealed) segment: an unknown record kind
-            // under a checksum that matches — the grammar is what is broken.
-            let mut bytes = fs::read(&first).unwrap();
-            let mut at = HEADER_LEN as usize;
-            for _ in 0..5 {
-                let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-                at += 4 + len + 4;
-            }
-            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-            bytes[at + 4] = 99;
-            let crc = crc32(&bytes[at + 4..at + 4 + len]);
-            bytes[at + 4 + len..at + 8 + len].copy_from_slice(&crc.to_le_bytes());
-            fs::write(&first, &bytes).unwrap();
-
-            let keeping = log.scan_pruned(&Pruner::keep_all(), &mut |_, _| true);
-            let rejecting = log.scan_pruned(&Pruner::keep_all(), &mut |_, _| false);
-            let (Err(keeping), Err(rejecting)) = (keeping, rejecting) else {
-                panic!("a visited block with a broken frame must fail the scan");
-            };
-            assert!(matches!(rejecting, DurableError::Corrupt(_)));
-            assert_eq!(keeping.to_string(), rejecting.to_string());
-            assert!(rejecting.to_string().contains("unknown record kind 99"));
-
-            // A pruner that never visits the damaged block does not see it.
-            let later = Pruner {
-                time: Some(TimeInterval::new(
-                    Timestamp::from_millis(30 * 60_000),
-                    Timestamp::from_millis(31 * 60_000),
-                )),
-                ..Pruner::default()
-            };
-            assert_eq!(log.scan_pruned(&later, &mut |_, _| false).unwrap().len(), 0);
+        let dir = TempDir::new("log-rejected-corrupt").unwrap();
+        let config = DurableConfig {
+            index_every: 4,
+            ..cfg(&dir).with_segment_max_bytes(512)
+        };
+        let (mut log, _, _) = SegmentLog::open(config).unwrap();
+        for m in 0..40 {
+            log.append(&event(m)).unwrap();
         }
+        assert!(log.segment_count() > 1);
+        let first = log.segments[0].path.clone();
+
+        // Frame 5 of the first (sealed) segment: an unknown record kind
+        // under a checksum that matches — the grammar is what is broken.
+        let mut bytes = fs::read(&first).unwrap();
+        let mut at = HEADER_LEN as usize;
+        for _ in 0..5 {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            at += 4 + len + 4;
+        }
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        bytes[at + 4] = 99;
+        let crc = crc32(&bytes[at + 4..at + 4 + len]);
+        bytes[at + 4 + len..at + 8 + len].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&first, &bytes).unwrap();
+
+        let mut kept = Vec::new();
+        let keeping = log.scan_pruned(&Pruner::keep_all(), &mut |pos, rec| kept.push((pos, rec)));
+        let rejecting = log.scan_pruned(&Pruner::keep_all(), &mut |_, _| {});
+        let (Err(keeping), Err(rejecting)) = (keeping, rejecting) else {
+            panic!("a visited block with a broken frame must fail the scan");
+        };
+        assert!(matches!(rejecting, DurableError::Corrupt(_)));
+        assert_eq!(keeping.to_string(), rejecting.to_string());
+        assert!(rejecting.to_string().contains("unknown record kind 99"));
+
+        // A pruner that never visits the damaged block does not see it.
+        let later = Pruner {
+            time: Some(TimeInterval::new(
+                Timestamp::from_millis(30 * 60_000),
+                Timestamp::from_millis(31 * 60_000),
+            )),
+            ..Pruner::default()
+        };
+        let mut seen = Vec::new();
+        log.scan_pruned(&later, &mut |_, rec| seen.push(rec))
+            .unwrap();
+        assert!(seen
+            .iter()
+            .any(|r| matches!(r, Record::Event(e) if e.tgranule == 30)));
     }
 
     #[test]
@@ -1588,23 +1514,28 @@ mod tests {
             theme: Some(Theme::new("traffic").unwrap()),
             ..Pruner::default()
         };
-        let pruned = log.scan_pruned(&absent, &mut |_, _| true).unwrap();
-        assert!(
-            pruned
-                .iter()
-                .all(|(pos, r)| !matches!(r, Record::Event(_)) || pos.segment > last),
+        let mut compacted_events = 0;
+        log.scan_pruned(&absent, &mut |pos, r| {
+            if matches!(r, Record::Event(_)) && pos.segment <= last {
+                compacted_events += 1;
+            }
+        })
+        .unwrap();
+        assert_eq!(
+            compacted_events, 0,
             "bloom filter excludes the absent subtree from the compacted range"
         );
         let present = Pruner {
             theme: Some(Theme::new("weather").unwrap()),
             ..Pruner::default()
         };
-        let kept_events = log
-            .scan_pruned(&present, &mut |pos, r| {
-                matches!(r, Record::Event(_)) && pos.segment <= last
-            })
-            .unwrap()
-            .len();
+        let mut kept_events = 0;
+        log.scan_pruned(&present, &mut |pos, r| {
+            if matches!(r, Record::Event(_)) && pos.segment <= last {
+                kept_events += 1;
+            }
+        })
+        .unwrap();
         assert!(kept_events > 0, "present theme survives pruning");
 
         // Reopen: the compacted segment and its sidecar survive verbatim.

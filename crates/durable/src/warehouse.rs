@@ -501,21 +501,18 @@ impl DurableWarehouse {
         } else {
             Pruner::keep_all()
         };
-        // The scan hands back (and so clones or moves) only what the query
-        // returns; it still verifies and decodes every frame it visits.
+        // The scan moves each verified record here; a matching cold event
+        // goes straight into the answer, everything else is dropped.
         let (markers, suffix_max) = (&self.markers, &self.suffix_max);
-        let mut cold_match = |pos: LogPos, rec: &Record| match rec {
-            Record::Event(event) => is_cold(markers, suffix_max, pos, event) && q.matches(event),
-            _ => false,
-        };
-        let records = self.log.scan_pruned(&pruner, &mut cold_match)?;
-        Ok(records
-            .into_iter()
-            .filter_map(|(_, rec)| match rec {
-                Record::Event(event) => Some(event),
-                _ => None,
-            })
-            .collect())
+        let mut out = Vec::new();
+        self.log.scan_pruned(&pruner, &mut |pos, rec| {
+            if let Record::Event(event) = rec {
+                if is_cold(markers, suffix_max, pos, &event) && q.matches(&event) {
+                    out.push(event);
+                }
+            }
+        })?;
+        Ok(out)
     }
 
     /// Force everything appended so far onto stable storage.
@@ -760,6 +757,33 @@ mod tests {
         let merged = dw.query(&straddling).unwrap();
         assert!(bytes_read(&dw) > before);
         assert_eq!(sorted(merged), sorted(dw.query_scan(&straddling).unwrap()));
+    }
+
+    #[test]
+    fn damage_after_open_is_caught_on_every_read() {
+        let dir = TempDir::new("dw-damage").unwrap();
+        let config = DurableConfig::at(dir.path()).with_segment_max_bytes(400);
+        let mut dw = DurableWarehouse::open(config).unwrap();
+        for m in 0..40 {
+            dw.insert(event(m, "weather")).unwrap();
+        }
+        dw.evict_before(minutes(40)).unwrap();
+        assert!(dw.segment_count() > 2);
+        assert_eq!(dw.query(&EventQuery::all()).unwrap().len(), 40);
+
+        // Flip a payload byte of the first frame of the first (sealed)
+        // segment, after it was opened, verified and read once.
+        let first = dw.log().sealed_metas()[0].first;
+        let path = dir.path().join(format!("seg-{first:06}.slg"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8 + 4 + 2] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let again = dw.query(&EventQuery::all()).map(|found| found.len());
+        assert!(
+            matches!(again, Err(DurableError::Corrupt(_))),
+            "the second read must see the damage: {again:?}"
+        );
     }
 
     #[test]

@@ -171,6 +171,8 @@ impl EventWarehouse {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
+
     use super::*;
     use crate::store::WarehouseConfig;
     use sl_stt::{GeoPoint, SpatialGranularity, TemporalGranularity, Timestamp, Value};

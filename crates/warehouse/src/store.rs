@@ -128,13 +128,13 @@ impl EventWarehouse {
 
     /// Append one event.
     pub fn insert(&mut self, event: Event) {
-        if self.segments.last().map_or(0, Vec::len) >= self.config.segment_capacity {
-            self.segments.push(Vec::new());
+        // The open segment is the last one; a full one is sealed first.
+        let mut slots = self.segments.pop().unwrap_or_default();
+        if slots.len() >= self.config.segment_capacity {
+            self.segments.push(std::mem::take(&mut slots));
             self.stats.segments += 1;
         }
-        let seg = (self.segments.len() - 1) as u32;
-        let off = self.segments.last().expect("segment exists").len() as u32;
-        let pos = (seg, off);
+        let pos = (self.segments.len() as u32, slots.len() as u32);
 
         // Index by the *start* of the event's interval at the index
         // granularity.
@@ -159,10 +159,8 @@ impl EventWarehouse {
             .push(pos);
 
         self.expiry.push(Reverse((event.time_interval().end, pos)));
-        self.segments
-            .last_mut()
-            .expect("segment exists")
-            .push(Some(event));
+        slots.push(Some(event));
+        self.segments.push(slots);
         self.stats.events += 1;
     }
 
@@ -253,9 +251,10 @@ impl EventWarehouse {
                 break;
             }
             self.expiry.pop();
-            let event = self.segments[pos.0 as usize][pos.1 as usize]
-                .take()
-                .expect("expiry entries point at live slots");
+            // Expiry entries point at live slots: one entry per live event.
+            let Some(event) = self.segments[pos.0 as usize][pos.1 as usize].take() else {
+                continue;
+            };
             if event.sgranule == SpatialGranule::World {
                 self.world_events -= 1;
             }
@@ -328,6 +327,8 @@ pub fn tuple_events(
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::disallowed_methods)] // tests may panic freely
+
     use super::*;
     use sl_stt::{AttrType, Field, GeoPoint, Schema, SensorId, SttMeta, Value};
 

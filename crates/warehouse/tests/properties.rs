@@ -2,6 +2,8 @@
 //! brute-force scan, roll-ups conserve event counts, and incremental
 //! eviction is indistinguishable from filtering the store.
 
+#![allow(clippy::disallowed_methods)] // tests may panic freely
+
 use proptest::prelude::*;
 use sl_stt::{
     BoundingBox, Event, GeoPoint, SpatialGranularity, TemporalGranularity, Theme, TimeInterval,

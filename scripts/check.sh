@@ -34,8 +34,8 @@ cargo build --release
 cargo test -q
 cargo fmt --check
 # clippy -D warnings is also the panic ban: every crate on the tuple path
-# (engine, netsim, obs, pubsub, durable, cq, lint) has a clippy.toml that
-# disallows `Option`/`Result` `unwrap`/`expect` outside tests.
+# (engine, netsim, obs, pubsub, durable, warehouse, cq, lint) has a
+# clippy.toml that disallows `Option`/`Result` `unwrap`/`expect` outside tests.
 cargo clippy --workspace --all-targets -- -D warnings
 # The root package only, as before `default-members`: its `sl-lint` binary
 # and the `sl_lint` library would otherwise write the same doc directory.
