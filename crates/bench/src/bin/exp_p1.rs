@@ -1,13 +1,14 @@
 //! E5 — Demo P1 reproduction: sensor discovery and dataflow design checks.
 //! Measures discovery latency against fleet size, shows the directory
-//! organisations, and demonstrates that every inconsistency class the GUI
-//! prevents is caught by validation.
+//! organisations, demonstrates that every inconsistency class the GUI
+//! prevents is caught by validation, and times those checks (ablation A1:
+//! validation by flow size, rejection at depth, the logical optimiser).
 //!
 //! ```sh
 //! cargo run --release -p sl-bench --bin exp_p1
 //! ```
 
-use sl_bench::{make_ads, print_table};
+use sl_bench::{bench_schema, linear_dataflow, make_ads, print_table};
 use sl_dataflow::{validate, DataflowBuilder};
 use sl_dsn::SinkKind;
 use sl_pubsub::registry::GroupCriterion;
@@ -73,7 +74,7 @@ fn main() {
         registry.publish(ad).unwrap();
     }
     let mut rows = Vec::new();
-    for (label, criterion) in [
+    for (label, by) in [
         ("theme root", GroupCriterion::ThemeRoot),
         ("kind", GroupCriterion::Kind),
         ("hosting node", GroupCriterion::Node),
@@ -83,7 +84,7 @@ fn main() {
         ),
         ("period band", GroupCriterion::PeriodBand),
     ] {
-        let groups = registry.group_by(criterion);
+        let groups = registry.group_by(by);
         let largest = groups.values().map(Vec::len).max().unwrap_or(0);
         rows.push(vec![
             label.to_string(),
@@ -93,12 +94,12 @@ fn main() {
     }
     print_table(
         "E5 / P1 — directory organisations (1000 sensors)",
-        &["criterion", "groups", "largest group"],
+        &["grouped by", "groups", "largest group"],
         &rows,
     );
 
     // --- validation catches every inconsistency class ----------------------
-    let schema = sl_bench::bench_schema();
+    let schema = bench_schema();
     let any = SubscriptionFilter::any;
     let cases: Vec<(&str, sl_dataflow::Dataflow)> = vec![
         (
@@ -197,4 +198,66 @@ fn main() {
         &["mistake", "verdict"],
         &rows,
     );
+
+    // --- A1: what the checks cost ------------------------------------------
+    let mut rows = Vec::new();
+    for ops in [2usize, 8, 32, 64] {
+        let df = linear_dataflow("a1", ops);
+        let us = per_call_us(|| assert!(validate(&df).is_ok()));
+        rows.push(vec![
+            "validate (valid linear flow)".into(),
+            ops.to_string(),
+            format!("{us:.1}"),
+        ]);
+    }
+    // Rejection: the bad node sits at the end of the pipeline, the worst
+    // case for schema propagation.
+    for ops in [2usize, 32] {
+        let mut b = DataflowBuilder::new("bad").source("src", any(), schema.clone());
+        let mut prev = "src".to_string();
+        for i in 0..ops {
+            let name = format!("f{i}");
+            b = b.filter(&name, &prev, "temperature > 0");
+            prev = name;
+        }
+        let df = b
+            .filter("broken", &prev, "no_such_attribute > 1")
+            .sink("out", SinkKind::Console, &["broken"])
+            .build()
+            .unwrap();
+        let us = per_call_us(|| assert!(validate(&df).is_err()));
+        rows.push(vec![
+            "reject (invalid at depth)".into(),
+            ops.to_string(),
+            format!("{us:.1}"),
+        ]);
+    }
+    // The optimiser on a rewrite-rich pipeline: a virtual property ahead of
+    // three filters it can pull forward and fuse.
+    let df = DataflowBuilder::new("opt")
+        .source("s", any(), schema)
+        .virtual_property("v", "s", "d", "temperature + humidity")
+        .filter("f1", "v", "temperature > 20")
+        .filter("f2", "f1", "humidity > 40")
+        .filter("f3", "f2", "seq > 10")
+        .sink("out", SinkKind::Console, &["f3"])
+        .build()
+        .unwrap();
+    let us = per_call_us(|| assert!(sl_dataflow::optimize(&df).is_ok()));
+    rows.push(vec!["optimise".into(), "4".into(), format!("{us:.1}")]);
+    print_table(
+        "A1 — validation passes: cost per call",
+        &["check", "operators", "per call [µs]"],
+        &rows,
+    );
+}
+
+/// Mean wall time of `f` over enough calls to rise above timer noise.
+fn per_call_us(mut f: impl FnMut()) -> f64 {
+    const REPS: u32 = 500;
+    let t0 = Instant::now();
+    for _ in 0..REPS {
+        f();
+    }
+    t0.elapsed().as_secs_f64() * 1e6 / f64::from(REPS)
 }

@@ -1,5 +1,6 @@
 //! E6 — Demo P2 reproduction: DSN translation round-trips and the Event
-//! Data Warehouse's ingest/query performance.
+//! Data Warehouse's ingest/query performance, plus E8: the same ingest
+//! against the crash-safe warehouse under each fsync policy.
 //!
 //! ```sh
 //! cargo run --release -p sl-bench --bin exp_p2
@@ -7,6 +8,7 @@
 
 use sl_bench::{linear_dataflow, make_tuples, print_table, tuples_per_sec};
 use sl_dsn::{compile, parse_document, print_document};
+use sl_durable::{DurableConfig, DurableWarehouse, FsyncPolicy, TempDir};
 use sl_stt::{
     BoundingBox, GeoPoint, SpatialGranularity, TemporalGranularity, Theme, TimeInterval, Timestamp,
 };
@@ -146,4 +148,69 @@ fn main() {
         "roll-up must conserve counts"
     );
     println!("roll-up conserves counts: {total} events across cells");
+
+    // --- E8: durable ingest across the fsync spectrum -----------------------
+    // `OnSeal` (crash window = the open segment), `EveryN(64)` (bounded tail
+    // loss) and `Always` (no acked loss, every append pays a sync), against
+    // the in-memory warehouse as the zero-durability baseline. `Always`
+    // runs a 500-tuple slice: at 5k it is seconds of fsyncs.
+    let tuples = make_tuples(5_000, 11);
+    let in_memory = median_rate(tuples.len(), || {
+        let mut w = EventWarehouse::with_defaults();
+        let t0 = Instant::now();
+        for t in &tuples {
+            w.ingest_tuple(t, TemporalGranularity::Minute, SpatialGranularity::grid(8));
+        }
+        t0.elapsed()
+    });
+    let mut rows = vec![vec![
+        "in-memory".to_string(),
+        "—".into(),
+        tuples.len().to_string(),
+        format!("{in_memory:.0}"),
+        "1×".into(),
+    ]];
+    for (label, policy, n) in [
+        ("on-seal", FsyncPolicy::OnSeal, 5_000usize),
+        ("every 64 appends", FsyncPolicy::EveryN(64), 5_000),
+        ("every append", FsyncPolicy::Always, 500),
+    ] {
+        let rate = median_rate(n, || {
+            let dir = TempDir::new("exp-p2-ingest").expect("tempdir");
+            let t0 = Instant::now();
+            let config = DurableConfig::at(dir.path()).with_fsync(policy);
+            let mut w = DurableWarehouse::open(config).expect("open durable warehouse");
+            for t in &tuples[..n] {
+                w.ingest_tuple(t, TemporalGranularity::Minute, SpatialGranularity::grid(8))
+                    .expect("ingest");
+            }
+            t0.elapsed()
+        });
+        rows.push(vec![
+            "durable".into(),
+            label.into(),
+            n.to_string(),
+            format!("{rate:.0}"),
+            format!("{:.3}×", rate / in_memory),
+        ]);
+    }
+    print_table(
+        "E8 — durable ingest under the fsync spectrum (median of 3 runs)",
+        &[
+            "backend",
+            "fsync policy",
+            "tuples",
+            "tuples/s",
+            "vs. in-memory",
+        ],
+        &rows,
+    );
+}
+
+/// Median tuples/s over three runs of `n` tuples; `run` returns the wall
+/// time of its ingest, setup excluded.
+fn median_rate(n: usize, mut run: impl FnMut() -> std::time::Duration) -> f64 {
+    let mut rates: Vec<f64> = (0..3).map(|_| tuples_per_sec(n, run())).collect();
+    rates.sort_by(f64::total_cmp);
+    rates[1]
 }

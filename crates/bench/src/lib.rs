@@ -1,22 +1,18 @@
-//! # sl-bench — workloads and fixtures shared by the benchmark suite
+//! # sl-bench — workloads and fixtures shared by the experiment binaries
 //!
-//! One bench target / experiment binary exists per paper artifact (see
-//! `DESIGN.md` §5 and `EXPERIMENTS.md`):
+//! One experiment binary exists per paper artifact (see `DESIGN.md` §5 and
+//! `EXPERIMENTS.md`); each prints its tables to stdout:
 //!
-//! | Experiment | Artifact | Target |
+//! | Experiment | Artifact | Binary |
 //! |---|---|---|
-//! | E1 | Table 1   | `benches/table1_operations.rs`, `bin/exp_table1.rs` |
-//! | E2 | Figure 1  | `benches/fig1_deployment.rs`, `bin/exp_fig1.rs` |
+//! | E1, A3 | Table 1, join ablation | `bin/exp_table1.rs` |
+//! | E2 | Figure 1  | `bin/exp_fig1.rs` |
 //! | E3 | Figure 2  | `bin/exp_fig2_scenario.rs` |
-//! | E4 | Figure 3  | `benches/fig3_monitoring.rs`, `bin/exp_fig3_monitor.rs` |
-//! | E5 | Demo P1   | `benches/p1_discovery.rs`, `bin/exp_p1.rs` |
-//! | E6 | Demo P2   | `benches/p2_translate_store.rs`, `bin/exp_p2.rs` |
+//! | E4 | Figure 3  | `bin/exp_fig3_monitor.rs` |
+//! | E5, A1 | Demo P1, validation ablation | `bin/exp_p1.rs` |
+//! | E6, E8 | Demo P2, fsync spectrum | `bin/exp_p2.rs` |
 //! | E7 | Demo P3   | `bin/exp_p3.rs` |
-//! | A1 | ablation  | `benches/ablation_validation.rs` |
-//! | A2 | ablation  | `bin/exp_ablation_placement.rs` |
-//! | A3 | ablation  | `benches/ablation_windows.rs` |
-
-pub mod compare;
+//! | A2 | placement ablation | `bin/exp_ablation_placement.rs` |
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -197,33 +193,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 /// Throughput in tuples/sec given a wall-clock duration for `n` tuples.
 pub fn tuples_per_sec(n: usize, wall: std::time::Duration) -> f64 {
     n as f64 / wall.as_secs_f64().max(1e-12)
-}
-
-/// Persist an experiment's JSON results.
-///
-/// Full runs write `file` into the working directory (the committed
-/// `BENCH_*.json` baselines at the repo root). Smoke runs (`--test`) write
-/// into `$BENCH_JSON_DIR` when it is set — `scripts/check.sh` points it at
-/// a scratch directory so `bench-compare` can diff the fresh smoke numbers
-/// against the committed baselines — and skip the write otherwise.
-pub fn write_bench_json(file: &str, json: &str, smoke: bool) {
-    let path = if smoke {
-        match std::env::var_os("BENCH_JSON_DIR") {
-            Some(dir) => {
-                let dir = std::path::PathBuf::from(dir);
-                if let Err(e) = std::fs::create_dir_all(&dir) {
-                    eprintln!("warning: cannot create {}: {e}", dir.display());
-                    return;
-                }
-                dir.join(file)
-            }
-            None => return,
-        }
-    } else {
-        std::path::PathBuf::from(file)
-    };
-    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("\nwrote {}", path.display());
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 //!
 //! * `Block` mode absorbs a burst by revoking sensor credits — **zero**
 //!   tuple loss and every queue depth ≤ its bound throughout;
-//! * `ShedOldest` mode's warehouse shortfall exactly equals the
-//!   `DropReason::Shed` dead-letter count (loss is bounded *and* accounted);
+//! * under `ShedOldest`, `ShedNewest` and `Sample`, the warehouse shortfall
+//!   exactly equals the `DropReason::Shed` dead-letter count, attributed to
+//!   the policy (loss is bounded *and* accounted);
 //! * at the global in-flight cap, low-priority dataflows shed first and the
 //!   high-priority dataflow loses nothing;
 //! * circuit breakers turn a dead route's retry storm into accounted
@@ -207,50 +208,75 @@ fn unthrottled_sensors_keep_their_heartbeat() {
 
 #[test]
 fn shed_oldest_shortfall_equals_the_shed_count() {
-    const N: u64 = 12;
-    const CAP: usize = 8;
-    let horizon = Duration::from_secs(60) + Duration::from_millis(500);
-
     // Baseline: identical fleet and burst, unbounded queues.
     let mut base = saturated_engine(
-        N,
+        12,
         EngineConfig {
             migration_enabled: false,
             ..Default::default()
         },
     );
-    base.install_fault_plan(&triple_burst(N));
-    base.run_for(horizon);
+    base.install_fault_plan(&triple_burst(12));
+    base.run_for(Duration::from_secs(60) + Duration::from_millis(500));
     let expected = base.monitor().sink_count("d", "edw");
     assert!(expected > 500, "burst baseline must be busy ({expected})");
 
-    // Bounded: same run under ShedOldest.
-    let mut e = saturated_engine(N, overload_config(CAP, OverflowPolicy::ShedOldest));
+    for policy in [
+        OverflowPolicy::ShedOldest,
+        OverflowPolicy::ShedNewest,
+        OverflowPolicy::Sample(0.5),
+    ] {
+        shortfall_equals_the_shed_count(policy, expected);
+    }
+}
+
+/// The same fleet and burst as the unbounded run that delivered `expected`,
+/// on an 8-deep queue under `policy`: the warehouse shortfall must exactly
+/// equal the shed dead letters, every one attributed to `policy` at the
+/// filter's queue.
+fn shortfall_equals_the_shed_count(policy: OverflowPolicy, expected: u64) {
+    const N: u64 = 12;
+    const CAP: usize = 8;
+    let shed_policy = policy.shed_policy().expect("a shedding policy");
+    let mut e = saturated_engine(N, overload_config(CAP, policy));
     e.install_fault_plan(&triple_burst(N));
     run_checking_bounds(&mut e, Duration::from_secs(60), CAP as u64);
     e.run_for(Duration::from_millis(500));
 
     let delivered = e.monitor().sink_count("d", "edw");
     let shed = e.dlq().shed_total();
-    assert!(shed > 0, "12 sensors over an 8-deep queue must shed");
+    assert!(
+        shed > 0,
+        "{policy:?}: 12 sensors over an 8-deep queue must shed"
+    );
     assert_eq!(
         expected - delivered,
         shed,
-        "the warehouse shortfall must exactly equal the shed dead letters \
-         ({expected} - {delivered} vs {shed})"
+        "{policy:?}: the warehouse shortfall must exactly equal the shed dead \
+         letters ({expected} - {delivered} vs {shed})"
     );
     // The loss is attributed to the right queue and policy.
-    assert!(e.dlq().iter().all(|(reason, dead)| {
-        matches!(
-            reason,
-            DropReason::Shed { policy: ShedPolicy::Oldest, operator } if operator == "d/all"
-        ) && dead.deployment == "d"
-    }));
+    assert!(
+        e.dlq().iter().all(|(reason, dead)| {
+            matches!(
+                reason,
+                DropReason::Shed { policy: p, operator } if *p == shed_policy && operator == "d/all"
+            ) && dead.deployment == "d"
+        }),
+        "{policy:?}: {:?}",
+        e.dlq().by_reason().collect::<Vec<_>>()
+    );
     // Taxonomy surfaces in the snapshot and monitor report.
     let snap = e.metrics_snapshot();
-    assert_eq!(snap.counters["engine/dlq/shed/oldest/d/all"], shed);
+    assert_eq!(
+        snap.counters[&format!("engine/dlq/shed/{shed_policy}/d/all")],
+        shed
+    );
     assert_eq!(snap.counters["engine/backpressure/shed"], shed);
-    assert!(e.monitor().report(e.now()).contains("shed/oldest/d/all"));
+    assert!(e
+        .monitor()
+        .report(e.now())
+        .contains(&format!("shed/{shed_policy}/d/all")));
 }
 
 #[test]

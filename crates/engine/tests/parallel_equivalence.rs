@@ -9,7 +9,7 @@
 use sl_dataflow::DataflowBuilder;
 use sl_dsn::SinkKind;
 use sl_engine::shard::ShardKey;
-use sl_engine::{Engine, EngineConfig};
+use sl_engine::{Engine, EngineConfig, OverflowPolicy};
 use sl_faults::FaultPlan;
 use sl_netsim::{NodeId, NodeSpec, Topology};
 use sl_pubsub::SubscriptionFilter;
@@ -248,4 +248,74 @@ fn replace_operator_mid_run_keeps_equivalence() {
     let keep = par.ops.iter().find(|op| op.1 == "keep").expect("keep ran");
     assert_eq!((keep.3, keep.4), (passed, keep.2 - passed));
     assert!(keep.4 > 50, "the replacement filtered the second half");
+}
+
+/// The overload geometry of `overload.rs`: 12 aligned 1 s sensors on a weak
+/// host, a pass-all filter into the warehouse behind an 8-deep ingress
+/// queue, and every sensor bursting 3× from t+10 s to t+40 s.
+fn burst_run(policy: OverflowPolicy, parallelism: usize) -> RunDigest {
+    const N: u64 = 12;
+    let mut t = Topology::new();
+    let host = t.add_node(NodeSpec::edge("sensor-host", 10.0));
+    let b = t.add_node(NodeSpec::edge("hub-b", 100_000.0));
+    let c = t.add_node(NodeSpec::edge("hub-c", 90_000.0));
+    for (x, y) in [(host, b), (host, c), (b, c)] {
+        t.add_link(x, y, Duration::from_millis(1), 10_000_000)
+            .unwrap();
+    }
+    let mut cfg = EngineConfig {
+        migration_enabled: false,
+        parallelism,
+        ..Default::default()
+    };
+    cfg.overload.queue_capacity = Some(8);
+    cfg.overload.policy = policy;
+    let mut e = Engine::new(t, cfg, start());
+    let mut plan = FaultPlan::new();
+    for id in 1..=N {
+        e.add_sensor(Box::new(TemperatureSensor::new(
+            SensorId(id),
+            &format!("t{id}"),
+            GeoPoint::new_unchecked(34.7, 135.5),
+            host,
+            Duration::from_secs(1),
+            false,
+            false,
+            id,
+        )))
+        .unwrap();
+        plan = plan.burst(id, Duration::from_secs(10), Duration::from_secs(30), 3);
+    }
+    let flow = DataflowBuilder::new("p")
+        .source(
+            "temp",
+            SubscriptionFilter::any().with_theme(Theme::new("weather/temperature").unwrap()),
+            temp_schema(),
+        )
+        .filter("all", "temp", "temperature > -100")
+        .sink("edw", SinkKind::Warehouse, &["all"])
+        .build()
+        .unwrap();
+    e.deploy(flow).unwrap();
+    e.install_fault_plan(&plan);
+    e.run_for(Duration::from_secs(60));
+    digest(&e)
+}
+
+#[test]
+fn parallel_matches_sequential_under_burst() {
+    // The admission layer (chokepoint, shed coin, credit protocol) must not
+    // break the determinism contract.
+    for policy in [OverflowPolicy::Block, OverflowPolicy::ShedOldest] {
+        let seq = burst_run(policy, 1);
+        assert!(seq.edw > 100, "{policy:?}: baseline must be busy");
+        let sheds = seq.dlq.iter().map(|(_, n)| n).sum::<u64>();
+        assert_eq!(
+            sheds > 0,
+            policy == OverflowPolicy::ShedOldest,
+            "{policy:?}: {:?}",
+            seq.dlq
+        );
+        assert_eq!(seq, burst_run(policy, 4), "{policy:?}");
+    }
 }

@@ -10,7 +10,7 @@
 use crate::checkpoint::{CheckpointDelta, OpCheckpoint};
 use crate::context::OpContext;
 use crate::error::OpError;
-use crate::window::{EvictionStrategy, SlidingWindow, TumblingCache};
+use crate::window::{SlidingWindow, TumblingCache};
 use crate::Operator;
 use sl_stt::{AttrType, Duration, Field, Schema, SchemaRef, SttMeta, Timestamp, Tuple, Value};
 use std::collections::BTreeMap;
@@ -209,7 +209,7 @@ impl AggregateOp {
             ));
         }
         let mut op = AggregateOp::new(period, group_by, func, agg_attr, input_schema)?;
-        op.cache = AggCache::Sliding(SlidingWindow::new(span, EvictionStrategy::RingBuffer));
+        op.cache = AggCache::Sliding(SlidingWindow::new(span));
         Ok(op)
     }
 

@@ -6,8 +6,7 @@
 //!
 //! * [`TumblingCache`] — collect everything since the last tick, drain on
 //!   tick (Aggregation, Join, Trigger),
-//! * [`SlidingWindow`] — retain the last `d` of virtual time, with either a
-//!   ring-buffer eviction or a naive rescan (the A3 ablation compares them).
+//! * [`SlidingWindow`] — retain the last `d` of virtual time.
 //!
 //! Both keep a cursor over their lifetime counters that says how much of the
 //! cache a checkpoint log has already been told, so `take_delta` hands out
@@ -95,38 +94,25 @@ impl TumblingCache {
     }
 }
 
-/// Eviction strategy for [`SlidingWindow`] (ablation A3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionStrategy {
-    /// Tuples kept in arrival order in a deque; eviction pops from the
-    /// front until in-window. O(evicted) per call.
-    RingBuffer,
-    /// Rebuild the buffer by scanning and retaining. O(n) per call —
-    /// the naive baseline.
-    Rescan,
-}
-
-/// Time-based sliding window over tuple *timestamps*.
+/// Time-based sliding window over tuple *timestamps*, kept in arrival
+/// order; eviction pops from the front, O(evicted) per call.
 #[derive(Debug)]
 pub struct SlidingWindow {
     span: Duration,
-    strategy: EvictionStrategy,
     tuples: VecDeque<Tuple>,
     inserted: u64,
     evicted: u64,
     /// (`inserted`, `evicted`) as of the last [`SlidingWindow::take_delta`].
     logged: (u64, u64),
-    /// Cleared, or evicted from elsewhere than the front (`Rescan`), since
-    /// the last delta: the next one restarts the log.
+    /// Cleared since the last delta: the next one restarts the log.
     reset: bool,
 }
 
 impl SlidingWindow {
     /// A window retaining tuples stamped within the last `span`.
-    pub fn new(span: Duration, strategy: EvictionStrategy) -> SlidingWindow {
+    pub fn new(span: Duration) -> SlidingWindow {
         SlidingWindow {
             span,
-            strategy,
             tuples: VecDeque::new(),
             inserted: 0,
             evicted: 0,
@@ -140,10 +126,9 @@ impl SlidingWindow {
         self.span
     }
 
-    /// Insert a tuple. Tuples are expected roughly in timestamp order; the
-    /// window tolerates disorder (eviction is by timestamp, not position) as
-    /// long as the front-most tuples are oldest *approximately* — with the
-    /// ring strategy badly out-of-order tuples may survive slightly long.
+    /// Insert a tuple. Tuples are expected roughly in timestamp order:
+    /// eviction stops at the first in-window tuple from the front, so a
+    /// badly out-of-order tuple may survive slightly long.
     pub fn push(&mut self, tuple: Tuple, now: Timestamp) {
         self.tuples.push_back(tuple);
         self.inserted += 1;
@@ -153,24 +138,12 @@ impl SlidingWindow {
     /// Evict tuples older than `now - span`.
     pub fn evict(&mut self, now: Timestamp) {
         let horizon = now.saturating_sub(self.span);
-        match self.strategy {
-            EvictionStrategy::RingBuffer => {
-                while let Some(front) = self.tuples.front() {
-                    if front.meta.timestamp < horizon {
-                        self.tuples.pop_front();
-                        self.evicted += 1;
-                    } else {
-                        break;
-                    }
-                }
+        while let Some(front) = self.tuples.front() {
+            if front.meta.timestamp >= horizon {
+                break;
             }
-            EvictionStrategy::Rescan => {
-                let before = self.tuples.len();
-                self.tuples.retain(|t| t.meta.timestamp >= horizon);
-                let removed = before - self.tuples.len();
-                self.evicted += removed as u64;
-                self.reset |= removed > 0;
-            }
+            self.tuples.pop_front();
+            self.evicted += 1;
         }
     }
 
@@ -274,7 +247,7 @@ mod tests {
 
     #[test]
     fn sliding_evicts_old_ring() {
-        let mut w = SlidingWindow::new(Duration::from_secs(10), EvictionStrategy::RingBuffer);
+        let mut w = SlidingWindow::new(Duration::from_secs(10));
         for s in 0..20 {
             w.push(tuple_at(s, s), Timestamp::from_secs(s));
         }
@@ -286,39 +259,8 @@ mod tests {
     }
 
     #[test]
-    fn sliding_evicts_old_rescan() {
-        let mut w = SlidingWindow::new(Duration::from_secs(10), EvictionStrategy::Rescan);
-        for s in 0..20 {
-            w.push(tuple_at(s, s), Timestamp::from_secs(s));
-        }
-        assert_eq!(w.len(), 11);
-        assert_eq!(w.evicted(), 9);
-    }
-
-    #[test]
-    fn strategies_agree_on_ordered_input() {
-        let mut ring = SlidingWindow::new(Duration::from_secs(5), EvictionStrategy::RingBuffer);
-        let mut scan = SlidingWindow::new(Duration::from_secs(5), EvictionStrategy::Rescan);
-        for s in 0..100 {
-            ring.push(tuple_at(s, s), Timestamp::from_secs(s));
-            scan.push(tuple_at(s, s), Timestamp::from_secs(s));
-            assert_eq!(ring.len(), scan.len(), "at t={s}");
-        }
-    }
-
-    #[test]
-    fn rescan_handles_disorder() {
-        let mut w = SlidingWindow::new(Duration::from_secs(5), EvictionStrategy::Rescan);
-        // Out-of-order: a very old tuple arrives late.
-        w.push(tuple_at(100, 1), Timestamp::from_secs(100));
-        w.push(tuple_at(50, 2), Timestamp::from_secs(100));
-        // Rescan evicts it by timestamp regardless of position.
-        assert_eq!(w.len(), 1);
-    }
-
-    #[test]
     fn evict_without_push() {
-        let mut w = SlidingWindow::new(Duration::from_secs(5), EvictionStrategy::RingBuffer);
+        let mut w = SlidingWindow::new(Duration::from_secs(5));
         w.push(tuple_at(0, 0), Timestamp::from_secs(0));
         w.evict(Timestamp::from_secs(100));
         assert!(w.is_empty());
@@ -326,7 +268,7 @@ mod tests {
 
     #[test]
     fn deltas_count_only_what_the_log_already_held_as_evicted() {
-        let mut w = SlidingWindow::new(Duration::from_secs(10), EvictionStrategy::RingBuffer);
+        let mut w = SlidingWindow::new(Duration::from_secs(10));
         w.push(tuple_at(0, 0), Timestamp::from_secs(0));
         let first = w.take_delta(0);
         assert_eq!(
@@ -360,7 +302,7 @@ mod tests {
 
     #[test]
     fn empty_window_is_fine() {
-        let mut w = SlidingWindow::new(Duration::from_secs(5), EvictionStrategy::RingBuffer);
+        let mut w = SlidingWindow::new(Duration::from_secs(5));
         w.evict(Timestamp::from_secs(10));
         assert!(w.is_empty());
         assert_eq!(w.iter().count(), 0);

@@ -133,25 +133,3 @@ proptest! {
         drain_and_check(&mut *op, &mut fold, &steps);
     }
 }
-
-/// The window disciplines the operators do not use: a `Rescan` sliding
-/// window evicts from the middle, which the log answers with a base.
-#[test]
-fn rescan_eviction_restarts_the_log() {
-    use sl_ops::window::{EvictionStrategy, SlidingWindow};
-    let mut w = SlidingWindow::new(Duration::from_secs(10), EvictionStrategy::Rescan);
-    let mut fold = OpCheckpoint::empty();
-    w.push(tuple(100, 1), Timestamp::from_secs(100));
-    w.push(tuple(50, 2), Timestamp::from_secs(50));
-    w.push(tuple(101, 3), Timestamp::from_secs(55));
-    fold.apply(w.take_delta(0));
-    assert_eq!(fold.len(), 3);
-    // The horizon moves to 91: only the middle tuple goes.
-    w.push(tuple(102, 4), Timestamp::from_secs(101));
-    let delta = w.take_delta(0);
-    assert!(delta.reset);
-    fold.apply(delta);
-    let held: Vec<&Tuple> = w.iter().collect();
-    assert_eq!(fold.port(0).collect::<Vec<_>>(), held);
-    assert_eq!(fold.len(), 3);
-}

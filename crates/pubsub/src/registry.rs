@@ -116,12 +116,12 @@ impl SensorRegistry {
         self.all().filter(move |ad| ad.node == node)
     }
 
-    /// Organise the directory under `criterion`: returns group label →
-    /// sensor ids, labels sorted.
-    pub fn group_by(&self, criterion: GroupCriterion) -> BTreeMap<String, Vec<SensorId>> {
+    /// Organise the directory by `by`: returns group label → sensor ids,
+    /// labels sorted.
+    pub fn group_by(&self, by: GroupCriterion) -> BTreeMap<String, Vec<SensorId>> {
         let mut groups: BTreeMap<String, Vec<SensorId>> = BTreeMap::new();
         for ad in self.all() {
-            let key = match criterion {
+            let key = match by {
                 GroupCriterion::ThemeRoot => ad
                     .theme
                     .segments()

@@ -6,8 +6,7 @@
 #                             # warnings
 #   scripts/check.sh          # everything: fast tier + the lint and
 #                             # example gates, the checkpoint owner grep,
-#                             # the recovery examples, the bench smokes,
-#                             # the bench-compare regression diff, and the
+#                             # the recovery and dashboard examples, and the
 #                             # benchmark/ package's build, smoke and own
 #                             # tests
 #
@@ -85,43 +84,9 @@ done
 cargo run --release -q --example chaos_recovery >/dev/null
 cargo run --release -q --example durable_edw >/dev/null
 
-# Bench smokes. Each asserts its experiment's headline claim at reduced
-# scale and, with BENCH_JSON_DIR set, writes its JSON rows to a scratch
-# dir so bench-compare can diff them against the committed baselines.
-BENCH_SMOKE_DIR="target/bench-smoke"
-rm -rf "$BENCH_SMOKE_DIR"
-
-# Parallel-scaling smoke (E9): asserts identical outputs across worker
-# counts and that `with_parallelism(1)` is never slower than the
-# sequential loop beyond noise.
-BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
-    cargo run --release -q -p sl-bench --bin exp_e9_parallel -- --test
-
-# Overload saturation smoke (E10): every bounded policy holds its queue
-# bound under a 3x burst; Block sheds nothing; shed shortfalls are
-# DLQ-accounted to the tuple.
-BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
-    cargo run --release -q -p sl-bench --bin exp_e10_overload -- --test
-
-# Continuous-query gate (the sl-cq unit suite and the engine-level
-# equivalence suite run in the fast tier's `cargo test`): the live-dashboard example and
-# the E11 smoke (incremental maintenance >=10x over rescans at 100
-# subscribers).
+# The live-dashboard example runs end to end (view == rescan itself is the
+# engine's cq_equivalence suite, run in the fast tier's `cargo test`).
 cargo run --release -q --example continuous_dashboard >/dev/null
-BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
-    cargo run --release -q -p sl-bench --bin exp_e11_cq -- --test
-
-# Storage-maintenance smoke (E12): cold queries over a compacted,
-# zone-indexed log answer exactly like the fragmented log and are
-# measurably faster at 100+ segments.
-BENCH_JSON_DIR="$BENCH_SMOKE_DIR" \
-    cargo run --release -q -p sl-bench --bin exp_e12_compaction -- --test
-
-# Bench regression diff: fresh smoke ratios vs. the committed BENCH_*.json
-# baselines. Only scale-invariant metrics are compared; tolerance is loose
-# (0.5) and overridable via BENCH_COMPARE_TOLERANCE. To accept a genuine
-# perf change, regenerate the baseline with the full experiment binary.
-cargo run --release -q -p sl-bench --bin bench-compare -- . "$BENCH_SMOKE_DIR"
 
 # The measure of record: benchmark/ is a standalone package over the public
 # API that the driver builds from a PR's checkout unmodified, so an API
