@@ -318,21 +318,34 @@ impl Engine {
         self.apply_controls(at, service, outcome.controls);
     }
 
-    /// Forward operator outputs to their consumers over the network.
-    pub(crate) fn forward(&mut self, base: Timestamp, from: EndpointId, emitted: Vec<Tuple>) {
-        if emitted.is_empty() {
-            return;
-        }
+    /// Forward operator outputs to their consumers over the network, each
+    /// tuple to every consumer in install order: the last consumer gets the
+    /// tuple itself, the others a copy. The drained `emitted` becomes the
+    /// buffer the next operator call emits into.
+    pub(crate) fn forward(&mut self, base: Timestamp, from: EndpointId, mut emitted: Vec<Tuple>) {
         let ep = &self.endpoints[from.index()];
-        let Some(svc) = ep.service() else {
-            return;
-        };
-        let (from_node, consumers) = (ep.node, svc.consumers.clone());
-        for tuple in emitted {
-            for &(to, port) in &consumers {
-                self.send(base, from_node, to, port, tuple.clone(), 0, base);
+        let consumers = ep.service().map_or(0, |svc| svc.consumers.len());
+        if let Some(last) = consumers.checked_sub(1) {
+            let from_node = ep.node;
+            for tuple in emitted.drain(..) {
+                for i in 0..last {
+                    if let Some((to, port)) = self.consumer(from, i) {
+                        self.send(base, from_node, to, port, tuple.clone(), 0, base);
+                    }
+                }
+                if let Some((to, port)) = self.consumer(from, last) {
+                    self.send(base, from_node, to, port, tuple, 0, base);
+                }
             }
         }
+        emitted.clear();
+        self.emit_buf = emitted;
+    }
+
+    /// The `i`-th (consumer, port) of service `from`, in install order.
+    fn consumer(&self, from: EndpointId, i: usize) -> Option<(EndpointId, usize)> {
+        let svc = self.endpoints.get(from.index())?.service()?;
+        svc.consumers.get(i).copied()
     }
 
     /// Current in-flight depth of an endpoint's ingress queue (0 for sinks

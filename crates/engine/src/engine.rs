@@ -155,6 +155,13 @@ pub struct Engine {
     /// not moved, the scan would read the demands and placements it read
     /// then, and it moved nothing then.
     pub(crate) overload_scanned_at: Option<u64>,
+    /// The next operator call's output buffer: `forward` hands each drained
+    /// output vector back here, so an emission reuses its capacity.
+    pub(crate) emit_buf: Vec<Tuple>,
+    /// One sensor emission's `(sources slot, consumer, port, tuple)`
+    /// deliveries, collected while the sources are borrowed and then sent;
+    /// kept, empty, for the next emission.
+    pub(crate) fanout: Vec<(usize, EndpointId, usize, Tuple)>,
     /// Wall-clock origin for span timestamps (virtual time measures the
     /// simulation; spans measure the host's processing cost).
     epoch: std::time::Instant,
@@ -188,6 +195,8 @@ impl Engine {
             metrics: Metrics::new(),
             handles: Handles::default(),
             overload_scanned_at: None,
+            emit_buf: Vec::new(),
+            fanout: Vec::new(),
             epoch: std::time::Instant::now(),
             pool: None,
         }
@@ -756,32 +765,28 @@ impl Engine {
             .unwrap_or(NodeId(0)))
     }
 
-    fn route_between(&mut self, a: NodeId, b: NodeId) -> Option<Route> {
+    /// Network delay of a tuple from node `a` to node `b`, recording link
+    /// statistics; `None` when unreachable. A local hop crosses no link; a
+    /// remote one walks its cached route in place.
+    pub(crate) fn transfer(&mut self, a: NodeId, b: NodeId, bytes: usize) -> Option<Duration> {
+        let mut total = Duration::ZERO;
         if a == b {
             // A crashed node cannot even deliver to itself.
-            return self.topology.node_is_up(a).then(|| Route::local(a));
-        }
-        let key = (a.0, b.0);
-        if let Some(cached) = self.route_cache.get(&key) {
-            return cached.clone();
-        }
-        let route = RoutingTable::compute(&self.topology, a)
-            .ok()
-            .and_then(|rt| rt.route_to(b).ok());
-        self.route_cache.insert(key, route.clone());
-        route
-    }
-
-    /// Network delay of a tuple from node `a` to node `b`, recording link
-    /// statistics; `None` when unreachable.
-    pub(crate) fn transfer(&mut self, a: NodeId, b: NodeId, bytes: usize) -> Option<Duration> {
-        let route = self.route_between(a, b)?;
-        let mut total = Duration::ZERO;
-        for link in route.links.clone() {
-            let spec = *self.topology.link(link).ok()?;
-            let d = sl_netsim::link_delay(spec.latency, spec.bandwidth_bps, bytes);
-            self.net_stats.record_link(link, bytes, d);
-            total = total + d;
+            if !self.topology.node_is_up(a) {
+                return None;
+            }
+        } else {
+            let topology = &self.topology;
+            let route = self.route_cache.entry((a.0, b.0)).or_insert_with(|| {
+                let table = RoutingTable::compute(topology, a).ok()?;
+                table.route_to(b).ok()
+            });
+            for &link in &route.as_ref()?.links {
+                let spec = topology.link(link).ok()?;
+                let d = sl_netsim::link_delay(spec.latency, spec.bandwidth_bps, bytes);
+                self.net_stats.record_link(link, bytes, d);
+                total = total + d;
+            }
         }
         self.net_stats.record_node_rx(b, bytes);
         Some(total)
@@ -814,6 +819,10 @@ impl Engine {
         // Out of `self` while events run, so a batch can use both.
         let mut pool = self.pool.take();
         let mut live = pool.as_mut().filter(|p| p.workers() > 0);
+        // One clock read per event boundary: an event's `ev/*_us` runs from
+        // the previous event's end (its pop included) to its own end, so the
+        // sums add up to this loop's wall.
+        let mut stamp = self.wall_us();
         while let Some((now, ev)) = self.queue.pop_until(deadline) {
             let mut batch = Vec::new();
             if live.is_some() && batch_eligible(&self.endpoints, &self.monitor, &ev) {
@@ -836,14 +845,26 @@ impl Engine {
             }
             match &mut live {
                 // Parallel dispatch costs more than it saves for one tuple.
+                // A merged member is timed by its own bracket.
                 Some(pool) if !batch.is_empty() => {
                     batch.insert(0, (now, ev));
                     self.run_sharded(pool, batch);
+                    stamp = self.wall_us();
                 }
-                _ => self.handle(now, ev),
+                _ => {
+                    let kind = self.handle(now, ev);
+                    let end = self.wall_us();
+                    self.record_ev(kind, end.saturating_sub(stamp));
+                    stamp = end;
+                }
             }
         }
         self.pool = pool;
+    }
+
+    /// Host wall-clock µs since the engine's epoch.
+    fn wall_us(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
 
     /// Execute a drained batch of eligible deliveries on the shard pool and
@@ -968,8 +989,9 @@ impl Engine {
             let job = match m.job {
                 Ok(job) => job,
                 Err((port, tuple)) => {
-                    let to = m.to;
-                    self.handle(m.at, Ev::Deliver { to, port, tuple });
+                    let (to, wall0) = (m.to, self.wall_us());
+                    let kind = self.handle(m.at, Ev::Deliver { to, port, tuple });
+                    self.record_ev(kind, self.wall_us().saturating_sub(wall0));
                     continue;
                 }
             };
@@ -993,9 +1015,9 @@ impl Engine {
         self.run_until(deadline);
     }
 
-    fn handle(&mut self, now: Timestamp, ev: Ev) {
-        let t0 = self.epoch.elapsed().as_micros() as u64;
-        let kind = match ev {
+    /// Dispatch one event; what it was names its `ev/*_us` histogram.
+    fn handle(&mut self, now: Timestamp, ev: Ev) -> EvKind {
+        match ev {
             Ev::SensorEmit(id) => {
                 self.on_sensor_emit(now, id);
                 EvKind::Emit
@@ -1029,9 +1051,7 @@ impl Engine {
                 self.send(now, from_node, to, port, tuple, attempt, first_failed_at);
                 EvKind::Retry
             }
-        };
-        let t1 = self.epoch.elapsed().as_micros() as u64;
-        self.record_ev(kind, t1.saturating_sub(t0));
+        }
     }
 
     /// Add one event's wall time to its `ev/*_us` histogram.
@@ -1087,7 +1107,8 @@ impl Engine {
             return self.shed(now, to, tuple, policy);
         }
         let trace = tuple.meta.trace;
-        let (outcome, wall0, wall1) = invoke(&mut *svc.op, port, now, tuple, self.epoch);
+        let out = std::mem::take(&mut self.emit_buf);
+        let (outcome, wall0, wall1) = invoke(&mut *svc.op, port, now, tuple, out, self.epoch);
         // Log what a blocking operator absorbed, so a node crash can restore
         // the cache on the recovery placement.
         self.checkpoint(to);
@@ -1106,7 +1127,7 @@ impl Engine {
         let Some(period) = svc.op.timer_period() else {
             return;
         };
-        let mut ctx = OpContext::new(now);
+        let mut ctx = OpContext::with_buffer(now, std::mem::take(&mut self.emit_buf));
         let wall0 = self.epoch.elapsed().as_micros() as u64;
         let result = svc.op.on_timer(now, &mut ctx);
         let wall1 = self.epoch.elapsed().as_micros() as u64;

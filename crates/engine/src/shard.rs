@@ -92,16 +92,18 @@ impl ShardKey {
     }
 }
 
-/// Run one tuple through `op`: the outcome attributed to that input, and
-/// the wall-clock window (µs since `epoch`) the call took.
+/// Run one tuple through `op`, emitting into `out`: the outcome attributed
+/// to that input, and the wall-clock window (µs since `epoch`) the call
+/// took.
 pub(crate) fn invoke(
     op: &mut dyn Operator,
     port: usize,
     at: Timestamp,
     tuple: Tuple,
+    out: Vec<Tuple>,
     epoch: Instant,
 ) -> (TupleOutcome, u64, u64) {
-    let mut ctx = OpContext::new(at);
+    let mut ctx = OpContext::with_buffer(at, out);
     let wall0 = epoch.elapsed().as_micros() as u64;
     let result = op.on_tuple(port, tuple, &mut ctx);
     let wall1 = epoch.elapsed().as_micros() as u64;
@@ -296,7 +298,7 @@ fn worker_loop(
         let t0 = epoch.elapsed().as_micros() as u64;
         let items = items
             .into_iter()
-            .map(|(at, tuple)| invoke(&mut *op, port, at, tuple, epoch))
+            .map(|(at, tuple)| invoke(&mut *op, port, at, tuple, Vec::new(), epoch))
             .collect();
         let t1 = epoch.elapsed().as_micros() as u64;
         let done = ShardJobResult {

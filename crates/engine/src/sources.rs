@@ -414,7 +414,7 @@ impl Engine {
 
         // Fan out to every active bound source, in (deployment, source,
         // consumer install) order.
-        let mut deliveries: Vec<(usize, EndpointId, usize, Tuple)> = Vec::new();
+        let mut deliveries = std::mem::take(&mut self.fanout);
         for (dep_name, dep) in &mut self.deployments {
             for src in dep.sources.values_mut() {
                 if !src.active || !src.sensors.contains(&SensorId(id)) {
@@ -437,10 +437,11 @@ impl Engine {
                 src.recent.push_back(projected);
             }
         }
-        for (sources, to, port, t) in deliveries {
+        for (sources, to, port, t) in deliveries.drain(..) {
             self.monitor.op_at_mut(sources).record_in();
             self.send(now, ad.node, to, port, t, 0, now);
         }
+        self.fanout = deliveries;
     }
 
     /// True when `Block`-mode flow control demands this sensor skip its

@@ -5,29 +5,35 @@
 //! message, dispatch it, possibly schedule more. Ties in time break by
 //! insertion order (FIFO), which — together with seeded randomness
 //! everywhere else — makes every run deterministic.
+//!
+//! The heap orders small keys, not messages: a message waits in a slot of
+//! a `Vec` (freed slots are reused), and the heap sifts `(time, seq, slot)`.
+//! A sift moves 24 bytes however large `M` is — the engine's event carries a
+//! whole tuple — so a push or pop costs the same for any payload.
 
 use sl_stt::{Duration, Timestamp};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-struct Entry<M> {
+/// Heap entry: when, the FIFO tie-break, and where the message waits.
+struct Key {
     time: Timestamp,
     seq: u64,
-    msg: M,
+    slot: u32,
 }
 
-impl<M> PartialEq for Entry<M> {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.time == other.time && self.seq == other.seq
     }
 }
-impl<M> Eq for Entry<M> {}
-impl<M> PartialOrd for Entry<M> {
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M> Ord for Entry<M> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we need earliest-first.
         other
@@ -39,7 +45,10 @@ impl<M> Ord for Entry<M> {
 
 /// A discrete-event queue over message type `M` with a virtual clock.
 pub struct EventQueue<M> {
-    heap: BinaryHeap<Entry<M>>,
+    heap: BinaryHeap<Key>,
+    /// Messages by slot; `None` is a free slot, listed in `free`.
+    slots: Vec<Option<M>>,
+    free: Vec<u32>,
     now: Timestamp,
     seq: u64,
     processed: u64,
@@ -50,6 +59,8 @@ impl<M> EventQueue<M> {
     pub fn new(start: Timestamp) -> EventQueue<M> {
         EventQueue {
             heap: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             now: start,
             seq: 0,
             processed: 0,
@@ -82,7 +93,23 @@ impl<M> EventQueue<M> {
         let time = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry { time, seq, msg });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(msg);
+                slot
+            }
+            None => {
+                self.slots.push(Some(msg));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.heap.push(Key { time, seq, slot });
+    }
+
+    /// Number of message slots allocated: the most events ever pending at
+    /// once, since freed slots are reused.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// Schedule `msg` after `delay` of virtual time.
@@ -92,11 +119,14 @@ impl<M> EventQueue<M> {
 
     /// Pop the next event, advancing the clock to its time.
     pub fn pop(&mut self) -> Option<(Timestamp, M)> {
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.time >= self.now, "time went backwards");
-        self.now = entry.time;
+        let key = self.heap.pop()?;
+        // Every key names a filled slot: a slot is freed only here.
+        let msg = self.slots.get_mut(key.slot as usize)?.take()?;
+        self.free.push(key.slot);
+        debug_assert!(key.time >= self.now, "time went backwards");
+        self.now = key.time;
         self.processed += 1;
-        Some((entry.time, entry.msg))
+        Some((key.time, msg))
     }
 
     /// Time of the next event without popping it.
@@ -108,7 +138,9 @@ impl<M> EventQueue<M> {
     /// does not advance. Used by the parallel engine to test whether the
     /// queue head is eligible to join the current execution batch.
     pub fn peek(&self) -> Option<(Timestamp, &M)> {
-        self.heap.peek().map(|top| (top.time, &top.msg))
+        let top = self.heap.peek()?;
+        let msg = self.slots.get(top.slot as usize)?.as_ref()?;
+        Some((top.time, msg))
     }
 
     /// Pop only if the next event fires at or before `deadline`.

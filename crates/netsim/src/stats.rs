@@ -8,7 +8,6 @@
 use crate::topology::{LinkId, NodeId};
 use sl_obs::{Gauge, HistSummary, Histogram, MetricsSnapshot};
 use sl_stt::{Duration, Timestamp};
-use std::collections::HashMap;
 
 /// A sampled time series with a bounded memory footprint.
 ///
@@ -96,21 +95,38 @@ impl TimeSeries {
     }
 }
 
-/// Raw counters per node and link.
+/// Traffic one link has carried.
+#[derive(Debug, Default)]
+struct LinkTraffic {
+    msgs: u64,
+    bytes: u64,
+    /// One-hop transfer latency, in microseconds.
+    latency: Histogram,
+}
+
+/// Raw counters per node and link, in vectors indexed by `NodeId.0` and
+/// `LinkId.0` (ids are dense: the topology mints them in order).
 #[derive(Debug, Default)]
 pub struct NetStats {
-    node_msgs: HashMap<NodeId, u64>,
-    node_bytes: HashMap<NodeId, u64>,
-    link_msgs: HashMap<LinkId, u64>,
-    link_bytes: HashMap<LinkId, u64>,
-    /// Per-link one-hop transfer latency, in microseconds.
-    link_latency: HashMap<LinkId, Histogram>,
+    /// `(messages, bytes)` delivered to each node.
+    nodes: Vec<(u64, u64)>,
+    /// `None` for a link that never carried traffic.
+    links: Vec<Option<LinkTraffic>>,
     /// Bytes of reserved/backlogged traffic per link (set by the engine from
-    /// its flow table at each monitor sample).
-    link_queued: HashMap<LinkId, Gauge>,
+    /// its flow table at each monitor sample); `None` if never set.
+    link_queued: Vec<Option<Gauge>>,
     total_msgs: u64,
     total_bytes: u64,
     total_delay: Duration,
+}
+
+/// The entry of `v` at `index`, growing `v` with defaults to reach it.
+fn entry<T: Default>(v: &mut Vec<T>, index: u32) -> &mut T {
+    let index = index as usize;
+    if index >= v.len() {
+        v.resize_with(index + 1, T::default);
+    }
+    &mut v[index]
 }
 
 impl NetStats {
@@ -121,19 +137,18 @@ impl NetStats {
 
     /// Record a message of `bytes` delivered to `node`.
     pub fn record_node_rx(&mut self, node: NodeId, bytes: usize) {
-        *self.node_msgs.entry(node).or_insert(0) += 1;
-        *self.node_bytes.entry(node).or_insert(0) += bytes as u64;
+        let (msgs, total) = entry(&mut self.nodes, node.0);
+        *msgs += 1;
+        *total += bytes as u64;
     }
 
     /// Record a message of `bytes` crossing `link` with the given one-hop
     /// delay.
     pub fn record_link(&mut self, link: LinkId, bytes: usize, delay: Duration) {
-        *self.link_msgs.entry(link).or_insert(0) += 1;
-        *self.link_bytes.entry(link).or_insert(0) += bytes as u64;
-        self.link_latency
-            .entry(link)
-            .or_default()
-            .record((delay.as_secs_f64() * 1e6) as u64);
+        let traffic = entry(&mut self.links, link.0).get_or_insert_with(LinkTraffic::default);
+        traffic.msgs += 1;
+        traffic.bytes += bytes as u64;
+        traffic.latency.record((delay.as_secs_f64() * 1e6) as u64);
         self.total_msgs += 1;
         self.total_bytes += bytes as u64;
         self.total_delay = self.total_delay + delay;
@@ -142,40 +157,44 @@ impl NetStats {
     /// Set the queued-bytes gauge for a link (the engine samples its flow
     /// reservations periodically).
     pub fn set_link_queued(&mut self, link: LinkId, bytes: u64) {
-        self.link_queued
-            .entry(link)
-            .or_default()
+        entry(&mut self.link_queued, link.0)
+            .get_or_insert_with(Gauge::default)
             .set(bytes.min(i64::MAX as u64) as i64);
     }
 
     /// Current queued-bytes gauge of a link (0 if never set).
     pub fn link_queued(&self, link: LinkId) -> i64 {
-        self.link_queued.get(&link).map_or(0, Gauge::get)
+        let gauge = self.link_queued.get(link.0 as usize);
+        gauge.and_then(Option::as_ref).map_or(0, Gauge::get)
+    }
+
+    fn traffic(&self, link: LinkId) -> Option<&LinkTraffic> {
+        self.links.get(link.0 as usize)?.as_ref()
     }
 
     /// Transfer-latency histogram of one link, if it ever carried traffic.
     pub fn link_latency(&self, link: LinkId) -> Option<&Histogram> {
-        self.link_latency.get(&link)
+        self.traffic(link).map(|t| &t.latency)
     }
 
     /// Messages delivered to a node.
     pub fn node_msgs(&self, node: NodeId) -> u64 {
-        self.node_msgs.get(&node).copied().unwrap_or(0)
+        self.nodes.get(node.0 as usize).map_or(0, |n| n.0)
     }
 
     /// Bytes delivered to a node.
     pub fn node_bytes(&self, node: NodeId) -> u64 {
-        self.node_bytes.get(&node).copied().unwrap_or(0)
+        self.nodes.get(node.0 as usize).map_or(0, |n| n.1)
     }
 
     /// Messages that crossed a link.
     pub fn link_msgs(&self, link: LinkId) -> u64 {
-        self.link_msgs.get(&link).copied().unwrap_or(0)
+        self.traffic(link).map_or(0, |t| t.msgs)
     }
 
     /// Bytes that crossed a link.
     pub fn link_bytes(&self, link: LinkId) -> u64 {
-        self.link_bytes.get(&link).copied().unwrap_or(0)
+        self.traffic(link).map_or(0, |t| t.bytes)
     }
 
     /// Total link crossings.
@@ -202,23 +221,29 @@ impl NetStats {
         let mut snap = MetricsSnapshot::new();
         snap.counters.insert("total_msgs".into(), self.total_msgs);
         snap.counters.insert("total_bytes".into(), self.total_bytes);
-        for (link, g) in &self.link_queued {
+        for (link, g) in ids(&self.link_queued) {
             snap.gauges.insert(format!("{link}/queued_bytes"), g.get());
         }
-        for (link, h) in &self.link_latency {
+        for (link, t) in ids(&self.links) {
             snap.hists
-                .insert(format!("{link}/latency_us"), HistSummary::of(h));
+                .insert(format!("{link}/latency_us"), HistSummary::of(&t.latency));
         }
         snap
     }
 
-    /// The busiest link by message count.
+    /// The busiest link by message count (ties go to the lowest id).
     pub fn busiest_link(&self) -> Option<(LinkId, u64)> {
-        self.link_msgs
-            .iter()
-            .max_by_key(|(l, c)| (**c, std::cmp::Reverse(l.0)))
-            .map(|(l, c)| (*l, *c))
+        ids(&self.links)
+            .map(|(l, t)| (l, t.msgs))
+            .max_by_key(|(l, c)| (*c, std::cmp::Reverse(l.0)))
     }
+}
+
+/// The filled entries of a per-link vector, with their ids.
+fn ids<T>(v: &[Option<T>]) -> impl Iterator<Item = (LinkId, &T)> {
+    v.iter()
+        .enumerate()
+        .filter_map(|(i, x)| Some((LinkId(i as u32), x.as_ref()?)))
 }
 
 #[cfg(test)]
@@ -281,6 +306,25 @@ mod tests {
         // Unknown ids read as zero.
         assert_eq!(st.node_msgs(NodeId(9)), 0);
         assert_eq!(st.link_bytes(LinkId(9)), 0);
+    }
+
+    #[test]
+    fn a_link_beyond_every_recorded_one_reads_zero_and_stays_out_of_the_snapshot() {
+        let mut st = NetStats::new();
+        st.record_link(LinkId(4), 10, Duration::from_millis(1));
+        st.set_link_queued(LinkId(2), 7);
+        // Ids below the highest recorded one were never touched either.
+        for l in [LinkId(0), LinkId(3), LinkId(5), LinkId(1_000)] {
+            assert_eq!((st.link_msgs(l), st.link_bytes(l)), (0, 0));
+            assert!(st.link_latency(l).is_none());
+        }
+        assert_eq!(st.link_queued(LinkId(9)), 0);
+        let snap = st.metrics_snapshot();
+        let hists: Vec<&str> = snap.hists.keys().map(String::as_str).collect();
+        let gauges: Vec<&str> = snap.gauges.keys().map(String::as_str).collect();
+        assert_eq!(hists, ["link#4/latency_us"]);
+        assert_eq!(gauges, ["link#2/queued_bytes"]);
+        assert_eq!(st.busiest_link(), Some((LinkId(4), 1)));
     }
 
     #[test]

@@ -4,8 +4,73 @@
 #![allow(clippy::disallowed_methods)] // tests may panic freely
 
 use proptest::prelude::*;
-use sl_netsim::{EventQueue, NodeId, NodeSpec, QosSpec, RoutingTable, Topology};
+use sl_netsim::{EventQueue, LinkId, NetStats, NodeId, NodeSpec, QosSpec, RoutingTable, Topology};
 use sl_stt::{Duration, Timestamp};
+use std::collections::{BTreeSet, HashMap};
+
+/// What `NetStats` must report, kept in maps keyed by id.
+#[derive(Default)]
+struct StatsModel {
+    node: HashMap<u32, (u64, u64)>,
+    link: HashMap<u32, (u64, u64)>,
+    queued: HashMap<u32, i64>,
+    total: (u64, u64),
+}
+
+proptest! {
+    /// Dense per-id counters read exactly as per-id maps would: every
+    /// getter, the totals, the busiest link (ties to the lowest id) and the
+    /// snapshot's key set, for any interleaving of the three recorders.
+    #[test]
+    fn net_stats_reads_as_a_map_model(
+        calls in proptest::collection::vec((0u8..3, 0u32..12, 0u64..5_000, 0u64..40), 0..120),
+    ) {
+        let (mut st, mut model) = (NetStats::new(), StatsModel::default());
+        for (kind, id, bytes, ms) in calls {
+            match kind {
+                0 => {
+                    st.record_link(LinkId(id), bytes as usize, Duration::from_millis(ms));
+                    let e = model.link.entry(id).or_default();
+                    (e.0, e.1) = (e.0 + 1, e.1 + bytes);
+                    model.total = (model.total.0 + 1, model.total.1 + bytes);
+                }
+                1 => {
+                    st.record_node_rx(NodeId(id), bytes as usize);
+                    let e = model.node.entry(id).or_default();
+                    (e.0, e.1) = (e.0 + 1, e.1 + bytes);
+                }
+                _ => {
+                    st.set_link_queued(LinkId(id), bytes);
+                    model.queued.insert(id, bytes as i64);
+                }
+            }
+        }
+        for id in 0..16u32 {
+            let node = model.node.get(&id).copied().unwrap_or_default();
+            prop_assert_eq!((st.node_msgs(NodeId(id)), st.node_bytes(NodeId(id))), node);
+            let link = model.link.get(&id).copied().unwrap_or_default();
+            prop_assert_eq!((st.link_msgs(LinkId(id)), st.link_bytes(LinkId(id))), link);
+            prop_assert_eq!(st.link_latency(LinkId(id)).map(|h| h.count()), model.link.get(&id).map(|l| l.0));
+            prop_assert_eq!(st.link_queued(LinkId(id)), model.queued.get(&id).copied().unwrap_or(0));
+        }
+        prop_assert_eq!((st.total_msgs(), st.total_bytes()), model.total);
+        let busiest = model
+            .link
+            .iter()
+            .max_by_key(|(id, l)| (l.0, std::cmp::Reverse(**id)))
+            .map(|(id, l)| (LinkId(*id), l.0));
+        prop_assert_eq!(st.busiest_link(), busiest);
+        let snap = st.metrics_snapshot();
+        let hists: BTreeSet<String> = model.link.keys().map(|id| format!("{}/latency_us", LinkId(*id))).collect();
+        let gauges: BTreeSet<String> = model.queued.keys().map(|id| format!("{}/queued_bytes", LinkId(*id))).collect();
+        prop_assert_eq!(snap.hists.keys().cloned().collect::<BTreeSet<_>>(), hists);
+        prop_assert_eq!(snap.gauges.keys().cloned().collect::<BTreeSet<_>>(), gauges);
+        for (id, q) in &model.queued {
+            prop_assert_eq!(snap.gauges[&format!("{}/queued_bytes", LinkId(*id))], *q);
+        }
+        prop_assert_eq!(snap.counters["total_msgs"], model.total.0);
+    }
+}
 
 proptest! {
     /// The event queue is a stable priority queue: pops come out in

@@ -73,9 +73,17 @@ pub struct OpContext {
 impl OpContext {
     /// A context at the given virtual time.
     pub fn new(now: Timestamp) -> OpContext {
+        OpContext::with_buffer(now, Vec::new())
+    }
+
+    /// A context at the given virtual time that emits into `buffer`,
+    /// cleared first: a caller that drains each call's output hands the
+    /// vector back here, so emitting reuses its capacity.
+    pub fn with_buffer(now: Timestamp, mut buffer: Vec<Tuple>) -> OpContext {
+        buffer.clear();
         OpContext {
             now,
-            emitted: Vec::new(),
+            emitted: buffer,
             controls: Vec::new(),
             dropped: 0,
         }
@@ -129,14 +137,6 @@ impl OpContext {
             error: result.err(),
         }
     }
-
-    /// Reset for reuse at a new time, keeping allocations.
-    pub fn reset(&mut self, now: Timestamp) {
-        self.now = now;
-        self.emitted.clear();
-        self.controls.clear();
-        self.dropped = 0;
-    }
 }
 
 #[cfg(test)]
@@ -169,11 +169,15 @@ mod tests {
         assert_eq!(tuples.len(), 2);
         assert_eq!(controls.len(), 1);
         assert!(ctx.emitted().is_empty());
-        // dropped persists until reset (it is an accounting counter).
+        // dropped persists (it is an accounting counter); the next call
+        // starts afresh on the handed-back buffer, keeping its capacity.
         assert_eq!(ctx.dropped(), 1);
-        ctx.reset(Timestamp::from_secs(6));
-        assert_eq!(ctx.dropped(), 0);
-        assert_eq!(ctx.now, Timestamp::from_secs(6));
+        let ptr = tuples.as_ptr();
+        let mut ctx = OpContext::with_buffer(Timestamp::from_secs(6), tuples);
+        assert!(ctx.emitted().is_empty());
+        assert_eq!((ctx.dropped(), ctx.now), (0, Timestamp::from_secs(6)));
+        ctx.emit(t());
+        assert_eq!(ctx.finish(Ok(())).emitted.as_ptr(), ptr, "no reallocation");
     }
 
     #[test]

@@ -28,6 +28,9 @@ pub struct TransformOp {
     in_schema: SchemaRef,
     out_schema: SchemaRef,
     sources: Vec<(String, String)>,
+    /// The right-hand sides of one call, evaluated before any is assigned;
+    /// kept so a call allocates nothing for them.
+    scratch: Vec<(usize, Value)>,
 }
 
 impl TransformOp {
@@ -69,6 +72,7 @@ impl TransformOp {
         }
         let out_schema = Schema::new(out_fields).map_err(OpError::from)?.into_ref();
         Ok(TransformOp {
+            scratch: Vec::with_capacity(compiled.len()),
             assignments: compiled,
             in_schema: input_schema.clone(),
             out_schema,
@@ -112,13 +116,13 @@ impl Operator for TransformOp {
         }
         debug_assert_eq!(tuple.schema().len(), self.in_schema.len());
         // Evaluate all right-hand sides against the input first.
-        let mut new_values: Vec<(usize, Value)> = Vec::with_capacity(self.assignments.len());
+        self.scratch.clear();
         for (idx, expr) in &self.assignments {
-            new_values.push((*idx, expr.eval(&tuple)?));
+            self.scratch.push((*idx, expr.eval(&tuple)?));
         }
         let meta = tuple.meta.clone();
         let mut values = tuple.into_values();
-        for (idx, v) in new_values {
+        for (idx, v) in self.scratch.drain(..) {
             values[idx] = v;
         }
         ctx.emit(Tuple::new(self.out_schema.clone(), values, meta)?);

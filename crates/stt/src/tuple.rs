@@ -126,24 +126,20 @@ impl Tuple {
         Ok(())
     }
 
-    /// Rebuild this tuple under a wider schema with one value appended
-    /// (Virtual Property). The caller supplies the new schema so that a
-    /// single `SchemaRef` is shared by the whole output stream.
-    pub fn extended(&self, new_schema: SchemaRef, value: Value) -> Result<Tuple, SttError> {
+    /// This tuple under a wider schema with one value appended (Virtual
+    /// Property): the value is pushed onto the moved values. The caller
+    /// supplies the new schema so that a single `SchemaRef` is shared by the
+    /// whole output stream.
+    pub fn extended(mut self, new_schema: SchemaRef, value: Value) -> Result<Tuple, SttError> {
         if new_schema.len() != self.values.len() + 1 {
             return Err(SttError::ArityMismatch {
                 schema: new_schema.len(),
                 tuple: self.values.len() + 1,
             });
         }
-        let mut values = Vec::with_capacity(self.values.len() + 1);
-        values.extend_from_slice(&self.values);
-        values.push(value);
-        Ok(Tuple {
-            schema: new_schema,
-            values,
-            meta: self.meta.clone(),
-        })
+        self.values.push(value);
+        self.schema = new_schema;
+        Ok(self)
     }
 
     /// Concatenate two tuples under a pre-computed join schema.
@@ -267,9 +263,10 @@ mod tests {
             .with_field(Field::new("apparent", AttrType::Float))
             .unwrap()
             .into_ref();
-        let t2 = t.extended(wide, Value::Float(27.1)).unwrap();
+        let t2 = t.clone().extended(wide, Value::Float(27.1)).unwrap();
         assert_eq!(t2.values().len(), 3);
         assert_eq!(t2.get("apparent").unwrap(), &Value::Float(27.1));
+        assert_eq!(t2.meta, t.meta);
         // Wrong target schema arity is rejected.
         assert!(t.extended(schema(), Value::Null).is_err());
     }

@@ -8,7 +8,8 @@
 #                             # example gates, the checkpoint owner grep,
 #                             # the recovery and dashboard examples, and the
 #                             # benchmark/ package's build, smoke and own
-#                             # tests
+#                             # tests, then the smoke's output digests
+#                             # against the pins below
 #
 # The build is offline by construction (crates.io is unreachable; all
 # third-party deps are vendored shims under vendor/) — see README "Building".
@@ -101,5 +102,22 @@ cp benchmark/Cargo.lock "$lock_backup"
 trap 'cp "$lock_backup" benchmark/Cargo.lock; rm -f "$lock_backup"' EXIT
 bash benchmark/run.sh --smoke >/dev/null
 (cd benchmark && CARGO_TARGET_DIR=../target cargo test --offline --release -q)
+
+# Output pins: the smoke's run digest of every workload (warehouse, sinks,
+# operator counters, console, DLQ) must equal the one recorded here, and
+# `chain_par` must equal `chain`. A change that alters outputs on purpose
+# updates these pins in the same commit and says why.
+pinned="osaka 7264fb1fd04d34d3
+chain 35131ccd06bed8bd
+chain_par 35131ccd06bed8bd
+edw_load 840b01e952102a5f
+edw_query bfbd858acfb372ce"
+digests=$(grep -oE '"(workload|digest)": *"[^"]*"' benchmark/out/results.json |
+    sed -E 's/.*: *"(.*)"/\1/' | paste -d' ' - -)
+if [ "$digests" != "$pinned" ]; then
+    echo "check.sh: benchmark smoke digests differ from the pins" >&2
+    diff <(echo "$pinned") <(echo "$digests") >&2 || true
+    exit 1
+fi
 
 echo "check.sh: all green"
