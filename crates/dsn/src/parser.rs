@@ -1,12 +1,12 @@
-//! Parser for the canonical DSN textual form (see [`crate::printer`]).
-//!
-//! Hand-rolled cursor parser with line tracking; `#` starts a line comment.
+//! Parser for the canonical DSN textual form (see [`crate::printer`]),
+//! on the shared [`sl_obs::text::Cursor`].
 
 use crate::ast::{
     ChannelDecl, DsnDocument, ServiceDecl, SinkDecl, SinkKind, SourceDecl, SourceMode,
 };
 use crate::error::DsnError;
 use sl_netsim::QosSpec;
+use sl_obs::text::{unescape_quotes, Cursor};
 use sl_ops::{AggFunc, OpSpec};
 use sl_pubsub::{SensorKind, SubscriptionFilter};
 use sl_stt::{AttrType, BoundingBox, Duration, GeoPoint, Theme, TimeInterval, Timestamp};
@@ -14,250 +14,147 @@ use sl_stt::{AttrType, BoundingBox, Duration, GeoPoint, Theme, TimeInterval, Tim
 /// Parse a DSN document from text.
 pub fn parse_document(src: &str) -> Result<DsnDocument, DsnError> {
     let mut c = Cursor::new(src);
-    c.skip_ws();
-    c.expect_word("dsn")?;
-    let name = c.read_dq_string()?;
-    c.expect_char('{')?;
+    expect(&mut c, "dsn")?;
+    let name = read_dq_string(&mut c)?;
+    expect(&mut c, "{")?;
     let mut doc = DsnDocument::new(&name);
     loop {
-        c.skip_ws();
-        if c.try_char('}') {
+        c.skip_ws(COMMENT);
+        if c.eat(b'}') {
             break;
         }
-        let kw = c.read_ident()?;
-        match kw.as_str() {
+        let kw = read_ident(&mut c)?;
+        match kw {
             "source" => {
-                let name = c.read_ident()?;
-                let props = c.read_block()?;
-                doc.sources.push(build_source(&name, props, c.line)?);
+                let name = read_ident(&mut c)?;
+                let props = read_block(&mut c)?;
+                doc.sources.push(build_source(name, props, c.line())?);
             }
             "service" => {
-                let name = c.read_ident()?;
-                let props = c.read_block()?;
-                doc.services.push(build_service(&name, props, c.line)?);
+                let name = read_ident(&mut c)?;
+                let props = read_block(&mut c)?;
+                doc.services.push(build_service(name, props, c.line())?);
             }
             "sink" => {
-                let name = c.read_ident()?;
-                let props = c.read_block()?;
-                doc.sinks.push(build_sink(&name, props, c.line)?);
+                let name = read_ident(&mut c)?;
+                let props = read_block(&mut c)?;
+                doc.sinks.push(build_sink(name, props, c.line())?);
             }
             "channel" => {
-                let from = c.read_ident()?;
-                c.expect_word("->")?;
-                let to = c.read_ident()?;
-                let props = c.read_block()?;
-                doc.channels.push(build_channel(&from, &to, props, c.line)?);
+                let from = read_ident(&mut c)?;
+                expect(&mut c, "->")?;
+                let to = read_ident(&mut c)?;
+                let props = read_block(&mut c)?;
+                doc.channels.push(build_channel(from, to, props, c.line())?);
             }
             other => {
-                return Err(c.err(format!(
-                    "expected source/service/sink/channel, found `{other}`"
-                )));
+                return Err(err(
+                    &c,
+                    format!("expected source/service/sink/channel, found `{other}`"),
+                ));
             }
         }
     }
-    c.skip_ws();
+    c.skip_ws(COMMENT);
     if !c.at_end() {
-        return Err(c.err("trailing content after closing `}`".into()));
+        return Err(err(&c, "trailing content after closing `}`".into()));
     }
     Ok(doc)
 }
 
 // ---------------------------------------------------------------------------
-// Cursor
+// Tokens, on the shared cursor
 // ---------------------------------------------------------------------------
-
-struct Cursor<'a> {
-    src: &'a [u8],
-    text: &'a str,
-    pos: usize,
-    line: usize,
-}
 
 type Props = Vec<(String, String, usize)>; // key, raw value, line
 
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Cursor<'a> {
-        Cursor {
-            src: text.as_bytes(),
-            text,
-            pos: 0,
-            line: 1,
-        }
-    }
+/// `#` starts a comment that runs to the end of its line.
+const COMMENT: Option<u8> = Some(b'#');
 
-    fn err(&self, message: String) -> DsnError {
-        DsnError::Parse {
-            line: self.line,
-            message,
-        }
-    }
+fn err(c: &Cursor, message: String) -> DsnError {
+    perr(c.line(), message)
+}
 
-    fn at_end(&self) -> bool {
-        self.pos >= self.src.len()
+fn expect(c: &mut Cursor, token: &str) -> Result<(), DsnError> {
+    c.skip_ws(COMMENT);
+    if c.eat_str(token) {
+        Ok(())
+    } else {
+        Err(err(c, format!("expected `{token}`")))
     }
+}
 
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.src.get(self.pos).copied();
-        if let Some(b) = b {
-            self.pos += 1;
-            if b == b'\n' {
-                self.line += 1;
-            }
-        }
-        b
+fn read_ident<'a>(c: &mut Cursor<'a>) -> Result<&'a str, DsnError> {
+    c.skip_ws(COMMENT);
+    let ident = c.take_while(|b| b.is_ascii_alphanumeric() || b"_-./".contains(&b));
+    if ident.is_empty() {
+        return Err(err(c, "expected an identifier".into()));
     }
+    Ok(ident)
+}
 
-    fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+/// A `"…"` string, in which `\"` and `\\` stand for `"` and `\` and any
+/// other backslash is kept.
+fn read_dq_string(c: &mut Cursor) -> Result<String, DsnError> {
+    c.skip_ws(COMMENT);
+    if !c.eat(b'"') {
+        return Err(err(c, "expected a double-quoted string".into()));
     }
-
-    fn skip_ws(&mut self) {
-        loop {
-            match self.peek() {
-                Some(b' ' | b'\t' | b'\r' | b'\n') => {
-                    self.bump();
+    let mut out = String::new();
+    loop {
+        match c.bump() {
+            None => return Err(err(c, "unterminated string".into())),
+            Some('"') => return Ok(out),
+            Some('\\') => match c.bump() {
+                Some(e @ ('"' | '\\')) => out.push(e),
+                Some(e) => {
+                    out.push('\\');
+                    out.push(e);
                 }
-                Some(b'#') => {
-                    while let Some(b) = self.bump() {
-                        if b == b'\n' {
-                            break;
-                        }
-                    }
-                }
-                _ => break,
+                None => return Err(err(c, "unterminated escape".into())),
+            },
+            Some(ch) => out.push(ch),
+        }
+    }
+}
+
+/// A `{ key: value; ... }` block, values raw (quotes respected).
+fn read_block(c: &mut Cursor) -> Result<Props, DsnError> {
+    expect(c, "{")?;
+    let mut props = Vec::new();
+    loop {
+        c.skip_ws(COMMENT);
+        if c.eat(b'}') {
+            return Ok(props);
+        }
+        let key = read_ident(c)?.to_string();
+        expect(c, ":")?;
+        let line = c.line();
+        props.push((key, read_raw_value(c)?, line));
+    }
+}
+
+/// Raw property value: everything up to the terminating `;`, skipping
+/// over single-quoted segments.
+fn read_raw_value(c: &mut Cursor) -> Result<String, DsnError> {
+    c.skip_ws(COMMENT);
+    let start = c.pos();
+    loop {
+        c.take_while(|b| b != b';' && b != b'\'');
+        match c.peek() {
+            None => return Err(err(c, "unterminated property (missing `;`)".into())),
+            Some(b';') => {
+                let raw = c.since(start).trim().to_string();
+                c.bump();
+                return Ok(raw);
             }
-        }
-    }
-
-    fn try_char(&mut self, ch: char) -> bool {
-        self.skip_ws();
-        if self.peek() == Some(ch as u8) {
-            self.bump();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_char(&mut self, ch: char) -> Result<(), DsnError> {
-        if self.try_char(ch) {
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{ch}`")))
-        }
-    }
-
-    fn expect_word(&mut self, word: &str) -> Result<(), DsnError> {
-        self.skip_ws();
-        if self.text[self.pos..].starts_with(word) {
-            for _ in 0..word.len() {
-                self.bump();
-            }
-            Ok(())
-        } else {
-            Err(self.err(format!("expected `{word}`")))
-        }
-    }
-
-    fn read_ident(&mut self) -> Result<String, DsnError> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b'.' || b == b'/' {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return Err(self.err("expected an identifier".into()));
-        }
-        Ok(self.text[start..self.pos].to_string())
-    }
-
-    fn read_dq_string(&mut self) -> Result<String, DsnError> {
-        self.skip_ws();
-        if self.peek() != Some(b'"') {
-            return Err(self.err("expected a double-quoted string".into()));
-        }
-        self.bump();
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string".into())),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b) => {
-                        out.push('\\');
-                        out.push(b as char);
-                    }
-                    None => return Err(self.err("unterminated escape".into())),
-                },
-                Some(b'"') => break,
-                Some(_) => {
-                    // Re-read the full UTF-8 character.
-                    let start = self.pos - 1;
-                    while self.peek().is_some_and(|b| (b & 0xC0) == 0x80) {
-                        self.bump();
-                    }
-                    out.push_str(&self.text[start..self.pos]);
+            Some(b'\'') => {
+                if c.quoted().is_none() {
+                    return Err(err(c, "unterminated quoted value".into()));
                 }
             }
-        }
-        Ok(out)
-    }
-
-    /// Read a `{ key: value; ... }` block, values raw (quotes respected).
-    fn read_block(&mut self) -> Result<Props, DsnError> {
-        self.expect_char('{')?;
-        let mut props = Vec::new();
-        loop {
-            self.skip_ws();
-            if self.try_char('}') {
-                break;
-            }
-            let key = self.read_ident()?;
-            self.expect_char(':')?;
-            let line = self.line;
-            let value = self.read_raw_value()?;
-            props.push((key, value, line));
-        }
-        Ok(props)
-    }
-
-    /// Raw property value: everything up to the terminating `;`, skipping
-    /// over single-quoted segments (with `''` escaping).
-    fn read_raw_value(&mut self) -> Result<String, DsnError> {
-        self.skip_ws();
-        let start = self.pos;
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated property (missing `;`)".into())),
-                Some(b';') => {
-                    let raw = self.text[start..self.pos].trim().to_string();
-                    self.bump();
-                    return Ok(raw);
-                }
-                Some(b'\'') => {
-                    self.bump();
-                    loop {
-                        match self.bump() {
-                            None => return Err(self.err("unterminated quoted value".into())),
-                            Some(b'\'') => {
-                                if self.peek() == Some(b'\'') {
-                                    self.bump();
-                                } else {
-                                    break;
-                                }
-                            }
-                            Some(_) => {}
-                        }
-                    }
-                }
-                Some(_) => {
-                    self.bump();
-                }
+            Some(_) => {
+                c.bump();
             }
         }
     }
@@ -284,39 +181,30 @@ fn require<'p>(props: &'p Props, key: &str, line: usize) -> Result<&'p str, DsnE
 /// Strip single quotes from a quoted value (or return it raw).
 fn unquote(v: &str) -> String {
     let v = v.trim();
-    if v.len() >= 2 && v.starts_with('\'') && v.ends_with('\'') {
-        v[1..v.len() - 1].replace("''", "'")
-    } else {
-        v.to_string()
+    match v.strip_prefix('\'').and_then(|s| s.strip_suffix('\'')) {
+        Some(body) => unescape_quotes(body),
+        None => v.to_string(),
     }
 }
 
-/// Split on top-level commas, respecting single quotes.
-fn split_commas(v: &str) -> Vec<String> {
-    let mut parts = Vec::new();
-    let mut cur = String::new();
-    let mut in_q = false;
-    let mut chars = v.chars().peekable();
-    while let Some(ch) = chars.next() {
-        match ch {
-            '\'' => {
-                if in_q && chars.peek() == Some(&'\'') {
-                    cur.push('\'');
-                    cur.push(chars.next().expect("peeked"));
-                } else {
-                    in_q = !in_q;
-                    cur.push('\'');
-                }
-            }
-            ',' if !in_q => {
-                parts.push(cur.trim().to_string());
-                cur.clear();
-            }
-            _ => cur.push(ch),
+/// Split on top-level commas: a comma in a quoted segment is text.
+fn split_commas(v: &str) -> Vec<&str> {
+    let mut c = Cursor::new(v);
+    let (mut parts, mut start) = (Vec::new(), 0);
+    while let Some(b) = c.peek() {
+        if b == b'\'' {
+            c.quoted();
+            continue;
         }
+        if b == b',' {
+            parts.push(c.since(start).trim());
+            start = c.pos() + 1;
+        }
+        c.bump();
     }
-    if !cur.trim().is_empty() {
-        parts.push(cur.trim().to_string());
+    let last = c.since(start).trim();
+    if !last.is_empty() {
+        parts.push(last);
     }
     parts
 }
@@ -441,6 +329,7 @@ fn parse_names(v: &str) -> Vec<String> {
     split_commas(v)
         .into_iter()
         .filter(|s| !s.is_empty())
+        .map(str::to_string)
         .collect()
 }
 
@@ -721,6 +610,12 @@ dsn "osaka-hot-weather" {
     fn comments_are_skipped() {
         let doc = parse_document("# heading\ndsn \"x\" { # inline\n }").unwrap();
         assert_eq!(doc.name, "x");
+    }
+
+    #[test]
+    fn backslash_before_a_multibyte_character_is_kept() {
+        let doc = parse_document("dsn \"a\\é\" { }").unwrap();
+        assert_eq!(doc.name, "a\\é");
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::deployment::{Deployment, EndpointId, SourceRuntime};
 use crate::engine::{Engine, Ev};
 use crate::error::EngineError;
 use crate::monitor::ControlRecord;
-use bytes::Bytes;
 use sl_faults::{DropReason, FaultAction};
 use sl_ops::ControlAction;
 use sl_pubsub::enrich::{enrich, EnrichPolicy};
@@ -339,7 +338,7 @@ impl Engine {
             entry.expired = false;
         }
         let wire = entry.sim.wire_format();
-        let (payload, raw) = entry.sim.emit(now);
+        let (mut payload, raw) = entry.sim.emit(now);
         self.queue.schedule_in(period, Ev::SensorEmit(id));
         self.broker.heartbeat(SensorId(id), now);
         if was_expired {
@@ -361,13 +360,10 @@ impl Engine {
         // Fault injection: a corrupting sensor ships a truncated payload
         // ending in an invalid UTF-8 byte, so extraction fails regardless
         // of wire format.
-        let payload = if corrupt {
-            let mut broken = payload[..payload.len() / 2].to_vec();
-            broken.push(0xFF);
-            Bytes::from(broken)
-        } else {
-            payload
-        };
+        if corrupt {
+            payload.truncate(payload.len() / 2);
+            payload.push(0xFF);
+        }
         // Extraction: decode the wire payload against the advertised schema.
         let mut tuple = match decode_payload(&payload, wire, &ad.schema, raw.meta.clone()) {
             Ok(t) => t,

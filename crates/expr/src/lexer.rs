@@ -1,6 +1,7 @@
 //! Tokenisation of expression source text.
 
 use crate::error::ExprError;
+use sl_obs::text::{unescape_quotes, Cursor};
 use std::fmt;
 
 /// One lexical token with its byte offset in the source.
@@ -81,229 +82,88 @@ impl fmt::Display for TokenKind {
 
 /// Tokenise the whole source string.
 pub fn tokenize(src: &str) -> Result<Vec<Token>, ExprError> {
-    let bytes = src.as_bytes();
+    let mut c = Cursor::new(src);
     let mut tokens = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        let start = i;
-        let b = bytes[i];
-        match b {
-            b' ' | b'\t' | b'\r' | b'\n' => {
-                i += 1;
-            }
-            b'(' => {
-                tokens.push(Token {
-                    kind: TokenKind::LParen,
-                    pos: start,
-                });
-                i += 1;
-            }
-            b')' => {
-                tokens.push(Token {
-                    kind: TokenKind::RParen,
-                    pos: start,
-                });
-                i += 1;
-            }
-            b',' => {
-                tokens.push(Token {
-                    kind: TokenKind::Comma,
-                    pos: start,
-                });
-                i += 1;
-            }
-            b'+' => {
-                tokens.push(Token {
-                    kind: TokenKind::Plus,
-                    pos: start,
-                });
-                i += 1;
-            }
-            b'-' => {
-                tokens.push(Token {
-                    kind: TokenKind::Minus,
-                    pos: start,
-                });
-                i += 1;
-            }
-            b'*' => {
-                tokens.push(Token {
-                    kind: TokenKind::Star,
-                    pos: start,
-                });
-                i += 1;
-            }
-            b'/' => {
-                tokens.push(Token {
-                    kind: TokenKind::Slash,
-                    pos: start,
-                });
-                i += 1;
-            }
-            b'%' => {
-                tokens.push(Token {
-                    kind: TokenKind::Percent,
-                    pos: start,
-                });
-                i += 1;
-            }
-            b'=' => {
-                // Accept both `=` and `==`.
-                i += 1;
-                if bytes.get(i) == Some(&b'=') {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Eq,
-                    pos: start,
-                });
-            }
-            b'!' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Ne,
-                        pos: start,
-                    });
-                    i += 2;
-                } else {
-                    return Err(ExprError::Lex {
-                        pos: start,
-                        ch: '!',
-                    });
-                }
-            }
-            b'<' => match bytes.get(i + 1) {
-                Some(b'=') => {
-                    tokens.push(Token {
-                        kind: TokenKind::Le,
-                        pos: start,
-                    });
-                    i += 2;
-                }
-                Some(b'>') => {
-                    tokens.push(Token {
-                        kind: TokenKind::Ne,
-                        pos: start,
-                    });
-                    i += 2;
-                }
-                _ => {
-                    tokens.push(Token {
-                        kind: TokenKind::Lt,
-                        pos: start,
-                    });
-                    i += 1;
-                }
+    loop {
+        c.skip_ws(None);
+        let pos = c.pos();
+        let kind = match c.peek() {
+            None => return Ok(tokens),
+            Some(b'\'') => match c.quoted() {
+                Some(body) => TokenKind::Str(unescape_quotes(body)),
+                None => return Err(ExprError::UnterminatedString { pos }),
             },
-            b'>' => {
-                if bytes.get(i + 1) == Some(&b'=') {
-                    tokens.push(Token {
-                        kind: TokenKind::Ge,
-                        pos: start,
-                    });
-                    i += 2;
-                } else {
-                    tokens.push(Token {
-                        kind: TokenKind::Gt,
-                        pos: start,
-                    });
-                    i += 1;
-                }
-            }
-            b'\'' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match bytes.get(i) {
-                        None => return Err(ExprError::UnterminatedString { pos: start }),
-                        Some(b'\'') => {
-                            // Doubled quote is an escaped quote.
-                            if bytes.get(i + 1) == Some(&b'\'') {
-                                s.push('\'');
-                                i += 2;
-                            } else {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        Some(_) => {
-                            // Consume one UTF-8 character.
-                            let ch_start = i;
-                            i += 1;
-                            while i < bytes.len() && (bytes[i] & 0xC0) == 0x80 {
-                                i += 1;
-                            }
-                            s.push_str(&src[ch_start..i]);
-                        }
-                    }
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Str(s),
-                    pos: start,
-                });
-            }
-            b'0'..=b'9' => {
-                let mut is_float = false;
-                i += 1;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                if i < bytes.len()
-                    && bytes[i] == b'.'
-                    && bytes.get(i + 1).is_some_and(u8::is_ascii_digit)
-                {
-                    is_float = true;
-                    i += 1;
-                    while i < bytes.len() && bytes[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                }
-                if i < bytes.len() && (bytes[i] == b'e' || bytes[i] == b'E') {
-                    let mut j = i + 1;
-                    if j < bytes.len() && (bytes[j] == b'+' || bytes[j] == b'-') {
-                        j += 1;
-                    }
-                    if j < bytes.len() && bytes[j].is_ascii_digit() {
-                        is_float = true;
-                        i = j;
-                        while i < bytes.len() && bytes[i].is_ascii_digit() {
-                            i += 1;
-                        }
-                    }
-                }
-                let text = &src[start..i];
-                let kind = if is_float {
-                    TokenKind::Float(text.parse().map_err(|_| ExprError::BadNumber {
-                        pos: start,
-                        text: text.to_string(),
-                    })?)
-                } else {
-                    TokenKind::Int(text.parse().map_err(|_| ExprError::BadNumber {
-                        pos: start,
-                        text: text.to_string(),
-                    })?)
-                };
-                tokens.push(Token { kind, pos: start });
-            }
-            b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
-                i += 1;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'.')
-                {
-                    i += 1;
-                }
-                tokens.push(Token {
-                    kind: TokenKind::Ident(src[start..i].to_string()),
-                    pos: start,
-                });
-            }
-            _ => {
-                let ch = src[start..].chars().next().unwrap_or('?');
-                return Err(ExprError::Lex { pos: start, ch });
-            }
-        }
+            Some(b'0'..=b'9') => number(&mut c)?,
+            Some(b'A'..=b'Z' | b'a'..=b'z' | b'_') => TokenKind::Ident(
+                c.take_while(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'.')
+                    .to_string(),
+            ),
+            Some(_) => operator(&mut c, pos)?,
+        };
+        tokens.push(Token { kind, pos });
     }
-    Ok(tokens)
+}
+
+/// An operator or bracket; `=` may be written `==` and `!=` as `<>`.
+fn operator(c: &mut Cursor, pos: usize) -> Result<TokenKind, ExprError> {
+    let ch = c.bump().unwrap_or_default();
+    // Each `if c.eat(..)` guard reads the second character of a
+    // two-character operator, and only when it is there.
+    Ok(match ch {
+        '(' => TokenKind::LParen,
+        ')' => TokenKind::RParen,
+        ',' => TokenKind::Comma,
+        '+' => TokenKind::Plus,
+        '-' => TokenKind::Minus,
+        '*' => TokenKind::Star,
+        '/' => TokenKind::Slash,
+        '%' => TokenKind::Percent,
+        '=' => {
+            c.eat(b'=');
+            TokenKind::Eq
+        }
+        '!' if c.eat(b'=') => TokenKind::Ne,
+        '<' if c.eat(b'=') => TokenKind::Le,
+        '<' if c.eat(b'>') => TokenKind::Ne,
+        '<' => TokenKind::Lt,
+        '>' if c.eat(b'=') => TokenKind::Ge,
+        '>' => TokenKind::Gt,
+        _ => return Err(ExprError::Lex { pos, ch }),
+    })
+}
+
+/// Digits, then an optional `.digits` and `e[+-]digits`: a float when
+/// either is present.
+fn number(c: &mut Cursor) -> Result<TokenKind, ExprError> {
+    let pos = c.pos();
+    let digits = |b: u8| b.is_ascii_digit();
+    c.take_while(digits);
+    let fraction = matches!(c.rest().as_bytes(), [b'.', b'0'..=b'9', ..]);
+    if fraction {
+        c.bump();
+        c.take_while(digits);
+    }
+    let exponent = match c.rest().as_bytes() {
+        [b'e' | b'E', b'0'..=b'9', ..] => 1,
+        [b'e' | b'E', b'+' | b'-', b'0'..=b'9', ..] => 2,
+        _ => 0,
+    };
+    if exponent > 0 {
+        for _ in 0..exponent {
+            c.bump();
+        }
+        c.take_while(digits);
+    }
+    let text = c.since(pos);
+    let bad = || ExprError::BadNumber {
+        pos,
+        text: text.to_string(),
+    };
+    Ok(if fraction || exponent > 0 {
+        TokenKind::Float(text.parse().map_err(|_| bad())?)
+    } else {
+        TokenKind::Int(text.parse().map_err(|_| bad())?)
+    })
 }
 
 #[cfg(test)]

@@ -189,6 +189,46 @@ mod tests {
         assert!(!c.eval_predicate(&t).unwrap());
     }
 
+    /// One expression per way of nesting — brackets, a sum inside each
+    /// bracket, an operator chain, `not`, `-` and calls — each `n` deep.
+    fn nested(n: usize) -> [String; 6] {
+        let x = "temperature";
+        [
+            format!("{}{x}{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}{x}{}", "(".repeat(n - 1), " + 1)".repeat(n - 1)),
+            vec![x; n].join(" + "),
+            format!("{}true", "not ".repeat(n - 1)),
+            format!("{}{x}", "-".repeat(n - 1)),
+            format!("{}{x}{}", "abs(".repeat(n - 1), ")".repeat(n - 1)),
+        ]
+    }
+
+    #[test]
+    fn nesting_at_the_limit_runs_on_a_small_stack() {
+        let run = || {
+            for src in nested(parser::MAX_DEPTH) {
+                let c = CompiledExpr::compile(&src, &schema()).unwrap();
+                c.eval(&tuple(20.0, 50.0)).unwrap();
+                assert_eq!(&parse(&c.expr().to_string()).unwrap(), c.expr());
+            }
+        };
+        let small = std::thread::Builder::new().stack_size(2 << 20);
+        small.spawn(run).unwrap().join().unwrap();
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_syntax_error() {
+        for n in [parser::MAX_DEPTH + 1, 100_000] {
+            for src in nested(n) {
+                assert!(
+                    matches!(parse(&src), Err(ExprError::Syntax { .. })),
+                    "{n} deep: {}…",
+                    &src[..40]
+                );
+            }
+        }
+    }
+
     #[test]
     fn meta_pseudo_attributes() {
         let c = CompiledExpr::compile_predicate("_lat > 34 and _lon < 136", &schema()).unwrap();

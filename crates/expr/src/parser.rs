@@ -1,4 +1,5 @@
-//! Recursive-descent parser for the expression language.
+//! Recursive-descent parser for the expression language, with the binary
+//! levels of the grammar read by one precedence-climbing loop.
 //!
 //! Grammar (lowest precedence first):
 //!
@@ -21,15 +22,24 @@ use crate::error::ExprError;
 use crate::lexer::{tokenize, Token, TokenKind};
 use sl_stt::Value;
 
+/// How deep an expression may nest, counted both ways it can: brackets,
+/// calls and prefix operators open while parsing, and the height of the
+/// tree built. Parsing, typechecking, evaluation, printing and dropping all
+/// recurse once per level, so this bound is what keeps a hostile condition
+/// from exhausting the stack. Past it, [`parse`] returns
+/// [`ExprError::Syntax`].
+pub const MAX_DEPTH: usize = 256;
+
 /// Parse a complete expression; trailing tokens are an error.
 pub fn parse(src: &str) -> Result<Expr, ExprError> {
-    let tokens = tokenize(src)?;
+    let mut tokens = tokenize(src)?;
+    tokens.reverse();
     let mut p = Parser {
         tokens,
-        pos: 0,
         src_len: src.len(),
+        open: 0,
     };
-    let expr = p.parse_or()?;
+    let (expr, _) = p.parse_binary(0)?;
     if let Some(t) = p.peek() {
         return Err(ExprError::Syntax {
             pos: t.pos,
@@ -39,27 +49,57 @@ pub fn parse(src: &str) -> Result<Expr, ExprError> {
     Ok(expr)
 }
 
+/// A parsed subtree and its height.
+type Node = (Expr, usize);
+
 struct Parser {
+    /// The tokens not read yet, last first, so that reading one moves it.
     tokens: Vec<Token>,
-    pos: usize,
     src_len: usize,
+    /// Brackets, calls and prefix operators being parsed.
+    open: usize,
 }
 
 impl Parser {
     fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+        self.tokens.last()
     }
 
     fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        self.tokens.pop()
     }
 
     fn here(&self) -> usize {
         self.peek().map_or(self.src_len, |t| t.pos)
+    }
+
+    fn too_deep(&self) -> ExprError {
+        ExprError::Syntax {
+            pos: self.here(),
+            message: format!("expression nested deeper than {MAX_DEPTH} levels"),
+        }
+    }
+
+    /// Parse one more level down, within [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Node, ExprError>,
+    ) -> Result<Node, ExprError> {
+        if self.open == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.open += 1;
+        let node = parse(self);
+        self.open -= 1;
+        node
+    }
+
+    /// `expr` as a node `height` high, within [`MAX_DEPTH`].
+    fn node(&self, expr: Expr, height: usize) -> Result<Node, ExprError> {
+        if height > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok((expr, height))
     }
 
     fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<(), ExprError> {
@@ -81,167 +121,126 @@ impl Parser {
         matches!(self.peek(), Some(Token { kind: TokenKind::Ident(s), .. }) if s.eq_ignore_ascii_case(kw))
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ExprError> {
-        let mut left = self.parse_and()?;
-        while self.peek_keyword("or") {
-            self.next();
-            let right = self.parse_and()?;
-            left = Expr::binary(BinOp::Or, left, right);
-        }
-        Ok(left)
+    /// The binary operator the next token spells, if any.
+    fn peek_binop(&self) -> Option<BinOp> {
+        Some(match &self.peek()?.kind {
+            TokenKind::Ident(s) if s.eq_ignore_ascii_case("or") => BinOp::Or,
+            TokenKind::Ident(s) if s.eq_ignore_ascii_case("and") => BinOp::And,
+            TokenKind::Eq => BinOp::Eq,
+            TokenKind::Ne => BinOp::Ne,
+            TokenKind::Lt => BinOp::Lt,
+            TokenKind::Le => BinOp::Le,
+            TokenKind::Gt => BinOp::Gt,
+            TokenKind::Ge => BinOp::Ge,
+            TokenKind::Plus => BinOp::Add,
+            TokenKind::Minus => BinOp::Sub,
+            TokenKind::Star => BinOp::Mul,
+            TokenKind::Slash => BinOp::Div,
+            TokenKind::Percent => BinOp::Mod,
+            _ => return None,
+        })
     }
 
-    fn parse_and(&mut self) -> Result<Expr, ExprError> {
-        let mut left = self.parse_cmp()?;
-        while self.peek_keyword("and") {
-            self.next();
-            let right = self.parse_cmp()?;
-            left = Expr::binary(BinOp::And, left, right);
-        }
-        Ok(left)
-    }
-
-    fn parse_cmp(&mut self) -> Result<Expr, ExprError> {
-        let left = self.parse_add()?;
-        let op = match self.peek().map(|t| &t.kind) {
-            Some(TokenKind::Eq) => Some(BinOp::Eq),
-            Some(TokenKind::Ne) => Some(BinOp::Ne),
-            Some(TokenKind::Lt) => Some(BinOp::Lt),
-            Some(TokenKind::Le) => Some(BinOp::Le),
-            Some(TokenKind::Gt) => Some(BinOp::Gt),
-            Some(TokenKind::Ge) => Some(BinOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.next();
-            let right = self.parse_add()?;
-            // Non-associative: a second comparison operator is an error and
-            // will surface as a trailing-token / unexpected-token error in
-            // the caller.
-            Ok(Expr::binary(op, left, right))
-        } else {
-            Ok(left)
-        }
-    }
-
-    fn parse_add(&mut self) -> Result<Expr, ExprError> {
-        let mut left = self.parse_mul()?;
-        loop {
-            let op = match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::Plus) => BinOp::Add,
-                Some(TokenKind::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.next();
-            let right = self.parse_mul()?;
-            left = Expr::binary(op, left, right);
-        }
-        Ok(left)
-    }
-
-    fn parse_mul(&mut self) -> Result<Expr, ExprError> {
+    /// Operators binding at least as tight as `min`, by precedence
+    /// climbing. Only an operator binding no tighter than the previous one
+    /// continues the chain, and never a comparison after a comparison: a
+    /// tighter one is left over only where the right operand stopped at a
+    /// second comparison, and `a < b < c` is for the caller to reject.
+    fn parse_binary(&mut self, min: u8) -> Result<Node, ExprError> {
         let mut left = self.parse_unary()?;
-        loop {
-            let op = match self.peek().map(|t| &t.kind) {
-                Some(TokenKind::Star) => BinOp::Mul,
-                Some(TokenKind::Slash) => BinOp::Div,
-                Some(TokenKind::Percent) => BinOp::Mod,
-                _ => break,
-            };
+        let mut last = u8::MAX;
+        while let Some(op) = self.peek_binop() {
+            let prec = op.precedence();
+            if prec < min || prec > last || (prec == last && op.is_comparison()) {
+                break;
+            }
             self.next();
-            let right = self.parse_unary()?;
-            left = Expr::binary(op, left, right);
+            let ((l, hl), (r, hr)) = (left, self.parse_binary(prec + 1)?);
+            left = self.node(Expr::binary(op, l, r), 1 + hl.max(hr))?;
+            last = prec;
         }
         Ok(left)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ExprError> {
+    fn parse_unary(&mut self) -> Result<Node, ExprError> {
         if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::Minus)) {
             self.next();
             // Fold negation into numeric literals so `-3` prints back as `-3`
             // rather than `-(3)`.
-            let inner = self.parse_unary()?;
-            return Ok(match inner {
-                Expr::Literal(Value::Int(i)) => Expr::Literal(Value::Int(-i)),
-                Expr::Literal(Value::Float(x)) => Expr::Literal(Value::Float(-x)),
-                other => Expr::unary(UnOp::Neg, other),
-            });
+            return match self.nested(Self::parse_unary)? {
+                (Expr::Literal(Value::Int(i)), h) => Ok((Expr::Literal(Value::Int(-i)), h)),
+                (Expr::Literal(Value::Float(x)), h) => Ok((Expr::Literal(Value::Float(-x)), h)),
+                (other, h) => self.node(Expr::unary(UnOp::Neg, other), h + 1),
+            };
         }
         if self.peek_keyword("not") {
             self.next();
-            let inner = self.parse_unary()?;
-            return Ok(Expr::unary(UnOp::Not, inner));
+            let (inner, h) = self.nested(Self::parse_unary)?;
+            return self.node(Expr::unary(UnOp::Not, inner), h + 1);
         }
         self.parse_primary()
     }
 
-    fn parse_primary(&mut self) -> Result<Expr, ExprError> {
+    fn parse_primary(&mut self) -> Result<Node, ExprError> {
         let pos = self.here();
-        match self.next() {
-            Some(Token {
-                kind: TokenKind::Int(i),
-                ..
-            }) => Ok(Expr::Literal(Value::Int(i))),
-            Some(Token {
-                kind: TokenKind::Float(x),
-                ..
-            }) => Ok(Expr::Literal(Value::Float(x))),
-            Some(Token {
-                kind: TokenKind::Str(s),
-                ..
-            }) => Ok(Expr::Literal(Value::Str(s))),
-            Some(Token {
-                kind: TokenKind::LParen,
-                ..
-            }) => {
-                let e = self.parse_or()?;
-                self.expect(&TokenKind::RParen, "`)`")?;
-                Ok(e)
-            }
-            Some(Token {
-                kind: TokenKind::Ident(name),
-                ..
-            }) => {
-                let lower = name.to_ascii_lowercase();
-                match lower.as_str() {
-                    "true" => return Ok(Expr::Literal(Value::Bool(true))),
-                    "false" => return Ok(Expr::Literal(Value::Bool(false))),
-                    "null" => return Ok(Expr::Literal(Value::Null)),
-                    _ => {}
-                }
-                if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LParen)) {
-                    self.next();
-                    let mut args = Vec::new();
-                    if !matches!(self.peek().map(|t| &t.kind), Some(TokenKind::RParen)) {
-                        loop {
-                            args.push(self.parse_or()?);
-                            if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::Comma)) {
-                                self.next();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(&TokenKind::RParen, "`)` to close argument list")?;
-                    Ok(Expr::Call {
-                        function: lower,
-                        args,
-                    })
-                } else {
-                    // Attribute names keep their case: sensor schemas may be
-                    // case-sensitive.
-                    Ok(Expr::Attr(name))
-                }
-            }
-            Some(t) => Err(ExprError::Syntax {
-                pos: t.pos,
-                message: format!("expected an expression, found `{}`", t.kind),
-            }),
-            None => Err(ExprError::Syntax {
+        let Some(Token { kind, pos }) = self.next() else {
+            return Err(ExprError::Syntax {
                 pos,
                 message: "expected an expression, found end of input".into(),
-            }),
+            });
+        };
+        let literal = match kind {
+            TokenKind::Int(i) => Value::Int(i),
+            TokenKind::Float(x) => Value::Float(x),
+            TokenKind::Str(s) => Value::Str(s),
+            TokenKind::LParen => {
+                let e = self.nested(|p| p.parse_binary(0))?;
+                self.expect(&TokenKind::RParen, "`)`")?;
+                return Ok(e);
+            }
+            TokenKind::Ident(name) => {
+                let lower = name.to_ascii_lowercase();
+                match lower.as_str() {
+                    "true" => Value::Bool(true),
+                    "false" => Value::Bool(false),
+                    "null" => Value::Null,
+                    _ if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::LParen)) => {
+                        return self.parse_call(lower);
+                    }
+                    // Attribute names keep their case: sensor schemas may be
+                    // case-sensitive.
+                    _ => return Ok((Expr::Attr(name), 1)),
+                }
+            }
+            other => {
+                return Err(ExprError::Syntax {
+                    pos,
+                    message: format!("expected an expression, found `{other}`"),
+                })
+            }
+        };
+        Ok((Expr::Literal(literal), 1))
+    }
+
+    /// The argument list of a call to `function`, from its `(`.
+    fn parse_call(&mut self, function: String) -> Result<Node, ExprError> {
+        self.next();
+        let mut args = Vec::new();
+        let mut height = 0;
+        if !matches!(self.peek().map(|t| &t.kind), Some(TokenKind::RParen)) {
+            loop {
+                let (arg, h) = self.nested(|p| p.parse_binary(0))?;
+                args.push(arg);
+                height = height.max(h);
+                if matches!(self.peek().map(|t| &t.kind), Some(TokenKind::Comma)) {
+                    self.next();
+                } else {
+                    break;
+                }
+            }
         }
+        self.expect(&TokenKind::RParen, "`)` to close argument list")?;
+        self.node(Expr::Call { function, args }, height + 1)
     }
 }
 

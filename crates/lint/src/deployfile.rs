@@ -141,20 +141,17 @@ pub fn parse_fault_plan(text: &str) -> Result<FaultPlan, String> {
             }
             "flap" => {
                 let link = fields.take(i, "link")?;
-                let at = fields.take_ms(i, "at_ms")?;
-                let outage = fields.take_ms(i, "outage_ms")?;
+                let (at, outage) = fields.take_window(i, "outage_ms")?;
                 plan.link_flap(link as u32, at, outage)
             }
             "stall" => {
                 let sensor = fields.take(i, "sensor")?;
-                let at = fields.take_ms(i, "at_ms")?;
-                let outage = fields.take_ms(i, "outage_ms")?;
+                let (at, outage) = fields.take_window(i, "outage_ms")?;
                 plan.sensor_stall(sensor, at, outage)
             }
             "burst" => {
                 let sensor = fields.take(i, "sensor")?;
-                let at = fields.take_ms(i, "at_ms")?;
-                let window = fields.take_ms(i, "window_ms")?;
+                let (at, window) = fields.take_window(i, "window_ms")?;
                 let factor = fields.take(i, "factor")?;
                 plan.burst(sensor, at, window, factor as u32)
             }
@@ -194,6 +191,17 @@ impl Fields {
 
     fn take_ms(&mut self, line: usize, key: &str) -> Result<Duration, String> {
         Ok(Duration::from_millis(self.take(line, key)?))
+    }
+
+    /// `at_ms` and the length `key` of the window opening there, which
+    /// must end within the range of a time offset.
+    fn take_window(&mut self, line: usize, key: &str) -> Result<(Duration, Duration), String> {
+        let at = self.take(line, "at_ms")?;
+        let len = self.take(line, key)?;
+        if at.checked_add(len).is_none() {
+            return Err(err(line, &format!("`at_ms` + `{key}` overflows")));
+        }
+        Ok((Duration::from_millis(at), Duration::from_millis(len)))
     }
 
     fn finish(self, line: usize) -> Result<(), String> {
@@ -320,5 +328,7 @@ mod tests {
         assert!(parse_fault_plan("crash node=1").is_err());
         assert!(parse_fault_plan("crash node=1 at_ms=0 extra=2").is_err());
         assert!(parse_fault_plan("crash node=one at_ms=0").is_err());
+        let end = format!("flap link=0 at_ms={} outage_ms=1", u64::MAX);
+        assert!(parse_fault_plan(&end).is_err());
     }
 }

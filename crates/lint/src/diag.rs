@@ -5,6 +5,7 @@
 //! `SL02x` boundedness, `SL03x` rate/volume, `SL04x` dead code — and are
 //! stable identifiers: tooling (and DESIGN.md) may reference them by name.
 
+use sl_obs::json;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -263,10 +264,15 @@ impl LintReport {
     /// Field order, names, and the `null` encodings are stable; CI tooling
     /// may parse this without a version guard.
     pub fn to_json(&self) -> String {
+        let quoted = |s: &str| {
+            let mut out = String::with_capacity(s.len() + 2);
+            json::write_str(&mut out, s);
+            out
+        };
         let mut out = String::new();
         out.push_str(&format!(
-            "{{\"dataflow\":\"{}\",\"summary\":{{\"errors\":{},\"warnings\":{},\"infos\":{}}},\"diagnostics\":[",
-            json_escape(&self.dataflow),
+            "{{\"dataflow\":{},\"summary\":{{\"errors\":{},\"warnings\":{},\"infos\":{}}},\"diagnostics\":[",
+            quoted(&self.dataflow),
             self.error_count(),
             self.warning_count(),
             self.diagnostics.len() - self.error_count() - self.warning_count(),
@@ -275,19 +281,16 @@ impl LintReport {
             if i > 0 {
                 out.push(',');
             }
-            let node = match &d.node {
-                Some(n) => format!("\"{}\"", json_escape(n)),
-                None => "null".to_string(),
-            };
+            let node = d.node.as_deref().map_or_else(|| "null".to_string(), quoted);
             let span = match d.dsn_line {
                 Some(line) => format!("{{\"line\":{line}}}"),
                 None => "null".to_string(),
             };
             out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"node\":{node},\"span\":{span},\"message\":\"{}\"}}",
+                "{{\"code\":\"{}\",\"severity\":\"{}\",\"node\":{node},\"span\":{span},\"message\":{}}}",
                 d.code,
                 d.severity,
-                json_escape(&d.message),
+                quoted(&d.message),
             ));
         }
         out.push_str("]}");
@@ -309,23 +312,6 @@ impl LintReport {
         ));
         out
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -381,7 +367,11 @@ mod tests {
 
     #[test]
     fn json_escape_controls() {
-        assert_eq!(json_escape("a\tb\u{1}"), "a\\tb\\u0001");
+        let json = LintReport::new("a\tb\u{1}", vec![]).to_json();
+        assert!(
+            json.starts_with("{\"dataflow\":\"a\\tb\\u0001\","),
+            "{json}"
+        );
     }
 
     #[test]

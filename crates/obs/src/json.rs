@@ -6,6 +6,7 @@
 //! on the read side. Floats are intentionally not produced by the writer —
 //! gauges are integral — but the parser accepts them and truncates.
 
+use crate::text::Cursor;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -110,197 +111,149 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How many arrays and objects may enclose one another. The reader
+/// recurses once per level, so this bound is what keeps a hostile document
+/// from exhausting the stack; a snapshot nests three deep.
+pub const MAX_NESTING: usize = 128;
+
 /// Parse a complete JSON document (rejects trailing garbage).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after document"));
+    let mut c = Cursor::new(input);
+    let v = value(&mut c, 0)?;
+    c.skip_ws(None);
+    if !c.at_end() {
+        return Err(err(&c, "trailing characters after document"));
     }
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn fail(at: usize, msg: &str) -> ParseError {
+    ParseError {
+        at,
+        msg: msg.to_string(),
+    }
 }
 
-impl Parser<'_> {
-    fn err(&self, msg: &str) -> ParseError {
-        ParseError {
-            at: self.pos,
-            msg: msg.to_string(),
-        }
-    }
+fn err(c: &Cursor, msg: &str) -> ParseError {
+    fail(c.pos(), msg)
+}
 
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
+fn expect(c: &mut Cursor, b: u8) -> Result<(), ParseError> {
+    if c.eat(b) {
+        Ok(())
+    } else {
+        Err(err(c, &format!("expected '{}'", b as char)))
     }
+}
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+/// One value, inside `depth` arrays and objects.
+fn value(c: &mut Cursor, depth: usize) -> Result<Json, ParseError> {
+    c.skip_ws(None);
+    match c.peek() {
+        Some(b'{' | b'[') if depth == MAX_NESTING => Err(err(
+            c,
+            &format!("nested deeper than {MAX_NESTING} arrays and objects"),
+        )),
+        Some(b'{') => object(c, depth + 1),
+        Some(b'[') => array(c, depth + 1),
+        Some(b'"') => Ok(Json::Str(string(c)?)),
+        Some(b't') => literal(c, "true", Json::Bool(true)),
+        Some(b'f') => literal(c, "false", Json::Bool(false)),
+        Some(b'n') => literal(c, "null", Json::Null),
+        Some(b) if b == b'-' || b.is_ascii_digit() => number(c),
+        _ => Err(err(c, "expected a JSON value")),
     }
+}
 
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
+fn literal(c: &mut Cursor, word: &str, value: Json) -> Result<Json, ParseError> {
+    if c.eat_str(word) {
+        Ok(value)
+    } else {
+        Err(err(c, &format!("expected '{word}'")))
     }
+}
 
-    fn value(&mut self) -> Result<Json, ParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
+fn number(c: &mut Cursor) -> Result<Json, ParseError> {
+    let start = c.pos();
+    c.take_while(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'));
+    let text = c.since(start);
+    text.parse::<f64>()
+        .map(Json::Num)
+        .map_err(|_| fail(start, &format!("invalid number '{text}'")))
+}
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, ParseError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
-        text.parse::<f64>().map(Json::Num).map_err(|_| ParseError {
-            at: start,
-            msg: format!("invalid number '{text}'"),
-        })
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
+fn string(c: &mut Cursor) -> Result<String, ParseError> {
+    expect(c, b'"')?;
+    let mut out = String::new();
+    loop {
+        match c.bump() {
+            None => return Err(err(c, "unterminated string")),
+            Some('"') => return Ok(out),
+            Some('\\') => {
+                let at = c.pos();
+                out.push(match c.bump() {
+                    Some('"') => '"',
+                    Some('\\') => '\\',
+                    Some('/') => '/',
+                    Some('n') => '\n',
+                    Some('r') => '\r',
+                    Some('t') => '\t',
+                    Some('u') => {
+                        let hex = c
+                            .rest()
+                            .get(..4)
+                            .ok_or_else(|| fail(at, "truncated \\u escape"))?;
+                        let code = u32::from_str_radix(hex, 16)
+                            .map_err(|_| fail(at, "invalid \\u escape"))?;
+                        c.eat_str(hex);
+                        char::from_u32(code).unwrap_or('\u{fffd}')
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                    _ => return Err(fail(at, "invalid escape")),
+                });
             }
+            Some(ch) => out.push(ch),
         }
     }
+}
 
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
+fn array(c: &mut Cursor, depth: usize) -> Result<Json, ParseError> {
+    expect(c, b'[')?;
+    let mut items = Vec::new();
+    c.skip_ws(None);
+    if c.eat(b']') {
+        return Ok(Json::Arr(items));
+    }
+    loop {
+        items.push(value(c, depth)?);
+        c.skip_ws(None);
+        if c.eat(b']') {
             return Ok(Json::Arr(items));
         }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
+        if !c.eat(b',') {
+            return Err(err(c, "expected ',' or ']'"));
         }
     }
+}
 
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
+fn object(c: &mut Cursor, depth: usize) -> Result<Json, ParseError> {
+    expect(c, b'{')?;
+    let mut map = BTreeMap::new();
+    c.skip_ws(None);
+    if c.eat(b'}') {
+        return Ok(Json::Obj(map));
+    }
+    loop {
+        c.skip_ws(None);
+        let key = string(c)?;
+        c.skip_ws(None);
+        expect(c, b':')?;
+        map.insert(key, value(c, depth)?);
+        c.skip_ws(None);
+        if c.eat(b'}') {
             return Ok(Json::Obj(map));
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
+        if !c.eat(b',') {
+            return Err(err(c, "expected ',' or '}'"));
         }
     }
 }
@@ -329,6 +282,15 @@ mod tests {
         write_str(&mut buf, original);
         let parsed = parse(&buf).unwrap();
         assert_eq!(parsed.as_str(), Some(original));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_NESTING)).is_ok());
+        assert_eq!(parse(&deep(MAX_NESTING + 1)).unwrap_err().at, MAX_NESTING);
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!
 //! The crate is deliberately free of third-party dependencies so every other
 //! workspace crate can use it, including in the offline build environment.
+//! That is also why the one [`text::Cursor`] lives here, which the DSN,
+//! expression and JSON readers are all written on.
 //!
 //! ## Example
 //!
@@ -46,6 +48,7 @@ pub mod json;
 pub mod metric;
 pub mod snapshot;
 pub mod span;
+pub mod text;
 
 pub use hist::Histogram;
 pub use metric::{Counter, Gauge};

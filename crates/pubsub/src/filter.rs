@@ -126,69 +126,6 @@ impl SubscriptionFilter {
         true
     }
 
-    /// Conservative covering check: true means every advertisement matching
-    /// `other` also matches `self` (used by the overlay to prune duplicate
-    /// subscription propagation). May return false negatives, never false
-    /// positives.
-    pub fn covers(&self, other: &SubscriptionFilter) -> bool {
-        // Theme: self's theme must be an ancestor (or equal) of other's; a
-        // self without theme constraint covers anything.
-        match (&self.theme, &other.theme) {
-            (Some(mine), Some(theirs)) if !theirs.is_a(mine) => return false,
-            (Some(_), None) => return false,
-            _ => {}
-        }
-        match (&self.area, &other.area) {
-            (Some(mine), Some(theirs))
-                if !(mine.contains(&theirs.min) && mine.contains(&theirs.max)) =>
-            {
-                return false;
-            }
-            (Some(_), None) => return false,
-            _ => {}
-        }
-        match (self.kind, other.kind) {
-            (Some(a), Some(b)) if a != b => return false,
-            (Some(_), None) => return false,
-            _ => {}
-        }
-        // Required attrs: every attr self requires must also be required by
-        // other (with identical type) — otherwise other may match sensors
-        // lacking it.
-        for (name, ty) in &self.required_attrs {
-            if !other
-                .required_attrs
-                .iter()
-                .any(|(n, t)| n == name && t == ty)
-            {
-                return false;
-            }
-        }
-        match (&self.name_glob, &other.name_glob) {
-            // Identical globs cover; anything else we refuse to reason about
-            // (except the trivial `*`).
-            (Some(mine), _) if mine == "*" => {}
-            (Some(mine), Some(theirs)) if mine != theirs => return false,
-            (Some(_), None) => return false,
-            _ => {}
-        }
-        match (self.max_period, other.max_period) {
-            (Some(mine), Some(theirs)) if theirs > mine => return false,
-            (Some(_), None) => return false,
-            _ => {}
-        }
-        for (name, unit) in &self.required_units {
-            if !other
-                .required_units
-                .iter()
-                .any(|(n, u)| n == name && u == unit)
-            {
-                return false;
-            }
-        }
-        true
-    }
-
     /// True if this is the match-all filter.
     pub fn is_any(&self) -> bool {
         self.theme.is_none()
@@ -390,68 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn covering_theme_hierarchy() {
-        let weather = SubscriptionFilter::any().with_theme(Theme::new("weather").unwrap());
-        let rain = SubscriptionFilter::any().with_theme(Theme::new("weather/rain").unwrap());
-        assert!(weather.covers(&rain));
-        assert!(!rain.covers(&weather));
-        assert!(SubscriptionFilter::any().covers(&rain));
-        assert!(!rain.covers(&SubscriptionFilter::any()));
-        assert!(weather.covers(&weather));
-    }
-
-    #[test]
-    fn covering_area_and_period() {
-        let big = SubscriptionFilter::any().with_area(osaka_box().expanded(1.0));
-        let small = SubscriptionFilter::any().with_area(osaka_box());
-        assert!(big.covers(&small));
-        assert!(!small.covers(&big));
-        let slow = SubscriptionFilter::any().with_max_period(Duration::from_secs(60));
-        let fast = SubscriptionFilter::any().with_max_period(Duration::from_secs(10));
-        assert!(slow.covers(&fast));
-        assert!(!fast.covers(&slow));
-    }
-
-    #[test]
-    fn covering_is_sound_on_samples() {
-        // If covers() says yes, matching must agree on a sample of ads.
-        let filters = [
-            SubscriptionFilter::any(),
-            SubscriptionFilter::any().with_theme(Theme::new("weather").unwrap()),
-            SubscriptionFilter::any().with_theme(Theme::new("weather/rain").unwrap()),
-            SubscriptionFilter::any().with_kind(SensorKind::Social),
-            SubscriptionFilter::any().with_area(osaka_box()),
-            SubscriptionFilter::any().with_max_period(Duration::from_secs(30)),
-        ];
-        let ads = [
-            ad("a", "weather/rain", SensorKind::Physical, 34.7, 135.5, 10),
-            ad("b", "weather", SensorKind::Physical, 35.0, 135.76, 60),
-            ad("c", "social/tweet", SensorKind::Social, 34.6, 135.4, 5),
-            ad(
-                "d",
-                "traffic/congestion",
-                SensorKind::Social,
-                34.99,
-                135.0,
-                120,
-            ),
-        ];
-        for f in &filters {
-            for g in &filters {
-                if f.covers(g) {
-                    for a in &ads {
-                        assert!(
-                            !g.matches(a) || f.matches(a),
-                            "covering violated: [{f}] covers [{g}] but disagrees on {}",
-                            a.name
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn unit_requirement_separates_fahrenheit_stations() {
         use sl_stt::Unit;
         let mut c_ad = ad(
@@ -487,9 +362,6 @@ mod tests {
             10,
         );
         assert!(!celsius_only.matches(&plain));
-        // Covering: the unit-free filter covers the constrained one.
-        assert!(SubscriptionFilter::any().covers(&celsius_only));
-        assert!(!celsius_only.covers(&SubscriptionFilter::any()));
         assert!(!celsius_only.is_any());
         assert!(celsius_only
             .to_string()

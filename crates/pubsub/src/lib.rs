@@ -14,8 +14,6 @@
 //!   (by theme, by hosting node, by spatial cell),
 //! * [`broker::Broker`] — subscription matching with join/leave
 //!   notifications,
-//! * [`overlay::BrokerOverlay`] — a broker tree with subscription-based
-//!   routing (the "distributed event routing" of paper reference 3),
 //! * [`enrich`] — spatio-temporal enrichment of tuples from sensors that
 //!   cannot produce their own position (paper §3).
 
@@ -24,14 +22,12 @@ pub mod credit;
 pub mod enrich;
 pub mod filter;
 pub mod message;
-pub mod overlay;
 pub mod registry;
 
 pub use broker::{Broker, BrokerEvent, SubscriptionId};
 pub use credit::CreditTable;
 pub use filter::SubscriptionFilter;
 pub use message::{SensorAdvertisement, SensorKind};
-pub use overlay::{BrokerId, BrokerOverlay};
 pub use registry::SensorRegistry;
 
 use std::fmt;
@@ -45,13 +41,6 @@ pub enum PubSubError {
     DuplicateSensor(u64),
     /// The subscription id is not active.
     UnknownSubscription(u64),
-    /// The broker id does not exist in the overlay.
-    UnknownBroker(u32),
-    /// Adding this overlay link would create a cycle or multi-parent node.
-    InvalidOverlayLink {
-        /// Offending child broker.
-        child: u32,
-    },
 }
 
 impl fmt::Display for PubSubError {
@@ -60,10 +49,6 @@ impl fmt::Display for PubSubError {
             PubSubError::UnknownSensor(id) => write!(f, "unknown sensor #{id}"),
             PubSubError::DuplicateSensor(id) => write!(f, "sensor #{id} already published"),
             PubSubError::UnknownSubscription(id) => write!(f, "unknown subscription #{id}"),
-            PubSubError::UnknownBroker(id) => write!(f, "unknown broker #{id}"),
-            PubSubError::InvalidOverlayLink { child } => {
-                write!(f, "broker #{child} already has a parent")
-            }
         }
     }
 }

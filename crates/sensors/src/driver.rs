@@ -1,7 +1,6 @@
 //! The sensor simulation interface.
 
 use crate::formats::WireFormat;
-use bytes::Bytes;
 use sl_pubsub::SensorAdvertisement;
 use sl_stt::{Timestamp, Tuple};
 
@@ -26,7 +25,7 @@ pub trait SensorSim: Send {
     /// Sample and encode — what actually leaves the device. The default
     /// implementation encodes [`SensorSim::sample`] with
     /// [`SensorSim::wire_format`]; the tuple's metadata travels out of band.
-    fn emit(&mut self, now: Timestamp) -> (Bytes, Tuple) {
+    fn emit(&mut self, now: Timestamp) -> (Vec<u8>, Tuple) {
         let tuple = self.sample(now);
         (self.wire_format().encode(&tuple), tuple)
     }

@@ -25,7 +25,6 @@
 //!   spaces) and its edge whitespace, one wrapped in `"…"` loses the quotes,
 //!   and `Str("")` / `Str("null")` read back as `Null`.
 
-use bytes::Bytes;
 use sl_stt::{trim_field, AttrType, SchemaRef, SttError, SttMeta, Tuple, Value};
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -47,7 +46,7 @@ impl WireFormat {
 
     /// Encode a tuple's values (metadata travels out of band in the
     /// simulated transport).
-    pub fn encode(self, tuple: &Tuple) -> Bytes {
+    pub fn encode(self, tuple: &Tuple) -> Vec<u8> {
         let cells = tuple.schema().fields().iter().zip(tuple.values());
         // Room for every name and a typical cell: the buffer rarely grows.
         let size = cells.clone().map(|(f, v)| match v {
@@ -82,7 +81,7 @@ impl WireFormat {
             debug_assert!(written.is_ok(), "writing into a String cannot fail");
         }
         out.push_str(close);
-        Bytes::from(out)
+        out.into_bytes()
     }
 }
 
@@ -160,7 +159,7 @@ fn push_escaped(out: &mut String, s: &str, escape: char, special: &[u8]) {
 /// attribute to the schema's type. Unparseable or missing attributes become
 /// null; extra attributes are ignored.
 pub fn decode_payload(
-    payload: &Bytes,
+    payload: &[u8],
     format: WireFormat,
     schema: &SchemaRef,
     meta: SttMeta,
@@ -483,8 +482,8 @@ mod tests {
 
     #[test]
     fn missing_attributes_become_null() {
-        let payload = Bytes::from("{\"temperature\": 20.5}");
-        let t = decode_payload(&payload, WireFormat::Json, &schema(), meta()).unwrap();
+        let payload = b"{\"temperature\": 20.5}";
+        let t = decode_payload(payload, WireFormat::Json, &schema(), meta()).unwrap();
         assert_eq!(t.get("temperature").unwrap(), &Value::Float(20.5));
         assert_eq!(t.get("station").unwrap(), &Value::Null);
         assert_eq!(t.get("hits").unwrap(), &Value::Null);
@@ -492,8 +491,8 @@ mod tests {
 
     #[test]
     fn malformed_values_become_null_not_errors() {
-        let payload = Bytes::from("not_a_number,osaka,many,nowhere");
-        let t = decode_payload(&payload, WireFormat::Csv, &schema(), meta()).unwrap();
+        let payload = b"not_a_number,osaka,many,nowhere";
+        let t = decode_payload(payload, WireFormat::Csv, &schema(), meta()).unwrap();
         assert_eq!(t.get("temperature").unwrap(), &Value::Null);
         assert_eq!(t.get("station").unwrap(), &Value::Str("osaka".into()));
         assert_eq!(t.get("hits").unwrap(), &Value::Null);
@@ -502,24 +501,23 @@ mod tests {
 
     #[test]
     fn extra_attributes_ignored() {
-        let payload = Bytes::from("temperature=20;wind=99;station=osaka");
-        let t = decode_payload(&payload, WireFormat::KeyValue, &schema(), meta()).unwrap();
+        let payload = b"temperature=20;wind=99;station=osaka";
+        let t = decode_payload(payload, WireFormat::KeyValue, &schema(), meta()).unwrap();
         assert_eq!(t.get("temperature").unwrap(), &Value::Float(20.0));
         assert_eq!(t.get("station").unwrap(), &Value::Str("osaka".into()));
     }
 
     #[test]
     fn non_utf8_payload_is_an_error() {
-        let payload = Bytes::from(vec![0xFF, 0xFE, 0x00]);
+        let payload = [0xFF, 0xFE, 0x00];
         assert!(decode_payload(&payload, WireFormat::Csv, &schema(), meta()).is_err());
     }
 
     #[test]
     fn broken_json_is_an_error() {
         for bad in ["not json", "{\"k\" 1}", "{\"k\": \"unterminated}", "{k: 1}"] {
-            let payload = Bytes::from(bad.to_string());
             assert!(
-                decode_payload(&payload, WireFormat::Json, &schema(), meta()).is_err(),
+                decode_payload(bad.as_bytes(), WireFormat::Json, &schema(), meta()).is_err(),
                 "`{bad}` should fail"
             );
         }

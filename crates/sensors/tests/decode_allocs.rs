@@ -7,7 +7,6 @@
 
 #![allow(clippy::disallowed_methods)] // tests may panic freely
 
-use bytes::Bytes;
 use sl_sensors::{decode_payload, WireFormat};
 use sl_stt::{
     AttrType, Field, GeoPoint, Schema, SensorId, SttMeta, Theme, Timestamp, Tuple, Value,
@@ -104,10 +103,10 @@ fn a_three_field_decode_allocates_its_vec_and_one_string_per_str_field() {
                 WireFormat::Csv => payload.clone(),
                 WireFormat::Json => {
                     let text = std::str::from_utf8(&payload).unwrap();
-                    Bytes::from(format!("{{\"wind\":3,{}", &text[1..]))
+                    format!("{{\"wind\":3,{}", &text[1..]).into_bytes()
                 }
                 WireFormat::KeyValue => {
-                    Bytes::from(format!("wind=3;{}", std::str::from_utf8(&payload).unwrap()))
+                    format!("wind=3;{}", std::str::from_utf8(&payload).unwrap()).into_bytes()
                 }
             };
             for payload in [payload, extra] {

@@ -15,7 +15,6 @@
 
 #![allow(clippy::disallowed_methods)] // tests may panic freely
 
-use bytes::Bytes;
 use proptest::TestRng;
 use sl_sensors::{decode_payload, WireFormat};
 use sl_stt::{
@@ -24,13 +23,13 @@ use sl_stt::{
 };
 
 /// The parent commit's codec, verbatim but for `encode` becoming a free
-/// function (a test cannot add inherent methods to `WireFormat`).
+/// function (a test cannot add inherent methods to `WireFormat`) and for
+/// payloads being plain `Vec<u8>` / `&[u8]` since the `Bytes` shim went.
 mod reference {
-    use bytes::Bytes;
     use sl_sensors::WireFormat;
     use sl_stt::{AttrType, SchemaRef, SttError, SttMeta, Tuple, Value};
 
-    pub fn encode(format: WireFormat, tuple: &Tuple) -> Bytes {
+    pub fn encode(format: WireFormat, tuple: &Tuple) -> Vec<u8> {
         let schema = tuple.schema();
         match format {
             WireFormat::Csv => {
@@ -41,7 +40,7 @@ mod reference {
                     }
                     out.push_str(&csv_cell(v));
                 }
-                Bytes::from(out)
+                out.into_bytes()
             }
             WireFormat::Json => {
                 let mut out = String::from("{");
@@ -52,7 +51,7 @@ mod reference {
                     out.push_str(&format!("\"{}\":{}", f.name, json_cell(v)));
                 }
                 out.push('}');
-                Bytes::from(out)
+                out.into_bytes()
             }
             WireFormat::KeyValue => {
                 let mut out = String::new();
@@ -62,7 +61,7 @@ mod reference {
                     }
                     out.push_str(&format!("{}={}", f.name, kv_cell(v)));
                 }
-                Bytes::from(out)
+                out.into_bytes()
             }
         }
     }
@@ -112,7 +111,7 @@ mod reference {
     }
 
     pub fn decode_payload(
-        payload: &Bytes,
+        payload: &[u8],
         format: WireFormat,
         schema: &SchemaRef,
         meta: SttMeta,
@@ -364,7 +363,7 @@ fn payload(rng: &mut TestRng, schema: &SchemaRef) -> Vec<u8> {
             .collect();
     }
     let format = pick(rng, &WireFormat::ALL);
-    let mut bytes = format.encode(&tuple(rng, schema)).to_vec();
+    let mut bytes = format.encode(&tuple(rng, schema));
     for _ in 0..rng.below(4) {
         let at = rng.below(bytes.len() as u64 + 1) as usize;
         match rng.below(3) {
@@ -398,7 +397,7 @@ fn quoted_csv_cells(line: &str) -> Vec<bool> {
 
 /// What `decode_payload` must return: the reference's answer, with a
 /// wire-quoted CSV `Str` cell taken verbatim.
-fn expected(bytes: &Bytes, format: WireFormat, schema: &SchemaRef) -> Result<Vec<Value>, SttError> {
+fn expected(bytes: &[u8], format: WireFormat, schema: &SchemaRef) -> Result<Vec<Value>, SttError> {
     let tuple = reference::decode_payload(bytes, format, schema, meta())?;
     let mut values = tuple.values().to_vec();
     if format == WireFormat::Csv {
@@ -431,7 +430,7 @@ fn decoding_matches_the_reference_and_never_panics() {
     let mut checked = [0usize; 2];
     for _ in 0..6_000 {
         let schema = schema(&mut rng);
-        let bytes = Bytes::from(payload(&mut rng, &schema));
+        let bytes = payload(&mut rng, &schema);
         for format in WireFormat::ALL {
             let got = decode_payload(&bytes, format, &schema, meta()).map(|t| t.values().to_vec());
             checked[usize::from(got.is_ok())] += 1;

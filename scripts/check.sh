@@ -5,7 +5,8 @@
 #                             # workspace, fmt, clippy -D warnings, doc -D
 #                             # warnings
 #   scripts/check.sh          # everything: fast tier + the lint and
-#                             # example gates, the checkpoint owner grep,
+#                             # example gates, the checkpoint and text
+#                             # owner greps,
 #                             # the recovery and dashboard examples, and the
 #                             # benchmark/ package's build, smoke and own
 #                             # tests, then the smoke's output digests
@@ -75,6 +76,17 @@ cargo run --release -q --bin sl-lint -- --deny-warnings --format json \
 for f in crates/engine/src/*.rs; do
     if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n '\.checkpoint()'; then
         echo "check.sh: whole-window .checkpoint() call in non-test $f" >&2
+        exit 1
+    fi
+done
+
+# Owner grep: text the system reads back goes through the one
+# `sl_obs::text::Cursor`, and JSON strings are escaped by the one
+# `sl_obs::json::write_str`. A cursor, whitespace skipper or `\u` escaper in
+# non-test code anywhere else is a copy to fold back into `crates/obs/src`.
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/obs/src/*'); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE 'struct Cursor|fn skip_ws|\\u\{:04x\}'; then
+        echo "check.sh: a second text scanner or JSON escaper in non-test $f" >&2
         exit 1
     fi
 done
