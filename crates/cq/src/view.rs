@@ -20,16 +20,13 @@
 //!   cell therefore keeps its contribution list `(interval-end, value)` in
 //!   storage order and refolds the survivors on retraction.
 
-use sl_stt::{Event, SpatialGranule, Theme, Timestamp};
-use sl_warehouse::{cell_slot, CellAcc, CellKey, CubeCell, CubeQuery};
-use std::collections::BTreeMap;
+use sl_stt::{Event, Timestamp};
+use sl_warehouse::{cell_slot, CellAcc, CellMap, CubeCell, CubeQuery};
 
-/// Per-cell state: display coordinates, the storage-order contribution
-/// list (for retraction refolds), and the running accumulator.
-#[derive(Debug, Clone)]
+/// Per-cell state: the storage-order contribution list (for retraction
+/// refolds) and the running accumulator.
+#[derive(Debug, Clone, Default)]
 struct CellState {
-    sgranule: SpatialGranule,
-    theme: Theme,
     /// `(event interval end in epoch millis, numeric value)` per absorbed
     /// event, in storage order. Eviction removes entries with
     /// `end <= horizon` — the same predicate the warehouse applies.
@@ -41,7 +38,10 @@ struct CellState {
 #[derive(Debug, Clone)]
 pub struct MaterializedView {
     query: CubeQuery,
-    cells: BTreeMap<CellKey, CellState>,
+    /// Cells keyed by value, as `EventWarehouse::rollup` keys them: folding
+    /// an event into an open cell allocates only when its contribution list
+    /// grows.
+    cells: CellMap<CellState>,
     /// Earliest interval end (epoch millis) among held contributions,
     /// `i64::MAX` when there are none: a horizon below it retracts nothing.
     min_end: i64,
@@ -56,7 +56,7 @@ impl MaterializedView {
     pub fn new(query: CubeQuery) -> MaterializedView {
         MaterializedView {
             query,
-            cells: BTreeMap::new(),
+            cells: CellMap::default(),
             min_end: i64::MAX,
             contributions: 0,
             retractions: 0,
@@ -75,14 +75,10 @@ impl MaterializedView {
             return false;
         };
         let end = event.time_interval().end.as_millis();
-        let cell = self.cells.entry(slot.key).or_insert_with(|| CellState {
-            sgranule: slot.sgranule,
-            theme: slot.theme,
-            contribs: Vec::new(),
-            acc: CellAcc::new(),
+        self.cells.update(&slot, |cell| {
+            cell.contribs.push((end, slot.numeric));
+            cell.acc.absorb(slot.numeric);
         });
-        cell.contribs.push((end, slot.numeric));
-        cell.acc.absorb(slot.numeric);
         self.min_end = self.min_end.min(end);
         self.contributions += 1;
         true
@@ -99,7 +95,7 @@ impl MaterializedView {
         }
         let mut retracted = 0;
         let mut min_end = i64::MAX;
-        self.cells.retain(|_, cell| {
+        self.cells.retain(|cell| {
             let before = cell.contribs.len();
             cell.contribs.retain(|&(end, _)| {
                 let keep = end > h;
@@ -126,13 +122,7 @@ impl MaterializedView {
     /// The current answer, identical to what a fresh
     /// `EventWarehouse::rollup_scan` of the hot store would return.
     pub fn cells(&self) -> Vec<CubeCell> {
-        self.cells
-            .iter()
-            .map(|((tgranule, _, _), cell)| {
-                cell.acc
-                    .to_cell(*tgranule, cell.sgranule, cell.theme.clone())
-            })
-            .collect()
+        self.cells.to_cells(|cell| &cell.acc)
     }
 
     /// Live (non-empty) cells.

@@ -22,7 +22,7 @@
 use crate::error::DurableError;
 use sl_ops::OpCheckpoint;
 use sl_stt::{
-    AttrType, Event, Field, GeoPoint, Schema, SensorId, SpatialGranule, SttMeta,
+    AttrType, Event, Field, GeoPoint, Schema, SensorId, SpatialGranule, SttError, SttMeta,
     TemporalGranularity, Theme, Timestamp, Tuple, Unit, Value,
 };
 use std::collections::HashMap;
@@ -178,40 +178,24 @@ impl Record {
             buf: payload,
             pos: 0,
             themes,
+            fail: None,
         };
-        let rec = match r.u8("record kind")? {
-            KIND_EVENT => Record::Event(get_event(&mut r)?),
-            KIND_CHECKPOINT => Record::Checkpoint {
-                deployment: r.str("deployment")?.to_string(),
-                service: r.str("service")?.to_string(),
-                state: get_checkpoint(&mut r)?,
-            },
-            KIND_HORIZON => Record::Horizon(Timestamp::from_millis(r.i64("horizon")?)),
-            KIND_CHECKPOINT_DELTA => Record::CheckpointDelta {
-                deployment: r.str("deployment")?.to_string(),
-                service: r.str("service")?.to_string(),
-                evicted: r.u32("evicted count")? as usize,
-                appended: get_checkpoint(&mut r)?.tuples,
-            },
-            other => {
-                return Err(DurableError::corrupt(format!(
-                    "unknown record kind {other}"
-                )))
-            }
-        };
-        r.finish()?;
-        Ok(rec)
+        match get_record(&mut r) {
+            Some(rec) => Ok(rec),
+            None => Err(r.error()),
+        }
     }
 }
 
-/// The themes one scan has parsed so far, keyed by their spelling on disk
-/// (canonical or not), so that each distinct theme of a scan is parsed
-/// once and every other frame carrying it shares the result. Made per
-/// scan and dropped with it; a spelling `Theme::new` rejects is never
-/// stored.
+/// The themes one scan has parsed so far, keyed by their spelling's bytes
+/// on disk (canonical or not), so that each distinct theme of a scan is
+/// parsed once and every other frame carrying it shares the result. Made
+/// per scan and dropped with it. Only spellings `Theme::new` accepted are
+/// stored, so a hit skips the UTF-8 check as well as the parse; a lookup
+/// costs one hash of the spelling however many themes the scan meets.
 #[derive(Debug, Default)]
 pub struct ThemeTable {
-    parsed: HashMap<Box<str>, Theme>,
+    parsed: HashMap<Box<[u8]>, Theme>,
 }
 
 /// The payload of `Record::Event`, encoded from a borrow: the append path
@@ -291,94 +275,176 @@ fn put_str(w: &mut Vec<u8>, s: &str) {
 // Checked reader
 // ---------------------------------------------------------------------------
 
+/// The first read of a payload that failed, kept as plain data. Reads
+/// return `Option`s and leave this behind; [`Reader::error`] renders it
+/// into the error text, off the hot path.
+#[derive(Debug)]
+enum Fail {
+    /// Fewer than `n` bytes were left for `what`.
+    Short { what: &'static str, n: usize },
+    /// `what` was not UTF-8.
+    Utf8(&'static str),
+    /// `what` counted `n` elements, more than there are bytes left.
+    Count { what: &'static str, n: usize },
+    /// A tag byte outside its table: the message and the byte.
+    Tag(&'static str, u8),
+    /// The theme spelled from byte `from` up to the reader's position is
+    /// not a valid theme.
+    Theme { from: usize, e: SttError },
+    /// A schema or tuple the STT rules reject, and which.
+    Stt(&'static str, SttError),
+    /// Bytes left after a complete record.
+    Trailing,
+}
+
 /// A bounds-checked cursor over a frame payload. Every read names what it
-/// expected, so corruption reports say *which* field was damaged.
+/// expected, so corruption reports say *which* field was damaged: a read
+/// that fails records that, and its offset is where the cursor stopped.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
     themes: &'a mut ThemeTable,
+    fail: Option<Fail>,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], DurableError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        match end {
-            Some(end) => {
-                let s = &self.buf[self.pos..end];
-                self.pos = end;
-                Ok(s)
+    /// Record `fail` as the reason decoding stopped.
+    #[cold]
+    fn fail<T>(&mut self, fail: Fail) -> Option<T> {
+        self.fail = Some(fail);
+        None
+    }
+
+    /// The error for the read that failed, with the text this decoder has
+    /// always given it.
+    #[cold]
+    #[inline(never)]
+    fn error(&mut self) -> DurableError {
+        let (pos, len) = (self.pos, self.buf.len());
+        DurableError::corrupt(match self.fail.take() {
+            Some(Fail::Short { what, n }) => {
+                format!("short payload reading {what} ({n} bytes at offset {pos} of {len})")
             }
-            None => Err(DurableError::corrupt(format!(
-                "short payload reading {what} ({n} bytes at offset {} of {})",
-                self.pos,
-                self.buf.len()
-            ))),
+            Some(Fail::Utf8(what)) => format!("{what}: invalid utf-8"),
+            Some(Fail::Count { what, n }) => {
+                format!(
+                    "{what}: implausible count {n} with {} bytes left",
+                    len - pos
+                )
+            }
+            Some(Fail::Tag(what, tag)) => format!("{what} {tag}"),
+            Some(Fail::Theme { from, e }) => {
+                let spelling = String::from_utf8_lossy(&self.buf[from..pos]);
+                format!("theme `{spelling}`: {e}")
+            }
+            Some(Fail::Stt(what, e)) => format!("{what}: {e}"),
+            Some(Fail::Trailing) => format!("{} trailing bytes after record", len - pos),
+            // Every read that returns `None` records its failure first.
+            None => "undecodable payload".to_string(),
+        })
+    }
+
+    fn array<const N: usize>(&mut self, what: &'static str) -> Option<[u8; N]> {
+        match self
+            .buf
+            .get(self.pos..)
+            .and_then(|rest| rest.first_chunk::<N>())
+        {
+            Some(&b) => {
+                self.pos += N;
+                Some(b)
+            }
+            None => self.fail(Fail::Short { what, n: N }),
         }
     }
 
-    fn u8(&mut self, what: &str) -> Result<u8, DurableError> {
-        Ok(self.take(1, what)?[0])
+    fn u8(&mut self, what: &'static str) -> Option<u8> {
+        self.array::<1>(what).map(|[b]| b)
     }
 
-    fn u32(&mut self, what: &str) -> Result<u32, DurableError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    fn u32(&mut self, what: &'static str) -> Option<u32> {
+        self.array(what).map(u32::from_le_bytes)
     }
 
-    fn u64(&mut self, what: &str) -> Result<u64, DurableError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    fn u64(&mut self, what: &'static str) -> Option<u64> {
+        self.array(what).map(u64::from_le_bytes)
     }
 
-    fn i32(&mut self, what: &str) -> Result<i32, DurableError> {
-        let b = self.take(4, what)?;
-        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    fn i32(&mut self, what: &'static str) -> Option<i32> {
+        self.array(what).map(i32::from_le_bytes)
     }
 
-    fn i64(&mut self, what: &str) -> Result<i64, DurableError> {
-        let b = self.take(8, what)?;
-        Ok(i64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+    fn i64(&mut self, what: &'static str) -> Option<i64> {
+        self.array(what).map(i64::from_le_bytes)
     }
 
-    fn f64(&mut self, what: &str) -> Result<f64, DurableError> {
-        Ok(f64::from_bits(self.u64(what)?))
+    fn f64(&mut self, what: &'static str) -> Option<f64> {
+        self.u64(what).map(f64::from_bits)
     }
 
-    fn str(&mut self, what: &str) -> Result<&'a str, DurableError> {
-        let len = self.u32(what)? as usize;
-        let bytes = self.take(len, what)?;
-        std::str::from_utf8(bytes)
-            .map_err(|_| DurableError::corrupt(format!("{what}: invalid utf-8")))
+    /// A `u32` length and that many bytes.
+    fn bytes(&mut self, what: &'static str) -> Option<&'a [u8]> {
+        let n = self.u32(what)? as usize;
+        let buf: &'a [u8] = self.buf;
+        match buf.get(self.pos..).and_then(|rest| rest.get(..n)) {
+            Some(bytes) => {
+                self.pos += n;
+                Some(bytes)
+            }
+            None => self.fail(Fail::Short { what, n }),
+        }
+    }
+
+    fn utf8(&mut self, bytes: &'a [u8], what: &'static str) -> Option<&'a str> {
+        match std::str::from_utf8(bytes) {
+            Ok(s) => Some(s),
+            Err(_) => self.fail(Fail::Utf8(what)),
+        }
+    }
+
+    fn str(&mut self, what: &'static str) -> Option<&'a str> {
+        let bytes = self.bytes(what)?;
+        self.utf8(bytes, what)
     }
 
     /// A bounded element count: a damaged count field must not drive a huge
     /// allocation. Each element of any collection we encode occupies at
     /// least one byte, so a count beyond the remaining bytes is corruption.
-    fn count(&mut self, what: &str) -> Result<usize, DurableError> {
+    fn count(&mut self, what: &'static str) -> Option<usize> {
         let n = self.u32(what)? as usize;
         if n > self.buf.len() - self.pos {
-            return Err(DurableError::corrupt(format!(
-                "{what}: implausible count {n} with {} bytes left",
-                self.buf.len() - self.pos
-            )));
+            return self.fail(Fail::Count { what, n });
         }
-        Ok(n)
+        Some(n)
     }
 
-    fn finish(&self) -> Result<(), DurableError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(DurableError::corrupt(format!(
-                "{} trailing bytes after record",
-                self.buf.len() - self.pos
-            )))
-        }
+    /// A tag byte outside its table.
+    fn bad_tag<T>(&mut self, what: &'static str, tag: u8) -> Option<T> {
+        self.fail(Fail::Tag(what, tag))
     }
+}
+
+fn get_record(r: &mut Reader<'_>) -> Option<Record> {
+    let rec = match r.u8("record kind")? {
+        KIND_EVENT => Record::Event(get_event(r)?),
+        KIND_CHECKPOINT => Record::Checkpoint {
+            deployment: r.str("deployment")?.to_string(),
+            service: r.str("service")?.to_string(),
+            state: get_checkpoint(r)?,
+        },
+        KIND_HORIZON => Record::Horizon(Timestamp::from_millis(r.i64("horizon")?)),
+        KIND_CHECKPOINT_DELTA => Record::CheckpointDelta {
+            deployment: r.str("deployment")?.to_string(),
+            service: r.str("service")?.to_string(),
+            evicted: r.u32("evicted count")? as usize,
+            appended: get_checkpoint(r)?.tuples,
+        },
+        other => return r.bad_tag("unknown record kind", other),
+    };
+    if r.pos != r.buf.len() {
+        return r.fail(Fail::Trailing);
+    }
+    Some(rec)
 }
 
 // ---------------------------------------------------------------------------
@@ -424,22 +490,22 @@ fn put_value(w: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn get_value(r: &mut Reader<'_>) -> Result<Value, DurableError> {
-    Ok(match r.u8("value tag")? {
+fn get_value(r: &mut Reader<'_>) -> Option<Value> {
+    Some(match r.u8("value tag")? {
         VAL_NULL => Value::Null,
         // Strict on canonical encodings: a non-0/1 bool is corruption, so a
         // damaged byte can never silently decode back to a valid value.
         VAL_BOOL => match r.u8("bool")? {
             0 => Value::Bool(false),
             1 => Value::Bool(true),
-            other => return Err(DurableError::corrupt(format!("bad bool byte {other}"))),
+            other => return r.bad_tag("bad bool byte", other),
         },
         VAL_INT => Value::Int(r.i64("int")?),
         VAL_FLOAT => Value::Float(r.f64("float")?),
         VAL_STR => Value::Str(r.str("str")?.to_string()),
         VAL_TIME => Value::Time(Timestamp::from_millis(r.i64("time")?)),
         VAL_GEO => Value::Geo(GeoPoint::new_unchecked(r.f64("lat")?, r.f64("lon")?)),
-        other => return Err(DurableError::corrupt(format!("unknown value tag {other}"))),
+        other => return r.bad_tag("unknown value tag", other),
     })
 }
 
@@ -457,16 +523,14 @@ fn put_tgran(w: &mut Vec<u8>, g: TemporalGranularity) {
     }
 }
 
-fn get_tgran(r: &mut Reader<'_>) -> Result<TemporalGranularity, DurableError> {
-    let tag = r.u8("temporal granularity")? as usize;
-    if tag < TemporalGranularity::NAMED.len() {
-        Ok(TemporalGranularity::NAMED[tag])
-    } else if tag == TemporalGranularity::NAMED.len() {
-        Ok(TemporalGranularity::Custom(r.u64("custom granularity")?))
-    } else {
-        Err(DurableError::corrupt(format!(
-            "unknown temporal granularity tag {tag}"
-        )))
+fn get_tgran(r: &mut Reader<'_>) -> Option<TemporalGranularity> {
+    let tag = r.u8("temporal granularity")?;
+    match TemporalGranularity::NAMED.get(usize::from(tag)) {
+        Some(&named) => Some(named),
+        None if usize::from(tag) == TemporalGranularity::NAMED.len() => {
+            Some(TemporalGranularity::Custom(r.u64("custom granularity")?))
+        }
+        None => r.bad_tag("unknown temporal granularity tag", tag),
     }
 }
 
@@ -491,8 +555,8 @@ fn put_sgranule(w: &mut Vec<u8>, g: &SpatialGranule) {
     }
 }
 
-fn get_sgranule(r: &mut Reader<'_>) -> Result<SpatialGranule, DurableError> {
-    Ok(match r.u8("spatial granule tag")? {
+fn get_sgranule(r: &mut Reader<'_>) -> Option<SpatialGranule> {
+    Some(match r.u8("spatial granule tag")? {
         SG_POINT => SpatialGranule::Point {
             lat_e7: r.i64("lat_e7")?,
             lon_e7: r.i64("lon_e7")?,
@@ -503,11 +567,7 @@ fn get_sgranule(r: &mut Reader<'_>) -> Result<SpatialGranule, DurableError> {
             iy: r.i32("cell iy")?,
         },
         SG_WORLD => SpatialGranule::World,
-        other => {
-            return Err(DurableError::corrupt(format!(
-                "unknown spatial granule tag {other}"
-            )))
-        }
+        other => return r.bad_tag("unknown spatial granule tag", other),
     })
 }
 
@@ -515,14 +575,22 @@ fn put_theme(w: &mut Vec<u8>, t: &Theme) {
     put_str(w, t.as_str());
 }
 
-fn get_theme(r: &mut Reader<'_>) -> Result<Theme, DurableError> {
-    let s = r.str("theme")?;
-    if let Some(theme) = r.themes.parsed.get(s) {
-        return Ok(theme.clone());
+fn get_theme(r: &mut Reader<'_>) -> Option<Theme> {
+    let spelling = r.bytes("theme")?;
+    if let Some(theme) = r.themes.parsed.get(spelling) {
+        return Some(theme.clone());
     }
-    let theme = Theme::new(s).map_err(|e| DurableError::corrupt(format!("theme `{s}`: {e}")))?;
-    r.themes.parsed.insert(s.into(), theme.clone());
-    Ok(theme)
+    let s = r.utf8(spelling, "theme")?;
+    match Theme::new(s) {
+        Ok(theme) => {
+            r.themes.parsed.insert(spelling.into(), theme.clone());
+            Some(theme)
+        }
+        Err(e) => {
+            let from = r.pos - s.len();
+            r.fail(Fail::Theme { from, e })
+        }
+    }
 }
 
 fn put_event(w: &mut Vec<u8>, e: &Event) {
@@ -533,13 +601,13 @@ fn put_event(w: &mut Vec<u8>, e: &Event) {
     put_theme(w, &e.theme);
 }
 
-fn get_event(r: &mut Reader<'_>) -> Result<Event, DurableError> {
+fn get_event(r: &mut Reader<'_>) -> Option<Event> {
     let value = get_value(r)?;
     let tgran = get_tgran(r)?;
     let tgranule = r.i64("tgranule")?;
     let sgranule = get_sgranule(r)?;
     let theme = get_theme(r)?;
-    Ok(Event::new(value, tgran, tgranule, sgranule, theme))
+    Some(Event::new(value, tgran, tgranule, sgranule, theme))
 }
 
 fn put_field(w: &mut Vec<u8>, f: &Field) {
@@ -554,20 +622,19 @@ fn put_field(w: &mut Vec<u8>, f: &Field) {
     put_u8(w, unit_tag);
 }
 
-fn get_field(r: &mut Reader<'_>) -> Result<Field, DurableError> {
+fn get_field(r: &mut Reader<'_>) -> Option<Field> {
     let name = r.str("field name")?;
-    let ty_tag = r.u8("attr type")? as usize;
-    let ty = *AttrType::ALL
-        .get(ty_tag)
-        .ok_or_else(|| DurableError::corrupt(format!("unknown attr type tag {ty_tag}")))?;
-    let unit_tag = r.u8("unit")? as usize;
-    if unit_tag == 0 {
-        Ok(Field::new(name, ty))
-    } else {
-        let unit = *Unit::ALL
-            .get(unit_tag - 1)
-            .ok_or_else(|| DurableError::corrupt(format!("unknown unit tag {unit_tag}")))?;
-        Ok(Field::with_unit(name, ty, unit))
+    let ty_tag = r.u8("attr type")?;
+    let Some(&ty) = AttrType::ALL.get(usize::from(ty_tag)) else {
+        return r.bad_tag("unknown attr type tag", ty_tag);
+    };
+    let unit_tag = r.u8("unit")?;
+    let Some(unit) = usize::from(unit_tag).checked_sub(1) else {
+        return Some(Field::new(name, ty));
+    };
+    match Unit::ALL.get(unit) {
+        Some(&unit) => Some(Field::with_unit(name, ty, unit)),
+        None => r.bad_tag("unknown unit tag", unit_tag),
     }
 }
 
@@ -595,15 +662,16 @@ fn put_tuple(w: &mut Vec<u8>, t: &Tuple) {
     put_u64(w, t.meta.trace);
 }
 
-fn get_tuple(r: &mut Reader<'_>) -> Result<Tuple, DurableError> {
+fn get_tuple(r: &mut Reader<'_>) -> Option<Tuple> {
     let n = r.count("field count")?;
     let mut fields = Vec::with_capacity(n);
     for _ in 0..n {
         fields.push(get_field(r)?);
     }
-    let schema = Schema::new(fields)
-        .map_err(|e| DurableError::corrupt(format!("schema: {e}")))?
-        .into_ref();
+    let schema = match Schema::new(fields) {
+        Ok(schema) => schema.into_ref(),
+        Err(e) => return r.fail(Fail::Stt("schema", e)),
+    };
     let mut values = Vec::with_capacity(n);
     for _ in 0..n {
         values.push(get_value(r)?);
@@ -615,7 +683,7 @@ fn get_tuple(r: &mut Reader<'_>) -> Result<Tuple, DurableError> {
             r.f64("meta lat")?,
             r.f64("meta lon")?,
         )),
-        other => return Err(DurableError::corrupt(format!("bad location flag {other}"))),
+        other => return r.bad_tag("bad location flag", other),
     };
     let theme = get_theme(r)?;
     let sensor = SensorId(r.u64("sensor id")?);
@@ -627,7 +695,10 @@ fn get_tuple(r: &mut Reader<'_>) -> Result<Tuple, DurableError> {
         sensor,
         trace,
     };
-    Tuple::new(schema, values, meta).map_err(|e| DurableError::corrupt(format!("tuple: {e}")))
+    match Tuple::new(schema, values, meta) {
+        Ok(tuple) => Some(tuple),
+        Err(e) => r.fail(Fail::Stt("tuple", e)),
+    }
 }
 
 fn put_checkpoint(w: &mut Vec<u8>, tuples: &[(usize, Tuple)]) {
@@ -638,14 +709,14 @@ fn put_checkpoint(w: &mut Vec<u8>, tuples: &[(usize, Tuple)]) {
     }
 }
 
-fn get_checkpoint(r: &mut Reader<'_>) -> Result<OpCheckpoint, DurableError> {
+fn get_checkpoint(r: &mut Reader<'_>) -> Option<OpCheckpoint> {
     let n = r.count("checkpoint tuple count")?;
     let mut tuples = Vec::with_capacity(n);
     for _ in 0..n {
         let port = r.u32("checkpoint port")? as usize;
         tuples.push((port, get_tuple(r)?));
     }
-    Ok(OpCheckpoint { tuples })
+    Some(OpCheckpoint { tuples })
 }
 
 // ---------------------------------------------------------------------------

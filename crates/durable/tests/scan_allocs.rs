@@ -1,7 +1,8 @@
 //! A cold query pays heap allocations for what it returns, not for what it
 //! visits: every visited block is read into one buffer the scan reuses and
-//! each record is decoded by value, so a query over numeric events that
-//! matches nothing allocates fewer times than it reads blocks. A `Str`
+//! each record is decoded by value, so a query over numeric and `Null`
+//! events that matches nothing allocates fewer times than it reads blocks:
+//! a theme the scan has met costs no allocation. A `Str`
 //! value still costs one allocation per visited `Str` frame — the decoder
 //! owns the string it hands over. One test only — the counter below is
 //! process-wide, and a second test running beside it would be counted too.
@@ -56,13 +57,24 @@ fn a_query_matching_nothing_allocates_less_than_once_per_visited_block() {
     assert_eq!(config.index_every, BLOCK_FRAMES);
     let mut dw = DurableWarehouse::open(config).unwrap();
     let osaka = SpatialGranularity::grid(8).granule_of(&GeoPoint::new_unchecked(34.7, 135.5));
+    let themes = [
+        Theme::new("weather/rain").unwrap(),
+        Theme::new("traffic/congestion").unwrap(),
+    ];
     for m in 0..8_000 {
+        // Alternating themes, and every numeric kind of value beside `Null`.
+        let value = match (m / 2) % 4 {
+            0 => Value::Float(m as f64 / 10.0),
+            1 => Value::Int(-m),
+            2 => Value::Bool(m % 3 == 0),
+            _ => Value::Null,
+        };
         dw.insert(Event::new(
-            Value::Float(m as f64 / 10.0),
+            value,
             TemporalGranularity::Minute,
             m,
             osaka,
-            Theme::new("weather/rain").unwrap(),
+            themes[(m % 2) as usize].clone(),
         ))
         .unwrap();
     }

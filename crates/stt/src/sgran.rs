@@ -135,7 +135,11 @@ impl SpatialGranularity {
 }
 
 /// A spatial granule identifier: one unit of space at some granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+///
+/// The derived order (points, then cells, then the world; fields in
+/// declaration order) is a value order for keying maps, not the order
+/// roll-up answers are listed in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SpatialGranule {
     /// An exact position quantised to 1e-7 degrees.
     Point {

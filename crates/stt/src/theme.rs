@@ -92,14 +92,24 @@ impl Theme {
     /// theme itself when it is no deeper than that or `depth` is 0. A
     /// prefix of a valid path cut at a `/` is a valid path.
     pub fn ancestor(&self, depth: usize) -> Theme {
+        let prefix = self.prefix(depth);
+        if prefix.len() == self.path.len() {
+            self.clone()
+        } else {
+            Theme {
+                path: prefix.into(),
+            }
+        }
+    }
+
+    /// The path of [`Theme::ancestor`]`(depth)`, borrowed from this one.
+    pub fn prefix(&self, depth: usize) -> &str {
         let cut = depth
             .checked_sub(1)
             .and_then(|n| self.path.match_indices('/').nth(n));
         match cut {
-            Some((i, _)) => Theme {
-                path: self.path[..i].into(),
-            },
-            None => self.clone(),
+            Some((i, _)) => &self.path[..i],
+            None => &self.path,
         }
     }
 

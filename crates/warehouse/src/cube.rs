@@ -5,15 +5,25 @@
 //! theme — the warehouse-side counterpart of the stream Aggregation
 //! operator, feeding "further analysis" and visualisation (paper §3).
 //!
-//! The grouping and folding primitives ([`cell_slot`], [`CellAcc`]) are
-//! public so that incremental consumers — the `sl-cq` materialized views —
-//! reproduce [`EventWarehouse::rollup`]'s arithmetic bit-for-bit: folding a
-//! cell's contributions in storage order through a [`CellAcc`] yields
-//! exactly the [`CubeCell`] a full rescan would compute.
+//! The grouping and folding primitives ([`cell_slot`], [`CellMap`],
+//! [`CellAcc`]) are public so that incremental consumers — the `sl-cq`
+//! materialized views — reproduce [`EventWarehouse::rollup`]'s arithmetic
+//! and order bit-for-bit: folding a cell's contributions in storage order
+//! through a [`CellAcc`] yields exactly the [`CubeCell`] a full rescan
+//! would compute, and [`CellMap::to_cells`] lists cells in one order for
+//! both.
+//!
+//! Cells are keyed by value — temporal granule, spatial granule, theme
+//! prefix — so an event that lands in an open cell renders nothing and
+//! allocates nothing. Answers list cells by temporal granule, then by the
+//! spatial granule's and the theme's *renderings*, the order the cube has
+//! always had (`cell8(1000, 88)` before `cell8(224, 88)`); a spatial
+//! granule is rendered once, when the first cell at it opens.
 
 use crate::query::EventQuery;
 use crate::store::EventWarehouse;
 use sl_stt::{Event, SpatialGranularity, SpatialGranule, TemporalGranularity, Theme, Value};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A roll-up request.
@@ -51,42 +61,191 @@ pub struct CubeCell {
     pub max: Option<f64>,
 }
 
-/// The grouping key of a roll-up cell: (temporal granule, spatial granule
-/// rendering, theme prefix rendering). String renderings keep the ordering
-/// total and identical between one-shot roll-ups and incremental views.
-pub type CellKey = (i64, String, String);
+/// The grouping key of a roll-up cell, by value: temporal granule, spatial
+/// granule and theme prefix, the prefix borrowed from the event's theme.
+pub type CellKey<'a> = (i64, SpatialGranule, &'a str);
 
-/// Where one event lands in a cube: its cell key, the cell's display
-/// coordinates, and the event's numeric contribution (if any).
-#[derive(Debug, Clone)]
-pub struct CellSlot {
+/// Where one event lands in a cube: its cell's key and the event's numeric
+/// contribution (if any).
+#[derive(Debug, Clone, Copy)]
+pub struct CellSlot<'a> {
     /// The grouping key.
-    pub key: CellKey,
-    /// The coarsened spatial granule of the cell.
-    pub sgranule: SpatialGranule,
-    /// The theme prefix of the cell.
-    pub theme: Theme,
+    pub key: CellKey<'a>,
     /// The event's numeric value, when it has one.
     pub numeric: Option<f64>,
+    /// The event's theme and the depth `key.2` cuts it at.
+    theme: &'a Theme,
+    depth: usize,
+}
+
+impl CellSlot<'_> {
+    /// The cell's theme prefix as a [`Theme`]: the event's own when the
+    /// prefix is all of it, otherwise a new one (made when a cell opens).
+    fn theme(&self) -> Theme {
+        self.theme.ancestor(self.depth)
+    }
 }
 
 /// Place an event in the cube described by `q`: apply the pre-selection,
 /// coarsen to the target granularities, and truncate the theme. `None` if
 /// the event is filtered out or cannot be coarsened (already coarser, or
-/// incomparable).
-pub fn cell_slot(event: &Event, q: &CubeQuery) -> Option<CellSlot> {
-    if !q.select.matches(event) {
+/// incomparable) — decided before coarsening, so a skipped event costs no
+/// error.
+pub fn cell_slot<'a>(event: &'a Event, q: &CubeQuery) -> Option<CellSlot<'a>> {
+    if !q.select.matches(event)
+        || !event.tgran.finer_or_equal(q.tgran)
+        || !event.sgranule.granularity().finer_or_equal(q.sgran)
+    {
         return None;
     }
+    // `finer_or_equal` is the only check either `coarsen` makes, so neither
+    // fails here: the `?`s below never fire, and a rejected event never
+    // reaches the error `String`s `coarsen` would format.
     let tgranule = event.tgran.coarsen(event.tgranule, q.tgran).ok()?;
     let sgranule = event.sgranule.coarsen(q.sgran).ok()?;
-    let theme = event.theme.ancestor(q.theme_depth);
     Some(CellSlot {
-        key: (tgranule, sgranule.to_string(), theme.to_string()),
-        sgranule,
-        theme,
+        key: (tgranule, sgranule, event.theme.prefix(q.theme_depth)),
         numeric: numeric_value(&event.value),
+        theme: &event.theme,
+        depth: q.theme_depth,
     })
+}
+
+/// Roll-up cells keyed by value: by temporal and spatial granule (a
+/// *column*), then by theme prefix. Finding an open cell borrows the
+/// event's key and allocates nothing; opening one makes its [`Theme`], and
+/// opening a column renders its spatial granule into the answer order.
+#[derive(Debug, Clone)]
+pub struct CellMap<V> {
+    /// One slot per column. A column that closes leaves its slot empty
+    /// (no cells) for the next one to open, so no slot ever moves.
+    columns: Vec<Column<V>>,
+    /// The empty slots of `columns`.
+    free: Vec<usize>,
+    /// Where each open column sits in `columns`.
+    at: BTreeMap<(i64, SpatialGranule), usize>,
+    /// `columns` in answer order: by temporal granule, then by the spatial
+    /// granule's rendering. Kept as columns open and close, so an answer
+    /// walks it and sorts nothing.
+    order: BTreeMap<(i64, String, SpatialGranule), usize>,
+}
+
+/// The cells of one temporal and spatial granule, sorted by theme prefix (a
+/// column holds a handful, so they sit in one vector and are found by
+/// binary search).
+#[derive(Debug, Clone)]
+struct Column<V> {
+    tgranule: i64,
+    sgranule: SpatialGranule,
+    themes: Vec<(Theme, V)>,
+}
+
+impl<V> Default for CellMap<V> {
+    fn default() -> Self {
+        CellMap {
+            columns: Vec::new(),
+            free: Vec::new(),
+            at: BTreeMap::new(),
+            order: BTreeMap::new(),
+        }
+    }
+}
+
+impl<V: Default> CellMap<V> {
+    /// Apply `f` to the value of `slot`'s cell, opening the cell (with
+    /// `V::default()`) if it is new.
+    pub fn update(&mut self, slot: &CellSlot<'_>, f: impl FnOnce(&mut V)) {
+        let (tgranule, sgranule, prefix) = slot.key;
+        let i = match self.at.entry((tgranule, sgranule)) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => {
+                let i = match self.free.pop() {
+                    Some(i) => {
+                        let column = &mut self.columns[i];
+                        (column.tgranule, column.sgranule) = (tgranule, sgranule);
+                        i
+                    }
+                    None => {
+                        self.columns.push(Column {
+                            tgranule,
+                            sgranule,
+                            themes: Vec::new(),
+                        });
+                        self.columns.len() - 1
+                    }
+                };
+                // The one place a cell key is rendered: once per column,
+                // for the answer's order.
+                self.order
+                    .insert((tgranule, sgranule.to_string(), sgranule), i);
+                *entry.insert(i)
+            }
+        };
+        let themes = &mut self.columns[i].themes;
+        let at = match themes.binary_search_by(|(theme, _)| theme.as_str().cmp(prefix)) {
+            Ok(at) => at,
+            Err(at) => {
+                themes.insert(at, (slot.theme(), V::default()));
+                at
+            }
+        };
+        f(&mut themes[at].1);
+    }
+}
+
+impl<V> CellMap<V> {
+    /// Keep the cells whose value `keep` (which may change it) returns
+    /// `true` for.
+    pub fn retain(&mut self, mut keep: impl FnMut(&mut V) -> bool) {
+        let free = self.free.len();
+        for (i, column) in self.columns.iter_mut().enumerate() {
+            if column.themes.is_empty() {
+                continue; // already free
+            }
+            column.themes.retain_mut(|(_, value)| keep(value));
+            if column.themes.is_empty() {
+                self.at.remove(&(column.tgranule, column.sgranule));
+                self.free.push(i);
+            }
+        }
+        if self.free.len() != free {
+            let columns = &self.columns;
+            self.order.retain(|_, &mut i| !columns[i].themes.is_empty());
+        }
+    }
+
+    /// The cells' values.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.columns
+            .iter()
+            .flat_map(|column| column.themes.iter().map(|(_, value)| value))
+    }
+
+    /// Number of open cells.
+    pub fn len(&self) -> usize {
+        self.columns.iter().map(|column| column.themes.len()).sum()
+    }
+
+    /// True if no cell is open.
+    pub fn is_empty(&self) -> bool {
+        self.at.is_empty()
+    }
+
+    /// The answer: one [`CubeCell`] per open cell, from the accumulator
+    /// `acc` finds in its value, in the cube's order — by temporal granule,
+    /// then by the spatial granule's rendering, then by theme prefix.
+    pub fn to_cells(&self, acc: impl Fn(&V) -> &CellAcc) -> Vec<CubeCell> {
+        let mut out = Vec::with_capacity(self.len());
+        for &i in self.order.values() {
+            let column = &self.columns[i];
+            out.extend(
+                column.themes.iter().map(|(theme, v)| {
+                    acc(v).to_cell(column.tgranule, column.sgranule, theme.clone())
+                }),
+            );
+        }
+        out
+    }
 }
 
 /// Streaming accumulator for one cube cell. Absorbing a cell's
@@ -148,27 +307,20 @@ impl CellAcc {
 /// the shared core of [`EventWarehouse::rollup`] and
 /// [`EventWarehouse::rollup_scan`].
 fn rollup_events<'a>(events: impl Iterator<Item = &'a Event>, q: &CubeQuery) -> Vec<CubeCell> {
-    let mut cells: BTreeMap<CellKey, (SpatialGranule, Theme, CellAcc)> = BTreeMap::new();
+    let mut cells = CellMap::<CellAcc>::default();
     for event in events {
-        let Some(slot) = cell_slot(event, q) else {
-            continue;
-        };
-        let entry = cells
-            .entry(slot.key)
-            .or_insert_with(|| (slot.sgranule, slot.theme, CellAcc::new()));
-        entry.2.absorb(slot.numeric);
+        if let Some(slot) = cell_slot(event, q) {
+            cells.update(&slot, |acc| acc.absorb(slot.numeric));
+        }
     }
-    cells
-        .into_iter()
-        .map(|((tgranule, _, _), (sgranule, theme, acc))| acc.to_cell(tgranule, sgranule, theme))
-        .collect()
+    cells.to_cells(|acc| acc)
 }
 
 impl EventWarehouse {
     /// Compute the roll-up. Events whose granularity cannot be coarsened to
     /// the requested one (already coarser, or incomparable) are skipped.
     pub fn rollup(&mut self, q: &CubeQuery) -> Vec<CubeCell> {
-        let out = rollup_events(self.query(&q.select).into_iter(), q);
+        let out = rollup_events(self.select(&q.select), q);
         self.metrics.counter("rollups").inc();
         self.metrics
             .counter("cube_cells_updated")

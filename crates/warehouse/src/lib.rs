@@ -21,7 +21,9 @@ pub mod query;
 pub mod store;
 pub mod viz;
 
-pub use cube::{cell_slot, numeric_value, CellAcc, CellKey, CellSlot, CubeCell, CubeQuery};
+pub use cube::{
+    cell_slot, numeric_value, CellAcc, CellKey, CellMap, CellSlot, CubeCell, CubeQuery,
+};
 pub use query::EventQuery;
 pub use store::{tuple_events, EventWarehouse, WarehouseConfig, WarehouseStats};
 pub use viz::render_heatmap;

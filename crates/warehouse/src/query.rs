@@ -83,20 +83,30 @@ impl EventWarehouse {
     /// [`WarehouseStats`](crate::WarehouseStats) still ticks (interior
     /// mutability).
     pub fn query(&self, q: &EventQuery) -> Vec<&Event> {
+        self.select(q).collect()
+    }
+
+    /// [`EventWarehouse::query`]'s answer, one event at a time: for callers
+    /// that fold the answer rather than keep it (roll-ups).
+    pub(crate) fn select<'a, 'q>(
+        &'a self,
+        q: &'q EventQuery,
+    ) -> impl Iterator<Item = &'a Event> + use<'a, 'q> {
         self.note_query();
-        let candidates: Option<Vec<Pos>> = self.pick_index(q);
-        match candidates {
+        let (indexed, scan) = match self.pick_index(q) {
             Some(mut positions) => {
                 positions.sort_unstable();
                 positions.dedup();
-                positions
-                    .into_iter()
-                    .filter_map(|p| self.at(p))
-                    .filter(|e| q.matches(e))
-                    .collect()
+                (Some(positions), None)
             }
-            None => self.iter().filter(|e| q.matches(e)).collect(),
-        }
+            None => (None, Some(self.iter())),
+        };
+        indexed
+            .into_iter()
+            .flatten()
+            .filter_map(|p| self.at(p))
+            .chain(scan.into_iter().flatten())
+            .filter(move |e| q.matches(e))
     }
 
     /// Reference implementation: full scan. Property tests compare this

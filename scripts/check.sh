@@ -5,8 +5,8 @@
 #                             # workspace, fmt, clippy -D warnings, doc -D
 #                             # warnings
 #   scripts/check.sh          # everything: fast tier + the lint and
-#                             # example gates, the checkpoint and text
-#                             # owner greps,
+#                             # example gates, the checkpoint, text and
+#                             # cube-key owner greps,
 #                             # the recovery and dashboard examples, and the
 #                             # benchmark/ package's build, smoke and own
 #                             # tests, then the smoke's output digests
@@ -90,6 +90,24 @@ for f in $(find crates/*/src -name '*.rs' -not -path 'crates/obs/src/*'); do
         exit 1
     fi
 done
+
+# Owner grep: roll-up cells are keyed by value, and only the answer's
+# order renders them. The view (`crates/cq/src/view.rs`) renders nothing,
+# and the cube (`crates/warehouse/src/cube.rs`) renders in one function,
+# `CellMap::update`, once per column it opens: a second renderer is a
+# per-event `String` creeping back onto the roll-up path.
+if sed '/#\[cfg(test)\]/,$d' crates/cq/src/view.rs | grep -nE 'to_string\(\)|format!'; then
+    echo "check.sh: non-test crates/cq/src/view.rs renders a string" >&2
+    exit 1
+fi
+renderers=$(sed '/#\[cfg(test)\]/,$d' crates/warehouse/src/cube.rs |
+    awk '/^ *(pub(\([a-z]+\))? )?fn /{f=$0} /to_string\(\)|format!/{print f}' | sort -u)
+if [ "$(printf '%s\n' "$renderers" | grep -c 'pub fn update(')" != 1 ] ||
+    [ "$(printf '%s\n' "$renderers" | grep -c .)" != 1 ]; then
+    echo "check.sh: crates/warehouse/src/cube.rs must render cell keys in CellMap::update alone; renderers:" >&2
+    printf '%s\n' "$renderers" >&2
+    exit 1
+fi
 
 # Recovery end to end, each asserting what it restored: a node crash
 # mid-window re-seeds the aggregate from the folded checkpoint log, and a

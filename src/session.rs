@@ -312,7 +312,12 @@ impl StreamLoader {
         self.engine.compact_warehouse()
     }
 
-    /// Roll up the warehouse.
+    /// Roll up the warehouse's *hot* tier: with a durable backend, events
+    /// already spilled to cold segments are not in the answer (as with
+    /// [`Engine::warehouse_mut`](sl_engine::Engine::warehouse_mut), which
+    /// this reads through). A view registered with [`StreamLoader::view`]
+    /// over the same `CubeQuery` gives the same hot-tier answer from
+    /// [`StreamLoader::view_cells`], without the rescan.
     pub fn rollup(&mut self, q: &CubeQuery) -> Vec<CubeCell> {
         self.engine.warehouse_mut().rollup(q)
     }
