@@ -297,11 +297,6 @@ impl CqHub {
         self.views.get(&id.0).map(|r| r.view.cells())
     }
 
-    /// A view's standing query. `None` if the handle is unknown.
-    pub fn view_query(&self, id: ViewId) -> Option<&CubeQuery> {
-        self.views.get(&id.0).map(|r| r.view.query())
-    }
-
     /// Liveness summaries of every subscription, by id.
     pub fn subscription_stats(&self) -> Vec<SubscriptionStat> {
         self.subs
@@ -350,7 +345,6 @@ impl CqHub {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)]
     use super::*;
     use sl_stt::{GeoPoint, SpatialGranularity, TemporalGranularity, Theme, TimeInterval, Value};
 

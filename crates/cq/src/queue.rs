@@ -167,7 +167,6 @@ impl<T> PushQueue<T> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)]
     use super::*;
 
     #[test]

@@ -148,7 +148,6 @@ impl MaterializedView {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)]
     use super::*;
     use sl_stt::{GeoPoint, SpatialGranularity, TemporalGranularity, Theme, Timestamp, Value};
     use sl_warehouse::{EventQuery, EventWarehouse};

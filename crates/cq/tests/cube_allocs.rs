@@ -3,7 +3,7 @@
 //! that cannot be coarsened to the target formats no error. Allocations are
 //! counted per thread, so the tests do not disturb each other.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use sl_cq::MaterializedView;
 use sl_stt::{

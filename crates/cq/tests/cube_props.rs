@@ -14,7 +14,7 @@
 //!   `retract_before` calls equals the reference over the surviving events
 //!   after every step.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use proptest::prelude::*;
 use sl_cq::MaterializedView;

@@ -81,8 +81,8 @@ pub fn debug_run(
     let tick_at = latest + Duration::from_millis(1);
 
     // Drive operators in topological order.
-    for name in &report.topo_order {
-        let node = df.node(name).expect("validated");
+    for node in report.topo_order.iter().filter_map(|name| df.node(name)) {
+        let name = &node.name;
         let NodeKind::Operator { spec } = &node.kind else {
             continue;
         };

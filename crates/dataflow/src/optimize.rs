@@ -155,7 +155,10 @@ fn rewire_consumers(df: &mut Dataflow, of: &str, to: &str) {
         .map(|(n, port)| (n.name.clone(), port))
         .collect();
     for (name, port) in consumer_names {
-        let mut inputs = df.node(&name).expect("consumer exists").inputs.clone();
+        let Some(node) = df.node(&name) else {
+            continue;
+        };
+        let mut inputs = node.inputs.clone();
         inputs[port] = to.to_string();
         set_inputs(df, &name, inputs);
     }

@@ -142,11 +142,7 @@ pub fn infer_source_schema(
     if fields.is_empty() {
         return None;
     }
-    Some(
-        Schema::new(fields)
-            .expect("subset of a valid schema")
-            .into_ref(),
-    )
+    Schema::new(fields).ok().map(Schema::into_ref)
 }
 
 #[cfg(test)]

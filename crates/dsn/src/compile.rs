@@ -133,8 +133,7 @@ pub fn compile(doc: &DsnDocument) -> Result<ScnProgram, DsnError> {
             active: src.mode == SourceMode::Active,
         });
     }
-    for name in &topo {
-        let svc = doc.service(name).expect("validated");
+    for svc in topo.iter().filter_map(|name| doc.service(name)) {
         commands.push(ScnCommand::SpawnProcess {
             service: svc.name.clone(),
             spec: svc.spec.clone(),

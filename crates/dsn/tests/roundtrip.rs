@@ -1,6 +1,8 @@
 //! Property test: DSN print → parse round-trips (demo P2's translation
 //! must be loss-free).
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
+
 use proptest::prelude::*;
 use sl_dsn::{
     parse_document, print_document, ChannelDecl, DsnDocument, ServiceDecl, SinkDecl, SinkKind,

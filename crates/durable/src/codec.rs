@@ -795,7 +795,6 @@ pub fn read_frame(buf: &[u8]) -> FrameRead<'_> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
 
     use super::*;
 

@@ -220,7 +220,6 @@ impl CompactionStats {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
 
     use super::*;
 

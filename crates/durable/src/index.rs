@@ -272,7 +272,6 @@ fn take<const N: usize>(body: &[u8], at: &mut usize) -> Result<[u8; N], DurableE
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
 
     use super::*;
 

@@ -1218,7 +1218,6 @@ fn heal_sidecar(seg: &Segment, report: &mut RecoveryReport) -> Result<(), Durabl
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
 
     use super::*;
     use crate::tmp::TempDir;

@@ -45,7 +45,6 @@ impl Drop for TempDir {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
 
     use super::*;
 

@@ -572,7 +572,6 @@ fn is_cold(
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
 
     use super::*;
     use crate::tmp::TempDir;

@@ -9,7 +9,7 @@
 //! * **Bases only**: a directory written before delta frames existed (kind 2
 //!   frames, last write wins) opens unchanged.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use proptest::prelude::*;
 use sl_durable::{

@@ -3,7 +3,7 @@
 //! (NaN floats included — byte comparison sidesteps `NaN != NaN`), and
 //! decode never panics on arbitrary byte soup.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 mod arb;
 

@@ -14,7 +14,7 @@
 //!   inputs not yet deleted; a torn product next to surviving inputs),
 //!   reopening loses nothing that was ever acknowledged.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use proptest::prelude::*;
 use sl_durable::{

@@ -10,7 +10,7 @@
 //! or an error with the same text — through a fresh `ThemeTable` and
 //! through one shared by the whole run alike, and nothing panics.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 mod arb;
 

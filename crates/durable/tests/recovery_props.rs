@@ -12,7 +12,7 @@
 //!   merged cold+hot query equals the brute-force log scan, and the hot
 //!   tier mirrors a plain in-memory warehouse fed the same operations.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use proptest::prelude::*;
 use sl_durable::{DurableConfig, DurableWarehouse, FsyncPolicy, Record, SegmentLog, TempDir};

@@ -7,8 +7,6 @@
 //! owns the string it hands over. One test only — the counter below is
 //! process-wide, and a second test running beside it would be counted too.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
-
 use sl_durable::{DurableConfig, DurableWarehouse, FsyncPolicy, TempDir};
 use sl_stt::{
     BoundingBox, Event, GeoPoint, SpatialGranularity, TemporalGranularity, Theme, Timestamp, Value,

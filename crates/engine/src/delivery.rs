@@ -444,7 +444,6 @@ impl Engine {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use crate::config::EngineConfig;
     use sl_dataflow::DataflowBuilder;

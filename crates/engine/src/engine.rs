@@ -1177,7 +1177,6 @@ fn batch_eligible(endpoints: &[Endpoint], monitor: &Monitor, ev: &Ev) -> bool {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use sl_dataflow::DataflowBuilder;
     use sl_netsim::NodeSpec;

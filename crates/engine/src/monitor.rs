@@ -456,7 +456,6 @@ impl Monitor {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     impl Monitor {

@@ -14,7 +14,7 @@
 //! * (property) arbitrary burst schedules never push a bounded ingress
 //!   queue past its configured capacity, under every overflow policy.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use sl_dataflow::DataflowBuilder;
 use sl_dsn::SinkKind;

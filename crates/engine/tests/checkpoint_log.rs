@@ -10,7 +10,7 @@
 //!   the window they land in, and a re-deployed namesake never extends its
 //!   predecessor's logged window.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use sl_dataflow::{Dataflow, DataflowBuilder};
 use sl_dsn::SinkKind;

@@ -10,7 +10,7 @@
 //! * with the hub unused, the engine's outputs are identical to a run
 //!   without any continuous-query machinery in the loop.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use proptest::prelude::*;
 use sl_dataflow::DataflowBuilder;

@@ -9,7 +9,7 @@
 //! * retention on the durable backend spills to cold segments: evicted
 //!   events stay answerable through the merged query path.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use sl_dataflow::DataflowBuilder;
 use sl_dsn::SinkKind;

@@ -5,8 +5,6 @@
 //! counted too. One test only — the counter below is process-wide, and a
 //! second test running beside it would be counted too.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
-
 use sl_dataflow::DataflowBuilder;
 use sl_dsn::SinkKind;
 use sl_engine::{Engine, EngineConfig};

@@ -14,7 +14,7 @@
 //! * with bounds configured but never hit, outputs are byte-identical to
 //!   the unbounded engine — the admission layer is pay-for-what-you-shed.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use sl_dataflow::DataflowBuilder;
 use sl_dsn::SinkKind;

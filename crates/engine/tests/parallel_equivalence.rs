@@ -4,7 +4,7 @@
 //! sequential run exactly — warehouse contents, sink counts, DLQ taxonomy,
 //! per-operator counters, and the recovery log (`DESIGN.md` §5f).
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use sl_dataflow::DataflowBuilder;
 use sl_dsn::SinkKind;

@@ -126,19 +126,18 @@ fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, ExprError> {
                 // enforces this; the runtime double-checks for safety).
                 (Value::Str(a), Value::Str(b)) => a.cmp(b),
                 (Value::Time(a), Value::Time(b)) => a.cmp(b),
-                (a, b) if a.as_f64().is_ok() && b.as_f64().is_ok() => a
-                    .as_f64()
-                    .expect("num")
-                    .total_cmp(&b.as_f64().expect("num")),
-                (a, b) => {
-                    return Err(ExprError::Type {
-                        message: format!(
-                            "cannot order {} against {}",
-                            a.type_name(),
-                            b.type_name()
-                        ),
-                    })
-                }
+                (a, b) => match (a.as_f64(), b.as_f64()) {
+                    (Ok(x), Ok(y)) => x.total_cmp(&y),
+                    _ => {
+                        return Err(ExprError::Type {
+                            message: format!(
+                                "cannot order {} against {}",
+                                a.type_name(),
+                                b.type_name()
+                            ),
+                        })
+                    }
+                },
             };
             let b = match op {
                 Lt => ord.is_lt(),

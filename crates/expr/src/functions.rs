@@ -53,11 +53,6 @@ fn sig_of(name: &str) -> Option<Sig> {
     Some(Sig { min, max })
 }
 
-/// True if `name` is a known builtin.
-pub fn is_builtin(name: &str) -> bool {
-    sig_of(name).is_some()
-}
-
 /// Static type of `name(args)`, or an error if the name is unknown, the
 /// arity is wrong, or the argument types don't fit.
 pub fn check(name: &str, args: &[ExprType]) -> Result<ExprType, ExprError> {
@@ -274,23 +269,22 @@ pub fn call(name: &str, args: &[Value]) -> Result<Value, ExprError> {
         "round" => Ok(Value::Float(args[0].as_f64()?.round())),
         "pow" => Ok(Value::Float(args[0].as_f64()?.powf(args[1].as_f64()?))),
         "min" | "max" => {
-            let all_int = args.iter().all(|a| matches!(a, Value::Int(_)));
-            if all_int {
-                let it = args.iter().map(|a| a.as_i64().expect("int"));
+            if args.iter().all(|a| matches!(a, Value::Int(_))) {
+                let it = args.iter().filter_map(|a| a.as_i64().ok());
                 let v = if name == "min" { it.min() } else { it.max() };
-                Ok(Value::Int(v.expect("non-empty")))
-            } else {
-                let mut best = args[0].as_f64()?;
-                for a in &args[1..] {
-                    let x = a.as_f64()?;
-                    best = if name == "min" {
-                        best.min(x)
-                    } else {
-                        best.max(x)
-                    };
-                }
-                Ok(Value::Float(best))
+                // `None` only for no arguments, which the arity check rejects.
+                return Ok(v.map_or(Value::Null, Value::Int));
             }
+            let mut best = args[0].as_f64()?;
+            for a in &args[1..] {
+                let x = a.as_f64()?;
+                best = if name == "min" {
+                    best.min(x)
+                } else {
+                    best.max(x)
+                };
+            }
+            Ok(Value::Float(best))
         }
         "apparent_temperature" => {
             let t = args[0].as_f64()?;

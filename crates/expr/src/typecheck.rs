@@ -8,7 +8,7 @@
 use crate::ast::{BinOp, Expr, UnOp};
 use crate::error::ExprError;
 use crate::functions;
-use sl_stt::{AttrType, Schema, Value};
+use sl_stt::{AttrType, Schema};
 use std::fmt;
 
 /// Static type of an expression: an exact attribute type, or the type of the
@@ -215,15 +215,6 @@ fn numeric_binop(
         (ExprType::Null, ExprType::Null) => ExprType::Null,
         _ => ExprType::Exact(AttrType::Float),
     })
-}
-
-/// Quick helper: the literal's type (used in tests and by the DSN
-/// validator for constant folding checks).
-pub fn literal_type(v: &Value) -> ExprType {
-    match v.attr_type() {
-        Some(t) => ExprType::Exact(t),
-        None => ExprType::Null,
-    }
 }
 
 #[cfg(test)]

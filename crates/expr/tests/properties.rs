@@ -1,6 +1,8 @@
 //! Property-based tests for the expression language: print→parse round
 //! trips, evaluation determinism, and typechecker/evaluator agreement.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
+
 use proptest::prelude::*;
 use sl_expr::{parse, typecheck, CompiledExpr, Expr, ExprType};
 use sl_stt::{

@@ -295,7 +295,6 @@ pub fn spec_attr_refs(spec: &OpSpec) -> Vec<&str> {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_methods)] // tests may panic freely
 mod tests {
     use super::*;
     use sl_stt::Field;

@@ -239,7 +239,6 @@ fn parse_bool(line: usize, key: &str, value: &str) -> Result<bool, String> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use sl_faults::FaultAction;
 

@@ -303,7 +303,6 @@ fn count_sensors(registry: Option<&SensorRegistry>, filter: &SubscriptionFilter)
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     #[test]

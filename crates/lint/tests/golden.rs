@@ -4,8 +4,8 @@
 //! `sl-lint` CLI lints files: source schemas inferred from `has name:type`
 //! filter clauses.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
 #![allow(clippy::field_reassign_with_default)] // goldens mutate one knob at a time
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use sl_dsn::parse_document;
 use sl_engine::{EngineConfig, OverflowPolicy, ShardKey};

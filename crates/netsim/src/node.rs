@@ -177,7 +177,6 @@ impl LoadTracker {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use crate::topology::NodeSpec;
 

@@ -310,7 +310,6 @@ impl FlowTable {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use crate::topology::NodeSpec;
 

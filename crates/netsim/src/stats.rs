@@ -248,7 +248,6 @@ fn ids<T>(v: &[Option<T>]) -> impl Iterator<Item = (LinkId, &T)> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     fn ts(s: i64) -> Timestamp {

@@ -118,6 +118,12 @@ impl Topology {
     ) -> Result<LinkId, NetError> {
         self.check_node(a)?;
         self.check_node(b)?;
+        Ok(self.join(a, b, latency, bandwidth_bps))
+    }
+
+    /// Link two nodes known to exist: `add_link` after its checks, and the
+    /// builders below, which only join nodes they have just created.
+    fn join(&mut self, a: NodeId, b: NodeId, latency: Duration, bandwidth_bps: u64) -> LinkId {
         let id = LinkId(self.links.len() as u32);
         self.links.push(LinkSpec {
             a,
@@ -128,7 +134,7 @@ impl Topology {
         });
         self.adjacency[a.0 as usize].push((id.0, b));
         self.adjacency[b.0 as usize].push((id.0, a));
-        Ok(id)
+        id
     }
 
     fn check_node(&self, n: NodeId) -> Result<(), NetError> {
@@ -239,38 +245,30 @@ impl Topology {
     // ---------------------------------------------------------------------
 
     /// A line of `n` edge nodes with uniform links.
-    // Links join nodes created lines above: infallible by construction.
-    #[allow(clippy::disallowed_methods)]
     pub fn line(n: usize, latency: Duration, bandwidth_bps: u64) -> Topology {
         let mut t = Topology::new();
         let ids: Vec<_> = (0..n)
             .map(|i| t.add_node(NodeSpec::edge(&format!("n{i}"), 1_000_000.0)))
             .collect();
         for w in ids.windows(2) {
-            t.add_link(w[0], w[1], latency, bandwidth_bps)
-                .expect("fresh nodes");
+            t.join(w[0], w[1], latency, bandwidth_bps);
         }
         t
     }
 
     /// A star: node 0 is the core hub, nodes 1..n are edge leaves.
-    // Links join nodes created lines above: infallible by construction.
-    #[allow(clippy::disallowed_methods)]
     pub fn star(leaves: usize, latency: Duration, bandwidth_bps: u64) -> Topology {
         let mut t = Topology::new();
         let hub = t.add_node(NodeSpec::core("hub", 4_000_000.0));
         for i in 0..leaves {
             let leaf = t.add_node(NodeSpec::edge(&format!("leaf{i}"), 1_000_000.0));
-            t.add_link(hub, leaf, latency, bandwidth_bps)
-                .expect("fresh nodes");
+            t.join(hub, leaf, latency, bandwidth_bps);
         }
         t
     }
 
     /// A complete `fanout`-ary tree of the given depth; leaves are edge
     /// nodes, internal nodes are core.
-    // Links join nodes created lines above: infallible by construction.
-    #[allow(clippy::disallowed_methods)]
     pub fn tree(fanout: usize, depth: usize, latency: Duration, bandwidth_bps: u64) -> Topology {
         let mut t = Topology::new();
         let root = t.add_node(NodeSpec::core("root", 8_000_000.0));
@@ -286,8 +284,7 @@ impl Topology {
                         NodeSpec::core(&name, 4_000_000.0)
                     };
                     let child = t.add_node(spec);
-                    t.add_link(*parent, child, latency, bandwidth_bps)
-                        .expect("fresh nodes");
+                    t.join(*parent, child, latency, bandwidth_bps);
                     next.push(child);
                 }
             }
@@ -298,8 +295,6 @@ impl Topology {
 
     /// A random connected topology: a spanning tree plus `extra_links`
     /// shortcuts, with latencies in `[1, 20]` ms. Deterministic per seed.
-    // Links join nodes created lines above: infallible by construction.
-    #[allow(clippy::disallowed_methods)]
     pub fn random(n: usize, extra_links: usize, seed: u64) -> Topology {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut t = Topology::new();
@@ -319,7 +314,7 @@ impl Topology {
             let j = rng.gen_range(0..i);
             let lat = Duration::from_millis(rng.gen_range(1..=20));
             let bw = rng.gen_range(10u64..=100) * 1_000_000;
-            t.add_link(ids[i], ids[j], lat, bw).expect("fresh nodes");
+            t.join(ids[i], ids[j], lat, bw);
         }
         // Extra shortcuts.
         let mut pairs: Vec<(usize, usize)> = Vec::new();
@@ -334,7 +329,7 @@ impl Topology {
         for (i, j) in pairs.into_iter().take(extra_links) {
             let lat = Duration::from_millis(rng.gen_range(1..=20));
             let bw = rng.gen_range(10u64..=100) * 1_000_000;
-            t.add_link(ids[i], ids[j], lat, bw).expect("fresh nodes");
+            t.join(ids[i], ids[j], lat, bw);
         }
         t
     }
@@ -342,8 +337,6 @@ impl Topology {
     /// A fixed 12-node topology shaped like the NICT Japan-wide testbed the
     /// paper demos on: three regional clusters (Osaka, Kyoto, Tokyo) of edge
     /// nodes hanging off a core ring.
-    // Links join nodes created lines above: infallible by construction.
-    #[allow(clippy::disallowed_methods)]
     pub fn nict_testbed() -> Topology {
         let mut t = Topology::new();
         let ms = Duration::from_millis;
@@ -351,12 +344,9 @@ impl Topology {
         let core_kyoto = t.add_node(NodeSpec::core("core-kyoto", 8_000_000.0));
         let core_tokyo = t.add_node(NodeSpec::core("core-tokyo", 8_000_000.0));
         // Core ring, 100 Mbps.
-        t.add_link(core_osaka, core_kyoto, ms(2), 100_000_000)
-            .expect("nodes exist");
-        t.add_link(core_kyoto, core_tokyo, ms(5), 100_000_000)
-            .expect("nodes exist");
-        t.add_link(core_tokyo, core_osaka, ms(6), 100_000_000)
-            .expect("nodes exist");
+        t.join(core_osaka, core_kyoto, ms(2), 100_000_000);
+        t.join(core_kyoto, core_tokyo, ms(5), 100_000_000);
+        t.join(core_tokyo, core_osaka, ms(6), 100_000_000);
         // Regional edges, 20-50 Mbps.
         for (city, core, n) in [
             ("osaka", core_osaka, 4),
@@ -365,13 +355,12 @@ impl Topology {
         ] {
             for i in 0..n {
                 let e = t.add_node(NodeSpec::edge(&format!("{city}-edge{i}"), 1_500_000.0));
-                t.add_link(
+                t.join(
                     core,
                     e,
                     ms(1 + i as u64),
                     20_000_000 + 10_000_000 * i as u64,
-                )
-                .expect("nodes exist");
+                );
             }
         }
         t
@@ -380,7 +369,6 @@ impl Topology {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     #[test]

@@ -1,8 +1,6 @@
 //! Property-based tests for the network substrate: event-queue ordering,
 //! routing optimality, and flow-table conservation.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
-
 use proptest::prelude::*;
 use sl_netsim::{EventQueue, LinkId, NetStats, NodeId, NodeSpec, QosSpec, RoutingTable, Topology};
 use sl_stt::{Duration, Timestamp};

@@ -4,8 +4,6 @@
 //! must agree on every return value and on the clock and counters after
 //! every step.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
-
 use proptest::prelude::*;
 use sl_netsim::EventQueue;
 use sl_stt::{Duration, Timestamp};

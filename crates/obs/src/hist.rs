@@ -70,11 +70,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Record a wall-clock duration in microseconds.
-    pub fn record_duration(&mut self, d: std::time::Duration) {
-        self.record(d.as_micros().min(u128::from(u64::MAX)) as u64);
-    }
-
     /// Total number of recorded samples.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -170,17 +165,10 @@ impl Histogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Raw bucket counts (`BUCKETS` log-spaced buckets + 1 overflow bucket).
-    #[must_use]
-    pub fn bucket_counts(&self) -> &[u64] {
-        &self.counts
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     #[test]

@@ -260,7 +260,6 @@ fn object(c: &mut Cursor, depth: usize) -> Result<Json, ParseError> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     #[test]

@@ -308,7 +308,6 @@ impl std::error::Error for SnapshotError {}
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     fn sample_snapshot() -> MetricsSnapshot {

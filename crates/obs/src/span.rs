@@ -164,7 +164,6 @@ impl Tracer {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     #[test]

@@ -160,7 +160,6 @@ pub fn unescape_quotes(body: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
 
     #[test]

@@ -246,19 +246,20 @@ impl AggregateOp {
 
     fn aggregate_group(&self, members: &[&Tuple]) -> Result<Value, OpError> {
         debug_assert!(!members.is_empty());
+        // Plain COUNT counts rows: the one function `new` lets go without an
+        // attribute.
+        let Some(idx) = self.agg_idx else {
+            return Ok(Value::Int(members.len() as i64));
+        };
         match self.func {
-            AggFunc::Count => match self.agg_idx {
-                // COUNT(attr) counts non-null values, plain COUNT counts rows.
-                Some(idx) => Ok(Value::Int(
-                    members
-                        .iter()
-                        .filter(|t| t.get_at(idx).is_some_and(|v| !v.is_null()))
-                        .count() as i64,
-                )),
-                None => Ok(Value::Int(members.len() as i64)),
-            },
+            // COUNT(attr) counts non-null values.
+            AggFunc::Count => Ok(Value::Int(
+                members
+                    .iter()
+                    .filter(|t| t.get_at(idx).is_some_and(|v| !v.is_null()))
+                    .count() as i64,
+            )),
             AggFunc::Sum | AggFunc::Avg => {
-                let idx = self.agg_idx.expect("checked in new()");
                 let mut sum = 0.0;
                 let mut n = 0usize;
                 let mut all_int = true;
@@ -287,7 +288,6 @@ impl AggregateOp {
                 })
             }
             AggFunc::Min | AggFunc::Max => {
-                let idx = self.agg_idx.expect("checked in new()");
                 let mut best: Option<&Value> = None;
                 for t in members {
                     let Some(v) = t.get_at(idx) else { continue };

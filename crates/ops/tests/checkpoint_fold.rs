@@ -5,6 +5,8 @@
 //! far apart the drains are. The sliding window is fed out-of-order and
 //! already-expired timestamps.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
+
 use proptest::prelude::*;
 use sl_ops::{
     AggFunc, AggregateOp, CheckpointDelta, JoinOp, OpCheckpoint, OpContext, Operator, TriggerOp,

@@ -270,7 +270,6 @@ impl Broker {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use crate::message::SensorKind;
     use sl_netsim::NodeId;

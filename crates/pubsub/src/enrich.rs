@@ -69,7 +69,6 @@ pub fn enrich(
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use crate::message::SensorKind;
     use sl_netsim::NodeId;

@@ -200,7 +200,6 @@ fn glob_match(pattern: &str, text: &str) -> bool {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use sl_netsim::NodeId;
     use sl_stt::{Field, GeoPoint, Schema, SensorId};

@@ -76,7 +76,6 @@ impl fmt::Display for SensorAdvertisement {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use sl_stt::{AttrType, Field, Schema};
 

@@ -202,7 +202,6 @@ pub fn census(registry: &SensorRegistry) -> (usize, usize) {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
     use super::*;
     use sl_stt::{AttrType, Duration, Field, GeoPoint, Schema, Theme};
 

@@ -5,7 +5,7 @@
 //! sweep over the broker's public state — every published sensor with a
 //! heartbeat older than `grace` periods — says is stale, at every tick.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use proptest::TestRng;
 use sl_netsim::NodeId;

@@ -68,11 +68,6 @@ impl RainProcess {
             0.0
         }
     }
-
-    /// True while in the raining state.
-    pub fn is_raining(&self) -> bool {
-        self.raining
-    }
 }
 
 /// A mean-reverting random walk in `[lo, hi]` — congestion levels, water

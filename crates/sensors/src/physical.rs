@@ -9,18 +9,44 @@ use rand::SeedableRng;
 use sl_netsim::NodeId;
 use sl_pubsub::{SensorAdvertisement, SensorKind};
 use sl_stt::{
-    AttrType, Duration, Field, GeoPoint, Schema, SchemaRef, SensorId, SttMeta, Theme, Timestamp,
-    Tuple, Unit, Value,
+    AttrType, Duration, Field, GeoPoint, Schema, SensorId, SttMeta, Theme, Timestamp, Tuple, Unit,
+    Value,
 };
 
-fn meta_for(ad: &SensorAdvertisement, now: Timestamp) -> SttMeta {
-    SttMeta {
+/// The advertisement of a physical sensor at a fixed `location`.
+#[allow(clippy::expect_used)] // static literals: distinct field names and a valid theme path
+fn advertise(
+    id: SensorId,
+    name: &str,
+    fields: Vec<Field>,
+    theme: &str,
+    location: GeoPoint,
+    node: NodeId,
+    period: Duration,
+) -> SensorAdvertisement {
+    SensorAdvertisement {
+        id,
+        name: name.to_string(),
+        kind: SensorKind::Physical,
+        schema: Schema::new(fields).expect("static schema").into_ref(),
+        theme: Theme::new(theme).expect("static theme"),
+        period,
+        location: Some(location),
+        node,
+    }
+}
+
+/// A sample of `ad`'s stream taken at `now`: `values` in its schema's order.
+#[allow(clippy::expect_used)] // every sensor below passes one value per field of its own schema
+fn sample_tuple(ad: &SensorAdvertisement, values: Vec<Value>, now: Timestamp) -> Tuple {
+    let meta = SttMeta {
         timestamp: now,
         location: ad.location,
         theme: ad.theme.clone(),
         sensor: ad.id,
         trace: 0,
-    }
+    };
+    Tuple::new(ad.schema.clone(), values, meta).expect("schema matches")
 }
 
 /// A weather station reporting temperature (and optionally humidity).
@@ -67,17 +93,15 @@ impl TemperatureSensor {
                 Field::with_unit("humidity", AttrType::Float, Unit::Percent),
             );
         }
-        let schema: SchemaRef = Schema::new(fields).expect("static schema").into_ref();
-        let ad = SensorAdvertisement {
+        let ad = advertise(
             id,
-            name: name.to_string(),
-            kind: SensorKind::Physical,
-            schema,
-            theme: Theme::new("weather/temperature").expect("static theme"),
-            period,
-            location: Some(location),
+            name,
+            fields,
+            "weather/temperature",
+            location,
             node,
-        };
+            period,
+        );
         TemperatureSensor {
             ad,
             wave: DiurnalWave {
@@ -116,16 +140,15 @@ impl SensorSim for TemperatureSensor {
 
     fn sample(&mut self, now: Timestamp) -> Tuple {
         let celsius = self.wave.value(now, &mut self.rng);
-        let reported = Unit::Celsius
-            .convert(celsius, self.unit)
-            .expect("temp units");
+        // `unit` is Celsius or Fahrenheit, both temperatures: this converts.
+        let reported = Unit::Celsius.convert(celsius, self.unit).unwrap_or(celsius);
         let mut values = vec![Value::Float((reported * 10.0).round() / 10.0)];
         if let Some(hw) = &self.humidity_wave {
             let h = hw.value(now, &mut self.rng).clamp(5.0, 100.0);
             values.push(Value::Float((h * 10.0).round() / 10.0));
         }
         values.push(Value::Str(self.station.clone()));
-        Tuple::new(self.ad.schema.clone(), values, meta_for(&self.ad, now)).expect("schema matches")
+        sample_tuple(&self.ad, values, now)
     }
 
     fn wire_format(&self) -> WireFormat {
@@ -151,23 +174,19 @@ impl RainSensor {
         period: Duration,
         seed: u64,
     ) -> RainSensor {
-        let schema: SchemaRef = Schema::new(vec![
-            Field::with_unit("rain", AttrType::Float, Unit::MillimeterRain),
-            Field::new("torrential", AttrType::Bool),
-            Field::new("station", AttrType::Str),
-        ])
-        .expect("static schema")
-        .into_ref();
-        let ad = SensorAdvertisement {
+        let ad = advertise(
             id,
-            name: name.to_string(),
-            kind: SensorKind::Physical,
-            schema,
-            theme: Theme::new("weather/rain").expect("static theme"),
-            period,
-            location: Some(location),
+            name,
+            vec![
+                Field::with_unit("rain", AttrType::Float, Unit::MillimeterRain),
+                Field::new("torrential", AttrType::Bool),
+                Field::new("station", AttrType::Str),
+            ],
+            "weather/rain",
+            location,
             node,
-        };
+            period,
+        );
         RainSensor {
             ad,
             process: RainProcess::new(0.04, 0.15, 12.0),
@@ -194,7 +213,7 @@ impl SensorSim for RainSensor {
             Value::Bool(mm > 20.0),
             Value::Str(self.station.clone()),
         ];
-        Tuple::new(self.ad.schema.clone(), values, meta_for(&self.ad, now)).expect("schema matches")
+        sample_tuple(&self.ad, values, now)
     }
 
     fn wire_format(&self) -> WireFormat {
@@ -220,22 +239,18 @@ impl WindPressureSensor {
         period: Duration,
         seed: u64,
     ) -> WindPressureSensor {
-        let schema: SchemaRef = Schema::new(vec![
-            Field::with_unit("wind_speed", AttrType::Float, Unit::MeterPerSecond),
-            Field::with_unit("pressure", AttrType::Float, Unit::Hectopascal),
-        ])
-        .expect("static schema")
-        .into_ref();
-        let ad = SensorAdvertisement {
+        let ad = advertise(
             id,
-            name: name.to_string(),
-            kind: SensorKind::Physical,
-            schema,
-            theme: Theme::new("weather/wind").expect("static theme"),
-            period,
-            location: Some(location),
+            name,
+            vec![
+                Field::with_unit("wind_speed", AttrType::Float, Unit::MeterPerSecond),
+                Field::with_unit("pressure", AttrType::Float, Unit::Hectopascal),
+            ],
+            "weather/wind",
+            location,
             node,
-        };
+            period,
+        );
         WindPressureSensor {
             ad,
             wind: BoundedWalk::new(4.0, 0.0, 40.0, 0.8, 0.02),
@@ -255,7 +270,7 @@ impl SensorSim for WindPressureSensor {
             Value::Float((self.wind.step(&mut self.rng) * 10.0).round() / 10.0),
             Value::Float((self.pressure.step(&mut self.rng) * 10.0).round() / 10.0),
         ];
-        Tuple::new(self.ad.schema.clone(), values, meta_for(&self.ad, now)).expect("schema matches")
+        sample_tuple(&self.ad, values, now)
     }
 }
 
@@ -276,22 +291,18 @@ impl WaterLevelSensor {
         period: Duration,
         seed: u64,
     ) -> WaterLevelSensor {
-        let schema: SchemaRef = Schema::new(vec![
-            Field::with_unit("level", AttrType::Float, Unit::Meter),
-            Field::new("gauge", AttrType::Str),
-        ])
-        .expect("static schema")
-        .into_ref();
-        let ad = SensorAdvertisement {
+        let ad = advertise(
             id,
-            name: name.to_string(),
-            kind: SensorKind::Physical,
-            schema,
-            theme: Theme::new("water/level").expect("static theme"),
-            period,
-            location: Some(location),
+            name,
+            vec![
+                Field::with_unit("level", AttrType::Float, Unit::Meter),
+                Field::new("gauge", AttrType::Str),
+            ],
+            "water/level",
+            location,
             node,
-        };
+            period,
+        );
         WaterLevelSensor {
             ad,
             level: BoundedWalk::new(1.2, 0.0, 6.0, 0.05, 0.01),
@@ -311,7 +322,7 @@ impl SensorSim for WaterLevelSensor {
             Value::Float((self.level.step(&mut self.rng) * 100.0).round() / 100.0),
             Value::Str(name),
         ];
-        Tuple::new(self.ad.schema.clone(), values, meta_for(&self.ad, now)).expect("schema matches")
+        sample_tuple(&self.ad, values, now)
     }
 
     fn wire_format(&self) -> WireFormat {

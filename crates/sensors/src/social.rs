@@ -10,8 +10,7 @@ use rand::{Rng, SeedableRng};
 use sl_netsim::NodeId;
 use sl_pubsub::{SensorAdvertisement, SensorKind};
 use sl_stt::{
-    AttrType, Duration, Field, GeoPoint, Schema, SchemaRef, SensorId, SttMeta, Theme, Timestamp,
-    Tuple, Value,
+    AttrType, Duration, Field, GeoPoint, Schema, SensorId, SttMeta, Theme, Timestamp, Tuple, Value,
 };
 
 /// Weather-correlated tweet templates; `{}` receives the area name.
@@ -31,6 +30,48 @@ const STORM_TEMPLATES: [&str; 6] = [
     "trains stopped at {} because of the storm",
     "stay safe {} people, torrential rain out there",
 ];
+
+/// The advertisement of a social sensor.
+#[allow(clippy::expect_used)] // static literals: distinct field names and a valid theme path
+fn advertise(
+    id: SensorId,
+    name: &str,
+    fields: Vec<Field>,
+    theme: &str,
+    location: Option<GeoPoint>,
+    node: NodeId,
+    period: Duration,
+) -> SensorAdvertisement {
+    SensorAdvertisement {
+        id,
+        name: name.to_string(),
+        kind: SensorKind::Social,
+        schema: Schema::new(fields).expect("static schema").into_ref(),
+        theme: Theme::new(theme).expect("static theme"),
+        period,
+        location,
+        node,
+    }
+}
+
+/// A sample of `ad`'s stream taken at `now` at `location`: `values` in its
+/// schema's order.
+#[allow(clippy::expect_used)] // both sensors below pass one value per field of their own schema
+fn sample_tuple(
+    ad: &SensorAdvertisement,
+    values: Vec<Value>,
+    now: Timestamp,
+    location: Option<GeoPoint>,
+) -> Tuple {
+    let meta = SttMeta {
+        timestamp: now,
+        location,
+        theme: ad.theme.clone(),
+        sensor: ad.id,
+        trace: 0,
+    };
+    Tuple::new(ad.schema.clone(), values, meta).expect("schema matches")
+}
 
 /// A geo-tagged microblog feed around an area.
 ///
@@ -60,23 +101,19 @@ impl TweetSensor {
         period: Duration,
         seed: u64,
     ) -> TweetSensor {
-        let schema: SchemaRef = Schema::new(vec![
-            Field::new("text", AttrType::Str),
-            Field::new("user", AttrType::Str),
-            Field::new("storm_related", AttrType::Bool),
-        ])
-        .expect("static schema")
-        .into_ref();
-        let ad = SensorAdvertisement {
+        let ad = advertise(
             id,
-            name: name.to_string(),
-            kind: SensorKind::Social,
-            schema,
-            theme: Theme::new("social/tweet").expect("static theme"),
-            period,
-            location: None, // mobile feed: no fixed position
+            name,
+            vec![
+                Field::new("text", AttrType::Str),
+                Field::new("user", AttrType::Str),
+                Field::new("storm_related", AttrType::Bool),
+            ],
+            "social/tweet",
+            None, // mobile feed: no fixed position
             node,
-        };
+            period,
+        );
         TweetSensor {
             ad,
             area: area.to_string(),
@@ -117,19 +154,8 @@ impl SensorSim for TweetSensor {
         } else {
             None
         };
-        let meta = SttMeta {
-            timestamp: now,
-            location,
-            theme: self.ad.theme.clone(),
-            sensor: self.ad.id,
-            trace: 0,
-        };
-        Tuple::new(
-            self.ad.schema.clone(),
-            vec![Value::Str(text), Value::Str(user), Value::Bool(stormy)],
-            meta,
-        )
-        .expect("schema matches")
+        let values = vec![Value::Str(text), Value::Str(user), Value::Bool(stormy)];
+        sample_tuple(&self.ad, values, now, location)
     }
 
     fn wire_format(&self) -> WireFormat {
@@ -158,23 +184,19 @@ impl TrafficSensor {
         period: Duration,
         seed: u64,
     ) -> TrafficSensor {
-        let schema: SchemaRef = Schema::new(vec![
-            Field::new("congestion", AttrType::Float),
-            Field::new("incident", AttrType::Bool),
-            Field::new("road", AttrType::Str),
-        ])
-        .expect("static schema")
-        .into_ref();
-        let ad = SensorAdvertisement {
+        let ad = advertise(
             id,
-            name: name.to_string(),
-            kind: SensorKind::Social,
-            schema,
-            theme: Theme::new("traffic/congestion").expect("static theme"),
-            period,
-            location: Some(location),
+            name,
+            vec![
+                Field::new("congestion", AttrType::Float),
+                Field::new("incident", AttrType::Bool),
+                Field::new("road", AttrType::Str),
+            ],
+            "traffic/congestion",
+            Some(location),
             node,
-        };
+            period,
+        );
         TrafficSensor {
             ad,
             congestion: BoundedWalk::new(0.3, 0.0, 1.0, 0.05, 0.03),
@@ -202,22 +224,12 @@ impl SensorSim for TrafficSensor {
             self.incident_left -= 1;
             level = (level + 0.5).min(1.0);
         }
-        Tuple::new(
-            self.ad.schema.clone(),
-            vec![
-                Value::Float((level * 1000.0).round() / 1000.0),
-                Value::Bool(incident),
-                Value::Str(self.road.clone()),
-            ],
-            SttMeta {
-                timestamp: now,
-                location: self.ad.location,
-                theme: self.ad.theme.clone(),
-                sensor: self.ad.id,
-                trace: 0,
-            },
-        )
-        .expect("schema matches")
+        let values = vec![
+            Value::Float((level * 1000.0).round() / 1000.0),
+            Value::Bool(incident),
+            Value::Str(self.road.clone()),
+        ];
+        sample_tuple(&self.ad, values, now, self.ad.location)
     }
 
     fn wire_format(&self) -> WireFormat {

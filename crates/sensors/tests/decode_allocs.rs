@@ -5,8 +5,6 @@
 //! the counter below is process-wide, and a second test running beside it
 //! would be counted too.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
-
 use sl_sensors::{decode_payload, WireFormat};
 use sl_stt::{
     AttrType, Field, GeoPoint, Schema, SensorId, SttMeta, Theme, Timestamp, Tuple, Value,

@@ -13,7 +13,7 @@
 //! * encoding is byte-identical to the reference, except the CSV cells
 //!   newly quoted: a `Str` with edge whitespace or equal to `null`.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use proptest::TestRng;
 use sl_sensors::{decode_payload, WireFormat};

@@ -168,7 +168,8 @@ impl ThemeTaxonomy {
             ("transit/train", "train schedule status"),
             ("transit/flight", "flight schedule status"),
         ] {
-            t.register(Theme::new(path).expect("static theme"), desc);
+            // Canonical literals, shared as they stand (as `unclassified`).
+            t.register(Theme { path: path.into() }, desc);
         }
         t
     }
@@ -281,6 +282,10 @@ mod tests {
             "traffic/congestion",
         ] {
             assert!(tax.contains(&Theme::new(path).unwrap()), "{path}");
+        }
+        // Every built-in path is already what `Theme::new` would make of it.
+        for theme in tax.entries.keys() {
+            assert_eq!(Theme::new(theme.as_str()).unwrap(), *theme);
         }
         let weather = Theme::new("weather").unwrap();
         let under_weather: Vec<_> = tax.subtree(&weather).collect();

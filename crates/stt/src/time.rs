@@ -92,7 +92,7 @@ impl Timestamp {
 
     /// Build a timestamp from a UTC civil date and time of day.
     pub fn from_civil(year: i32, month: u32, day: u32, hour: u32, min: u32, sec: u32) -> Timestamp {
-        let days = days_from_civil(year, month, day);
+        let days = days_from_civil(i64::from(year), month, day);
         Timestamp(
             days * 86_400_000
                 + i64::from(hour) * 3_600_000
@@ -318,48 +318,32 @@ impl TemporalGranularity {
     /// For fixed granularities this is `floor(ms / period)`; for months it is
     /// `(year - 1970) * 12 + month0`; for years `year - 1970`.
     pub fn granule_of(self, t: Timestamp) -> i64 {
+        if let Some(p) = self.fixed_millis() {
+            return t.as_millis().div_euclid(p as i64);
+        }
+        let (y, m, _) = t.civil_date();
+        let years = i64::from(y) - 1970;
         match self {
-            TemporalGranularity::Month => {
-                let (y, m, _) = t.civil_date();
-                i64::from(y - 1970) * 12 + i64::from(m) - 1
-            }
-            TemporalGranularity::Year => {
-                let (y, _, _) = t.civil_date();
-                i64::from(y - 1970)
-            }
-            g => {
-                let p = g.fixed_millis().expect("fixed granularity") as i64;
-                t.as_millis().div_euclid(p)
-            }
+            TemporalGranularity::Month => years * 12 + i64::from(m) - 1,
+            _ => years,
         }
     }
 
     /// The time interval covered by granule `idx`.
     pub fn granule_interval(self, idx: i64) -> TimeInterval {
-        match self {
-            TemporalGranularity::Month => {
-                let (sy, sm) = month_index_to_ym(idx);
-                let (ey, em) = month_index_to_ym(idx + 1);
-                TimeInterval::new(
-                    Timestamp::from_civil(sy, sm, 1, 0, 0, 0),
-                    Timestamp::from_civil(ey, em, 1, 0, 0, 0),
-                )
-            }
-            TemporalGranularity::Year => {
-                let y = 1970 + i32::try_from(idx).expect("year index overflow");
-                TimeInterval::new(
-                    Timestamp::from_civil(y, 1, 1, 0, 0, 0),
-                    Timestamp::from_civil(y + 1, 1, 1, 0, 0, 0),
-                )
-            }
-            g => {
-                let p = g.fixed_millis().expect("fixed granularity") as i64;
-                TimeInterval::new(
-                    Timestamp::from_millis(idx * p),
-                    Timestamp::from_millis((idx + 1) * p),
-                )
-            }
+        if let Some(p) = self.fixed_millis() {
+            let p = p as i64;
+            return TimeInterval::new(
+                Timestamp::from_millis(idx * p),
+                Timestamp::from_millis((idx + 1) * p),
+            );
         }
+        // Calendar granules, as month indexes counted from 1970-01.
+        let (first, months) = match self {
+            TemporalGranularity::Month => (idx, 1),
+            _ => (idx * 12, 12),
+        };
+        TimeInterval::new(month_start(first), month_start(first + months))
     }
 
     /// Truncate `t` to the start of its granule (e.g. `Hour` → top of hour).
@@ -455,8 +439,8 @@ impl fmt::Display for TemporalGranularity {
 
 /// Days-from-civil algorithm (Howard Hinnant): days since 1970-01-01 for a
 /// proleptic Gregorian date.
-fn days_from_civil(y: i32, m: u32, d: u32) -> i64 {
-    let y = i64::from(y) - i64::from(m <= 2);
+fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
+    let y = y - i64::from(m <= 2);
     let era = y.div_euclid(400);
     let yoe = y - era * 400; // [0, 399]
     let mp = i64::from((m + 9) % 12); // [0, 11]
@@ -479,11 +463,11 @@ fn civil_from_days(z: i64) -> (i32, u32, u32) {
     ((y + i64::from(m <= 2)) as i32, m, d)
 }
 
-/// Convert a month granule index back to `(year, month)`.
-fn month_index_to_ym(idx: i64) -> (i32, u32) {
+/// Midnight on the first day of the month `idx` months after 1970-01.
+fn month_start(idx: i64) -> Timestamp {
     let y = 1970 + idx.div_euclid(12);
-    let m = idx.rem_euclid(12) + 1;
-    (i32::try_from(y).expect("year overflow"), m as u32)
+    let m = idx.rem_euclid(12) as u32 + 1;
+    Timestamp(days_from_civil(y, m, 1) * 86_400_000)
 }
 
 #[cfg(test)]

@@ -350,7 +350,6 @@ pub fn numeric_value(v: &Value) -> Option<f64> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
 
     use super::*;
     use sl_stt::{Event, GeoPoint, TimeInterval, Timestamp};

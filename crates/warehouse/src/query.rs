@@ -115,17 +115,6 @@ impl EventWarehouse {
         self.iter().filter(|e| q.matches(e)).collect()
     }
 
-    /// The pre-refactor spelling of [`EventWarehouse::query`], which needed
-    /// `&mut self` for query-time bookkeeping. That bookkeeping moved to
-    /// ingest/eviction time; call `query` through a shared reference.
-    #[deprecated(
-        since = "0.1.0",
-        note = "`query` no longer needs `&mut self`; call it through a shared reference"
-    )]
-    pub fn query_mut(&mut self, q: &EventQuery) -> Vec<&Event> {
-        self.query(q)
-    }
-
     /// Choose the cheapest index for `q`: candidate position lists are
     /// gathered per applicable index and the shortest wins. `None` means no
     /// index applies (full scan).
@@ -181,7 +170,6 @@ impl EventWarehouse {
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
 
     use super::*;
     use crate::store::WarehouseConfig;

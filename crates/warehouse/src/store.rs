@@ -327,7 +327,6 @@ pub fn tuple_events(
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
 
     use super::*;
     use sl_stt::{AttrType, Field, GeoPoint, Schema, SensorId, SttMeta, Value};

@@ -64,7 +64,6 @@ pub fn render_heatmap(
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::disallowed_methods)] // tests may panic freely
 
     use super::*;
     use sl_stt::{Event, GeoPoint, SpatialGranularity, TemporalGranularity, Theme, Value};

@@ -2,7 +2,7 @@
 //! brute-force scan, roll-ups conserve event counts, and incremental
 //! eviction is indistinguishable from filtering the store.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use proptest::prelude::*;
 use sl_stt::{

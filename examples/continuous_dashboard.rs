@@ -16,6 +16,8 @@
 //! cargo run --example continuous_dashboard
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // examples may panic freely
+
 use streamloader::dataflow::DataflowBuilder;
 use streamloader::dsn::SinkKind;
 use streamloader::engine::{EngineConfig, OverflowPolicy};

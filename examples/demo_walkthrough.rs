@@ -4,6 +4,8 @@
 //! cargo run --example demo_walkthrough
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // examples may panic freely
+
 use std::collections::HashMap;
 use streamloader::dataflow::{debug_run, DataflowBuilder};
 use streamloader::dsn::SinkKind;

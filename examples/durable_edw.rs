@@ -8,6 +8,8 @@
 //! cargo run --example durable_edw
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // examples may panic freely
+
 use streamloader::dataflow::DataflowBuilder;
 use streamloader::dsn::SinkKind;
 use streamloader::durable::{DurableConfig, FsyncPolicy, TempDir};

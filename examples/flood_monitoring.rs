@@ -11,6 +11,8 @@
 //! cargo run --example flood_monitoring
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // examples may panic freely
+
 use streamloader::dataflow::{optimize, DataflowBuilder};
 use streamloader::dsn::SinkKind;
 use streamloader::engine::EngineConfig;

@@ -11,6 +11,8 @@
 //! cargo run --example network_reconfig
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // examples may panic freely
+
 use streamloader::dataflow::DataflowBuilder;
 use streamloader::dsn::SinkKind;
 use streamloader::engine::{EngineConfig, PlacementPolicy};

@@ -11,6 +11,8 @@
 //! cargo run --example osaka_scenario
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // examples may panic freely
+
 use streamloader::dataflow::DataflowBuilder;
 use streamloader::dsn::SinkKind;
 use streamloader::engine::EngineConfig;

@@ -10,6 +10,8 @@
 //! cargo run --example overload_shedding
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // examples may panic freely
+
 use streamloader::dataflow::DataflowBuilder;
 use streamloader::dsn::SinkKind;
 use streamloader::engine::{EngineConfig, OverflowPolicy};

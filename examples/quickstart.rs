@@ -5,6 +5,8 @@
 //! cargo run --example quickstart
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // examples may panic freely
+
 use streamloader::dataflow::DataflowBuilder;
 use streamloader::dsn::SinkKind;
 use streamloader::engine::EngineConfig;

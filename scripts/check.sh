@@ -4,7 +4,8 @@
 #   scripts/check.sh --fast   # the PR fast loop: build, every test in the
 #                             # workspace, fmt, clippy -D warnings, doc -D
 #                             # warnings
-#   scripts/check.sh          # everything: fast tier + the lint and
+#   scripts/check.sh          # everything: fast tier + the panic-ban
+#                             # guard, the lint and
 #                             # example gates, the checkpoint, text and
 #                             # cube-key owner greps,
 #                             # the recovery and dashboard examples, and the
@@ -34,9 +35,9 @@ cargo build --release
 # shims'.
 cargo test -q
 cargo fmt --check
-# clippy -D warnings is also the panic ban: every crate on the tuple path
-# (engine, netsim, obs, pubsub, durable, warehouse, cq, lint) has a
-# clippy.toml that disallows `Option`/`Result` `unwrap`/`expect` outside tests.
+# clippy -D warnings is also the panic ban: `[workspace.lints.clippy]` in
+# the root Cargo.toml denies `unwrap_used` and `expect_used` in every
+# first-party library package, and the root clippy.toml lets tests through.
 cargo clippy --workspace --all-targets -- -D warnings
 # The root package only, as before `default-members`: its `sl-lint` binary
 # and the `sl_lint` library would otherwise write the same doc directory.
@@ -54,6 +55,21 @@ fi
 stray=$(find "${TMPDIR:-/tmp}" -maxdepth 1 -name 'sl-durable-*' -print -quit)
 if [ -n "$stray" ]; then
     echo "check.sh: stray durable scratch dir left behind: $stray" >&2
+    exit 1
+fi
+
+# The panic ban is declared once. A per-crate clippy.toml would silently
+# replace the root one, and with it the test allowance; a
+# `disallowed_methods` attribute is a leftover of the per-crate bans.
+stray=$(find . -name clippy.toml -not -path ./clippy.toml -not -path './target/*' \
+    -not -path './benchmark/*' -print -quit)
+if [ -n "$stray" ]; then
+    echo "check.sh: a clippy.toml outside the repository root: $stray" >&2
+    exit 1
+fi
+if grep -rln disallowed_methods --include='*.rs' --include='*.toml' \
+    --exclude-dir=target --exclude-dir=benchmark .; then
+    echo "check.sh: disallowed_methods in the files above; the ban is [workspace.lints]" >&2
     exit 1
 fi
 

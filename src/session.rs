@@ -84,10 +84,7 @@ impl StreamLoader {
         let start = Timestamp::from_civil(2016, 7, 1, 8, 0, 0);
         let mut session = StreamLoader::new(fleet.topology, engine, start)?;
         for sensor in fleet.sensors {
-            session
-                .engine
-                .add_sensor(sensor)
-                .expect("fresh fleet has unique ids");
+            session.engine.add_sensor(sensor)?;
         }
         Ok(session)
     }

@@ -1,6 +1,8 @@
 //! Demo P3 as tests: sensor churn against running dataflows, on-the-fly
 //! operator modification, and accounting conservation under all of it.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
+
 use streamloader::dataflow::DataflowBuilder;
 use streamloader::dsn::SinkKind;
 use streamloader::engine::EngineConfig;

@@ -5,6 +5,8 @@
 //! order to guarantee the sound translation and execution of the
 //! corresponding DSN/SCN specification", §4).
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
+
 use streamloader::dataflow::{Dataflow, DataflowBuilder};
 use streamloader::dsn::SinkKind;
 use streamloader::engine::{EngineConfig, EngineError};

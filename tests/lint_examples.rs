@@ -2,6 +2,8 @@
 //! `Session::lint` path for the in-code builders, and the CLI inference
 //! path for the DSN documents under `examples/dsn/`.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
+
 use std::collections::HashMap;
 use streamloader::dataflow::{Dataflow, DataflowBuilder};
 use streamloader::dsn::SinkKind;

@@ -4,6 +4,8 @@
 //! delivery failures — and conversely a dataflow the validator rejects is
 //! never reported error-free.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
+
 use proptest::prelude::*;
 use streamloader::dataflow::{Dataflow, DataflowBuilder};
 use streamloader::dsn::SinkKind;

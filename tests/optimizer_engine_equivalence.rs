@@ -3,6 +3,8 @@
 //! sink as the original, while touching the network less (the rewritten
 //! filter drops tuples before the transform hop).
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
+
 use streamloader::dataflow::{optimize, DataflowBuilder};
 use streamloader::dsn::SinkKind;
 use streamloader::engine::{Engine, EngineConfig};

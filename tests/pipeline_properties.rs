@@ -2,6 +2,8 @@
 //! Table-1 operators behave like their mathematical definitions when run
 //! through the sample debugger, and optimisation preserves behaviour.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
+
 use proptest::prelude::*;
 use std::collections::HashMap;
 use streamloader::dataflow::{debug_run, optimize, DataflowBuilder};

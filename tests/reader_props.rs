@@ -15,7 +15,7 @@
 //!   `parse_deploy_config` and `parse_fault_plan` on the same treatment of
 //!   the example deployment files.
 
-#![allow(clippy::disallowed_methods)] // tests may panic freely
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use proptest::TestRng;
 use streamloader::expr::{BinOp, Expr, UnOp};

@@ -2,6 +2,8 @@
 //! acquisition gated on an hourly temperature trigger, heterogeneous
 //! streams filtered and loaded into the Event Data Warehouse.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
+
 use streamloader::dataflow::DataflowBuilder;
 use streamloader::dsn::SinkKind;
 use streamloader::engine::EngineConfig;
