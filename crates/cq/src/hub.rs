@@ -8,6 +8,14 @@
 //! nothing registered the hub is [idle](CqHub::is_idle) and the ingest
 //! path skips it entirely, so an unused hub costs nothing.
 //!
+//! ## Query groups
+//!
+//! Subscriptions whose standing queries are equal share one group: an
+//! ingested event is matched once per distinct query, not once per
+//! subscriber, and then pushed into each member's own queue. Groups are
+//! kept current by [`CqHub::subscribe`] and [`CqHub::unsubscribe`], so the
+//! ingest path never looks for them.
+//!
 //! ## Catch-up protocol
 //!
 //! Deltas carry a monotonic sequence number ([`CqHub::seq`], one per
@@ -21,7 +29,7 @@
 
 use crate::queue::{PushOutcome, PushQueue, QueuePolicy};
 use crate::view::MaterializedView;
-use sl_obs::{Metrics, MetricsSnapshot, Stopwatch};
+use sl_obs::{CounterId, HistId, Metrics, MetricsSnapshot, Stopwatch};
 use sl_stt::{Event, Timestamp};
 use sl_warehouse::{CubeCell, CubeQuery, EventQuery};
 use std::collections::BTreeMap;
@@ -48,8 +56,15 @@ impl std::fmt::Display for ViewId {
 
 struct Subscription {
     name: String,
-    query: EventQuery,
+    /// Index of the [`QueryGroup`] holding this subscription's query.
+    group: usize,
     queue: PushQueue<Event>,
+}
+
+/// One distinct standing query and how many subscriptions share it.
+struct QueryGroup {
+    query: EventQuery,
+    members: usize,
 }
 
 struct ViewReg {
@@ -71,13 +86,14 @@ pub struct CqPoll {
     pub seq: u64,
 }
 
-/// Liveness summary of one subscription (for monitors and lint).
-#[derive(Debug, Clone)]
-pub struct SubscriptionStat {
+/// Liveness summary of one subscription (for monitors and lint), borrowed
+/// from the hub: reading one clones nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct SubscriptionStat<'a> {
     /// The subscription's handle.
     pub id: SubscriberId,
     /// Client-supplied name.
-    pub name: String,
+    pub name: &'a str,
     /// Deltas currently queued.
     pub depth: usize,
     /// Deltas drained by the client so far.
@@ -90,13 +106,14 @@ pub struct SubscriptionStat {
     pub bounded: bool,
 }
 
-/// Liveness summary of one materialized view (for monitors and lint).
-#[derive(Debug, Clone)]
-pub struct ViewStat {
+/// Liveness summary of one materialized view (for monitors and lint),
+/// borrowed from the hub like [`SubscriptionStat`].
+#[derive(Debug, Clone, Copy)]
+pub struct ViewStat<'a> {
     /// The view's handle.
     pub id: ViewId,
     /// Client-supplied name.
-    pub name: String,
+    pub name: &'a str,
     /// Live (non-empty) cells.
     pub cells: usize,
     /// Contributions currently held.
@@ -105,15 +122,32 @@ pub struct ViewStat {
     pub time_bounded: bool,
 }
 
+/// The instruments every batch past an idle check records, resolved by
+/// the first such batch.
+#[derive(Clone, Copy)]
+struct BatchIds {
+    fanout: CounterId,
+    dropped: CounterId,
+    match_us: HistId,
+}
+
 /// Registry and delta-evaluation engine for continuous queries.
 #[derive(Default)]
 pub struct CqHub {
     subs: BTreeMap<u64, Subscription>,
+    /// The distinct queries of `subs`, each matched once per event.
+    groups: Vec<QueryGroup>,
+    /// Whether each group's query matched the event in hand; refilled per
+    /// event, so it allocates only when a group is added.
+    hits: Vec<bool>,
     views: BTreeMap<u64, ViewReg>,
     next_sub: u64,
     next_view: u64,
     seq: u64,
     metrics: Metrics,
+    batch_ids: Option<BatchIds>,
+    /// `view_contributions`, resolved by the first view registered.
+    contributions: Option<CounterId>,
 }
 
 impl CqHub {
@@ -144,11 +178,21 @@ impl CqHub {
     ) -> SubscriberId {
         self.next_sub += 1;
         let id = self.next_sub;
+        let group = match self.groups.iter().position(|g| g.query == query) {
+            Some(g) => {
+                self.groups[g].members += 1;
+                g
+            }
+            None => {
+                self.groups.push(QueryGroup { query, members: 1 });
+                self.groups.len() - 1
+            }
+        };
         self.subs.insert(
             id,
             Subscription {
                 name: name.to_string(),
-                query,
+                group,
                 queue: PushQueue::new(capacity, policy, id.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
             },
         );
@@ -160,13 +204,33 @@ impl CqHub {
 
     /// Remove a subscription. Returns `false` if the handle is unknown.
     pub fn unsubscribe(&mut self, id: SubscriberId) -> bool {
-        let removed = self.subs.remove(&id.0).is_some();
-        if removed {
-            self.metrics
-                .gauge("subscribers")
-                .set(self.subs.len() as i64);
+        let Some(sub) = self.subs.remove(&id.0) else {
+            return false;
+        };
+        self.leave_group(sub.group);
+        self.metrics
+            .gauge("subscribers")
+            .set(self.subs.len() as i64);
+        true
+    }
+
+    /// A member of group `g` left. The last one takes the group with it:
+    /// the last group moves into its slot, and that group's members follow.
+    fn leave_group(&mut self, g: usize) {
+        let Some(group) = self.groups.get_mut(g) else {
+            return;
+        };
+        group.members -= 1;
+        if group.members > 0 {
+            return;
         }
-        removed
+        self.groups.swap_remove(g);
+        let moved = self.groups.len();
+        if moved != g {
+            for sub in self.subs.values_mut().filter(|s| s.group == moved) {
+                sub.group = g;
+            }
+        }
     }
 
     /// Register a materialized roll-up view, seeding it from `existing`
@@ -187,7 +251,10 @@ impl CqHub {
                 seeded += 1;
             }
         }
-        self.metrics.counter("view_contributions").add(seeded);
+        let contributions = *self
+            .contributions
+            .get_or_insert_with(|| self.metrics.counter_id("view_contributions"));
+        self.metrics.counter_at(contributions).add(seeded);
         self.views.insert(
             id,
             ViewReg {
@@ -208,9 +275,10 @@ impl CqHub {
         removed
     }
 
-    /// Evaluate one ingest batch against every registration: matched
-    /// events fan out to subscriber queues, and each view folds in its
-    /// cell updates. Call with the exact events handed to the warehouse.
+    /// Evaluate one ingest batch against every registration: each event is
+    /// matched once per distinct subscription query and pushed to every
+    /// subscriber of a query it matched, and each view folds in its cell
+    /// updates. Call with the exact events handed to the warehouse.
     pub fn on_events(&mut self, events: &[Event]) {
         if self.is_idle() || events.is_empty() {
             self.seq += events.len() as u64;
@@ -219,10 +287,14 @@ impl CqHub {
         let sw = Stopwatch::start();
         let mut fanout = 0u64;
         let mut dropped = 0u64;
+        let mut contributed = 0u64;
         for event in events {
             self.seq += 1;
+            self.hits.clear();
+            self.hits
+                .extend(self.groups.iter().map(|g| g.query.matches(event)));
             for sub in self.subs.values_mut() {
-                if !sub.query.matches(event) {
+                if !self.hits[sub.group] {
                     continue;
                 }
                 fanout += 1;
@@ -235,13 +307,23 @@ impl CqHub {
             }
             for reg in self.views.values_mut() {
                 if reg.view.absorb(event) {
-                    self.metrics.counter("view_contributions").inc();
+                    contributed += 1;
                 }
             }
         }
-        self.metrics.counter("fanout_deltas").add(fanout);
-        self.metrics.counter("dropped_deltas").add(dropped);
-        self.metrics.hist("match_us").record(sw.elapsed_us());
+        if contributed > 0 {
+            if let Some(id) = self.contributions {
+                self.metrics.counter_at(id).add(contributed);
+            }
+        }
+        let ids = *self.batch_ids.get_or_insert_with(|| BatchIds {
+            fanout: self.metrics.counter_id("fanout_deltas"),
+            dropped: self.metrics.counter_id("dropped_deltas"),
+            match_us: self.metrics.hist_id("match_us"),
+        });
+        self.metrics.counter_at(ids.fanout).add(fanout);
+        self.metrics.counter_at(ids.dropped).add(dropped);
+        self.metrics.hist_at(ids.match_us).record(sw.elapsed_us());
     }
 
     /// Mirror a warehouse `evict_before(horizon)`: every view retracts the
@@ -288,7 +370,8 @@ impl CqHub {
 
     /// A subscription's standing query. `None` if the handle is unknown.
     pub fn subscription_query(&self, id: SubscriberId) -> Option<&EventQuery> {
-        self.subs.get(&id.0).map(|s| &s.query)
+        let sub = self.subs.get(&id.0)?;
+        self.groups.get(sub.group).map(|g| &g.query)
     }
 
     /// A view's current cells — the incrementally maintained answer.
@@ -298,12 +381,12 @@ impl CqHub {
     }
 
     /// Liveness summaries of every subscription, by id.
-    pub fn subscription_stats(&self) -> Vec<SubscriptionStat> {
+    pub fn subscription_stats(&self) -> Vec<SubscriptionStat<'_>> {
         self.subs
             .iter()
             .map(|(&id, s)| SubscriptionStat {
                 id: SubscriberId(id),
-                name: s.name.clone(),
+                name: &s.name,
                 depth: s.queue.len(),
                 delivered: s.queue.delivered(),
                 dropped: s.queue.dropped(),
@@ -314,12 +397,12 @@ impl CqHub {
     }
 
     /// Liveness summaries of every view, by id.
-    pub fn view_stats(&self) -> Vec<ViewStat> {
+    pub fn view_stats(&self) -> Vec<ViewStat<'_>> {
         self.views
             .iter()
             .map(|(&id, r)| ViewStat {
                 id: ViewId(id),
-                name: r.name.clone(),
+                name: &r.name,
                 cells: r.view.cell_count(),
                 contributions: r.view.contribution_count(),
                 time_bounded: r.view.query().select.time.is_some(),
@@ -397,6 +480,24 @@ mod tests {
         assert_eq!(poll.dropped, 0);
         // Second poll is empty: deltas are consumed.
         assert!(hub.poll(id).unwrap().deltas.is_empty());
+    }
+
+    #[test]
+    fn equal_queries_share_one_group() {
+        let mut hub = CqHub::new();
+        let weather = || EventQuery::all().with_theme(Theme::new("weather").unwrap());
+        let a = hub.subscribe("a", weather(), None, QueuePolicy::Block);
+        let b = hub.subscribe("b", EventQuery::all(), None, QueuePolicy::Block);
+        let c = hub.subscribe("c", weather(), None, QueuePolicy::Block);
+        assert_eq!(hub.groups.len(), 2, "a and c share one query");
+        // The first group empties, and the last one moves into its slot.
+        assert!(hub.unsubscribe(a));
+        assert_eq!(hub.groups.len(), 2);
+        assert!(hub.unsubscribe(c));
+        assert_eq!(hub.groups.len(), 1);
+        assert_eq!(hub.subscription_query(b), Some(&EventQuery::all()));
+        hub.on_events(&[event(0, "weather/temp", 1.0), event(0, "social/tweet", 2.0)]);
+        assert_eq!(hub.poll(b).unwrap().deltas.len(), 2);
     }
 
     #[test]

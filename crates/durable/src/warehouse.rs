@@ -195,9 +195,23 @@ impl DurableWarehouse {
     /// batch out to continuous queries as well) use this directly. Returns
     /// how many events were stored.
     pub fn ingest_events(&mut self, events: Vec<Event>) -> Result<usize, DurableError> {
+        self.ingest_events_with(events, |_| {})
+    }
+
+    /// [`DurableWarehouse::ingest_events`], showing `logged` the batch once
+    /// every event of it is in the log and before it moves into the hot
+    /// indexes: a caller that fans the batch out (the engine feeds it to
+    /// its continuous queries) reads it in place instead of copying it, and
+    /// sees nothing of a batch whose log write failed.
+    pub fn ingest_events_with(
+        &mut self,
+        events: Vec<Event>,
+        logged: impl FnOnce(&[Event]),
+    ) -> Result<usize, DurableError> {
         for event in &events {
             self.log_event(event)?;
         }
+        logged(&events);
         Ok(self.hot.ingest_events(events))
     }
 

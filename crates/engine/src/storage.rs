@@ -11,12 +11,14 @@
 //! is the only eviction), and a view registered late is seeded from the hot
 //! store ([`Engine::register_view`]).
 
-use crate::config::{EngineConfig, OverflowPolicy, WAREHOUSE_SGRAN, WAREHOUSE_TGRAN};
+use crate::config::{
+    EngineConfig, OverflowPolicy, CONSOLE_CAPACITY, WAREHOUSE_SGRAN, WAREHOUSE_TGRAN,
+};
 use crate::deployment::{EndpointId, Role};
 use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::monitor::CqStat;
-use sl_cq::{CqHub, CqPoll, SubscriberId, ViewId};
+use sl_cq::{CqHub, CqPoll, SubscriberId, SubscriptionStat, ViewId, ViewStat};
 use sl_durable::{CompactionStats, DurableConfig, DurableError, DurableWarehouse};
 use sl_faults::DropReason;
 use sl_netsim::Topology;
@@ -24,7 +26,8 @@ use sl_obs::{Metrics, MetricsSnapshot};
 use sl_ops::{CheckpointDelta, OpCheckpoint, Operator};
 use sl_stt::{Event, Timestamp, Tuple};
 use sl_warehouse::{CubeCell, CubeQuery, EventQuery, EventWarehouse};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// The Event Data Warehouse backend. Either way the hot [`EventWarehouse`]
 /// is reachable, so the read-side API is identical.
@@ -40,6 +43,9 @@ pub(crate) struct Storage {
     /// Standing subscriptions and materialized views, fed inline by the
     /// ingest path. Idle (and free) until the first registration.
     cq: CqHub,
+    /// The monitor tick renders each registration's row key into this one
+    /// buffer to look its row up.
+    row_key: String,
     /// Blocking-operator windows [`Engine::open_durable`] folded out of the
     /// log, keyed (deployment, service), until that deployment's `deploy()`
     /// copies them onto its service records.
@@ -52,6 +58,7 @@ impl Storage {
         Storage {
             tier: WarehouseTier::Memory(Box::new(EventWarehouse::with_defaults())),
             cq: CqHub::new(),
+            row_key: String::new(),
             staged: HashMap::new(),
         }
     }
@@ -110,6 +117,24 @@ pub(crate) fn restore_window(
         .counter("checkpoint/restored_bytes")
         .add(n_bytes as u64);
     format!("{n_tuples} tuples, {n_bytes} B")
+}
+
+/// Append a line to the continuous-query log, which keeps at least its
+/// last `CONSOLE_CAPACITY` lines: at twice that the older half goes, so a
+/// line costs amortised O(1) and a run of any length holds a bounded log.
+fn log_continuous(log: &mut Vec<String>, line: String) {
+    if log.len() >= 2 * CONSOLE_CAPACITY {
+        log.drain(..log.len() - CONSOLE_CAPACITY);
+    }
+    log.push(line);
+}
+
+/// True if `key` is the monitor key of a registration in `subs` or
+/// `views`, each in id order as the hub lists them.
+fn is_registered(key: &str, subs: &[SubscriptionStat<'_>], views: &[ViewStat<'_>]) -> bool {
+    let id = |prefix: char| -> Option<u64> { key.strip_prefix(prefix)?.parse().ok() };
+    id('s').is_some_and(|n| subs.binary_search_by_key(&n, |s| s.id.0).is_ok())
+        || id('v').is_some_and(|n| views.binary_search_by_key(&n, |v| v.id.0).is_ok())
 }
 
 impl Engine {
@@ -184,34 +209,34 @@ impl Engine {
     }
 
     /// Load a tuple that reached warehouse sink `sink`. It is translated to
-    /// events once; the same batch feeds the store and, when anything is
-    /// registered, the continuous-query hub (delta evaluation, no rescans).
-    /// A durable ingest is log-first, and an I/O failure loses this tuple's
-    /// events without tearing down the run — the hub is then not fed
-    /// either, so views stay byte-identical to a rescan.
+    /// events once, and the batch is never copied: when anything is
+    /// registered, the continuous-query hub reads it in place (delta
+    /// evaluation, no rescans) before it moves into the hot store. A
+    /// durable ingest is log-first and shows the hub the batch only once
+    /// the log holds all of it; an I/O failure loses this tuple's events
+    /// without tearing down the run — the hub is then not fed either, so
+    /// views stay byte-identical to a rescan.
     pub(crate) fn store(&mut self, now: Timestamp, sink: EndpointId, tuple: &Tuple) {
         let events = sl_warehouse::tuple_events(tuple, WAREHOUSE_TGRAN, WAREHOUSE_SGRAN);
-        let storage = &mut self.storage;
-        let batch = (!storage.cq.is_idle()).then(|| events.clone());
-        let stored = match &mut storage.tier {
+        let Storage { tier, cq, .. } = &mut self.storage;
+        let mut feed = |batch: &[Event]| {
+            if !cq.is_idle() {
+                cq.on_events(batch);
+            }
+        };
+        let stored = match tier {
             WarehouseTier::Memory(w) => {
+                feed(&events);
                 w.ingest_events(events);
                 Ok(())
             }
-            WarehouseTier::Durable(d) => d.ingest_events(events).map(drop),
+            WarehouseTier::Durable(d) => d.ingest_events_with(events, feed).map(drop),
         };
-        match stored {
-            Ok(()) => {
-                if let Some(batch) = batch {
-                    storage.cq.on_events(&batch);
-                }
-            }
-            Err(e) => {
-                let (deployment, target) = &self.endpoints[sink.index()].names;
-                self.monitor.console.push(format!(
-                    "[{now}] error: {deployment}/{target}: durable ingest: {e}"
-                ));
-            }
+        if let Err(e) = stored {
+            let (deployment, target) = &self.endpoints[sink.index()].names;
+            self.monitor.console.push(format!(
+                "[{now}] error: {deployment}/{target}: durable ingest: {e}"
+            ));
         }
     }
 
@@ -312,9 +337,10 @@ impl Engine {
                     self.metrics
                         .counter("retention/evicted")
                         .add(evicted as u64);
-                    self.monitor.continuous.push(format!(
-                        "[{now}] retention: {evicted} events evicted before {horizon}"
-                    ));
+                    log_continuous(
+                        &mut self.monitor.continuous,
+                        format!("[{now}] retention: {evicted} events evicted before {horizon}"),
+                    );
                 }
                 Err(e) => {
                     self.monitor
@@ -333,47 +359,57 @@ impl Engine {
         }
     }
 
-    /// Rebuild the monitor's continuous-query section from hub stats and
-    /// log lag transitions (a subscriber falling behind is an operational
-    /// event, not just a gauge).
+    /// Bring the monitor's continuous-query rows up to date with the hub,
+    /// in place: one pass over the registrations in id order, each row
+    /// found through one reused key buffer. A row (and its `kind`) is made
+    /// only for a registration not seen before, the rows of removed ones
+    /// are dropped, and a subscriber falling behind is logged when it
+    /// happens (an operational event, not just a gauge).
     fn refresh_cq_monitor(&mut self, now: Timestamp) {
-        let mut table = BTreeMap::new();
-        for s in self.storage.cq.subscription_stats() {
-            let was_lagged = self
-                .monitor
-                .cq
-                .get(&s.id.to_string())
-                .is_some_and(|st| st.lagged);
-            if s.lagged && !was_lagged {
-                self.monitor.continuous.push(format!(
+        let (hub, key) = (&self.storage.cq, &mut self.storage.row_key);
+        let (rows, log) = (&mut self.monitor.cq, &mut self.monitor.continuous);
+        let subs = hub.subscription_stats();
+        for s in &subs {
+            key.clear();
+            let _ = write!(key, "{}", s.id);
+            let row = match rows.get_mut(key.as_str()) {
+                Some(row) => row,
+                None => rows.entry(key.clone()).or_insert_with(|| CqStat {
+                    kind: format!("subscription '{}'", s.name),
+                    ..CqStat::default()
+                }),
+            };
+            if s.lagged && !row.lagged {
+                let line = format!(
                     "[{now}] subscriber '{}' ({}) lagged: queue overflowed, awaiting catch-up",
                     s.name, s.id
-                ));
+                );
+                log_continuous(log, line);
             }
-            table.insert(
-                s.id.to_string(),
-                CqStat {
-                    kind: format!("subscription '{}'", s.name),
-                    depth: s.depth,
-                    delivered: s.delivered,
-                    dropped: s.dropped,
-                    lagged: s.lagged,
-                    ..CqStat::default()
-                },
-            );
+            row.depth = s.depth;
+            row.delivered = s.delivered;
+            row.dropped = s.dropped;
+            row.lagged = s.lagged;
         }
-        for v in self.storage.cq.view_stats() {
-            table.insert(
-                v.id.to_string(),
-                CqStat {
+        let views = hub.view_stats();
+        for v in &views {
+            key.clear();
+            let _ = write!(key, "{}", v.id);
+            let row = match rows.get_mut(key.as_str()) {
+                Some(row) => row,
+                None => rows.entry(key.clone()).or_insert_with(|| CqStat {
                     kind: format!("view '{}'", v.name),
-                    cells: v.cells,
-                    contributions: v.contributions,
                     ..CqStat::default()
-                },
-            );
+                }),
+            };
+            row.cells = v.cells;
+            row.contributions = v.contributions;
         }
-        self.monitor.cq = table;
+        // Every registration has its row by now, and handles are never
+        // reused: a row is stale exactly when there are more rows.
+        if rows.len() > subs.len() + views.len() {
+            rows.retain(|key, _| is_registered(key, &subs, &views));
+        }
     }
 
     /// Log what changed in a blocking operator's window since the last call,

@@ -17,8 +17,9 @@
 use crate::store::{EventWarehouse, Pos};
 use sl_stt::{BoundingBox, Event, Theme, TimeInterval};
 
-/// A conjunctive selection over stored events.
-#[derive(Debug, Clone, Default)]
+/// A conjunctive selection over stored events. Equal queries select the
+/// same events, which lets standing subscriptions share one match.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventQuery {
     /// Keep events whose time interval overlaps this range.
     pub time: Option<TimeInterval>,

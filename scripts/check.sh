@@ -125,6 +125,24 @@ if [ "$(printf '%s\n' "$renderers" | grep -c 'pub fn update(')" != 1 ] ||
     exit 1
 fi
 
+# Owner grep: the continuous-query load path pays for what changed. The hub
+# matches an event once per distinct query (its query groups), never once
+# per subscription; the engine hands the hub the ingest batch by reference;
+# and the monitor tick renders no key for a row it already has.
+if sed '/#\[cfg(test)\]/,$d' crates/cq/src/hub.rs | grep -n 'sub\.query\.matches'; then
+    echo "check.sh: per-subscription sub.query.matches in non-test crates/cq/src/hub.rs" >&2
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/engine/src/storage.rs | grep -n 'events\.clone()'; then
+    echo "check.sh: the ingest batch is cloned in non-test crates/engine/src/storage.rs" >&2
+    exit 1
+fi
+if sed '/#\[cfg(test)\]/,$d' crates/engine/src/storage.rs |
+    awk '/fn refresh_cq_monitor/{f=1} f && /^    }$/{f=0} f' | grep -n 'to_string()'; then
+    echo "check.sh: refresh_cq_monitor renders a row key with to_string()" >&2
+    exit 1
+fi
+
 # Recovery end to end, each asserting what it restored: a node crash
 # mid-window re-seeds the aggregate from the folded checkpoint log, and a
 # killed process restores its warehouse and window from the durable log.

@@ -390,7 +390,7 @@ impl StreamLoader {
                 .view_stats()
                 .into_iter()
                 .map(|v| sl_lint::CqViewFacts {
-                    name: v.name,
+                    name: v.name.to_string(),
                     time_bounded: v.time_bounded,
                 })
                 .collect(),
@@ -398,7 +398,7 @@ impl StreamLoader {
                 .subscription_stats()
                 .into_iter()
                 .map(|s| sl_lint::CqSubFacts {
-                    name: s.name,
+                    name: s.name.to_string(),
                     bounded: s.bounded,
                 })
                 .collect(),
