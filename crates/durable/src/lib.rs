@@ -26,8 +26,8 @@
 //!   [`CompactionPolicy::cold_retention`](compact::CompactionPolicy).
 //! * [`index`] — per-block zone indexes for compacted segments: time
 //!   bounds plus a bloom-style [`ThemeFilter`](index::ThemeFilter) over
-//!   theme-path prefixes, persisted in checksummed `.szi` sidecars, so
-//!   cold queries prune whole blocks and seek instead of scanning. A
+//!   theme-path prefixes, kept in memory and rebuilt by the recovery scan,
+//!   so cold queries prune whole blocks and seek instead of scanning. A
 //!   visited block is read, verified and decoded afresh on every scan, and
 //!   each record is moved to its caller, never copied.
 //!

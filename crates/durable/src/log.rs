@@ -16,15 +16,15 @@
 //! the original numbers `AAAAAA..=BBBBBB`. Its frames are renumbered
 //! `0..n` and positions within it use the first covered number, so
 //! [`LogPos`] order still equals append order across the whole log.
-//! Generation ≥ 1 segments carry a per-block [`ThemeFilter`] zone index,
-//! persisted in a checksummed `.szi` sidecar next to the segment; the
-//! recovery scan rebuilds and verifies it, rewriting a missing or stale
-//! sidecar in place.
+//! Generation ≥ 1 segments carry a per-block [`ThemeFilter`] zone index.
+//! Like the time index it lives in memory only and is rebuilt by the
+//! recovery scan, so every segment is exactly one file.
 //!
-//! The replacement itself is crash-safe: the product and its sidecar are
-//! written under temporary names, fsynced, renamed into place, and only
-//! then are the input segments deleted. [`SegmentLog::open`] finishes
-//! whatever a crash interrupted — stray `.tmp` files are removed, and when
+//! The replacement itself is crash-safe: the product is written under a
+//! temporary name, fsynced, renamed into place, and only then are the
+//! input segments deleted. [`SegmentLog::open`] finishes whatever a crash
+//! interrupted — stray `.tmp` files are removed (as are the `.szi` zone
+//! index files earlier versions wrote beside compacted segments), and when
 //! both a product and its inputs survive, the product wins if it verifies
 //! end-to-end, otherwise the inputs do.
 //!
@@ -51,7 +51,7 @@
 use crate::codec::{frame, read_frame, FrameRead, Record, ThemeTable, CODEC_VERSION};
 use crate::compact::{CompactionPolicy, SegmentMeta};
 use crate::error::DurableError;
-use crate::index::{decode_sidecar, encode_sidecar, Pruner, Sidecar, ThemeFilter, ZoneEntry};
+use crate::index::{Pruner, ThemeFilter};
 use sl_obs::{Metrics, MetricsSnapshot, Stopwatch};
 use sl_stt::{Event, Theme, TimeInterval};
 use std::fs::{self, File, OpenOptions};
@@ -152,8 +152,6 @@ pub struct RecoveryReport {
     /// inputs superseded by a verified product, or a damaged product
     /// superseded by its surviving inputs). Not data loss.
     pub superseded_segments: u64,
-    /// Zone-index sidecars rewritten because they were missing or stale.
-    pub sidecars_rebuilt: u64,
     /// Wall-clock recovery time in microseconds.
     pub duration_us: u64,
 }
@@ -230,8 +228,7 @@ impl IndexBlock {
 }
 
 /// In-memory state of one on-disk segment. The sparse index is rebuilt from
-/// the file on open — only the frames (and, for compacted segments, the
-/// `.szi` sidecar) live on disk.
+/// the file on open — only the frames live on disk.
 #[derive(Debug)]
 struct Segment {
     /// First covered segment number: the segment's identity and the
@@ -308,25 +305,6 @@ impl Segment {
             frames: self.frames,
         }
     }
-
-    /// The zone index this segment's sidecar should contain.
-    fn sidecar(&self) -> Sidecar {
-        Sidecar {
-            frames: self.frames,
-            bytes: self.bytes,
-            entries: self
-                .blocks
-                .iter()
-                .map(|b| ZoneEntry {
-                    offset: b.offset,
-                    frames: b.frames,
-                    min_start: b.min_start,
-                    max_end: b.max_end,
-                    filter: b.filter.unwrap_or_default(),
-                })
-                .collect(),
-        }
-    }
 }
 
 fn segment_path(dir: &Path, number: u32) -> PathBuf {
@@ -336,11 +314,6 @@ fn segment_path(dir: &Path, number: u32) -> PathBuf {
 /// File name of a compacted segment covering `first..=last` at `generation`.
 fn gen_segment_path(dir: &Path, first: u32, last: u32, generation: u32) -> PathBuf {
     dir.join(format!("seg-{first:06}-{last:06}-g{generation}.slg"))
-}
-
-/// The `.szi` sidecar path of a segment file.
-fn sidecar_path(segment: &Path) -> PathBuf {
-    segment.with_extension("szi")
 }
 
 /// The temporary name a file is written under before its publishing rename.
@@ -404,7 +377,7 @@ impl SegmentLog {
     ) -> Result<(SegmentLog, Vec<(LogPos, Record)>, RecoveryReport), DurableError> {
         let sw = Stopwatch::start();
         fs::create_dir_all(&config.dir)?;
-        remove_tmp_files(&config.dir)?;
+        remove_stray_files(&config.dir)?;
 
         let mut report = RecoveryReport::default();
         let mut refs = list_segment_refs(&config.dir)?;
@@ -451,7 +424,7 @@ impl SegmentLog {
                 let len = fs::metadata(&r.path).map(|m| m.len()).unwrap_or(0);
                 report.truncated_bytes += len.saturating_sub(HEADER_LEN);
                 report.dropped_segments += 1;
-                remove_segment_files(&r.path)?;
+                fs::remove_file(&r.path)?;
             }
         }
 
@@ -492,9 +465,6 @@ impl SegmentLog {
         metrics
             .counter("recovery/superseded_segments")
             .add(report.superseded_segments);
-        metrics
-            .counter("index/sidecars_rebuilt")
-            .add(report.sidecars_rebuilt);
         metrics.hist("recovery_us").record(report.duration_us);
 
         let log = SegmentLog {
@@ -647,19 +617,6 @@ impl SegmentLog {
         self.collect(&Pruner::keep_all())
     }
 
-    /// Scan only records that may be events overlapping `range`, using the
-    /// sparse per-segment time index to skip whole segments and blocks.
-    /// With `None`, every record is returned (same as [`SegmentLog::scan`]).
-    pub fn scan_overlapping(
-        &mut self,
-        range: Option<&TimeInterval>,
-    ) -> Result<Vec<(LogPos, Record)>, DurableError> {
-        self.collect(&Pruner {
-            time: range.cloned(),
-            ..Pruner::default()
-        })
-    }
-
     /// Every record [`SegmentLog::scan_pruned`] visits under `pruner`.
     fn collect(&mut self, pruner: &Pruner) -> Result<Vec<(LogPos, Record)>, DurableError> {
         let mut out = Vec::new();
@@ -737,11 +694,10 @@ impl SegmentLog {
 
     /// Atomically replace the sealed segments covering `first..=last` with
     /// one generation-`generation` segment holding `records` (renumbered
-    /// `0..n`). Crash-safe: the product and its zone-index sidecar are
-    /// written under temporary names, fsynced, renamed into place, and only
-    /// then are the inputs deleted — [`SegmentLog::open`] finishes either
-    /// half of an interrupted replacement. Returns the product's size in
-    /// bytes.
+    /// `0..n`). Crash-safe: the product is written under a temporary name,
+    /// fsynced, renamed into place, and only then are the inputs deleted —
+    /// [`SegmentLog::open`] finishes either half of an interrupted
+    /// replacement. Returns the product's size in bytes.
     pub(crate) fn replace_segments(
         &mut self,
         first: u32,
@@ -782,22 +738,18 @@ impl SegmentLog {
             buf.extend_from_slice(&framed);
         }
 
-        // 1. Write product + sidecar under temporary names, fsynced.
+        // 1. Write the product under a temporary name, fsynced.
         let product_tmp = tmp_path(&path);
         write_file_synced(&product_tmp, &buf)?;
-        let scar = sidecar_path(&path);
-        let scar_tmp = tmp_path(&scar);
-        write_file_synced(&scar_tmp, &encode_sidecar(&seg.sidecar()))?;
 
-        // 2. Publish: rename into place, persist the directory entries.
+        // 2. Publish: rename into place, persist the directory entry.
         fs::rename(&product_tmp, &path)?;
-        fs::rename(&scar_tmp, &scar)?;
         sync_dir(&self.config.dir);
 
         // 3. Retire the inputs (recovery resolves the overlap if we crash
         // between these deletions).
         for old in &self.segments[start..=end] {
-            remove_segment_files(&old.path)?;
+            fs::remove_file(&old.path)?;
         }
         sync_dir(&self.config.dir);
 
@@ -966,25 +918,19 @@ fn list_segment_refs(dir: &Path) -> Result<Vec<SegRef>, DurableError> {
     Ok(refs)
 }
 
-/// Delete every `*.tmp` file in `dir` (half-written compaction products).
-fn remove_tmp_files(dir: &Path) -> Result<(), DurableError> {
+/// Delete every stray file in `dir`: `*.tmp` (half-written compaction
+/// products) and `*.szi` (zone-index sidecars written beside compacted
+/// segments by earlier versions; nothing reads them).
+fn remove_stray_files(dir: &Path) -> Result<(), DurableError> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
-        if entry.file_name().to_string_lossy().ends_with(".tmp") {
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.ends_with(".tmp") || name.ends_with(".szi") {
             fs::remove_file(entry.path())?;
         }
     }
     Ok(())
-}
-
-/// Delete a segment file and its sidecar, if any.
-fn remove_segment_files(segment: &Path) -> Result<(), DurableError> {
-    fs::remove_file(segment)?;
-    match fs::remove_file(sidecar_path(segment)) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e.into()),
-    }
 }
 
 /// Persist the directory entry (best-effort: not all platforms allow fsync
@@ -1033,7 +979,7 @@ fn resolve_shadows(
         if shadowed.is_empty() {
             continue;
         }
-        let product_clean = verify_segment(&refs[ti].path)?;
+        let product_clean = verify_segment(&refs[ti].path);
         let span = (last - first) as u64 + 1;
         let inputs_cover = span <= (1 << 20) && {
             let mut covered = vec![false; span as usize];
@@ -1046,12 +992,12 @@ fn resolve_shadows(
         };
         if product_clean || !inputs_cover {
             for &si in &shadowed {
-                remove_segment_files(&refs[si].path)?;
+                fs::remove_file(&refs[si].path)?;
                 removed[si] = true;
                 report.superseded_segments += 1;
             }
         } else {
-            remove_segment_files(&refs[ti].path)?;
+            fs::remove_file(&refs[ti].path)?;
             removed[ti] = true;
             report.superseded_segments += 1;
         }
@@ -1075,34 +1021,41 @@ fn resolve_shadows(
     Ok(())
 }
 
-/// Read-only integrity walk: true iff the header is valid and every byte of
-/// the file belongs to a well-formed, checksummed, decodable frame.
-fn verify_segment(path: &Path) -> Result<bool, DurableError> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(_) => return Ok(false),
-    };
-    if bytes.len() < HEADER_LEN as usize
-        || &bytes[..MAGIC.len()] != MAGIC
-        || bytes[MAGIC.len()] != CODEC_VERSION
-    {
-        return Ok(false);
+/// Walk a segment file's frames front to back: check the header, then hand
+/// each checksummed, decodable frame to `visit` with its size on disk,
+/// stopping at the first frame that is torn, fails its checksum or does not
+/// decode. Returns where that clean prefix ends (`bytes.len()` for an intact
+/// file), or `None` when the header is torn or alien.
+fn walk_frames(
+    bytes: &[u8],
+    themes: &mut ThemeTable,
+    mut visit: impl FnMut(u64, Record),
+) -> Option<usize> {
+    let header_ok = bytes.len() >= HEADER_LEN as usize
+        && &bytes[..MAGIC.len()] == MAGIC
+        && bytes[MAGIC.len()] == CODEC_VERSION;
+    if !header_ok {
+        return None;
     }
     let mut offset = HEADER_LEN as usize;
-    let mut themes = ThemeTable::default();
-    while offset < bytes.len() {
-        match read_frame(&bytes[offset..]) {
-            FrameRead::Ok { payload, consumed } => {
-                if Record::decode_with(payload, &mut themes).is_err() {
-                    return Ok(false);
-                }
-                offset += consumed;
-            }
-            FrameRead::Torn { .. } => return Ok(false),
-            FrameRead::End => break,
-        }
+    while let FrameRead::Ok { payload, consumed } = read_frame(&bytes[offset..]) {
+        // Checksum fine but grammar broken: corruption (or a future codec).
+        // Cut here like any torn tail.
+        let Ok(rec) = Record::decode_with(payload, themes) else {
+            break;
+        };
+        visit(consumed as u64, rec);
+        offset += consumed;
     }
-    Ok(offset == bytes.len())
+    Some(offset)
+}
+
+/// Read-only integrity walk: true iff the header is valid and every byte of
+/// the file belongs to a well-formed, checksummed, decodable frame.
+fn verify_segment(path: &Path) -> bool {
+    fs::read(path).is_ok_and(|bytes| {
+        walk_frames(&bytes, &mut ThemeTable::default(), |_, _| {}) == Some(bytes.len())
+    })
 }
 
 /// Create a fresh segment file with a valid header, fsynced, and fsync the
@@ -1121,8 +1074,6 @@ fn create_segment(dir: &Path, number: u32) -> Result<PathBuf, DurableError> {
 type RecoveredSegment = (Segment, Vec<(LogPos, Record)>, bool);
 
 /// Scan one segment file, truncating at the first torn or corrupt frame.
-/// For compacted segments the zone-index sidecar is verified against the
-/// rebuilt index and rewritten if missing or stale.
 fn recover_segment(
     r: &SegRef,
     config: &DurableConfig,
@@ -1130,90 +1081,36 @@ fn recover_segment(
     report: &mut RecoveryReport,
 ) -> Result<RecoveredSegment, DurableError> {
     let bytes = fs::read(&r.path)?;
-
-    // Header check: a torn or alien header means nothing in the file can be
-    // trusted; reset it to an empty, valid segment.
-    let header_ok = bytes.len() >= HEADER_LEN as usize
-        && &bytes[..MAGIC.len()] == MAGIC
-        && bytes[MAGIC.len()] == CODEC_VERSION;
-    if !header_ok {
-        report.truncated_bytes += bytes.len() as u64;
-        let mut f = File::create(&r.path)?;
-        f.write_all(&header_bytes())?;
-        f.sync_all()?;
-        let seg = Segment::fresh_span(r.first, r.last, r.generation, r.path.clone());
-        heal_sidecar(&seg, report)?;
-        return Ok((seg, Vec::new(), false));
-    }
-
     let mut seg = Segment::fresh_span(r.first, r.last, r.generation, r.path.clone());
     let mut records = Vec::new();
-    let mut offset = HEADER_LEN as usize;
-    let mut clean = true;
-
-    while offset < bytes.len() {
-        match read_frame(&bytes[offset..]) {
-            FrameRead::Ok { payload, consumed } => {
-                match Record::decode_with(payload, themes) {
-                    Ok(rec) => {
-                        let pos = LogPos {
-                            segment: r.first,
-                            frame: seg.frames,
-                        };
-                        seg.note_frame(
-                            consumed as u64,
-                            record_time(&rec),
-                            record_theme(&rec),
-                            config.index_every,
-                        );
-                        records.push((pos, rec));
-                        offset += consumed;
-                    }
-                    // Checksum fine but grammar broken: corruption (or a
-                    // future codec). Cut here like any torn tail.
-                    Err(_) => {
-                        clean = false;
-                        break;
-                    }
-                }
-            }
-            FrameRead::Torn { .. } => {
-                clean = false;
-                break;
-            }
-            FrameRead::End => break,
-        }
-    }
-
-    if !clean || offset < bytes.len() {
-        report.truncated_bytes += (bytes.len() - offset) as u64;
-        clean = false;
+    let walked = walk_frames(&bytes, themes, |consumed, rec| {
+        let pos = LogPos {
+            segment: r.first,
+            frame: seg.frames,
+        };
+        seg.note_frame(
+            consumed,
+            record_time(&rec),
+            record_theme(&rec),
+            config.index_every,
+        );
+        records.push((pos, rec));
+    });
+    let Some(clean_end) = walked else {
+        // A torn or alien header means nothing in the file can be trusted;
+        // reset it to an empty, valid segment.
+        report.truncated_bytes += bytes.len() as u64;
+        write_file_synced(&r.path, &header_bytes())?;
+        return Ok((seg, records, false));
+    };
+    let clean = clean_end == bytes.len();
+    if !clean {
+        report.truncated_bytes += (bytes.len() - clean_end) as u64;
         let f = OpenOptions::new().write(true).open(&r.path)?;
-        f.set_len(offset as u64)?;
+        f.set_len(clean_end as u64)?;
         f.sync_all()?;
     }
-    heal_sidecar(&seg, report)?;
     Ok((seg, records, clean))
-}
-
-/// Verify a compacted segment's `.szi` sidecar against the index just
-/// rebuilt from the recovery scan, rewriting it when missing or stale
-/// (e.g. after a truncation). Generation-0 segments carry no sidecar.
-fn heal_sidecar(seg: &Segment, report: &mut RecoveryReport) -> Result<(), DurableError> {
-    if seg.generation == 0 {
-        return Ok(());
-    }
-    let expected = seg.sidecar();
-    let scar = sidecar_path(&seg.path);
-    let current = fs::read(&scar).ok().and_then(|b| decode_sidecar(&b).ok());
-    if current.as_ref() == Some(&expected) {
-        return Ok(());
-    }
-    let tmp = tmp_path(&scar);
-    write_file_synced(&tmp, &encode_sidecar(&expected))?;
-    fs::rename(&tmp, &scar)?;
-    report.sidecars_rebuilt += 1;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1361,15 +1258,16 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let pruned: Vec<i64> = log
-            .scan_overlapping(Some(&range))
-            .unwrap()
-            .into_iter()
-            .filter_map(|(_, r)| match r {
-                Record::Event(e) if e.time_interval().overlaps(&range) => Some(e.tgranule),
-                _ => None,
-            })
-            .collect();
+        let time_only = Pruner {
+            time: Some(range),
+            ..Pruner::default()
+        };
+        let mut pruned = Vec::new();
+        log.scan_pruned(&time_only, &mut |_, r| match r {
+            Record::Event(e) if e.time_interval().overlaps(&range) => pruned.push(e.tgranule),
+            _ => {}
+        })
+        .unwrap();
         assert_eq!(full, pruned);
         assert_eq!(full.len(), 10);
     }
@@ -1497,6 +1395,7 @@ mod tests {
             .map(|(_, r)| r)
             .collect();
         log.replace_segments(first, last, 1, &merged).unwrap();
+        assert_only_segment_files(dir.path());
 
         let after: Vec<String> = log
             .scan()
@@ -1537,12 +1436,12 @@ mod tests {
         .unwrap();
         assert!(kept_events > 0, "present theme survives pruning");
 
-        // Reopen: the compacted segment and its sidecar survive verbatim.
+        // Reopen: the compacted segment survives verbatim, still one file.
         drop(log);
         let (mut log, recs, report) = SegmentLog::open(config).unwrap();
         assert!(!report.lossy());
-        assert_eq!(report.sidecars_rebuilt, 0, "sidecar verified as-is");
         assert_eq!(recs.len(), 60);
+        assert_only_segment_files(dir.path());
         let reopened: Vec<String> = log
             .scan()
             .unwrap()
@@ -1552,9 +1451,20 @@ mod tests {
         assert_eq!(before, reopened);
     }
 
+    /// Every file in `dir` is a segment: `seg-*.slg`, nothing beside it.
+    fn assert_only_segment_files(dir: &Path) {
+        for entry in fs::read_dir(dir).unwrap() {
+            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+            assert!(
+                name.starts_with("seg-") && name.ends_with(".slg"),
+                "unexpected file {name}"
+            );
+        }
+    }
+
     #[test]
-    fn missing_sidecar_is_rebuilt_on_open() {
-        let dir = TempDir::new("log-sidecar").unwrap();
+    fn zone_index_files_of_earlier_versions_are_swept_on_open() {
+        let dir = TempDir::new("log-szi").unwrap();
         let config = cfg(&dir).with_segment_max_bytes(300);
         let (mut log, _, _) = SegmentLog::open(config.clone()).unwrap();
         for m in 0..30 {
@@ -1570,27 +1480,26 @@ mod tests {
             .collect();
         log.replace_segments(first, last, 1, &merged).unwrap();
         drop(log);
+        let opened = |config: &DurableConfig| {
+            let (_, recs, mut report) = SegmentLog::open(config.clone()).unwrap();
+            report.duration_us = 0;
+            let recs: Vec<String> = recs.iter().map(|r| format!("{r:?}")).collect();
+            (recs, format!("{report:?}"))
+        };
+        let without = opened(&config);
+        assert_eq!(without.0.len(), 30);
 
-        let scar = sidecar_path(&gen_segment_path(dir.path(), first, last, 1));
-        assert!(scar.exists());
-        fs::remove_file(&scar).unwrap();
-
-        let (_, recs, report) = SegmentLog::open(config.clone()).unwrap();
-        assert_eq!(recs.len(), 30);
-        assert_eq!(report.sidecars_rebuilt, 1);
-        assert!(scar.exists(), "sidecar self-healed");
-
-        // A corrupted sidecar is also healed.
-        let mut bytes = fs::read(&scar).unwrap();
-        let n = bytes.len();
-        bytes[n - 1] ^= 0xFF;
-        fs::write(&scar, &bytes).unwrap();
-        let (_, _, report) = SegmentLog::open(config).unwrap();
-        assert_eq!(report.sidecars_rebuilt, 1);
+        // Earlier versions wrote a `.szi` zone index beside every compacted
+        // segment; whatever its bytes, it changes nothing and is deleted.
+        let product = gen_segment_path(dir.path(), first, last, 1);
+        fs::write(product.with_extension("szi"), b"SLZI\x01 not a zone index").unwrap();
+        assert_eq!(opened(&config), without);
+        assert_only_segment_files(dir.path());
     }
 
     #[test]
     fn interrupted_compaction_resolves_to_product_or_inputs() {
+        use crate::codec::crc32;
         let dir = TempDir::new("log-shadow").unwrap();
         let config = cfg(&dir).with_segment_max_bytes(300);
         let (mut log, _, _) = SegmentLog::open(config.clone()).unwrap();
@@ -1626,17 +1535,33 @@ mod tests {
         assert_eq!(report.superseded_segments, backups.len() as u64);
         assert!(!report.lossy());
 
-        // Damaged product alongside full inputs: the inputs win.
-        for (p, bytes) in &backups {
-            fs::write(p, bytes).unwrap();
-        }
+        // Damaged product alongside full inputs: the inputs win, whether
+        // a frame fails its checksum, checksums but does not decode (an
+        // unknown record kind under a matching CRC), or is cut short.
         let product = gen_segment_path(dir.path(), first, last, 1);
-        let mut bytes = fs::read(&product).unwrap();
-        bytes[HEADER_LEN as usize + 3] ^= 0xFF;
-        fs::write(&product, &bytes).unwrap();
-        let (_, recs, report) = SegmentLog::open(config).unwrap();
-        assert_eq!(recs.len(), 30, "no acknowledged record lost");
-        assert_eq!(report.superseded_segments, 1, "the damaged product");
-        assert!(!product.exists());
+        let clean = fs::read(&product).unwrap();
+        let at = HEADER_LEN as usize;
+        let len = u32::from_le_bytes(clean[at..at + 4].try_into().unwrap()) as usize;
+        let mut flipped = clean.clone();
+        flipped[at + 3] ^= 0xFF;
+        let mut undecodable = clean.clone();
+        undecodable[at + 4] = 99;
+        let crc = crc32(&undecodable[at + 4..at + 4 + len]);
+        undecodable[at + 4 + len..at + 8 + len].copy_from_slice(&crc.to_le_bytes());
+        let cut = clean[..at + 4 + len / 2].to_vec();
+        for (what, damaged) in [
+            ("flipped", flipped),
+            ("undecodable", undecodable),
+            ("cut", cut),
+        ] {
+            for (p, bytes) in &backups {
+                fs::write(p, bytes).unwrap();
+            }
+            fs::write(&product, &damaged).unwrap();
+            let (_, recs, report) = SegmentLog::open(config.clone()).unwrap();
+            assert_eq!(recs.len(), 30, "{what}: no acknowledged record lost");
+            assert_eq!(report.superseded_segments, 1, "{what}: the damaged product");
+            assert!(!product.exists(), "{what}");
+        }
     }
 }

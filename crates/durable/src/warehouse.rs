@@ -471,7 +471,7 @@ impl DurableWarehouse {
     /// order; no event appears twice.
     pub fn query(&mut self, q: &EventQuery) -> Result<Vec<Event>, DurableError> {
         let sw = Stopwatch::start();
-        let mut out = self.cold_matches(q, true)?;
+        let mut out = self.cold_matches(q)?;
         out.extend(self.hot.query(q).into_iter().cloned());
         self.metrics.hist("query_us").record(sw.elapsed_us());
         self.metrics.counter("queries").inc();
@@ -493,27 +493,23 @@ impl DurableWarehouse {
         Ok(out)
     }
 
-    /// Cold-tier matches for `q`. With `pruned`, the zone indexes skip
-    /// blocks/segments that cannot overlap `q.time`, (for compacted
-    /// segments, via their theme filters) cannot contain `q.theme`, or lie
-    /// past the cold frontier — the un-evicted tail of the log.
-    fn cold_matches(&mut self, q: &EventQuery, pruned: bool) -> Result<Vec<Event>, DurableError> {
+    /// Cold-tier matches for `q`. The zone indexes skip blocks/segments
+    /// that cannot overlap `q.time`, (for compacted segments, via their
+    /// theme filters) cannot contain `q.theme`, or lie past the cold
+    /// frontier — the un-evicted tail of the log.
+    fn cold_matches(&mut self, q: &EventQuery) -> Result<Vec<Event>, DurableError> {
         let (Some((last_marker, _)), Some(&max_horizon)) =
             (self.markers.last(), self.suffix_max.first())
         else {
             return Ok(Vec::new()); // nothing has ever been evicted
         };
-        let pruner = if pruned {
-            Pruner {
-                time: q.time,
-                theme: q.theme.clone(),
-                frontier: Some(ColdFrontier {
-                    last_marker_segment: last_marker.segment,
-                    max_horizon,
-                }),
-            }
-        } else {
-            Pruner::keep_all()
+        let pruner = Pruner {
+            time: q.time,
+            theme: q.theme.clone(),
+            frontier: Some(ColdFrontier {
+                last_marker_segment: last_marker.segment,
+                max_horizon,
+            }),
         };
         // The scan moves each verified record here; a matching cold event
         // goes straight into the answer, everything else is dropped.
