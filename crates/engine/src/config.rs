@@ -55,22 +55,13 @@ pub struct EngineConfig {
     /// RNG seed (placement randomisation and nothing else — sensors own
     /// their seeds).
     pub seed: u64,
-    /// Re-delivery attempts after a routing failure. With
-    /// [`retry_enabled`](EngineConfig::retry_enabled) off the policy is
-    /// ignored and failed deliveries go straight to the dead-letter queue.
+    /// Re-delivery attempts after a routing failure.
+    /// [`RetryPolicy::disabled`] sends failed deliveries straight to the
+    /// dead-letter queue as `NoRoute`.
     pub retry: RetryPolicy,
-    /// Retry failed deliveries at all (off reproduces the historical
-    /// drop-on-no-route behaviour, but accounted for in the DLQ).
-    pub retry_enabled: bool,
     /// Dead-letter queue capacity per engine (oldest entries evicted;
     /// drop *counters* are never evicted).
     pub dlq_capacity: usize,
-    /// Expire sensors that stop producing (heartbeat watchdog, after
-    /// [`LIVENESS_GRACE`] silent periods).
-    pub liveness_enabled: bool,
-    /// Checkpoint blocking-operator caches so node crashes don't lose
-    /// window state.
-    pub checkpoint_enabled: bool,
     /// Worker threads in the sharded execution pool. `1` (the default)
     /// runs the classic single-threaded event loop; `n > 1` batches
     /// same-instant deliveries to non-blocking operators across `n`
@@ -98,10 +89,7 @@ impl Default for EngineConfig {
             monitor_period: Duration::from_secs(1),
             seed: 7,
             retry: RetryPolicy::new(),
-            retry_enabled: true,
             dlq_capacity: 256,
-            liveness_enabled: true,
-            checkpoint_enabled: true,
             parallelism: 1,
             shard_key: ShardKey::Space,
             overload: OverloadConfig::default(),
@@ -246,11 +234,8 @@ mod tests {
         assert_eq!(c.placement, PlacementPolicy::LeastLoaded);
         assert!(c.migration_enabled);
         assert!(!c.monitor_period.is_zero());
-        assert!(c.retry_enabled);
         assert!(c.retry.max_attempts > 0);
         assert!(c.dlq_capacity > 0);
-        assert!(c.liveness_enabled);
-        assert!(c.checkpoint_enabled);
         assert_eq!(c.parallelism, 1);
         assert_eq!(c.shard_key, ShardKey::Space);
         // Overload control defaults off: unbounded queues, no breakers, so

@@ -130,8 +130,7 @@ impl Engine {
     }
 
     /// Re-place one service off a crashed node and restore its operator
-    /// state from the latest checkpoint (or wipe it when checkpointing is
-    /// off — modelling the unrecovered state loss).
+    /// state from the latest checkpoint.
     fn recover_service(&mut self, now: Timestamp, id: EndpointId) {
         let demand = self.loads.demand_of(id.process()).unwrap_or(1.0);
         let target = self.recovery_node(demand);
@@ -148,10 +147,7 @@ impl Engine {
         };
         // The crash lost the in-memory window cache; re-seed it from the
         // checkpoint (an empty checkpoint wipes it).
-        let restored = match &svc.checkpoint {
-            Some(ckpt) if self.config.checkpoint_enabled => ckpt.clone(),
-            _ => OpCheckpoint::empty(),
-        };
+        let restored = svc.checkpoint.clone().unwrap_or_else(OpCheckpoint::empty);
         let restored = restore_window(&mut self.metrics, &mut *svc.op, restored);
         self.monitor.recovery.push(format!(
             "[{now}] {deployment}/{name}: recovered onto {target} ({restored} restored)"
@@ -233,10 +229,8 @@ impl Engine {
 
         // Liveness watchdog: expire sensors whose heartbeat (last emission)
         // is older than `LIVENESS_GRACE` advertised periods.
-        if self.config.liveness_enabled {
-            for (ad, events) in self.broker.sweep_stale(now, LIVENESS_GRACE) {
-                self.expire_sensor(now, &ad, events);
-            }
+        for (ad, events) in self.broker.sweep_stale(now, LIVENESS_GRACE) {
+            self.expire_sensor(now, &ad, events);
         }
 
         // Observability gauges: event-queue depth and per-link queued bytes.

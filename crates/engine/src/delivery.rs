@@ -243,7 +243,7 @@ impl Engine {
                 return self.dead_letter_at(now, to, tuple, DropReason::BreakerOpen);
             }
         }
-        if self.config.retry_enabled && attempt < self.config.retry.max_attempts {
+        if attempt < self.config.retry.max_attempts {
             let backoff = self.config.retry.backoff(attempt);
             self.metrics.counter("retry/scheduled").inc();
             // Absolute time off the failing event's timestamp, so retries
@@ -263,7 +263,7 @@ impl Engine {
                 },
             );
         } else {
-            let reason = if self.config.retry_enabled {
+            let reason = if self.config.retry.enabled() {
                 DropReason::RetriesExhausted
             } else {
                 DropReason::NoRoute
@@ -445,9 +445,10 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::EngineConfig;
+    use crate::config::{EngineConfig, CONSOLE_CAPACITY};
     use sl_dataflow::DataflowBuilder;
     use sl_dsn::SinkKind;
+    use sl_faults::RetryPolicy;
     use sl_netsim::{LinkId, NodeSpec, Topology};
     use sl_pubsub::SubscriptionFilter;
     use sl_stt::{
@@ -589,11 +590,31 @@ mod tests {
         assert_eq!(r.e.total_inflight(), 0);
 
         // With retrying off the same failure is terminal at once.
-        let mut r = rig(&["d"], |cfg| cfg.retry_enabled = false);
+        let mut r = rig(&["d"], |cfg| cfg.retry = RetryPolicy::disabled());
         r.e.set_link_up(r.link, false).unwrap();
         r.send("d");
         assert_eq!(r.counter("retry/scheduled"), 0);
         assert_eq!(r.e.dlq.count(DropReason::NoRoute), 1);
+    }
+
+    #[test]
+    fn the_recovery_log_stays_bounded_however_many_tuples_dead_letter() {
+        let mut r = rig(&["d"], |cfg| cfg.retry = RetryPolicy::disabled());
+        r.e.set_link_up(r.link, false).unwrap();
+        for _ in 0..5 * CONSOLE_CAPACITY {
+            r.send("d");
+        }
+        let log = &r.e.monitor.recovery;
+        assert!(
+            (CONSOLE_CAPACITY..=2 * CONSOLE_CAPACITY).contains(&log.len()),
+            "{} recovery lines",
+            log.len()
+        );
+        assert!(log.iter().all(|l| l.contains("dead-lettered")));
+        assert_eq!(
+            r.e.dlq.count(DropReason::NoRoute),
+            5 * CONSOLE_CAPACITY as u64
+        );
     }
 
     #[test]

@@ -445,7 +445,7 @@ impl Engine {
                     .storage
                     .staged
                     .get(&(name.to_string(), service.clone()));
-                let staged = staged.filter(|_| self.config.checkpoint_enabled && blocking);
+                let staged = staged.filter(|_| blocking);
                 if let (Some(ckpt), Some(svc)) =
                     (staged.cloned(), self.endpoints[id.index()].service_mut())
                 {

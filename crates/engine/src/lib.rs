@@ -80,7 +80,7 @@ pub use config::{
 pub use deployment::{DeploymentView, ServiceView};
 pub use engine::{DeadTuple, Engine};
 pub use error::EngineError;
-pub use monitor::{CqStat, Monitor, OpCounters, PlacementChange, ShardStat};
+pub use monitor::{CqStat, Log, Monitor, OpCounters, PlacementChange, ShardStat};
 pub use overload::IngressState;
 pub use shard::{ShardKey, ShardPool};
 pub use sl_cq::{CqPoll, SubscriberId, ViewId};

@@ -6,6 +6,7 @@
 //! assignment changes" (paper §3, Figure 3). [`Monitor`] is the collection
 //! point for all of it.
 
+use crate::config::CONSOLE_CAPACITY;
 use crate::overload::IngressState;
 use sl_netsim::{NodeId, TimeSeries};
 use sl_obs::{Counter, HistSummary, Histogram, MetricsSnapshot};
@@ -13,6 +14,7 @@ use sl_ops::ControlAction;
 use sl_stt::Timestamp;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Deref;
 
 /// Per-operator instruments, built on `sl-obs` primitives.
 ///
@@ -104,6 +106,40 @@ pub struct ControlRecord {
     pub action: ControlAction,
 }
 
+/// A monitor log that keeps at least its last [`CONSOLE_CAPACITY`] lines:
+/// at twice that the older half goes, so a line costs amortised O(1) and a
+/// run of any length holds a bounded log. Reads as a slice, oldest first.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Log(Vec<String>);
+
+impl Log {
+    /// Append a line, first dropping all but the newest
+    /// [`CONSOLE_CAPACITY`] if the log is full.
+    pub fn push(&mut self, line: String) {
+        if self.0.len() >= 2 * CONSOLE_CAPACITY {
+            self.0.drain(..self.0.len() - CONSOLE_CAPACITY);
+        }
+        self.0.push(line);
+    }
+}
+
+impl Deref for Log {
+    type Target = [String];
+
+    fn deref(&self) -> &[String] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a Log {
+    type Item = &'a String;
+    type IntoIter = std::slice::Iter<'a, String>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// Per-name records in dense slots: the engine binds a name to its slot
 /// once and then addresses the slot; readers look names up (borrowed, no
 /// key is built) or walk them in `(deployment, name)` order.
@@ -157,27 +193,28 @@ pub struct Monitor {
     pub console: Vec<String>,
     /// Tuples delivered to each sink.
     sink_counts: Slots<u64>,
-    /// Sensor join/leave log lines.
-    pub membership: Vec<String>,
-    /// Fault-recovery log lines (retries exhausted, crash recoveries,
-    /// liveness expiries, ...).
-    pub recovery: Vec<String>,
+    /// Sensor join/leave log lines (a bounded [`Log`], like every log
+    /// below).
+    pub membership: Log,
+    /// Fault-recovery log lines (dead letters, crash recoveries, liveness
+    /// expiries, ...).
+    pub recovery: Log,
     /// Durability log lines (log recovery, torn-tail truncation, window
     /// caches restored from persisted checkpoints).
-    pub durability: Vec<String>,
+    pub durability: Log,
     /// Per-shard execution stats (empty while running sequentially).
     pub shards: BTreeMap<usize, ShardStat>,
     /// Total shard jobs executed by a non-home worker (work stealing).
     pub steals: u64,
     /// Overload-control log lines (credit revocations, breaker state
     /// transitions, burst actuations, backlog migrations).
-    pub pressure: Vec<String>,
+    pub pressure: Log,
     /// Dead-letter totals per detailed drop reason (`shed/oldest/d/hot`,
     /// `no_route`, `breaker_open`, ...). Never evicted, unlike DLQ entries.
     pub dead_letters: BTreeMap<String, u64>,
     /// Continuous-query log lines (retention evictions, subscribers
     /// falling behind / catching up).
-    pub continuous: Vec<String>,
+    pub continuous: Log,
     /// Continuous-query liveness per registration, keyed by handle
     /// (`s<n>` for subscriptions, `v<n>` for views); refreshed each
     /// monitor sample while anything is registered.

@@ -13,7 +13,7 @@ use crate::config::OverflowPolicy;
 use crate::deployment::{Deployment, EndpointId, SourceRuntime};
 use crate::engine::{Engine, Ev};
 use crate::error::EngineError;
-use crate::monitor::ControlRecord;
+use crate::monitor::{ControlRecord, Log};
 use sl_faults::{DropReason, FaultAction};
 use sl_ops::ControlAction;
 use sl_pubsub::enrich::{enrich, EnrichPolicy};
@@ -488,7 +488,7 @@ impl Engine {
 fn bind_sensor(
     src: &mut SourceRuntime,
     ad: &SensorAdvertisement,
-    log: &mut Vec<String>,
+    log: &mut Log,
     now: Timestamp,
     deployment: &str,
     source: &str,

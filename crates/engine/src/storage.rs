@@ -11,9 +11,7 @@
 //! is the only eviction), and a view registered late is seeded from the hot
 //! store ([`Engine::register_view`]).
 
-use crate::config::{
-    EngineConfig, OverflowPolicy, CONSOLE_CAPACITY, WAREHOUSE_SGRAN, WAREHOUSE_TGRAN,
-};
+use crate::config::{EngineConfig, OverflowPolicy, WAREHOUSE_SGRAN, WAREHOUSE_TGRAN};
 use crate::deployment::{EndpointId, Role};
 use crate::engine::Engine;
 use crate::error::EngineError;
@@ -117,16 +115,6 @@ pub(crate) fn restore_window(
         .counter("checkpoint/restored_bytes")
         .add(n_bytes as u64);
     format!("{n_tuples} tuples, {n_bytes} B")
-}
-
-/// Append a line to the continuous-query log, which keeps at least its
-/// last `CONSOLE_CAPACITY` lines: at twice that the older half goes, so a
-/// line costs amortised O(1) and a run of any length holds a bounded log.
-fn log_continuous(log: &mut Vec<String>, line: String) {
-    if log.len() >= 2 * CONSOLE_CAPACITY {
-        log.drain(..log.len() - CONSOLE_CAPACITY);
-    }
-    log.push(line);
 }
 
 /// True if `key` is the monitor key of a registration in `subs` or
@@ -337,10 +325,9 @@ impl Engine {
                     self.metrics
                         .counter("retention/evicted")
                         .add(evicted as u64);
-                    log_continuous(
-                        &mut self.monitor.continuous,
-                        format!("[{now}] retention: {evicted} events evicted before {horizon}"),
-                    );
+                    self.monitor.continuous.push(format!(
+                        "[{now}] retention: {evicted} events evicted before {horizon}"
+                    ));
                 }
                 Err(e) => {
                     self.monitor
@@ -380,11 +367,10 @@ impl Engine {
                 }),
             };
             if s.lagged && !row.lagged {
-                let line = format!(
+                log.push(format!(
                     "[{now}] subscriber '{}' ({}) lagged: queue overflowed, awaiting catch-up",
                     s.name, s.id
-                );
-                log_continuous(log, line);
+                ));
             }
             row.depth = s.depth;
             row.delivered = s.delivered;
@@ -412,14 +398,11 @@ impl Engine {
         }
     }
 
-    /// Log what changed in a blocking operator's window since the last call,
-    /// if checkpointing is on: folded onto its record (crash recovery within
-    /// this process) and — with a durable backend — appended to the segment
-    /// log. Costs what the change touched, not what the window holds.
+    /// Log what changed in a blocking operator's window since the last
+    /// call: folded onto its record (crash recovery within this process)
+    /// and — with a durable backend — appended to the segment log. Costs
+    /// what the change touched, not what the window holds.
     pub(crate) fn checkpoint(&mut self, service: EndpointId) {
-        if !self.config.checkpoint_enabled {
-            return;
-        }
         let ep = &mut self.endpoints[service.index()];
         let svc = match &mut ep.role {
             Role::Service(svc) if svc.blocking => svc,

@@ -19,7 +19,7 @@
 use sl_dataflow::DataflowBuilder;
 use sl_dsn::SinkKind;
 use sl_engine::{Engine, EngineConfig, OverflowPolicy};
-use sl_faults::{DropReason, FaultPlan};
+use sl_faults::{DropReason, FaultPlan, RetryPolicy};
 use sl_netsim::{LinkId, NodeId, NodeSpec, Topology};
 use sl_pubsub::SubscriptionFilter;
 use sl_sensors::physical::TemperatureSensor;
@@ -67,7 +67,7 @@ fn filter_flow(name: &str) -> sl_dataflow::Dataflow {
 /// Two nodes joined by one link: a weak sensor host and a strong hub. The
 /// filter process lands on the hub (the weak node can't fit it), so every
 /// delivery crosses the single link — failing it severs the dataflow.
-fn two_node_engine(retry_enabled: bool) -> (Engine, LinkId) {
+fn two_node_engine(retries: bool) -> (Engine, LinkId) {
     let mut t = Topology::new();
     let weak = t.add_node(NodeSpec::edge("sensor-host", 10.0));
     let hub = t.add_node(NodeSpec::edge("hub", 1_000_000.0));
@@ -76,7 +76,11 @@ fn two_node_engine(retry_enabled: bool) -> (Engine, LinkId) {
         .unwrap();
     let cfg = EngineConfig {
         migration_enabled: false,
-        retry_enabled,
+        retry: if retries {
+            RetryPolicy::new()
+        } else {
+            RetryPolicy::disabled()
+        },
         ..Default::default()
     };
     let mut e = Engine::new(t, cfg, start());
@@ -265,7 +269,7 @@ fn agg_flow(name: &str) -> sl_dataflow::Dataflow {
 
 /// Weak sensor host plus two capable hosts, fully connected; the windowed
 /// aggregation lands on one of the capable hosts, which we then crash.
-fn crash_engine(checkpoint_enabled: bool) -> Engine {
+fn crash_engine() -> Engine {
     let mut t = Topology::new();
     let a = t.add_node(NodeSpec::edge("sensor-host", 10.0));
     let b = t.add_node(NodeSpec::edge("host-b", 1000.0));
@@ -278,7 +282,6 @@ fn crash_engine(checkpoint_enabled: bool) -> Engine {
         .unwrap();
     let cfg = EngineConfig {
         migration_enabled: false,
-        checkpoint_enabled,
         ..Default::default()
     };
     let mut e = Engine::new(t, cfg, start());
@@ -291,14 +294,14 @@ fn crash_engine(checkpoint_enabled: bool) -> Engine {
 #[test]
 fn node_crash_mid_window_restores_operator_state() {
     // Baseline: fault-free warehouse contents.
-    let mut base = crash_engine(true);
+    let mut base = crash_engine();
     base.run_for(Duration::from_secs(100));
     let expected: Vec<sl_stt::Event> = base.warehouse().iter().cloned().collect();
     assert!(!expected.is_empty());
 
     // Faulted: crash the aggregation's node mid-window (t = 45 s, window
     // boundaries at 30/60/90 s) and let recovery re-place it.
-    let mut e = crash_engine(true);
+    let mut e = crash_engine();
     let victim = e.node_of("w", "sum").expect("aggregate placed");
     assert_ne!(
         victim,
@@ -334,30 +337,6 @@ fn node_crash_mid_window_restores_operator_state() {
     assert!(snap.counters["engine/checkpoint/taken"] > 0);
     assert!(snap.counters["engine/checkpoint/restored_tuples"] > 0);
     assert!(snap.counters["engine/faults/node_crash"] == 1);
-}
-
-#[test]
-fn node_crash_without_checkpoints_loses_window_state() {
-    let mut base = crash_engine(false);
-    base.run_for(Duration::from_secs(100));
-    let expected: Vec<sl_stt::Event> = base.warehouse().iter().cloned().collect();
-
-    let mut e = crash_engine(false);
-    let victim = e.node_of("w", "sum").expect("aggregate placed");
-    e.install_fault_plan(&FaultPlan::new().node_crash(victim.0, Duration::from_secs(45)));
-    e.run_for(Duration::from_secs(100));
-
-    // The crash wiped the half-filled window: the first post-crash
-    // aggregate differs from the fault-free run.
-    let got: Vec<sl_stt::Event> = e.warehouse().iter().cloned().collect();
-    assert_ne!(
-        got, expected,
-        "without checkpoints the window state must be lost"
-    );
-    assert_eq!(
-        e.metrics_snapshot().counters["engine/checkpoint/restored_tuples"],
-        0
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -481,7 +460,7 @@ fn clock_skew_shifts_emitted_timestamps() {
 #[test]
 fn chaos_schedule_replays_deterministically() {
     fn run() -> Engine {
-        let mut e = crash_engine(true);
+        let mut e = crash_engine();
         e.add_sensor(temp_sensor(2, NodeId(1), Duration::from_secs(3)))
             .unwrap();
         let victim = e.node_of("w", "sum").unwrap();

@@ -76,7 +76,6 @@ fn durable_engine(durable: DurableConfig) -> Engine {
         .unwrap();
     let cfg = EngineConfig {
         migration_enabled: false,
-        checkpoint_enabled: true,
         ..Default::default()
     };
     let mut e = Engine::open_durable(t, cfg, start(), durable).unwrap();

@@ -180,8 +180,7 @@ fn unthrottled_sensors_keep_their_heartbeat() {
     // Liveness must coexist with backpressure: a sensor silenced by credit
     // revocation is alive, not dead — the watchdog must not expire it.
     const N: u64 = 12;
-    let mut cfg = overload_config(4, OverflowPolicy::Block);
-    cfg.liveness_enabled = true;
+    let cfg = overload_config(4, OverflowPolicy::Block);
     let mut e = saturated_engine(N, cfg);
     e.run_for(Duration::from_secs(30));
     assert!(

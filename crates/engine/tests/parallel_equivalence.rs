@@ -132,7 +132,7 @@ fn digest(e: &Engine) -> RunDigest {
                 )
             })
             .collect(),
-        recovery: e.monitor().recovery.clone(),
+        recovery: e.monitor().recovery.to_vec(),
     }
 }
 

@@ -11,7 +11,6 @@
 //! policy = block               # block | shed_oldest | shed_newest | sample:0.5
 //! parallelism = 4
 //! shard_key = space            # space | sensor | round_robin
-//! checkpoint = on
 //! durable = on
 //! retention_ms = 600000        # or `none`
 //! compaction = on
@@ -94,7 +93,6 @@ pub fn parse_deploy_config(text: &str) -> Result<DeploySpec, String> {
                     other => return Err(err(i, &format!("unknown shard_key `{other}`"))),
                 }
             }
-            "checkpoint" => cfg.checkpoint_enabled = parse_bool(i, key, value)?,
             "durable" => spec.durable = parse_bool(i, key, value)?,
             "compaction" => spec.compaction = parse_bool(i, key, value)?,
             "retention_ms" => {
@@ -103,7 +101,6 @@ pub fn parse_deploy_config(text: &str) -> Result<DeploySpec, String> {
                     n => Some(Duration::from_millis(parse_num(i, key, n)?)),
                 }
             }
-            "retry" => cfg.retry_enabled = parse_bool(i, key, value)?,
             "retry_attempts" => cfg.retry.max_attempts = parse_num(i, key, value)?,
             "breaker" => cfg.overload.breaker_enabled = parse_bool(i, key, value)?,
             "breaker_threshold" => cfg.overload.breaker_threshold = parse_num(i, key, value)?,
@@ -251,7 +248,6 @@ mod tests {
              global_capacity = none\n\
              parallelism = 4   # four workers\n\
              shard_key = sensor\n\
-             checkpoint = on\n\
              durable = on\n\
              retention_ms = 600000\n\
              compaction = on\n\
@@ -267,7 +263,7 @@ mod tests {
         assert_eq!(spec.config.overload.global_capacity, None);
         assert_eq!(spec.config.parallelism, 4);
         assert_eq!(spec.config.shard_key, sl_engine::ShardKey::Sensor);
-        assert!(spec.config.checkpoint_enabled && spec.durable);
+        assert!(spec.durable);
         assert!(spec.compaction);
         assert_eq!(spec.config.retention, Some(Duration::from_millis(600_000)));
         assert_eq!(
@@ -292,7 +288,12 @@ mod tests {
         assert!(parse_deploy_config("qeue_capacity = 4").is_err());
         assert!(parse_deploy_config("parallelism four").is_err());
         assert!(parse_deploy_config("policy = drop_everything").is_err());
-        assert!(parse_deploy_config("checkpoint = yes").is_err());
+        assert!(parse_deploy_config("durable = yes").is_err());
+        // Switches the engine no longer has are unknown keys, not no-ops.
+        for retired in ["checkpoint = on", "retry = off"] {
+            let e = parse_deploy_config(retired).unwrap_err();
+            assert!(e.contains("unknown key"), "{retired}: {e}");
+        }
         assert!(parse_deploy_config("policy = sample:0.25").is_ok());
     }
 

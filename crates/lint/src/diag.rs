@@ -115,9 +115,10 @@ lint_codes! {
     OrderSensitiveMerge = ("SL061", Warning, "order-sensitive operator downstream of a merge under parallelism"),
     SpaceShardWithoutLocation = ("SL062", Warning, "Space shard key with unlocated sensors degrades to sensor hashing"),
     ShardSkew = ("SL063", Warning, "fewer distinct bound sensors than shard workers"),
-    // SL07x — recovery coverage under the analyzed fault plan.
-    UncheckpointedState = ("SL070", Warning, "crash plan with checkpoints disabled loses blocking-operator state"),
-    VolatileCheckpoints = ("SL071", Warning, "checkpoints enabled but not durable under a crash plan"),
+    // SL07x — recovery coverage under the analyzed fault plan. SL070 is
+    // retired (it warned about a checkpoint switch the engine no longer
+    // has) and is never reused.
+    VolatileCheckpoints = ("SL071", Warning, "checkpoints kept only in memory under a crash plan"),
     BreakerRetryConflict = ("SL072", Warning, "breaker opens mid-retry and outlives the remaining backoff budget"),
     // SL08x — worst-case resource bounds (abstract interpretation of
     // advertised rates against the overload-control configuration).

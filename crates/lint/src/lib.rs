@@ -26,7 +26,7 @@
 //! 6. **shard** — does the configured parallelism help, and can it change
 //!    observable behaviour (`SL060`–`SL063`);
 //! 7. **recovery** — checkpoint/durability/retry coverage of the attached
-//!    fault plan (`SL070`–`SL072`);
+//!    fault plan (`SL071`–`SL072`);
 //! 8. **resource** — worst-case queue depth, memory, and shedding volume
 //!    by abstract interpretation of advertised rates (`SL080`–`SL083`).
 //!

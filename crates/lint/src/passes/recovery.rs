@@ -1,4 +1,4 @@
-//! Recovery-coverage pass (`SL070`–`SL072`, `SL092`): will the configured
+//! Recovery-coverage pass (`SL071`–`SL072`, `SL092`): will the configured
 //! checkpoint/retry/breaker machinery actually survive the faults the
 //! attached plan schedules, and will the durable store it recovers from
 //! stay bounded?
@@ -41,38 +41,15 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
     }
     let cfg = model.config;
 
-    // SL070: the plan crashes a node while checkpointing is off — every
-    // blocking operator's window cache on that node is unrecoverable, and
-    // migration restarts it empty (partial windows silently lost).
-    if model.crash_bearing() && !cfg.checkpoint_enabled {
-        if let Some(graph) = cx.graph {
-            for (name, facts) in &graph.ops {
-                if facts.blocking {
-                    out.push(Diagnostic::new(
-                        LintCode::UncheckpointedState,
-                        name,
-                        format!(
-                            "the fault plan crashes a node while checkpointing is \
-                             disabled: if `{name}` is placed there its window cache is \
-                             lost and the post-crash {} restarts empty — enable \
-                             `checkpoint_enabled` or remove the crash from the plan",
-                            facts.kind
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-
     // SL071: checkpoints exist but only in memory. A crash takes the
     // checkpoint store down with the node it protects against.
-    if model.crash_bearing() && cfg.checkpoint_enabled && !model.durable {
+    if model.crash_bearing() && !model.durable {
         let any_blocking = cx.graph.is_some_and(|g| g.ops.values().any(|f| f.blocking));
         if any_blocking {
             out.push(Diagnostic::global(
                 LintCode::VolatileCheckpoints,
-                "the fault plan crashes a node and checkpoints are enabled but not \
-                 durable: in-memory checkpoints survive engine-simulated crashes only, \
+                "the fault plan crashes a node and checkpoints are not durable: \
+                 in-memory checkpoints survive engine-simulated crashes only, \
                  not a real process loss — open the engine durable (WAL-backed \
                  checkpoint store) to make recovery meaningful"
                     .to_string(),
@@ -86,7 +63,7 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
     // the threshold is shorter than the cooldown, all remaining attempts
     // land while the breaker is open and the tuple is guaranteed to
     // dead-letter on the first flap — retries and breaker cancel out.
-    if model.flap_bearing() && cfg.overload.breaker_enabled && cfg.retry_enabled {
+    if model.flap_bearing() && cfg.overload.breaker_enabled {
         let threshold = cfg.overload.breaker_threshold;
         if threshold < cfg.retry.max_attempts {
             let mut remaining = Duration::ZERO;

@@ -879,42 +879,6 @@ fn sl063_shard_skew() {
 // ------------------------------------------------------------ SL07x recovery
 
 #[test]
-fn sl070_uncheckpointed_state() {
-    let windowed = doc(&format!(
-        "{TEMP_SOURCE}
-  service avg {{
-    op: aggregate; period: 5000; group_by: temp; func: avg; attr: temp; inputs: temp;
-  }}
-  sink out {{ kind: console; inputs: avg; }}"
-    ));
-    let plan = FaultPlan::new().node_crash(1, Duration::from_secs(5));
-    let mut cfg = EngineConfig::default();
-    cfg.checkpoint_enabled = false;
-    let m = DeployModel {
-        config: &cfg,
-        fault_plan: Some(&plan),
-        durable: false,
-        compaction: false,
-    };
-    let report = lint_deploy(&windowed, &LintContext::bare(), &m);
-    assert!(
-        report.has(LintCode::UncheckpointedState),
-        "{:?}",
-        report.codes()
-    );
-    // Checkpoints back on: window caches survive the crash.
-    let cfg = EngineConfig::default();
-    let m = DeployModel {
-        config: &cfg,
-        fault_plan: Some(&plan),
-        durable: false,
-        compaction: false,
-    };
-    let report = lint_deploy(&windowed, &LintContext::bare(), &m);
-    assert!(!report.has(LintCode::UncheckpointedState));
-}
-
-#[test]
 fn sl071_volatile_checkpoints() {
     let windowed = doc(&format!(
         "{TEMP_SOURCE}
@@ -924,7 +888,7 @@ fn sl071_volatile_checkpoints() {
   sink out {{ kind: console; inputs: avg; }}"
     ));
     let plan = FaultPlan::new().node_crash(1, Duration::from_secs(5));
-    let cfg = EngineConfig::default(); // checkpoint_enabled: true
+    let cfg = EngineConfig::default();
     let volatile = DeployModel {
         config: &cfg,
         fault_plan: Some(&plan),
@@ -1207,7 +1171,6 @@ fn every_code_has_golden_coverage() {
         LintCode::OrderSensitiveMerge,
         LintCode::SpaceShardWithoutLocation,
         LintCode::ShardSkew,
-        LintCode::UncheckpointedState,
         LintCode::VolatileCheckpoints,
         LintCode::BreakerRetryConflict,
         LintCode::UnboundedQueueGrowth,

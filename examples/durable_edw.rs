@@ -29,10 +29,7 @@ fn incarnation(durable: DurableConfig) -> StreamLoader {
     let b = t.add_node(NodeSpec::edge("host-b", 1000.0));
     t.add_link(a, b, Duration::from_millis(1), 10_000_000)
         .unwrap();
-    let config = EngineConfig {
-        checkpoint_enabled: true,
-        ..Default::default()
-    };
+    let config = EngineConfig::default();
     let start = Timestamp::from_civil(2016, 7, 1, 12, 0, 0);
     let mut session = StreamLoader::open_durable(t, config, start, durable)
         .expect("open (or recover) the segment log");

@@ -6,8 +6,8 @@
 #                             # warnings
 #   scripts/check.sh          # everything: fast tier + the panic-ban
 #                             # guard, the lint and
-#                             # example gates, the checkpoint, text and
-#                             # cube-key owner greps,
+#                             # example gates, the checkpoint, text,
+#                             # cube-key and removed-switch owner greps,
 #                             # the recovery and dashboard examples, and the
 #                             # benchmark/ package's build, smoke and own
 #                             # tests, then the smoke's output digests
@@ -140,6 +140,15 @@ fi
 if sed '/#\[cfg(test)\]/,$d' crates/engine/src/storage.rs |
     awk '/fn refresh_cq_monitor/{f=1} f && /^    }$/{f=0} f' | grep -n 'to_string()'; then
     echo "check.sh: refresh_cq_monitor renders a row key with to_string()" >&2
+    exit 1
+fi
+
+# Owner grep: options only go down. Liveness, retrying and checkpointing
+# have no engine switch (retrying is off at `retry.max_attempts = 0`), and
+# SL070, which warned about the checkpoint switch, is retired.
+if grep -rnE 'liveness_enabled|retry_enabled|checkpoint_enabled|UncheckpointedState' \
+    crates src examples tests; then
+    echo "check.sh: a removed engine switch or SL070 is named above" >&2
     exit 1
 fi
 

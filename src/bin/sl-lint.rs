@@ -39,10 +39,10 @@ options:
   --format text|json  report format (default text)
   --config FILE       engine deployment description (`key = value` lines:
                       queue_capacity, policy, global_capacity, parallelism,
-                      shard_key, checkpoint, durable, retention_ms,
-                      compaction, retry, retry_attempts, breaker,
-                      breaker_threshold, breaker_cooldown_ms,
-                      dlq_capacity); enables the deployment tier SL050-SL092
+                      shard_key, durable, retention_ms, compaction,
+                      retry_attempts, breaker, breaker_threshold,
+                      breaker_cooldown_ms, dlq_capacity); enables the
+                      deployment tier SL050-SL092
   --fault-plan FILE   chaos schedule (one verb per line: crash, restart,
                       flap, stall, burst); enables recovery/burst checks
 
