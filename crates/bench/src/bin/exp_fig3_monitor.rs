@@ -178,17 +178,6 @@ fn main() {
             .copied()
             .unwrap_or(0)
     );
-    println!(
-        "spans completed: {} (per-tuple traces across {} operator keys)",
-        snap.counters
-            .get("engine/spans_completed")
-            .copied()
-            .unwrap_or(0),
-        snap.hists
-            .keys()
-            .filter(|k| k.starts_with("engine/span/"))
-            .count()
-    );
 
     // --- monitoring overhead ----------------------------------------------
     let mut rows = Vec::new();

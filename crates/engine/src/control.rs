@@ -187,9 +187,6 @@ impl Engine {
             reason,
         });
         ep.node = target;
-        if let Some(svc) = ep.service_mut() {
-            svc.span = None;
-        }
         self.reinstall_flows_for(id);
         true
     }

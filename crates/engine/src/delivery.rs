@@ -12,9 +12,9 @@
 //!
 //! [`Engine::settle`] is what happens once an operator has produced its
 //! outcome for a delivered tuple — inline in the sequential loop, or merged
-//! out of a parallel batch: the span is recorded, the ingress slot released
-//! (and sensor credit re-granted), the counters updated, an error logged,
-//! outputs forwarded and control actions applied.
+//! out of a parallel batch: the ingress slot is released (and sensor credit
+//! re-granted), the counters and the operator's `proc_us` updated, an error
+//! logged, outputs forwarded and control actions applied.
 //!
 //! Both address their target by [`EndpointId`] and read what they need off
 //! its [`Endpoint`](crate::deployment::Endpoint) record; names are only
@@ -30,7 +30,6 @@ use crate::overload::preemption_victim;
 use rand::Rng;
 use sl_faults::{BreakerDecision, BreakerState, CircuitBreaker, DropReason, ShedPolicy};
 use sl_netsim::NodeId;
-use sl_obs::SpanKey;
 use sl_ops::{PriorityClass, TupleOutcome};
 use sl_stt::{Timestamp, Tuple};
 
@@ -273,31 +272,20 @@ impl Engine {
     }
 
     /// Settle one delivered tuple after its operator produced `outcome`
-    /// between wall instants `wall0` and `wall1`: record the span, release
-    /// the ingress slot, count, log an error, forward the outputs and apply
+    /// between wall instants `wall0` and `wall1`: release the ingress slot,
+    /// count and time the call, log an error, forward the outputs and apply
     /// the control actions — in this order, for the sequential loop and the
     /// parallel merge alike.
     pub(crate) fn settle(
         &mut self,
         at: Timestamp,
         service: EndpointId,
-        trace: u64,
         wall0: u64,
         wall1: u64,
         outcome: TupleOutcome,
     ) {
-        let ep = &mut self.endpoints[service.index()];
-        let Role::Service(svc) = &mut ep.role else {
+        if self.endpoints[service.index()].service().is_none() {
             return;
-        };
-        if trace != 0 {
-            let tracer = self.metrics.tracer();
-            let span = *svc.span.get_or_insert_with(|| {
-                let (deployment, operator) = &ep.names;
-                let node = ep.node.to_string();
-                tracer.slot(&SpanKey::new(deployment.as_str(), operator.as_str(), node))
-            });
-            tracer.record_at(trace, span, wall0, wall1);
         }
         self.release(at, service);
         let Some(counters) = self.counters(service) else {
@@ -406,15 +394,8 @@ impl Engine {
         self.dead_letter(now, deployment, target, tuple, reason);
     }
 
-    /// Account one loss under `reason` in the `dlq/…` counter and the
-    /// monitor's never-evicted totals — with or without a tuple to park.
-    pub(crate) fn count_dead_letter(&mut self, reason: &DropReason) {
-        let key = reason.metric_key();
-        self.metrics.counter(&format!("dlq/{key}")).inc();
-        *self.monitor.dead_letters.entry(key).or_insert(0) += 1;
-    }
-
-    /// Park a terminally undeliverable tuple in the DLQ.
+    /// Park a terminally undeliverable tuple in the DLQ, whose counters are
+    /// the only tally of it.
     pub(crate) fn dead_letter(
         &mut self,
         now: Timestamp,
@@ -423,14 +404,10 @@ impl Engine {
         tuple: Tuple,
         reason: DropReason,
     ) {
-        self.count_dead_letter(&reason);
-        if matches!(reason, DropReason::Shed { .. }) {
-            self.metrics.counter("backpressure/shed").inc();
-        }
         self.monitor.recovery.push(format!(
             "[{now}] {deployment}/{target}: tuple dead-lettered ({reason})"
         ));
-        self.dlq.push(
+        self.monitor.dlq.push(
             reason,
             DeadTuple {
                 deployment,
@@ -438,7 +415,6 @@ impl Engine {
                 tuple,
             },
         );
-        self.metrics.gauge("dlq/depth").set(self.dlq.depth() as i64);
     }
 }
 
@@ -454,6 +430,7 @@ mod tests {
     use sl_stt::{
         AttrType, Duration, Field, GeoPoint, Schema, SchemaRef, SensorId, SttMeta, Theme, Value,
     };
+    use std::collections::BTreeMap;
 
     /// Two nodes and one link, no sensors: every tuple in the engine is one
     /// a test sent from `edge` itself. Operators and sinks land on `hub`.
@@ -526,7 +503,10 @@ mod tests {
         }
 
         fn counter(&self, name: &str) -> u64 {
-            self.e.metrics.counter_value(name)
+            let snap = self.e.metrics_snapshot();
+            snap.counters
+                .get(&format!("engine/{name}"))
+                .map_or(0, |n| *n)
         }
 
         fn processed(&self, deployment: &str) -> u64 {
@@ -536,7 +516,7 @@ mod tests {
 
         fn shed(&self, policy: ShedPolicy, deployment: &str) -> u64 {
             let operator = format!("{deployment}/all");
-            self.e.dlq.count(DropReason::Shed { policy, operator })
+            self.e.dlq().count(DropReason::Shed { policy, operator })
         }
     }
 
@@ -551,7 +531,7 @@ mod tests {
         assert_eq!(r.processed("d"), 1);
         assert_eq!(r.e.monitor.sink_count("d", "out"), 1);
         assert_eq!(r.e.metrics.hist_ref("e2e/d/out_us").unwrap().count(), 1);
-        assert!(r.e.dlq.is_empty());
+        assert!(r.e.dlq().is_empty());
         // Sinks are not queued: nothing was ever counted against `out`.
         assert_eq!(r.e.depth(r.id("d", "out")), 0);
     }
@@ -575,7 +555,7 @@ mod tests {
         let waited = r.e.metrics.hist_ref("recovery/redelivery_ms").unwrap();
         assert_eq!((waited.count(), waited.max()), (1, Some(1_500)));
         assert_eq!(r.processed("d"), 1);
-        assert!(r.e.dlq.is_empty());
+        assert!(r.e.dlq().is_empty());
     }
 
     #[test]
@@ -585,7 +565,7 @@ mod tests {
         r.send("d");
         r.run(Duration::from_mins(2));
         assert_eq!(r.counter("retry/scheduled"), 6);
-        assert_eq!(r.e.dlq.count(DropReason::RetriesExhausted), 1);
+        assert_eq!(r.e.dlq().count(DropReason::RetriesExhausted), 1);
         assert_eq!(r.counter("dlq/retries_exhausted"), 1);
         assert_eq!(r.e.total_inflight(), 0);
 
@@ -594,7 +574,7 @@ mod tests {
         r.e.set_link_up(r.link, false).unwrap();
         r.send("d");
         assert_eq!(r.counter("retry/scheduled"), 0);
-        assert_eq!(r.e.dlq.count(DropReason::NoRoute), 1);
+        assert_eq!(r.e.dlq().count(DropReason::NoRoute), 1);
     }
 
     #[test]
@@ -612,9 +592,52 @@ mod tests {
         );
         assert!(log.iter().all(|l| l.contains("dead-lettered")));
         assert_eq!(
-            r.e.dlq.count(DropReason::NoRoute),
+            r.e.dlq().count(DropReason::NoRoute),
             5 * CONSOLE_CAPACITY as u64
         );
+    }
+
+    #[test]
+    fn each_dead_letter_is_tallied_once_in_the_queue() {
+        let mut r = rig(&["d"], |cfg| {
+            cfg.dlq_capacity = 4;
+            cfg.overload.queue_capacity = Some(1);
+            cfg.overload.policy = OverflowPolicy::ShedNewest;
+            cfg.retry = RetryPolicy::disabled();
+        });
+        for _ in 0..6 {
+            r.send("d"); // one admitted, five shed
+        }
+        r.e.set_link_up(r.link, false).unwrap();
+        for _ in 0..3 {
+            r.send("d"); // no route
+        }
+        let dlq = r.e.dlq();
+        assert_eq!((dlq.total(), dlq.depth()), (8, 4), "entries were evicted");
+        let snap = r.e.metrics_snapshot();
+        let tallied: BTreeMap<String, u64> = dlq
+            .by_reason()
+            .map(|(reason, n)| (format!("engine/dlq/{}", reason.metric_key()), n))
+            .collect();
+        let exported: BTreeMap<String, u64> = snap
+            .counters
+            .range("engine/dlq/".to_string()..)
+            .take_while(|(k, _)| k.starts_with("engine/dlq/"))
+            .map(|(k, n)| (k.clone(), *n))
+            .collect();
+        assert_eq!(exported, tallied);
+        assert_eq!(snap.counters["engine/backpressure/shed"], dlq.shed_total());
+        assert_eq!(snap.gauges["engine/dlq/depth"], 4);
+        let keys = snap.counters.keys().chain(snap.gauges.keys());
+        let mut keys = keys.chain(snap.hists.keys());
+        assert!(
+            !keys.any(|k| k.starts_with("op/dlq/") || k.starts_with("engine/span")),
+            "a second tally in the snapshot"
+        );
+        // The report lists lifetime totals, not what the queue still holds.
+        let report = r.e.monitor().report(r.e.now());
+        assert!(report.contains("    no_route: 3\n"), "{report}");
+        assert!(report.contains("    shed/newest/d/all: 5\n"), "{report}");
     }
 
     #[test]
@@ -635,7 +658,7 @@ mod tests {
         r.run(Duration::from_secs(1));
         assert_eq!(r.counter("breaker/fail_fast"), 2);
         assert_eq!(r.counter("retry/scheduled"), 1);
-        assert_eq!(r.e.dlq.count(DropReason::BreakerOpen), 2);
+        assert_eq!(r.e.dlq().count(DropReason::BreakerOpen), 2);
         // After the cooldown one redelivery probes the healed route.
         r.e.set_link_up(r.link, true).unwrap();
         let later = t0() + Duration::from_secs(6);
@@ -679,7 +702,7 @@ mod tests {
             r.send("d");
         }
         // The newcomer is in; the marker waits for the oldest to arrive.
-        assert!(r.e.dlq.is_empty());
+        assert!(r.e.dlq().is_empty());
         assert_eq!((r.e.depth(r.id("d", "all")), r.e.total_inflight()), (2, 2));
         r.run(Duration::from_millis(10));
         assert_eq!(r.shed(ShedPolicy::Oldest, "d"), 1);
@@ -742,10 +765,10 @@ mod tests {
         let all = r.id("d", "all");
         r.e.undeploy("d").unwrap();
         r.e.send(t0(), r.edge, all, 0, tuple(), 0, t0());
-        assert!(r.e.dlq.is_empty());
+        assert!(r.e.dlq().is_empty());
         r.e.send(t0(), r.edge, all, 0, tuple(), 3, t0());
-        assert_eq!(r.e.dlq.count(DropReason::TargetVanished), 1);
-        let (_, dead) = r.e.dlq.iter().next().unwrap();
+        assert_eq!(r.e.dlq().count(DropReason::TargetVanished), 1);
+        let (_, dead) = r.e.dlq().iter().next().unwrap();
         assert_eq!(
             (dead.deployment.as_str(), dead.target.as_str()),
             ("d", "all")

@@ -11,8 +11,8 @@
 //! record owns everything the engine knows about that delivery target: its
 //! placement, the live [`Operator`] process (with its shard replicas and
 //! latest checkpoint) or the sink kind, its resolved consumers, its circuit
-//! breaker, its backlog-migration stamp, its span slot and the monitor slot
-//! holding its counters and ingress queue state.
+//! breaker, its backlog-migration stamp and the monitor slot holding its
+//! counters and ingress queue state.
 //!
 //! **Lifetime rule: an id is never reused; events outlive deployments, ids
 //! do not.** `undeploy` retires the record ([`Role::Retired`] — only the
@@ -34,7 +34,7 @@ use sl_dataflow::Dataflow;
 use sl_dsn::SinkKind;
 use sl_faults::CircuitBreaker;
 use sl_netsim::{FlowId, NodeId, ProcessId};
-use sl_obs::{HistId, SpanSlot};
+use sl_obs::HistId;
 use sl_ops::{OpCheckpoint, Operator};
 use sl_pubsub::SubscriptionId;
 use sl_stt::{SchemaRef, SensorId, Timestamp, Tuple};
@@ -108,9 +108,6 @@ pub struct ServiceRuntime {
     /// its first tuple or tick, and a same-name redeploy continues the
     /// counters of its predecessor).
     pub counters: Option<usize>,
-    /// Tracer slot of `deployment/operator@node`, resolved by the first
-    /// traced tuple and reset when the process moves.
-    pub span: Option<SpanSlot>,
     /// Last backlog-driven re-placement (ping-pong damper).
     pub last_backlog_migration: Option<Timestamp>,
 }

@@ -37,7 +37,7 @@ use sl_netsim::{
     EventQueue, FlowTable, LoadTracker, NetError, NetStats, NodeId, QosSpec, Route, RoutingTable,
     Topology,
 };
-use sl_obs::{CounterId, GaugeId, HistId, Metrics, MetricsSnapshot, Tracer};
+use sl_obs::{CounterId, GaugeId, HistId, Metrics, MetricsSnapshot};
 use sl_ops::{CheckpointDelta, OpContext};
 use sl_pubsub::Broker;
 use sl_stt::{Duration, SchemaRef, SensorId, Timestamp, Tuple};
@@ -144,10 +144,11 @@ pub struct Engine {
     pub(crate) route_cache: HashMap<(u32, u32), Option<Route>>,
     pub(crate) config: EngineConfig,
     pub(crate) rng: StdRng,
-    /// Terminally undeliverable tuples, classified by drop reason.
-    pub(crate) dlq: DeadLetterQueue<DeadTuple>,
+    /// The last trace id handed to a tuple entering the dataflows (ids
+    /// start at 1; 0 on tuple metadata means "no trace assigned").
+    pub(crate) last_trace: u64,
     /// Engine-level instruments: event-loop timing, enrichment counters,
-    /// per-tuple spans, end-to-end latency, queue depth.
+    /// end-to-end latency, queue depth.
     pub(crate) metrics: Metrics,
     /// The hot-path instruments of `metrics`, by handle.
     pub(crate) handles: Handles,
@@ -162,8 +163,8 @@ pub struct Engine {
     /// deliveries, collected while the sources are borrowed and then sent;
     /// kept, empty, for the next emission.
     pub(crate) fanout: Vec<(usize, EndpointId, usize, Tuple)>,
-    /// Wall-clock origin for span timestamps (virtual time measures the
-    /// simulation; spans measure the host's processing cost).
+    /// Wall-clock origin for operator timings (virtual time measures the
+    /// simulation; `proc_us` measures the host's processing cost).
     epoch: std::time::Instant,
     /// The shard worker pool, spawned by the first parallel run (None while
     /// `config.parallelism <= 1`).
@@ -183,14 +184,14 @@ impl Engine {
             flows: FlowTable::new(),
             loads: LoadTracker::new(),
             net_stats: NetStats::new(),
-            monitor: Monitor::new(),
+            monitor: Monitor::with_dlq_capacity(config.dlq_capacity),
             storage: Storage::memory(),
             sensors: BTreeMap::new(),
             deployments: BTreeMap::new(),
             endpoints: Vec::new(),
             route_cache: HashMap::new(),
             rng: StdRng::seed_from_u64(config.seed),
-            dlq: DeadLetterQueue::new(config.dlq_capacity),
+            last_trace: 0,
             config,
             metrics: Metrics::new(),
             handles: Handles::default(),
@@ -243,14 +244,8 @@ impl Engine {
         &self.topology
     }
 
-    /// The span tracer: per-operator span latency histograms and the recent
-    /// completed spans (each carries the per-tuple trace id).
-    pub fn tracer(&self) -> &Tracer {
-        self.metrics.tracer_ref()
-    }
-
     /// One unified observability snapshot across every subsystem. Keys are
-    /// prefixed by origin: `engine/` (event-loop timing, enrichment, spans,
+    /// prefixed by origin: `engine/` (event-loop timing, enrichment, dead letters,
     /// queue depth), `op/` (per-operator counters and processing latency),
     /// `broker/` (pub/sub matching), `net/` (per-link transfer latency and
     /// queued bytes), `warehouse/` (ingest latency, roll-ups), `cq/`
@@ -261,6 +256,7 @@ impl Engine {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
         snap.absorb("engine", &self.metrics.snapshot());
+        snap.absorb("engine", &self.monitor.dlq_metrics());
         snap.absorb("op", &self.monitor.metrics_snapshot());
         snap.absorb("broker", &self.broker.metrics_snapshot());
         snap.absorb("net", &self.net_stats.metrics_snapshot());
@@ -421,7 +417,6 @@ impl Engine {
                     blocking,
                     consumers: Vec::new(),
                     counters: None,
-                    span: None,
                     last_backlog_migration: None,
                 });
                 let id = self.add_endpoint(
@@ -681,7 +676,7 @@ impl Engine {
     /// The dead-letter queue: terminally undeliverable tuples and the
     /// monotonic per-reason drop counters.
     pub fn dlq(&self) -> &DeadLetterQueue<DeadTuple> {
-        &self.dlq
+        &self.monitor.dlq
     }
 
     /// The active configuration (read-only).
@@ -875,7 +870,6 @@ impl Engine {
         struct Member {
             at: Timestamp,
             to: EndpointId,
-            trace: u64,
             job: Result<usize, (usize, Tuple)>,
         }
         let workers = pool.workers();
@@ -892,7 +886,6 @@ impl Engine {
                 continue; // unreachable: eligibility admits only Deliver
             };
             let home = shard_key.shard_of(&tuple, i, workers);
-            let trace = tuple.meta.trace;
             let job = *job_index.entry((to, home)).or_insert_with(|| {
                 let svc = self.endpoints.get_mut(to.index())?.service_mut()?;
                 let op = svc.replicas.pop().or_else(|| svc.op.replicate())?;
@@ -912,7 +905,7 @@ impl Engine {
                 }
                 None => Err((port, tuple)),
             };
-            members.push(Member { at, to, trace, job });
+            members.push(Member { at, to, job });
         }
 
         // Submit every job, then block until all report back (the barrier).
@@ -983,7 +976,7 @@ impl Engine {
             .add(steals.saturating_sub(self.monitor.steals));
         self.monitor.steals = steals;
 
-        // Merge in drained order: counters, spans, forwards and controls
+        // Merge in drained order: counters, forwards and controls
         // fire exactly as the sequential loop would have fired them.
         for m in members {
             let job = match m.job {
@@ -1005,7 +998,7 @@ impl Engine {
                 continue;
             };
             self.record_ev(EvKind::Deliver, wall1.saturating_sub(wall0));
-            self.settle(m.at, m.to, m.trace, wall0, wall1, outcome);
+            self.settle(m.at, m.to, wall0, wall1, outcome);
         }
     }
 
@@ -1106,13 +1099,12 @@ impl Engine {
         if let Some(policy) = condemned {
             return self.shed(now, to, tuple, policy);
         }
-        let trace = tuple.meta.trace;
         let out = std::mem::take(&mut self.emit_buf);
         let (outcome, wall0, wall1) = invoke(&mut *svc.op, port, now, tuple, out, self.epoch);
         // Log what a blocking operator absorbed, so a node crash can restore
         // the cache on the recovery placement.
         self.checkpoint(to);
-        self.settle(now, to, trace, wall0, wall1, outcome);
+        self.settle(now, to, wall0, wall1, outcome);
     }
 
     fn on_tick(&mut self, now: Timestamp, service: EndpointId) {
@@ -1344,6 +1336,44 @@ mod tests {
         assert_eq!(e.source_active("gated", "rain"), Some(true));
         assert!(!e.monitor().controls.is_empty());
         assert!(e.monitor().op("gated", "wet").unwrap().tuples_in() > 0);
+    }
+
+    #[test]
+    fn the_control_history_stays_bounded_however_often_a_trigger_fires() {
+        let rain_schema: SchemaRef = Schema::new(vec![Field::new("rain", AttrType::Float)])
+            .unwrap()
+            .into_ref();
+        let df = DataflowBuilder::new("gated")
+            .source(
+                "temp",
+                SubscriptionFilter::any().with_theme(Theme::new("weather/temperature").unwrap()),
+                temp_schema(),
+            )
+            .gated_source(
+                "rain",
+                SubscriptionFilter::any().with_theme(Theme::new("weather/rain").unwrap()),
+                rain_schema,
+            )
+            .trigger_on(
+                "always",
+                "temp",
+                Duration::from_secs(10),
+                "temperature > -100",
+                &["rain"],
+            )
+            .sink("out", SinkKind::Console, &["rain"])
+            .build()
+            .unwrap();
+        let mut e = engine();
+        e.add_sensor(temp_sensor(1, 3)).unwrap();
+        e.deploy(df).unwrap();
+        // One reading per trigger period, so (nearly) every period fires.
+        e.run_for(Duration::from_secs(10 * 5 * CONSOLE_CAPACITY as u64));
+        let controls = e.monitor().controls.len();
+        assert!(
+            (CONSOLE_CAPACITY..=2 * CONSOLE_CAPACITY).contains(&controls),
+            "{controls} control records"
+        );
     }
 
     #[test]
@@ -1922,22 +1952,20 @@ mod tests {
             snap.hists["op/d/all/proc_us"].count,
             snap.counters["op/d/all/tuples_in"]
         );
-        // Engine-level instruments: loop timing, spans, queue depth gauge.
+        // Engine-level instruments: loop timing, queue depth gauge.
         assert!(snap.hists["engine/ev/deliver_us"].count > 0);
-        assert!(snap.counters["engine/spans_completed"] > 0);
         assert!(snap.gauges.contains_key("engine/event_queue_depth"));
-        // Span histograms are keyed deployment/operator@node.
-        assert!(snap
-            .hists
-            .keys()
-            .any(|k| k.starts_with("engine/span/d/all@node#")));
         // Broker and network sections present.
         assert_eq!(snap.counters["broker/subscribes"], 1);
         assert!(snap.counters["net/total_msgs"] > 0);
-        // Each tuple got a distinct trace id; spans recorded against them.
-        assert!(e.tracer().completed_spans() > 0);
-        let last = e.tracer().recent_spans().last().unwrap();
-        assert!(last.trace > 0);
+        // Each tuple got a trace id of its own, in arrival order.
+        let traces: Vec<u64> = e
+            .recent_samples("d", "temp")
+            .iter()
+            .map(|t| t.meta.trace)
+            .collect();
+        assert!(traces.len() > 1 && traces[0] > 0, "{traces:?}");
+        assert!(traces.windows(2).all(|w| w[0] < w[1]), "{traces:?}");
         // The whole snapshot survives a JSON round trip.
         let parsed = sl_obs::MetricsSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(parsed, snap);

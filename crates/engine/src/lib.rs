@@ -23,8 +23,8 @@
 //! * the **reactive layer**: Trigger operators' control actions activate and
 //!   deactivate source acquisition at run time,
 //! * the **monitor** ([`monitor::Monitor`]): per-operator tuples/sec, node
-//!   workload, placement changes, and the migration engine that moves
-//!   processes off overloaded nodes,
+//!   workload, placement changes, the dead-letter queue, and the migration
+//!   engine that moves processes off overloaded nodes,
 //! * the **recovery layer** (`sl-faults`): scheduled [`FaultPlan`]s, retried
 //!   delivery with a dead-letter queue, the sensor liveness watchdog, and
 //!   checkpoint/restore of blocking-operator state across node crashes

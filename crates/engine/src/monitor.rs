@@ -7,7 +7,9 @@
 //! point for all of it.
 
 use crate::config::CONSOLE_CAPACITY;
+use crate::engine::DeadTuple;
 use crate::overload::IngressState;
+use sl_faults::DeadLetterQueue;
 use sl_netsim::{NodeId, TimeSeries};
 use sl_obs::{Counter, HistSummary, Histogram, MetricsSnapshot};
 use sl_ops::ControlAction;
@@ -106,34 +108,40 @@ pub struct ControlRecord {
     pub action: ControlAction,
 }
 
-/// A monitor log that keeps at least its last [`CONSOLE_CAPACITY`] lines:
-/// at twice that the older half goes, so a line costs amortised O(1) and a
-/// run of any length holds a bounded log. Reads as a slice, oldest first.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Log(Vec<String>);
+/// A monitor log that keeps at least its last [`CONSOLE_CAPACITY`] entries:
+/// at twice that the older half goes, so an entry costs amortised O(1) and
+/// a run of any length holds a bounded log. Reads as a slice, oldest first.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Log<T = String>(Vec<T>);
 
-impl Log {
-    /// Append a line, first dropping all but the newest
-    /// [`CONSOLE_CAPACITY`] if the log is full.
-    pub fn push(&mut self, line: String) {
-        if self.0.len() >= 2 * CONSOLE_CAPACITY {
-            self.0.drain(..self.0.len() - CONSOLE_CAPACITY);
-        }
-        self.0.push(line);
+impl<T> Default for Log<T> {
+    fn default() -> Self {
+        Log(Vec::new())
     }
 }
 
-impl Deref for Log {
-    type Target = [String];
+impl<T> Log<T> {
+    /// Append an entry, first dropping all but the newest
+    /// [`CONSOLE_CAPACITY`] if the log is full.
+    pub fn push(&mut self, entry: T) {
+        if self.0.len() >= 2 * CONSOLE_CAPACITY {
+            self.0.drain(..self.0.len() - CONSOLE_CAPACITY);
+        }
+        self.0.push(entry);
+    }
+}
 
-    fn deref(&self) -> &[String] {
+impl<T> Deref for Log<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
         &self.0
     }
 }
 
-impl<'a> IntoIterator for &'a Log {
-    type Item = &'a String;
-    type IntoIter = std::slice::Iter<'a, String>;
+impl<'a, T> IntoIterator for &'a Log<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.0.iter()
@@ -185,16 +193,16 @@ impl<T: Default> Slots<T> {
 pub struct Monitor {
     /// Per-operator counters.
     ops: Slots<OpCounters>,
-    /// Placement history, oldest first.
-    pub placements: Vec<PlacementChange>,
+    /// Placement history, oldest first (a bounded [`Log`], like every log
+    /// below).
+    pub placements: Log<PlacementChange>,
     /// Control-action history.
-    pub controls: Vec<ControlRecord>,
+    pub controls: Log<ControlRecord>,
     /// Console-sink output (capped by the engine).
     pub console: Vec<String>,
     /// Tuples delivered to each sink.
     sink_counts: Slots<u64>,
-    /// Sensor join/leave log lines (a bounded [`Log`], like every log
-    /// below).
+    /// Sensor join/leave log lines.
     pub membership: Log,
     /// Fault-recovery log lines (dead letters, crash recoveries, liveness
     /// expiries, ...).
@@ -209,9 +217,10 @@ pub struct Monitor {
     /// Overload-control log lines (credit revocations, breaker state
     /// transitions, burst actuations, backlog migrations).
     pub pressure: Log,
-    /// Dead-letter totals per detailed drop reason (`shed/oldest/d/hot`,
-    /// `no_route`, `breaker_open`, ...). Never evicted, unlike DLQ entries.
-    pub dead_letters: BTreeMap<String, u64>,
+    /// Terminally undeliverable tuples, classified by drop reason. Its
+    /// per-reason counters are the only dead-letter totals: the report and
+    /// the `dlq/*` metrics are read off them.
+    pub(crate) dlq: DeadLetterQueue<DeadTuple>,
     /// Continuous-query log lines (retention evictions, subscribers
     /// falling behind / catching up).
     pub continuous: Log,
@@ -255,6 +264,15 @@ impl Monitor {
     /// Fresh monitor.
     pub fn new() -> Monitor {
         Monitor::default()
+    }
+
+    /// Fresh monitor whose dead-letter queue retains at most `capacity`
+    /// entries.
+    pub(crate) fn with_dlq_capacity(capacity: usize) -> Monitor {
+        Monitor {
+            dlq: DeadLetterQueue::new(capacity),
+            ..Monitor::default()
+        }
     }
 
     /// The slot of one operator's counters (created on first touch), for
@@ -425,9 +443,10 @@ impl Monitor {
                 let _ = writeln!(out, "    {line}");
             }
         }
-        if !self.dead_letters.is_empty() {
+        let dead_letters = self.dead_letter_totals();
+        if !dead_letters.is_empty() {
             let _ = writeln!(out, "  dead letters:");
-            for (reason, n) in &self.dead_letters {
+            for (reason, n) in &dead_letters {
                 let _ = writeln!(out, "    {reason}: {n}");
             }
         }
@@ -484,8 +503,33 @@ impl Monitor {
             snap.counters
                 .insert(format!("{dep}/{sink}/sink_tuples"), *n);
         }
-        for (reason, n) in &self.dead_letters {
-            snap.counters.insert(format!("dlq/{reason}"), *n);
+        snap
+    }
+
+    /// Lifetime dead-letter totals by detailed reason (`no_route`,
+    /// `shed/oldest/d/hot`, ...), evicted entries included.
+    fn dead_letter_totals(&self) -> BTreeMap<String, u64> {
+        self.dlq
+            .by_reason()
+            .map(|(reason, n)| (reason.metric_key(), n))
+            .collect()
+    }
+
+    /// The dead-letter queue's instruments, rendered from it now:
+    /// `dlq/<reason>` totals, the `backpressure/shed` total and the
+    /// `dlq/depth` gauge, each present once it is non-zero.
+    pub(crate) fn dlq_metrics(&self) -> MetricsSnapshot {
+        let mut snap = MetricsSnapshot::new();
+        for (reason, n) in self.dead_letter_totals() {
+            snap.counters.insert(format!("dlq/{reason}"), n);
+        }
+        let shed = self.dlq.shed_total();
+        if shed > 0 {
+            snap.counters.insert("backpressure/shed".into(), shed);
+        }
+        let depth = self.dlq.depth();
+        if depth > 0 {
+            snap.gauges.insert("dlq/depth".into(), depth as i64);
         }
         snap
     }
@@ -494,6 +538,14 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sl_faults::{DropReason, ShedPolicy};
+
+    fn shed(policy: ShedPolicy) -> DropReason {
+        DropReason::Shed {
+            policy,
+            operator: "d/hot".into(),
+        }
+    }
 
     impl Monitor {
         fn op_mut(&mut self, deployment: &str, operator: &str) -> &mut OpCounters {
@@ -626,15 +678,20 @@ mod tests {
         let mut m = Monitor::new();
         m.pressure
             .push("[1970-01-01] credit revoked for sensor 'rain'".into());
-        *m.dead_letters
-            .entry("shed/oldest/d/hot".into())
-            .or_insert(0) += 3;
-        *m.dead_letters.entry("no_route".into()).or_insert(0) += 1;
+        for _ in 0..3 {
+            m.dlq.note(shed(ShedPolicy::Oldest));
+        }
+        m.dlq.note(DropReason::NoRoute);
+        m.dlq.note(DropReason::BreakerOpen);
         let r = m.report(Timestamp::from_secs(1));
         assert!(r.contains("pressure (last 10):"), "{r}");
         assert!(r.contains("credit revoked for sensor 'rain'"), "{r}");
         assert!(r.contains("shed/oldest/d/hot: 3"), "{r}");
         assert!(r.contains("no_route: 1"), "{r}");
+        // Lines come in metric-key order, not in the reasons' order.
+        let at = |line: &str| r.find(line).unwrap();
+        assert!(at("breaker_open: 1") < at("no_route: 1"), "{r}");
+        assert!(at("no_route: 1") < at("shed/oldest/d/hot: 3"), "{r}");
         // Empty sections are omitted entirely.
         let empty = Monitor::new().report(Timestamp::from_secs(1));
         assert!(!empty.contains("pressure"));
@@ -644,11 +701,15 @@ mod tests {
     #[test]
     fn metrics_snapshot_exports_dead_letter_taxonomy() {
         let mut m = Monitor::new();
-        *m.dead_letters
-            .entry("shed/priority/d/hot".into())
-            .or_insert(0) += 2;
-        let snap = m.metrics_snapshot();
+        m.dlq.note(shed(ShedPolicy::Priority));
+        m.dlq.note(shed(ShedPolicy::Priority));
+        let snap = m.dlq_metrics();
         assert_eq!(snap.counters["dlq/shed/priority/d/hot"], 2);
+        assert_eq!(snap.counters["backpressure/shed"], 2);
+        // Nothing is retained, so there is no depth to report.
+        assert!(snap.gauges.is_empty());
+        // Each total is exported once: not again beside the operators.
+        assert!(m.metrics_snapshot().counters.is_empty());
     }
 
     #[test]

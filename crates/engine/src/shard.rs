@@ -179,7 +179,7 @@ pub struct ShardPool {
 
 impl ShardPool {
     /// Spawn a pool of `workers` threads measuring wall time against
-    /// `epoch` (the engine's span origin, so shard timings line up with the
+    /// `epoch` (the engine's wall-clock origin, so shard timings line up with the
     /// rest of the observability layer).
     pub fn new(workers: usize, epoch: Instant) -> ShardPool {
         let workers = workers.max(1);

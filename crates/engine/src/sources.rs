@@ -404,9 +404,9 @@ impl Engine {
             };
             self.metrics.counter("faults/skewed_tuples").inc();
         }
-        // Every tuple entering the dataflows gets a trace id; spans recorded
-        // downstream are keyed by it.
-        tuple.meta.trace = self.metrics.tracer().next_trace_id();
+        // Every tuple entering the dataflows gets the next trace id.
+        self.last_trace += 1;
+        tuple.meta.trace = self.last_trace;
 
         // Fan out to every active bound source, in (deployment, source,
         // consumer install) order.

@@ -154,8 +154,7 @@ impl Engine {
             // The torn tail held records that were appended but never made
             // stable; they are gone by design (only fsynced bytes are
             // promised). Account the loss in the drop taxonomy.
-            engine.count_dead_letter(&DropReason::TornTail);
-            engine.dlq.note(DropReason::TornTail);
+            engine.monitor.dlq.note(DropReason::TornTail);
             engine.monitor.durability.push(format!(
                 "[{start}] recovery truncated a torn tail: {} bytes, {} segments dropped",
                 report.truncated_bytes, report.dropped_segments

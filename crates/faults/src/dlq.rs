@@ -169,6 +169,13 @@ pub struct DeadLetterQueue<T> {
     evicted: u64,
 }
 
+impl<T> Default for DeadLetterQueue<T> {
+    /// A queue retaining at most 256 entries.
+    fn default() -> Self {
+        DeadLetterQueue::new(256)
+    }
+}
+
 impl<T> DeadLetterQueue<T> {
     /// A queue retaining at most `capacity` entries.
     pub fn new(capacity: usize) -> DeadLetterQueue<T> {

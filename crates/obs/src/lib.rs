@@ -2,9 +2,7 @@
 //!
 //! Std-only (zero-dependency) observability primitives for the StreamLoader
 //! reproduction: fixed-bucket latency [`Histogram`]s with p50/p95/p99/max,
-//! monotonic [`Counter`]s and point-in-time [`Gauge`]s, a lightweight span
-//! API ([`Tracer::record`]) keyed by deployment/operator/node with
-//! per-tuple trace ids, and a
+//! monotonic [`Counter`]s and point-in-time [`Gauge`]s, and a
 //! [`MetricsSnapshot`] that serializes to JSON (and back) and renders as a
 //! human-readable table.
 //!
@@ -16,7 +14,7 @@
 //! ## Example
 //!
 //! ```
-//! use sl_obs::{Metrics, MetricsSnapshot, SpanKey};
+//! use sl_obs::{Metrics, MetricsSnapshot};
 //!
 //! let mut m = Metrics::new();
 //!
@@ -25,12 +23,6 @@
 //! m.gauge("event_queue_depth").set(2);
 //! m.hist("proc_us").record(120);
 //! m.hist("proc_us").record(480);
-//!
-//! // A span: one tuple's residence inside one operator instance.
-//! let trace = m.tracer().next_trace_id();
-//! let key = SpanKey::new("osaka-hot-weather", "hourly_avg", "n2");
-//! let took = m.tracer().record(trace, &key, 1_000, 1_350);
-//! assert_eq!(took, 350);
 //!
 //! // Freeze, export, and re-import.
 //! let snap = m.snapshot();
@@ -47,13 +39,11 @@ pub mod hist;
 pub mod json;
 pub mod metric;
 pub mod snapshot;
-pub mod span;
 pub mod text;
 
 pub use hist::Histogram;
 pub use metric::{Counter, Gauge};
 pub use snapshot::{HistSummary, MetricsSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
-pub use span::{SpanKey, SpanRecord, SpanSlot, Tracer};
 
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -62,9 +52,7 @@ use std::time::Instant;
 ///
 /// Instruments are created on first use ([`Metrics::counter`],
 /// [`Metrics::gauge`], [`Metrics::hist`]) and frozen into a
-/// [`MetricsSnapshot`] with [`Metrics::snapshot`]. Completed spans from the
-/// embedded [`Tracer`] appear in the snapshot as `span/<dep>/<op>@<node>`
-/// histograms.
+/// [`MetricsSnapshot`] with [`Metrics::snapshot`].
 ///
 /// Each kind lives in one slot vector behind its name index. A hot path
 /// resolves a name once ([`Metrics::hist_id`], …) and then reaches the
@@ -78,7 +66,6 @@ pub struct Metrics {
     counters: Slots<Counter>,
     gauges: Slots<Gauge>,
     hists: Slots<Histogram>,
-    tracer: Tracer,
 }
 
 /// Handle of a counter in one [`Metrics`] (from [`Metrics::counter_id`]).
@@ -148,17 +135,6 @@ impl Metrics {
         self.hist_at(id)
     }
 
-    /// The embedded span tracer.
-    pub fn tracer(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
-    /// Read-only view of the embedded span tracer.
-    #[must_use]
-    pub fn tracer_ref(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// Current value of a counter, 0 if it was never touched.
     #[must_use]
     pub fn counter_value(&self, name: &str) -> u64 {
@@ -177,8 +153,7 @@ impl Metrics {
         self.hists.get(name)
     }
 
-    /// Freeze every instrument (including per-span-key histograms) into a
-    /// serializable snapshot.
+    /// Freeze every instrument into a serializable snapshot.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
@@ -190,13 +165,6 @@ impl Metrics {
         }
         for (name, h) in self.hists.iter() {
             snap.hists.insert(name.clone(), HistSummary::of(h));
-        }
-        for (key, h) in self.tracer.histograms() {
-            snap.hists.insert(format!("span/{key}"), HistSummary::of(h));
-        }
-        if self.tracer.completed_spans() > 0 {
-            snap.counters
-                .insert("spans_completed".into(), self.tracer.completed_spans());
         }
         snap
     }
@@ -278,18 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_includes_span_histograms_and_span_counters() {
-        let mut m = Metrics::new();
-        let key = SpanKey::new("d", "op", "n1");
-        let t = m.tracer().next_trace_id();
-        m.tracer().record(t, &key, 100, 150);
-        let snap = m.snapshot();
-        assert_eq!(snap.hists["span/d/op@n1"].count, 1);
-        assert_eq!(snap.hists["span/d/op@n1"].max, 50);
-        assert_eq!(snap.counters["spans_completed"], 1);
-    }
-
-    #[test]
     fn snapshot_of_registry_round_trips_through_json() {
         let mut m = Metrics::new();
         m.counter("a/b").add(5);
@@ -304,16 +260,13 @@ mod tests {
     fn handles_and_names_address_one_storage() {
         // The same work, once by name and once through handles resolved
         // where each instrument is first used.
-        let key = SpanKey::new("d", "op", "n1");
         let mut by_name = Metrics::new();
         let mut by_handle = Metrics::new();
-        let (mut c, mut g, mut h, mut s) = (None, None, None, None);
+        let (mut c, mut g, mut h) = (None, None, None);
         for i in 0..5u64 {
             by_name.counter("z/hits").add(i);
             by_name.gauge("a/depth").set(i as i64 - 2);
             by_name.hist("m/lat_us").record(i * 100);
-            let t = by_name.tracer().next_trace_id();
-            by_name.tracer().record(t, &key, i, 3 * i);
 
             let id = *c.get_or_insert_with(|| by_handle.counter_id("z/hits"));
             by_handle.counter_at(id).add(i);
@@ -321,9 +274,6 @@ mod tests {
             by_handle.gauge_at(id).set(i as i64 - 2);
             let id = *h.get_or_insert_with(|| by_handle.hist_id("m/lat_us"));
             by_handle.hist_at(id).record(i * 100);
-            let t = by_handle.tracer().next_trace_id();
-            let slot = *s.get_or_insert_with(|| by_handle.tracer().slot(&key));
-            by_handle.tracer().record_at(t, slot, i, 3 * i);
         }
         // Mixed: a handle and a name reach the same instrument.
         by_name.counter("b/mixed").add(2);

@@ -7,7 +7,8 @@
 #   scripts/check.sh          # everything: fast tier + the panic-ban
 #                             # guard, the lint and
 #                             # example gates, the checkpoint, text,
-#                             # cube-key and removed-switch owner greps,
+#                             # cube-key, removed-switch and
+#                             # count-once owner greps,
 #                             # the recovery and dashboard examples, and the
 #                             # benchmark/ package's build, smoke and own
 #                             # tests, then the smoke's output digests
@@ -149,6 +150,16 @@ fi
 if grep -rnE 'liveness_enabled|retry_enabled|checkpoint_enabled|UncheckpointedState' \
     crates src examples tests; then
     echo "check.sh: a removed engine switch or SL070 is named above" >&2
+    exit 1
+fi
+
+# Owner grep: count each thing once. An operator call is timed only in
+# `op/<dep>/<op>/proc_us` (there is no span tracer), and a dead letter is
+# tallied only in the monitor's `DeadLetterQueue`, whose counters the
+# `engine/dlq/*` keys and the report are read off.
+if grep -rnE 'Tracer|SpanKey|SpanSlot|SpanRecord|spans_completed|\.dead_letters|counter\(&format!\("dlq/' \
+    crates src examples tests; then
+    echo "check.sh: a span tracer or a second dead-letter tally is named above" >&2
     exit 1
 fi
 
