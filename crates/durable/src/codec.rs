@@ -26,6 +26,7 @@ use sl_stt::{
     TemporalGranularity, Theme, Timestamp, Tuple, Unit, Value,
 };
 use std::collections::HashMap;
+use std::io::Write;
 
 /// On-disk format version, stamped into every segment header.
 pub const CODEC_VERSION: u8 = 1;
@@ -142,23 +143,30 @@ impl Record {
     /// Encode into a frame payload (kind tag + body). The caller wraps this
     /// in the `[len][payload][crc]` frame.
     pub fn encode(&self) -> Vec<u8> {
+        let mut w = Vec::with_capacity(64);
+        self.encode_into(&mut w);
+        w
+    }
+
+    /// [`Record::encode`], appended to `w`: a writer of many records reuses
+    /// one buffer for all of them.
+    pub(crate) fn encode_into(&self, w: &mut Vec<u8>) {
         match self {
-            Record::Event(e) => encode_event(e),
+            Record::Event(e) => put_event_payload(w, e),
             Record::Checkpoint {
                 deployment,
                 service,
                 state,
-            } => encode_checkpoint(deployment, service, &state.tuples),
+            } => put_checkpoint_payload(w, deployment, service, &state.tuples),
             Record::CheckpointDelta {
                 deployment,
                 service,
                 evicted,
                 appended,
-            } => encode_checkpoint_delta(deployment, service, *evicted, appended),
+            } => put_checkpoint_delta_payload(w, deployment, service, *evicted, appended),
             Record::Horizon(t) => {
-                let mut w = vec![KIND_HORIZON];
-                put_i64(&mut w, t.as_millis());
-                w
+                w.push(KIND_HORIZON);
+                put_i64(w, t.as_millis());
             }
         }
     }
@@ -202,8 +210,7 @@ pub struct ThemeTable {
 /// writes what it is about to keep without cloning it into a [`Record`].
 pub(crate) fn encode_event(e: &Event) -> Vec<u8> {
     let mut w = Vec::with_capacity(64);
-    w.push(KIND_EVENT);
-    put_event(&mut w, e);
+    put_event_payload(&mut w, e);
     w
 }
 
@@ -214,10 +221,7 @@ pub(crate) fn encode_checkpoint(
     tuples: &[(usize, Tuple)],
 ) -> Vec<u8> {
     let mut w = Vec::with_capacity(64);
-    w.push(KIND_CHECKPOINT);
-    put_str(&mut w, deployment);
-    put_str(&mut w, service);
-    put_checkpoint(&mut w, tuples);
+    put_checkpoint_payload(&mut w, deployment, service, tuples);
     w
 }
 
@@ -229,12 +233,39 @@ pub(crate) fn encode_checkpoint_delta(
     appended: &[(usize, Tuple)],
 ) -> Vec<u8> {
     let mut w = Vec::with_capacity(64);
-    w.push(KIND_CHECKPOINT_DELTA);
-    put_str(&mut w, deployment);
-    put_str(&mut w, service);
-    put_u32(&mut w, evicted as u32);
-    put_checkpoint(&mut w, appended);
+    put_checkpoint_delta_payload(&mut w, deployment, service, evicted, appended);
     w
+}
+
+fn put_event_payload(w: &mut Vec<u8>, e: &Event) {
+    w.push(KIND_EVENT);
+    put_event(w, e);
+}
+
+fn put_checkpoint_payload(
+    w: &mut Vec<u8>,
+    deployment: &str,
+    service: &str,
+    tuples: &[(usize, Tuple)],
+) {
+    w.push(KIND_CHECKPOINT);
+    put_str(w, deployment);
+    put_str(w, service);
+    put_checkpoint(w, tuples);
+}
+
+fn put_checkpoint_delta_payload(
+    w: &mut Vec<u8>,
+    deployment: &str,
+    service: &str,
+    evicted: usize,
+    appended: &[(usize, Tuple)],
+) {
+    w.push(KIND_CHECKPOINT_DELTA);
+    put_str(w, deployment);
+    put_str(w, service);
+    put_u32(w, evicted as u32);
+    put_checkpoint(w, appended);
 }
 
 // ---------------------------------------------------------------------------
@@ -726,10 +757,18 @@ fn get_checkpoint(r: &mut Reader<'_>) -> Option<OpCheckpoint> {
 /// Wrap an encoded payload into an on-disk frame: `[len][payload][crc]`.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    // Writing into a `Vec` cannot fail.
+    let _ = write_frame(&mut out, payload);
     out
+}
+
+/// Write the frame of `payload` to `w` without building it first. Returns
+/// its size on disk.
+pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<u64> {
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(payload)?;
+    w.write_all(&crc32(payload).to_le_bytes())?;
+    Ok(payload.len() as u64 + 8)
 }
 
 /// Outcome of pulling one frame off a byte slice.

@@ -32,6 +32,14 @@
 //! it is testable without touching a disk; [`crate::DurableWarehouse`]
 //! executes the plan (it owns the horizon markers that decide coldness) and
 //! [`crate::SegmentLog`] performs the crash-safe file replacement.
+//!
+//! A merge costs memory per block, not per run. It walks its run twice
+//! through one reused block buffer: the first pass decodes every frame
+//! (so a damaged input fails the merge before anything is written) and
+//! keeps only each checkpoint key's fold from its last base on; the second
+//! applies the drop rules above and writes each survivor straight into the
+//! product's temporary file through a bounded write buffer, building the
+//! product's index as it goes. The run itself is never held in memory.
 
 use sl_stt::Duration;
 

@@ -20,9 +20,10 @@
 //! Like the time index it lives in memory only and is rebuilt by the
 //! recovery scan, so every segment is exactly one file.
 //!
-//! The replacement itself is crash-safe: the product is written under a
-//! temporary name, fsynced, renamed into place, and only then are the
-//! input segments deleted. [`SegmentLog::open`] finishes whatever a crash
+//! The replacement itself is crash-safe: the product is streamed into a
+//! temporary file through a bounded buffer, fsynced, renamed into place,
+//! and only then are the input segments deleted; a merge that fails before
+//! the rename deletes its temporary file. [`SegmentLog::open`] finishes whatever a crash
 //! interrupted — stray `.tmp` files are removed (as are the `.szi` zone
 //! index files earlier versions wrote beside compacted segments), and when
 //! both a product and its inputs survive, the product wins if it verifies
@@ -48,14 +49,14 @@
 //! `OnSeal` only guarantees sealed segments. The fsync latency histogram
 //! and byte counters are exported through [`SegmentLog::metrics_snapshot`].
 
-use crate::codec::{frame, read_frame, FrameRead, Record, ThemeTable, CODEC_VERSION};
+use crate::codec::{frame, read_frame, write_frame, FrameRead, Record, ThemeTable, CODEC_VERSION};
 use crate::compact::{CompactionPolicy, SegmentMeta};
 use crate::error::DurableError;
 use crate::index::{Pruner, ThemeFilter};
 use sl_obs::{Metrics, MetricsSnapshot, Stopwatch};
 use sl_stt::{Event, Theme, TimeInterval};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of every segment file.
@@ -654,7 +655,10 @@ impl SegmentLog {
                 pruned += 1;
                 continue;
             }
-            bytes_read += reader.scan_segment(seg, pruner, visit)?;
+            bytes_read += reader.scan_segment(seg, pruner, &mut |pos, rec| {
+                visit(pos, rec);
+                Ok(())
+            })?;
             scanned += 1;
         }
         self.metrics.counter("bytes_read").add(bytes_read);
@@ -665,22 +669,25 @@ impl SegmentLog {
         Ok(())
     }
 
-    /// Decode every record of the segments covering numbers
-    /// `first..=last`, in append order (the read half of compaction).
-    pub(crate) fn read_range(
-        &mut self,
+    /// Hand every record of the segments covering numbers `first..=last` to
+    /// `visit`, in append order, through one reused block buffer: each
+    /// frame is verified and decoded, so the first damaged frame in log
+    /// order fails the walk. Stops at the first error `visit` returns. (The
+    /// read half of compaction, which walks its run twice.)
+    pub(crate) fn scan_range(
+        &self,
         first: u32,
         last: u32,
-    ) -> Result<Vec<(LogPos, Record)>, DurableError> {
-        let mut out = Vec::new();
+        visit: &mut impl FnMut(LogPos, Record) -> Result<(), DurableError>,
+    ) -> Result<(), DurableError> {
         let all = Pruner::keep_all();
         let mut reader = BlockReader::default();
         for seg in &self.segments {
             if seg.number >= first && seg.last <= last {
-                reader.scan_segment(seg, &all, &mut |pos, rec| out.push((pos, rec)))?;
+                reader.scan_segment(seg, &all, visit)?;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// On-disk bytes of the segments covering numbers `first..=last`.
@@ -692,19 +699,9 @@ impl SegmentLog {
             .sum()
     }
 
-    /// Atomically replace the sealed segments covering `first..=last` with
-    /// one generation-`generation` segment holding `records` (renumbered
-    /// `0..n`). Crash-safe: the product is written under a temporary name,
-    /// fsynced, renamed into place, and only then are the inputs deleted —
-    /// [`SegmentLog::open`] finishes either half of an interrupted
-    /// replacement. Returns the product's size in bytes.
-    pub(crate) fn replace_segments(
-        &mut self,
-        first: u32,
-        last: u32,
-        generation: u32,
-        records: &[Record],
-    ) -> Result<u64, DurableError> {
+    /// Indices in `segments` of the sealed segments covering exactly
+    /// `first..=last`.
+    fn sealed_range(&self, first: u32, last: u32) -> Result<(usize, usize), DurableError> {
         let start = self
             .segments
             .iter()
@@ -722,28 +719,53 @@ impl SegmentLog {
                 "replace: range must cover sealed segments only",
             ));
         }
+        Ok((start, end))
+    }
 
-        // Encode the product and build its index in one pass.
+    /// Start the generation-`generation` product that will replace the
+    /// sealed segments covering `first..=last`: an empty file under the
+    /// product's temporary name, which [`ProductWriter::push`] fills and
+    /// [`SegmentLog::publish`] puts in place of the inputs.
+    pub(crate) fn start_product(
+        &self,
+        first: u32,
+        last: u32,
+        generation: u32,
+    ) -> Result<ProductWriter, DurableError> {
+        self.sealed_range(first, last)?;
         let path = gen_segment_path(&self.config.dir, first, last, generation);
-        let mut seg = Segment::fresh_span(first, last, generation, path.clone());
-        let mut buf: Vec<u8> = header_bytes().to_vec();
-        for rec in records {
-            let framed = frame(&rec.encode());
-            seg.note_frame(
-                framed.len() as u64,
-                record_time(rec),
-                record_theme(rec),
-                self.config.index_every,
-            );
-            buf.extend_from_slice(&framed);
-        }
+        let tmp = tmp_path(&path);
+        let file = File::create(&tmp)?;
+        let mut product = ProductWriter {
+            seg: Segment::fresh_span(first, last, generation, path),
+            out: BufWriter::with_capacity(PRODUCT_BUFFER_BYTES, file),
+            tmp: Unpublished(tmp),
+            index_every: self.config.index_every,
+            payload: Vec::new(),
+        };
+        product.out.write_all(&header_bytes())?;
+        Ok(product)
+    }
 
-        // 1. Write the product under a temporary name, fsynced.
-        let product_tmp = tmp_path(&path);
-        write_file_synced(&product_tmp, &buf)?;
+    /// Atomically replace the sealed segments `product` covers with it.
+    /// Crash-safe: the product, written under a temporary name, is
+    /// fsynced, renamed into place, and only then are the inputs deleted —
+    /// [`SegmentLog::open`] finishes either half of an interrupted
+    /// replacement. Returns the product's size in bytes.
+    pub(crate) fn publish(&mut self, product: ProductWriter) -> Result<u64, DurableError> {
+        let ProductWriter {
+            seg, mut out, tmp, ..
+        } = product;
+        let (first, last) = (seg.number, seg.last);
+        let (start, end) = self.sealed_range(first, last)?;
+
+        // 1. The product is complete under its temporary name: fsync it.
+        out.flush()?;
+        out.get_ref().sync_all()?;
+        drop(out);
 
         // 2. Publish: rename into place, persist the directory entry.
-        fs::rename(&product_tmp, &path)?;
+        fs::rename(&tmp.0, &seg.path)?;
         sync_dir(&self.config.dir);
 
         // 3. Retire the inputs (recovery resolves the overlap if we crash
@@ -799,6 +821,54 @@ impl SegmentLog {
     }
 }
 
+/// Write buffer of a compaction product: the most of it a merge holds in
+/// memory, whatever the size of its run.
+const PRODUCT_BUFFER_BYTES: usize = 64 * 1024;
+
+/// A compaction product being written under its temporary name (see
+/// [`SegmentLog::start_product`]): each pushed record is encoded into one
+/// reused buffer and framed through a bounded buffered writer, and the
+/// product's index blocks and theme filters grow with it.
+pub(crate) struct ProductWriter {
+    seg: Segment,
+    out: BufWriter<File>,
+    tmp: Unpublished,
+    index_every: u32,
+    payload: Vec<u8>,
+}
+
+impl ProductWriter {
+    /// Append one record to the product. Returns its position there.
+    pub(crate) fn push(&mut self, rec: &Record) -> Result<LogPos, DurableError> {
+        self.payload.clear();
+        rec.encode_into(&mut self.payload);
+        let consumed = write_frame(&mut self.out, &self.payload)?;
+        let pos = LogPos {
+            segment: self.seg.number,
+            frame: self.seg.frames,
+        };
+        self.seg.note_frame(
+            consumed,
+            record_time(rec),
+            record_theme(rec),
+            self.index_every,
+        );
+        Ok(pos)
+    }
+}
+
+/// The temporary file of a product not yet published. Dropping it deletes
+/// the file, so a merge that fails part-way leaves no partial product
+/// behind; once [`SegmentLog::publish`] has renamed it, there is nothing
+/// left to delete.
+struct Unpublished(PathBuf);
+
+impl Drop for Unpublished {
+    fn drop(&mut self) {
+        let _ = fs::remove_file(&self.0);
+    }
+}
+
 /// What one scan reuses across every block and segment it reads: the block
 /// buffer, which only ever grows to the largest block, and the theme table.
 #[derive(Default)]
@@ -810,12 +880,13 @@ struct BlockReader {
 impl BlockReader {
     /// Read one segment, skipping index blocks that cannot match `pruner`;
     /// every frame of a visited block is verified, decoded and handed to
-    /// `visit`. Returns how many bytes were read from disk.
+    /// `visit`, and the first error `visit` returns ends the read. Returns
+    /// how many bytes were read from disk.
     fn scan_segment(
         &mut self,
         seg: &Segment,
         pruner: &Pruner,
-        visit: &mut dyn FnMut(LogPos, Record),
+        visit: &mut impl FnMut(LogPos, Record) -> Result<(), DurableError>,
     ) -> Result<u64, DurableError> {
         let constrained = pruner.is_constrained();
         let mut file: Option<File> = None;
@@ -849,7 +920,7 @@ impl BlockReader {
                             segment: seg.number,
                             frame: frame_idx,
                         };
-                        visit(pos, rec);
+                        visit(pos, rec)?;
                         frame_idx += 1;
                     }
                     // The in-memory index said a frame is here; the disk
@@ -1138,6 +1209,35 @@ mod tests {
         DurableConfig::at(dir.path())
     }
 
+    impl SegmentLog {
+        /// Replace the sealed segments covering `first..=last` with one
+        /// generation-`generation` segment holding `records`, through the
+        /// one product writer compaction uses.
+        fn replace_segments(
+            &mut self,
+            first: u32,
+            last: u32,
+            generation: u32,
+            records: &[Record],
+        ) -> Result<u64, DurableError> {
+            let mut product = self.start_product(first, last, generation)?;
+            for rec in records {
+                product.push(rec)?;
+            }
+            self.publish(product)
+        }
+    }
+
+    /// Every record of the segments covering `first..=last`, in log order.
+    fn records_in(log: &mut SegmentLog, first: u32, last: u32) -> Vec<Record> {
+        log.scan()
+            .unwrap()
+            .into_iter()
+            .filter(|(pos, _)| (first..=last).contains(&pos.segment))
+            .map(|(_, rec)| rec)
+            .collect()
+    }
+
     #[test]
     fn append_reopen_round_trip() {
         let dir = TempDir::new("log-roundtrip").unwrap();
@@ -1388,12 +1488,7 @@ mod tests {
 
         // Merge all sealed segments, keeping every record.
         let (first, last) = (sealed[0].first, sealed[sealed.len() - 1].last);
-        let merged: Vec<Record> = log
-            .read_range(first, last)
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
+        let merged = records_in(&mut log, first, last);
         log.replace_segments(first, last, 1, &merged).unwrap();
         assert_only_segment_files(dir.path());
 
@@ -1472,12 +1567,7 @@ mod tests {
         }
         let sealed = log.sealed_metas();
         let (first, last) = (sealed[0].first, sealed[sealed.len() - 1].last);
-        let merged: Vec<Record> = log
-            .read_range(first, last)
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
+        let merged = records_in(&mut log, first, last);
         log.replace_segments(first, last, 1, &merged).unwrap();
         drop(log);
         let opened = |config: &DurableConfig| {
@@ -1517,12 +1607,7 @@ mod tests {
             let p = segment_path(dir.path(), meta.first);
             backups.push((p.clone(), fs::read(&p).unwrap()));
         }
-        let merged: Vec<Record> = log
-            .read_range(first, last)
-            .unwrap()
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
+        let merged = records_in(&mut log, first, last);
         log.replace_segments(first, last, 1, &merged).unwrap();
         drop(log);
         for (p, bytes) in &backups {

@@ -300,11 +300,14 @@ impl DurableWarehouse {
         }
     }
 
-    /// Execute one merge: read the inputs, drop what the policy allows
-    /// (order among survivors is preserved exactly — see [`crate::compact`]
-    /// for why events are never reordered or deduplicated), atomically
-    /// replace the input segments, and splice the renumbered horizon
-    /// markers back into the in-memory marker list.
+    /// Execute one merge in two streaming passes over the run, holding
+    /// one block of input, the product's write buffer, the run's checkpoint
+    /// folds and its surviving markers — never the run itself. Pass 1 folds
+    /// each checkpoint key; pass 2 drops what the policy allows and writes
+    /// the survivors, in order (see [`crate::compact`] for why events are
+    /// never reordered or deduplicated), into the product, which then
+    /// atomically replaces the inputs. The renumbered horizon markers are
+    /// spliced back into the in-memory marker list.
     fn run_compaction(
         &mut self,
         run: MergeRun,
@@ -312,25 +315,26 @@ impl DurableWarehouse {
         now: Timestamp,
     ) -> Result<CompactionStats, DurableError> {
         let sw = Stopwatch::start();
-        let input = self.log.read_range(run.first, run.last)?;
         let bytes_before = self.log.bytes_in_range(run.first, run.last);
         let cutoff = policy
             .cold_retention
             .map(|w| now.saturating_sub(w).as_millis());
 
-        // Recovery folds each key's checkpoint log from its last base on, so
-        // within the merged range every frame before that base is dead, and
-        // the base with the deltas after it is one base. A key with deltas
-        // but no base in the range keeps them: its base lives further back.
-        let mut folds: HashMap<(&str, &str), (usize, OpCheckpoint)> = HashMap::new();
-        for (i, (_, rec)) in input.iter().enumerate() {
+        // Pass 1. Recovery folds each key's checkpoint log from its last base
+        // on, so within the merged range every frame before that base is
+        // dead, and the base with the deltas after it is one base. A key
+        // with deltas but no base in the range keeps them: its base lives
+        // further back. Every frame is decoded here, so a damaged input
+        // fails the merge before a byte of the product is written.
+        let mut folds: HashMap<(String, String), (LogPos, OpCheckpoint)> = HashMap::new();
+        self.log.scan_range(run.first, run.last, &mut |pos, rec| {
             match rec {
                 Record::Checkpoint {
                     deployment,
                     service,
                     state,
                 } => {
-                    folds.insert((deployment, service), (i, state.clone()));
+                    folds.insert((deployment, service), (pos, state));
                 }
                 Record::CheckpointDelta {
                     deployment,
@@ -338,34 +342,40 @@ impl DurableWarehouse {
                     evicted,
                     appended,
                 } => {
-                    if let Some((_, fold)) = folds.get_mut(&(deployment.as_str(), service.as_str()))
-                    {
+                    if let Some((_, fold)) = folds.get_mut(&(deployment, service)) {
                         fold.apply(CheckpointDelta {
                             reset: false,
-                            evicted: *evicted,
-                            appended: appended.clone(),
+                            evicted,
+                            appended,
                         });
                     }
                 }
-                _ => {}
+                Record::Event(_) | Record::Horizon(_) => {}
             }
-        }
+            Ok(())
+        })?;
 
-        let mut kept: Vec<Record> = Vec::with_capacity(input.len());
+        // Pass 2 writes the survivors into the product as it reads them.
+        let mut product = self
+            .log
+            .start_product(run.first, run.last, run.generation)?;
+        let (markers, suffix_max) = (&self.markers, &self.suffix_max);
+        let mut renumbered: Vec<(LogPos, Timestamp)> = Vec::new();
         let mut events_dropped = 0u64;
         let mut markers_dropped = 0u64;
         let mut checkpoints_dropped = 0u64;
-        for (i, (pos, rec)) in input.iter().enumerate() {
-            match rec {
+        self.log.scan_range(run.first, run.last, &mut |pos, rec| {
+            let survivor = match rec {
                 Record::Event(e) => {
                     // Only *cold* events can be aged out: a hot event (late
                     // arrival no marker covers) must survive so the hot
                     // store can be rebuilt from the log on reopen.
                     let expired = cutoff.is_some_and(|c| e.time_interval().end.as_millis() <= c);
-                    if expired && is_cold(&self.markers, &self.suffix_max, *pos, e) {
+                    if expired && is_cold(markers, suffix_max, pos, &e) {
                         events_dropped += 1;
+                        None
                     } else {
-                        kept.push(rec.clone());
+                        Some(Record::Event(e))
                     }
                 }
                 Record::Horizon(h) => {
@@ -373,63 +383,68 @@ impl DurableWarehouse {
                     // the log) carries an equal or higher horizon: removing
                     // it leaves the suffix maximum at every log position —
                     // and therefore every coldness verdict — unchanged.
-                    let after = self.markers.partition_point(|(mpos, _)| *mpos <= *pos);
-                    let later_max = self.suffix_max.get(after).copied().unwrap_or(i64::MIN);
+                    let after = markers.partition_point(|(mpos, _)| *mpos <= pos);
+                    let later_max = suffix_max.get(after).copied().unwrap_or(i64::MIN);
                     if later_max >= h.as_millis() {
                         markers_dropped += 1;
+                        None
                     } else {
-                        kept.push(rec.clone());
+                        Some(Record::Horizon(h))
                     }
                 }
                 Record::Checkpoint {
                     deployment,
                     service,
                     ..
-                } => match folds.get_mut(&(deployment.as_str(), service.as_str())) {
-                    Some((base, fold)) if *base == i => kept.push(Record::Checkpoint {
-                        deployment: deployment.clone(),
-                        service: service.clone(),
-                        state: std::mem::take(fold),
-                    }),
-                    _ => checkpoints_dropped += 1,
-                },
+                } => {
+                    let key = (deployment, service);
+                    match folds.get_mut(&key) {
+                        Some((base, fold)) if *base == pos => Some(Record::Checkpoint {
+                            deployment: key.0,
+                            service: key.1,
+                            state: std::mem::take(fold),
+                        }),
+                        _ => {
+                            checkpoints_dropped += 1;
+                            None
+                        }
+                    }
+                }
                 Record::CheckpointDelta {
                     deployment,
                     service,
-                    ..
+                    evicted,
+                    appended,
                 } => {
-                    if folds.contains_key(&(deployment.as_str(), service.as_str())) {
+                    let key = (deployment, service);
+                    if folds.contains_key(&key) {
                         checkpoints_dropped += 1;
+                        None
                     } else {
-                        kept.push(rec.clone());
+                        Some(Record::CheckpointDelta {
+                            deployment: key.0,
+                            service: key.1,
+                            evicted,
+                            appended,
+                        })
                     }
                 }
+            };
+            if let Some(rec) = survivor {
+                let at = product.push(&rec)?;
+                if let Record::Horizon(h) = rec {
+                    renumbered.push((at, h));
+                }
             }
-        }
-
-        let bytes_after = self
-            .log
-            .replace_segments(run.first, run.last, run.generation, &kept)?;
+            Ok(())
+        })?;
+        let bytes_after = self.log.publish(product)?;
 
         // Markers inside the merged range now live at renumbered positions
         // (segment = run.first, frame = index among survivors); markers
         // outside it are untouched.
         let lo = self.markers.partition_point(|(p, _)| p.segment < run.first);
         let hi = self.markers.partition_point(|(p, _)| p.segment <= run.last);
-        let renumbered: Vec<(LogPos, Timestamp)> = kept
-            .iter()
-            .enumerate()
-            .filter_map(|(i, rec)| match rec {
-                Record::Horizon(h) => Some((
-                    LogPos {
-                        segment: run.first,
-                        frame: i as u32,
-                    },
-                    *h,
-                )),
-                _ => None,
-            })
-            .collect();
         self.markers.splice(lo..hi, renumbered);
         self.suffix_max = suffix_maxima(&self.markers);
 
@@ -793,6 +808,57 @@ mod tests {
             matches!(again, Err(DurableError::Corrupt(_))),
             "the second read must see the damage: {again:?}"
         );
+    }
+
+    #[test]
+    fn a_damaged_input_publishes_nothing() {
+        use crate::codec::crc32;
+        let dir = TempDir::new("dw-damaged-input").unwrap();
+        let config = DurableConfig::at(dir.path()).with_segment_max_bytes(400);
+        let mut dw = DurableWarehouse::open(config.clone()).unwrap();
+        for m in 0..60 {
+            dw.insert(event(m, "weather")).unwrap();
+            if m % 20 == 19 {
+                dw.evict_before(minutes(m - 5)).unwrap();
+            }
+        }
+        let sealed = dw.log().sealed_metas();
+        assert!(sealed.len() >= 3);
+        let first_frames = u64::from(sealed[0].frames);
+
+        // Flip a payload byte of the second input's first frame.
+        let second = dir.path().join(format!("seg-{:06}.slg", sealed[1].first));
+        let mut bytes = std::fs::read(&second).unwrap();
+        let at = 8;
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+        bytes[at + 4 + len / 2] ^= 0xFF;
+        std::fs::write(&second, &bytes).unwrap();
+        let stored = u32::from_le_bytes(bytes[at + 4 + len..at + 8 + len].try_into().unwrap());
+        let computed = crc32(&bytes[at + 4..at + 4 + len]);
+
+        let err = dw.compact_now(minutes(10_000)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "durable corruption: {}: frame 0: checksum mismatch \
+                 (stored {stored:#010x}, computed {computed:#010x})",
+                second.display()
+            )
+        );
+        // Nothing was published, and no partial product is left behind.
+        for entry in std::fs::read_dir(dir.path()).unwrap() {
+            let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+            assert!(!name.contains("-g") && !name.ends_with(".tmp"), "{name}");
+        }
+        assert_eq!(dw.segment_count(), sealed.len() + 1);
+
+        // The inputs are still the log: reopening cuts at the damaged frame
+        // and keeps every frame before it.
+        drop(dw);
+        let dw = DurableWarehouse::open(config).unwrap();
+        let report = dw.recovery_report();
+        assert!(report.lossy());
+        assert_eq!(report.records(), first_frames);
     }
 
     #[test]

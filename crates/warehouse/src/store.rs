@@ -6,6 +6,7 @@ use sl_stt::{
 };
 use std::cell::Cell;
 use std::cmp::Reverse;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
 /// Store configuration.
@@ -126,8 +127,11 @@ impl EventWarehouse {
         self.stats.events == 0
     }
 
-    /// Append one event.
-    pub fn insert(&mut self, event: Event) {
+    /// Append one event. An event whose theme is already indexed is stored
+    /// with the index's `Theme`, so the hot tier keeps one theme allocation
+    /// per distinct theme, not one per event (equal themes are
+    /// indistinguishable, so no answer changes).
+    pub fn insert(&mut self, mut event: Event) {
         // The open segment is the last one; a full one is sealed first.
         let mut slots = self.segments.pop().unwrap_or_default();
         if slots.len() >= self.config.segment_capacity {
@@ -153,10 +157,16 @@ impl EventWarehouse {
                 .granule_of(&event.sgranule.center());
             self.space_index.entry(cell).or_default().push(pos);
         }
-        self.theme_index
-            .entry(event.theme.clone())
-            .or_default()
-            .push(pos);
+        match self.theme_index.entry(event.theme) {
+            Entry::Occupied(mut indexed) => {
+                event.theme = indexed.key().clone();
+                indexed.get_mut().push(pos);
+            }
+            Entry::Vacant(new) => {
+                event.theme = new.key().clone();
+                new.insert(vec![pos]);
+            }
+        }
 
         self.expiry.push(Reverse((event.time_interval().end, pos)));
         slots.push(Some(event));

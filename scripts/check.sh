@@ -8,7 +8,7 @@
 #                             # guard, the lint and
 #                             # example gates, the checkpoint, text,
 #                             # cube-key, removed-switch and
-#                             # count-once owner greps,
+#                             # count-once and streamed-merge owner greps,
 #                             # the recovery and dashboard examples, and the
 #                             # benchmark/ package's build, smoke and own
 #                             # tests, then the smoke's output digests
@@ -160,6 +160,15 @@ fi
 if grep -rnE 'Tracer|SpanKey|SpanSlot|SpanRecord|spans_completed|\.dead_letters|counter\(&format!\("dlq/' \
     crates src examples tests; then
     echo "check.sh: a span tracer or a second dead-letter tally is named above" >&2
+    exit 1
+fi
+
+# Owner grep: a merge streams its run. Compaction walks the run twice
+# through one block buffer (`SegmentLog::scan_range`) and writes the
+# product through a bounded buffer (`ProductWriter`); no reader hands it
+# the whole run as a vector again.
+if grep -rn 'fn read_range' crates/durable/src; then
+    echo "check.sh: compaction reads its whole run into memory again (fn read_range)" >&2
     exit 1
 fi
 
