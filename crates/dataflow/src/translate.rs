@@ -222,6 +222,24 @@ mod tests {
         let prog = compile(&doc).unwrap();
         let (binds, spawns, flows, sinks) = prog.census();
         assert_eq!((binds, spawns, flows, sinks), (2, 3, 4, 1));
+        // The census is linear in the flow size (Figure 1): a linear flow of
+        // n operators binds one source, spawns n, wires n + 1 flows, one sink.
+        for n in [1, 5, 20] {
+            let mut b = DataflowBuilder::new("linear").source(
+                "src",
+                SubscriptionFilter::any().with_theme(Theme::new("weather").unwrap()),
+                schema(),
+            );
+            let mut prev = "src".to_string();
+            for i in 0..n {
+                let name = format!("f{i}");
+                b = b.filter(&name, &prev, "temperature > 0");
+                prev = name;
+            }
+            let df = b.sink("out", SinkKind::Console, &[&prev]).build().unwrap();
+            let census = compile(&to_dsn(&df)).unwrap().census();
+            assert_eq!(census, (1, n, n + 1, 1), "{n} operators");
+        }
     }
 
     #[test]

@@ -1448,6 +1448,34 @@ mod tests {
     }
 
     #[test]
+    fn fsync_counts_follow_the_policy() {
+        // N appends in one segment: one fsync per append, per 64 appends,
+        // or none; then, with small segments, one more per seal.
+        const N: u64 = 150;
+        let fsyncs = |policy, segment_max_bytes| {
+            let dir = TempDir::new("log-fsync-count").unwrap();
+            let config = cfg(&dir)
+                .with_fsync(policy)
+                .with_segment_max_bytes(segment_max_bytes);
+            let (mut log, _, _) = SegmentLog::open(config).unwrap();
+            for m in 0..N as i64 {
+                log.append(&event(m)).unwrap();
+            }
+            let snap = log.metrics_snapshot();
+            let sealed = snap.counters.get("segments_sealed").copied().unwrap_or(0);
+            (snap.counters.get("fsyncs").copied().unwrap_or(0), sealed)
+        };
+        let unsealed = 1024 * 1024;
+        assert_eq!(fsyncs(FsyncPolicy::Always, unsealed), (N, 0));
+        assert_eq!(fsyncs(FsyncPolicy::EveryN(64), unsealed), (N / 64, 0));
+        assert_eq!(fsyncs(FsyncPolicy::OnSeal, unsealed), (0, 0));
+        let (on_seal, sealed) = fsyncs(FsyncPolicy::OnSeal, 1024);
+        assert!(sealed > 1);
+        assert_eq!(on_seal, sealed);
+        assert_eq!(fsyncs(FsyncPolicy::Always, 1024), (N + sealed, sealed));
+    }
+
+    #[test]
     fn segment_names_parse_both_forms() {
         assert_eq!(parse_segment_name("seg-000042.slg"), Some((42, 42, 0)));
         assert_eq!(

@@ -9,7 +9,7 @@ use sl_stt::{Duration, SpatialGranularity, TemporalGranularity};
 use std::fmt;
 
 /// Where operator processes are initially placed (ablation A2 compares
-/// these).
+/// these; `tests/paper_artifacts.rs` asserts the trade-off).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementPolicy {
     /// On the node of the process's first upstream producer (minimal first
@@ -18,8 +18,6 @@ pub enum PlacementPolicy {
     /// On the node with the lowest CPU utilisation that fits the estimated
     /// demand (the default greedy load-aware policy).
     LeastLoaded,
-    /// Uniformly random among nodes that fit (seeded; the baseline).
-    Random,
 }
 
 /// Utilisation above which a node sheds processes.
@@ -52,8 +50,8 @@ pub struct EngineConfig {
     pub migration_enabled: bool,
     /// Monitor sampling period (the Figure 3 refresh).
     pub monitor_period: Duration,
-    /// RNG seed (placement randomisation and nothing else — sensors own
-    /// their seeds).
+    /// RNG seed (the `OverflowPolicy::Sample` coin and nothing else —
+    /// sensors own their seeds).
     pub seed: u64,
     /// Re-delivery attempts after a routing failure.
     /// [`RetryPolicy::disabled`] sends failed deliveries straight to the

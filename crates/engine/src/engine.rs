@@ -29,7 +29,7 @@ use crate::shard::{invoke, ShardJob, ShardJobResult, ShardPool};
 use crate::sources::SensorEntry;
 use crate::storage::{restore_window, Storage};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sl_dataflow::{to_dsn, validate, Dataflow};
 use sl_dsn::{compile, print_document, ScnCommand, SinkKind};
 use sl_faults::{BreakerState, DeadLetterQueue, FaultAction};
@@ -742,18 +742,8 @@ impl Engine {
                 }
             }
             PlacementPolicy::LeastLoaded => {}
-            PlacementPolicy::Random => {
-                let fits = |n: &NodeId| {
-                    let spec = self.topology.node(*n);
-                    spec.is_ok_and(|s| self.loads.demand_on(*n) + demand <= s.cpu_capacity)
-                };
-                let candidates: Vec<NodeId> = self.topology.node_ids().filter(fits).collect();
-                if !candidates.is_empty() {
-                    return Ok(candidates[self.rng.gen_range(0..candidates.len())]);
-                }
-            }
         }
-        // The default, and what the other policies fall back to.
+        // The default, and what SourceLocal falls back to.
         Ok(self
             .loads
             .least_loaded(&self.topology, self.topology.node_ids(), demand)

@@ -10,8 +10,6 @@
 //!   left tuple probes, and any residual predicate is applied to the
 //!   concatenated tuple;
 //! * **nested loop** — the general fallback.
-//!
-//! The A3-style ablation bench compares the two on equality predicates.
 
 use crate::checkpoint::{CheckpointDelta, OpCheckpoint};
 use crate::context::OpContext;
@@ -37,7 +35,6 @@ pub struct JoinOp {
     period: Duration,
     predicate: CompiledExpr,
     equi: Option<EquiKey>,
-    force_nested_loop: bool,
     left: TumblingCache,
     right: TumblingCache,
     out_schema: SchemaRef,
@@ -66,16 +63,10 @@ impl JoinOp {
             period,
             predicate: compiled,
             equi,
-            force_nested_loop: false,
             left: TumblingCache::new(),
             right: TumblingCache::new(),
             out_schema: joined.into_ref(),
         })
-    }
-
-    /// Disable the hash-join fast path (ablation knob).
-    pub fn set_force_nested_loop(&mut self, force: bool) {
-        self.force_nested_loop = force;
     }
 
     /// True if the hash-join fast path applies to this predicate.
@@ -227,8 +218,8 @@ impl Operator for JoinOp {
         if left.is_empty() || right.is_empty() {
             return Ok(());
         }
-        match (&self.equi, self.force_nested_loop) {
-            (Some(key), false) => {
+        match &self.equi {
+            Some(key) => {
                 // Hash join: build on right, probe with left.
                 let mut table: HashMap<u64, Vec<&Tuple>> = HashMap::with_capacity(right.len());
                 for r in &right {
@@ -254,7 +245,7 @@ impl Operator for JoinOp {
                     }
                 }
             }
-            _ => {
+            None => {
                 // Nested loop.
                 for l in &left {
                     for r in &right {
@@ -271,7 +262,7 @@ impl Operator for JoinOp {
     }
 
     fn cost_per_tuple(&self) -> f64 {
-        if self.equi.is_some() && !self.force_nested_loop {
+        if self.equi.is_some() {
             3.0
         } else {
             8.0
@@ -436,8 +427,9 @@ mod tests {
             .collect();
         let mut hash_op = mk();
         let hash_out = run_join(&mut hash_op, lefts.clone(), rights.clone());
+        // Without its equality key the join falls back to the nested loop.
         let mut nl_op = mk();
-        nl_op.set_force_nested_loop(true);
+        nl_op.equi = None;
         let nl_out = run_join(&mut nl_op, lefts, rights);
         assert_eq!(hash_out.len(), nl_out.len());
         assert!(!hash_out.is_empty());

@@ -8,7 +8,8 @@
 #                             # guard, the lint and
 #                             # example gates, the checkpoint, text,
 #                             # cube-key, removed-switch and
-#                             # count-once and streamed-merge owner greps,
+#                             # count-once, streamed-merge and
+#                             # no-experiment-crate owner greps,
 #                             # the recovery and dashboard examples, and the
 #                             # benchmark/ package's build, smoke and own
 #                             # tests, then the smoke's output digests
@@ -169,6 +170,14 @@ fi
 # the whole run as a vector again.
 if grep -rn 'fn read_range' crates/durable/src; then
     echo "check.sh: compaction reads its whole run into memory again (fn read_range)" >&2
+    exit 1
+fi
+
+# Owner grep: tier-1 tests check the paper's artifacts (tests/paper_artifacts.rs
+# names them all); the experiment crate and the two knobs only it turned are gone.
+if grep -rnE 'sl-bench|sl_bench|crates/bench|set_force_nested_loop|PlacementPolicy::Random' \
+    Cargo.toml crates src examples tests; then
+    echo "check.sh: the deleted experiment crate or one of its knobs is named above" >&2
     exit 1
 fi
 
