@@ -195,15 +195,44 @@ impl Record {
     }
 }
 
-/// The themes one scan has parsed so far, keyed by their spelling's bytes
-/// on disk (canonical or not), so that each distinct theme of a scan is
-/// parsed once and every other frame carrying it shares the result. Made
-/// per scan and dropped with it. Only spellings `Theme::new` accepted are
-/// stored, so a hit skips the UTF-8 check as well as the parse; a lookup
-/// costs one hash of the spelling however many themes the scan meets.
+/// The themes one scan has parsed so far, so that each distinct theme of a
+/// scan is parsed once and every other frame carrying it shares the result.
+/// Made per scan and dropped with it. Only spellings `Theme::new` accepted
+/// are kept, so a hit skips the UTF-8 check as well as the parse.
+///
+/// The first 16 (`THEME_MEMO`) canonical spellings a scan meets (what the
+/// encoder writes) are kept as the themes themselves and found by a byte
+/// compare against their text, with no hash and no key allocation; a scan
+/// meets few themes, so this is where nearly every lookup ends. Any other
+/// spelling, canonical or not, is keyed by its bytes on disk in a map,
+/// which costs one hash of the spelling.
 #[derive(Debug, Default)]
 pub struct ThemeTable {
+    memo: Vec<Theme>,
     parsed: HashMap<Box<[u8]>, Theme>,
+}
+
+/// Canonical themes a [`ThemeTable`] finds without hashing.
+const THEME_MEMO: usize = 16;
+
+impl ThemeTable {
+    /// The theme spelled `spelling`, if this scan has parsed it before.
+    fn get(&self, spelling: &[u8]) -> Option<&Theme> {
+        self.memo
+            .iter()
+            .find(|t| t.as_str().as_bytes() == spelling)
+            .or_else(|| self.parsed.get(spelling))
+    }
+
+    /// Keep `theme`, just parsed from `spelling`. A canonical spelling is
+    /// the theme's own text, so the memo's byte compare finds it again.
+    fn insert(&mut self, spelling: &[u8], theme: &Theme) {
+        if self.memo.len() < THEME_MEMO && theme.as_str().as_bytes() == spelling {
+            self.memo.push(theme.clone());
+        } else {
+            self.parsed.insert(spelling.into(), theme.clone());
+        }
+    }
 }
 
 /// The payload of `Record::Event`, encoded from a borrow: the append path
@@ -608,13 +637,13 @@ fn put_theme(w: &mut Vec<u8>, t: &Theme) {
 
 fn get_theme(r: &mut Reader<'_>) -> Option<Theme> {
     let spelling = r.bytes("theme")?;
-    if let Some(theme) = r.themes.parsed.get(spelling) {
+    if let Some(theme) = r.themes.get(spelling) {
         return Some(theme.clone());
     }
     let s = r.utf8(spelling, "theme")?;
     match Theme::new(s) {
         Ok(theme) => {
-            r.themes.parsed.insert(spelling.into(), theme.clone());
+            r.themes.insert(spelling, &theme);
             Some(theme)
         }
         Err(e) => {
@@ -1045,6 +1074,82 @@ mod tests {
         let mut flipped = framed.clone();
         flipped[6] ^= 0xFF;
         assert!(matches!(read_frame(&flipped), FrameRead::Torn { .. }));
+    }
+
+    /// An event payload whose theme is written as `spelling`, whatever it
+    /// is: the encoder only writes canonical themes.
+    fn event_spelled(spelling: &[u8]) -> Vec<u8> {
+        let mut payload = Record::Event(sample_event()).encode();
+        payload.truncate(payload.len() - 4 - "weather/temperature".len());
+        put_u32(&mut payload, spelling.len() as u32);
+        payload.extend_from_slice(spelling);
+        payload
+    }
+
+    /// A decoded event, or the error's text.
+    fn outcome(decoded: Result<Record, DurableError>) -> Result<Event, String> {
+        match decoded {
+            Ok(Record::Event(e)) => Ok(e),
+            Ok(other) => panic!("wrong kind: {other:?}"),
+            Err(e) => Err(e.to_string()),
+        }
+    }
+
+    /// More canonical spellings than the memo holds, spellings that
+    /// normalise to some of them, and spellings no theme has.
+    fn spellings() -> Vec<Vec<u8>> {
+        let mut all: Vec<Vec<u8>> = (0..THEME_MEMO + 8)
+            .map(|k| format!("weather/station{k}").into_bytes())
+            .collect();
+        for odd in [
+            " weather/station3",
+            "Weather/Station3",
+            "/weather/station20/",
+            "weather / station5",
+            "TRAFFIC",
+            "",
+            "/",
+            "weather//rain",
+            "  ",
+        ] {
+            all.push(odd.as_bytes().to_vec());
+        }
+        all.push(vec![b'w', 0xff, 0xfe]);
+        all
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn a_shared_theme_table_decodes_as_a_fresh_one(
+            picks in proptest::collection::vec(0usize..64, 0..400),
+        ) {
+            let spellings = spellings();
+            let mut themes = ThemeTable::default();
+            for pick in picks {
+                let payload = event_spelled(&spellings[pick % spellings.len()]);
+                proptest::prop_assert_eq!(
+                    outcome(Record::decode_with(&payload, &mut themes)),
+                    outcome(Record::decode(&payload))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_memo_holds_canonical_spellings_and_the_map_the_rest() {
+        let spellings = spellings();
+        let mut themes = ThemeTable::default();
+        for spelling in spellings.iter().chain(&spellings) {
+            let payload = event_spelled(spelling);
+            assert_eq!(
+                outcome(Record::decode_with(&payload, &mut themes)),
+                outcome(Record::decode(&payload))
+            );
+        }
+        assert_eq!(themes.memo.len(), THEME_MEMO);
+        // The canonical spellings past the memo, and the five
+        // non-canonical ones that parse.
+        assert_eq!(themes.parsed.len(), 8 + 5);
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! An [`EventQuery`] is a conjunction of up to three STT constraints — a
 //! time range, a spatial bounding box, and a theme subtree — mirroring the
 //! three dimensions of the paper's space–time–thematic event model. The
-//! warehouse answers a query by intersecting candidate sets from whichever
-//! of its indexes (temporal, spatial grid, theme) have a corresponding
-//! constraint, then verifying each survivor with [`EventQuery::matches`];
-//! with no constraints populated it degrades to a full scan. Correctness
-//! against a brute-force scan over random data is property-tested in the
-//! store's test suite, and every query updates the warehouse's query
-//! statistics.
+//! warehouse answers a query from one of its indexes (temporal, spatial
+//! grid, theme): each index with a corresponding constraint counts its
+//! candidates from the lengths of its position lists, only the one with the
+//! fewest copies them, and each candidate is verified with
+//! [`EventQuery::matches`]; with no constraints populated it degrades to a
+//! full scan. Correctness against a brute-force scan over random data is
+//! property-tested in the store's test suite, and every query updates the
+//! warehouse's query statistics.
 //!
 //! Queries also pre-select the events fed into cube roll-ups
 //! (`CubeQuery::select` in [`crate::cube`]).
@@ -96,8 +97,10 @@ impl EventWarehouse {
         self.note_query();
         let (indexed, scan) = match self.pick_index(q) {
             Some(mut positions) => {
+                // One index lists an event once (one time granule, one
+                // theme, one grid cell), so sorting alone restores storage
+                // order.
                 positions.sort_unstable();
-                positions.dedup();
                 (Some(positions), None)
             }
             None => (None, Some(self.iter())),
@@ -116,57 +119,71 @@ impl EventWarehouse {
         self.iter().filter(|e| q.matches(e)).collect()
     }
 
-    /// Choose the cheapest index for `q`: candidate position lists are
-    /// gathered per applicable index and the shortest wins. `None` means no
-    /// index applies (full scan).
+    /// Choose the cheapest index for `q`: every applicable index counts its
+    /// candidates from its list lengths, and only the one with the fewest
+    /// copies its positions. `None` means no index applies (full scan).
     fn pick_index(&self, q: &EventQuery) -> Option<Vec<Pos>> {
-        let mut best: Option<Vec<Pos>> = None;
-        let mut consider = |positions: Vec<Pos>| {
-            if best.as_ref().is_none_or(|b| positions.len() < b.len()) {
-                best = Some(positions);
-            }
-        };
-        if let Some(range) = &q.time {
+        let time = q.time.map(|range| {
             let g = self.config().time_index_gran;
-            let lo = g.granule_of(range.start);
+            // An event overlapping the range starts after `range.start`
+            // minus its own length, so at most the longest stored interval
+            // before it.
+            let lo = g.granule_of(range.start.saturating_sub(self.longest));
             let hi = g.granule_of(range.end);
-            let mut positions = Vec::new();
-            // Include one granule before `lo`: an event indexed earlier can
-            // still overlap the range start.
-            for (_, ps) in self.time_index.range(lo - 1..=hi) {
-                positions.extend_from_slice(ps);
-            }
-            consider(positions);
+            self.time_index.range(lo..=hi).map(|(_, ps)| ps)
+        });
+        // All indexed themes under the queried subtree: range from the theme
+        // itself and take while still a descendant.
+        let theme = q.theme.as_ref().map(|theme| {
+            self.theme_index
+                .range(theme.clone()..)
+                .take_while(move |(t, _)| t.is_a(theme))
+                .map(|(_, ps)| ps)
+        });
+        // World-granule events are absent from the spatial index (they
+        // intersect every area), so the index is only sound when none are
+        // stored. The count is maintained at ingest/eviction time, not
+        // discovered by a scan here.
+        let space = q
+            .area
+            .as_ref()
+            .filter(|_| self.world_events == 0)
+            .map(|area| {
+                self.space_index
+                    .iter()
+                    .filter(move |(cell, _)| cell.extent().intersects(area))
+                    .map(|(_, ps)| ps)
+            });
+        let counts = [
+            time.clone().map(count),
+            theme.clone().map(count),
+            space.clone().map(count),
+        ];
+        let (fewest, n) = counts
+            .into_iter()
+            .enumerate()
+            .filter_map(|(i, n)| Some((i, n?)))
+            .min_by_key(|&(_, n)| n)?;
+        match fewest {
+            0 => time.map(|lists| copy(lists, n)),
+            1 => theme.map(|lists| copy(lists, n)),
+            _ => space.map(|lists| copy(lists, n)),
         }
-        if let Some(theme) = &q.theme {
-            let mut positions = Vec::new();
-            // All indexed themes under the queried subtree: range from the
-            // theme itself and take while still a descendant.
-            for (t, ps) in self.theme_index.range(theme.clone()..) {
-                if !t.is_a(theme) {
-                    break;
-                }
-                positions.extend_from_slice(ps);
-            }
-            consider(positions);
-        }
-        if let Some(area) = &q.area {
-            // World-granule events are absent from the spatial index (they
-            // intersect every area), so the index is only sound when none
-            // are stored. The count is maintained at ingest/eviction time,
-            // not discovered by a scan here.
-            if self.world_events == 0 {
-                let mut positions = Vec::new();
-                for (cell, ps) in &self.space_index {
-                    if cell.extent().intersects(area) {
-                        positions.extend_from_slice(ps);
-                    }
-                }
-                consider(positions);
-            }
-        }
-        best
     }
+}
+
+/// Candidates an index holds in `lists`, without touching a position.
+fn count<'a>(lists: impl Iterator<Item = &'a Vec<Pos>>) -> usize {
+    lists.map(Vec::len).sum()
+}
+
+/// The `n` positions in `lists`, in one allocation.
+fn copy<'a>(lists: impl Iterator<Item = &'a Vec<Pos>>, n: usize) -> Vec<Pos> {
+    let mut positions = Vec::with_capacity(n);
+    for ps in lists {
+        positions.extend_from_slice(ps);
+    }
+    positions
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 
 use sl_obs::{Metrics, MetricsSnapshot, Stopwatch};
 use sl_stt::{
-    Event, SpatialGranularity, SpatialGranule, TemporalGranularity, Theme, Timestamp, Tuple,
+    Duration, Event, SpatialGranularity, SpatialGranule, TemporalGranularity, Theme, Timestamp,
+    Tuple,
 };
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -12,7 +13,10 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap};
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct WarehouseConfig {
-    /// Temporal granularity of the time index (coarser than most queries).
+    /// Temporal granularity of the time index: one position list per
+    /// granule, keyed by the granule an event starts in. A query counts the
+    /// lists its range spans, so the finer the grain, the closer that count
+    /// is to the events the range can hold.
     pub time_index_gran: TemporalGranularity,
     /// Spatial granularity of the grid index.
     pub space_index_gran: SpatialGranularity,
@@ -23,7 +27,7 @@ pub struct WarehouseConfig {
 impl Default for WarehouseConfig {
     fn default() -> Self {
         WarehouseConfig {
-            time_index_gran: TemporalGranularity::Hour,
+            time_index_gran: TemporalGranularity::Minute,
             space_index_gran: SpatialGranularity::grid(5),
             segment_capacity: 4096,
         }
@@ -55,8 +59,12 @@ pub struct EventWarehouse {
     /// Slots in insertion order; `None` is the tombstone of an evicted
     /// event, so survivors keep their [`Pos`] and the indexes stay valid.
     pub(crate) segments: Vec<Vec<Option<Event>>>,
-    /// time-index granule -> positions.
+    /// time-index granule -> positions of the events starting in it.
     pub(crate) time_index: BTreeMap<i64, Vec<Pos>>,
+    /// The longest interval stored since the last repack: an event that
+    /// overlaps a query range starts no earlier than this before the
+    /// range does, which bounds how far back the time index is read.
+    pub(crate) longest: Duration,
     /// grid cell -> positions (only for events with sub-world granules).
     pub(crate) space_index: HashMap<SpatialGranule, Vec<Pos>>,
     /// theme -> positions.
@@ -87,6 +95,7 @@ impl EventWarehouse {
             config,
             segments: vec![Vec::new()],
             time_index: BTreeMap::new(),
+            longest: Duration::ZERO,
             space_index: HashMap::new(),
             theme_index: BTreeMap::new(),
             stats: WarehouseStats::default(),
@@ -142,11 +151,10 @@ impl EventWarehouse {
 
         // Index by the *start* of the event's interval at the index
         // granularity.
-        let t_idx = self
-            .config
-            .time_index_gran
-            .granule_of(event.time_interval().start);
+        let span = event.time_interval();
+        let t_idx = self.config.time_index_gran.granule_of(span.start);
         self.time_index.entry(t_idx).or_default().push(pos);
+        self.longest = self.longest.max(span.length());
 
         if event.sgranule == SpatialGranule::World {
             self.world_events += 1;
@@ -168,7 +176,7 @@ impl EventWarehouse {
             }
         }
 
-        self.expiry.push(Reverse((event.time_interval().end, pos)));
+        self.expiry.push(Reverse((span.end, pos)));
         slots.push(Some(event));
         self.segments.push(slots);
         self.stats.events += 1;
@@ -283,6 +291,7 @@ impl EventWarehouse {
     fn repack(&mut self) {
         let old = std::mem::replace(&mut self.segments, vec![Vec::new()]);
         self.time_index.clear();
+        self.longest = Duration::ZERO; // re-measured as live events re-insert
         self.space_index.clear();
         self.theme_index.clear();
         self.expiry.clear();

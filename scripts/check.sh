@@ -9,7 +9,8 @@
 #                             # example gates, the checkpoint, text,
 #                             # cube-key, removed-switch and
 #                             # count-once, streamed-merge and
-#                             # no-experiment-crate owner greps,
+#                             # no-experiment-crate and one-index-query
+#                             # owner greps,
 #                             # the recovery and dashboard examples, and the
 #                             # benchmark/ package's build, smoke and own
 #                             # tests, then the smoke's output digests
@@ -178,6 +179,15 @@ fi
 if grep -rnE 'sl-bench|sl_bench|crates/bench|set_force_nested_loop|PlacementPolicy::Random' \
     Cargo.toml crates src examples tests; then
     echo "check.sh: the deleted experiment crate or one of its knobs is named above" >&2
+    exit 1
+fi
+
+# Owner grep: a hot query reads one index. Each index lists an event once
+# (one time granule, one theme, one grid cell), so the planner's candidates
+# need sorting only: a `.dedup()` there is a pass over every candidate
+# that can remove nothing.
+if sed '/#\[cfg(test)\]/,$d' crates/warehouse/src/query.rs | grep -n '\.dedup()'; then
+    echo "check.sh: .dedup() in non-test crates/warehouse/src/query.rs" >&2
     exit 1
 fi
 
