@@ -29,7 +29,7 @@
 
 use crate::queue::{PushOutcome, PushQueue, QueuePolicy};
 use crate::view::MaterializedView;
-use sl_obs::{CounterId, HistId, Metrics, MetricsSnapshot, Stopwatch};
+use sl_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Stopwatch};
 use sl_stt::{Event, Timestamp};
 use sl_warehouse::{CubeCell, CubeQuery, EventQuery};
 use std::collections::BTreeMap;
@@ -122,13 +122,19 @@ pub struct ViewStat<'a> {
     pub time_bounded: bool,
 }
 
-/// The instruments every batch past an idle check records, resolved by
-/// the first such batch.
-#[derive(Clone, Copy)]
-struct BatchIds {
-    fanout: CounterId,
-    dropped: CounterId,
-    match_us: HistId,
+sl_obs::instruments! {
+    /// The hub's instruments (`cq/*` in the engine's snapshot; the
+    /// per-subscriber queue depths are read off the queues).
+    struct HubInstruments {
+        match_us: Histogram = "match_us",
+        fanout_deltas: Counter = "fanout_deltas",
+        dropped_deltas: Counter = "dropped_deltas",
+        delivered_deltas: Counter = "delivered_deltas",
+        view_contributions: Counter = "view_contributions",
+        view_retractions: Counter = "view_retractions",
+        subscribers: Gauge = "subscribers",
+        views: Gauge = "views",
+    }
 }
 
 /// Registry and delta-evaluation engine for continuous queries.
@@ -144,10 +150,7 @@ pub struct CqHub {
     next_sub: u64,
     next_view: u64,
     seq: u64,
-    metrics: Metrics,
-    batch_ids: Option<BatchIds>,
-    /// `view_contributions`, resolved by the first view registered.
-    contributions: Option<CounterId>,
+    inst: HubInstruments,
 }
 
 impl CqHub {
@@ -196,9 +199,7 @@ impl CqHub {
                 queue: PushQueue::new(capacity, policy, id.wrapping_mul(0x9e37_79b9_7f4a_7c15)),
             },
         );
-        self.metrics
-            .gauge("subscribers")
-            .set(self.subs.len() as i64);
+        self.inst.subscribers.set(self.subs.len() as i64);
         SubscriberId(id)
     }
 
@@ -208,9 +209,7 @@ impl CqHub {
             return false;
         };
         self.leave_group(sub.group);
-        self.metrics
-            .gauge("subscribers")
-            .set(self.subs.len() as i64);
+        self.inst.subscribers.set(self.subs.len() as i64);
         true
     }
 
@@ -251,10 +250,7 @@ impl CqHub {
                 seeded += 1;
             }
         }
-        let contributions = *self
-            .contributions
-            .get_or_insert_with(|| self.metrics.counter_id("view_contributions"));
-        self.metrics.counter_at(contributions).add(seeded);
+        self.inst.view_contributions.add(seeded);
         self.views.insert(
             id,
             ViewReg {
@@ -262,7 +258,7 @@ impl CqHub {
                 view,
             },
         );
-        self.metrics.gauge("views").set(self.views.len() as i64);
+        self.inst.views.set(self.views.len() as i64);
         ViewId(id)
     }
 
@@ -270,7 +266,7 @@ impl CqHub {
     pub fn drop_view(&mut self, id: ViewId) -> bool {
         let removed = self.views.remove(&id.0).is_some();
         if removed {
-            self.metrics.gauge("views").set(self.views.len() as i64);
+            self.inst.views.set(self.views.len() as i64);
         }
         removed
     }
@@ -312,18 +308,11 @@ impl CqHub {
             }
         }
         if contributed > 0 {
-            if let Some(id) = self.contributions {
-                self.metrics.counter_at(id).add(contributed);
-            }
+            self.inst.view_contributions.add(contributed);
         }
-        let ids = *self.batch_ids.get_or_insert_with(|| BatchIds {
-            fanout: self.metrics.counter_id("fanout_deltas"),
-            dropped: self.metrics.counter_id("dropped_deltas"),
-            match_us: self.metrics.hist_id("match_us"),
-        });
-        self.metrics.counter_at(ids.fanout).add(fanout);
-        self.metrics.counter_at(ids.dropped).add(dropped);
-        self.metrics.hist_at(ids.match_us).record(sw.elapsed_us());
+        self.inst.fanout_deltas.add(fanout);
+        self.inst.dropped_deltas.add(dropped);
+        self.inst.match_us.record(sw.elapsed_us());
     }
 
     /// Mirror a warehouse `evict_before(horizon)`: every view retracts the
@@ -333,9 +322,7 @@ impl CqHub {
         for reg in self.views.values_mut() {
             retracted += reg.view.retract_before(horizon);
         }
-        self.metrics
-            .counter("view_retractions")
-            .add(retracted as u64);
+        self.inst.view_retractions.add(retracted as u64);
     }
 
     /// Drain a subscriber's pending deltas. `None` if the handle is
@@ -344,9 +331,7 @@ impl CqHub {
         let sub = self.subs.get_mut(&id.0)?;
         let lagged = sub.queue.is_lagged();
         let deltas = sub.queue.drain();
-        self.metrics
-            .counter("delivered_deltas")
-            .add(deltas.len() as u64);
+        self.inst.delivered_deltas.add(deltas.len() as u64);
         Some(CqPoll {
             deltas,
             dropped: sub.queue.dropped(),
@@ -417,7 +402,7 @@ impl CqHub {
     /// read off the subscriber's queue here, so it is exact at every
     /// snapshot and leaves the snapshot with an unsubscribed subscriber.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
+        let mut snap = self.inst.snapshot();
         for (id, sub) in &self.subs {
             let depth = sub.queue.len() as i64;
             snap.gauges.insert(format!("sub/{id}/queue_depth"), depth);

@@ -53,7 +53,7 @@ use crate::codec::{frame, read_frame, write_frame, FrameRead, Record, ThemeTable
 use crate::compact::{CompactionPolicy, SegmentMeta};
 use crate::error::DurableError;
 use crate::index::{Pruner, ThemeFilter};
-use sl_obs::{Metrics, MetricsSnapshot, Stopwatch};
+use sl_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Stopwatch};
 use sl_stt::{Event, Theme, TimeInterval};
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
@@ -365,7 +365,27 @@ pub struct SegmentLog {
     synced_pos: Option<LogPos>,
     last_pos: Option<LogPos>,
     report: RecoveryReport,
-    metrics: Metrics,
+    inst: LogInstruments,
+}
+
+sl_obs::instruments! {
+    /// The log's instruments (`durable/log/*` in the engine's snapshot).
+    struct LogInstruments {
+        segments: Gauge = "segments",
+        recovered_records: Counter = "recovered_records",
+        recovery_truncated_bytes: Counter = "recovery/truncated_bytes",
+        recovery_dropped_segments: Counter = "recovery/dropped_segments",
+        recovery_superseded_segments: Counter = "recovery/superseded_segments",
+        recovery_us: Histogram = "recovery_us",
+        frames_appended: Counter = "frames_appended",
+        bytes_written: Counter = "bytes_written",
+        fsync_us: Histogram = "fsync_us",
+        fsyncs: Counter = "fsyncs",
+        segments_sealed: Counter = "segments_sealed",
+        bytes_read: Counter = "bytes_read",
+        cold_segments_scanned: Counter = "cold/segments_scanned",
+        cold_segments_pruned: Counter = "cold/segments_pruned",
+    }
 }
 
 impl SegmentLog {
@@ -438,7 +458,6 @@ impl SegmentLog {
             segments.push(Segment::fresh(number, path));
         }
 
-        let mut metrics = Metrics::new();
         let last = segments.last().ok_or_else(|| {
             // Unreachable: we always have at least one segment by now.
             DurableError::corrupt("no segments after recovery")
@@ -455,18 +474,14 @@ impl SegmentLog {
                 frame: s.frames - 1,
             });
 
-        metrics.gauge("segments").set(segments.len() as i64);
-        metrics.counter("recovered_records").add(report.records());
-        metrics
-            .counter("recovery/truncated_bytes")
-            .add(report.truncated_bytes);
-        metrics
-            .counter("recovery/dropped_segments")
-            .add(report.dropped_segments);
-        metrics
-            .counter("recovery/superseded_segments")
+        let mut inst = LogInstruments::default();
+        inst.segments.set(segments.len() as i64);
+        inst.recovered_records.add(report.records());
+        inst.recovery_truncated_bytes.add(report.truncated_bytes);
+        inst.recovery_dropped_segments.add(report.dropped_segments);
+        inst.recovery_superseded_segments
             .add(report.superseded_segments);
-        metrics.hist("recovery_us").record(report.duration_us);
+        inst.recovery_us.record(report.duration_us);
 
         let log = SegmentLog {
             config,
@@ -477,7 +492,7 @@ impl SegmentLog {
             synced_pos: last_pos,
             last_pos,
             report,
-            metrics,
+            inst,
         };
         Ok((log, records, report))
     }
@@ -554,10 +569,8 @@ impl SegmentLog {
             pos
         };
         self.last_pos = Some(pos);
-        self.metrics.counter("frames_appended").inc();
-        self.metrics
-            .counter("bytes_written")
-            .add(framed.len() as u64);
+        self.inst.frames_appended.inc();
+        self.inst.bytes_written.add(framed.len() as u64);
 
         self.unsynced += 1;
         let due = match self.config.fsync {
@@ -578,8 +591,8 @@ impl SegmentLog {
         }
         let sw = Stopwatch::start();
         self.active.sync_data()?;
-        self.metrics.hist("fsync_us").record(sw.elapsed_us());
-        self.metrics.counter("fsyncs").inc();
+        self.inst.fsync_us.record(sw.elapsed_us());
+        self.inst.fsyncs.inc();
         self.unsynced = 0;
         self.synced_pos = self.last_pos;
         Ok(())
@@ -590,8 +603,8 @@ impl SegmentLog {
     fn seal_active(&mut self) -> Result<(), DurableError> {
         let sw = Stopwatch::start();
         self.active.sync_data()?;
-        self.metrics.hist("fsync_us").record(sw.elapsed_us());
-        self.metrics.counter("fsyncs").inc();
+        self.inst.fsync_us.record(sw.elapsed_us());
+        self.inst.fsyncs.inc();
         self.unsynced = 0;
         self.synced_pos = self.last_pos;
 
@@ -599,10 +612,8 @@ impl SegmentLog {
         let path = create_segment(&self.config.dir, next)?;
         self.active = OpenOptions::new().append(true).open(&path)?;
         self.segments.push(Segment::fresh(next, path));
-        self.metrics.counter("segments_sealed").inc();
-        self.metrics
-            .gauge("segments")
-            .set(self.segments.len() as i64);
+        self.inst.segments_sealed.inc();
+        self.inst.segments.set(self.segments.len() as i64);
         Ok(())
     }
 
@@ -661,10 +672,10 @@ impl SegmentLog {
             })?;
             scanned += 1;
         }
-        self.metrics.counter("bytes_read").add(bytes_read);
+        self.inst.bytes_read.add(bytes_read);
         if constrained {
-            self.metrics.counter("cold/segments_scanned").add(scanned);
-            self.metrics.counter("cold/segments_pruned").add(pruned);
+            self.inst.cold_segments_scanned.add(scanned);
+            self.inst.cold_segments_pruned.add(pruned);
         }
         Ok(())
     }
@@ -777,9 +788,7 @@ impl SegmentLog {
 
         let bytes_after = seg.bytes;
         self.segments.splice(start..=end, std::iter::once(seg));
-        self.metrics
-            .gauge("segments")
-            .set(self.segments.len() as i64);
+        self.inst.segments.set(self.segments.len() as i64);
 
         // Positions in the replaced range no longer exist; if the log's
         // newest (or newest-synced) record lived there, recompute it from
@@ -812,7 +821,7 @@ impl SegmentLog {
 
     /// Freeze the log's instruments into a snapshot.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.inst.snapshot()
     }
 
     /// Total bytes currently on disk across all segments (headers included).

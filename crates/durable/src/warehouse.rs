@@ -33,7 +33,7 @@ use crate::compact::{self, CompactionPolicy, CompactionStats, MergeRun};
 use crate::error::DurableError;
 use crate::index::{ColdFrontier, Pruner};
 use crate::log::{event_time, DurableConfig, LogPos, RecoveryReport, SegmentLog};
-use sl_obs::{Metrics, MetricsSnapshot, Stopwatch};
+use sl_obs::{Counter, Histogram, MetricsSnapshot, Stopwatch};
 use sl_ops::{CheckpointDelta, OpCheckpoint};
 use sl_stt::{Event, SpatialGranularity, TemporalGranularity, Timestamp, Tuple};
 use sl_warehouse::{tuple_events, EventQuery, EventWarehouse, WarehouseConfig};
@@ -52,7 +52,28 @@ pub struct DurableWarehouse {
     /// Checkpoints recovered at open time, keyed by (deployment, service);
     /// the engine drains these into its restart path.
     recovered: HashMap<(String, String), OpCheckpoint>,
-    metrics: Metrics,
+    inst: DurableInstruments,
+}
+
+sl_obs::instruments! {
+    /// The durable tier's own instruments (`durable/*` in the engine's
+    /// snapshot; the log's are under `durable/log/`).
+    struct DurableInstruments {
+        open_us: Histogram = "open_us",
+        rebuilt_hot_events: Counter = "rebuilt_hot_events",
+        recovered_checkpoints: Counter = "recovered_checkpoints",
+        checkpoints_persisted: Counter = "checkpoints_persisted",
+        events_spilled: Counter = "events_spilled",
+        compaction_runs: Counter = "compaction/runs",
+        compaction_segments_in: Counter = "compaction/segments_in",
+        compaction_events_dropped: Counter = "compaction/events_dropped",
+        compaction_markers_dropped: Counter = "compaction/markers_dropped",
+        compaction_checkpoints_dropped: Counter = "compaction/checkpoints_dropped",
+        compaction_bytes_reclaimed: Counter = "compaction/bytes_reclaimed",
+        compaction_pause_us: Histogram = "compaction/pause_us",
+        query_us: Histogram = "query_us",
+        queries: Counter = "queries",
+    }
 }
 
 impl DurableWarehouse {
@@ -121,19 +142,17 @@ impl DurableWarehouse {
             }
         }
 
-        let mut metrics = Metrics::new();
-        metrics.hist("open_us").record(sw.elapsed_us());
-        metrics.counter("rebuilt_hot_events").add(rebuilt);
-        metrics
-            .counter("recovered_checkpoints")
-            .add(recovered.len() as u64);
+        let mut inst = DurableInstruments::default();
+        inst.open_us.record(sw.elapsed_us());
+        inst.rebuilt_hot_events.add(rebuilt);
+        inst.recovered_checkpoints.add(recovered.len() as u64);
         Ok(DurableWarehouse {
             hot,
             log,
             markers,
             suffix_max,
             recovered,
-            metrics,
+            inst,
         })
     }
 
@@ -231,7 +250,7 @@ impl DurableWarehouse {
             encode_checkpoint_delta(deployment, service, delta.evicted, &delta.appended)
         };
         self.log.append_payload(&payload, None)?;
-        self.metrics.counter("checkpoints_persisted").inc();
+        self.inst.checkpoints_persisted.inc();
         Ok(())
     }
 
@@ -259,7 +278,7 @@ impl DurableWarehouse {
         self.suffix_max.push(h);
         self.markers.push((pos, horizon));
         let evicted = self.hot.evict_before(horizon);
-        self.metrics.counter("events_spilled").add(evicted as u64);
+        self.inst.events_spilled.add(evicted as u64);
         Ok(evicted)
     }
 
@@ -458,25 +477,14 @@ impl DurableWarehouse {
             checkpoints_dropped,
             duration_us: sw.elapsed_us(),
         };
-        self.metrics.counter("compaction/runs").inc();
-        self.metrics
-            .counter("compaction/segments_in")
-            .add(run.inputs as u64);
-        self.metrics
-            .counter("compaction/events_dropped")
-            .add(events_dropped);
-        self.metrics
-            .counter("compaction/markers_dropped")
-            .add(markers_dropped);
-        self.metrics
-            .counter("compaction/checkpoints_dropped")
-            .add(checkpoints_dropped);
-        self.metrics
-            .counter("compaction/bytes_reclaimed")
-            .add(stats.bytes_reclaimed());
-        self.metrics
-            .hist("compaction/pause_us")
-            .record(stats.duration_us);
+        let inst = &mut self.inst;
+        inst.compaction_runs.inc();
+        inst.compaction_segments_in.add(run.inputs as u64);
+        inst.compaction_events_dropped.add(events_dropped);
+        inst.compaction_markers_dropped.add(markers_dropped);
+        inst.compaction_checkpoints_dropped.add(checkpoints_dropped);
+        inst.compaction_bytes_reclaimed.add(stats.bytes_reclaimed());
+        inst.compaction_pause_us.record(stats.duration_us);
         Ok(stats)
     }
 
@@ -488,8 +496,8 @@ impl DurableWarehouse {
         let sw = Stopwatch::start();
         let mut out = self.cold_matches(q)?;
         out.extend(self.hot.query(q).into_iter().cloned());
-        self.metrics.hist("query_us").record(sw.elapsed_us());
-        self.metrics.counter("queries").inc();
+        self.inst.query_us.record(sw.elapsed_us());
+        self.inst.queries.inc();
         Ok(out)
     }
 
@@ -553,7 +561,7 @@ impl DurableWarehouse {
     /// Instruments of the durable tier (log + tiering). The hot store's own
     /// metrics remain available via `hot().metrics_snapshot()`.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
+        let mut snap = self.inst.snapshot();
         snap.absorb("log", &self.log.metrics_snapshot());
         snap
     }

@@ -53,9 +53,7 @@ impl Engine {
     }
 
     pub(crate) fn apply_fault(&mut self, now: Timestamp, action: FaultAction) {
-        self.metrics
-            .counter(&format!("faults/{}", action.kind()))
-            .inc();
+        self.inst.faults[action.kind_index()].inc();
         match action {
             FaultAction::LinkDown { link } => {
                 let _ = self.set_link_up(LinkId(link), false);
@@ -148,7 +146,7 @@ impl Engine {
         // The crash lost the in-memory window cache; re-seed it from the
         // checkpoint (an empty checkpoint wipes it).
         let restored = svc.checkpoint.clone().unwrap_or_else(OpCheckpoint::empty);
-        let restored = restore_window(&mut self.metrics, &mut *svc.op, restored);
+        let restored = restore_window(&mut self.inst, &mut *svc.op, restored);
         self.monitor.recovery.push(format!(
             "[{now}] {deployment}/{name}: recovered onto {target} ({restored} restored)"
         ));
@@ -231,7 +229,7 @@ impl Engine {
         }
 
         // Observability gauges: event-queue depth and per-link queued bytes.
-        self.set_tick_gauge(0, self.queue.pending() as i64);
+        self.inst.event_queue_depth.set(self.queue.pending() as i64);
         for (link, bytes) in self.flows.reserved_links() {
             self.net_stats.set_link_queued(link, bytes);
         }
@@ -264,8 +262,10 @@ impl Engine {
         }
 
         // Overload-control gauges.
-        self.set_tick_gauge(1, self.total_inflight() as i64);
-        self.set_tick_gauge(2, self.broker.credits().revoked_count() as i64);
+        let inflight = self.total_inflight() as i64;
+        self.inst.backpressure_inflight.set(inflight);
+        let throttled = self.broker.credits().revoked_count() as i64;
+        self.inst.backpressure_throttled_sensors.set(throttled);
 
         if self.config.migration_enabled {
             if let Some(cap) = backlog_cap {
@@ -284,17 +284,6 @@ impl Engine {
 
         self.queue
             .schedule_in(self.config.monitor_period, Ev::MonitorSample);
-    }
-
-    /// Set the `k`-th of the monitor tick's gauges (`Handles::tick`).
-    fn set_tick_gauge(&mut self, k: usize, value: i64) {
-        const NAMES: [&str; 3] = [
-            "event_queue_depth",
-            "backpressure/inflight",
-            "backpressure/throttled_sensors",
-        ];
-        let id = *self.handles.tick[k].get_or_insert_with(|| self.metrics.gauge_id(NAMES[k]));
-        self.metrics.gauge_at(id).set(value);
     }
 
     /// Re-place operators whose ingress queues stayed near their bound for
@@ -324,9 +313,7 @@ impl Engine {
             self.monitor
                 .pressure
                 .push(format!("[{now}] {at}: moved off {node}"));
-            self.metrics
-                .counter("backpressure/backlog_migrations")
-                .inc();
+            self.inst.backpressure_backlog_migrations.inc();
             if let Some(svc) = self.endpoints[id.index()].service_mut() {
                 svc.last_backlog_migration = Some(now);
             }

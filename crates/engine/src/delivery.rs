@@ -69,11 +69,11 @@ impl Engine {
         if attempt > 0 && self.config.overload.breaker_enabled {
             match ep.breaker.as_mut().map(|br| br.decide(base)) {
                 Some(BreakerDecision::FailFast) => {
-                    self.metrics.counter("breaker/fail_fast").inc();
+                    self.inst.breaker_fail_fast.inc();
                     return self.dead_letter_at(base, to, tuple, DropReason::BreakerOpen);
                 }
                 Some(BreakerDecision::Probe) => {
-                    self.metrics.counter("breaker/probes").inc();
+                    self.inst.breaker_probes.inc();
                     self.monitor.pressure.push(format!(
                         "[{base}] breaker half-open: probing {}/{}",
                         ep.names.0, ep.names.1
@@ -86,9 +86,9 @@ impl Engine {
         match self.transfer(from_node, target_node, tuple.byte_size()) {
             Some(delay) => {
                 if attempt > 0 {
-                    self.metrics.counter("retry/delivered").inc();
-                    self.metrics
-                        .hist("recovery/redelivery_ms")
+                    self.inst.retry_delivered.inc();
+                    self.inst
+                        .recovery_redelivery_ms
                         .record(base.since(first_failed_at).as_millis());
                 }
                 let deliver_at = base + delay + PROCESSING_DELAY;
@@ -117,7 +117,7 @@ impl Engine {
         if self.config.overload.breaker_enabled
             && ep.breaker.as_mut().is_some_and(CircuitBreaker::on_success)
         {
-            self.metrics.counter("breaker/closed").inc();
+            self.inst.breaker_closed.inc();
             self.monitor.pressure.push(format!(
                 "[{now}] breaker CLOSED for {}/{} (probe succeeded)",
                 ep.names.0, ep.names.1
@@ -154,7 +154,7 @@ impl Engine {
                 match victim {
                     Some((class, victim)) if class <= rank(&self.endpoints[to.index()].names.0) => {
                         self.condemn_oldest(victim, ShedPolicy::Priority);
-                        self.metrics.counter("backpressure/preempted").inc();
+                        self.inst.backpressure_preempted.inc();
                     }
                     _ => return self.shed(now, to, tuple, ShedPolicy::Priority),
                 }
@@ -172,7 +172,7 @@ impl Engine {
                     // overshoot on an interior edge cannot be blocked
                     // retroactively, so it is admitted (and visible in this
                     // counter).
-                    None => self.metrics.counter("backpressure/block_overflow").inc(),
+                    None => self.inst.backpressure_block_overflow.inc(),
                     Some(shed) => {
                         // Condemn the oldest and admit the newcomer, or shed
                         // the newcomer; `Sample` lets the seeded coin pick.
@@ -215,7 +215,7 @@ impl Engine {
         if attempt == 0 {
             // Never a silent drop: the failure is logged and counted even
             // when retries are disabled.
-            self.metrics.counter("drops/no_route").inc();
+            self.inst.drops_no_route.inc();
             self.monitor.console.push(format!(
                 "[{now}] warn: no route {from_node} -> {} for {deployment}/{target}",
                 ep.node
@@ -231,20 +231,20 @@ impl Engine {
                 .breaker
                 .get_or_insert_with(|| CircuitBreaker::new(threshold, cooldown));
             if br.on_failure(now) {
-                self.metrics.counter("breaker/opened").inc();
+                self.inst.breaker_opened.inc();
                 self.monitor.pressure.push(format!(
                     "[{now}] breaker OPEN for {deployment}/{target}: failing fast for {} ms",
                     cooldown.as_millis()
                 ));
             }
             if br.state() == BreakerState::Open {
-                self.metrics.counter("breaker/fail_fast").inc();
+                self.inst.breaker_fail_fast.inc();
                 return self.dead_letter_at(now, to, tuple, DropReason::BreakerOpen);
             }
         }
         if attempt < self.config.retry.max_attempts {
             let backoff = self.config.retry.backoff(attempt);
-            self.metrics.counter("retry/scheduled").inc();
+            self.inst.retry_scheduled.inc();
             // Absolute time off the failing event's timestamp, so retries
             // fire at the same instant whether the failure was handled
             // sequentially or merged out of a parallel batch. (If a backoff
@@ -530,7 +530,7 @@ mod tests {
         assert_eq!((r.e.depth(r.id("d", "all")), r.e.total_inflight()), (0, 0));
         assert_eq!(r.processed("d"), 1);
         assert_eq!(r.e.monitor.sink_count("d", "out"), 1);
-        assert_eq!(r.e.metrics.hist_ref("e2e/d/out_us").unwrap().count(), 1);
+        assert_eq!(r.e.endpoints[r.id("d", "out").index()].e2e.count(), 1);
         assert!(r.e.dlq().is_empty());
         // Sinks are not queued: nothing was ever counted against `out`.
         assert_eq!(r.e.depth(r.id("d", "out")), 0);
@@ -552,7 +552,7 @@ mod tests {
         r.run(Duration::from_secs(2));
         assert_eq!(r.counter("retry/delivered"), 1);
         assert_eq!(r.counter("drops/no_route"), 1, "logged once, not per retry");
-        let waited = r.e.metrics.hist_ref("recovery/redelivery_ms").unwrap();
+        let waited = &r.e.inst.recovery_redelivery_ms;
         assert_eq!((waited.count(), waited.max()), (1, Some(1_500)));
         assert_eq!(r.processed("d"), 1);
         assert!(r.e.dlq().is_empty());

@@ -34,7 +34,7 @@ use sl_dataflow::Dataflow;
 use sl_dsn::SinkKind;
 use sl_faults::CircuitBreaker;
 use sl_netsim::{FlowId, NodeId, ProcessId};
-use sl_obs::HistId;
+use sl_obs::Histogram;
 use sl_ops::{OpCheckpoint, Operator};
 use sl_pubsub::SubscriptionId;
 use sl_stt::{SchemaRef, SensorId, Timestamp, Tuple};
@@ -129,9 +129,6 @@ pub struct SinkRuntime {
     /// Slot of this sink's delivered-tuples total in the monitor, bound by
     /// name on the first arrival.
     pub count: Option<usize>,
-    /// The `e2e/{deployment}/{sink}_us` histogram, resolved on the first
-    /// arrival.
-    pub e2e: Option<HistId>,
 }
 
 /// What an [`Endpoint`] currently is.
@@ -155,6 +152,10 @@ pub struct Endpoint {
     /// Circuit breaker of the delivery path into this endpoint; created by
     /// the path's first failure.
     pub breaker: Option<CircuitBreaker>,
+    /// A sink's end-to-end virtual latency, sampling instant to arrival
+    /// (`engine/e2e/{deployment}/{sink}_us`); empty for a service. It
+    /// outlives the record's retirement, so the snapshot keeps it.
+    pub e2e: Histogram,
 }
 
 impl Endpoint {

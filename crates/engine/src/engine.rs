@@ -24,6 +24,7 @@ use crate::deployment::{
     SinkRuntime, SourceRuntime,
 };
 use crate::error::EngineError;
+use crate::instruments::EngineInstruments;
 use crate::monitor::{Monitor, PlacementChange};
 use crate::shard::{invoke, ShardJob, ShardJobResult, ShardPool};
 use crate::sources::SensorEntry;
@@ -37,7 +38,7 @@ use sl_netsim::{
     EventQueue, FlowTable, LoadTracker, NetError, NetStats, NodeId, QosSpec, Route, RoutingTable,
     Topology,
 };
-use sl_obs::{CounterId, GaugeId, HistId, Metrics, MetricsSnapshot};
+use sl_obs::{Histogram, MetricsSnapshot};
 use sl_ops::{CheckpointDelta, OpContext};
 use sl_pubsub::Broker;
 use sl_stt::{Duration, SchemaRef, SensorId, Timestamp, Tuple};
@@ -71,41 +72,6 @@ pub(crate) enum Ev {
         /// When the original delivery failed (recovery-latency baseline).
         first_failed_at: Timestamp,
     },
-}
-
-/// What an event was, for its `ev/*_us` wall-time histogram.
-#[derive(Clone, Copy)]
-enum EvKind {
-    Emit,
-    Deliver,
-    Tick,
-    Monitor,
-    Fault,
-    Retry,
-}
-
-/// The `ev/*_us` histogram names, in [`EvKind`] order.
-const EV_HISTS: [&str; 6] = [
-    "ev/emit_us",
-    "ev/deliver_us",
-    "ev/tick_us",
-    "ev/monitor_us",
-    "ev/fault_us",
-    "ev/retry_us",
-];
-
-/// Handles of the instruments touched per event or per monitor tick, each
-/// resolved by name the first time it fires (so an instrument that never
-/// fired stays out of the snapshot).
-#[derive(Default)]
-pub(crate) struct Handles {
-    /// Indexed by [`EvKind`].
-    pub(crate) ev: [Option<HistId>; 6],
-    /// `enrich/located`, `enrich/restamped`, `enrich/rethemed`.
-    pub(crate) enrich: [Option<CounterId>; 3],
-    /// `event_queue_depth`, `backpressure/inflight`,
-    /// `backpressure/throttled_sensors`.
-    pub(crate) tick: [Option<GaugeId>; 3],
 }
 
 /// A terminally undeliverable tuple, parked in the engine's dead-letter
@@ -147,11 +113,9 @@ pub struct Engine {
     /// The last trace id handed to a tuple entering the dataflows (ids
     /// start at 1; 0 on tuple metadata means "no trace assigned").
     pub(crate) last_trace: u64,
-    /// Engine-level instruments: event-loop timing, enrichment counters,
-    /// end-to-end latency, queue depth.
-    pub(crate) metrics: Metrics,
-    /// The hot-path instruments of `metrics`, by handle.
-    pub(crate) handles: Handles,
+    /// Engine-level instruments: event-loop timing, enrichment, delivery,
+    /// overload, storage and shard counters, queue depth.
+    pub(crate) inst: EngineInstruments,
     /// `loads.version()` the last overload scan started from. While it has
     /// not moved, the scan would read the demands and placements it read
     /// then, and it moved nothing then.
@@ -193,8 +157,7 @@ impl Engine {
             rng: StdRng::seed_from_u64(config.seed),
             last_trace: 0,
             config,
-            metrics: Metrics::new(),
-            handles: Handles::default(),
+            inst: EngineInstruments::default(),
             overload_scanned_at: None,
             emit_buf: Vec::new(),
             fanout: Vec::new(),
@@ -255,7 +218,7 @@ impl Engine {
     /// counts).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        snap.absorb("engine", &self.metrics.snapshot());
+        snap.absorb("engine", &self.inst.snapshot_with(&self.endpoints));
         snap.absorb("engine", &self.monitor.dlq_metrics());
         snap.absorb("op", &self.monitor.metrics_snapshot());
         snap.absorb("broker", &self.broker.metrics_snapshot());
@@ -445,7 +408,7 @@ impl Engine {
                     (staged.cloned(), self.endpoints[id.index()].service_mut())
                 {
                     svc.checkpoint_bytes = ckpt.byte_size();
-                    let restored = restore_window(&mut self.metrics, &mut *svc.op, ckpt.clone());
+                    let restored = restore_window(&mut self.inst, &mut *svc.op, ckpt.clone());
                     svc.checkpoint = Some(ckpt);
                     self.monitor.durability.push(format!(
                         "[{}] {name}/{service}: window cache restored from checkpoint ({restored})",
@@ -462,7 +425,6 @@ impl Engine {
                 let role = Role::Sink(SinkRuntime {
                     kind: *kind,
                     count: None,
-                    e2e: None,
                 });
                 let id = self.add_endpoint(name, sink, node, role, None, "sink endpoint")?;
                 deployment.sinks.insert(sink.clone(), id);
@@ -531,6 +493,7 @@ impl Engine {
             node,
             role,
             breaker: None,
+            e2e: Histogram::new(),
         });
         Ok(id)
     }
@@ -836,12 +799,7 @@ impl Engine {
                     self.run_sharded(pool, batch);
                     stamp = self.wall_us();
                 }
-                _ => {
-                    let kind = self.handle(now, ev);
-                    let end = self.wall_us();
-                    self.record_ev(kind, end.saturating_sub(stamp));
-                    stamp = end;
-                }
+                _ => stamp = self.handle(now, ev, stamp),
             }
         }
         self.pool = pool;
@@ -902,8 +860,9 @@ impl Engine {
         let num_jobs = jobs.len();
         let mut base_id = 0u64;
         for (ji, job) in jobs.into_iter().enumerate() {
-            self.metrics
-                .gauge(&format!("shard/{}/queue_depth", job.home))
+            self.inst
+                .shard(job.home)
+                .queue_depth
                 .set(job.items.len() as i64);
             let id = pool.submit(job);
             if ji == 0 {
@@ -937,12 +896,9 @@ impl Engine {
                 continue;
             };
             let shard = r.home;
-            self.metrics
-                .hist(&format!("shard/{shard}/batch_us"))
-                .record(r.wall_us);
-            self.metrics
-                .gauge(&format!("shard/{shard}/queue_depth"))
-                .set(0);
+            let inst = self.inst.shard(shard);
+            inst.batch_us.record(r.wall_us);
+            inst.queue_depth.set(0);
             batched_tuples += r.items.len() as u64;
             let stat = self.monitor.shards.entry(shard).or_default();
             stat.batches += 1;
@@ -956,13 +912,11 @@ impl Engine {
             }
             slots.push(r.items.into_iter());
         }
-        self.metrics.counter("shard/batches").add(num_jobs as u64);
-        self.metrics
-            .counter("shard/batched_tuples")
-            .add(batched_tuples);
+        self.inst.shard_batches.add(num_jobs as u64);
+        self.inst.shard_batched_tuples.add(batched_tuples);
         let steals = pool.steals();
-        self.metrics
-            .counter("shard/steals")
+        self.inst
+            .shard_steals
             .add(steals.saturating_sub(self.monitor.steals));
         self.monitor.steals = steals;
 
@@ -973,8 +927,7 @@ impl Engine {
                 Ok(job) => job,
                 Err((port, tuple)) => {
                     let (to, wall0) = (m.to, self.wall_us());
-                    let kind = self.handle(m.at, Ev::Deliver { to, port, tuple });
-                    self.record_ev(kind, self.wall_us().saturating_sub(wall0));
+                    self.handle(m.at, Ev::Deliver { to, port, tuple }, wall0);
                     continue;
                 }
             };
@@ -987,7 +940,7 @@ impl Engine {
                 ));
                 continue;
             };
-            self.record_ev(EvKind::Deliver, wall1.saturating_sub(wall0));
+            self.inst.ev_deliver_us.record(wall1.saturating_sub(wall0));
             self.settle(m.at, m.to, wall0, wall1, outcome);
         }
     }
@@ -998,28 +951,29 @@ impl Engine {
         self.run_until(deadline);
     }
 
-    /// Dispatch one event; what it was names its `ev/*_us` histogram.
-    fn handle(&mut self, now: Timestamp, ev: Ev) -> EvKind {
-        match ev {
+    /// Dispatch one event, then add the wall time from `since` to its end
+    /// to the `ev/*_us` histogram of its kind; returns the end.
+    fn handle(&mut self, now: Timestamp, ev: Ev, since: u64) -> u64 {
+        let hist: fn(&mut EngineInstruments) -> &mut Histogram = match ev {
             Ev::SensorEmit(id) => {
                 self.on_sensor_emit(now, id);
-                EvKind::Emit
+                |i| &mut i.ev_emit_us
             }
             Ev::Deliver { to, port, tuple } => {
                 self.on_deliver(now, to, port, tuple);
-                EvKind::Deliver
+                |i| &mut i.ev_deliver_us
             }
             Ev::Tick(service) => {
                 self.on_tick(now, service);
-                EvKind::Tick
+                |i| &mut i.ev_tick_us
             }
             Ev::MonitorSample => {
                 self.on_monitor_sample(now);
-                EvKind::Monitor
+                |i| &mut i.ev_monitor_us
             }
             Ev::Fault(action) => {
                 self.apply_fault(now, action);
-                EvKind::Fault
+                |i| &mut i.ev_fault_us
             }
             Ev::RetryDeliver {
                 to,
@@ -1032,16 +986,12 @@ impl Engine {
                 // Placement is re-resolved by the hop, so retries survive
                 // target migration and link repair.
                 self.send(now, from_node, to, port, tuple, attempt, first_failed_at);
-                EvKind::Retry
+                |i| &mut i.ev_retry_us
             }
-        }
-    }
-
-    /// Add one event's wall time to its `ev/*_us` histogram.
-    fn record_ev(&mut self, kind: EvKind, wall_us: u64) {
-        let k = kind as usize;
-        let id = *self.handles.ev[k].get_or_insert_with(|| self.metrics.hist_id(EV_HISTS[k]));
-        self.metrics.hist_at(id).record(wall_us);
+        };
+        let end = self.wall_us();
+        hist(&mut self.inst).record(end.saturating_sub(since));
+        end
     }
 
     fn on_deliver(&mut self, now: Timestamp, to: EndpointId, port: usize, tuple: Tuple) {
@@ -1058,13 +1008,8 @@ impl Engine {
                     .get_or_insert_with(|| self.monitor.bind_sink(dep_name, target));
                 self.monitor.count_sink_at(slot);
                 // End-to-end virtual latency: sensor sampling instant to sink.
-                let e2e = *sink.e2e.get_or_insert_with(|| {
-                    self.metrics.hist_id(&format!("e2e/{dep_name}/{target}_us"))
-                });
                 let latency = now.since(tuple.meta.timestamp);
-                self.metrics
-                    .hist_at(e2e)
-                    .record((latency.as_secs_f64() * 1e6) as u64);
+                ep.e2e.record((latency.as_secs_f64() * 1e6) as u64);
                 match sink.kind {
                     SinkKind::Warehouse => self.store(now, to, &tuple),
                     SinkKind::Console => {
@@ -1808,7 +1753,7 @@ mod tests {
                 svc.set_op(Box::new(Stubborn(temp_schema())));
             }
             e.run_for(Duration::from_mins(2));
-            let batched = e.metrics.counter_value("shard/batched_tuples");
+            let batched = e.inst.shard_batched_tuples.get();
             (batched, e.monitor().sink_count("d", "out"))
         };
         let (batched, delivered) = run(false);

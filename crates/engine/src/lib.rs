@@ -66,6 +66,7 @@ mod delivery;
 pub mod deployment;
 pub mod engine;
 pub mod error;
+mod instruments;
 pub mod monitor;
 pub mod overload;
 pub mod shard;

@@ -11,7 +11,7 @@ use crate::engine::DeadTuple;
 use crate::overload::IngressState;
 use sl_faults::DeadLetterQueue;
 use sl_netsim::{NodeId, TimeSeries};
-use sl_obs::{Counter, HistSummary, Histogram, MetricsSnapshot};
+use sl_obs::{Counter, Histogram, MetricsSnapshot};
 use sl_ops::ControlAction;
 use sl_stt::Timestamp;
 use std::collections::BTreeMap;
@@ -490,12 +490,8 @@ impl Monitor {
                 .insert(format!("{dep}/{op}/tuples_out"), c.tuples_out());
             snap.counters
                 .insert(format!("{dep}/{op}/dropped"), c.dropped());
-            if !c.proc_latency.is_empty() {
-                snap.hists.insert(
-                    format!("{dep}/{op}/proc_us"),
-                    HistSummary::of(&c.proc_latency),
-                );
-            }
+            c.proc_latency
+                .put_into(&mut snap, &format!("{dep}/{op}/proc_us"));
             snap.gauges
                 .insert(format!("{dep}/{op}/queue_depth"), c.ingress.depth as i64);
         }

@@ -22,9 +22,6 @@ use sl_sensors::{decode_payload, SensorSim};
 use sl_stt::{Duration, SchemaRef, SensorId, Timestamp, Tuple, Value};
 use std::sync::Arc;
 
-/// The enrichment counters, in `Handles::enrich` order.
-const ENRICH_COUNTERS: [&str; 3] = ["enrich/located", "enrich/restamped", "enrich/rethemed"];
-
 pub(crate) struct SensorEntry {
     sim: Box<dyn SensorSim>,
     /// Resolved once at plug-in and shared with the broker's registry: an
@@ -267,7 +264,7 @@ impl Engine {
         if let Some(entry) = self.sensors.get_mut(&ad.id.0) {
             entry.expired = true;
         }
-        self.metrics.counter("liveness/expired").inc();
+        self.inst.liveness_expired.inc();
         self.monitor.membership.push(format!(
             "[{now}] - sensor '{}' presumed dead (no heartbeat)",
             ad.name
@@ -313,7 +310,7 @@ impl Engine {
             if self.blocked_by_backpressure(&ad) {
                 self.queue.schedule_in(period, Ev::SensorEmit(id));
                 self.broker.heartbeat(SensorId(id), now);
-                self.metrics.counter("backpressure/throttled").inc();
+                self.inst.backpressure_throttled.inc();
                 if self.broker.set_credit(SensorId(id), false) {
                     self.monitor.pressure.push(format!(
                         "[{now}] credit revoked for sensor '{}' (downstream queue full)",
@@ -348,7 +345,7 @@ impl Engine {
             if let Ok(events) = self.broker.publish(Arc::clone(&ad)) {
                 self.apply_broker_events(events);
             }
-            self.metrics.counter("liveness/rejoined").inc();
+            self.inst.liveness_rejoined.inc();
             self.monitor
                 .membership
                 .push(format!("[{now}] + sensor '{}' rejoined", ad.name));
@@ -370,7 +367,7 @@ impl Engine {
             Err(_) if corrupt => {
                 // Undecodable garbage: account for it in the DLQ instead of
                 // pretending the sample never happened.
-                self.metrics.counter("drops/corrupt").inc();
+                self.inst.drops_corrupt.inc();
                 self.dead_letter(
                     now,
                     "~ingest".to_string(),
@@ -383,13 +380,14 @@ impl Engine {
             Err(_) => raw, // decoder and encoder disagree: fall back to raw
         };
         let enriched = enrich(&mut tuple, &ad, now, &EnrichPolicy::default());
-        let changed = [enriched.located, enriched.restamped, enriched.rethemed];
-        for (k, changed) in changed.into_iter().enumerate() {
-            if changed {
-                let handle = &mut self.handles.enrich[k];
-                let id = *handle.get_or_insert_with(|| self.metrics.counter_id(ENRICH_COUNTERS[k]));
-                self.metrics.counter_at(id).inc();
-            }
+        if enriched.located {
+            self.inst.enrich_located.inc();
+        }
+        if enriched.restamped {
+            self.inst.enrich_restamped.inc();
+        }
+        if enriched.rethemed {
+            self.inst.enrich_rethemed.inc();
         }
         if skew_ms != 0 {
             // Fault injection: the sensor's clock runs fast (positive) or
@@ -402,7 +400,7 @@ impl Engine {
                     .timestamp
                     .saturating_sub(Duration::from_millis(skew_ms.unsigned_abs()))
             };
-            self.metrics.counter("faults/skewed_tuples").inc();
+            self.inst.faults_skewed_tuples.inc();
         }
         // Every tuple entering the dataflows gets the next trace id.
         self.last_trace += 1;

@@ -15,12 +15,13 @@ use crate::config::{EngineConfig, OverflowPolicy, WAREHOUSE_SGRAN, WAREHOUSE_TGR
 use crate::deployment::{EndpointId, Role};
 use crate::engine::Engine;
 use crate::error::EngineError;
+use crate::instruments::EngineInstruments;
 use crate::monitor::CqStat;
 use sl_cq::{CqHub, CqPoll, SubscriberId, SubscriptionStat, ViewId, ViewStat};
 use sl_durable::{CompactionStats, DurableConfig, DurableError, DurableWarehouse};
 use sl_faults::DropReason;
 use sl_netsim::Topology;
-use sl_obs::{Metrics, MetricsSnapshot};
+use sl_obs::MetricsSnapshot;
 use sl_ops::{CheckpointDelta, OpCheckpoint, Operator};
 use sl_stt::{Event, Timestamp, Tuple};
 use sl_warehouse::{CubeCell, CubeQuery, EventQuery, EventWarehouse};
@@ -102,18 +103,14 @@ impl Storage {
 /// count what came back; returns the `N tuples, B B` of the caller's log
 /// line.
 pub(crate) fn restore_window(
-    metrics: &mut Metrics,
+    inst: &mut EngineInstruments,
     op: &mut dyn Operator,
     ckpt: OpCheckpoint,
 ) -> String {
     let (n_tuples, n_bytes) = (ckpt.len(), ckpt.byte_size());
     op.restore(ckpt);
-    metrics
-        .counter("checkpoint/restored_tuples")
-        .add(n_tuples as u64);
-    metrics
-        .counter("checkpoint/restored_bytes")
-        .add(n_bytes as u64);
+    inst.checkpoint_restored_tuples.add(n_tuples as u64);
+    inst.checkpoint_restored_bytes.add(n_bytes as u64);
     format!("{n_tuples} tuples, {n_bytes} B")
 }
 
@@ -296,7 +293,7 @@ impl Engine {
             (d.maybe_compact(now)?, "")
         };
         if let Some(s) = &stats {
-            self.metrics.counter("maintenance/compactions").inc();
+            self.inst.maintenance_compactions.inc();
             let mut line = format!(
                 "[{now}] compaction{label}: {} segments -> 1 (gen {}), {} bytes reclaimed",
                 s.segments_in,
@@ -321,9 +318,7 @@ impl Engine {
             match self.evict_warehouse_before(horizon) {
                 Ok(0) => {}
                 Ok(evicted) => {
-                    self.metrics
-                        .counter("retention/evicted")
-                        .add(evicted as u64);
+                    self.inst.retention_evicted.add(evicted as u64);
                     self.monitor.continuous.push(format!(
                         "[{now}] retention: {evicted} events evicted before {horizon}"
                     ));
@@ -422,7 +417,7 @@ impl Engine {
                 svc.checkpoint.insert(OpCheckpoint::empty())
             }
         };
-        self.metrics.counter("checkpoint/taken").inc();
+        self.inst.checkpoint_taken.inc();
         let (console, (deployment, name)) = (&mut self.monitor.console, &ep.names);
         self.storage
             .log_checkpoint(console, "persisting", deployment, name, &delta);
@@ -434,9 +429,7 @@ impl Engine {
         };
         svc.checkpoint_bytes = svc.checkpoint_bytes - gone + delta.byte_size();
         fold.apply(delta);
-        self.metrics
-            .gauge("checkpoint/bytes")
-            .set(svc.checkpoint_bytes as i64);
+        self.inst.checkpoint_bytes.set(svc.checkpoint_bytes as i64);
     }
 
     /// The latest blocking-operator window for `(deployment, service)` — the

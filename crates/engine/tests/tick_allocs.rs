@@ -3,25 +3,39 @@
 //! with 32 subscribers and 2 views allocate exactly as often as ticks with
 //! one subscriber and the same views. The monitor's rows are updated in
 //! place, and a row key or `kind` is rendered only for a registration the
-//! monitor has not seen. One test only — the counter below is
-//! process-wide, and a second test running beside it would be counted too.
+//! monitor has not seen. The counter below counts only the allocations of
+//! the thread that sets `COUNTED` (the test's own), so the harness's
+//! threads do not land in the measured windows.
 
 use sl_engine::{Engine, EngineConfig, OverflowPolicy};
 use sl_netsim::Topology;
 use sl_stt::{Duration, SpatialGranularity, TemporalGranularity, Theme, Timestamp};
 use sl_warehouse::{CubeQuery, EventQuery};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the test's thread: only its allocations are counted. A
+    /// `const` initializer, so reading it never allocates.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.fetch_add(1, Relaxed);
+    }
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter never touches the memory.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count();
         // SAFETY: the caller's obligations are passed on unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -32,7 +46,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count();
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -53,6 +67,7 @@ fn allocs_over(e: &mut Engine, ticks: u64) -> u64 {
 
 #[test]
 fn a_monitor_tick_allocates_alike_for_one_and_for_thirty_two_subscribers() {
+    COUNTED.with(|c| c.set(true));
     let config = EngineConfig {
         migration_enabled: false,
         ..EngineConfig::default()

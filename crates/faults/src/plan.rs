@@ -91,21 +91,44 @@ pub enum FaultAction {
 }
 
 impl FaultAction {
+    /// Every kind name, in declaration order:
+    /// `KINDS[a.kind_index()] == a.kind()`.
+    pub const KINDS: [&'static str; 12] = [
+        "link_down",
+        "link_up",
+        "node_crash",
+        "node_restart",
+        "sensor_stall",
+        "sensor_dropout",
+        "sensor_resume",
+        "corrupt_start",
+        "corrupt_stop",
+        "clock_skew",
+        "burst_start",
+        "burst_stop",
+    ];
+
     /// Short kind name, used as a metrics-counter suffix.
     pub fn kind(&self) -> &'static str {
+        Self::KINDS[self.kind_index()]
+    }
+
+    /// Position of this action's kind in [`FaultAction::KINDS`], so a
+    /// per-kind tally is an array.
+    pub fn kind_index(&self) -> usize {
         match self {
-            FaultAction::LinkDown { .. } => "link_down",
-            FaultAction::LinkUp { .. } => "link_up",
-            FaultAction::NodeCrash { .. } => "node_crash",
-            FaultAction::NodeRestart { .. } => "node_restart",
-            FaultAction::SensorStall { .. } => "sensor_stall",
-            FaultAction::SensorDropout { .. } => "sensor_dropout",
-            FaultAction::SensorResume { .. } => "sensor_resume",
-            FaultAction::CorruptStart { .. } => "corrupt_start",
-            FaultAction::CorruptStop { .. } => "corrupt_stop",
-            FaultAction::ClockSkew { .. } => "clock_skew",
-            FaultAction::BurstStart { .. } => "burst_start",
-            FaultAction::BurstStop { .. } => "burst_stop",
+            FaultAction::LinkDown { .. } => 0,
+            FaultAction::LinkUp { .. } => 1,
+            FaultAction::NodeCrash { .. } => 2,
+            FaultAction::NodeRestart { .. } => 3,
+            FaultAction::SensorStall { .. } => 4,
+            FaultAction::SensorDropout { .. } => 5,
+            FaultAction::SensorResume { .. } => 6,
+            FaultAction::CorruptStart { .. } => 7,
+            FaultAction::CorruptStop { .. } => 8,
+            FaultAction::ClockSkew { .. } => 9,
+            FaultAction::BurstStart { .. } => 10,
+            FaultAction::BurstStop { .. } => 11,
         }
     }
 }

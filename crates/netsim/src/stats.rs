@@ -6,7 +6,7 @@
 //! sampled values for plotting.
 
 use crate::topology::{LinkId, NodeId};
-use sl_obs::{Gauge, HistSummary, Histogram, MetricsSnapshot};
+use sl_obs::{Gauge, Histogram, MetricsSnapshot};
 use sl_stt::{Duration, Timestamp};
 
 /// A sampled time series with a bounded memory footprint.
@@ -113,8 +113,8 @@ pub struct NetStats {
     /// `None` for a link that never carried traffic.
     links: Vec<Option<LinkTraffic>>,
     /// Bytes of reserved/backlogged traffic per link (set by the engine from
-    /// its flow table at each monitor sample); `None` if never set.
-    link_queued: Vec<Option<Gauge>>,
+    /// its flow table at each monitor sample).
+    link_queued: Vec<Gauge>,
     total_msgs: u64,
     total_bytes: u64,
     total_delay: Duration,
@@ -157,15 +157,12 @@ impl NetStats {
     /// Set the queued-bytes gauge for a link (the engine samples its flow
     /// reservations periodically).
     pub fn set_link_queued(&mut self, link: LinkId, bytes: u64) {
-        entry(&mut self.link_queued, link.0)
-            .get_or_insert_with(Gauge::default)
-            .set(bytes.min(i64::MAX as u64) as i64);
+        entry(&mut self.link_queued, link.0).set(bytes.min(i64::MAX as u64) as i64);
     }
 
     /// Current queued-bytes gauge of a link (0 if never set).
     pub fn link_queued(&self, link: LinkId) -> i64 {
-        let gauge = self.link_queued.get(link.0 as usize);
-        gauge.and_then(Option::as_ref).map_or(0, Gauge::get)
+        self.link_queued.get(link.0 as usize).map_or(0, Gauge::get)
     }
 
     fn traffic(&self, link: LinkId) -> Option<&LinkTraffic> {
@@ -221,12 +218,11 @@ impl NetStats {
         let mut snap = MetricsSnapshot::new();
         snap.counters.insert("total_msgs".into(), self.total_msgs);
         snap.counters.insert("total_bytes".into(), self.total_bytes);
-        for (link, g) in ids(&self.link_queued) {
-            snap.gauges.insert(format!("{link}/queued_bytes"), g.get());
+        for (i, g) in self.link_queued.iter().enumerate() {
+            g.put_into(&mut snap, &format!("{}/queued_bytes", LinkId(i as u32)));
         }
         for (link, t) in ids(&self.links) {
-            snap.hists
-                .insert(format!("{link}/latency_us"), HistSummary::of(&t.latency));
+            t.latency.put_into(&mut snap, &format!("{link}/latency_us"));
         }
         snap
     }

@@ -155,6 +155,15 @@ impl Histogram {
         self.percentile(0.99)
     }
 
+    /// Write this histogram's summary into `snap` under `name`, if it
+    /// holds a sample.
+    pub fn put_into(&self, snap: &mut crate::MetricsSnapshot, name: &str) {
+        if self.count > 0 {
+            snap.hists
+                .insert(name.to_string(), crate::HistSummary::of(self));
+        }
+    }
+
     /// Fold another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {

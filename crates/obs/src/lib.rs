@@ -6,6 +6,12 @@
 //! [`MetricsSnapshot`] that serializes to JSON (and back) and renders as a
 //! human-readable table.
 //!
+//! A subsystem declares its instruments with [`instruments!`]: plain fields
+//! of one struct, each with its snapshot key, updated by field access. Its
+//! generated `snapshot()` writes each one under its key, so a key is
+//! spelled once and a misspelled instrument does not compile. The snapshot
+//! lists an instrument from its first update on.
+//!
 //! The crate is deliberately free of third-party dependencies so every other
 //! workspace crate can use it, including in the offline build environment.
 //! That is also why the one [`text::Cursor`] lives here, which the DSN,
@@ -14,22 +20,30 @@
 //! ## Example
 //!
 //! ```
-//! use sl_obs::{Metrics, MetricsSnapshot};
+//! use sl_obs::{Counter, Gauge, Histogram, MetricsSnapshot};
 //!
-//! let mut m = Metrics::new();
+//! sl_obs::instruments! {
+//!     /// A subsystem's instruments, declared.
+//!     struct Instruments {
+//!         tuples_in: Counter = "tuples_in",
+//!         queue_depth: Gauge = "queue_depth",
+//!         proc_us: Histogram = "op/proc_us",
+//!         dropped: Counter = "dropped",
+//!     }
+//! }
 //!
-//! // Scalars and latency samples.
-//! m.counter("tuples_in").add(3);
-//! m.gauge("event_queue_depth").set(2);
-//! m.hist("proc_us").record(120);
-//! m.hist("proc_us").record(480);
+//! let mut inst = Instruments::default();
+//! inst.tuples_in.add(3);
+//! inst.queue_depth.set(2);
+//! inst.proc_us.record(120);
+//! inst.proc_us.record(480);
 //!
-//! // Freeze, export, and re-import.
-//! let snap = m.snapshot();
+//! // Freeze (`dropped` never fired, so it is absent), export, re-import.
+//! let snap = inst.snapshot();
 //! assert_eq!(snap.counters["tuples_in"], 3);
-//! assert_eq!(snap.hists["proc_us"].count, 2);
-//! let wire = snap.to_json();
-//! assert_eq!(MetricsSnapshot::from_json(&wire).unwrap(), snap);
+//! assert_eq!(snap.hists["op/proc_us"].count, 2);
+//! assert!(!snap.counters.contains_key("dropped"));
+//! assert_eq!(MetricsSnapshot::from_json(&snap.to_json()).unwrap(), snap);
 //! ```
 
 #![warn(missing_docs)]
@@ -48,37 +62,50 @@ pub use snapshot::{HistSummary, MetricsSnapshot, SnapshotError, SNAPSHOT_SCHEMA_
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// A registry of named instruments owned by one subsystem.
-///
-/// Instruments are created on first use ([`Metrics::counter`],
-/// [`Metrics::gauge`], [`Metrics::hist`]) and frozen into a
-/// [`MetricsSnapshot`] with [`Metrics::snapshot`].
-///
-/// Each kind lives in one slot vector behind its name index. A hot path
-/// resolves a name once ([`Metrics::hist_id`], …) and then reaches the
-/// instrument by handle ([`Metrics::hist_at`], …); `hist(name)` *is*
-/// `hist_at(hist_id(name))`, so a handle and a name address the same
-/// instrument and the snapshot cannot tell them apart. Resolving a name
-/// creates its instrument: resolve a handle where the instrument is first
-/// used, or a key that never fired shows up in the snapshot.
-#[derive(Debug, Clone, Default)]
-pub struct Metrics {
-    counters: Slots<Counter>,
-    gauges: Slots<Gauge>,
-    hists: Slots<Histogram>,
+/// Declare a subsystem's instruments (see the crate docs): a struct
+/// deriving `Debug` and `Default` whose [`Counter`], [`Gauge`] and
+/// [`Histogram`] fields each carry `= "its/snapshot/key"`, and a
+/// `snapshot()` writing every keyed instrument that fired under its key.
+/// A field without a key (an array or vector of instruments) is left to
+/// its owner to write.
+#[macro_export]
+macro_rules! instruments {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty $(= $key:literal)?),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $vis struct $name {
+            $($(#[$fmeta])* $fvis $field: $ty,)*
+        }
+
+        impl $name {
+            /// Every keyed instrument that fired, under its key.
+            $vis fn snapshot(&self) -> $crate::MetricsSnapshot {
+                let mut snap = $crate::MetricsSnapshot::new();
+                $($(self.$field.put_into(&mut snap, $key);)?)*
+                snap
+            }
+        }
+    };
 }
 
-/// Handle of a counter in one [`Metrics`] (from [`Metrics::counter_id`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterId(usize);
-
-/// Handle of a gauge in one [`Metrics`] (from [`Metrics::gauge_id`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(usize);
-
-/// Handle of a histogram in one [`Metrics`] (from [`Metrics::hist_id`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistId(usize);
+/// Instruments looked up by name, each created by its first lookup; the
+/// snapshot lists the ones that were updated, as for declared ones.
+///
+/// No library crate records through it: their instruments are declared
+/// with [`instruments!`]. It serves callers that pick names at run time,
+/// such as a benchmark timing a by-name record, and tests that build
+/// snapshots.
+#[derive(Debug, Clone, Default)]
+pub struct Metrics {
+    counters: BTreeMap<String, Counter>,
+    gauges: BTreeMap<String, Gauge>,
+    hists: BTreeMap<String, Histogram>,
+}
 
 impl Metrics {
     /// An empty registry.
@@ -87,115 +114,35 @@ impl Metrics {
         Self::default()
     }
 
-    /// The handle of the counter named `name`, created at zero on first use.
-    pub fn counter_id(&mut self, name: &str) -> CounterId {
-        CounterId(self.counters.id(name))
-    }
-
-    /// The handle of the gauge named `name`, created at zero on first use.
-    pub fn gauge_id(&mut self, name: &str) -> GaugeId {
-        GaugeId(self.gauges.id(name))
-    }
-
-    /// The handle of the histogram named `name`, created empty on first use.
-    pub fn hist_id(&mut self, name: &str) -> HistId {
-        HistId(self.hists.id(name))
-    }
-
-    /// The counter behind a handle of this registry.
-    pub fn counter_at(&mut self, id: CounterId) -> &mut Counter {
-        &mut self.counters.slots[id.0]
-    }
-
-    /// The gauge behind a handle of this registry.
-    pub fn gauge_at(&mut self, id: GaugeId) -> &mut Gauge {
-        &mut self.gauges.slots[id.0]
-    }
-
-    /// The histogram behind a handle of this registry.
-    pub fn hist_at(&mut self, id: HistId) -> &mut Histogram {
-        &mut self.hists.slots[id.0]
-    }
-
     /// The counter named `name`, created at zero on first use.
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        let id = self.counter_id(name);
-        self.counter_at(id)
+        self.counters.entry(name.to_string()).or_default()
     }
 
     /// The gauge named `name`, created at zero on first use.
     pub fn gauge(&mut self, name: &str) -> &mut Gauge {
-        let id = self.gauge_id(name);
-        self.gauge_at(id)
+        self.gauges.entry(name.to_string()).or_default()
     }
 
     /// The histogram named `name`, created empty on first use.
     pub fn hist(&mut self, name: &str) -> &mut Histogram {
-        let id = self.hist_id(name);
-        self.hist_at(id)
+        self.hists.entry(name.to_string()).or_default()
     }
 
-    /// Current value of a counter, 0 if it was never touched.
-    #[must_use]
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, Counter::get)
-    }
-
-    /// Current value of a gauge, 0 if it was never touched.
-    #[must_use]
-    pub fn gauge_value(&self, name: &str) -> i64 {
-        self.gauges.get(name).map_or(0, Gauge::get)
-    }
-
-    /// Read-only view of a histogram, `None` if it was never touched.
-    #[must_use]
-    pub fn hist_ref(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// Freeze every instrument into a serializable snapshot.
+    /// Freeze every instrument that was updated into a snapshot.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        for (name, c) in self.counters.iter() {
-            snap.counters.insert(name.clone(), c.get());
+        for (name, c) in &self.counters {
+            c.put_into(&mut snap, name);
         }
-        for (name, g) in self.gauges.iter() {
-            snap.gauges.insert(name.clone(), g.get());
+        for (name, g) in &self.gauges {
+            g.put_into(&mut snap, name);
         }
-        for (name, h) in self.hists.iter() {
-            snap.hists.insert(name.clone(), HistSummary::of(h));
+        for (name, h) in &self.hists {
+            h.put_into(&mut snap, name);
         }
         snap
-    }
-}
-
-/// Instruments of one kind: a slot vector behind a name index. A slot is
-/// never removed, so a handle stays valid for the registry's lifetime.
-#[derive(Debug, Clone, Default)]
-struct Slots<T> {
-    index: BTreeMap<String, usize>,
-    slots: Vec<T>,
-}
-
-impl<T: Default> Slots<T> {
-    /// The slot of `name`; the key is allocated only when it is new.
-    fn id(&mut self, name: &str) -> usize {
-        if let Some(&id) = self.index.get(name) {
-            return id;
-        }
-        self.slots.push(T::default());
-        self.index.insert(name.to_string(), self.slots.len() - 1);
-        self.slots.len() - 1
-    }
-
-    fn get(&self, name: &str) -> Option<&T> {
-        self.index.get(name).map(|&id| &self.slots[id])
-    }
-
-    /// Every instrument, in name order.
-    fn iter(&self) -> impl Iterator<Item = (&String, &T)> {
-        self.index.iter().map(|(name, &id)| (name, &self.slots[id]))
     }
 }
 
@@ -236,13 +183,14 @@ mod tests {
         m.counter("c").inc();
         m.gauge("g").set(-2);
         m.hist("h").record(9);
-        assert_eq!(m.counter_value("c"), 1);
-        assert_eq!(m.gauge_value("g"), -2);
-        assert_eq!(m.hist_ref("h").unwrap().count(), 1);
-        // Untouched instruments read as empty, not as errors.
-        assert_eq!(m.counter_value("never"), 0);
-        assert_eq!(m.gauge_value("never"), 0);
-        assert!(m.hist_ref("never").is_none());
+        m.counter("zero").add(0);
+        m.counter("looked_up_only");
+        let snap = m.snapshot();
+        assert_eq!(snap.counters["c"], 1);
+        assert_eq!(snap.gauges["g"], -2);
+        assert_eq!(snap.hists["h"].count, 1);
+        assert_eq!(snap.counters["zero"], 0);
+        assert!(!snap.counters.contains_key("looked_up_only"));
     }
 
     #[test]
@@ -254,34 +202,6 @@ mod tests {
         let snap = m.snapshot();
         let back = MetricsSnapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn handles_and_names_address_one_storage() {
-        // The same work, once by name and once through handles resolved
-        // where each instrument is first used.
-        let mut by_name = Metrics::new();
-        let mut by_handle = Metrics::new();
-        let (mut c, mut g, mut h) = (None, None, None);
-        for i in 0..5u64 {
-            by_name.counter("z/hits").add(i);
-            by_name.gauge("a/depth").set(i as i64 - 2);
-            by_name.hist("m/lat_us").record(i * 100);
-
-            let id = *c.get_or_insert_with(|| by_handle.counter_id("z/hits"));
-            by_handle.counter_at(id).add(i);
-            let id = *g.get_or_insert_with(|| by_handle.gauge_id("a/depth"));
-            by_handle.gauge_at(id).set(i as i64 - 2);
-            let id = *h.get_or_insert_with(|| by_handle.hist_id("m/lat_us"));
-            by_handle.hist_at(id).record(i * 100);
-        }
-        // Mixed: a handle and a name reach the same instrument.
-        by_name.counter("b/mixed").add(2);
-        let id = by_handle.counter_id("b/mixed");
-        by_handle.counter_at(id).inc();
-        by_handle.counter("b/mixed").inc();
-        assert_eq!(by_handle.snapshot().to_json(), by_name.snapshot().to_json());
-        assert_eq!(by_handle.counter_value("z/hits"), 10);
     }
 
     #[test]

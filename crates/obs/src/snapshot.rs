@@ -1,8 +1,9 @@
 //! Exportable metric snapshots.
 //!
-//! A [`MetricsSnapshot`] is a frozen, serializable view of every instrument
-//! in a [`crate::Metrics`] registry (or several registries merged under
-//! prefixes). It serializes to a stable JSON document — schema version
+//! A [`MetricsSnapshot`] is a frozen, serializable view of a subsystem's
+//! instruments (or of several subsystems merged under prefixes); each
+//! instrument's `put_into` writes it under its key once it has fired. It
+//! serializes to a stable JSON document — schema version
 //! [`SNAPSHOT_SCHEMA_VERSION`], sorted keys — and back, and renders as a
 //! human-readable table for console dashboards.
 //!
@@ -201,8 +202,9 @@ impl MetricsSnapshot {
     }
 
     /// Merge `other` into `self`, prefixing every metric name with
-    /// `prefix` + `/`. Counter collisions add; gauge collisions take the
-    /// incoming value; histogram summaries must not collide (last wins).
+    /// `prefix` + `/`. Counter collisions add (saturating); gauge
+    /// collisions take the incoming value; histogram summaries must not
+    /// collide (last wins).
     pub fn absorb(&mut self, prefix: &str, other: &MetricsSnapshot) {
         let key = |name: &str| {
             if prefix.is_empty() {
@@ -212,7 +214,8 @@ impl MetricsSnapshot {
             }
         };
         for (name, v) in &other.counters {
-            *self.counters.entry(key(name)).or_insert(0) += v;
+            let total = self.counters.entry(key(name)).or_insert(0);
+            *total = total.saturating_add(*v);
         }
         for (name, v) in &other.gauges {
             self.gauges.insert(key(name), *v);
@@ -377,6 +380,35 @@ mod tests {
         total.absorb("engine", &part);
         assert_eq!(total.counters["engine/tuples_in"], 20);
         assert_eq!(total.gauges["engine/depth"], 4);
+    }
+
+    #[test]
+    fn absorb_saturates_colliding_counters() {
+        let mut total = MetricsSnapshot::new();
+        let mut part = MetricsSnapshot::new();
+        part.counters.insert("n".into(), u64::MAX);
+        total.absorb("", &part);
+        total.absorb("", &part);
+        assert_eq!(total.counters["n"], u64::MAX);
+    }
+
+    #[test]
+    fn put_writes_only_instruments_that_fired() {
+        use crate::{Counter, Gauge};
+        let (mut c, mut g, mut h) = (Counter::new(), Gauge::new(), Histogram::new());
+        let mut s = MetricsSnapshot::new();
+        c.put_into(&mut s, "c");
+        g.put_into(&mut s, "g");
+        h.put_into(&mut s, "h");
+        assert_eq!(s, MetricsSnapshot::new());
+        c.add(0);
+        g.set(0);
+        h.record(7);
+        c.put_into(&mut s, "c");
+        g.put_into(&mut s, "g");
+        h.put_into(&mut s, "h");
+        assert_eq!((s.counters["c"], s.gauges["g"]), (0, 0));
+        assert_eq!(s.hists["h"], HistSummary::of(&h));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::filter::SubscriptionFilter;
 use crate::message::SensorAdvertisement;
 use crate::registry::SensorRegistry;
 use crate::PubSubError;
-use sl_obs::{Metrics, MetricsSnapshot, Stopwatch};
+use sl_obs::{Counter, Histogram, MetricsSnapshot, Stopwatch};
 use sl_stt::{SensorId, Timestamp};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -62,7 +62,21 @@ pub struct Broker {
     /// Backpressure: which sensors currently hold generation credit.
     credits: CreditTable,
     /// Observability: publish/unpublish match latency and event counters.
-    metrics: Metrics,
+    inst: BrokerInstruments,
+}
+
+sl_obs::instruments! {
+    /// The broker's instruments (`broker/*` in the engine's snapshot).
+    struct BrokerInstruments {
+        match_us: Histogram = "match_us",
+        subscribes: Counter = "subscribes",
+        publishes: Counter = "publishes",
+        unpublishes: Counter = "unpublishes",
+        notifications: Counter = "notifications",
+        expired: Counter = "expired",
+        credit_grants: Counter = "credit_grants",
+        credit_revokes: Counter = "credit_revokes",
+    }
 }
 
 impl Broker {
@@ -81,7 +95,7 @@ impl Broker {
         let id = self.next_sub;
         self.next_sub += 1;
         self.subscriptions.insert(id, filter);
-        self.metrics.counter("subscribes").inc();
+        self.inst.subscribes.inc();
         SubscriptionId(id)
     }
 
@@ -125,11 +139,9 @@ impl Broker {
                 ad: Arc::clone(&ad),
             })
             .collect();
-        self.metrics.hist("match_us").record(sw.elapsed_us());
-        self.metrics.counter("publishes").inc();
-        self.metrics
-            .counter("notifications")
-            .add(events.len() as u64);
+        self.inst.match_us.record(sw.elapsed_us());
+        self.inst.publishes.inc();
+        self.inst.notifications.add(events.len() as u64);
         Ok(events)
     }
 
@@ -157,11 +169,9 @@ impl Broker {
                 sensor: id,
             })
             .collect();
-        self.metrics.hist("match_us").record(sw.elapsed_us());
-        self.metrics.counter("unpublishes").inc();
-        self.metrics
-            .counter("notifications")
-            .add(events.len() as u64);
+        self.inst.match_us.record(sw.elapsed_us());
+        self.inst.unpublishes.inc();
+        self.inst.notifications.add(events.len() as u64);
         Ok((ad, events))
     }
 
@@ -234,7 +244,7 @@ impl Broker {
             let Ok(expiry) = self.withdraw(id) else {
                 continue;
             };
-            self.metrics.counter("expired").inc();
+            self.inst.expired.inc();
             expired.push(expiry);
         }
         expired
@@ -251,12 +261,11 @@ impl Broker {
     pub fn set_credit(&mut self, id: SensorId, granted: bool) -> bool {
         let changed = self.credits.set(id, granted);
         if changed {
-            let key = if granted {
-                "credit_grants"
+            if granted {
+                self.inst.credit_grants.inc();
             } else {
-                "credit_revokes"
-            };
-            self.metrics.counter(key).inc();
+                self.inst.credit_revokes.inc();
+            }
         }
         changed
     }
@@ -264,7 +273,7 @@ impl Broker {
     /// Freeze the broker's instruments (match latency, publish/subscribe
     /// counters) into a snapshot.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.inst.snapshot()
     }
 }
 

@@ -321,10 +321,8 @@ impl EventWarehouse {
     /// the requested one (already coarser, or incomparable) are skipped.
     pub fn rollup(&mut self, q: &CubeQuery) -> Vec<CubeCell> {
         let out = rollup_events(self.select(&q.select), q);
-        self.metrics.counter("rollups").inc();
-        self.metrics
-            .counter("cube_cells_updated")
-            .add(out.len() as u64);
+        self.inst.rollups.inc();
+        self.inst.cube_cells_updated.add(out.len() as u64);
         out
     }
 

@@ -1,6 +1,6 @@
 //! The append-only event store and its indexes.
 
-use sl_obs::{Metrics, MetricsSnapshot, Stopwatch};
+use sl_obs::{Counter, Histogram, MetricsSnapshot, Stopwatch};
 use sl_stt::{
     Duration, Event, SpatialGranularity, SpatialGranule, TemporalGranularity, Theme, Timestamp,
     Tuple,
@@ -84,8 +84,19 @@ pub struct EventWarehouse {
     /// Queries answered. Interior-mutable so the read path stays `&self`;
     /// folded into [`WarehouseStats::queries`] by [`EventWarehouse::stats`].
     queries: Cell<u64>,
-    /// Observability: ingest latency histogram and ETL counters.
-    pub(crate) metrics: Metrics,
+    /// Observability: ingest latency histogram, ETL and cube counters.
+    pub(crate) inst: WarehouseInstruments,
+}
+
+sl_obs::instruments! {
+    /// The warehouse's instruments (`warehouse/*` in the engine's snapshot).
+    pub(crate) struct WarehouseInstruments {
+        ingest_us: Histogram = "ingest_us",
+        tuples_ingested: Counter = "tuples_ingested",
+        events_stored: Counter = "events_stored",
+        pub(crate) rollups: Counter = "rollups",
+        pub(crate) cube_cells_updated: Counter = "cube_cells_updated",
+    }
 }
 
 impl EventWarehouse {
@@ -103,7 +114,7 @@ impl EventWarehouse {
             expiry: BinaryHeap::new(),
             tombstones: 0,
             queries: Cell::new(0),
-            metrics: Metrics::new(),
+            inst: WarehouseInstruments::default(),
         }
     }
 
@@ -207,16 +218,16 @@ impl EventWarehouse {
         for event in events {
             self.insert(event);
         }
-        self.metrics.hist("ingest_us").record(sw.elapsed_us());
-        self.metrics.counter("tuples_ingested").inc();
-        self.metrics.counter("events_stored").add(stored as u64);
+        self.inst.ingest_us.record(sw.elapsed_us());
+        self.inst.tuples_ingested.inc();
+        self.inst.events_stored.add(stored as u64);
         stored
     }
 
     /// Freeze the warehouse's instruments (ingest latency, ETL and cube
     /// counters) into a snapshot.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.inst.snapshot()
     }
 
     /// Look up an event by position; `None` if it was evicted since the

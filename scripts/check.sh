@@ -9,8 +9,8 @@
 #                             # example gates, the checkpoint, text,
 #                             # cube-key, removed-switch and
 #                             # count-once, streamed-merge and
-#                             # no-experiment-crate and one-index-query
-#                             # owner greps,
+#                             # no-experiment-crate, one-index-query
+#                             # and declared-instrument owner greps,
 #                             # the recovery and dashboard examples, and the
 #                             # benchmark/ package's build, smoke and own
 #                             # tests, then the smoke's output digests
@@ -188,6 +188,23 @@ fi
 # that can remove nothing.
 if sed '/#\[cfg(test)\]/,$d' crates/warehouse/src/query.rs | grep -n '\.dedup()'; then
     echo "check.sh: .dedup() in non-test crates/warehouse/src/query.rs" >&2
+    exit 1
+fi
+
+# Owner grep: instruments are declared, not looked up. Each subsystem's
+# instruments are the plain fields of one struct, updated by field access
+# and written under their keys by its `snapshot()`; the by-name
+# `sl_obs::Metrics` serves the benchmark and tests only, and its handle API
+# is gone.
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/obs/src/*'); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" |
+        grep -nE '\.(counter|gauge|hist)(_id|_at)?\(|Metrics::new'; then
+        echo "check.sh: an instrument looked up by name or handle in non-test $f" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'CounterId|GaugeId|HistId' crates src examples tests; then
+    echo "check.sh: an instrument handle type is named above" >&2
     exit 1
 fi
 
