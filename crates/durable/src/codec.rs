@@ -26,14 +26,14 @@ use sl_stt::{
     TemporalGranularity, Theme, Timestamp, Tuple, Unit, Value,
 };
 use std::collections::HashMap;
-use std::io::Write;
 
 /// On-disk format version, stamped into every segment header.
 pub const CODEC_VERSION: u8 = 1;
 
 /// Hard upper bound on a single frame's payload (16 MiB). A length prefix
 /// beyond this is treated as corruption, which keeps recovery from
-/// attempting absurd allocations on a damaged length field.
+/// attempting absurd allocations on a damaged length field; the writer
+/// refuses such a payload, so no acknowledged frame is one recovery cuts.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
 // ---------------------------------------------------------------------------
@@ -235,43 +235,15 @@ impl ThemeTable {
     }
 }
 
-/// The payload of `Record::Event`, encoded from a borrow: the append path
-/// writes what it is about to keep without cloning it into a [`Record`].
-pub(crate) fn encode_event(e: &Event) -> Vec<u8> {
-    let mut w = Vec::with_capacity(64);
-    put_event_payload(&mut w, e);
-    w
-}
-
-/// The payload of `Record::Checkpoint`, encoded from borrows.
-pub(crate) fn encode_checkpoint(
-    deployment: &str,
-    service: &str,
-    tuples: &[(usize, Tuple)],
-) -> Vec<u8> {
-    let mut w = Vec::with_capacity(64);
-    put_checkpoint_payload(&mut w, deployment, service, tuples);
-    w
-}
-
-/// The payload of `Record::CheckpointDelta`, encoded from borrows.
-pub(crate) fn encode_checkpoint_delta(
-    deployment: &str,
-    service: &str,
-    evicted: usize,
-    appended: &[(usize, Tuple)],
-) -> Vec<u8> {
-    let mut w = Vec::with_capacity(64);
-    put_checkpoint_delta_payload(&mut w, deployment, service, evicted, appended);
-    w
-}
-
-fn put_event_payload(w: &mut Vec<u8>, e: &Event) {
+/// The payload of `Record::Event`, written from a borrow: the append path
+/// logs what it is about to keep without cloning it into a [`Record`].
+pub(crate) fn put_event_payload(w: &mut Vec<u8>, e: &Event) {
     w.push(KIND_EVENT);
     put_event(w, e);
 }
 
-fn put_checkpoint_payload(
+/// The payload of `Record::Checkpoint`, written from borrows.
+pub(crate) fn put_checkpoint_payload(
     w: &mut Vec<u8>,
     deployment: &str,
     service: &str,
@@ -283,7 +255,8 @@ fn put_checkpoint_payload(
     put_checkpoint(w, tuples);
 }
 
-fn put_checkpoint_delta_payload(
+/// The payload of `Record::CheckpointDelta`, written from borrows.
+pub(crate) fn put_checkpoint_delta_payload(
     w: &mut Vec<u8>,
     deployment: &str,
     service: &str,
@@ -784,20 +757,45 @@ fn get_checkpoint(r: &mut Reader<'_>) -> Option<OpCheckpoint> {
 // ---------------------------------------------------------------------------
 
 /// Wrap an encoded payload into an on-disk frame: `[len][payload][crc]`.
+/// Unchecked, so a test can build any frame, even one the reader rejects.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
-    // Writing into a `Vec` cannot fail.
-    let _ = write_frame(&mut out, payload);
+    out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(payload);
+    seal_frame(&mut out);
     out
 }
 
-/// Write the frame of `payload` to `w` without building it first. Returns
-/// its size on disk.
-pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<u64> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    Ok(payload.len() as u64 + 8)
+/// Build in `buf`, replacing what it held, the frame of the payload
+/// `encode` writes: the payload goes straight behind a 4-byte length slot,
+/// then the length and the CRC are filled in. Every frame the log writes
+/// is built here, so a payload [`read_frame`] would reject (empty, or over
+/// [`MAX_FRAME_BYTES`]) is refused before a byte of it reaches the disk.
+pub(crate) fn frame_into(
+    buf: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    buf.clear();
+    buf.extend_from_slice(&[0; 4]);
+    encode(buf);
+    let len = buf.len() - 4;
+    if len == 0 || len > MAX_FRAME_BYTES as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame payload of {len} bytes is outside 1..={MAX_FRAME_BYTES}"),
+        ));
+    }
+    seal_frame(buf);
+    Ok(())
+}
+
+/// Fill in the length slot of `buf` (a frame up to its payload) and append
+/// the payload's CRC.
+fn seal_frame(buf: &mut Vec<u8>) {
+    let payload = &buf[4..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Outcome of pulling one frame off a byte slice.
@@ -1037,7 +1035,8 @@ mod tests {
         assert_eq!(Record::decode(&bytes).unwrap().encode(), bytes);
         // The borrowed encoder writes the very frame `Record::Checkpoint`
         // always wrote: kind, names, count, (port, tuple)*.
-        let base = encode_checkpoint("agg", "mean", &[(1, tuple.clone())]);
+        let mut base = Vec::new();
+        put_checkpoint_payload(&mut base, "agg", "mean", &[(1, tuple.clone())]);
         let mut by_hand = vec![KIND_CHECKPOINT];
         put_str(&mut by_hand, "agg");
         put_str(&mut by_hand, "mean");
@@ -1061,6 +1060,12 @@ mod tests {
             }
             _ => panic!("complete frame must read"),
         }
+        // The log's framer builds the same bytes in a reused buffer, and
+        // refuses an empty payload, which the reader would reject.
+        let mut buf = vec![9; 3];
+        frame_into(&mut buf, |w| w.extend_from_slice(&payload)).unwrap();
+        assert_eq!(buf, framed);
+        assert!(frame_into(&mut buf, |_| {}).is_err());
         // Every strict prefix is torn (or a clean end at zero).
         for cut in 1..framed.len() {
             match read_frame(&framed[..cut]) {

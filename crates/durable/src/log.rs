@@ -49,7 +49,7 @@
 //! `OnSeal` only guarantees sealed segments. The fsync latency histogram
 //! and byte counters are exported through [`SegmentLog::metrics_snapshot`].
 
-use crate::codec::{frame, read_frame, write_frame, FrameRead, Record, ThemeTable, CODEC_VERSION};
+use crate::codec::{frame_into, read_frame, FrameRead, Record, ThemeTable, CODEC_VERSION};
 use crate::compact::{CompactionPolicy, SegmentMeta};
 use crate::error::DurableError;
 use crate::index::{Pruner, ThemeFilter};
@@ -317,6 +317,15 @@ fn gen_segment_path(dir: &Path, first: u32, last: u32, generation: u32) -> PathB
     dir.join(format!("seg-{first:06}-{last:06}-g{generation}.slg"))
 }
 
+/// The position of the last frame in `segments`, if any holds one.
+fn last_frame(segments: &[Segment]) -> Option<LogPos> {
+    let seg = segments.iter().rev().find(|s| s.frames > 0)?;
+    Some(LogPos {
+        segment: seg.number,
+        frame: seg.frames - 1,
+    })
+}
+
 /// The temporary name a file is written under before its publishing rename.
 fn tmp_path(target: &Path) -> PathBuf {
     let mut name = target.as_os_str().to_os_string();
@@ -359,6 +368,8 @@ pub struct SegmentLog {
     segments: Vec<Segment>,
     /// Append handle on the last (active) segment.
     active: File,
+    /// Where each appended frame is built, reused by every append.
+    frame: Vec<u8>,
     /// Appends since the last fsync (for [`FsyncPolicy::EveryN`]).
     unsynced: u32,
     /// Last position known to be on stable storage.
@@ -465,14 +476,7 @@ impl SegmentLog {
         let active = OpenOptions::new().append(true).open(&last.path)?;
         report.duration_us = sw.elapsed_us();
 
-        let last_pos = segments
-            .iter()
-            .rev()
-            .find(|s| s.frames > 0)
-            .map(|s| LogPos {
-                segment: s.number,
-                frame: s.frames - 1,
-            });
+        let last_pos = last_frame(&segments);
 
         let mut inst = LogInstruments::default();
         inst.segments.set(segments.len() as i64);
@@ -487,6 +491,7 @@ impl SegmentLog {
             config,
             segments,
             active,
+            frame: Vec::new(),
             unsynced: 0,
             // Everything recovered is on disk by definition.
             synced_pos: last_pos,
@@ -532,29 +537,31 @@ impl SegmentLog {
     /// Append one record, rotating and fsyncing per policy. Returns the
     /// record's position.
     pub fn append(&mut self, rec: &Record) -> Result<LogPos, DurableError> {
-        self.append_payload(&rec.encode(), record_time(rec))
+        self.append_with(record_time(rec), |w| rec.encode_into(w))
     }
 
-    /// Append one already-encoded record payload; `time` is its event time
-    /// bounds when it is an event (what the zone index tracks).
-    pub(crate) fn append_payload(
+    /// Append the record payload `encode` writes; `time` is its event time
+    /// bounds when it is an event (what the zone index tracks). A payload
+    /// the reader would reject is refused with nothing written.
+    pub(crate) fn append_with(
         &mut self,
-        payload: &[u8],
         time: Option<(i64, i64)>,
+        encode: impl FnOnce(&mut Vec<u8>),
     ) -> Result<LogPos, DurableError> {
-        let framed = frame(payload);
+        frame_into(&mut self.frame, encode)?;
+        let framed = self.frame.len() as u64;
 
         // Rotate *before* writing if the active segment is full (never leave
         // a frame straddling the size bound mid-write).
         let seal = {
             let seg = self.active_segment()?;
-            seg.frames > 0 && seg.bytes + framed.len() as u64 > self.config.segment_max_bytes
+            seg.frames > 0 && seg.bytes + framed > self.config.segment_max_bytes
         };
         if seal {
             self.seal_active()?;
         }
 
-        self.active.write_all(&framed)?;
+        self.active.write_all(&self.frame)?;
         let index_every = self.config.index_every;
         let pos = {
             let seg = self.active_segment()?;
@@ -565,12 +572,12 @@ impl SegmentLog {
             // The active segment is generation 0, so no theme filter is
             // maintained here: summaries are computed at compaction time,
             // off the append path.
-            seg.note_frame(framed.len() as u64, time, None, index_every);
+            seg.note_frame(framed, time, None, index_every);
             pos
         };
         self.last_pos = Some(pos);
         self.inst.frames_appended.inc();
-        self.inst.bytes_written.add(framed.len() as u64);
+        self.inst.bytes_written.add(framed);
 
         self.unsynced += 1;
         let due = match self.config.fsync {
@@ -589,6 +596,11 @@ impl SegmentLog {
         if self.unsynced == 0 && self.synced_pos == self.last_pos {
             return Ok(());
         }
+        self.fsync()
+    }
+
+    /// fsync the active segment: everything appended is on stable storage.
+    fn fsync(&mut self) -> Result<(), DurableError> {
         let sw = Stopwatch::start();
         self.active.sync_data()?;
         self.inst.fsync_us.record(sw.elapsed_us());
@@ -601,13 +613,7 @@ impl SegmentLog {
     /// Seal the active segment (fsync it, it is never written again) and
     /// start a fresh one.
     fn seal_active(&mut self) -> Result<(), DurableError> {
-        let sw = Stopwatch::start();
-        self.active.sync_data()?;
-        self.inst.fsync_us.record(sw.elapsed_us());
-        self.inst.fsyncs.inc();
-        self.unsynced = 0;
-        self.synced_pos = self.last_pos;
-
+        self.fsync()?;
         let next = self.active_segment()?.last + 1;
         let path = create_segment(&self.config.dir, next)?;
         self.active = OpenOptions::new().append(true).open(&path)?;
@@ -752,7 +758,7 @@ impl SegmentLog {
             out: BufWriter::with_capacity(PRODUCT_BUFFER_BYTES, file),
             tmp: Unpublished(tmp),
             index_every: self.config.index_every,
-            payload: Vec::new(),
+            frame: Vec::new(),
         };
         product.out.write_all(&header_bytes())?;
         Ok(product)
@@ -795,26 +801,11 @@ impl SegmentLog {
         // the surviving segments. Everything sealed is on stable storage.
         let in_range = |p: &LogPos| p.segment >= first && p.segment <= last;
         if self.last_pos.as_ref().is_some_and(in_range) {
-            self.last_pos = self
-                .segments
-                .iter()
-                .rev()
-                .find(|s| s.frames > 0)
-                .map(|s| LogPos {
-                    segment: s.number,
-                    frame: s.frames - 1,
-                });
+            self.last_pos = last_frame(&self.segments);
         }
         if self.synced_pos.as_ref().is_some_and(in_range) {
             let sealed = self.segments.len().saturating_sub(1);
-            self.synced_pos = self.segments[..sealed]
-                .iter()
-                .rev()
-                .find(|s| s.frames > 0)
-                .map(|s| LogPos {
-                    segment: s.number,
-                    frame: s.frames - 1,
-                });
+            self.synced_pos = last_frame(&self.segments[..sealed]);
         }
         Ok(bytes_after)
     }
@@ -835,23 +826,23 @@ impl SegmentLog {
 const PRODUCT_BUFFER_BYTES: usize = 64 * 1024;
 
 /// A compaction product being written under its temporary name (see
-/// [`SegmentLog::start_product`]): each pushed record is encoded into one
-/// reused buffer and framed through a bounded buffered writer, and the
+/// [`SegmentLog::start_product`]): each pushed record is framed in one
+/// reused buffer and written through a bounded buffered writer, and the
 /// product's index blocks and theme filters grow with it.
 pub(crate) struct ProductWriter {
     seg: Segment,
     out: BufWriter<File>,
     tmp: Unpublished,
     index_every: u32,
-    payload: Vec<u8>,
+    frame: Vec<u8>,
 }
 
 impl ProductWriter {
     /// Append one record to the product. Returns its position there.
     pub(crate) fn push(&mut self, rec: &Record) -> Result<LogPos, DurableError> {
-        self.payload.clear();
-        rec.encode_into(&mut self.payload);
-        let consumed = write_frame(&mut self.out, &self.payload)?;
+        frame_into(&mut self.frame, |w| rec.encode_into(w))?;
+        self.out.write_all(&self.frame)?;
+        let consumed = self.frame.len() as u64;
         let pos = LogPos {
             segment: self.seg.number,
             frame: self.seg.frames,

@@ -28,7 +28,7 @@
 //! by, not what it holds; opening folds them per `(deployment, service)`
 //! in log order.
 
-use crate::codec::{encode_checkpoint, encode_checkpoint_delta, encode_event, Record};
+use crate::codec::{self, Record};
 use crate::compact::{self, CompactionPolicy, CompactionStats, MergeRun};
 use crate::error::DurableError;
 use crate::index::{ColdFrontier, Pruner};
@@ -193,7 +193,8 @@ impl DurableWarehouse {
 
     fn log_event(&mut self, event: &Event) -> Result<LogPos, DurableError> {
         let time = Some(event_time(event));
-        self.log.append_payload(&encode_event(event), time)
+        self.log
+            .append_with(time, |w| codec::put_event_payload(w, event))
     }
 
     /// Durable counterpart of [`EventWarehouse::ingest_tuple`]: translate
@@ -237,19 +238,22 @@ impl DurableWarehouse {
     /// Extend the checkpoint log of `(deployment, service)` by what its
     /// window changed by: a delta that resets the window is written as a
     /// base frame (its appended tuples are the whole cache), anything else
-    /// as a delta frame.
+    /// as a delta frame. A frame over `MAX_FRAME_BYTES` is refused, with
+    /// nothing written.
     pub fn persist_checkpoint(
         &mut self,
         deployment: &str,
         service: &str,
         delta: &CheckpointDelta,
     ) -> Result<(), DurableError> {
-        let payload = if delta.reset {
-            encode_checkpoint(deployment, service, &delta.appended)
-        } else {
-            encode_checkpoint_delta(deployment, service, delta.evicted, &delta.appended)
-        };
-        self.log.append_payload(&payload, None)?;
+        let (d, s, tuples) = (deployment, service, &delta.appended);
+        self.log.append_with(None, |w| {
+            if delta.reset {
+                codec::put_checkpoint_payload(w, d, s, tuples)
+            } else {
+                codec::put_checkpoint_delta_payload(w, d, s, delta.evicted, tuples)
+            }
+        })?;
         self.inst.checkpoints_persisted.inc();
         Ok(())
     }

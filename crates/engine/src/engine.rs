@@ -408,6 +408,7 @@ impl Engine {
                     (staged.cloned(), self.endpoints[id.index()].service_mut())
                 {
                     svc.checkpoint_bytes = ckpt.byte_size();
+                    self.inst.checkpoint_bytes.add(ckpt.byte_size() as i64);
                     let restored = restore_window(&mut self.inst, &mut *svc.op, ckpt.clone());
                     svc.checkpoint = Some(ckpt);
                     self.monitor.durability.push(format!(
@@ -558,6 +559,11 @@ impl Engine {
             // engine is handed back.
             if let Role::Service(svc) = std::mem::replace(&mut ep.role, Role::Retired) {
                 self.loads.remove(id.process());
+                if svc.checkpoint_bytes > 0 {
+                    self.inst
+                        .checkpoint_bytes
+                        .add(-(svc.checkpoint_bytes as i64));
+                }
                 if let Some(slot) = svc.counters {
                     self.monitor.op_at_mut(slot).ingress = Default::default();
                 }
@@ -606,6 +612,11 @@ impl Engine {
             })?;
         let (was_blocking, stale_checkpoint) = (svc.blocking, svc.checkpoint.is_some());
         let period = op.timer_period();
+        if svc.checkpoint_bytes > 0 {
+            self.inst
+                .checkpoint_bytes
+                .add(-(svc.checkpoint_bytes as i64));
+        }
         svc.set_op(op);
         if stale_checkpoint {
             // The log still holds the old operator's window; supersede it,
@@ -1390,6 +1401,88 @@ mod tests {
         // beside the new chain (that doubled the windows).
         assert_eq!(windows(false), 19);
         assert_eq!(windows(true), 19);
+    }
+
+    #[test]
+    fn the_console_stays_bounded_however_many_tuples_fail() {
+        let df = DataflowBuilder::new("d")
+            .source(
+                "temp",
+                SubscriptionFilter::any().with_theme(Theme::new("weather/temperature").unwrap()),
+                temp_schema(),
+            )
+            .filter("broken", "temp", "temperature / 0 > 0")
+            .sink("out", SinkKind::Console, &["broken"])
+            .build()
+            .unwrap();
+        let mut e = engine();
+        e.add_sensor(temp_sensor(1, 3)).unwrap();
+        e.deploy(df).unwrap();
+        // One reading every 10 s, each an error line.
+        let failing = 2 * CONSOLE_CAPACITY as u64 + 10;
+        e.run_until(start() + Duration::from_secs(10 * failing));
+        assert!(e.monitor().op("d", "broken").unwrap().tuples_in() > 2 * CONSOLE_CAPACITY as u64);
+        let console = &e.monitor().console;
+        assert!(
+            console.len() <= 2 * CONSOLE_CAPACITY,
+            "{} lines",
+            console.len()
+        );
+        assert!(console.last().unwrap().contains("division by zero"));
+    }
+
+    #[test]
+    fn the_checkpoint_gauge_sums_every_live_window() {
+        let df = DataflowBuilder::new("d")
+            .source(
+                "temp",
+                SubscriptionFilter::any().with_theme(Theme::new("weather/temperature").unwrap()),
+                temp_schema(),
+            )
+            .aggregate(
+                "hourly",
+                "temp",
+                Duration::from_hours(1),
+                &[],
+                sl_ops::AggFunc::Avg,
+                Some("temperature"),
+            )
+            .aggregate(
+                "fast",
+                "temp",
+                Duration::from_secs(30),
+                &[],
+                sl_ops::AggFunc::Avg,
+                Some("temperature"),
+            )
+            .sink("out", SinkKind::Visualization, &["hourly", "fast"])
+            .build()
+            .unwrap();
+        let mut e = engine();
+        // One reading a minute, the first at 60 s: by 105 s `fast` has
+        // ticked it out (at 90 s) and `hourly` still holds it.
+        e.add_sensor(Box::new(TemperatureSensor::new(
+            SensorId(1),
+            "t1",
+            GeoPoint::new_unchecked(34.7, 135.5),
+            NodeId(3),
+            Duration::from_mins(1),
+            false,
+            false,
+            1,
+        )))
+        .unwrap();
+        e.deploy(df).unwrap();
+        e.run_until(start() + Duration::from_secs(105));
+        let bytes = |e: &Engine, service| e.checkpoint_of("d", service).unwrap().byte_size();
+        assert_eq!(
+            e.checkpoint_of("d", "fast").map(sl_ops::OpCheckpoint::len),
+            Some(0)
+        );
+        assert!(bytes(&e, "hourly") > 0);
+        assert_eq!(e.inst.checkpoint_bytes.get(), bytes(&e, "hourly") as i64);
+        e.undeploy("d").unwrap();
+        assert_eq!(e.inst.checkpoint_bytes.get(), 0, "no live window is left");
     }
 
     #[test]

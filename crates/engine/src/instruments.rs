@@ -48,6 +48,7 @@ sl_obs::instruments! {
         pub(crate) backpressure_throttled_sensors: Gauge = "backpressure/throttled_sensors",
         pub(crate) event_queue_depth: Gauge = "event_queue_depth",
         pub(crate) checkpoint_taken: Counter = "checkpoint/taken",
+        /// The checkpointed windows of every live service, summed.
         pub(crate) checkpoint_bytes: Gauge = "checkpoint/bytes",
         pub(crate) checkpoint_restored_tuples: Counter = "checkpoint/restored_tuples",
         pub(crate) checkpoint_restored_bytes: Counter = "checkpoint/restored_bytes",

@@ -198,8 +198,9 @@ pub struct Monitor {
     pub placements: Log<PlacementChange>,
     /// Control-action history.
     pub controls: Log<ControlRecord>,
-    /// Console-sink output (capped by the engine).
-    pub console: Vec<String>,
+    /// Console-sink output and the engine's warnings and errors. The
+    /// engine stops console-sink lines at [`CONSOLE_CAPACITY`].
+    pub console: Log,
     /// Tuples delivered to each sink.
     sink_counts: Slots<u64>,
     /// Sensor join/leave log lines.

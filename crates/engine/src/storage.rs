@@ -16,7 +16,7 @@ use crate::deployment::{EndpointId, Role};
 use crate::engine::Engine;
 use crate::error::EngineError;
 use crate::instruments::EngineInstruments;
-use crate::monitor::CqStat;
+use crate::monitor::{CqStat, Log};
 use sl_cq::{CqHub, CqPoll, SubscriberId, SubscriptionStat, ViewId, ViewStat};
 use sl_durable::{CompactionStats, DurableConfig, DurableError, DurableWarehouse};
 use sl_faults::DropReason;
@@ -83,7 +83,7 @@ impl Storage {
     /// tier logs nothing.
     pub(crate) fn log_checkpoint(
         &mut self,
-        console: &mut Vec<String>,
+        console: &mut Log,
         verb: &str,
         deployment: &str,
         service: &str,
@@ -427,9 +427,12 @@ impl Engine {
             let evicted = fold.tuples.iter().take(delta.evicted);
             evicted.map(|(_, t)| t.byte_size()).sum()
         };
-        svc.checkpoint_bytes = svc.checkpoint_bytes - gone + delta.byte_size();
+        let bytes = svc.checkpoint_bytes - gone + delta.byte_size();
+        self.inst
+            .checkpoint_bytes
+            .add(bytes as i64 - svc.checkpoint_bytes as i64);
+        svc.checkpoint_bytes = bytes;
         fold.apply(delta);
-        self.inst.checkpoint_bytes.set(svc.checkpoint_bytes as i64);
     }
 
     /// The latest blocking-operator window for `(deployment, service)` — the

@@ -13,6 +13,9 @@ use crate::error::ExprError;
 use crate::typecheck::ExprType;
 use sl_stt::{AttrType, CoordinateSystem, GeoPoint, Timestamp, Unit, Value};
 
+/// The `matches` glob, shared with the broker's sensor-name filter.
+pub use sl_obs::text::glob_match;
+
 /// Static description of one builtin.
 struct Sig {
     /// Minimum number of arguments.
@@ -389,35 +392,6 @@ pub fn call(name: &str, args: &[Value]) -> Result<Value, ExprError> {
 pub fn apparent_temperature(t_celsius: f64, rh_percent: f64) -> f64 {
     let e = rh_percent / 100.0 * 6.105 * (17.27 * t_celsius / (237.7 + t_celsius)).exp();
     t_celsius + 0.33 * e - 4.0
-}
-
-/// Glob matcher supporting `*` (any run) and `?` (any single char),
-/// iterative two-pointer algorithm — O(n·m) worst case, no allocation.
-pub fn glob_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let (mut star, mut star_ti) = (usize::MAX, 0usize);
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '?' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '*' {
-            star = pi;
-            star_ti = ti;
-            pi += 1;
-        } else if star != usize::MAX {
-            pi = star + 1;
-            star_ti += 1;
-            ti = star_ti;
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '*' {
-        pi += 1;
-    }
-    pi == p.len()
 }
 
 /// Check that `text` conforms to a date `pattern` built from placeholder

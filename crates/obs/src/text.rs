@@ -2,7 +2,8 @@
 //! the same process: DSN documents (`sl-dsn`), expressions (`sl-expr`) and
 //! JSON snapshots ([`crate::json`]). Each grammar keeps its own tokens,
 //! errors and messages; the cursor owns position and line tracking,
-//! whitespace and comments, and the single-quote rule they share.
+//! whitespace and comments, and the single-quote rule they share. The one
+//! `*`/`?` glob matcher ([`glob_match`]) lives here too.
 
 /// A forward-only position in a `&str`, with the 1-based line it is on.
 ///
@@ -156,6 +157,38 @@ impl<'a> Cursor<'a> {
 #[must_use]
 pub fn unescape_quotes(body: &str) -> String {
     body.replace("''", "'")
+}
+
+/// Does `text` match `pattern`, where `*` stands for any run of characters
+/// and `?` for any one? An iterative two-pointer walk over the two strings'
+/// characters: O(n·m) worst case. The expression language's `matches` and
+/// the broker's sensor-name filter both call it.
+#[must_use]
+pub fn glob_match(pattern: &str, text: &str) -> bool {
+    let p: Vec<char> = pattern.chars().collect();
+    let t: Vec<char> = text.chars().collect();
+    let (mut pi, mut ti) = (0usize, 0usize);
+    let (mut star, mut star_ti) = (usize::MAX, 0usize);
+    while ti < t.len() {
+        if pi < p.len() && (p[pi] == '?' || p[pi] == t[ti]) {
+            pi += 1;
+            ti += 1;
+        } else if pi < p.len() && p[pi] == '*' {
+            star = pi;
+            star_ti = ti;
+            pi += 1;
+        } else if star != usize::MAX {
+            pi = star + 1;
+            star_ti += 1;
+            ti = star_ti;
+        } else {
+            return false;
+        }
+    }
+    while pi < p.len() && p[pi] == '*' {
+        pi += 1;
+    }
+    pi == p.len()
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! running (demo P3).
 
 use crate::message::{SensorAdvertisement, SensorKind};
+use sl_obs::text::glob_match;
 use sl_stt::{AttrType, BoundingBox, Duration, Theme};
 use std::fmt;
 
@@ -167,35 +168,6 @@ impl fmt::Display for SubscriptionFilter {
         }
         write!(f, "{}", parts.join(" & "))
     }
-}
-
-/// Same `*`/`?` glob matcher as the expression language (duplicated to keep
-/// crate dependencies minimal; the algorithm is ten lines).
-fn glob_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let (mut star, mut star_ti) = (usize::MAX, 0usize);
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '?' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '*' {
-            star = pi;
-            star_ti = ti;
-            pi += 1;
-        } else if star != usize::MAX {
-            pi = star + 1;
-            star_ti += 1;
-            ti = star_ti;
-        } else {
-            return false;
-        }
-    }
-    while pi < p.len() && p[pi] == '*' {
-        pi += 1;
-    }
-    pi == p.len()
 }
 
 #[cfg(test)]

@@ -1,40 +1,57 @@
 //! The hot tier keeps one `Theme` allocation per distinct theme: events
 //! whose equal themes were allocated one by one (as `tuple_events` makes
 //! them, a fresh `Theme::child` per event) retain no more heap once stored
-//! than events that share one `Theme` from the start. One test only — the
-//! counter below is process-wide, and a second test running beside it would
-//! be counted too.
+//! than events that share one `Theme` from the start. Only the thread that
+//! sets `COUNTED` (the test's own) is counted, so the harness's threads do
+//! not land in the measured windows.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
 use sl_stt::{Event, GeoPoint, SpatialGranularity, TemporalGranularity, Theme, Value};
 use sl_warehouse::EventWarehouse;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 struct Tracking;
 
-/// Bytes allocated and not yet freed.
+/// Bytes allocated and not yet freed on the counted thread.
 static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set on the test's thread: only its allocations are counted. A
+    /// `const` initializer, so reading it never allocates.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counted() -> bool {
+    COUNTED.try_with(Cell::get).unwrap_or(false)
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter never touches the memory.
 unsafe impl GlobalAlloc for Tracking {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(layout.size(), Relaxed);
+        if counted() {
+            LIVE.fetch_add(layout.size(), Relaxed);
+        }
         // SAFETY: the caller's obligations are passed on unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
+        if counted() {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+        }
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        LIVE.fetch_add(new_size, Relaxed);
+        if counted() {
+            LIVE.fetch_sub(layout.size(), Relaxed);
+            LIVE.fetch_add(new_size, Relaxed);
+        }
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -66,6 +83,7 @@ fn retained(theme: impl Fn(i64) -> Theme) -> (usize, EventWarehouse) {
 
 #[test]
 fn equal_themes_allocated_apart_are_stored_once() {
+    COUNTED.with(|c| c.set(true));
     let weather = Theme::new("weather").unwrap();
     let (apart, apart_w) = retained(|_| weather.child("rain").unwrap());
     let rain = weather.child("rain").unwrap();

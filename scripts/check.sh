@@ -1,20 +1,26 @@
 #!/usr/bin/env bash
-# Local CI gate, tiered to match .github/workflows/ci.yml:
+# Local CI gate, and the one list of what CI checks: the `fast` job of
+# .github/workflows/ci.yml runs `--fast`, its `full` job the full tier.
 #
-#   scripts/check.sh --fast   # the PR fast loop: build, every test in the
-#                             # workspace, fmt, clippy -D warnings, doc -D
-#                             # warnings
-#   scripts/check.sh          # everything: fast tier + the panic-ban
-#                             # guard, the lint and
-#                             # example gates, the checkpoint, text,
-#                             # cube-key, removed-switch and
-#                             # count-once, streamed-merge and
-#                             # no-experiment-crate, one-index-query
-#                             # and declared-instrument owner greps,
-#                             # the recovery and dashboard examples, and the
-#                             # benchmark/ package's build, smoke and own
-#                             # tests, then the smoke's output digests
-#                             # against the pins below
+#   scripts/check.sh --fast   # the PR loop: release build, `cargo test -q`
+#                             # (every package's unit, integration and doc
+#                             # tests), fmt, clippy -D warnings (also the
+#                             # panic ban), rustdoc -D warnings
+#   scripts/check.sh          # the fast tier, then:
+#     - no durable scratch dir leaked under $TMPDIR;
+#     - the panic-ban guard: no clippy.toml outside the root, no
+#       `disallowed_methods`;
+#     - the sl-lint gate over examples/dsn (standalone, deployed, JSON);
+#     - the owner greps, each explained where it runs below: checkpoint
+#       (no whole-window `.checkpoint()` in the engine), one text cursor and
+#       JSON escaper, cube keys rendered in `CellMap::update` only, the CQ
+#       load path, the removed engine switches, count once, the streamed
+#       merge, one frame writer, one glob matcher, no experiment crate,
+#       one-index hot queries, declared instruments;
+#     - the chaos_recovery, durable_edw and continuous_dashboard examples;
+#     - benchmark/: build, `run.sh --smoke` and its own tests
+#       (benchmark/Cargo.lock restored), then the smoke's five run digests
+#       against the pins at the end of this file.
 #
 # The build is offline by construction (crates.io is unreachable; all
 # third-party deps are vendored shims under vendor/) — see README "Building".
@@ -171,6 +177,23 @@ fi
 # the whole run as a vector again.
 if grep -rn 'fn read_range' crates/durable/src; then
     echo "check.sh: compaction reads its whole run into memory again (fn read_range)" >&2
+    exit 1
+fi
+
+# Owner grep: the log has one frame writer. Every frame the segment log
+# writes, live append or compaction product, is built by
+# `codec::frame_into` in a buffer its writer reuses, which refuses a
+# payload the reader would reject; no per-record payload or frame `Vec`
+# and no unchecked second framer come back.
+if grep -rnE 'fn (encode_event|encode_checkpoint|write_frame|append_payload)' crates/durable/src; then
+    echo "check.sh: a second frame writer or per-record payload encoder in crates/durable/src" >&2
+    exit 1
+fi
+
+# Owner grep: one `*`/`?` glob matcher, `sl_obs::text::glob_match`, for the
+# expression language's `matches` and the broker's sensor-name filter.
+if grep -rnE 'fn glob_match\b' crates src examples tests | grep -v '^crates/obs/src/'; then
+    echo "check.sh: a glob matcher outside crates/obs/src" >&2
     exit 1
 fi
 
