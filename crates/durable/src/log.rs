@@ -402,11 +402,25 @@ sl_obs::instruments! {
 impl SegmentLog {
     /// Open (or create) the log at `config.dir`, scanning and repairing
     /// every segment. Returns the log, every surviving record in append
-    /// order with its position, and the recovery report.
+    /// order with its position (the whole log, in memory), and the
+    /// recovery report. Restart does not call it: it replays record by record.
     #[allow(clippy::type_complexity)]
     pub fn open(
         config: DurableConfig,
     ) -> Result<(SegmentLog, Vec<(LogPos, Record)>, RecoveryReport), DurableError> {
+        let mut records = Vec::new();
+        let log = SegmentLog::replay(config, |pos, rec| records.push((pos, rec)))?;
+        let report = log.report;
+        Ok((log, records, report))
+    }
+
+    /// [`SegmentLog::open`] handing each surviving record to `visit`, in
+    /// append order, as its frame is walked: one segment file is held at a
+    /// time, and no visited record is taken back (repair only cuts after it).
+    pub(crate) fn replay(
+        config: DurableConfig,
+        mut visit: impl FnMut(LogPos, Record),
+    ) -> Result<SegmentLog, DurableError> {
         let sw = Stopwatch::start();
         fs::create_dir_all(&config.dir)?;
         remove_stray_files(&config.dir)?;
@@ -424,23 +438,12 @@ impl SegmentLog {
             });
         }
 
-        let mut records = Vec::new();
         let mut segments = Vec::new();
         let mut corrupted_at: Option<usize> = None;
         let mut themes = ThemeTable::default();
 
         for (i, r) in refs.iter().enumerate() {
-            let (seg, recs, clean) = recover_segment(r, &config, &mut themes, &mut report)?;
-            for rec in recs {
-                match &rec.1 {
-                    Record::Event(_) => report.events += 1,
-                    Record::Checkpoint { .. } | Record::CheckpointDelta { .. } => {
-                        report.checkpoints += 1
-                    }
-                    Record::Horizon(_) => report.horizons += 1,
-                }
-                records.push(rec);
-            }
+            let (seg, clean) = recover_segment(r, &config, &mut themes, &mut report, &mut visit)?;
             segments.push(seg);
             if !clean {
                 corrupted_at = Some(i);
@@ -499,7 +502,7 @@ impl SegmentLog {
             report,
             inst,
         };
-        Ok((log, records, report))
+        Ok(log)
     }
 
     /// The configuration.
@@ -632,13 +635,8 @@ impl SegmentLog {
     /// Scan the whole log, decoding every record in append order. This is
     /// the brute-force reference reader: no index, no pruning.
     pub fn scan(&mut self) -> Result<Vec<(LogPos, Record)>, DurableError> {
-        self.collect(&Pruner::keep_all())
-    }
-
-    /// Every record [`SegmentLog::scan_pruned`] visits under `pruner`.
-    fn collect(&mut self, pruner: &Pruner) -> Result<Vec<(LogPos, Record)>, DurableError> {
         let mut out = Vec::new();
-        self.scan_pruned(pruner, &mut |pos, rec| out.push((pos, rec)))?;
+        self.scan_pruned(&Pruner::keep_all(), &mut |pos, rec| out.push((pos, rec)))?;
         Ok(out)
     }
 
@@ -1140,20 +1138,18 @@ fn create_segment(dir: &Path, number: u32) -> Result<PathBuf, DurableError> {
     Ok(path)
 }
 
-/// One recovered segment: the rebuilt in-memory state, its surviving
-/// records, and whether the file was clean (no truncation needed).
-type RecoveredSegment = (Segment, Vec<(LogPos, Record)>, bool);
-
-/// Scan one segment file, truncating at the first torn or corrupt frame.
+/// Scan one segment file, counting and visiting each surviving record, and
+/// truncate it at the first torn or corrupt frame. Returns the rebuilt
+/// in-memory segment and whether the file was clean (nothing truncated).
 fn recover_segment(
     r: &SegRef,
     config: &DurableConfig,
     themes: &mut ThemeTable,
     report: &mut RecoveryReport,
-) -> Result<RecoveredSegment, DurableError> {
+    visit: &mut impl FnMut(LogPos, Record),
+) -> Result<(Segment, bool), DurableError> {
     let bytes = fs::read(&r.path)?;
     let mut seg = Segment::fresh_span(r.first, r.last, r.generation, r.path.clone());
-    let mut records = Vec::new();
     let walked = walk_frames(&bytes, themes, |consumed, rec| {
         let pos = LogPos {
             segment: r.first,
@@ -1165,14 +1161,19 @@ fn recover_segment(
             record_theme(&rec),
             config.index_every,
         );
-        records.push((pos, rec));
+        match &rec {
+            Record::Event(_) => report.events += 1,
+            Record::Checkpoint { .. } | Record::CheckpointDelta { .. } => report.checkpoints += 1,
+            Record::Horizon(_) => report.horizons += 1,
+        }
+        visit(pos, rec);
     });
     let Some(clean_end) = walked else {
         // A torn or alien header means nothing in the file can be trusted;
         // reset it to an empty, valid segment.
         report.truncated_bytes += bytes.len() as u64;
         write_file_synced(&r.path, &header_bytes())?;
-        return Ok((seg, records, false));
+        return Ok((seg, false));
     };
     let clean = clean_end == bytes.len();
     if !clean {
@@ -1181,7 +1182,7 @@ fn recover_segment(
         f.set_len(clean_end as u64)?;
         f.sync_all()?;
     }
-    Ok((seg, records, clean))
+    Ok((seg, clean))
 }
 
 #[cfg(test)]

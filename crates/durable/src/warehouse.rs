@@ -18,15 +18,16 @@
 //! the subtle case of a late-arriving old event inserted *after* an
 //! eviction, which stays hot (no later marker covers it) even though its
 //! interval is ancient. Queries merge a block-skipping cold-segment scan
-//! with the hot index path and never see an event twice.
+//! with the hot index path and never see an event twice. Opening replays
+//! the log in order, so the evictions it replays leave exactly that split.
 //!
 //! Operator checkpoints ride the same log, so a restarted process recovers
 //! both its warehouse and its blocking operators' window caches from one
 //! directory. A window is logged as a base (kind 2: the whole cache, as
 //! every earlier version of this crate wrote it) followed by deltas (kind
 //! 4: front evictions + appends), so a frame costs what the window changed
-//! by, not what it holds; opening folds them per `(deployment, service)`
-//! in log order.
+//! by, not what it holds; opening folds each frame onto its
+//! `(deployment, service)` as the replay reads it.
 
 use crate::codec::{self, Record};
 use crate::compact::{self, CompactionPolicy, CompactionStats, MergeRun};
@@ -38,6 +39,7 @@ use sl_ops::{CheckpointDelta, OpCheckpoint};
 use sl_stt::{Event, SpatialGranularity, TemporalGranularity, Timestamp, Tuple};
 use sl_warehouse::{tuple_events, EventQuery, EventWarehouse, WarehouseConfig};
 use std::collections::HashMap;
+use std::io::ErrorKind;
 
 /// A crash-safe warehouse: hot `EventWarehouse` over the recent tail, cold
 /// segment log underneath, one merged query surface.
@@ -77,74 +79,51 @@ sl_obs::instruments! {
 }
 
 impl DurableWarehouse {
-    /// Open (or create) a durable warehouse at `config.dir` with default
-    /// hot-index configuration, replaying the log: events past the latest
-    /// applicable horizon rebuild the hot indexes, checkpoints are retained
-    /// for [`DurableWarehouse::take_checkpoints`].
+    /// Open (or create) a durable warehouse at `config.dir`, replaying the
+    /// log in one ordered pass that applies each record as it is read: an
+    /// event is inserted hot, a horizon marker evicts what it covers, and a
+    /// checkpoint base replaces its key's fold, a delta extends it (one
+    /// whose base was lost extends nothing). So exactly the events no later
+    /// marker covers stay hot, in log order, and the folds wait for
+    /// [`DurableWarehouse::take_checkpoints`]. Memory: the hot set, the
+    /// folds and one segment file, never the whole log.
     pub fn open(config: DurableConfig) -> Result<DurableWarehouse, DurableError> {
-        DurableWarehouse::open_with(config, WarehouseConfig::default())
-    }
-
-    /// Open with an explicit hot-store configuration.
-    pub fn open_with(
-        config: DurableConfig,
-        hot_config: WarehouseConfig,
-    ) -> Result<DurableWarehouse, DurableError> {
         let sw = Stopwatch::start();
-        let (log, records, _report) = SegmentLog::open(config)?;
-
-        // Pass 1: the horizon markers, which decide what pass 2 keeps hot.
-        let markers: Vec<(LogPos, Timestamp)> = records
-            .iter()
-            .filter_map(|(pos, rec)| match rec {
-                Record::Horizon(h) => Some((*pos, *h)),
-                _ => None,
-            })
-            .collect();
-        let suffix_max = suffix_maxima(&markers);
-
-        // Pass 2 consumes the records in log order: non-cold events rebuild
-        // the hot store, and each checkpoint log folds to its latest state —
-        // a base supersedes what came before it, a delta extends it (one
-        // whose base was lost extends nothing).
-        let mut hot = EventWarehouse::new(hot_config);
-        let mut rebuilt = 0u64;
+        let mut hot = EventWarehouse::new(WarehouseConfig::default());
+        let mut markers: Vec<(LogPos, Timestamp)> = Vec::new();
         let mut recovered: HashMap<(String, String), OpCheckpoint> = HashMap::new();
-        for (pos, rec) in records {
-            match rec {
-                Record::Event(event) => {
-                    if !is_cold(&markers, &suffix_max, pos, &event) {
-                        hot.insert(event);
-                        rebuilt += 1;
-                    }
-                }
-                Record::Checkpoint {
-                    deployment,
-                    service,
-                    state,
-                } => {
-                    recovered.insert((deployment, service), state);
-                }
-                Record::CheckpointDelta {
-                    deployment,
-                    service,
+        let log = SegmentLog::replay(config, |pos, rec| match rec {
+            Record::Event(event) => hot.insert(event),
+            Record::Horizon(h) => {
+                hot.evict_before(h);
+                markers.push((pos, h));
+            }
+            Record::Checkpoint {
+                deployment,
+                service,
+                state,
+            } => {
+                recovered.insert((deployment, service), state);
+            }
+            Record::CheckpointDelta {
+                deployment,
+                service,
+                evicted,
+                appended,
+            } => recovered
+                .entry((deployment, service))
+                .or_default()
+                .apply(CheckpointDelta {
+                    reset: false,
                     evicted,
                     appended,
-                } => recovered
-                    .entry((deployment, service))
-                    .or_default()
-                    .apply(CheckpointDelta {
-                        reset: false,
-                        evicted,
-                        appended,
-                    }),
-                Record::Horizon(_) => {}
-            }
-        }
+                }),
+        })?;
+        let suffix_max = suffix_maxima(&markers);
 
         let mut inst = DurableInstruments::default();
         inst.open_us.record(sw.elapsed_us());
-        inst.rebuilt_hot_events.add(rebuilt);
+        inst.rebuilt_hot_events.add(hot.len() as u64);
         inst.recovered_checkpoints.add(recovered.len() as u64);
         Ok(DurableWarehouse {
             hot,
@@ -345,10 +324,12 @@ impl DurableWarehouse {
 
         // Pass 1. Recovery folds each key's checkpoint log from its last base
         // on, so within the merged range every frame before that base is
-        // dead, and the base with the deltas after it is one base. A key
-        // with deltas but no base in the range keeps them: its base lives
-        // further back. Every frame is decoded here, so a damaged input
-        // fails the merge before a byte of the product is written.
+        // dead, and the base with the deltas after it is one base (unless
+        // that base is over one frame's limit: pass 2 then keeps them as
+        // they are). A key with deltas but no base in the range keeps them:
+        // its base lives further back. Every frame is decoded here, so a
+        // damaged input fails the merge before a byte of the product is
+        // written.
         let mut folds: HashMap<(String, String), (LogPos, OpCheckpoint)> = HashMap::new();
         self.log.scan_range(run.first, run.last, &mut |pos, rec| {
             match rec {
@@ -418,15 +399,31 @@ impl DurableWarehouse {
                 Record::Checkpoint {
                     deployment,
                     service,
-                    ..
+                    state,
                 } => {
                     let key = (deployment, service);
                     match folds.get_mut(&key) {
-                        Some((base, fold)) if *base == pos => Some(Record::Checkpoint {
-                            deployment: key.0,
-                            service: key.1,
-                            state: std::mem::take(fold),
-                        }),
+                        Some((base, fold)) if *base == pos => {
+                            let folded = Record::Checkpoint {
+                                deployment: key.0.clone(),
+                                service: key.1.clone(),
+                                state: std::mem::take(fold),
+                            };
+                            match product.push(&folded) {
+                                Ok(_) => None,
+                                // Over one frame's limit, refused unwritten:
+                                // keep this base and the deltas after it.
+                                Err(DurableError::Io(e)) if e.kind() == ErrorKind::InvalidInput => {
+                                    folds.remove(&key);
+                                    Some(Record::Checkpoint {
+                                        deployment: key.0,
+                                        service: key.1,
+                                        state,
+                                    })
+                                }
+                                Err(e) => return Err(e),
+                            }
+                        }
                         _ => {
                             checkpoints_dropped += 1;
                             None
@@ -1077,5 +1074,53 @@ mod tests {
             sorted(dw.query(&EventQuery::all()).unwrap()),
             sorted(dw.query_scan(&EventQuery::all()).unwrap())
         );
+    }
+
+    #[test]
+    fn a_fold_too_big_for_one_frame_keeps_its_base_and_deltas() {
+        use sl_stt::{AttrType, Field, Schema, SensorId, SttMeta};
+        // One 9 MiB tuple: a base of one and a delta appending another fit
+        // a frame each, their fold does not.
+        let big = |v: i64| {
+            let schema = Schema::new(vec![Field::new("s", AttrType::Str)])
+                .unwrap()
+                .into_ref();
+            let meta = SttMeta::without_location(
+                Timestamp::from_secs(v),
+                Theme::new("weather").unwrap(),
+                SensorId(1),
+            );
+            let text = v.to_string().repeat(9 << 20);
+            (0, Tuple::new(schema, vec![Value::Str(text)], meta).unwrap())
+        };
+        let dir = TempDir::new("dw-big-fold").unwrap();
+        let policy = CompactionPolicy::enabled()
+            .with_inputs(2, 16)
+            .with_small_bytes(64 << 20);
+        let config = DurableConfig::at(dir.path())
+            .with_segment_max_bytes(1 << 20)
+            .with_compaction(policy);
+        let mut dw = DurableWarehouse::open(config.clone()).unwrap();
+        let (base, appended) = (big(1), big(2));
+        let mut delta = CheckpointDelta {
+            reset: true,
+            evicted: 0,
+            appended: vec![base.clone()],
+        };
+        dw.persist_checkpoint("edw", "hourly", &delta).unwrap();
+        (delta.reset, delta.appended) = (false, vec![appended.clone()]);
+        dw.persist_checkpoint("edw", "hourly", &delta).unwrap();
+        dw.insert(event(0, "weather")).unwrap(); // seals the delta's segment
+
+        let stats = dw.compact_now(minutes(1)).unwrap();
+        assert!(stats.is_some_and(|s| s.segments_in == 2 && s.checkpoints_dropped == 0));
+        // The merged run is not planned again and again.
+        assert!(dw.maybe_compact(minutes(1)).is_ok());
+        drop(dw);
+
+        let mut dw = DurableWarehouse::open(config).unwrap();
+        let key = ("edw".to_string(), "hourly".to_string());
+        let window = dw.take_checkpoints().remove(&key).unwrap();
+        assert_eq!(window.tuples, vec![base, appended]);
     }
 }

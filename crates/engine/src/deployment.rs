@@ -96,6 +96,10 @@ pub struct ServiceRuntime {
     /// `checkpoint`'s `byte_size()`, kept by the fold so the
     /// `checkpoint/bytes` gauge costs what a delta touched.
     pub checkpoint_bytes: usize,
+    /// The durable log failed to take a record of `checkpoint` (a frame
+    /// over its size limit, say), so it no longer follows the fold: each
+    /// record from here on is a base of the whole fold, until one is taken.
+    pub rebase: bool,
     /// Producer names in port order.
     pub inputs: Vec<String>,
     /// Whether a periodic tick is scheduled (blocking operators).
@@ -118,7 +122,7 @@ impl ServiceRuntime {
     pub fn set_op(&mut self, op: Box<dyn Operator>) {
         self.blocking = op.is_blocking();
         (self.op, self.replicas) = (op, Vec::new());
-        (self.checkpoint, self.checkpoint_bytes) = (None, 0);
+        (self.checkpoint, self.checkpoint_bytes, self.rebase) = (None, 0, false);
     }
 }
 

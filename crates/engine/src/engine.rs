@@ -376,6 +376,7 @@ impl Engine {
                     replicas: Vec::new(),
                     checkpoint: None,
                     checkpoint_bytes: 0,
+                    rebase: false,
                     inputs: inputs.clone(),
                     blocking,
                     consumers: Vec::new(),

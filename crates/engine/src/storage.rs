@@ -79,8 +79,10 @@ impl Storage {
     /// Extend the checkpoint log of the plain `(deployment, service)` names
     /// on the durable tier by `delta`, so a restarted process can restore
     /// the window cache at deploy time (an empty base supersedes what the
-    /// log held). A failure is a console line, not an error; the in-memory
-    /// tier logs nothing.
+    /// log held). The in-memory tier logs nothing. A failure is a console
+    /// line, not an error, and returns `false` after closing the key's log
+    /// with an empty base: a restart then finds an empty window, not an
+    /// older one with the later deltas but not this one folded on.
     pub(crate) fn log_checkpoint(
         &mut self,
         console: &mut Log,
@@ -88,14 +90,26 @@ impl Storage {
         deployment: &str,
         service: &str,
         delta: &CheckpointDelta,
-    ) {
-        if let Some(d) = self.durable_mut() {
-            if let Err(e) = d.persist_checkpoint(deployment, service, delta) {
-                console.push(format!(
-                    "error: {verb} checkpoint {deployment}/{service}: {e}"
-                ));
-            }
+    ) -> bool {
+        let Some(d) = self.durable_mut() else {
+            return true;
+        };
+        let Err(e) = d.persist_checkpoint(deployment, service, delta) else {
+            return true;
+        };
+        console.push(format!(
+            "error: {verb} checkpoint {deployment}/{service}: {e}"
+        ));
+        let empty_base = CheckpointDelta {
+            reset: true,
+            ..CheckpointDelta::default()
+        };
+        if let Err(e) = d.persist_checkpoint(deployment, service, &empty_base) {
+            console.push(format!(
+                "error: clearing checkpoint {deployment}/{service}: {e}"
+            ));
         }
+        false
     }
 }
 
@@ -418,8 +432,18 @@ impl Engine {
             }
         };
         self.inst.checkpoint_taken.inc();
+        if svc.rebase {
+            // The log lost this window at a failed record: log it whole.
+            fold.apply(delta);
+            delta = CheckpointDelta {
+                reset: true,
+                evicted: 0,
+                appended: fold.tuples.clone(),
+            };
+        }
         let (console, (deployment, name)) = (&mut self.monitor.console, &ep.names);
-        self.storage
+        svc.rebase = !self
+            .storage
             .log_checkpoint(console, "persisting", deployment, name, &delta);
         let gone: usize = if delta.reset {
             svc.checkpoint_bytes

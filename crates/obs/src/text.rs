@@ -160,35 +160,38 @@ pub fn unescape_quotes(body: &str) -> String {
 }
 
 /// Does `text` match `pattern`, where `*` stands for any run of characters
-/// and `?` for any one? An iterative two-pointer walk over the two strings'
-/// characters: O(n·m) worst case. The expression language's `matches` and
-/// the broker's sensor-name filter both call it.
+/// (a `*` in the pattern is always the wildcard, never a literal) and `?`
+/// for any one? An iterative two-pointer walk over the two strings' byte
+/// offsets, each step one whole character, backtracking to the last `*`
+/// on a mismatch: O(n·m) worst case, no allocation. The expression
+/// language's `matches` and the broker's sensor-name filter both call it.
 #[must_use]
 pub fn glob_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    let (mut pi, mut ti) = (0usize, 0usize);
-    let (mut star, mut star_ti) = (usize::MAX, 0usize);
-    while ti < t.len() {
-        if pi < p.len() && (p[pi] == '?' || p[pi] == t[ti]) {
-            pi += 1;
-            ti += 1;
-        } else if pi < p.len() && p[pi] == '*' {
-            star = pi;
-            star_ti = ti;
-            pi += 1;
-        } else if star != usize::MAX {
-            pi = star + 1;
-            star_ti += 1;
-            ti = star_ti;
-        } else {
-            return false;
+    let (mut p, mut t) = (0usize, 0usize);
+    // Just after the last `*` seen, and where its run currently ends.
+    let mut star: Option<(usize, usize)> = None;
+    while let Some(tc) = text[t..].chars().next() {
+        match pattern[p..].chars().next() {
+            Some('*') => {
+                p += 1;
+                star = Some((p, t));
+            }
+            Some(pc) if pc == '?' || pc == tc => {
+                p += pc.len_utf8();
+                t += tc.len_utf8();
+            }
+            _ => {
+                // Let the last `*` swallow one more character, and retry.
+                let Some((after_star, run_end)) = star else {
+                    return false;
+                };
+                let swallowed = text[run_end..].chars().next().map_or(0, char::len_utf8);
+                (p, t) = (after_star, run_end + swallowed);
+                star = Some((p, t));
+            }
         }
     }
-    while pi < p.len() && p[pi] == '*' {
-        pi += 1;
-    }
-    pi == p.len()
+    pattern[p..].chars().all(|c| c == '*')
 }
 
 #[cfg(test)]
@@ -227,5 +230,16 @@ mod tests {
         c.skip_ws(None);
         assert_eq!(c.quoted(), None);
         assert!(c.at_end());
+    }
+
+    #[test]
+    fn a_star_in_the_pattern_is_always_the_wildcard() {
+        // A `*` in the text is no reason to match the pattern's `*` as a
+        // literal: the star may still swallow it.
+        assert!(glob_match("*a", "*ba"));
+        assert!(glob_match("*a", "xba"));
+        assert!(glob_match("?*", "*"));
+        assert!(glob_match("日*本", "日x本"));
+        assert!(!glob_match("日?", "日"));
     }
 }

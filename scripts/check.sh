@@ -15,8 +15,9 @@
 #       (no whole-window `.checkpoint()` in the engine), one text cursor and
 #       JSON escaper, cube keys rendered in `CellMap::update` only, the CQ
 #       load path, the removed engine switches, count once, the streamed
-#       merge, one frame writer, one glob matcher, no experiment crate,
-#       one-index hot queries, declared instruments;
+#       merge, one frame writer, restart replays (no `SegmentLog::open` in
+#       crates/durable/src outside log.rs), one glob matcher, no experiment
+#       crate, one-index hot queries, declared instruments;
 #     - the chaos_recovery, durable_edw and continuous_dashboard examples;
 #     - benchmark/: build, `run.sh --smoke` and its own tests
 #       (benchmark/Cargo.lock restored), then the smoke's five run digests
@@ -189,6 +190,18 @@ if grep -rnE 'fn (encode_event|encode_checkpoint|write_frame|append_payload)' cr
     echo "check.sh: a second frame writer or per-record payload encoder in crates/durable/src" >&2
     exit 1
 fi
+
+# Owner grep: restart never materializes the log. `DurableWarehouse::open`
+# applies each record as `SegmentLog::replay` walks its frame; the
+# collecting `SegmentLog::open` (a vector of every record) is for tools and
+# tests, so no non-test code of crates/durable/src outside log.rs calls it.
+for f in crates/durable/src/*.rs; do
+    if [ "$f" = crates/durable/src/log.rs ]; then continue; fi
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'SegmentLog::open('; then
+        echo "check.sh: $f materializes the log with SegmentLog::open" >&2
+        exit 1
+    fi
+done
 
 # Owner grep: one `*`/`?` glob matcher, `sl_obs::text::glob_match`, for the
 # expression language's `matches` and the broker's sensor-name filter.
