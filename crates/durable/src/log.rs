@@ -31,16 +31,17 @@
 //!
 //! # Recovery
 //!
-//! [`SegmentLog::open`] scans every segment front to back, verifying each
-//! frame's checksum. At the first incomplete or corrupt frame it truncates
-//! the file right there and — because a corrupt *middle* segment means
-//! everything after it is of unknown provenance — deletes any later
-//! segments. Everything before the cut is returned to the caller; the
-//! [`RecoveryReport`] accounts for everything after it. A torn or missing
-//! header truncates the segment to empty. This is the standard
-//! truncate-on-recovery discipline of log-structured stores: an fsynced
-//! frame is never lost, an unsynced tail is *visibly* dropped, and no
-//! half-written bytes are ever decoded.
+//! [`SegmentLog::open`] walks every segment front to back, verifying each
+//! frame's checksum, through the one frame walk every read of the log uses:
+//! a bounded buffer read a chunk at a time, never a whole file. At the first
+//! incomplete or corrupt frame it truncates the file right there and —
+//! because a corrupt *middle* segment means everything after it is of
+//! unknown provenance — deletes any later segments. Everything before the
+//! cut is returned to the caller; the [`RecoveryReport`] accounts for
+//! everything after it. A torn or missing header truncates the segment to
+//! empty. This is the standard truncate-on-recovery discipline of
+//! log-structured stores: an fsynced frame is never lost, an unsynced tail
+//! is *visibly* dropped, and no half-written bytes are ever decoded.
 //!
 //! # Fsync policy
 //!
@@ -49,7 +50,9 @@
 //! `OnSeal` only guarantees sealed segments. The fsync latency histogram
 //! and byte counters are exported through [`SegmentLog::metrics_snapshot`].
 
-use crate::codec::{frame_into, read_frame, FrameRead, Record, ThemeTable, CODEC_VERSION};
+use crate::codec::{
+    frame_into, read_frame, FrameRead, Record, ThemeTable, CODEC_VERSION, MAX_FRAME_BYTES,
+};
 use crate::compact::{CompactionPolicy, SegmentMeta};
 use crate::error::DurableError;
 use crate::index::{Pruner, ThemeFilter};
@@ -126,7 +129,7 @@ impl DurableConfig {
 /// Ordered by log append order. A compacted segment covering numbers
 /// `first..=last` uses `first` as its segment number, so order is preserved
 /// across compactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LogPos {
     /// Segment number (the `NNNNNN` in `seg-NNNNNN.slg`; the first covered
     /// number for a compacted segment).
@@ -247,11 +250,7 @@ struct Segment {
 }
 
 impl Segment {
-    fn fresh(number: u32, path: PathBuf) -> Segment {
-        Segment::fresh_span(number, number, 0, path)
-    }
-
-    fn fresh_span(number: u32, last: u32, generation: u32, path: PathBuf) -> Segment {
+    fn fresh(number: u32, last: u32, generation: u32, path: PathBuf) -> Segment {
         Segment {
             number,
             last,
@@ -324,13 +323,6 @@ fn last_frame(segments: &[Segment]) -> Option<LogPos> {
         segment: seg.number,
         frame: seg.frames - 1,
     })
-}
-
-/// The temporary name a file is written under before its publishing rename.
-fn tmp_path(target: &Path) -> PathBuf {
-    let mut name = target.as_os_str().to_os_string();
-    name.push(".tmp");
-    PathBuf::from(name)
 }
 
 fn header_bytes() -> [u8; HEADER_LEN as usize] {
@@ -415,38 +407,27 @@ impl SegmentLog {
     }
 
     /// [`SegmentLog::open`] handing each surviving record to `visit`, in
-    /// append order, as its frame is walked: one segment file is held at a
-    /// time, and no visited record is taken back (repair only cuts after it).
+    /// append order, as its frame is walked: one read buffer is held, never
+    /// a segment file, and no visited record is taken back (repair only
+    /// cuts after it).
     pub(crate) fn replay(
         config: DurableConfig,
         mut visit: impl FnMut(LogPos, Record),
     ) -> Result<SegmentLog, DurableError> {
         let sw = Stopwatch::start();
         fs::create_dir_all(&config.dir)?;
-        remove_stray_files(&config.dir)?;
 
         let mut report = RecoveryReport::default();
+        let mut reader = BlockReader::default();
         let mut refs = list_segment_refs(&config.dir)?;
-        resolve_shadows(&mut refs, &mut report)?;
-        if refs.is_empty() {
-            let path = create_segment(&config.dir, 1)?;
-            refs.push(SegRef {
-                first: 1,
-                last: 1,
-                generation: 0,
-                path,
-            });
-        }
+        resolve_shadows(&mut refs, &mut reader, &mut report)?;
 
         let mut segments = Vec::new();
-        let mut corrupted_at: Option<usize> = None;
-        let mut themes = ThemeTable::default();
-
-        for (i, r) in refs.iter().enumerate() {
-            let (seg, clean) = recover_segment(r, &config, &mut themes, &mut report, &mut visit)?;
+        let mut refs = refs.into_iter();
+        for r in refs.by_ref() {
+            let (seg, clean) = recover_segment(&r, &config, &mut reader, &mut report, &mut visit)?;
             segments.push(seg);
             if !clean {
-                corrupted_at = Some(i);
                 break;
             }
         }
@@ -454,29 +435,26 @@ impl SegmentLog {
         // A corrupt middle segment poisons everything after it: later
         // segments were written after the damage and cannot be trusted to
         // follow it. Delete them and account for every byte.
-        if let Some(cut) = corrupted_at {
-            for r in &refs[cut + 1..] {
-                let len = fs::metadata(&r.path).map(|m| m.len()).unwrap_or(0);
-                report.truncated_bytes += len.saturating_sub(HEADER_LEN);
-                report.dropped_segments += 1;
-                fs::remove_file(&r.path)?;
-            }
+        for r in refs {
+            let len = fs::metadata(&r.path).map(|m| m.len()).unwrap_or(0);
+            report.truncated_bytes += len.saturating_sub(HEADER_LEN);
+            report.dropped_segments += 1;
+            fs::remove_file(&r.path)?;
         }
 
         // A compacted segment is sealed forever: if it ended up last (its
         // former followers were all merged into it, or dropped), appends
-        // need a fresh generation-0 segment after it.
-        if segments.last().is_some_and(|s| s.generation > 0) {
-            let number = segments.last().map_or(1, |s| s.last + 1);
-            let path = create_segment(&config.dir, number)?;
-            segments.push(Segment::fresh(number, path));
-        }
-
-        let last = segments.last().ok_or_else(|| {
-            // Unreachable: we always have at least one segment by now.
-            DurableError::corrupt("no segments after recovery")
-        })?;
-        let active = OpenOptions::new().append(true).open(&last.path)?;
+        // need a fresh generation-0 segment after it, as does an empty log.
+        let active = match segments.last() {
+            Some(last) if last.generation == 0 => last.path.clone(),
+            last => {
+                let number = last.map_or(1, |s| s.last + 1);
+                let path = create_segment(&config.dir, number)?;
+                segments.push(Segment::fresh(number, number, 0, path.clone()));
+                path
+            }
+        };
+        let active = OpenOptions::new().append(true).open(active)?;
         report.duration_us = sw.elapsed_us();
 
         let last_pos = last_frame(&segments);
@@ -620,7 +598,7 @@ impl SegmentLog {
         let next = self.active_segment()?.last + 1;
         let path = create_segment(&self.config.dir, next)?;
         self.active = OpenOptions::new().append(true).open(&path)?;
-        self.segments.push(Segment::fresh(next, path));
+        self.segments.push(Segment::fresh(next, next, 0, path));
         self.inst.segments_sealed.inc();
         self.inst.segments.set(self.segments.len() as i64);
         Ok(())
@@ -749,12 +727,14 @@ impl SegmentLog {
     ) -> Result<ProductWriter, DurableError> {
         self.sealed_range(first, last)?;
         let path = gen_segment_path(&self.config.dir, first, last, generation);
-        let tmp = tmp_path(&path);
+        // Written under a temporary name until its publishing rename.
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
         let file = File::create(&tmp)?;
         let mut product = ProductWriter {
-            seg: Segment::fresh_span(first, last, generation, path),
+            seg: Segment::fresh(first, last, generation, path),
             out: BufWriter::with_capacity(PRODUCT_BUFFER_BYTES, file),
-            tmp: Unpublished(tmp),
+            tmp: Unpublished(tmp.into()),
             index_every: self.config.index_every,
             frame: Vec::new(),
         };
@@ -867,8 +847,20 @@ impl Drop for Unpublished {
     }
 }
 
-/// What one scan reuses across every block and segment it reads: the block
-/// buffer, which only ever grows to the largest block, and the theme table.
+/// What a frame walk reads from disk at a time. The read buffer grows past
+/// it only to hold one frame longer than that.
+const CHUNK_BYTES: u64 = 64 * 1024;
+
+/// Why a frame walk stopped short of the end of its range.
+enum Cut {
+    /// A frame is incomplete or fails its checksum.
+    Torn(String),
+    /// A frame checksums but does not decode (corruption, or a future codec).
+    Undecodable(DurableError),
+}
+
+/// What every read of the log reuses across the blocks and segments it
+/// walks: the read buffer and the theme table.
 #[derive(Default)]
 struct BlockReader {
     buf: Vec<u8>,
@@ -876,6 +868,82 @@ struct BlockReader {
 }
 
 impl BlockReader {
+    /// The one frame walk: hand each checksummed, decoded frame in the byte
+    /// range `from..to` of `file` to `visit` with its size on disk, front to
+    /// back, reading through the reused buffer a chunk at a time (a range
+    /// that fits one chunk is one seek and one read). Returns where the
+    /// clean prefix ends and what cut it short (`None`: nothing did). The
+    /// first error `visit` returns ends the walk and is passed on.
+    fn walk(
+        &mut self,
+        file: &mut File,
+        from: u64,
+        to: u64,
+        visit: &mut impl FnMut(u64, Record) -> Result<(), DurableError>,
+    ) -> Result<(u64, Option<Cut>), DurableError> {
+        file.seek(SeekFrom::Start(from))?;
+        // `buf[lo..hi]` holds the file's bytes from `at` on.
+        let (mut at, mut lo, mut hi) = (from, 0, 0);
+        let cut = loop {
+            // Hold the whole next frame (its length prefix tells how long it
+            // is), or all that is left of the range, so the frame reads as
+            // it would from the range in one slice.
+            loop {
+                let len = self.buf[lo..hi]
+                    .first_chunk()
+                    .map_or(0, |n| u32::from_le_bytes(*n));
+                let need = match len {
+                    1..=MAX_FRAME_BYTES => 8 + u64::from(len),
+                    _ => 4, // a missing or bad length prefix is judged by itself
+                };
+                let left = to - at;
+                if hi - lo >= need.min(left) as usize {
+                    break;
+                }
+                self.buf.copy_within(lo..hi, 0);
+                (lo, hi) = (0, hi - lo);
+                let fill = need.max(CHUNK_BYTES).min(left) as usize;
+                if self.buf.len() < fill {
+                    self.buf.resize(fill, 0);
+                }
+                file.read_exact(&mut self.buf[hi..fill])?;
+                hi = fill;
+            }
+            let (payload, consumed) = match read_frame(&self.buf[lo..hi]) {
+                FrameRead::Ok { payload, consumed } => (payload, consumed),
+                FrameRead::Torn { why } => break Some(Cut::Torn(why)),
+                FrameRead::End => break None,
+            };
+            let rec = match Record::decode_with(payload, &mut self.themes) {
+                Ok(rec) => rec,
+                Err(e) => break Some(Cut::Undecodable(e)),
+            };
+            visit(consumed as u64, rec)?;
+            lo += consumed;
+            at += consumed as u64;
+        };
+        Ok((at, cut))
+    }
+
+    /// Walk a whole segment file: its header, then every frame after it.
+    /// Returns the file's length and where its clean prefix ends, or `None`
+    /// for that when the header is torn or alien.
+    fn walk_file(
+        &mut self,
+        path: &Path,
+        visit: &mut impl FnMut(u64, Record) -> Result<(), DurableError>,
+    ) -> Result<(u64, Option<u64>), DurableError> {
+        let mut file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut header = [0u8; HEADER_LEN as usize];
+        let header_ok = len >= HEADER_LEN && {
+            file.read_exact(&mut header)?;
+            header[..=MAGIC.len()] == header_bytes()[..=MAGIC.len()]
+        };
+        let walked = header_ok.then(|| self.walk(&mut file, HEADER_LEN, len, visit));
+        Ok((len, walked.transpose()?.map(|(end, _)| end)))
+    }
+
     /// Read one segment, skipping index blocks that cannot match `pruner`;
     /// every frame of a visited block is verified, decoded and handed to
     /// `visit`, and the first error `visit` returns ends the read. Returns
@@ -887,7 +955,7 @@ impl BlockReader {
         visit: &mut impl FnMut(LogPos, Record) -> Result<(), DurableError>,
     ) -> Result<u64, DurableError> {
         let constrained = pruner.is_constrained();
-        let mut file: Option<File> = None;
+        let mut file = File::open(&seg.path)?;
         let mut frame_idx: u32 = 0;
         let mut bytes_read = 0u64;
         for (bi, block) in seg.blocks.iter().enumerate() {
@@ -896,48 +964,27 @@ impl BlockReader {
                 continue;
             }
             let end_offset = seg.blocks.get(bi + 1).map_or(seg.bytes, |next| next.offset);
-            let len = (end_offset - block.offset) as usize;
-            let f = match &mut file {
-                Some(f) => f,
-                None => file.insert(File::open(&seg.path)?),
+            let block_end = frame_idx + block.frames;
+            let (_, cut) = self.walk(&mut file, block.offset, end_offset, &mut |_, rec| {
+                let pos = LogPos {
+                    segment: seg.number,
+                    frame: frame_idx,
+                };
+                visit(pos, rec)?;
+                frame_idx += 1;
+                Ok(())
+            })?;
+            bytes_read += end_offset - block.offset;
+            // The in-memory index said a frame is here; the disk disagrees.
+            // Surface it — this is post-recovery damage, not a torn tail.
+            let why = match cut {
+                Some(Cut::Undecodable(e)) => return Err(e),
+                Some(Cut::Torn(why)) => format!("frame {frame_idx}: {why}"),
+                None if frame_idx < block_end => format!("unexpected end at frame {frame_idx}"),
+                None => continue,
             };
-            f.seek(SeekFrom::Start(block.offset))?;
-            if self.buf.len() < len {
-                self.buf.resize(len, 0);
-            }
-            let bytes = &mut self.buf[..len];
-            f.read_exact(bytes)?;
-            bytes_read += len as u64;
-            let mut at = 0usize;
-            for _ in 0..block.frames {
-                match read_frame(&bytes[at..]) {
-                    FrameRead::Ok { payload, consumed } => {
-                        at += consumed;
-                        let rec = Record::decode_with(payload, &mut self.themes)?;
-                        let pos = LogPos {
-                            segment: seg.number,
-                            frame: frame_idx,
-                        };
-                        visit(pos, rec)?;
-                        frame_idx += 1;
-                    }
-                    // The in-memory index said a frame is here; the disk
-                    // disagrees. Surface it — this is post-recovery damage,
-                    // not a torn tail.
-                    FrameRead::Torn { why } => {
-                        return Err(DurableError::corrupt(format!(
-                            "{}: frame {frame_idx}: {why}",
-                            seg.path.display()
-                        )))
-                    }
-                    FrameRead::End => {
-                        return Err(DurableError::corrupt(format!(
-                            "{}: unexpected end at frame {frame_idx}",
-                            seg.path.display()
-                        )))
-                    }
-                }
-            }
+            let path = seg.path.display();
+            return Err(DurableError::corrupt(format!("{path}: {why}")));
         }
         Ok(bytes_read)
     }
@@ -969,12 +1016,18 @@ fn parse_segment_name(name: &str) -> Option<(u32, u32, u32)> {
 }
 
 /// Segment files present in `dir`, sorted by covered range then generation.
+/// Every stray file is deleted on the way: `*.tmp` (half-written compaction
+/// products) and `*.szi` (zone-index sidecars written beside compacted
+/// segments by earlier versions; nothing reads them).
 fn list_segment_refs(dir: &Path) -> Result<Vec<SegRef>, DurableError> {
     let mut refs = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        if let Some((first, last, generation)) = parse_segment_name(&name.to_string_lossy()) {
+        let name = name.to_string_lossy();
+        if name.ends_with(".tmp") || name.ends_with(".szi") {
+            fs::remove_file(entry.path())?;
+        } else if let Some((first, last, generation)) = parse_segment_name(&name) {
             refs.push(SegRef {
                 first,
                 last,
@@ -987,35 +1040,12 @@ fn list_segment_refs(dir: &Path) -> Result<Vec<SegRef>, DurableError> {
     Ok(refs)
 }
 
-/// Delete every stray file in `dir`: `*.tmp` (half-written compaction
-/// products) and `*.szi` (zone-index sidecars written beside compacted
-/// segments by earlier versions; nothing reads them).
-fn remove_stray_files(dir: &Path) -> Result<(), DurableError> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.ends_with(".tmp") || name.ends_with(".szi") {
-            fs::remove_file(entry.path())?;
-        }
-    }
-    Ok(())
-}
-
 /// Persist the directory entry (best-effort: not all platforms allow fsync
 /// on directories).
 fn sync_dir(dir: &Path) {
     if let Ok(d) = File::open(dir) {
         let _ = d.sync_all();
     }
-}
-
-/// Write `bytes` to a fresh file at `path`, fsynced.
-fn write_file_synced(path: &Path, bytes: &[u8]) -> Result<(), DurableError> {
-    let mut f = File::create(path)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    Ok(())
 }
 
 /// Resolve overlaps left by an interrupted compaction: when a generation-N
@@ -1026,6 +1056,7 @@ fn write_file_synced(path: &Path, bytes: &[u8]) -> Result<(), DurableError> {
 /// cover disjoint ranges.
 fn resolve_shadows(
     refs: &mut Vec<SegRef>,
+    reader: &mut BlockReader,
     report: &mut RecoveryReport,
 ) -> Result<(), DurableError> {
     let mut order: Vec<usize> = (0..refs.len()).collect();
@@ -1048,17 +1079,18 @@ fn resolve_shadows(
         if shadowed.is_empty() {
             continue;
         }
-        let product_clean = verify_segment(&refs[ti].path);
-        let span = (last - first) as u64 + 1;
-        let inputs_cover = span <= (1 << 20) && {
-            let mut covered = vec![false; span as usize];
-            for &si in &shadowed {
-                for n in refs[si].first..=refs[si].last {
-                    covered[(n - first) as usize] = true;
-                }
-            }
-            covered.iter().all(|&c| c)
-        };
+        // The product wins only if every byte of it is a clean frame.
+        let product_clean = matches!(
+            reader.walk_file(&refs[ti].path, &mut |_, _| Ok(())),
+            Ok((len, Some(end))) if end == len
+        );
+        // The inputs can win only if they still cover the product's range.
+        let inputs_cover = shadowed
+            .iter()
+            .try_fold(u64::from(first), |next, &si| {
+                (u64::from(refs[si].first) <= next).then(|| next.max(u64::from(refs[si].last) + 1))
+            })
+            .is_some_and(|next| next > u64::from(last));
         if product_clean || !inputs_cover {
             for &si in &shadowed {
                 fs::remove_file(&refs[si].path)?;
@@ -1071,13 +1103,9 @@ fn resolve_shadows(
             report.superseded_segments += 1;
         }
     }
-    let mut kept = Vec::with_capacity(refs.len());
-    for (i, r) in refs.drain(..).enumerate() {
-        if !removed[i] {
-            kept.push(r);
-        }
-    }
-    for pair in kept.windows(2) {
+    let mut removed = removed.into_iter();
+    refs.retain(|_| removed.next() == Some(false));
+    for pair in refs.windows(2) {
         if pair[1].first <= pair[0].last {
             return Err(DurableError::corrupt(format!(
                 "overlapping segments {} and {}",
@@ -1086,45 +1114,7 @@ fn resolve_shadows(
             )));
         }
     }
-    *refs = kept;
     Ok(())
-}
-
-/// Walk a segment file's frames front to back: check the header, then hand
-/// each checksummed, decodable frame to `visit` with its size on disk,
-/// stopping at the first frame that is torn, fails its checksum or does not
-/// decode. Returns where that clean prefix ends (`bytes.len()` for an intact
-/// file), or `None` when the header is torn or alien.
-fn walk_frames(
-    bytes: &[u8],
-    themes: &mut ThemeTable,
-    mut visit: impl FnMut(u64, Record),
-) -> Option<usize> {
-    let header_ok = bytes.len() >= HEADER_LEN as usize
-        && &bytes[..MAGIC.len()] == MAGIC
-        && bytes[MAGIC.len()] == CODEC_VERSION;
-    if !header_ok {
-        return None;
-    }
-    let mut offset = HEADER_LEN as usize;
-    while let FrameRead::Ok { payload, consumed } = read_frame(&bytes[offset..]) {
-        // Checksum fine but grammar broken: corruption (or a future codec).
-        // Cut here like any torn tail.
-        let Ok(rec) = Record::decode_with(payload, themes) else {
-            break;
-        };
-        visit(consumed as u64, rec);
-        offset += consumed;
-    }
-    Some(offset)
-}
-
-/// Read-only integrity walk: true iff the header is valid and every byte of
-/// the file belongs to a well-formed, checksummed, decodable frame.
-fn verify_segment(path: &Path) -> bool {
-    fs::read(path).is_ok_and(|bytes| {
-        walk_frames(&bytes, &mut ThemeTable::default(), |_, _| {}) == Some(bytes.len())
-    })
 }
 
 /// Create a fresh segment file with a valid header, fsynced, and fsync the
@@ -1138,19 +1128,18 @@ fn create_segment(dir: &Path, number: u32) -> Result<PathBuf, DurableError> {
     Ok(path)
 }
 
-/// Scan one segment file, counting and visiting each surviving record, and
+/// Walk one segment file, counting and visiting each surviving record, and
 /// truncate it at the first torn or corrupt frame. Returns the rebuilt
 /// in-memory segment and whether the file was clean (nothing truncated).
 fn recover_segment(
     r: &SegRef,
     config: &DurableConfig,
-    themes: &mut ThemeTable,
+    reader: &mut BlockReader,
     report: &mut RecoveryReport,
     visit: &mut impl FnMut(LogPos, Record),
 ) -> Result<(Segment, bool), DurableError> {
-    let bytes = fs::read(&r.path)?;
-    let mut seg = Segment::fresh_span(r.first, r.last, r.generation, r.path.clone());
-    let walked = walk_frames(&bytes, themes, |consumed, rec| {
+    let mut seg = Segment::fresh(r.first, r.last, r.generation, r.path.clone());
+    let (len, end) = reader.walk_file(&r.path, &mut |consumed, rec| {
         let pos = LogPos {
             segment: r.first,
             frame: seg.frames,
@@ -1167,19 +1156,19 @@ fn recover_segment(
             Record::Horizon(_) => report.horizons += 1,
         }
         visit(pos, rec);
-    });
-    let Some(clean_end) = walked else {
-        // A torn or alien header means nothing in the file can be trusted;
-        // reset it to an empty, valid segment.
-        report.truncated_bytes += bytes.len() as u64;
-        write_file_synced(&r.path, &header_bytes())?;
-        return Ok((seg, false));
-    };
-    let clean = clean_end == bytes.len();
+        Ok(())
+    })?;
+    // A torn or alien header means nothing in the file can be trusted: it
+    // is reset to an empty, valid segment.
+    let clean = end == Some(len);
     if !clean {
-        report.truncated_bytes += (bytes.len() - clean_end) as u64;
-        let f = OpenOptions::new().write(true).open(&r.path)?;
-        f.set_len(clean_end as u64)?;
+        let end = end.unwrap_or(0);
+        report.truncated_bytes += len - end;
+        let mut f = OpenOptions::new().write(true).open(&r.path)?;
+        f.set_len(end)?;
+        if end == 0 {
+            f.write_all(&header_bytes())?;
+        }
         f.sync_all()?;
     }
     Ok((seg, clean))
@@ -1676,6 +1665,148 @@ mod tests {
             assert_eq!(recs.len(), 30, "{what}: no acknowledged record lost");
             assert_eq!(report.superseded_segments, 1, "{what}: the damaged product");
             assert!(!product.exists(), "{what}");
+        }
+    }
+
+    /// The slice walk recovery and shadow checks ran over a whole file read
+    /// into memory, kept as the specification of [`BlockReader::walk_file`]:
+    /// check the header, then hand each checksummed, decodable frame to
+    /// `visit` with its size on disk, stopping at the first frame that is
+    /// torn, fails its checksum or does not decode. Returns where that clean
+    /// prefix ends (`bytes.len()` for an intact file), or `None` when the
+    /// header is torn or alien.
+    fn walk_frames(
+        bytes: &[u8],
+        themes: &mut ThemeTable,
+        mut visit: impl FnMut(u64, Record),
+    ) -> Option<usize> {
+        let header_ok = bytes.len() >= HEADER_LEN as usize
+            && &bytes[..MAGIC.len()] == MAGIC
+            && bytes[MAGIC.len()] == CODEC_VERSION;
+        if !header_ok {
+            return None;
+        }
+        let mut offset = HEADER_LEN as usize;
+        while let FrameRead::Ok { payload, consumed } = read_frame(&bytes[offset..]) {
+            // Checksum fine but grammar broken: corruption (or a future codec).
+            // Cut here like any torn tail.
+            let Ok(rec) = Record::decode_with(payload, themes) else {
+                break;
+            };
+            visit(consumed as u64, rec);
+            offset += consumed;
+        }
+        Some(offset)
+    }
+
+    fn text_event(minute: i64, len: usize) -> Record {
+        Record::Event(Event::new(
+            Value::Str("x".repeat(len)),
+            TemporalGranularity::Minute,
+            minute,
+            SpatialGranule::World,
+            Theme::new("weather/rain").unwrap(),
+        ))
+    }
+
+    fn framed(rec: &Record) -> Vec<u8> {
+        crate::codec::frame(&rec.encode())
+    }
+
+    /// The frame of a text event that takes exactly `bytes` on disk.
+    fn text_frame_of(bytes: usize) -> Vec<u8> {
+        let mut len = bytes - framed(&text_event(0, 0)).len();
+        loop {
+            let f = framed(&text_event(0, len));
+            match f.len().cmp(&bytes) {
+                std::cmp::Ordering::Equal => return f,
+                std::cmp::Ordering::Greater => len -= f.len() - bytes,
+                std::cmp::Ordering::Less => len += bytes - f.len(),
+            }
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const CHUNK: usize = CHUNK_BYTES as usize;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// The chunked walk reads any segment file, damaged or not, as
+            /// the whole-file slice walk does: the same records, the same
+            /// clean end, and recovery cuts the same bytes. Frames straddle
+            /// chunk boundaries (the first one, when `lead` is set, ends
+            /// `lead` bytes short of one, so a length prefix is split too),
+            /// some are longer than a chunk, and some checksum but do not
+            /// decode.
+            #[test]
+            fn the_chunked_walk_reads_as_the_slice_walk(
+                lead in proptest::option::of(0usize..12),
+                frames in proptest::collection::vec((0u8..40, 0usize..70_000), 0..14),
+                damage in 0u8..4,
+                cut_at in any::<u64>(),
+                flip_at in any::<u64>(),
+            ) {
+                let mut bytes = header_bytes().to_vec();
+                if let Some(lead) = lead {
+                    bytes.extend(text_frame_of(CHUNK - lead));
+                }
+                let mut longest = CHUNK;
+                for (m, &(kind, size)) in frames.iter().enumerate() {
+                    let m = m as i64;
+                    let frame = match kind {
+                        0..=29 => framed(&text_event(m, size % 2_000)),
+                        30..=33 => framed(&text_event(m, size)),
+                        34..=35 => framed(&text_event(m, CHUNK + size)),
+                        36..=38 => framed(&Record::Horizon(Timestamp::from_millis(m))),
+                        _ => crate::codec::frame(&[99, 1, 2, 3]), // an unknown record kind
+                    };
+                    longest = longest.max(frame.len());
+                    bytes.extend(frame);
+                }
+                if damage & 1 == 1 {
+                    bytes.truncate((cut_at % (bytes.len() as u64 + 1)) as usize);
+                }
+                if damage & 2 == 2 && !bytes.is_empty() {
+                    let at = (flip_at % bytes.len() as u64) as usize;
+                    bytes[at] ^= 0x5A;
+                }
+
+                let mut spec = Vec::new();
+                let spec_end = walk_frames(&bytes, &mut ThemeTable::default(), |size, rec| {
+                    spec.push((size, format!("{rec:?}")));
+                })
+                .map(|end| end as u64);
+                let dir = TempDir::new("log-walk-spec").unwrap();
+                let path = segment_path(dir.path(), 1);
+                fs::write(&path, &bytes).unwrap();
+                // Twice through one reader: a reused buffer reads as a fresh one.
+                let mut reader = BlockReader::default();
+                for _ in 0..2 {
+                    let mut walked = Vec::new();
+                    let (len, end) = reader
+                        .walk_file(&path, &mut |size, rec| {
+                            walked.push((size, format!("{rec:?}")));
+                            Ok(())
+                        })
+                        .unwrap();
+                    prop_assert_eq!(len, bytes.len() as u64);
+                    prop_assert_eq!(end, spec_end);
+                    prop_assert_eq!(&walked, &spec);
+                    // The buffer outgrows a chunk only to hold a longer frame.
+                    prop_assert!(damage != 0 || reader.buf.len() <= longest);
+                }
+
+                let (_, recs, report) = SegmentLog::open(cfg(&dir)).unwrap();
+                let cut = bytes.len() as u64 - spec_end.unwrap_or(0);
+                prop_assert_eq!(report.truncated_bytes, cut);
+                let recs: Vec<String> = recs.iter().map(|(_, rec)| format!("{rec:?}")).collect();
+                let spec: Vec<String> = spec.into_iter().map(|(_, rec)| rec).collect();
+                prop_assert_eq!(recs, spec);
+            }
         }
     }
 }

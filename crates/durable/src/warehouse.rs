@@ -19,7 +19,7 @@
 //! eviction, which stays hot (no later marker covers it) even though its
 //! interval is ancient. Queries merge a block-skipping cold-segment scan
 //! with the hot index path and never see an event twice. Opening replays
-//! the log in order, so the evictions it replays leave exactly that split.
+//! the log in order; each marker drops what it covers, leaving that split.
 //!
 //! Operator checkpoints ride the same log, so a restarted process recovers
 //! both its warehouse and its blocking operators' window caches from one
@@ -38,7 +38,7 @@ use sl_obs::{Counter, Histogram, MetricsSnapshot, Stopwatch};
 use sl_ops::{CheckpointDelta, OpCheckpoint};
 use sl_stt::{Event, SpatialGranularity, TemporalGranularity, Timestamp, Tuple};
 use sl_warehouse::{tuple_events, EventQuery, EventWarehouse, WarehouseConfig};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::ErrorKind;
 
 /// A crash-safe warehouse: hot `EventWarehouse` over the recent tail, cold
@@ -81,21 +81,28 @@ sl_obs::instruments! {
 impl DurableWarehouse {
     /// Open (or create) a durable warehouse at `config.dir`, replaying the
     /// log in one ordered pass that applies each record as it is read: an
-    /// event is inserted hot, a horizon marker evicts what it covers, and a
-    /// checkpoint base replaces its key's fold, a delta extends it (one
-    /// whose base was lost extends nothing). So exactly the events no later
-    /// marker covers stay hot, in log order, and the folds wait for
+    /// event waits in a pending set ordered by interval end, a horizon
+    /// marker drops what it covers (the rule of `EventWarehouse::evict_before`),
+    /// and a checkpoint base replaces its key's fold, a delta extends it (one
+    /// whose base was lost extends nothing). The events no later marker
+    /// covers then go hot once, in log order, and the folds wait for
     /// [`DurableWarehouse::take_checkpoints`]. Memory: the hot set, the
-    /// folds and one segment file, never the whole log.
+    /// pending set, the folds and one read buffer, never a segment file.
     pub fn open(config: DurableConfig) -> Result<DurableWarehouse, DurableError> {
         let sw = Stopwatch::start();
-        let mut hot = EventWarehouse::new(WarehouseConfig::default());
+        let mut pending: BTreeMap<(i64, LogPos), Event> = BTreeMap::new();
         let mut markers: Vec<(LogPos, Timestamp)> = Vec::new();
         let mut recovered: HashMap<(String, String), OpCheckpoint> = HashMap::new();
         let log = SegmentLog::replay(config, |pos, rec| match rec {
-            Record::Event(event) => hot.insert(event),
+            Record::Event(event) => {
+                pending.insert((event_time(&event).1, pos), event);
+            }
             Record::Horizon(h) => {
-                hot.evict_before(h);
+                // Keep what ends after `h`: `evict_before` takes `end ≤ h`.
+                pending = match h.as_millis().checked_add(1) {
+                    Some(after) => pending.split_off(&(after, LogPos::default())),
+                    None => BTreeMap::new(),
+                };
                 markers.push((pos, h));
             }
             Record::Checkpoint {
@@ -119,6 +126,10 @@ impl DurableWarehouse {
                     appended,
                 }),
         })?;
+        let mut hot = EventWarehouse::new(WarehouseConfig::default());
+        let mut survivors: Vec<_> = pending.into_iter().collect();
+        survivors.sort_unstable_by_key(|&((_, pos), _)| pos);
+        survivors.into_iter().for_each(|(_, e)| hot.insert(e));
         let suffix_max = suffix_maxima(&markers);
 
         let mut inst = DurableInstruments::default();

@@ -16,8 +16,10 @@
 #       JSON escaper, cube keys rendered in `CellMap::update` only, the CQ
 #       load path, the removed engine switches, count once, the streamed
 #       merge, one frame writer, restart replays (no `SegmentLog::open` in
-#       crates/durable/src outside log.rs), one glob matcher, no experiment
-#       crate, one-index hot queries, declared instruments;
+#       crates/durable/src outside log.rs), one frame reader (no `fs::read(`
+#       and no `fn walk_frames` in non-test crates/durable/src), one glob
+#       matcher, no experiment crate, one-index hot queries, declared
+#       instruments;
 #     - the chaos_recovery, durable_edw and continuous_dashboard examples;
 #     - benchmark/: build, `run.sh --smoke` and its own tests
 #       (benchmark/Cargo.lock restored), then the smoke's five run digests
@@ -199,6 +201,22 @@ for f in crates/durable/src/*.rs; do
     if [ "$f" = crates/durable/src/log.rs ]; then continue; fi
     if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'SegmentLog::open('; then
         echo "check.sh: $f materializes the log with SegmentLog::open" >&2
+        exit 1
+    fi
+done
+
+# Owner greps: the log has one frame reader. Recovery, shadow checks and
+# the cold and compaction scans walk a segment through `BlockReader::walk`,
+# one bounded buffer read a chunk at a time, so no non-test code of
+# crates/durable/src reads a whole file into memory or walks the frames of
+# one (the slice walk is the specification in log.rs's tests).
+for f in crates/durable/src/*.rs; do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'fs::read('; then
+        echo "check.sh: $f reads a whole file into memory" >&2
+        exit 1
+    fi
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -n 'fn walk_frames'; then
+        echo "check.sh: $f walks the frames of a whole file read into memory" >&2
         exit 1
     fi
 done
