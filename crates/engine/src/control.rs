@@ -12,7 +12,7 @@
 //! tracker and `Endpoint::node` cannot disagree.
 
 use crate::config::{BACKLOG_THRESHOLD, LIVENESS_GRACE, MIGRATION_THRESHOLD};
-use crate::deployment::{Endpoint, EndpointId, Role};
+use crate::deployment::{EndpointId, Role};
 use crate::engine::{Engine, Ev};
 use crate::error::EngineError;
 use crate::monitor::PlacementChange;
@@ -96,7 +96,7 @@ impl Engine {
         // on it move to the least-loaded live node (their tuples would
         // otherwise dead-letter until restart).
         let on_node = |id: &&EndpointId| {
-            let ep = self.endpoints.get(id.index());
+            let ep = self.monitor.endpoints.get(id.index());
             ep.is_some_and(|ep| ep.node == node)
         };
         let deployments = self.deployments.values();
@@ -132,7 +132,7 @@ impl Engine {
     fn recover_service(&mut self, now: Timestamp, id: EndpointId) {
         let demand = self.loads.demand_of(id.process()).unwrap_or(1.0);
         let target = self.recovery_node(demand);
-        let ep = &mut self.endpoints[id.index()];
+        let ep = &mut self.monitor.endpoints[id.index()];
         let Role::Service(svc) = &mut ep.role else {
             return;
         };
@@ -175,7 +175,7 @@ impl Engine {
                 return false;
             }
         }
-        let ep = &mut self.endpoints[id.index()];
+        let ep = &mut self.monitor.endpoints[id.index()];
         self.monitor.placements.push(PlacementChange {
             at: now,
             deployment: ep.names.0.clone(),
@@ -191,7 +191,7 @@ impl Engine {
 
     /// After a move, re-route the flows touching an endpoint.
     fn reinstall_flows_for(&mut self, id: EndpointId) {
-        let (dep_name, name) = self.endpoints[id.index()].names.clone();
+        let (dep_name, name) = self.monitor.endpoints[id.index()].names.clone();
         // Out of `self` while its flows are re-installed through `&mut self`.
         let Some(mut dep) = self.deployments.remove(&dep_name) else {
             return;
@@ -244,13 +244,12 @@ impl Engine {
         let mut watermarks: Vec<(EndpointId, u64)> = Vec::new();
         let services = self.deployments.values().flat_map(|d| d.services.values());
         for &id in services {
-            let Some(svc) = self.endpoints.get(id.index()).and_then(Endpoint::service) else {
+            let Some(ep) = self.monitor.endpoints.get_mut(id.index()) else {
                 continue;
             };
-            let Some(slot) = svc.counters else {
+            let (Role::Service(svc), Some(counters)) = (&ep.role, &mut ep.counters) else {
                 continue;
             };
-            let counters = self.monitor.op_at_mut(slot);
             if let Some((_, rate)) = counters.rate_series.last() {
                 let demand = (rate * svc.op.cost_per_tuple()).max(1.0);
                 self.loads.set_demand(id.process(), demand);
@@ -297,7 +296,7 @@ impl Engine {
             if hwm < threshold {
                 continue;
             }
-            let ep = &self.endpoints[id.index()];
+            let ep = &self.monitor.endpoints[id.index()];
             let cooling = ep.service().is_none_or(|svc| {
                 svc.last_backlog_migration
                     .is_some_and(|last| now.since(last).as_millis() < cooldown.as_millis())
@@ -314,7 +313,7 @@ impl Engine {
                 .pressure
                 .push(format!("[{now}] {at}: moved off {node}"));
             self.inst.backpressure_backlog_migrations.inc();
-            if let Some(svc) = self.endpoints[id.index()].service_mut() {
+            if let Some(svc) = self.monitor.endpoints[id.index()].service_mut() {
                 svc.last_backlog_migration = Some(now);
             }
         }
@@ -348,7 +347,7 @@ impl Engine {
     /// Re-place service `id` on the least-loaded other node with room for
     /// its demand; `false` (and nothing moved) when there is none.
     fn migrate(&mut self, now: Timestamp, id: EndpointId, reason: String) -> bool {
-        let node = self.endpoints[id.index()].node;
+        let node = self.monitor.endpoints[id.index()].node;
         let demand = self.loads.demand_of(id.process()).unwrap_or(1.0);
         let candidates = self.topology.node_ids().filter(|n| *n != node);
         match self.loads.least_loaded(&self.topology, candidates, demand) {

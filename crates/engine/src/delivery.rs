@@ -55,7 +55,7 @@ impl Engine {
         attempt: u32,
         first_failed_at: Timestamp,
     ) {
-        let Some(ep) = self.endpoints.get_mut(to.index()) else {
+        let Some(ep) = self.monitor.endpoints.get_mut(to.index()) else {
             return;
         };
         if matches!(ep.role, Role::Retired) {
@@ -112,7 +112,7 @@ impl Engine {
         port: usize,
         tuple: Tuple,
     ) {
-        let ep = &mut self.endpoints[to.index()];
+        let ep = &mut self.monitor.endpoints[to.index()];
         let is_service = matches!(ep.role, Role::Service(_));
         if self.config.overload.breaker_enabled
             && ep.breaker.as_mut().is_some_and(CircuitBreaker::on_success)
@@ -141,6 +141,7 @@ impl Engine {
                         .find(|(name, _)| name == d)
                         .map_or(PriorityClass::Normal as u8, |(_, c)| *c as u8)
                 };
+                let own = rank(&self.monitor.endpoints[to.index()].names.0);
                 // Candidates in (deployment, operator) name order: ties
                 // between equally deep queues go to the first name.
                 let this = &*self;
@@ -152,7 +153,7 @@ impl Engine {
                         .map(move |id| (class, this.depth(*id), *id))
                 }));
                 match victim {
-                    Some((class, victim)) if class <= rank(&self.endpoints[to.index()].names.0) => {
+                    Some((class, victim)) if class <= own => {
                         self.condemn_oldest(victim, ShedPolicy::Priority);
                         self.inst.backpressure_preempted.inc();
                     }
@@ -210,7 +211,7 @@ impl Engine {
         attempt: u32,
         first_failed_at: Timestamp,
     ) {
-        let ep = &mut self.endpoints[to.index()];
+        let ep = &mut self.monitor.endpoints[to.index()];
         let (deployment, target) = (&ep.names.0, &ep.names.1);
         if attempt == 0 {
             // Never a silent drop: the failure is logged and counted even
@@ -284,7 +285,7 @@ impl Engine {
         wall1: u64,
         outcome: TupleOutcome,
     ) {
-        if self.endpoints[service.index()].service().is_none() {
+        if self.monitor.endpoints[service.index()].service().is_none() {
             return;
         }
         self.release(at, service);
@@ -296,7 +297,7 @@ impl Engine {
         counters.add_dropped(outcome.dropped);
         counters.proc_latency.record(wall1.saturating_sub(wall0));
         if let Some(e) = outcome.error {
-            let (deployment, name) = &self.endpoints[service.index()].names;
+            let (deployment, name) = &self.monitor.endpoints[service.index()].names;
             self.monitor.console.push(format!(
                 "[{at}] error: {deployment}/{name}: {e}; tuple dropped"
             ));
@@ -311,7 +312,7 @@ impl Engine {
     /// tuple itself, the others a copy. The drained `emitted` becomes the
     /// buffer the next operator call emits into.
     pub(crate) fn forward(&mut self, base: Timestamp, from: EndpointId, mut emitted: Vec<Tuple>) {
-        let ep = &self.endpoints[from.index()];
+        let ep = &self.monitor.endpoints[from.index()];
         let consumers = ep.service().map_or(0, |svc| svc.consumers.len());
         if let Some(last) = consumers.checked_sub(1) {
             let from_node = ep.node;
@@ -332,30 +333,24 @@ impl Engine {
 
     /// The `i`-th (consumer, port) of service `from`, in install order.
     fn consumer(&self, from: EndpointId, i: usize) -> Option<(EndpointId, usize)> {
-        let svc = self.endpoints.get(from.index())?.service()?;
+        let svc = self.monitor.endpoints.get(from.index())?.service()?;
         svc.consumers.get(i).copied()
     }
 
     /// Current in-flight depth of an endpoint's ingress queue (0 for sinks
     /// and for services nothing was ever admitted to).
     pub(crate) fn depth(&self, id: EndpointId) -> u64 {
-        let svc = self.endpoints.get(id.index()).and_then(|ep| ep.service());
-        svc.and_then(|svc| svc.counters)
-            .map_or(0, |slot| self.monitor.op_at(slot).ingress.depth)
+        let ep = self.monitor.endpoints.get(id.index());
+        ep.and_then(|ep| ep.counters.as_ref())
+            .map_or(0, |c| c.ingress.depth)
     }
 
-    /// The monitor counters (with the ingress queue) of a live service,
-    /// binding its slot by name on first touch; `None` for sinks and
-    /// retired endpoints.
+    /// The counters (with the ingress queue) of a live service, created on
+    /// first touch; `None` for sinks and retired endpoints.
     pub(crate) fn counters(&mut self, service: EndpointId) -> Option<&mut OpCounters> {
-        let ep = self.endpoints.get_mut(service.index())?;
-        let Role::Service(svc) = &mut ep.role else {
-            return None;
-        };
-        let slot = *svc
-            .counters
-            .get_or_insert_with(|| self.monitor.bind_op(&ep.names.0, &ep.names.1));
-        Some(self.monitor.op_at_mut(slot))
+        let ep = self.monitor.endpoints.get_mut(service.index())?;
+        ep.service()?;
+        Some(ep.counters_mut())
     }
 
     /// A delivered tuple left `service`'s ingress queue: depth −1, and — in
@@ -383,14 +378,14 @@ impl Engine {
         tuple: Tuple,
         policy: ShedPolicy,
     ) {
-        let (deployment, target) = &self.endpoints[to.index()].names;
+        let (deployment, target) = &self.monitor.endpoints[to.index()].names;
         let operator = format!("{deployment}/{target}");
         self.dead_letter_at(now, to, tuple, DropReason::Shed { policy, operator });
     }
 
     /// Park a tuple that was headed for endpoint `to` in the DLQ.
     fn dead_letter_at(&mut self, now: Timestamp, to: EndpointId, tuple: Tuple, reason: DropReason) {
-        let (deployment, target) = self.endpoints[to.index()].names.clone();
+        let (deployment, target) = self.monitor.endpoints[to.index()].names.clone();
         self.dead_letter(now, deployment, target, tuple, reason);
     }
 
@@ -530,7 +525,10 @@ mod tests {
         assert_eq!((r.e.depth(r.id("d", "all")), r.e.total_inflight()), (0, 0));
         assert_eq!(r.processed("d"), 1);
         assert_eq!(r.e.monitor.sink_count("d", "out"), 1);
-        assert_eq!(r.e.endpoints[r.id("d", "out").index()].e2e.count(), 1);
+        assert_eq!(
+            r.e.monitor.endpoints[r.id("d", "out").index()].e2e.count(),
+            1
+        );
         assert!(r.e.dlq().is_empty());
         // Sinks are not queued: nothing was ever counted against `out`.
         assert_eq!(r.e.depth(r.id("d", "out")), 0);

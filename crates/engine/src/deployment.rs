@@ -6,30 +6,38 @@
 //! again. Every source becomes a [`SourceRuntime`] (a broker subscription,
 //! the currently bound sensors, the acquisition gate that Trigger-On/Off
 //! flip, and its resolved consumers). Every operator and every sink becomes
-//! one [`Endpoint`] record in the engine's endpoint table, addressed by the
+//! one [`Endpoint`] record in the endpoint table, addressed by the
 //! [`EndpointId`] that events, shard jobs and consumer lists carry. The
 //! record owns everything the engine knows about that delivery target: its
 //! placement, the live [`Operator`] process (with its shard replicas and
 //! latest checkpoint) or the sink kind, its resolved consumers, its circuit
-//! breaker, its backlog-migration stamp and the monitor slot holding its
-//! counters and ingress queue state.
+//! breaker, its backlog-migration stamp, and its instruments: the
+//! operator's [`OpCounters`] with its ingress queue state, the sink's
+//! end-to-end latency (whose count is the sink's total). A deployment's
+//! sources are one more record, the `~sources` pseudo-operator, whose
+//! counters tally what they delivered. The table is the monitor's
+//! ([`Monitor::endpoints`](crate::Monitor)): it reads the counters off the
+//! records and keeps no copy of them.
 //!
 //! **Lifetime rule: an id is never reused; events outlive deployments, ids
 //! do not.** `undeploy` retires the record ([`Role::Retired`] — only the
-//! names stay, for dead letters), so an event still in flight towards it is
-//! dropped where it lands and can never reach a later deployment that
-//! reuses the name.
+//! names and the instruments stay, for dead letters and the monitor), so an
+//! event still in flight towards it is dropped where it lands and can never
+//! reach a later deployment that reuses the name. That deployment's record
+//! of the same name takes the retired one's instruments over when it is
+//! minted, so its counters continue where its predecessor's stopped.
 //!
 //! A [`Deployment`] keeps the *one* name index (`services` / `sinks`:
 //! name → id, borrowed-`&str` lookups) for callers that speak names: the
-//! public API, the monitor, reports, and the name-ordered sweeps (fan-out,
-//! preemption, watermarks) whose order is observable.
+//! public API, reports, and the name-ordered sweeps (fan-out, preemption,
+//! watermarks) whose order is observable.
 //!
 //! Everything here is plain state — the behaviour lives in
 //! [`crate::engine`] (actuation, ticking, routing), `crate::delivery` (the
 //! hop), `crate::sources` (binding, acquisition), `crate::storage` (sinks,
 //! checkpoints) and `crate::control` (placement changes).
 
+use crate::monitor::OpCounters;
 use sl_dataflow::Dataflow;
 use sl_dsn::SinkKind;
 use sl_faults::CircuitBreaker;
@@ -107,11 +115,6 @@ pub struct ServiceRuntime {
     /// (consumer, port) pairs reading this operator's output, in install
     /// order.
     pub consumers: Vec<(EndpointId, usize)>,
-    /// Slot of this operator's counters and ingress state in the monitor,
-    /// bound by name on first touch (so the monitor lists an operator from
-    /// its first tuple or tick, and a same-name redeploy continues the
-    /// counters of its predecessor).
-    pub counters: Option<usize>,
     /// Last backlog-driven re-placement (ping-pong damper).
     pub last_backlog_migration: Option<Timestamp>,
 }
@@ -126,13 +129,11 @@ impl ServiceRuntime {
     }
 }
 
-/// Runtime state of one sink.
+/// Runtime state of one sink. Its delivered-tuples total is the count of
+/// its record's [`Endpoint::e2e`], which every arrival records.
 pub struct SinkRuntime {
     /// Destination kind.
     pub kind: SinkKind,
-    /// Slot of this sink's delivered-tuples total in the monitor, bound by
-    /// name on the first arrival.
-    pub count: Option<usize>,
 }
 
 /// What an [`Endpoint`] currently is.
@@ -141,11 +142,16 @@ pub enum Role {
     Service(ServiceRuntime),
     /// A sink endpoint.
     Sink(SinkRuntime),
+    /// A deployment's sources as one pseudo-operator, `~sources`: its
+    /// counters tally the tuples they delivered. Nothing is placed on it or
+    /// delivered to it, so its `node` means nothing.
+    Sources,
     /// Torn down with its deployment; whatever still arrives is dropped.
     Retired,
 }
 
-/// One delivery target: everything the engine keeps per service or sink.
+/// One delivery target: everything the engine keeps per service or sink
+/// (and per deployment's `~sources`).
 pub struct Endpoint {
     /// `(deployment, name)` — for dead letters, log lines and reports.
     pub names: (String, String),
@@ -156,9 +162,13 @@ pub struct Endpoint {
     /// Circuit breaker of the delivery path into this endpoint; created by
     /// the path's first failure.
     pub breaker: Option<CircuitBreaker>,
+    /// The operator's (or `~sources`') counters and ingress queue
+    /// (`op/{deployment}/{name}/*`), created by its first tuple or tick:
+    /// the monitor lists it from then on. `None` for a sink.
+    pub counters: Option<OpCounters>,
     /// A sink's end-to-end virtual latency, sampling instant to arrival
-    /// (`engine/e2e/{deployment}/{sink}_us`); empty for a service. It
-    /// outlives the record's retirement, so the snapshot keeps it.
+    /// (`engine/e2e/{deployment}/{sink}_us`); its count is the sink's
+    /// delivered total. Empty for a service.
     pub e2e: Histogram,
 }
 
@@ -177,6 +187,11 @@ impl Endpoint {
             Role::Service(svc) => Some(svc),
             _ => None,
         }
+    }
+
+    /// This record's counters, created on first use.
+    pub fn counters_mut(&mut self) -> &mut OpCounters {
+        self.counters.get_or_insert_with(OpCounters::default)
     }
 }
 
@@ -206,9 +221,8 @@ pub struct Deployment {
     pub sinks: BTreeMap<String, EndpointId>,
     /// Edges with flows.
     pub edges: Vec<EdgeRuntime>,
-    /// Monitor slot of the `~sources` pseudo-operator (tuples the sources
-    /// delivered), bound on the first delivery.
-    pub sources_slot: Option<usize>,
+    /// The record of the `~sources` pseudo-operator ([`Role::Sources`]).
+    pub intake: EndpointId,
 }
 
 /// A read-only snapshot of one service's placement and capabilities, for

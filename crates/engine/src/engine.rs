@@ -2,7 +2,7 @@
 //! routing and the discrete-event execution loop.
 //!
 //! `deploy()` resolves every name once: each service and sink becomes one
-//! [`Endpoint`] record in `Engine::endpoints`, and from then on events,
+//! [`Endpoint`] record in the monitor's endpoint table, and from then on events,
 //! consumer lists and shard jobs carry its [`EndpointId`]. `undeploy()`
 //! retires the records; ids are never reused, so an event that outlives its
 //! deployment is dropped where it lands instead of finding a namesake.
@@ -96,6 +96,7 @@ pub struct Engine {
     /// the record and moved only by `relocate`, so it follows `Endpoint::node`.
     pub(crate) loads: LoadTracker,
     pub(crate) net_stats: NetStats,
+    /// The logs, and the endpoint records with their counters.
     pub(crate) monitor: Monitor,
     /// The warehouse, the continuous queries and the staged checkpoints.
     pub(crate) storage: Storage,
@@ -103,9 +104,6 @@ pub struct Engine {
     pub(crate) sensors: BTreeMap<u64, SensorEntry>,
     /// Active deployments; each holds the name → id index of its endpoints.
     pub(crate) deployments: BTreeMap<String, Deployment>,
-    /// One record per service or sink ever deployed, indexed by
-    /// [`EndpointId`]; `undeploy` retires a record, nothing reuses its id.
-    pub(crate) endpoints: Vec<Endpoint>,
     /// Route cache keyed by (from, to) node.
     pub(crate) route_cache: HashMap<(u32, u32), Option<Route>>,
     pub(crate) config: EngineConfig,
@@ -123,10 +121,10 @@ pub struct Engine {
     /// The next operator call's output buffer: `forward` hands each drained
     /// output vector back here, so an emission reuses its capacity.
     pub(crate) emit_buf: Vec<Tuple>,
-    /// One sensor emission's `(sources slot, consumer, port, tuple)`
-    /// deliveries, collected while the sources are borrowed and then sent;
-    /// kept, empty, for the next emission.
-    pub(crate) fanout: Vec<(usize, EndpointId, usize, Tuple)>,
+    /// One sensor emission's `(consumer, port, tuple)` deliveries,
+    /// collected while the sources are borrowed and then sent; kept, empty,
+    /// for the next emission.
+    pub(crate) fanout: Vec<(EndpointId, usize, Tuple)>,
     /// Wall-clock origin for operator timings (virtual time measures the
     /// simulation; `proc_us` measures the host's processing cost).
     epoch: std::time::Instant,
@@ -152,7 +150,6 @@ impl Engine {
             storage: Storage::memory(),
             sensors: BTreeMap::new(),
             deployments: BTreeMap::new(),
-            endpoints: Vec::new(),
             route_cache: HashMap::new(),
             rng: StdRng::seed_from_u64(config.seed),
             last_trace: 0,
@@ -218,7 +215,7 @@ impl Engine {
     /// counts).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        snap.absorb("engine", &self.inst.snapshot_with(&self.endpoints));
+        snap.absorb("engine", &self.inst.snapshot_with(&self.monitor.endpoints));
         snap.absorb("engine", &self.monitor.dlq_metrics());
         snap.absorb("op", &self.monitor.metrics_snapshot());
         snap.absorb("broker", &self.broker.metrics_snapshot());
@@ -259,13 +256,13 @@ impl Engine {
     pub fn deployment_view(&self, deployment: &str) -> Result<DeploymentView, EngineError> {
         Ok(self
             .deployment(deployment)?
-            .view(deployment, &self.endpoints))
+            .view(deployment, &self.monitor.endpoints))
     }
 
     /// The live endpoint (service or sink) behind a name pair.
     pub(crate) fn endpoint(&self, deployment: &str, name: &str) -> Option<&Endpoint> {
         let id = self.deployments.get(deployment)?.endpoint(name)?;
-        self.endpoints.get(id.index())
+        self.monitor.endpoints.get(id.index())
     }
 
     fn source(&self, deployment: &str, source: &str) -> Option<&SourceRuntime> {
@@ -320,7 +317,7 @@ impl Engine {
             services: BTreeMap::new(),
             sinks: BTreeMap::new(),
             edges: Vec::new(),
-            sources_slot: None,
+            intake: self.mint(&name, "~sources", NodeId(0), Role::Sources),
         };
         for command in &program.commands {
             if let Err(e) = self.actuate(&name, &mut deployment, &report, command) {
@@ -380,7 +377,6 @@ impl Engine {
                     inputs: inputs.clone(),
                     blocking,
                     consumers: Vec::new(),
-                    counters: None,
                     last_backlog_migration: None,
                 });
                 let id = self.add_endpoint(
@@ -405,9 +401,10 @@ impl Engine {
                     .staged
                     .get(&(name.to_string(), service.clone()));
                 let staged = staged.filter(|_| blocking);
-                if let (Some(ckpt), Some(svc)) =
-                    (staged.cloned(), self.endpoints[id.index()].service_mut())
-                {
+                if let (Some(ckpt), Some(svc)) = (
+                    staged.cloned(),
+                    self.monitor.endpoints[id.index()].service_mut(),
+                ) {
                     svc.checkpoint_bytes = ckpt.byte_size();
                     self.inst.checkpoint_bytes.add(ckpt.byte_size() as i64);
                     let restored = restore_window(&mut self.inst, &mut *svc.op, ckpt.clone());
@@ -424,10 +421,7 @@ impl Engine {
                     .loads
                     .least_loaded(&self.topology, self.topology.node_ids(), 0.0)
                     .unwrap_or(NodeId(0));
-                let role = Role::Sink(SinkRuntime {
-                    kind: *kind,
-                    count: None,
-                });
+                let role = Role::Sink(SinkRuntime { kind: *kind });
                 let id = self.add_endpoint(name, sink, node, role, None, "sink endpoint")?;
                 deployment.sinks.insert(sink.clone(), id);
             }
@@ -452,7 +446,7 @@ impl Engine {
                     let producer = deployment
                         .services
                         .get(from)
-                        .and_then(|id| self.endpoints.get_mut(id.index()))
+                        .and_then(|id| self.monitor.endpoints.get_mut(id.index()))
                         .and_then(Endpoint::service_mut);
                     match (producer, deployment.sources.get_mut(from)) {
                         (Some(svc), _) => svc.consumers.push((consumer, *port)),
@@ -465,9 +459,9 @@ impl Engine {
         Ok(())
     }
 
-    /// The initial placement: mint the record (and the never-reused id) of
-    /// a service or sink on `node`. A service's CPU `demand` is tracked
-    /// under that id from here until `teardown`; a sink has none.
+    /// The initial placement: mint the record of a service or sink on
+    /// `node`. A service's CPU `demand` is tracked under its id from here
+    /// until `teardown`; a sink has none.
     fn add_endpoint(
         &mut self,
         deployment: &str,
@@ -477,11 +471,12 @@ impl Engine {
         demand: Option<f64>,
         reason: &str,
     ) -> Result<EndpointId, EngineError> {
-        let id = EndpointId(self.endpoints.len() as u32);
+        let id = EndpointId(self.monitor.endpoints.len() as u32);
         if let Some(demand) = demand {
             self.loads
                 .place(&self.topology, id.process(), node, demand, false)?;
         }
+        self.mint(deployment, name, node, role);
         self.monitor.placements.push(PlacementChange {
             at: self.queue.now(),
             deployment: deployment.to_string(),
@@ -490,20 +485,35 @@ impl Engine {
             to: node,
             reason: reason.into(),
         });
-        self.endpoints.push(Endpoint {
-            names: (deployment.to_string(), name.to_string()),
+        Ok(id)
+    }
+
+    /// Push the record (and the never-reused id) of `(deployment, name)`.
+    /// It takes over the instruments of its newest namesake, retired with
+    /// an earlier deployment of that name, so its counters continue theirs.
+    fn mint(&mut self, deployment: &str, name: &str, node: NodeId, role: Role) -> EndpointId {
+        let endpoints = &mut self.monitor.endpoints;
+        let id = EndpointId(endpoints.len() as u32);
+        let names = (deployment.to_string(), name.to_string());
+        let namesake = endpoints.iter_mut().rev().find(|ep| ep.names == names);
+        let (counters, e2e) = namesake.map_or_else(Default::default, |old| {
+            (old.counters.take(), std::mem::take(&mut old.e2e))
+        });
+        endpoints.push(Endpoint {
+            names,
             node,
             role,
             breaker: None,
-            e2e: Histogram::new(),
+            counters,
+            e2e,
         });
-        Ok(id)
+        id
     }
 
     /// The node hosting a named endpoint of `deployment` (service or sink).
     pub(crate) fn node_in(&self, deployment: &Deployment, name: &str) -> Option<NodeId> {
         let id = deployment.endpoint(name)?;
-        self.endpoints.get(id.index()).map(|ep| ep.node)
+        self.monitor.endpoints.get(id.index()).map(|ep| ep.node)
     }
 
     pub(crate) fn install_flow_with_fallback(
@@ -547,17 +557,17 @@ impl Engine {
         for (_, src) in deployment.sources {
             let _ = self.broker.unsubscribe(src.subscription);
         }
-        for id in deployment
+        let ids = deployment
             .services
             .values()
-            .chain(deployment.sinks.values())
-        {
-            let Some(ep) = self.endpoints.get_mut(id.index()) else {
+            .chain(deployment.sinks.values());
+        for id in ids.chain([&deployment.intake]) {
+            let Some(ep) = self.monitor.endpoints.get_mut(id.index()) else {
                 continue;
             };
-            // The record's breaker, backlog stamp, operator, replicas and
-            // checkpoint go with it; what it shared with the rest of the
-            // engine is handed back.
+            // The record's breaker, backlog stamp, operator, replicas,
+            // checkpoint and queue go with it; what it shared with the rest
+            // of the engine is handed back. Its counters stay.
             if let Role::Service(svc) = std::mem::replace(&mut ep.role, Role::Retired) {
                 self.loads.remove(id.process());
                 if svc.checkpoint_bytes > 0 {
@@ -565,9 +575,9 @@ impl Engine {
                         .checkpoint_bytes
                         .add(-(svc.checkpoint_bytes as i64));
                 }
-                if let Some(slot) = svc.counters {
-                    self.monitor.op_at_mut(slot).ingress = Default::default();
-                }
+            }
+            if let Some(counters) = &mut ep.counters {
+                counters.ingress = Default::default();
             }
             ep.breaker = None;
         }
@@ -596,7 +606,7 @@ impl Engine {
         let report = validate(&df)?;
         let id = dep.services.get(service).copied();
         let svc = id
-            .and_then(|id| self.endpoints.get_mut(id.index()))
+            .and_then(|id| self.monitor.endpoints.get_mut(id.index()))
             .and_then(Endpoint::service_mut)
             .ok_or_else(|| EngineError::UnknownDeployment(format!("{deployment}/{service}")))?;
         let input_schemas: Vec<SchemaRef> = svc
@@ -662,10 +672,11 @@ impl Engine {
     /// Every live service's in-flight ingress depth, in `(deployment,
     /// service)` name order.
     pub fn ingress_depths(&self) -> impl Iterator<Item = (&(String, String), u64)> {
+        let endpoints = &self.monitor.endpoints;
         self.deployments
             .values()
             .flat_map(|d| d.services.values())
-            .filter_map(|id| Some((&self.endpoints.get(id.index())?.names, self.depth(*id))))
+            .filter_map(move |id| Some((&endpoints.get(id.index())?.names, self.depth(*id))))
     }
 
     /// Total in-flight deliveries across every live service's ingress queue.
@@ -785,7 +796,7 @@ impl Engine {
         let mut stamp = self.wall_us();
         while let Some((now, ev)) = self.queue.pop_until(deadline) {
             let mut batch = Vec::new();
-            if live.is_some() && batch_eligible(&self.endpoints, &self.monitor, &ev) {
+            if live.is_some() && batch_eligible(&self.monitor.endpoints, &ev) {
                 // Drain consecutive eligible events with times in
                 // [now, now + window). Children of these events are
                 // scheduled at least one full window later (delay +
@@ -796,7 +807,7 @@ impl Engine {
                 while let Some((t, head)) = self.queue.peek() {
                     if t >= horizon
                         || t > deadline
-                        || !batch_eligible(&self.endpoints, &self.monitor, head)
+                        || !batch_eligible(&self.monitor.endpoints, head)
                     {
                         break;
                     }
@@ -847,7 +858,7 @@ impl Engine {
             };
             let home = shard_key.shard_of(&tuple, i, workers);
             let job = *job_index.entry((to, home)).or_insert_with(|| {
-                let svc = self.endpoints.get_mut(to.index())?.service_mut()?;
+                let svc = self.monitor.endpoints.get_mut(to.index())?.service_mut()?;
                 let op = svc.replicas.pop().or_else(|| svc.op.replicate())?;
                 jobs.push(ShardJob {
                     home,
@@ -918,7 +929,7 @@ impl Engine {
             if r.stolen {
                 stat.stolen += 1;
             }
-            let lender = self.endpoints.get_mut(r.key.index());
+            let lender = self.monitor.endpoints.get_mut(r.key.index());
             if let Some(svc) = lender.and_then(Endpoint::service_mut) {
                 svc.replicas.push(r.op);
             }
@@ -945,7 +956,7 @@ impl Engine {
             };
             let Some((outcome, wall0, wall1)) = slots.get_mut(job).and_then(Iterator::next) else {
                 self.release(m.at, m.to);
-                let (dep, target) = &self.endpoints[m.to.index()].names;
+                let (dep, target) = &self.monitor.endpoints[m.to.index()].names;
                 self.monitor.console.push(format!(
                     "[{}] error: {dep}/{target}: tuple lost in shard pool",
                     m.at
@@ -1007,19 +1018,16 @@ impl Engine {
     }
 
     fn on_deliver(&mut self, now: Timestamp, to: EndpointId, port: usize, tuple: Tuple) {
-        let Some(ep) = self.endpoints.get_mut(to.index()) else {
+        let Some(ep) = self.monitor.endpoints.get_mut(to.index()) else {
             return;
         };
         let (dep_name, target) = (&ep.names.0, &ep.names.1);
         let svc = match &mut ep.role {
             // Undeployed while the tuple was in flight.
-            Role::Retired => return,
+            Role::Retired | Role::Sources => return,
             Role::Sink(sink) => {
-                let slot = *sink
-                    .count
-                    .get_or_insert_with(|| self.monitor.bind_sink(dep_name, target));
-                self.monitor.count_sink_at(slot);
-                // End-to-end virtual latency: sensor sampling instant to sink.
+                // End-to-end virtual latency: sensor sampling instant to
+                // sink. Its count is the sink's total.
                 let latency = now.since(tuple.meta.timestamp);
                 ep.e2e.record((latency.as_secs_f64() * 1e6) as u64);
                 match sink.kind {
@@ -1040,9 +1048,10 @@ impl Engine {
         // Overload control: a deferred shed marker condemns this arrival —
         // the oldest in flight for this operator — before it reaches the
         // operator. Its depth slot was already released at condemnation.
-        let condemned = svc
+        let condemned = ep
             .counters
-            .and_then(|slot| self.monitor.op_at_mut(slot).ingress.pending.pop_front());
+            .as_mut()
+            .and_then(|counters| counters.ingress.pending.pop_front());
         if let Some(policy) = condemned {
             return self.shed(now, to, tuple, policy);
         }
@@ -1057,6 +1066,7 @@ impl Engine {
     fn on_tick(&mut self, now: Timestamp, service: EndpointId) {
         // A tick addressed to a retired endpoint ends its chain here.
         let Some(svc) = self
+            .monitor
             .endpoints
             .get_mut(service.index())
             .and_then(Endpoint::service_mut)
@@ -1082,7 +1092,7 @@ impl Engine {
         // ticking).
         self.queue.schedule_in(period, Ev::Tick(service));
         if let Err(e) = result {
-            let (dep_name, name) = &self.endpoints[service.index()].names;
+            let (dep_name, name) = &self.monitor.endpoints[service.index()].names;
             self.monitor
                 .console
                 .push(format!("[{now}] error: {dep_name}/{name} tick: {e}"));
@@ -1098,19 +1108,20 @@ impl Engine {
 /// else — sinks, ticks, faults, retries, monitor samples, and stateful or
 /// blocking operators — is handled inline on the engine thread, exactly as
 /// the sequential loop would.
-fn batch_eligible(endpoints: &[Endpoint], monitor: &Monitor, ev: &Ev) -> bool {
+fn batch_eligible(endpoints: &[Endpoint], ev: &Ev) -> bool {
     let Ev::Deliver { to, .. } = ev else {
         return false;
     };
-    let Some(svc) = endpoints.get(to.index()).and_then(Endpoint::service) else {
+    let Some(ep) = endpoints.get(to.index()) else {
+        return false;
+    };
+    let Some(svc) = ep.service() else {
         return false;
     };
     // An operator with deferred shed markers pending must consume them
     // inline (in arrival order) through `on_deliver`; markers cannot appear
     // mid-collection because no events are handled while a batch drains.
-    let condemned = svc
-        .counters
-        .is_some_and(|slot| !monitor.op_at(slot).ingress.pending.is_empty());
+    let condemned = (ep.counters.as_ref()).is_some_and(|c| !c.ingress.pending.is_empty());
     !condemned && !svc.blocking && svc.op.is_shardable()
 }
 
@@ -1404,6 +1415,128 @@ mod tests {
         assert_eq!(windows(true), 19);
     }
 
+    /// Weather stations through the filter `pass` (keeping `predicate`)
+    /// into the sink `out`.
+    fn filter_flow(name: &str, predicate: &str) -> Dataflow {
+        DataflowBuilder::new(name)
+            .source(
+                "temp",
+                SubscriptionFilter::any().with_theme(Theme::new("weather/temperature").unwrap()),
+                temp_schema(),
+            )
+            .filter("pass", "temp", predicate)
+            .sink("out", SinkKind::Visualization, &["pass"])
+            .build()
+            .unwrap()
+    }
+
+    /// Every sink's `op/<d>/<s>/sink_tuples` is its `engine/e2e/<d>/<s>_us`
+    /// count, and the two list the same sinks.
+    fn assert_sink_totals_are_e2e_counts(e: &Engine) {
+        let snap = e.metrics_snapshot();
+        let totals: BTreeMap<&str, u64> = (snap.counters.iter())
+            .filter_map(|(k, n)| Some((k.strip_prefix("op/")?.strip_suffix("/sink_tuples")?, *n)))
+            .collect();
+        let e2e: BTreeMap<&str, u64> = (snap.hists.iter())
+            .filter_map(|(k, h)| {
+                Some((k.strip_prefix("engine/e2e/")?.strip_suffix("_us")?, h.count))
+            })
+            .collect();
+        assert!(!totals.is_empty());
+        assert_eq!(totals, e2e);
+    }
+
+    #[test]
+    fn a_namesake_continues_its_predecessors_counters_with_an_empty_queue() {
+        type Seen = (u64, u64, u64, Vec<(Timestamp, f64)>);
+        fn seen(e: &Engine, op: &str) -> Seen {
+            let c = e.monitor().op("d", op).unwrap();
+            let rates = c.rate_series.iter().collect();
+            (c.tuples_in(), c.tuples_out(), c.dropped(), rates)
+        }
+        let depth = |e: &Engine| e.monitor().op("d", "pass").unwrap().ingress.depth;
+        let ops = ["pass", "~sources"];
+        let mut e = engine();
+        e.add_sensor(temp_sensor(1, 3)).unwrap();
+        e.add_sensor(temp_sensor(2, 3)).unwrap();
+        e.deploy(filter_flow("d", "station = 't2'")).unwrap();
+        // Samples are taken every 10 s: at t = 60 s two are in flight.
+        e.run_until(start() + Duration::from_secs(60));
+        assert!(depth(&e) > 0);
+        let before: Vec<Seen> = ops.iter().map(|op| seen(&e, op)).collect();
+        let sunk = e.monitor().sink_count("d", "out");
+        let (_, passed, dropped, _) = &before[0];
+        assert!(*passed > 0 && *dropped > 0 && sunk > 0, "{before:?}");
+        assert!(before[1].0 > 0, "the sources delivered");
+
+        // Undeployed, then redeployed under the same name: the counters are
+        // still there, unchanged, and the queue has restarted empty.
+        e.undeploy("d").unwrap();
+        for redeployed in [false, true] {
+            if redeployed {
+                e.deploy(filter_flow("d", "station = 't2'")).unwrap();
+            }
+            let now: Vec<Seen> = ops.iter().map(|op| seen(&e, op)).collect();
+            assert_eq!(now, before, "redeployed: {redeployed}");
+            assert_eq!(e.monitor().sink_count("d", "out"), sunk);
+            assert_eq!(depth(&e), 0, "redeployed: {redeployed}");
+        }
+
+        // The namesake counts on from there and keeps the earlier samples.
+        e.run_until(start() + Duration::from_secs(180));
+        for (op, (b, a)) in ops
+            .iter()
+            .zip(before.iter().zip(ops.map(|op| seen(&e, op))))
+        {
+            assert!(
+                a.0 > b.0 && a.1 >= b.1 && a.2 >= b.2,
+                "{op}: {b:?} then {a:?}"
+            );
+            assert!(a.3.len() > b.3.len() && a.3.starts_with(&b.3), "{op}");
+        }
+        let (_, passed_after, dropped_after, _) = seen(&e, "pass");
+        assert!(passed_after > *passed && dropped_after > *dropped);
+        assert!(e.monitor().sink_count("d", "out") > sunk);
+        assert_sink_totals_are_e2e_counts(&e);
+    }
+
+    #[test]
+    fn a_sinks_total_is_its_e2e_count_through_retries_shedding_and_a_redeploy() {
+        let mut t = Topology::new();
+        let edge = t.add_node(NodeSpec::edge("edge", 10.0));
+        let hub = t.add_node(NodeSpec::edge("hub", 1_000_000.0));
+        let link = t
+            .add_link(edge, hub, Duration::from_millis(1), 10_000_000)
+            .unwrap();
+        let mut config = EngineConfig {
+            migration_enabled: false,
+            ..EngineConfig::default()
+        };
+        config.overload.queue_capacity = Some(1);
+        config.overload.policy = crate::config::OverflowPolicy::ShedOldest;
+        let mut e = Engine::new(t, config, start());
+        for id in 1..=4 {
+            e.add_sensor(temp_sensor(id, edge.0)).unwrap();
+        }
+        let all = || filter_flow("d", "temperature > -100");
+        e.deploy(all()).unwrap();
+        assert_eq!(e.node_of("d", "pass"), Some(hub));
+        e.run_until(start() + Duration::from_secs(60));
+        // A dead link for 20 s: its deliveries are retried once it heals.
+        e.set_link_up(link, false).unwrap();
+        e.run_until(start() + Duration::from_secs(80));
+        e.set_link_up(link, true).unwrap();
+        e.run_until(start() + Duration::from_secs(120));
+        assert_sink_totals_are_e2e_counts(&e);
+        e.undeploy("d").unwrap();
+        e.deploy(all()).unwrap();
+        e.run_until(start() + Duration::from_secs(240));
+        let snap = e.metrics_snapshot();
+        assert!(snap.counters["engine/retry/delivered"] > 0, "retried");
+        assert!(snap.counters["engine/backpressure/shed"] > 0, "shed");
+        assert_sink_totals_are_e2e_counts(&e);
+    }
+
     #[test]
     fn the_console_stays_bounded_however_many_tuples_fail() {
         let df = DataflowBuilder::new("d")
@@ -1604,7 +1737,7 @@ mod tests {
         // is; a retired endpoint (and a sink) holds none.
         fn check(e: &Engine, after: &str) {
             let mut live = 0;
-            for (i, ep) in e.endpoints.iter().enumerate() {
+            for (i, ep) in e.monitor.endpoints.iter().enumerate() {
                 let tracked = e.loads().node_of(EndpointId(i as u32).process());
                 if ep.service().is_some() {
                     live += 1;
@@ -1843,7 +1976,7 @@ mod tests {
             e.deploy(simple_flow("d")).unwrap();
             if stubborn {
                 let id = e.deployments["d"].services["all"];
-                let svc = e.endpoints[id.index()].service_mut().unwrap();
+                let svc = e.monitor.endpoints[id.index()].service_mut().unwrap();
                 svc.set_op(Box::new(Stubborn(temp_schema())));
             }
             e.run_for(Duration::from_mins(2));

@@ -1,11 +1,11 @@
 //! The engine's instruments, declared: one field per `engine/*` snapshot
 //! key, plus the families `faults/<kind>` (by [`FaultAction::kind_index`])
-//! and `shard/<n>/*` (by shard). Sinks keep `e2e/*` in their [`Endpoint`].
+//! and `shard/<n>/*` (by shard). Sinks keep `e2e/*` on their [`Endpoint`]
+//! records, as operators keep their counters.
 
 use crate::deployment::Endpoint;
 use sl_faults::FaultAction;
 use sl_obs::{Counter, Gauge, Histogram, MetricsSnapshot};
-use std::collections::BTreeMap;
 
 sl_obs::instruments! {
     /// One shard worker's `shard/<n>/*` instruments.
@@ -75,7 +75,8 @@ impl EngineInstruments {
 
     /// [`EngineInstruments::snapshot`] plus the families, and each sink's
     /// `e2e/<deployment>/<sink>_us` read off `endpoints`, retired ones
-    /// included (a same-name redeploy adds to its predecessor's).
+    /// included (one record per name holds it: a namesake takes its
+    /// predecessor's over when it is minted).
     pub(crate) fn snapshot_with(&self, endpoints: &[Endpoint]) -> MetricsSnapshot {
         let mut s = self.snapshot();
         let faults = FaultAction::KINDS.iter().zip(&self.faults);
@@ -85,15 +86,10 @@ impl EngineInstruments {
         for (n, shard) in self.shards.iter().enumerate() {
             s.absorb(&format!("shard/{n}"), &shard.snapshot());
         }
-        let mut e2e: BTreeMap<String, Histogram> = BTreeMap::new();
         for ep in endpoints.iter().filter(|ep| !ep.e2e.is_empty()) {
             let (deployment, sink) = &ep.names;
-            e2e.entry(format!("e2e/{deployment}/{sink}_us"))
-                .or_default()
-                .merge(&ep.e2e);
-        }
-        for (key, h) in &e2e {
-            h.put_into(&mut s, key);
+            ep.e2e
+                .put_into(&mut s, &format!("e2e/{deployment}/{sink}_us"));
         }
         s
     }

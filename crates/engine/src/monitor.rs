@@ -4,9 +4,12 @@
 //! each operation handle per second, the node that suffers because of high
 //! workload, which node is in charge of executing an operation and when the
 //! assignment changes" (paper §3, Figure 3). [`Monitor`] is the collection
-//! point for all of it.
+//! point for all of it: its logs and histories, and the engine's endpoint
+//! table, whose records carry each operator's counters and each sink's
+//! total beside what they count.
 
 use crate::config::CONSOLE_CAPACITY;
+use crate::deployment::Endpoint;
 use crate::engine::DeadTuple;
 use crate::overload::IngressState;
 use sl_faults::DeadLetterQueue;
@@ -18,7 +21,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::ops::Deref;
 
-/// Per-operator instruments, built on `sl-obs` primitives.
+/// Per-operator instruments, built on `sl-obs` primitives; each lives on
+/// its operator's endpoint record ([`Endpoint::counters`]).
 ///
 /// The tuple counters are [`Counter`]s (monotonic); read them through the
 /// accessor methods ([`OpCounters::tuples_in`] etc.), which return plain
@@ -47,11 +51,6 @@ impl OpCounters {
         self.tuples_in.inc();
     }
 
-    /// Count `n` received tuples.
-    pub fn add_in(&mut self, n: u64) {
-        self.tuples_in.add(n);
-    }
-
     /// Count `n` emitted tuples.
     pub fn add_out(&mut self, n: u64) {
         self.tuples_out.add(n);
@@ -75,6 +74,19 @@ impl OpCounters {
     /// Tuples consciously dropped (filtered/culled).
     pub fn dropped(&self) -> u64 {
         self.dropped.get()
+    }
+
+    /// Sample the input rate at `now`, `elapsed_secs` after the last
+    /// sample: the tuples received since, per second. A zero interval
+    /// samples nothing.
+    pub(crate) fn sample_rate(&mut self, now: Timestamp, elapsed_secs: f64) {
+        if elapsed_secs <= 0.0 {
+            return;
+        }
+        let tuples_in = self.tuples_in.get();
+        let delta = tuples_in - self.in_at_last_sample;
+        self.in_at_last_sample = tuples_in;
+        self.rate_series.push(now, delta as f64 / elapsed_secs);
     }
 }
 
@@ -148,51 +160,14 @@ impl<'a, T> IntoIterator for &'a Log<T> {
     }
 }
 
-/// Per-name records in dense slots: the engine binds a name to its slot
-/// once and then addresses the slot; readers look names up (borrowed, no
-/// key is built) or walk them in `(deployment, name)` order.
-#[derive(Debug, Default)]
-struct Slots<T> {
-    by_name: BTreeMap<String, BTreeMap<String, usize>>,
-    slots: Vec<((String, String), T)>,
-}
-
-impl<T: Default> Slots<T> {
-    /// The slot of `(deployment, name)`, created on first use.
-    fn bind(&mut self, deployment: &str, name: &str) -> usize {
-        if let Some(slot) = self.by_name.get(deployment).and_then(|m| m.get(name)) {
-            return *slot;
-        }
-        let slot = self.slots.len();
-        self.slots
-            .push(((deployment.to_string(), name.to_string()), T::default()));
-        self.by_name
-            .entry(deployment.to_string())
-            .or_default()
-            .insert(name.to_string(), slot);
-        slot
-    }
-
-    fn get(&self, deployment: &str, name: &str) -> Option<&T> {
-        let slot = *self.by_name.get(deployment)?.get(name)?;
-        self.slots.get(slot).map(|(_, v)| v)
-    }
-
-    /// Every record with its names, in `(deployment, name)` order.
-    fn iter(&self) -> impl Iterator<Item = (&(String, String), &T)> {
-        self.by_name
-            .values()
-            .flat_map(|m| m.values())
-            .filter_map(|slot| self.slots.get(*slot))
-            .map(|(names, v)| (names, v))
-    }
-}
-
-/// The monitor: counters, series and logs for every deployment.
-#[derive(Debug, Default)]
+/// The monitor: the endpoint records and the logs of every deployment.
+#[derive(Default)]
 pub struct Monitor {
-    /// Per-operator counters.
-    ops: Slots<OpCounters>,
+    /// One record per service, sink or deployment's `~sources` ever
+    /// deployed, indexed by [`EndpointId`](crate::EndpointId); `undeploy`
+    /// retires a record, nothing reuses its id. The engine drives them; the
+    /// monitor reads their instruments.
+    pub(crate) endpoints: Vec<Endpoint>,
     /// Placement history, oldest first (a bounded [`Log`], like every log
     /// below).
     pub placements: Log<PlacementChange>,
@@ -201,8 +176,6 @@ pub struct Monitor {
     /// Console-sink output and the engine's warnings and errors. The
     /// engine stops console-sink lines at [`CONSOLE_CAPACITY`].
     pub console: Log,
-    /// Tuples delivered to each sink.
-    sink_counts: Slots<u64>,
     /// Sensor join/leave log lines.
     pub membership: Log,
     /// Fault-recovery log lines (dead letters, crash recoveries, liveness
@@ -276,60 +249,52 @@ impl Monitor {
         }
     }
 
-    /// The slot of one operator's counters (created on first touch), for
-    /// [`Monitor::op_at`] / [`Monitor::op_at_mut`].
-    pub fn bind_op(&mut self, deployment: &str, operator: &str) -> usize {
-        self.ops.bind(deployment, operator)
+    /// The record holding `(deployment, name)`'s instruments: the newest of
+    /// that name, which took its retired namesake's over when it was minted.
+    fn record(&self, deployment: &str, name: &str) -> Option<&Endpoint> {
+        let names = |ep: &&Endpoint| ep.names.0 == deployment && ep.names.1 == name;
+        self.endpoints.iter().rev().find(names)
     }
 
-    /// Counters in a slot handed out by [`Monitor::bind_op`].
-    pub fn op_at(&self, slot: usize) -> &OpCounters {
-        &self.ops.slots[slot].1
-    }
-
-    /// Mutable counters in a slot handed out by [`Monitor::bind_op`].
-    pub fn op_at_mut(&mut self, slot: usize) -> &mut OpCounters {
-        &mut self.ops.slots[slot].1
-    }
-
-    /// Read-only counters, if the operator has been touched.
+    /// Read-only counters, if the operator has had a tuple or a tick.
     pub fn op(&self, deployment: &str, operator: &str) -> Option<&OpCounters> {
-        self.ops.get(deployment, operator)
+        self.record(deployment, operator)?.counters.as_ref()
     }
 
     /// All per-operator counters, in `(deployment, operator)` order.
     pub fn all_ops(&self) -> impl Iterator<Item = (&(String, String), &OpCounters)> {
-        self.ops.iter()
+        self.by_name(|ep| ep.counters.as_ref())
     }
 
-    /// The slot of one sink's total (created on first touch), for
-    /// [`Monitor::count_sink_at`].
-    pub fn bind_sink(&mut self, deployment: &str, sink: &str) -> usize {
-        self.sink_counts.bind(deployment, sink)
+    /// What `read` finds on each record, in `(deployment, name)` order.
+    fn by_name<'a, T>(
+        &'a self,
+        read: impl Fn(&'a Endpoint) -> Option<T>,
+    ) -> impl Iterator<Item = (&'a (String, String), T)> {
+        let mut rows: Vec<_> = (self.endpoints.iter())
+            .filter_map(|ep| Some((&ep.names, read(ep)?)))
+            .collect();
+        rows.sort_by(|a, b| a.0.cmp(b.0));
+        rows.into_iter()
     }
 
-    /// Record a tuple delivered to the sink in a [`Monitor::bind_sink`] slot.
-    pub fn count_sink_at(&mut self, slot: usize) {
-        self.sink_counts.slots[slot].1 += 1;
+    /// Sample every operator's input rate at `now`, `elapsed_secs` after
+    /// the last sample (retired ones too, whose rate is 0).
+    pub(crate) fn sample_rates(&mut self, now: Timestamp, elapsed_secs: f64) {
+        for c in self.endpoints.iter_mut().flat_map(|ep| &mut ep.counters) {
+            c.sample_rate(now, elapsed_secs);
+        }
     }
 
-    /// Tuples delivered to a sink so far.
+    /// Tuples delivered to a sink so far: its end-to-end latency count.
     pub fn sink_count(&self, deployment: &str, sink: &str) -> u64 {
-        self.sink_counts.get(deployment, sink).copied().unwrap_or(0)
+        self.record(deployment, sink).map_or(0, |ep| ep.e2e.count())
     }
 
-    /// Sample all operator rates at `now` given the elapsed seconds since
-    /// the last sample.
-    pub fn sample_rates(&mut self, now: Timestamp, elapsed_secs: f64) {
-        if elapsed_secs <= 0.0 {
-            return;
-        }
-        for (_, counters) in &mut self.ops.slots {
-            let tuples_in = counters.tuples_in.get();
-            let delta = tuples_in - counters.in_at_last_sample;
-            counters.in_at_last_sample = tuples_in;
-            counters.rate_series.push(now, delta as f64 / elapsed_secs);
-        }
+    /// Every sink that had a tuple, with its total, in `(deployment, sink)`
+    /// order.
+    fn sinks(&self) -> impl Iterator<Item = (&(String, String), u64)> {
+        self.by_name(|ep| (!ep.e2e.is_empty()).then(|| ep.e2e.count()))
     }
 
     /// Conservation check: for every operator, `in = out + dropped + cached`
@@ -362,7 +327,7 @@ impl Monitor {
         let mut out = String::new();
         let _ = writeln!(out, "monitor @ {now}");
         let _ = writeln!(out, "  operators:");
-        for ((dep, op), c) in self.ops.iter() {
+        for ((dep, op), c) in self.all_ops() {
             let rate = c.rate_series.last().map_or(0.0, |(_, r)| r);
             let mut line = format!(
                 "    {dep}/{op}: in={} out={} dropped={} rate={rate:.1} tuples/s",
@@ -383,7 +348,7 @@ impl Monitor {
             let _ = writeln!(out, "{line}");
         }
         let _ = writeln!(out, "  sinks:");
-        for ((dep, sink), n) in self.sink_counts.iter() {
+        for ((dep, sink), n) in self.sinks() {
             let _ = writeln!(out, "    {dep}/{sink}: {n} tuples");
         }
         if !self.placements.is_empty() {
@@ -484,7 +449,7 @@ impl Monitor {
     /// `deployment/operator/<metric>`).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new();
-        for ((dep, op), c) in self.ops.iter() {
+        for ((dep, op), c) in self.all_ops() {
             snap.counters
                 .insert(format!("{dep}/{op}/tuples_in"), c.tuples_in());
             snap.counters
@@ -496,9 +461,8 @@ impl Monitor {
             snap.gauges
                 .insert(format!("{dep}/{op}/queue_depth"), c.ingress.depth as i64);
         }
-        for ((dep, sink), n) in self.sink_counts.iter() {
-            snap.counters
-                .insert(format!("{dep}/{sink}/sink_tuples"), *n);
+        for ((dep, sink), n) in self.sinks() {
+            snap.counters.insert(format!("{dep}/{sink}/sink_tuples"), n);
         }
         snap
     }
@@ -535,6 +499,7 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deployment::Role;
     use sl_faults::{DropReason, ShedPolicy};
 
     fn shed(policy: ShedPolicy) -> DropReason {
@@ -544,53 +509,65 @@ mod tests {
         }
     }
 
-    impl Monitor {
-        fn op_mut(&mut self, deployment: &str, operator: &str) -> &mut OpCounters {
-            let slot = self.bind_op(deployment, operator);
-            self.op_at_mut(slot)
-        }
+    /// Counters that have seen `tuples_in`, `tuples_out` and `dropped`.
+    fn counters(tuples_in: u64, tuples_out: u64, dropped: u64) -> OpCounters {
+        let mut c = OpCounters::default();
+        c.tuples_in.add(tuples_in);
+        c.add_out(tuples_out);
+        c.add_dropped(dropped);
+        c
+    }
 
-        fn count_sink(&mut self, deployment: &str, sink: &str) {
-            let slot = self.bind_sink(deployment, sink);
-            self.count_sink_at(slot);
+    /// A retired record of `d/<name>` holding `counters`.
+    fn op(name: &str, counters: OpCounters) -> Endpoint {
+        Endpoint {
+            names: ("d".into(), name.into()),
+            node: NodeId(0),
+            role: Role::Retired,
+            breaker: None,
+            counters: Some(counters),
+            e2e: Histogram::new(),
         }
+    }
+
+    /// A monitor over `endpoints`.
+    fn monitor(endpoints: Vec<Endpoint>) -> Monitor {
+        Monitor {
+            endpoints,
+            ..Monitor::default()
+        }
+    }
+
+    /// A retired record of sink `d/<name>` that `arrivals` tuples reached.
+    fn sink(name: &str, arrivals: u64) -> Endpoint {
+        let mut ep = op(name, OpCounters::default());
+        ep.counters = None;
+        for _ in 0..arrivals {
+            ep.e2e.record(1_000);
+        }
+        ep
     }
 
     #[test]
     fn counters_and_rates() {
-        let mut m = Monitor::new();
-        {
-            let c = m.op_mut("d", "f");
-            c.add_in(100);
-            c.add_out(70);
-            c.add_dropped(30);
-        }
-        m.sample_rates(Timestamp::from_secs(1), 1.0);
-        let c = m.op("d", "f").unwrap();
+        let mut c = counters(100, 70, 30);
+        c.sample_rate(Timestamp::from_secs(1), 1.0);
         assert_eq!(c.rate_series.last().unwrap().1, 100.0);
         // Second window with 50 more tuples.
-        m.op_mut("d", "f").add_in(50);
-        m.sample_rates(Timestamp::from_secs(2), 1.0);
-        assert_eq!(m.op("d", "f").unwrap().rate_series.last().unwrap().1, 50.0);
+        c.tuples_in.add(50);
+        c.sample_rate(Timestamp::from_secs(2), 1.0);
+        assert_eq!(c.rate_series.last().unwrap().1, 50.0);
         // Zero elapsed: no sample.
-        m.sample_rates(Timestamp::from_secs(2), 0.0);
-        assert_eq!(m.op("d", "f").unwrap().rate_series.len(), 2);
+        c.sample_rate(Timestamp::from_secs(2), 0.0);
+        assert_eq!(c.rate_series.len(), 2);
     }
 
     #[test]
     fn conservation_detects_violations() {
-        let mut m = Monitor::new();
-        {
-            let c = m.op_mut("d", "ok");
-            c.add_in(10);
-            c.add_out(7);
-            c.add_dropped(3);
-        }
-        {
-            let c = m.op_mut("d", "bad");
-            c.add_in(5);
-            c.add_out(9);
-        }
+        let m = monitor(vec![
+            op("ok", counters(10, 7, 3)),
+            op("bad", counters(5, 9, 0)),
+        ]);
         let keys = vec![
             ("d".to_string(), "ok".to_string()),
             ("d".to_string(), "bad".to_string()),
@@ -602,18 +579,31 @@ mod tests {
 
     #[test]
     fn sink_counts_accumulate() {
-        let mut m = Monitor::new();
-        m.count_sink("d", "edw");
-        m.count_sink("d", "edw");
+        let m = monitor(vec![sink("edw", 2)]);
         assert_eq!(m.sink_count("d", "edw"), 2);
         assert_eq!(m.sink_count("d", "other"), 0);
     }
 
     #[test]
+    fn the_newest_namesake_holds_the_counters_and_ops_list_in_name_order() {
+        // A namesake took the older `f`'s counters over when it was minted.
+        let mut taken = op("f", OpCounters::default());
+        taken.counters = None;
+        let m = monitor(vec![
+            op("z", counters(1, 1, 0)),
+            taken,
+            op("a", counters(2, 2, 0)),
+            op("f", counters(3, 3, 0)),
+        ]);
+        assert_eq!(m.op("d", "f").unwrap().tuples_in(), 3);
+        assert!(m.op("d", "g").is_none());
+        let names: Vec<_> = m.all_ops().map(|(names, _)| names.1.as_str()).collect();
+        assert_eq!(names, ["a", "f", "z"]);
+    }
+
+    #[test]
     fn report_mentions_everything() {
-        let mut m = Monitor::new();
-        m.op_mut("d", "f").add_in(5);
-        m.count_sink("d", "edw");
+        let mut m = monitor(vec![op("f", counters(5, 0, 0)), sink("edw", 1)]);
         m.placements.push(PlacementChange {
             at: Timestamp::from_secs(1),
             deployment: "d".into(),
@@ -639,12 +629,10 @@ mod tests {
 
     #[test]
     fn report_shows_latency_percentiles_when_recorded() {
-        let mut m = Monitor::new();
-        {
-            let c = m.op_mut("d", "f");
-            c.record_in();
-            c.proc_latency.record(100);
-        }
+        let mut c = OpCounters::default();
+        c.record_in();
+        c.proc_latency.record(100);
+        let m = monitor(vec![op("f", c)]);
         let r = m.report(Timestamp::from_secs(1));
         assert!(r.contains("p50=100us p95=100us p99=100us"), "{r}");
     }
@@ -653,19 +641,17 @@ mod tests {
     fn sampled_rates_match_tuples_in_deltas() {
         // Regression: the rate series must always reproduce the deltas of
         // the tuples_in counter, whatever the increment pattern.
-        let mut m = Monitor::new();
+        let mut c = OpCounters::default();
         let increments: [u64; 5] = [10, 0, 37, 1, 250];
         let mut expected_total = 0u64;
         for (i, inc) in increments.iter().enumerate() {
-            m.op_mut("d", "f").add_in(*inc);
+            c.tuples_in.add(*inc);
             expected_total += inc;
-            m.sample_rates(Timestamp::from_secs((i + 1) as i64), 2.0);
-            let c = m.op("d", "f").unwrap();
+            c.sample_rate(Timestamp::from_secs((i + 1) as i64), 2.0);
             assert_eq!(c.rate_series.last().unwrap().1, *inc as f64 / 2.0);
             assert_eq!(c.tuples_in(), expected_total);
         }
         // Sum of (rate * elapsed) over all windows reproduces the counter.
-        let c = m.op("d", "f").unwrap();
         let reconstructed: f64 = c.rate_series.iter().map(|(_, r)| r * 2.0).sum();
         assert_eq!(reconstructed as u64, c.tuples_in());
     }
@@ -711,20 +697,15 @@ mod tests {
 
     #[test]
     fn metrics_snapshot_exports_ops_and_sinks() {
-        let mut m = Monitor::new();
-        {
-            let c = m.op_mut("d", "f");
-            c.add_in(4);
-            c.add_out(3);
-            c.add_dropped(1);
-            c.proc_latency.record(50);
-        }
-        m.count_sink("d", "edw");
+        let mut c = counters(4, 3, 1);
+        c.proc_latency.record(50);
+        let m = monitor(vec![op("f", c), sink("edw", 1)]);
         let snap = m.metrics_snapshot();
         assert_eq!(snap.counters["d/f/tuples_in"], 4);
         assert_eq!(snap.counters["d/f/tuples_out"], 3);
         assert_eq!(snap.counters["d/f/dropped"], 1);
         assert_eq!(snap.counters["d/edw/sink_tuples"], 1);
         assert_eq!(snap.hists["d/f/proc_us"].count, 1);
+        assert_eq!(snap.gauges["d/f/queue_depth"], 0);
     }
 }

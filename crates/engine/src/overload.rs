@@ -12,7 +12,8 @@
 //! copy of that number — the monitor's `depth=` column and `queue_depth`
 //! gauge read it), the pending-shed markers, and a per-monitor-window
 //! high-watermark that feeds backlog-driven re-placement. It lives in the
-//! operator's monitor slot; `crate::delivery` is its only writer.
+//! operator's counters on its endpoint record; `crate::delivery` is its
+//! only writer.
 
 use sl_faults::ShedPolicy;
 use std::collections::VecDeque;

@@ -173,7 +173,7 @@ impl Engine {
         controls: Vec<ControlAction>,
     ) {
         for action in controls {
-            let (dep_name, operator) = &self.endpoints[operator.index()].names;
+            let (dep_name, operator) = &self.monitor.endpoints[operator.index()].names;
             let activate = action.is_activate();
             if let Some(dep) = self.deployments.get_mut(dep_name) {
                 for target in action.targets() {
@@ -409,7 +409,7 @@ impl Engine {
         // Fan out to every active bound source, in (deployment, source,
         // consumer install) order.
         let mut deliveries = std::mem::take(&mut self.fanout);
-        for (dep_name, dep) in &mut self.deployments {
+        for dep in self.deployments.values_mut() {
             for src in dep.sources.values_mut() {
                 if !src.active || !src.sensors.contains(&SensorId(id)) {
                     continue;
@@ -420,10 +420,10 @@ impl Engine {
                 // Tuples the sources delivered are accounted under the
                 // `~sources` pseudo-operator, per consumer.
                 for &(to, port) in &src.consumers {
-                    let sources = *dep
-                        .sources_slot
-                        .get_or_insert_with(|| self.monitor.bind_op(dep_name, "~sources"));
-                    deliveries.push((sources, to, port, projected.clone()));
+                    self.monitor.endpoints[dep.intake.index()]
+                        .counters_mut()
+                        .record_in();
+                    deliveries.push((to, port, projected.clone()));
                 }
                 if src.recent.len() >= 8 {
                     src.recent.pop_front();
@@ -431,8 +431,7 @@ impl Engine {
                 src.recent.push_back(projected);
             }
         }
-        for (sources, to, port, t) in deliveries.drain(..) {
-            self.monitor.op_at_mut(sources).record_in();
+        for (to, port, t) in deliveries.drain(..) {
             self.send(now, ad.node, to, port, t, 0, now);
         }
         self.fanout = deliveries;

@@ -231,7 +231,7 @@ impl Engine {
             WarehouseTier::Durable(d) => d.ingest_events_with(events, feed).map(drop),
         };
         if let Err(e) = stored {
-            let (deployment, target) = &self.endpoints[sink.index()].names;
+            let (deployment, target) = &self.monitor.endpoints[sink.index()].names;
             self.monitor.console.push(format!(
                 "[{now}] error: {deployment}/{target}: durable ingest: {e}"
             ));
@@ -411,7 +411,7 @@ impl Engine {
     /// and — with a durable backend — appended to the segment log. Costs
     /// what the change touched, not what the window holds.
     pub(crate) fn checkpoint(&mut self, service: EndpointId) {
-        let ep = &mut self.endpoints[service.index()];
+        let ep = &mut self.monitor.endpoints[service.index()];
         let svc = match &mut ep.role {
             Role::Service(svc) if svc.blocking => svc,
             _ => return,

@@ -19,7 +19,8 @@
 #       crates/durable/src outside log.rs), one frame reader (no `fs::read(`
 #       and no `fn walk_frames` in non-test crates/durable/src), one glob
 #       matcher, no experiment crate, one-index hot queries, declared
-#       instruments;
+#       instruments, counters live with what they count (no name-keyed
+#       counter slots in crates/engine/src or src/);
 #     - the chaos_recovery, durable_edw and continuous_dashboard examples;
 #     - benchmark/: build, `run.sh --smoke` and its own tests
 #       (benchmark/Cargo.lock restored), then the smoke's five run digests
@@ -261,6 +262,19 @@ if grep -rnE 'CounterId|GaugeId|HistId' crates src examples tests; then
     echo "check.sh: an instrument handle type is named above" >&2
     exit 1
 fi
+
+# Owner grep: counters live with what they count. An operator's
+# `OpCounters` (with its ingress queue) and a sink's `e2e` histogram sit on
+# its endpoint record, a namesake takes them over when it is minted, and a
+# sink's total is that histogram's count: no name-keyed slot store, no
+# slot binding and no second sink counter.
+for f in $(find crates/engine/src src -name '*.rs'); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" |
+        grep -nE 'struct Slots|fn bind_op|fn bind_sink|count_sink_at|sources_slot'; then
+        echo "check.sh: a name-keyed counter slot in non-test $f" >&2
+        exit 1
+    fi
+done
 
 # Recovery end to end, each asserting what it restored: a node crash
 # mid-window re-seeds the aggregate from the folded checkpoint log, and a
