@@ -7,15 +7,15 @@
 //! clients register *standing* queries once and the ingest path keeps the
 //! answers current —
 //!
-//! * **subscriptions** ([`CqHub::subscribe`]): a standing [`EventQuery`]
-//!   whose matches are pushed, per-event, into a bounded [`PushQueue`]
-//!   drained by [`CqHub::poll`];
+//! * **subscriptions** ([`CqHub::subscribe`]): a standing
+//!   [`EventQuery`](sl_warehouse::EventQuery) whose matches are pushed,
+//!   per-event, into a bounded [`PushQueue`] drained by [`CqHub::poll`];
 //! * **materialized views** ([`CqHub::register_view`]): a standing
 //!   `CubeQuery` whose roll-up cells are maintained incrementally
 //!   ([`MaterializedView`]) — O(affected cells) per tuple, retraction on
 //!   eviction, byte-identical to a brute-force rescan at all times;
 //! * **catch-up** for late joiners and lagged subscribers: snapshot +
-//!   sequence-numbered deltas (see [`hub`] module docs for the protocol).
+//!   sequence-numbered deltas (the protocol is in the `hub` module docs).
 //!
 //! The crate is std-only and engine-agnostic: it depends on `sl-stt`,
 //! `sl-warehouse` (for the shared cube fold primitives that make
@@ -42,9 +42,9 @@
 
 #![warn(missing_docs)]
 
-pub mod hub;
-pub mod queue;
-pub mod view;
+mod hub;
+mod queue;
+mod view;
 
 pub use hub::{CqHub, CqPoll, SubscriberId, SubscriptionStat, ViewId, ViewStat};
 pub use queue::{PushOutcome, PushQueue, QueuePolicy};

@@ -30,17 +30,17 @@ mod reference {
     use sl_warehouse::{CubeCell, CubeQuery};
     use std::collections::BTreeMap;
 
-    pub type CellKey = (i64, String, String);
+    pub(crate) type CellKey = (i64, String, String);
 
     #[derive(Debug, Clone)]
-    pub struct CellSlot {
+    pub(crate) struct CellSlot {
         pub key: CellKey,
         pub sgranule: SpatialGranule,
         pub theme: Theme,
         pub numeric: Option<f64>,
     }
 
-    pub fn cell_slot(event: &Event, q: &CubeQuery) -> Option<CellSlot> {
+    pub(crate) fn cell_slot(event: &Event, q: &CubeQuery) -> Option<CellSlot> {
         if !q.select.matches(event) {
             return None;
         }
@@ -56,7 +56,7 @@ mod reference {
     }
 
     #[derive(Debug, Clone, Default, PartialEq)]
-    pub struct CellAcc {
+    pub(crate) struct CellAcc {
         count: u64,
         sum: f64,
         nnum: u64,
@@ -65,11 +65,11 @@ mod reference {
     }
 
     impl CellAcc {
-        pub fn new() -> CellAcc {
+        pub(crate) fn new() -> CellAcc {
             CellAcc::default()
         }
 
-        pub fn absorb(&mut self, numeric: Option<f64>) {
+        pub(crate) fn absorb(&mut self, numeric: Option<f64>) {
             self.count += 1;
             if let Some(v) = numeric {
                 self.sum += v;
@@ -79,7 +79,12 @@ mod reference {
             }
         }
 
-        pub fn to_cell(&self, tgranule: i64, sgranule: SpatialGranule, theme: Theme) -> CubeCell {
+        pub(crate) fn to_cell(
+            &self,
+            tgranule: i64,
+            sgranule: SpatialGranule,
+            theme: Theme,
+        ) -> CubeCell {
             CubeCell {
                 tgranule,
                 sgranule,
@@ -93,7 +98,7 @@ mod reference {
         }
     }
 
-    pub fn rollup_events<'a>(
+    pub(crate) fn rollup_events<'a>(
         events: impl Iterator<Item = &'a Event>,
         q: &CubeQuery,
     ) -> Vec<CubeCell> {
@@ -115,7 +120,7 @@ mod reference {
             .collect()
     }
 
-    pub fn numeric_value(v: &Value) -> Option<f64> {
+    pub(crate) fn numeric_value(v: &Value) -> Option<f64> {
         match v {
             Value::Int(_) | Value::Float(_) | Value::Bool(_) => v.as_f64().ok(),
             _ => None,

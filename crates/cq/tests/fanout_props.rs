@@ -35,7 +35,7 @@ mod reference {
     }
 
     #[derive(Default)]
-    pub struct Hub {
+    pub(crate) struct Hub {
         subs: BTreeMap<u64, Subscription>,
         next_sub: u64,
         seq: u64,
@@ -44,15 +44,15 @@ mod reference {
     }
 
     impl Hub {
-        pub fn is_idle(&self) -> bool {
+        pub(crate) fn is_idle(&self) -> bool {
             self.subs.is_empty()
         }
 
-        pub fn seq(&self) -> u64 {
+        pub(crate) fn seq(&self) -> u64 {
             self.seq
         }
 
-        pub fn subscribe(
+        pub(crate) fn subscribe(
             &mut self,
             query: EventQuery,
             capacity: Option<usize>,
@@ -70,11 +70,11 @@ mod reference {
             SubscriberId(id)
         }
 
-        pub fn unsubscribe(&mut self, id: SubscriberId) -> bool {
+        pub(crate) fn unsubscribe(&mut self, id: SubscriberId) -> bool {
             self.subs.remove(&id.0).is_some()
         }
 
-        pub fn on_events(&mut self, events: &[Event]) {
+        pub(crate) fn on_events(&mut self, events: &[Event]) {
             if self.is_idle() || events.is_empty() {
                 self.seq += events.len() as u64;
                 return;
@@ -100,7 +100,7 @@ mod reference {
             self.dropped += dropped;
         }
 
-        pub fn poll(&mut self, id: SubscriberId) -> Option<CqPoll> {
+        pub(crate) fn poll(&mut self, id: SubscriberId) -> Option<CqPoll> {
             let sub = self.subs.get_mut(&id.0)?;
             let lagged = sub.queue.is_lagged();
             let deltas = sub.queue.drain();
@@ -112,7 +112,7 @@ mod reference {
             })
         }
 
-        pub fn mark_caught_up(&mut self, id: SubscriberId) -> bool {
+        pub(crate) fn mark_caught_up(&mut self, id: SubscriberId) -> bool {
             match self.subs.get_mut(&id.0) {
                 Some(sub) => {
                     sub.queue.mark_caught_up();
@@ -122,7 +122,7 @@ mod reference {
             }
         }
 
-        pub fn subscription_query(&self, id: SubscriberId) -> Option<&EventQuery> {
+        pub(crate) fn subscription_query(&self, id: SubscriberId) -> Option<&EventQuery> {
             self.subs.get(&id.0).map(|s| &s.query)
         }
     }

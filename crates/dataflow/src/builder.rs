@@ -283,7 +283,10 @@ mod tests {
             .qos(
                 "temp",
                 "hot",
-                QosSpec::best_effort().with_max_latency(Duration::from_millis(20)),
+                QosSpec {
+                    max_latency: Some(Duration::from_millis(20)),
+                    ..QosSpec::best_effort()
+                },
             )
             .build()
             .unwrap();

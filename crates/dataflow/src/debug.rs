@@ -12,17 +12,17 @@ use crate::graph::{Dataflow, NodeKind};
 use crate::validate::validate;
 use sl_ops::{ControlAction, OpContext};
 use sl_stt::{Duration, Timestamp, Tuple};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Outcome of a sample run.
 #[derive(Debug, Default)]
 pub struct SampleRun {
     /// Tuples each node emitted (sources echo their samples).
-    pub outputs: HashMap<String, Vec<Tuple>>,
+    pub outputs: BTreeMap<String, Vec<Tuple>>,
     /// Control actions fired, tagged with the emitting node.
     pub controls: Vec<(String, ControlAction)>,
     /// Tuples each operator consciously dropped.
-    pub dropped: HashMap<String, u64>,
+    pub dropped: BTreeMap<String, u64>,
 }
 
 impl SampleRun {
@@ -205,6 +205,23 @@ mod tests {
             .find(|t| t.get("station").unwrap() == &Value::Str("osaka".into()))
             .unwrap();
         assert_eq!(osaka.get("avg_temperature").unwrap(), &Value::Float(28.0)); // (26+30)/2
+    }
+
+    #[test]
+    fn a_sample_run_lists_its_nodes_in_one_order_every_time() {
+        let df = scenario_df();
+        let samples = HashMap::from([("temp".to_string(), vec![sample(26.0, "osaka", 0)])]);
+        let keys = |run: SampleRun| -> (Vec<String>, Vec<String>) {
+            (
+                run.outputs.into_keys().collect(),
+                run.dropped.into_keys().collect(),
+            )
+        };
+        let first = keys(debug_run(&df, &samples).unwrap());
+        assert_eq!(first.0, ["hot", "hourly", "temp"]);
+        for _ in 1..8 {
+            assert_eq!(keys(debug_run(&df, &samples).unwrap()), first);
+        }
     }
 
     #[test]

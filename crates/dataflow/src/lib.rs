@@ -9,28 +9,28 @@
 //! draw only dataflows that can be soundly translated in the DSN/SCN
 //! specification" (paper §3). Concretely:
 //!
-//! * [`graph::Dataflow`] — the conceptual graph: sources (with declared
+//! * [`Dataflow`] — the conceptual graph: sources (with declared
 //!   schemas), Table-1 operators, sinks, per-edge QoS,
-//! * [`builder::DataflowBuilder`] — the fluent construction API (the
+//! * [`DataflowBuilder`] — the fluent construction API (the
 //!   drag-and-drop analogue),
-//! * [`mod@validate`] — schema propagation plus every soundness check; only
-//!   validated dataflows translate,
-//! * [`translate`] — conceptual dataflow → DSN document,
-//! * [`debug`] — sample-based step debugging ("check, step-by-step, their
-//!   results on samples", demo P1),
-//! * [`mod@optimize`] — logical rewrites ("optimize the schedule for the
+//! * [`validate()`] / [`validate_full`] — schema propagation plus every
+//!   soundness check; only validated dataflows translate,
+//! * [`to_dsn`] — conceptual dataflow → DSN document ([`from_dsn`] back),
+//! * [`debug_run`] — sample-based step debugging ("check, step-by-step,
+//!   their results on samples", demo P1),
+//! * [`optimize()`] — logical rewrites ("optimize the schedule for the
 //!   execution of the dataflow", §1): selective-filter pull-ahead and
 //!   filter fusion,
-//! * [`render`] — ASCII rendering of the canvas and its annotations.
+//! * [`render_ascii`] — ASCII rendering of the canvas and its annotations.
 
-pub mod builder;
-pub mod debug;
-pub mod error;
-pub mod graph;
-pub mod optimize;
-pub mod render;
-pub mod translate;
-pub mod validate;
+mod builder;
+mod debug;
+mod error;
+mod graph;
+mod optimize;
+mod render;
+mod translate;
+mod validate;
 
 pub use builder::DataflowBuilder;
 pub use debug::{debug_run, SampleRun};

@@ -198,7 +198,10 @@ mod tests {
             .qos(
                 "temperature",
                 "hourly",
-                QosSpec::best_effort().with_max_latency(Duration::from_millis(100)),
+                QosSpec {
+                    max_latency: Some(Duration::from_millis(100)),
+                    ..QosSpec::best_effort()
+                },
             )
             .build()
             .unwrap()

@@ -12,14 +12,14 @@ use crate::error::DataflowError;
 use crate::graph::{Dataflow, NodeKind};
 use crate::translate::to_dsn;
 use sl_stt::SchemaRef;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Result of a successful validation.
 #[derive(Debug, Clone)]
 pub struct ValidationReport {
     /// Output schema of every producer node (what each downstream operation
     /// will observe).
-    pub schemas: HashMap<String, SchemaRef>,
+    pub schemas: BTreeMap<String, SchemaRef>,
     /// Operator names in a valid execution order.
     pub topo_order: Vec<String>,
 }
@@ -42,7 +42,7 @@ pub struct FullValidation {
     pub errors: Vec<DataflowError>,
     /// Output schema of every node that resolved (all sources, plus every
     /// operator whose inputs resolved and whose spec type-checked).
-    pub schemas: HashMap<String, SchemaRef>,
+    pub schemas: BTreeMap<String, SchemaRef>,
     /// Operator names in a valid execution order; empty when the dependency
     /// graph is cyclic.
     pub topo_order: Vec<String>,
@@ -93,7 +93,7 @@ pub fn validate_full(df: &Dataflow) -> FullValidation {
     // Schema propagation in topological order. A node whose inputs lack a
     // schema (because an upstream node already failed, or the input does not
     // exist — both already reported) is skipped rather than blamed again.
-    let mut schemas: HashMap<String, SchemaRef> = HashMap::new();
+    let mut schemas: BTreeMap<String, SchemaRef> = BTreeMap::new();
     for node in df.sources() {
         if let NodeKind::Source { schema, .. } = &node.kind {
             schemas.insert(node.name.clone(), schema.clone());
@@ -180,6 +180,23 @@ mod tests {
         assert_eq!(agg.len(), 2);
         assert!(agg.contains("station"));
         assert!(agg.contains("avg_apparent"));
+    }
+
+    #[test]
+    fn the_same_flow_lists_its_schemas_in_one_order_every_time() {
+        let mut b = DataflowBuilder::new("fan").source("temp", SubscriptionFilter::any(), schema());
+        let branches: Vec<String> = (0..8).map(|i| format!("warm{i}")).collect();
+        for (i, name) in branches.iter().enumerate() {
+            b = b.filter(name, "temp", &format!("temperature > {i}"));
+        }
+        let inputs: Vec<&str> = branches.iter().map(String::as_str).collect();
+        let df = b.sink("out", SinkKind::Console, &inputs).build().unwrap();
+        // Each report is a fresh map: a hashed one would seed each anew.
+        let orders: Vec<Vec<String>> = (0..8)
+            .map(|_| validate(&df).unwrap().schemas.into_keys().collect())
+            .collect();
+        assert!(orders.iter().all(|o| *o == orders[0]), "{orders:?}");
+        assert!(orders[0].is_sorted());
     }
 
     #[test]

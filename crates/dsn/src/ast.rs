@@ -210,7 +210,10 @@ mod tests {
         d.channels.push(ChannelDecl {
             from: "temp".into(),
             to: "f".into(),
-            qos: QosSpec::best_effort().with_max_latency(Duration::from_millis(10)),
+            qos: QosSpec {
+                max_latency: Some(Duration::from_millis(10)),
+                ..QosSpec::best_effort()
+            },
         });
         d
     }

@@ -20,7 +20,7 @@
 //!
 //! plus the machinery around it:
 //!
-//! * [`parser`] / [`printer`] — a canonical textual form with a
+//! * [`parse_document`] / [`print_document`] — a canonical textual form with a
 //!   print→parse round-trip guarantee (property-tested),
 //! * [`validate()`] — structural soundness checks,
 //! * [`compile()`] — lowering to [`ScnCommand`]s executed by the
@@ -51,9 +51,9 @@
 //! ```
 
 pub mod ast;
-pub mod compile;
-pub mod error;
-pub mod parser;
+mod compile;
+mod error;
+mod parser;
 pub mod printer;
 pub mod validate;
 

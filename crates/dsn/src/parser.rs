@@ -250,7 +250,7 @@ fn parse_box(v: &str, line: usize) -> Result<BoundingBox, DsnError> {
 
 /// Parse a DSN filter expression (the inverse of
 /// [`crate::printer::print_filter`]).
-pub fn parse_filter(v: &str, line: usize) -> Result<SubscriptionFilter, DsnError> {
+pub(crate) fn parse_filter(v: &str, line: usize) -> Result<SubscriptionFilter, DsnError> {
     let v = v.trim();
     if v == "any" {
         return Ok(SubscriptionFilter::any());
@@ -292,7 +292,7 @@ pub fn parse_filter(v: &str, line: usize) -> Result<SubscriptionFilter, DsnError
 }
 
 /// Parse a QoS value (the inverse of [`crate::printer::print_qos`]).
-pub fn parse_qos(v: &str, line: usize) -> Result<QosSpec, DsnError> {
+pub(crate) fn parse_qos(v: &str, line: usize) -> Result<QosSpec, DsnError> {
     let v = v.trim();
     if v == "best-effort" {
         return Ok(QosSpec::best_effort());

@@ -247,9 +247,11 @@ mod tests {
     #[test]
     fn qos_rendering() {
         assert_eq!(print_qos(&QosSpec::best_effort()), "best-effort");
-        let q = QosSpec::best_effort()
-            .with_max_latency(Duration::from_millis(50))
-            .with_min_bandwidth(1000);
+        let q = QosSpec {
+            max_latency: Some(Duration::from_millis(50)),
+            ..QosSpec::best_effort()
+        }
+        .with_min_bandwidth(1000);
         assert_eq!(print_qos(&q), "latency<=50, bandwidth>=1000");
     }
 }

@@ -98,12 +98,6 @@ impl CompactionPolicy {
         self
     }
 
-    /// Replace the size-tier bound.
-    pub fn with_small_bytes(mut self, bytes: u64) -> CompactionPolicy {
-        self.small_bytes = bytes;
-        self
-    }
-
     /// Bound the cold tier's age.
     pub fn with_cold_retention(mut self, window: Duration) -> CompactionPolicy {
         self.cold_retention = Some(window);
@@ -230,6 +224,14 @@ impl CompactionStats {
 mod tests {
 
     use super::*;
+
+    impl CompactionPolicy {
+        /// Replace the size-tier bound.
+        pub(crate) fn with_small_bytes(mut self, bytes: u64) -> CompactionPolicy {
+            self.small_bytes = bytes;
+            self
+        }
+    }
 
     fn meta(first: u32, generation: u32, bytes: u64) -> SegmentMeta {
         SegmentMeta {

@@ -24,8 +24,8 @@
 //!   results stay byte-identical), redundant horizon markers drop,
 //!   checkpoint logs collapse onto their last base, and expired cold events age out under
 //!   [`CompactionPolicy::cold_retention`](compact::CompactionPolicy).
-//! * [`index`] — per-block zone indexes for compacted segments: time
-//!   bounds plus a bloom-style [`ThemeFilter`](index::ThemeFilter) over
+//! * `index` — per-block zone indexes for compacted segments: time
+//!   bounds plus a bloom-style [`ThemeFilter`] over
 //!   theme-path prefixes, kept in memory and rebuilt by the recovery scan,
 //!   so cold queries prune whole blocks and seek instead of scanning. A
 //!   visited block is read, verified and decoded afresh on every scan, and
@@ -56,11 +56,11 @@
 
 pub mod codec;
 pub mod compact;
-pub mod error;
-pub mod index;
-pub mod log;
-pub mod tmp;
-pub mod warehouse;
+mod error;
+mod index;
+mod log;
+mod tmp;
+mod warehouse;
 
 pub use codec::{crc32, Record, CODEC_VERSION};
 pub use compact::{CompactionPolicy, CompactionStats};

@@ -11,7 +11,7 @@ use sl_stt::{
     TemporalGranularity, Theme, Timestamp, Tuple, Unit, Value,
 };
 
-pub fn arb_value() -> impl Strategy<Value = Value> {
+pub(crate) fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
         any::<bool>().prop_map(Value::Bool),
@@ -27,7 +27,7 @@ pub fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
-pub fn arb_tgran() -> impl Strategy<Value = TemporalGranularity> {
+pub(crate) fn arb_tgran() -> impl Strategy<Value = TemporalGranularity> {
     prop_oneof![
         Just(TemporalGranularity::Millisecond),
         Just(TemporalGranularity::Second),
@@ -41,7 +41,7 @@ pub fn arb_tgran() -> impl Strategy<Value = TemporalGranularity> {
     ]
 }
 
-pub fn arb_sgranule() -> impl Strategy<Value = SpatialGranule> {
+pub(crate) fn arb_sgranule() -> impl Strategy<Value = SpatialGranule> {
     prop_oneof![
         (
             -900_000_000i64..900_000_000,
@@ -54,7 +54,7 @@ pub fn arb_sgranule() -> impl Strategy<Value = SpatialGranule> {
     ]
 }
 
-pub fn arb_theme() -> impl Strategy<Value = Theme> {
+pub(crate) fn arb_theme() -> impl Strategy<Value = Theme> {
     ("[a-z]{1,6}", proptest::option::of("[a-z]{1,6}")).prop_map(|(root, child)| {
         let theme = Theme::new(&root).expect("lowercase segment is valid");
         match child {
@@ -64,7 +64,7 @@ pub fn arb_theme() -> impl Strategy<Value = Theme> {
     })
 }
 
-pub fn arb_event() -> impl Strategy<Value = Event> {
+pub(crate) fn arb_event() -> impl Strategy<Value = Event> {
     (
         arb_value(),
         arb_tgran(),
@@ -75,7 +75,7 @@ pub fn arb_event() -> impl Strategy<Value = Event> {
         .prop_map(|(v, tg, tgranule, sg, theme)| Event::new(v, tg, tgranule, sg, theme))
 }
 
-pub fn arb_tuple() -> impl Strategy<Value = Tuple> {
+pub(crate) fn arb_tuple() -> impl Strategy<Value = Tuple> {
     (
         proptest::collection::vec(
             (0usize..AttrType::ALL.len(), 0usize..=Unit::ALL.len()),
@@ -122,7 +122,7 @@ pub fn arb_tuple() -> impl Strategy<Value = Tuple> {
         })
 }
 
-pub fn arb_record() -> impl Strategy<Value = Record> {
+pub(crate) fn arb_record() -> impl Strategy<Value = Record> {
     prop_oneof![
         arb_event().prop_map(Record::Event),
         (
@@ -155,7 +155,7 @@ pub fn arb_record() -> impl Strategy<Value = Record> {
 
 /// Theme spellings a writer other than this codec might leave on disk:
 /// canonical, non-canonical and invalid.
-pub fn arb_theme_spelling() -> impl Strategy<Value = &'static str> {
+pub(crate) fn arb_theme_spelling() -> impl Strategy<Value = &'static str> {
     prop_oneof![
         Just("weather/rain"),
         Just("Weather/ Rain"),
@@ -168,7 +168,7 @@ pub fn arb_theme_spelling() -> impl Strategy<Value = &'static str> {
 
 /// An event payload whose theme field holds `spelling` byte for byte. The
 /// theme is the payload's last field: a `u32` length and the bytes.
-pub fn event_with_theme_spelling(mut event: Event, spelling: &str) -> Vec<u8> {
+pub(crate) fn event_with_theme_spelling(mut event: Event, spelling: &str) -> Vec<u8> {
     event.theme = Theme::new("x").unwrap();
     let mut payload = Record::Event(event).encode();
     payload.truncate(payload.len() - 5);

@@ -39,11 +39,14 @@ mod reference {
     const KIND_HORIZON: u8 = 3;
     const KIND_CHECKPOINT_DELTA: u8 = 4;
 
-    pub fn decode(payload: &[u8]) -> Result<Record, DurableError> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Record, DurableError> {
         decode_with(payload, &mut ThemeTable::default())
     }
 
-    pub fn decode_with(payload: &[u8], themes: &mut ThemeTable) -> Result<Record, DurableError> {
+    pub(crate) fn decode_with(
+        payload: &[u8],
+        themes: &mut ThemeTable,
+    ) -> Result<Record, DurableError> {
         let mut r = Reader {
             buf: payload,
             pos: 0,
@@ -70,7 +73,7 @@ mod reference {
     }
 
     #[derive(Debug, Default)]
-    pub struct ThemeTable {
+    pub(crate) struct ThemeTable {
         parsed: HashMap<Box<str>, Theme>,
     }
 

@@ -46,12 +46,6 @@ impl Engine {
         }
     }
 
-    /// Apply a single fault action immediately.
-    pub fn inject_fault(&mut self, action: FaultAction) {
-        let now = self.now();
-        self.apply_fault(now, action);
-    }
-
     pub(crate) fn apply_fault(&mut self, now: Timestamp, action: FaultAction) {
         self.inst.faults[action.kind_index()].inc();
         match action {

@@ -73,7 +73,7 @@ impl EndpointId {
 }
 
 /// Runtime state of one dataflow source.
-pub struct SourceRuntime {
+pub(crate) struct SourceRuntime {
     /// The broker subscription backing it.
     pub subscription: SubscriptionId,
     /// Declared tuple schema (tuples are projected onto it).
@@ -90,7 +90,7 @@ pub struct SourceRuntime {
 }
 
 /// Runtime state of one operator process.
-pub struct ServiceRuntime {
+pub(crate) struct ServiceRuntime {
     /// The live operator; swapped only through [`ServiceRuntime::set_op`].
     pub op: Box<dyn Operator>,
     /// Copies of `op` for the shard workers, made on demand. A shard job
@@ -122,7 +122,7 @@ pub struct ServiceRuntime {
 impl ServiceRuntime {
     /// Swap the live operator. Replicas and the checkpoint were derived
     /// from the old one, so neither survives it.
-    pub fn set_op(&mut self, op: Box<dyn Operator>) {
+    pub(crate) fn set_op(&mut self, op: Box<dyn Operator>) {
         self.blocking = op.is_blocking();
         (self.op, self.replicas) = (op, Vec::new());
         (self.checkpoint, self.checkpoint_bytes, self.rebase) = (None, 0, false);
@@ -131,13 +131,13 @@ impl ServiceRuntime {
 
 /// Runtime state of one sink. Its delivered-tuples total is the count of
 /// its record's [`Endpoint::e2e`], which every arrival records.
-pub struct SinkRuntime {
+pub(crate) struct SinkRuntime {
     /// Destination kind.
     pub kind: SinkKind,
 }
 
 /// What an [`Endpoint`] currently is.
-pub enum Role {
+pub(crate) enum Role {
     /// An operator process.
     Service(ServiceRuntime),
     /// A sink endpoint.
@@ -152,7 +152,7 @@ pub enum Role {
 
 /// One delivery target: everything the engine keeps per service or sink
 /// (and per deployment's `~sources`).
-pub struct Endpoint {
+pub(crate) struct Endpoint {
     /// `(deployment, name)` — for dead letters, log lines and reports.
     pub names: (String, String),
     /// Node currently hosting the process or sink endpoint.
@@ -174,7 +174,7 @@ pub struct Endpoint {
 
 impl Endpoint {
     /// The operator process, if this endpoint is a live service.
-    pub fn service(&self) -> Option<&ServiceRuntime> {
+    pub(crate) fn service(&self) -> Option<&ServiceRuntime> {
         match &self.role {
             Role::Service(svc) => Some(svc),
             _ => None,
@@ -182,7 +182,7 @@ impl Endpoint {
     }
 
     /// Mutable access to the operator process of a live service.
-    pub fn service_mut(&mut self) -> Option<&mut ServiceRuntime> {
+    pub(crate) fn service_mut(&mut self) -> Option<&mut ServiceRuntime> {
         match &mut self.role {
             Role::Service(svc) => Some(svc),
             _ => None,
@@ -190,7 +190,7 @@ impl Endpoint {
     }
 
     /// This record's counters, created on first use.
-    pub fn counters_mut(&mut self) -> &mut OpCounters {
+    pub(crate) fn counters_mut(&mut self) -> &mut OpCounters {
         self.counters.get_or_insert_with(OpCounters::default)
     }
 }
@@ -198,7 +198,7 @@ impl Endpoint {
 /// One dataflow edge with its installed flow (service/sink edges only;
 /// sensor→source edges route dynamically).
 #[derive(Debug, Clone)]
-pub struct EdgeRuntime {
+pub(crate) struct EdgeRuntime {
     /// Producer name.
     pub from: String,
     /// Consumer name.
@@ -208,7 +208,7 @@ pub struct EdgeRuntime {
 }
 
 /// A deployed dataflow.
-pub struct Deployment {
+pub(crate) struct Deployment {
     /// The validated conceptual dataflow.
     pub dataflow: Dataflow,
     /// Its DSN text (shown in demo P2).
@@ -262,7 +262,7 @@ pub struct DeploymentView {
 
 impl Deployment {
     /// A read-only capability/placement snapshot of this deployment.
-    pub fn view(&self, name: &str, endpoints: &[Endpoint]) -> DeploymentView {
+    pub(crate) fn view(&self, name: &str, endpoints: &[Endpoint]) -> DeploymentView {
         let services = self
             .services
             .iter()
@@ -292,7 +292,7 @@ impl Deployment {
     }
 
     /// The id behind a named endpoint (service or sink).
-    pub fn endpoint(&self, name: &str) -> Option<EndpointId> {
+    pub(crate) fn endpoint(&self, name: &str) -> Option<EndpointId> {
         self.services
             .get(name)
             .or_else(|| self.sinks.get(name))

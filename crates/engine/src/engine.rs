@@ -298,7 +298,7 @@ impl Engine {
 
     /// Deploy a conceptual dataflow: validate, translate to DSN, compile to
     /// SCN and actuate every command on the network. Names are resolved
-    /// here, once: every service and sink gets its [`Endpoint`] record and
+    /// here, once: every service and sink gets its `Endpoint` record and
     /// every consumer list holds ids.
     pub fn deploy(&mut self, dataflow: Dataflow) -> Result<(), EngineError> {
         let name = dataflow.name.clone();
@@ -759,7 +759,6 @@ impl Engine {
                 total = total + d;
             }
         }
-        self.net_stats.record_node_rx(b, bytes);
         Some(total)
     }
 
@@ -1133,6 +1132,14 @@ mod tests {
     use sl_pubsub::SubscriptionFilter;
     use sl_sensors::physical::TemperatureSensor;
     use sl_stt::{AttrType, Field, GeoPoint, Schema, Theme};
+
+    impl Engine {
+        /// Apply a single fault action immediately.
+        fn inject_fault(&mut self, action: FaultAction) {
+            let now = self.now();
+            self.apply_fault(now, action);
+        }
+    }
 
     fn temp_schema() -> SchemaRef {
         Schema::new(vec![

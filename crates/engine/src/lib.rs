@@ -60,15 +60,15 @@
 //! ```
 #![warn(missing_docs)]
 
-pub mod config;
+mod config;
 mod control;
 mod delivery;
-pub mod deployment;
-pub mod engine;
-pub mod error;
+mod deployment;
+mod engine;
+mod error;
 mod instruments;
-pub mod monitor;
-pub mod overload;
+mod monitor;
+mod overload;
 pub mod shard;
 mod sources;
 mod storage;

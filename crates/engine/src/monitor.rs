@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::ops::Deref;
 
 /// Per-operator instruments, built on `sl-obs` primitives; each lives on
-/// its operator's endpoint record ([`Endpoint::counters`]).
+/// its operator's endpoint record (`Endpoint::counters`).
 ///
 /// The tuple counters are [`Counter`]s (monotonic); read them through the
 /// accessor methods ([`OpCounters::tuples_in`] etc.), which return plain
@@ -297,30 +297,6 @@ impl Monitor {
         self.by_name(|ep| (!ep.e2e.is_empty()).then(|| ep.e2e.count()))
     }
 
-    /// Conservation check: for every operator, `in = out + dropped + cached`
-    /// cannot be verified without cache sizes, but `out + dropped <= in` must
-    /// hold for non-generating unary operators. Returns violating operators.
-    /// (Join and Aggregation legitimately emit ≠ input counts; the engine
-    /// passes only pass-through operators here.)
-    pub fn conservation_violations(&self, passthrough_ops: &[(String, String)]) -> Vec<String> {
-        let mut bad = Vec::new();
-        for key in passthrough_ops {
-            if let Some(c) = self.op(&key.0, &key.1) {
-                if c.tuples_out() + c.dropped() > c.tuples_in() {
-                    bad.push(format!(
-                        "{}/{}: out {} + dropped {} > in {}",
-                        key.0,
-                        key.1,
-                        c.tuples_out(),
-                        c.dropped(),
-                        c.tuples_in()
-                    ));
-                }
-            }
-        }
-        bad
-    }
-
     /// Render the Figure 3 style report: per-operator rates, sink totals,
     /// recent placement changes and control actions.
     pub fn report(&self, now: Timestamp) -> String {
@@ -501,6 +477,35 @@ mod tests {
     use super::*;
     use crate::deployment::Role;
     use sl_faults::{DropReason, ShedPolicy};
+
+    impl Monitor {
+        /// Conservation check: for every operator, `in = out + dropped + cached`
+        /// cannot be verified without cache sizes, but `out + dropped <= in` must
+        /// hold for non-generating unary operators. Returns violating operators.
+        /// (Join and Aggregation legitimately emit ≠ input counts; the engine
+        /// passes only pass-through operators here.)
+        pub(crate) fn conservation_violations(
+            &self,
+            passthrough_ops: &[(String, String)],
+        ) -> Vec<String> {
+            let mut bad = Vec::new();
+            for key in passthrough_ops {
+                if let Some(c) = self.op(&key.0, &key.1) {
+                    if c.tuples_out() + c.dropped() > c.tuples_in() {
+                        bad.push(format!(
+                            "{}/{}: out {} + dropped {} > in {}",
+                            key.0,
+                            key.1,
+                            c.tuples_out(),
+                            c.dropped(),
+                            c.tuples_in()
+                        ));
+                    }
+                }
+            }
+            bad
+        }
+    }
 
     fn shed(policy: ShedPolicy) -> DropReason {
         DropReason::Shed {

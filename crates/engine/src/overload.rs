@@ -61,7 +61,7 @@ impl IngressState {
 /// incoming tuple's own queue excluded by the caller — the one with queued
 /// work in the lowest class (lower rank sheds first), deepest first; ties
 /// go to the first in iteration order. Returns its rank with it.
-pub fn preemption_victim<Q>(queues: impl Iterator<Item = (u8, u64, Q)>) -> Option<(u8, Q)> {
+pub(crate) fn preemption_victim<Q>(queues: impl Iterator<Item = (u8, u64, Q)>) -> Option<(u8, Q)> {
     queues
         .filter(|(_, depth, _)| *depth > 0)
         .min_by(|(class_a, depth_a, _), (class_b, depth_b, _)| {

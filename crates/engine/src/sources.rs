@@ -146,25 +146,6 @@ impl Engine {
         }
     }
 
-    /// Flip a source's acquisition gate (also exercised by triggers).
-    pub fn set_source_active(
-        &mut self,
-        deployment: &str,
-        source: &str,
-        active: bool,
-    ) -> Result<(), EngineError> {
-        let dep = self
-            .deployments
-            .get_mut(deployment)
-            .ok_or_else(|| EngineError::UnknownDeployment(deployment.to_string()))?;
-        let src = dep
-            .sources
-            .get_mut(source)
-            .ok_or_else(|| EngineError::UnknownDeployment(format!("{deployment}/{source}")))?;
-        src.active = active;
-        Ok(())
-    }
-
     /// Apply trigger control actions: gate/ungate source acquisition.
     pub(crate) fn apply_controls(
         &mut self,

@@ -39,11 +39,6 @@ impl Bindings for Tuple {
     }
 }
 
-/// Evaluate `expr` against a tuple.
-pub fn eval_on_tuple(expr: &Expr, tuple: &Tuple) -> Result<Value, ExprError> {
-    eval(expr, tuple)
-}
-
 /// Evaluate `expr` against any [`Bindings`].
 pub fn eval(expr: &Expr, env: &dyn Bindings) -> Result<Value, ExprError> {
     match expr {

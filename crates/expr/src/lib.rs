@@ -7,7 +7,7 @@
 //! this crate implements it end to end:
 //!
 //! * [`lexer`] — tokenisation,
-//! * [`ast`] / [`parser`] — syntax tree and a recursive-descent parser,
+//! * [`Expr`] / [`parse()`] — syntax tree and a recursive-descent parser,
 //! * [`typecheck()`] — static validation against a sensor [`Schema`], used by
 //!   the dataflow validator to guarantee "sound translation" before
 //!   deployment,
@@ -31,17 +31,17 @@
 //!
 //! [`Schema`]: sl_stt::Schema
 
-pub mod ast;
-pub mod error;
-pub mod eval;
+mod ast;
+mod error;
+mod eval;
 pub mod functions;
 pub mod lexer;
-pub mod parser;
-pub mod typecheck;
+mod parser;
+mod typecheck;
 
 pub use ast::{BinOp, Expr, UnOp};
 pub use error::ExprError;
-pub use eval::{eval, eval_on_tuple, Bindings};
+pub use eval::{eval, Bindings};
 pub use parser::parse;
 pub use typecheck::{typecheck, ExprType};
 
@@ -98,7 +98,7 @@ impl CompiledExpr {
 
     /// Evaluate against a tuple.
     pub fn eval(&self, tuple: &Tuple) -> Result<Value, ExprError> {
-        eval_on_tuple(&self.expr, tuple)
+        eval(&self.expr, tuple)
     }
 
     /// Evaluate as a predicate: null counts as *false* (SQL-like semantics —

@@ -28,7 +28,7 @@ use sl_stt::Value;
 /// recurse once per level, so this bound is what keeps a hostile condition
 /// from exhausting the stack. Past it, [`parse`] returns
 /// [`ExprError::Syntax`].
-pub const MAX_DEPTH: usize = 256;
+pub(crate) const MAX_DEPTH: usize = 256;
 
 /// Parse a complete expression; trailing tokens are an error.
 pub fn parse(src: &str) -> Result<Expr, ExprError> {

@@ -56,7 +56,7 @@ impl fmt::Display for ExprType {
 }
 
 /// Pseudo-attributes exposing the tuple's STT metadata: `(name, type)`.
-pub const META_ATTRS: [(&str, AttrType); 5] = [
+pub(crate) const META_ATTRS: [(&str, AttrType); 5] = [
     ("_ts", AttrType::Time),
     ("_lat", AttrType::Float),
     ("_lon", AttrType::Float),
@@ -66,7 +66,7 @@ pub const META_ATTRS: [(&str, AttrType); 5] = [
 
 /// Resolve the type of an attribute reference: schema first, then the
 /// metadata pseudo-attributes.
-pub fn attr_type(schema: &Schema, name: &str) -> Result<AttrType, ExprError> {
+pub(crate) fn attr_type(schema: &Schema, name: &str) -> Result<AttrType, ExprError> {
     if let Ok(field) = schema.field(name) {
         return Ok(field.ty);
     }

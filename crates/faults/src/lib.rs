@@ -19,10 +19,10 @@
 //! any layer can use it without cycles. The fault model and the determinism
 //! guarantee are documented in `DESIGN.md` ("Fault model & recovery").
 
-pub mod breaker;
-pub mod dlq;
-pub mod plan;
-pub mod retry;
+mod breaker;
+mod dlq;
+mod plan;
+mod retry;
 
 pub use breaker::{BreakerDecision, BreakerState, CircuitBreaker};
 pub use dlq::{DeadLetterQueue, DropReason, OverflowPolicy, ShedPolicy};

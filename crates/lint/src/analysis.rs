@@ -38,7 +38,7 @@ pub struct StreamProps {
 /// The outcome of propagation: properties per producer, plus the
 /// schema-resolution errors found on the way (one per failing operator).
 #[derive(Debug, Default)]
-pub struct Propagation {
+pub(crate) struct Propagation {
     /// Properties for every producer whose inputs resolved.
     pub props: BTreeMap<String, StreamProps>,
     /// `(service, error)` for every operator whose spec failed against its
@@ -51,7 +51,7 @@ pub struct Propagation {
 /// `schemas` maps source names to their declared schemas (possibly partial:
 /// hand-authored DSN text may not determine every schema); `source_rates`
 /// maps source names to estimated tuples/sec where known.
-pub fn propagate(
+pub(crate) fn propagate(
     doc: &DsnDocument,
     schemas: &HashMap<String, SchemaRef>,
     source_rates: &HashMap<String, f64>,
@@ -172,7 +172,7 @@ fn transfer(spec: &OpSpec, schema: Option<SchemaRef>, inputs: &[StreamProps]) ->
 
 /// Which side of a join each predicate attribute constrains.
 #[derive(Debug, Default)]
-pub struct JoinSides {
+pub(crate) struct JoinSides {
     /// Predicate attributes resolved against the left input.
     pub left_refs: Vec<String>,
     /// Predicate attributes resolved against the right input (under their
@@ -182,7 +182,7 @@ pub struct JoinSides {
 
 /// Classify a join predicate's attribute references by input side. `None`
 /// when the predicate does not parse or either input schema is unknown.
-pub fn join_sides(predicate: &str, inputs: &[StreamProps]) -> Option<JoinSides> {
+pub(crate) fn join_sides(predicate: &str, inputs: &[StreamProps]) -> Option<JoinSides> {
     let left = inputs.first()?.schema.clone()?;
     let right = inputs.get(1)?.schema.clone()?;
     let expr = sl_expr::parse(predicate).ok()?;
@@ -203,7 +203,7 @@ pub fn join_sides(predicate: &str, inputs: &[StreamProps]) -> Option<JoinSides> 
 
 /// The names the right input's fields take in the joined schema (mirrors
 /// [`Schema::join`]'s collision handling: `right_` prefixes).
-pub fn joined_right_names(left: &Schema, right: &Schema) -> Vec<String> {
+pub(crate) fn joined_right_names(left: &Schema, right: &Schema) -> Vec<String> {
     let mut taken: HashSet<String> = left.fields().iter().map(|f| f.name.clone()).collect();
     let mut out = Vec::with_capacity(right.len());
     for f in right.fields() {
@@ -218,7 +218,7 @@ pub fn joined_right_names(left: &Schema, right: &Schema) -> Vec<String> {
 }
 
 /// Bytes-per-tuple estimate from a schema (values + STT metadata).
-pub fn width_bytes(schema: &Schema) -> f64 {
+pub(crate) fn width_bytes(schema: &Schema) -> f64 {
     // Timestamp + location + sensor id + theme pointer — the serialized
     // envelope every tuple carries.
     let meta = 40.0;
@@ -245,13 +245,13 @@ impl Bindings for NoAttrs {
 /// Constant-fold an expression that references no attributes. `None` when
 /// the expression references attributes, does not parse, or fails to
 /// evaluate (e.g. division by zero — someone else's diagnostic).
-pub fn fold_constant(source: &str) -> Option<Value> {
+pub(crate) fn fold_constant(source: &str) -> Option<Value> {
     let expr = sl_expr::parse(source).ok()?;
     fold_expr(&expr)
 }
 
 /// Constant-fold an already-parsed expression (see [`fold_constant`]).
-pub fn fold_expr(expr: &Expr) -> Option<Value> {
+pub(crate) fn fold_expr(expr: &Expr) -> Option<Value> {
     if !expr.referenced_attrs().is_empty() {
         return None;
     }
@@ -260,7 +260,7 @@ pub fn fold_expr(expr: &Expr) -> Option<Value> {
 
 /// All expression source texts carried by a spec, with the parameter each
 /// belongs to (mirrors the contexts attached by the operator constructors).
-pub fn spec_exprs(spec: &OpSpec) -> Vec<(String, &str)> {
+pub(crate) fn spec_exprs(spec: &OpSpec) -> Vec<(String, &str)> {
     match spec {
         OpSpec::Filter { condition } => vec![("filter condition".into(), condition.as_str())],
         OpSpec::Transform { assignments } => assignments
@@ -283,7 +283,7 @@ pub fn spec_exprs(spec: &OpSpec) -> Vec<(String, &str)> {
 
 /// Attribute names a spec consumes *outside* expressions (aggregation keys
 /// and the aggregated attribute).
-pub fn spec_attr_refs(spec: &OpSpec) -> Vec<&str> {
+pub(crate) fn spec_attr_refs(spec: &OpSpec) -> Vec<&str> {
     match spec {
         OpSpec::Aggregate { group_by, attr, .. } => group_by
             .iter()

@@ -7,7 +7,7 @@
 //! top: a multi-pass static analyzer over the validated dataflow, its
 //! canonical DSN document, and the target netsim topology.
 //!
-//! Passes (see [`passes`]):
+//! Passes (the `passes` module):
 //!
 //! 1. **granularity** — the finer/coarser STT granule lattice (paper §2)
 //!    applied to joins and aggregations (`SL010`–`SL013`);
@@ -30,7 +30,7 @@
 //! 8. **resource** — worst-case queue depth, memory, and shedding volume
 //!    by abstract interpretation of advertised rates (`SL080`–`SL083`).
 //!
-//! A third, run-time tier ([`cq`], the `Session::lint_cq` path) checks a
+//! A third, run-time tier ([`lint_cq`], the `Session::lint_cq` path) checks a
 //! live session's continuous-query registrations against its engine
 //! configuration: unbounded materialized-view growth and unbounded
 //! subscriber queues under admission control (`SL090`–`SL091`).
@@ -41,12 +41,12 @@
 //! (the `Session::lint` path) and [`lint_document`] for DSN text (the
 //! `sl-lint` CLI path).
 
-pub mod analysis;
-pub mod cq;
+mod analysis;
+mod cq;
 pub mod deployfile;
-pub mod diag;
-pub mod model;
-pub mod passes;
+mod diag;
+mod model;
+mod passes;
 
 pub use analysis::StreamProps;
 pub use cq::{lint_cq, CqModel, CqSubFacts, CqViewFacts};
@@ -215,7 +215,6 @@ pub fn lint_document_with_model(
         doc,
         schemas,
         props: &propagation.props,
-        topo_order: &topo_order,
         consumers: &consumers,
         topology: ctx.topology,
         registry: ctx.registry,

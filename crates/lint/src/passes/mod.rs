@@ -2,15 +2,15 @@
 //! appends [`Diagnostic`]s; the pipeline in `lib.rs` runs them in order
 //! after the structural mapping and property propagation.
 
-pub mod bounded;
-pub mod deadcode;
-pub mod deadlock;
-pub mod granularity;
-pub mod rate;
-pub mod recovery;
-pub mod resource;
-pub mod shard;
-pub mod structure;
+pub(crate) mod bounded;
+pub(crate) mod deadcode;
+pub(crate) mod deadlock;
+pub(crate) mod granularity;
+pub(crate) mod rate;
+pub(crate) mod recovery;
+pub(crate) mod resource;
+pub(crate) mod shard;
+pub(crate) mod structure;
 
 use crate::analysis::StreamProps;
 use crate::diag::Diagnostic;
@@ -23,15 +23,13 @@ use sl_stt::SchemaRef;
 use std::collections::{BTreeMap, HashMap};
 
 /// Everything a pass may look at.
-pub struct PassCx<'a> {
+pub(crate) struct PassCx<'a> {
     /// The document under analysis (the canonical form of the dataflow).
     pub doc: &'a DsnDocument,
     /// Declared source schemas (possibly partial for hand-authored text).
     pub schemas: &'a HashMap<String, SchemaRef>,
     /// Propagated stream properties per producer.
     pub props: &'a BTreeMap<String, StreamProps>,
-    /// Services in execution order.
-    pub topo_order: &'a [String],
     /// `producer → (consumer, port)` adjacency.
     pub consumers: &'a HashMap<String, Vec<(String, usize)>>,
     /// The deployment target, when known.
@@ -50,17 +48,17 @@ pub struct PassCx<'a> {
 
 impl PassCx<'_> {
     /// The propagated properties of a producer, if it resolved.
-    pub fn props_of(&self, name: &str) -> Option<&StreamProps> {
+    pub(crate) fn props_of(&self, name: &str) -> Option<&StreamProps> {
         self.props.get(name)
     }
 }
 
 /// One analysis pass.
-pub type PassFn = fn(&PassCx<'_>, &mut Vec<Diagnostic>);
+pub(crate) type PassFn = fn(&PassCx<'_>, &mut Vec<Diagnostic>);
 
 /// The pipeline, in execution order. Structural mapping runs before these
 /// (it feeds on the accumulating validators, not on [`PassCx`]).
-pub const PIPELINE: &[(&str, PassFn)] = &[
+pub(crate) const PIPELINE: &[(&str, PassFn)] = &[
     ("granularity", granularity::run),
     ("bounded", bounded::run),
     ("rate", rate::run),

@@ -7,7 +7,7 @@ use crate::diag::{Diagnostic, LintCode};
 use sl_dsn::DsnError;
 
 /// Classify one structural DSN error.
-pub fn classify(err: &DsnError) -> Diagnostic {
+pub(crate) fn classify(err: &DsnError) -> Diagnostic {
     match err {
         DsnError::DuplicateName(name) => {
             Diagnostic::new(LintCode::DuplicateName, name, err.to_string())
@@ -44,13 +44,13 @@ pub fn classify(err: &DsnError) -> Diagnostic {
 }
 
 /// Map every accumulated structural error.
-pub fn from_dsn_errors(errors: &[DsnError], out: &mut Vec<Diagnostic>) {
+pub(crate) fn from_dsn_errors(errors: &[DsnError], out: &mut Vec<Diagnostic>) {
     out.extend(errors.iter().map(classify));
 }
 
 /// A schema-resolution failure at one operator (`SL008`). The underlying
 /// expression errors name the offending parameter and sub-expression.
-pub fn schema_error(service: &str, err: &sl_ops::OpError) -> Diagnostic {
+pub(crate) fn schema_error(service: &str, err: &sl_ops::OpError) -> Diagnostic {
     Diagnostic::new(
         LintCode::SchemaError,
         service,

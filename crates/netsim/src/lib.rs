@@ -8,34 +8,34 @@
 //! exposing the same abstract model the rest of StreamLoader programs
 //! against:
 //!
-//! * [`sim::EventQueue`] — the discrete-event core with virtual time,
-//! * [`topology::Topology`] — nodes (CPU capacity, attached-sensor slots) and
+//! * [`EventQueue`] — the discrete-event core with virtual time,
+//! * [`Topology`] — nodes (CPU capacity, attached-sensor slots) and
 //!   links (latency, bandwidth),
-//! * [`routing`] — Dijkstra shortest paths and per-flow path installation
-//!   with bandwidth reservation (the SCN "data flows, segmentations, and QoS
-//!   parameters"),
-//! * [`node::LoadTracker`] — per-node CPU accounting driving operator
+//! * [`RoutingTable`] / [`FlowTable`] — Dijkstra shortest paths and
+//!   per-flow path installation with bandwidth reservation (the SCN "data
+//!   flows, segmentations, and QoS parameters"),
+//! * [`LoadTracker`] — per-node CPU accounting driving operator
 //!   placement and migration decisions,
-//! * [`stats`] — per-node/per-link counters and time series feeding the
-//!   monitoring UI (Figure 3).
+//! * [`NetStats`] / [`TimeSeries`] — per-link counters and time series
+//!   feeding the monitoring UI (Figure 3).
 //!
 //! Determinism: all randomness is seeded, all ties in the event queue break
 //! by insertion order, so every experiment replays identically.
 //!
 //! **Failure injection**: links ([`Topology::set_link_up`]) and whole nodes
 //! ([`Topology::set_node_up`]) can be failed and restored at run time; down
-//! elements are invisible to [`routing`]. The `sl-faults` crate schedules
+//! elements are invisible to routing. The `sl-faults` crate schedules
 //! such failures declaratively and the engine layers retry/dead-letter
 //! delivery and crash recovery on top — see the "Fault model & recovery"
 //! section of the repository's `DESIGN.md` for the full model and its
 //! determinism guarantee.
 
-pub mod node;
-pub mod qos;
-pub mod routing;
-pub mod sim;
-pub mod stats;
-pub mod topology;
+mod node;
+mod qos;
+mod routing;
+mod sim;
+mod stats;
+mod topology;
 
 pub use node::{LoadTracker, ProcessId};
 pub use qos::QosSpec;

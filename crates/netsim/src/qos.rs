@@ -22,12 +22,6 @@ impl QosSpec {
         QosSpec::default()
     }
 
-    /// Require at most `latency` of propagation delay.
-    pub fn with_max_latency(mut self, latency: Duration) -> QosSpec {
-        self.max_latency = Some(latency);
-        self
-    }
-
     /// Reserve `bps` of bandwidth on every traversed link.
     pub fn with_min_bandwidth(mut self, bps: u64) -> QosSpec {
         self.min_bandwidth_bps = Some(bps);
@@ -63,6 +57,14 @@ impl fmt::Display for QosSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl QosSpec {
+        /// Require at most `latency` of propagation delay.
+        fn with_max_latency(mut self, latency: Duration) -> QosSpec {
+            self.max_latency = Some(latency);
+            self
+        }
+    }
 
     #[test]
     fn builders() {

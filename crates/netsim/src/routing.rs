@@ -61,16 +61,6 @@ impl Route {
         }
         Ok(total)
     }
-
-    /// Bottleneck (minimum) bandwidth along the route, `u64::MAX` for the
-    /// local route.
-    pub fn bottleneck_bps(&self, topo: &Topology) -> Result<u64, NetError> {
-        let mut min = u64::MAX;
-        for l in &self.links {
-            min = min.min(topo.link(*l)?.bandwidth_bps);
-        }
-        Ok(min)
-    }
 }
 
 /// All-destinations shortest-path table from one source (Dijkstra on link
@@ -371,7 +361,6 @@ mod tests {
         // 1 Mbps = 8 ms per hop.
         let delay = route.transfer_delay(&t, 1000).unwrap();
         assert_eq!(delay, ms(2 + 16));
-        assert_eq!(route.bottleneck_bps(&t).unwrap(), 1_000_000);
     }
 
     #[test]
@@ -431,7 +420,7 @@ mod tests {
         // Fail the fast a-b link: traffic detours via c.
         let fast = t.link_between(a, b).unwrap();
         t.set_link_up(fast, false).unwrap();
-        assert!(!t.link_is_up(fast));
+        assert!(!t.link(fast).unwrap().up);
         let rt = RoutingTable::compute(&t, a).unwrap();
         let route = rt.route_to(d).unwrap();
         assert_eq!(route.nodes, vec![a, c, d]);

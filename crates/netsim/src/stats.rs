@@ -5,7 +5,7 @@
 //! counts. [`NetStats`] aggregates raw counters; [`TimeSeries`] records
 //! sampled values for plotting.
 
-use crate::topology::{LinkId, NodeId};
+use crate::topology::LinkId;
 use sl_obs::{Gauge, Histogram, MetricsSnapshot};
 use sl_stt::{Duration, Timestamp};
 
@@ -99,17 +99,14 @@ impl TimeSeries {
 #[derive(Debug, Default)]
 struct LinkTraffic {
     msgs: u64,
-    bytes: u64,
     /// One-hop transfer latency, in microseconds.
     latency: Histogram,
 }
 
-/// Raw counters per node and link, in vectors indexed by `NodeId.0` and
-/// `LinkId.0` (ids are dense: the topology mints them in order).
+/// Raw counters per link, in vectors indexed by `LinkId.0` (ids are dense:
+/// the topology mints them in order).
 #[derive(Debug, Default)]
 pub struct NetStats {
-    /// `(messages, bytes)` delivered to each node.
-    nodes: Vec<(u64, u64)>,
     /// `None` for a link that never carried traffic.
     links: Vec<Option<LinkTraffic>>,
     /// Bytes of reserved/backlogged traffic per link (set by the engine from
@@ -135,19 +132,11 @@ impl NetStats {
         NetStats::default()
     }
 
-    /// Record a message of `bytes` delivered to `node`.
-    pub fn record_node_rx(&mut self, node: NodeId, bytes: usize) {
-        let (msgs, total) = entry(&mut self.nodes, node.0);
-        *msgs += 1;
-        *total += bytes as u64;
-    }
-
     /// Record a message of `bytes` crossing `link` with the given one-hop
     /// delay.
     pub fn record_link(&mut self, link: LinkId, bytes: usize, delay: Duration) {
         let traffic = entry(&mut self.links, link.0).get_or_insert_with(LinkTraffic::default);
         traffic.msgs += 1;
-        traffic.bytes += bytes as u64;
         traffic.latency.record((delay.as_secs_f64() * 1e6) as u64);
         self.total_msgs += 1;
         self.total_bytes += bytes as u64;
@@ -174,24 +163,9 @@ impl NetStats {
         self.traffic(link).map(|t| &t.latency)
     }
 
-    /// Messages delivered to a node.
-    pub fn node_msgs(&self, node: NodeId) -> u64 {
-        self.nodes.get(node.0 as usize).map_or(0, |n| n.0)
-    }
-
-    /// Bytes delivered to a node.
-    pub fn node_bytes(&self, node: NodeId) -> u64 {
-        self.nodes.get(node.0 as usize).map_or(0, |n| n.1)
-    }
-
     /// Messages that crossed a link.
     pub fn link_msgs(&self, link: LinkId) -> u64 {
         self.traffic(link).map_or(0, |t| t.msgs)
-    }
-
-    /// Bytes that crossed a link.
-    pub fn link_bytes(&self, link: LinkId) -> u64 {
-        self.traffic(link).map_or(0, |t| t.bytes)
     }
 
     /// Total link crossings.
@@ -284,23 +258,16 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut st = NetStats::new();
-        let n = NodeId(1);
         let l = LinkId(2);
-        st.record_node_rx(n, 100);
-        st.record_node_rx(n, 50);
         st.record_link(l, 100, Duration::from_millis(4));
         st.record_link(l, 100, Duration::from_millis(6));
-        assert_eq!(st.node_msgs(n), 2);
-        assert_eq!(st.node_bytes(n), 150);
         assert_eq!(st.link_msgs(l), 2);
-        assert_eq!(st.link_bytes(l), 200);
         assert_eq!(st.total_msgs(), 2);
         assert_eq!(st.total_bytes(), 200);
         assert_eq!(st.mean_hop_delay(), Some(Duration::from_millis(5)));
         assert_eq!(st.busiest_link(), Some((l, 2)));
         // Unknown ids read as zero.
-        assert_eq!(st.node_msgs(NodeId(9)), 0);
-        assert_eq!(st.link_bytes(LinkId(9)), 0);
+        assert_eq!(st.link_msgs(LinkId(9)), 0);
     }
 
     #[test]
@@ -310,7 +277,7 @@ mod tests {
         st.set_link_queued(LinkId(2), 7);
         // Ids below the highest recorded one were never touched either.
         for l in [LinkId(0), LinkId(3), LinkId(5), LinkId(1_000)] {
-            assert_eq!((st.link_msgs(l), st.link_bytes(l)), (0, 0));
+            assert_eq!(st.link_msgs(l), 0);
             assert!(st.link_latency(l).is_none());
         }
         assert_eq!(st.link_queued(LinkId(9)), 0);

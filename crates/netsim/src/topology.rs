@@ -179,11 +179,6 @@ impl Topology {
             .ok_or(NetError::UnknownLink(l))
     }
 
-    /// True if the link exists and is currently up.
-    pub fn link_is_up(&self, l: LinkId) -> bool {
-        self.links.get(l.0 as usize).is_some_and(|spec| spec.up)
-    }
-
     /// Crash or restore a node. Down nodes are skipped by routing (traffic
     /// neither originates, terminates, nor transits there) until restored.
     pub fn set_node_up(&mut self, n: NodeId, up: bool) -> Result<(), NetError> {
@@ -217,27 +212,6 @@ impl Topology {
         self.node_ids()
             .filter(|n| self.nodes[n.0 as usize].edge)
             .collect()
-    }
-
-    /// True if the graph is connected (or empty).
-    pub fn is_connected(&self) -> bool {
-        if self.nodes.is_empty() {
-            return true;
-        }
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack = vec![NodeId(0)];
-        seen[0] = true;
-        let mut count = 1;
-        while let Some(n) = stack.pop() {
-            for (_, nb) in self.neighbours(n) {
-                if !seen[nb.0 as usize] {
-                    seen[nb.0 as usize] = true;
-                    count += 1;
-                    stack.push(nb);
-                }
-            }
-        }
-        count == self.nodes.len()
     }
 
     // ---------------------------------------------------------------------
@@ -371,6 +345,18 @@ impl Topology {
 mod tests {
     use super::*;
 
+    /// True if every node is reachable from node 0 (or the graph is empty).
+    fn connected(t: &Topology) -> bool {
+        let mut seen = vec![false; t.node_count()];
+        let mut stack: Vec<NodeId> = t.node_ids().take(1).collect();
+        while let Some(n) = stack.pop() {
+            if !std::mem::replace(&mut seen[n.0 as usize], true) {
+                stack.extend(t.neighbours(n).map(|(_, nb)| nb));
+            }
+        }
+        seen.iter().all(|s| *s)
+    }
+
     #[test]
     fn add_nodes_and_links() {
         let mut t = Topology::new();
@@ -392,7 +378,7 @@ mod tests {
         let t = Topology::line(5, Duration::from_millis(1), 1000);
         assert_eq!(t.node_count(), 5);
         assert_eq!(t.link_count(), 4);
-        assert!(t.is_connected());
+        assert!(connected(&t));
         // Endpoints have one neighbour, middles two.
         assert_eq!(t.neighbours(NodeId(0)).count(), 1);
         assert_eq!(t.neighbours(NodeId(2)).count(), 2);
@@ -404,7 +390,7 @@ mod tests {
         assert_eq!(t.node_count(), 7);
         assert_eq!(t.neighbours(NodeId(0)).count(), 6);
         assert_eq!(t.edge_nodes().len(), 6);
-        assert!(t.is_connected());
+        assert!(connected(&t));
     }
 
     #[test]
@@ -414,14 +400,14 @@ mod tests {
         assert_eq!(t.node_count(), 15);
         assert_eq!(t.link_count(), 14);
         assert_eq!(t.edge_nodes().len(), 8); // leaves only
-        assert!(t.is_connected());
+        assert!(connected(&t));
     }
 
     #[test]
     fn random_topology_connected_and_deterministic() {
         let a = Topology::random(30, 10, 42);
         let b = Topology::random(30, 10, 42);
-        assert!(a.is_connected());
+        assert!(connected(&a));
         assert_eq!(a.node_count(), 30);
         assert_eq!(a.link_count(), 29 + 10);
         // Determinism: identical structure for the same seed.
@@ -441,7 +427,7 @@ mod tests {
     fn nict_testbed_shape() {
         let t = Topology::nict_testbed();
         assert_eq!(t.node_count(), 12);
-        assert!(t.is_connected());
+        assert!(connected(&t));
         assert_eq!(t.edge_nodes().len(), 9);
         // Cores form a triangle.
         assert!(t.link_between(NodeId(0), NodeId(1)).is_some());
@@ -454,6 +440,6 @@ mod tests {
         let mut t = Topology::new();
         t.add_node(NodeSpec::edge("a", 1.0));
         t.add_node(NodeSpec::edge("b", 1.0));
-        assert!(!t.is_connected());
+        assert!(!connected(&t));
     }
 }

@@ -42,7 +42,7 @@ mod reference {
     }
 
     /// A discrete-event queue over message type `M` with a virtual clock.
-    pub struct RefQueue<M> {
+    pub(crate) struct RefQueue<M> {
         heap: BinaryHeap<Entry<M>>,
         now: Timestamp,
         seq: u64,
@@ -51,7 +51,7 @@ mod reference {
 
     impl<M> RefQueue<M> {
         /// A queue whose clock starts at `start`.
-        pub fn new(start: Timestamp) -> RefQueue<M> {
+        pub(crate) fn new(start: Timestamp) -> RefQueue<M> {
             RefQueue {
                 heap: BinaryHeap::new(),
                 now: start,
@@ -61,28 +61,28 @@ mod reference {
         }
 
         /// Current virtual time.
-        pub fn now(&self) -> Timestamp {
+        pub(crate) fn now(&self) -> Timestamp {
             self.now
         }
 
         /// Number of events popped so far.
-        pub fn processed(&self) -> u64 {
+        pub(crate) fn processed(&self) -> u64 {
             self.processed
         }
 
         /// Number of events still scheduled.
-        pub fn pending(&self) -> usize {
+        pub(crate) fn pending(&self) -> usize {
             self.heap.len()
         }
 
         /// True if no events remain.
-        pub fn is_idle(&self) -> bool {
+        pub(crate) fn is_idle(&self) -> bool {
             self.heap.is_empty()
         }
 
         /// Schedule `msg` at absolute time `at`. Scheduling in the past is
         /// clamped to `now` (the message fires immediately, preserving order).
-        pub fn schedule_at(&mut self, at: Timestamp, msg: M) {
+        pub(crate) fn schedule_at(&mut self, at: Timestamp, msg: M) {
             let time = at.max(self.now);
             let seq = self.seq;
             self.seq += 1;
@@ -90,12 +90,12 @@ mod reference {
         }
 
         /// Schedule `msg` after `delay` of virtual time.
-        pub fn schedule_in(&mut self, delay: Duration, msg: M) {
+        pub(crate) fn schedule_in(&mut self, delay: Duration, msg: M) {
             self.schedule_at(self.now + delay, msg)
         }
 
         /// Pop the next event, advancing the clock to its time.
-        pub fn pop(&mut self) -> Option<(Timestamp, M)> {
+        pub(crate) fn pop(&mut self) -> Option<(Timestamp, M)> {
             let entry = self.heap.pop()?;
             debug_assert!(entry.time >= self.now, "time went backwards");
             self.now = entry.time;
@@ -104,19 +104,19 @@ mod reference {
         }
 
         /// Time of the next event without popping it.
-        pub fn peek_time(&self) -> Option<Timestamp> {
+        pub(crate) fn peek_time(&self) -> Option<Timestamp> {
             self.heap.peek().map(|top| top.time)
         }
 
         /// Time and message of the next event without popping it. The clock
         /// does not advance. Used by the parallel engine to test whether the
         /// queue head is eligible to join the current execution batch.
-        pub fn peek(&self) -> Option<(Timestamp, &M)> {
+        pub(crate) fn peek(&self) -> Option<(Timestamp, &M)> {
             self.heap.peek().map(|top| (top.time, &top.msg))
         }
 
         /// Pop only if the next event fires at or before `deadline`.
-        pub fn pop_until(&mut self, deadline: Timestamp) -> Option<(Timestamp, M)> {
+        pub(crate) fn pop_until(&mut self, deadline: Timestamp) -> Option<(Timestamp, M)> {
             match self.peek_time() {
                 Some(t) if t <= deadline => self.pop(),
                 _ => None,

@@ -8,11 +8,11 @@
 //! virtual-time latencies.
 
 /// Number of power-of-two bucket boundaries (1, 2, 4, … 2^(N-1) µs).
-pub const BUCKETS: usize = 40;
+pub(crate) const BUCKETS: usize = 40;
 
 /// Upper (inclusive) bound of bucket `i`, in the recorded unit.
 #[must_use]
-pub fn bucket_bound(i: usize) -> u64 {
+pub(crate) fn bucket_bound(i: usize) -> u64 {
     debug_assert!(i < BUCKETS);
     1u64 << i
 }

@@ -49,10 +49,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod hist;
+mod hist;
 pub mod json;
-pub mod metric;
-pub mod snapshot;
+mod metric;
+mod snapshot;
 pub mod text;
 
 pub use hist::Histogram;

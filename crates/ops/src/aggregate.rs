@@ -213,14 +213,6 @@ impl AggregateOp {
         Ok(op)
     }
 
-    /// The sliding span, if this aggregation slides.
-    pub fn sliding_span(&self) -> Option<Duration> {
-        match &self.cache {
-            AggCache::Sliding(w) => Some(w.span()),
-            AggCache::Tumbling(_) => None,
-        }
-    }
-
     /// The aggregation function.
     pub fn func(&self) -> AggFunc {
         self.func
@@ -687,7 +679,6 @@ mod tests {
             &schema(),
         )
         .unwrap();
-        assert_eq!(op.sliding_span(), Some(Duration::from_secs(30)));
         // Feed one tuple per second for 60 s, ticking every 10.
         let mut outputs = Vec::new();
         for s in 0..60i64 {
@@ -736,10 +727,6 @@ mod tests {
             &schema()
         )
         .is_err());
-        // Tumbling constructor reports no span.
-        let op =
-            AggregateOp::new(Duration::from_secs(1), &[], AggFunc::Count, None, &schema()).unwrap();
-        assert_eq!(op.sliding_span(), None);
     }
 
     #[test]

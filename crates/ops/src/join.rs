@@ -69,11 +69,6 @@ impl JoinOp {
         })
     }
 
-    /// True if the hash-join fast path applies to this predicate.
-    pub fn is_equi_join(&self) -> bool {
-        self.equi.is_some()
-    }
-
     /// Cached tuple counts `(left, right)` (monitoring).
     pub fn cached(&self) -> (usize, usize) {
         (self.left.len(), self.right.len())
@@ -393,7 +388,7 @@ mod tests {
             &right_schema(),
         )
         .unwrap();
-        assert!(op.is_equi_join());
+        assert!(op.equi.is_some());
         let out = run_join(
             &mut op,
             vec![ltuple("osaka", 26.0), ltuple("kyoto", 20.0)],
@@ -451,7 +446,7 @@ mod tests {
             &right_schema(),
         )
         .unwrap();
-        assert!(!op.is_equi_join());
+        assert!(op.equi.is_none());
         let out = run_join(
             &mut op,
             vec![ltuple("a", 10.0)],
@@ -533,7 +528,7 @@ mod tests {
         let l = Tuple::new(ls.clone(), vec![Value::Int(25)], meta()).unwrap();
         let r = Tuple::new(rs.clone(), vec![Value::Float(25.0)], meta()).unwrap();
         let mut op = JoinOp::new(Duration::from_secs(10), "k = right_k", &ls, &rs).unwrap();
-        assert!(op.is_equi_join());
+        assert!(op.equi.is_some());
         let mut ctx = OpContext::new(Timestamp::from_secs(10));
         op.on_tuple(0, l, &mut ctx).unwrap();
         op.on_tuple(1, r, &mut ctx).unwrap();

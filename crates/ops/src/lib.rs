@@ -3,27 +3,27 @@
 //! Implements every operation of the paper's Table 1, split exactly as the
 //! paper splits them (§3):
 //!
-//! | Operation        | Symbol                              | Kind         | Module |
-//! |------------------|-------------------------------------|--------------|--------|
-//! | Aggregation      | `@t,{a1..an} op (s)`                | blocking     | [`aggregate`] |
-//! | Cull Time        | `γr(s, <t1, t2>)`                   | non-blocking | [`cull`] |
-//! | Cull Space       | `γr(s, <coord1, coord2>)`           | non-blocking | [`cull`] |
-//! | Filter           | `σ(s, cond)`                        | non-blocking | [`filter`] |
-//! | Join             | `s1 ⋈t_pred s2`                     | blocking     | [`join`] |
-//! | Transform        | `▷trans s`                          | non-blocking | [`transform`] |
-//! | Trigger On       | `⊕ON,t(s, {s1..sn}, cond)`          | blocking     | [`trigger`] |
-//! | Trigger Off      | `⊕OFF,t(s, {s1..sn}, cond)`         | blocking     | [`trigger`] |
-//! | Virtual property | `⊎s⟨p, spec⟩`                       | non-blocking | [`virtual_prop`] |
+//! | Operation        | Symbol                              | Kind         | Operator |
+//! |------------------|-------------------------------------|--------------|----------|
+//! | Aggregation      | `@t,{a1..an} op (s)`                | blocking     | [`AggregateOp`] |
+//! | Cull Time        | `γr(s, <t1, t2>)`                   | non-blocking | [`CullTimeOp`] |
+//! | Cull Space       | `γr(s, <coord1, coord2>)`           | non-blocking | [`CullSpaceOp`] |
+//! | Filter           | `σ(s, cond)`                        | non-blocking | [`FilterOp`] |
+//! | Join             | `s1 ⋈t_pred s2`                     | blocking     | [`JoinOp`] |
+//! | Transform        | `▷trans s`                          | non-blocking | [`TransformOp`] |
+//! | Trigger On       | `⊕ON,t(s, {s1..sn}, cond)`          | blocking     | [`TriggerOp`] |
+//! | Trigger Off      | `⊕OFF,t(s, {s1..sn}, cond)`         | blocking     | [`TriggerOp`] |
+//! | Virtual property | `⊎s⟨p, spec⟩`                       | non-blocking | [`VirtualPropertyOp`] |
 //!
 //! Non-blocking operations "are directly applied on each tuple when they are
 //! processed, whereas the others require the maintenance of a cache of
 //! tuples that are processed every t time intervals" — concretely:
 //! non-blocking operators implement only [`Operator::on_tuple`]; blocking
-//! operators buffer in [`window`] caches and do their work in
+//! operators buffer in `window` caches and do their work in
 //! [`Operator::on_timer`], which the engine invokes every
 //! [`Operator::timer_period`].
 //!
-//! [`spec::OpSpec`] is the *data* description of an operator instance (what
+//! [`OpSpec`] is the *data* description of an operator instance (what
 //! the visual editor produces, what DSN documents carry); it can report its
 //! output schema for validation and instantiate the runtime operator.
 //!
@@ -68,19 +68,19 @@
 //! ```
 #![warn(missing_docs)]
 
-pub mod aggregate;
-pub mod checkpoint;
-pub mod context;
-pub mod cull;
-pub mod error;
-pub mod filter;
-pub mod join;
-pub mod priority;
-pub mod spec;
-pub mod transform;
-pub mod trigger;
-pub mod virtual_prop;
-pub mod window;
+mod aggregate;
+mod checkpoint;
+mod context;
+mod cull;
+mod error;
+mod filter;
+mod join;
+mod priority;
+mod spec;
+mod transform;
+mod trigger;
+mod virtual_prop;
+mod window;
 
 pub use aggregate::{AggFunc, AggregateOp};
 pub use checkpoint::{CheckpointDelta, OpCheckpoint};

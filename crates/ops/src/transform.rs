@@ -80,18 +80,6 @@ impl TransformOp {
         })
     }
 
-    /// Convenience: a single-assignment transform performing a unit change
-    /// on `attr` (the paper's yards→metres example).
-    pub fn unit_conversion(
-        attr: &str,
-        from: sl_stt::Unit,
-        to: sl_stt::Unit,
-        input_schema: &SchemaRef,
-    ) -> Result<TransformOp, OpError> {
-        let src = format!("convert_unit({attr}, '{}', '{}')", from.name(), to.name());
-        TransformOp::new(&[(attr, &src)], input_schema)
-    }
-
     /// The `(attribute, expression-source)` pairs.
     pub fn assignments(&self) -> &[(String, String)] {
         &self.sources
@@ -190,8 +178,11 @@ mod tests {
 
     #[test]
     fn yards_to_meters() {
-        let mut op =
-            TransformOp::unit_conversion("distance", Unit::Yard, Unit::Meter, &schema()).unwrap();
+        let mut op = TransformOp::new(
+            &[("distance", "convert_unit(distance, 'yd', 'm')")],
+            &schema(),
+        )
+        .unwrap();
         let mut ctx = OpContext::new(Timestamp::from_secs(0));
         op.on_tuple(0, tuple(100.0, "2016-03-15", 0.0, 0.0), &mut ctx)
             .unwrap();

@@ -19,9 +19,9 @@ use std::collections::VecDeque;
 
 /// Everything-since-last-tick cache.
 #[derive(Debug, Default)]
-pub struct TumblingCache {
+pub(crate) struct TumblingCache {
     tuples: Vec<Tuple>,
-    /// Total tuples ever inserted (monitoring).
+    /// Total tuples ever inserted.
     inserted: u64,
     /// `inserted` as of the last [`TumblingCache::take_delta`] or emptying:
     /// the tuples pushed since are the cache's unlogged tail.
@@ -32,48 +32,36 @@ pub struct TumblingCache {
 
 impl TumblingCache {
     /// Empty cache.
-    pub fn new() -> TumblingCache {
+    pub(crate) fn new() -> TumblingCache {
         TumblingCache::default()
     }
 
     /// Buffer a tuple.
-    pub fn push(&mut self, tuple: Tuple) {
+    pub(crate) fn push(&mut self, tuple: Tuple) {
         self.tuples.push(tuple);
         self.inserted += 1;
     }
 
     /// Tuples currently cached.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tuples.len()
     }
 
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
     /// Read-only view of the cached tuples.
-    pub fn tuples(&self) -> &[Tuple] {
+    pub(crate) fn tuples(&self) -> &[Tuple] {
         &self.tuples
     }
 
     /// Drain the cache for processing (the tick).
-    pub fn drain(&mut self) -> Vec<Tuple> {
+    pub(crate) fn drain(&mut self) -> Vec<Tuple> {
         let drained = std::mem::take(&mut self.tuples);
         self.clear();
         drained
     }
 
-    /// Lifetime insert count.
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
-
     /// Discard all cached tuples without processing them (checkpoint
-    /// restore / crash state-wipe). Does not count towards [`inserted`].
-    ///
-    /// [`inserted`]: TumblingCache::inserted
-    pub fn clear(&mut self) {
+    /// restore / crash state-wipe). Does not count towards `inserted`.
+    pub(crate) fn clear(&mut self) {
         self.tuples.clear();
         (self.reset, self.logged) = (true, self.inserted);
     }
@@ -81,7 +69,7 @@ impl TumblingCache {
     /// What changed since the last call, with tuples tagged `port`: the
     /// tuples pushed since, after a `reset` if the cache was emptied in
     /// between. One clone per tuple handed out.
-    pub fn take_delta(&mut self, port: usize) -> CheckpointDelta {
+    pub(crate) fn take_delta(&mut self, port: usize) -> CheckpointDelta {
         let unlogged = (self.inserted - self.logged) as usize;
         let tail = &self.tuples[self.tuples.len() - unlogged..];
         let delta = CheckpointDelta {
@@ -97,7 +85,7 @@ impl TumblingCache {
 /// Time-based sliding window over tuple *timestamps*, kept in arrival
 /// order; eviction pops from the front, O(evicted) per call.
 #[derive(Debug)]
-pub struct SlidingWindow {
+pub(crate) struct SlidingWindow {
     span: Duration,
     tuples: VecDeque<Tuple>,
     inserted: u64,
@@ -110,7 +98,7 @@ pub struct SlidingWindow {
 
 impl SlidingWindow {
     /// A window retaining tuples stamped within the last `span`.
-    pub fn new(span: Duration) -> SlidingWindow {
+    pub(crate) fn new(span: Duration) -> SlidingWindow {
         SlidingWindow {
             span,
             tuples: VecDeque::new(),
@@ -121,22 +109,17 @@ impl SlidingWindow {
         }
     }
 
-    /// The window span.
-    pub fn span(&self) -> Duration {
-        self.span
-    }
-
     /// Insert a tuple. Tuples are expected roughly in timestamp order:
     /// eviction stops at the first in-window tuple from the front, so a
     /// badly out-of-order tuple may survive slightly long.
-    pub fn push(&mut self, tuple: Tuple, now: Timestamp) {
+    pub(crate) fn push(&mut self, tuple: Tuple, now: Timestamp) {
         self.tuples.push_back(tuple);
         self.inserted += 1;
         self.evict(now);
     }
 
     /// Evict tuples older than `now - span`.
-    pub fn evict(&mut self, now: Timestamp) {
+    pub(crate) fn evict(&mut self, now: Timestamp) {
         let horizon = now.saturating_sub(self.span);
         while let Some(front) = self.tuples.front() {
             if front.meta.timestamp >= horizon {
@@ -148,30 +131,18 @@ impl SlidingWindow {
     }
 
     /// Tuples currently in the window.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.tuples.len()
     }
 
-    /// True if the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
     /// Iterate over in-window tuples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Tuple> {
         self.tuples.iter()
     }
 
-    /// Lifetime eviction count.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
     /// Discard all buffered tuples without evicting (checkpoint restore /
-    /// crash state-wipe). Does not count towards [`evicted`].
-    ///
-    /// [`evicted`]: SlidingWindow::evicted
-    pub fn clear(&mut self) {
+    /// crash state-wipe). Does not count towards `evicted`.
+    pub(crate) fn clear(&mut self) {
         self.tuples.clear();
         self.reset = true;
     }
@@ -180,7 +151,7 @@ impl SlidingWindow {
     /// many tuples left by the front, and the tuples pushed since that are
     /// still in the window — or, after a `reset`, the whole window. One
     /// clone per tuple handed out.
-    pub fn take_delta(&mut self, port: usize) -> CheckpointDelta {
+    pub(crate) fn take_delta(&mut self, port: usize) -> CheckpointDelta {
         let len = self.tuples.len();
         let pushed = (self.inserted - self.logged.0) as usize;
         let dropped = (self.evicted - self.logged.1) as usize;
@@ -238,10 +209,10 @@ mod tests {
         assert_eq!(c.len(), 2);
         let drained = c.drain();
         assert_eq!(drained.len(), 2);
-        assert!(c.is_empty());
-        assert_eq!(c.inserted(), 2);
+        assert_eq!(c.len(), 0);
+        assert_eq!(c.inserted, 2);
         c.push(tuple_at(3, 3));
-        assert_eq!(c.inserted(), 3);
+        assert_eq!(c.inserted, 3);
         assert_eq!(c.tuples().len(), 1);
     }
 
@@ -253,7 +224,7 @@ mod tests {
         }
         // At t=19 the horizon is 9: tuples 9..=19 remain.
         assert_eq!(w.len(), 11);
-        assert_eq!(w.evicted(), 9);
+        assert_eq!(w.evicted, 9);
         let oldest = w.iter().next().unwrap();
         assert_eq!(oldest.meta.timestamp, Timestamp::from_secs(9));
     }
@@ -263,7 +234,7 @@ mod tests {
         let mut w = SlidingWindow::new(Duration::from_secs(5));
         w.push(tuple_at(0, 0), Timestamp::from_secs(0));
         w.evict(Timestamp::from_secs(100));
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
     }
 
     #[test]
@@ -304,8 +275,7 @@ mod tests {
     fn empty_window_is_fine() {
         let mut w = SlidingWindow::new(Duration::from_secs(5));
         w.evict(Timestamp::from_secs(10));
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
         assert_eq!(w.iter().count(), 0);
-        assert_eq!(w.span(), Duration::from_secs(5));
     }
 }

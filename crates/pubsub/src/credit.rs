@@ -14,13 +14,9 @@ use std::collections::BTreeSet;
 /// The broker's credit ledger: which sensors may currently generate tuples.
 ///
 /// Only revocations are stored; every sensor is granted by default.
-/// Transitions are counted so observability can report how often
-/// backpressure engaged without scanning the table.
 #[derive(Debug, Default)]
 pub struct CreditTable {
     revoked: BTreeSet<u64>,
-    grants: u64,
-    revokes: u64,
 }
 
 impl CreditTable {
@@ -35,21 +31,13 @@ impl CreditTable {
     }
 
     /// Set the sensor's credit; returns true if this *changed* the state
-    /// (re-granting a granted sensor is a no-op and is not counted).
+    /// (re-granting a granted sensor is a no-op).
     pub fn set(&mut self, id: SensorId, granted: bool) -> bool {
-        let changed = if granted {
+        if granted {
             self.revoked.remove(&id.0)
         } else {
             self.revoked.insert(id.0)
-        };
-        if changed {
-            if granted {
-                self.grants += 1;
-            } else {
-                self.revokes += 1;
-            }
         }
-        changed
     }
 
     /// Number of sensors currently throttled.
@@ -60,16 +48,6 @@ impl CreditTable {
     /// Sensors currently throttled, in id order.
     pub fn revoked(&self) -> impl Iterator<Item = SensorId> + '_ {
         self.revoked.iter().map(|id| SensorId(*id))
-    }
-
-    /// Lifetime count of grant transitions (revoked → granted).
-    pub fn grant_transitions(&self) -> u64 {
-        self.grants
-    }
-
-    /// Lifetime count of revoke transitions (granted → revoked).
-    pub fn revoke_transitions(&self) -> u64 {
-        self.revokes
     }
 }
 
@@ -94,8 +72,6 @@ mod tests {
         assert!(t.set(SensorId(1), true));
         assert!(t.granted(SensorId(1)));
         assert_eq!(t.revoked_count(), 0);
-        assert_eq!(t.grant_transitions(), 1);
-        assert_eq!(t.revoke_transitions(), 1);
     }
 
     #[test]
@@ -104,8 +80,7 @@ mod tests {
         assert!(!t.set(SensorId(1), true)); // already granted
         t.set(SensorId(1), false);
         assert!(!t.set(SensorId(1), false)); // already revoked
-        assert_eq!(t.grant_transitions(), 0);
-        assert_eq!(t.revoke_transitions(), 1);
+        assert_eq!(t.revoked_count(), 1);
     }
 
     #[test]

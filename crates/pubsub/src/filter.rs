@@ -54,27 +54,9 @@ impl SubscriptionFilter {
         self
     }
 
-    /// Filter by sensor kind.
-    pub fn with_kind(mut self, kind: SensorKind) -> SubscriptionFilter {
-        self.kind = Some(kind);
-        self
-    }
-
     /// Require an attribute in the sensor schema.
     pub fn require_attr(mut self, name: &str, ty: AttrType) -> SubscriptionFilter {
         self.required_attrs.push((name.to_string(), ty));
-        self
-    }
-
-    /// Filter by name glob.
-    pub fn with_name_glob(mut self, glob: &str) -> SubscriptionFilter {
-        self.name_glob = Some(glob.to_string());
-        self
-    }
-
-    /// Require a generation period of at most `period`.
-    pub fn with_max_period(mut self, period: Duration) -> SubscriptionFilter {
-        self.max_period = Some(period);
         self
     }
 
@@ -176,6 +158,14 @@ mod tests {
     use sl_netsim::NodeId;
     use sl_stt::{Field, GeoPoint, Schema, SensorId};
 
+    impl SubscriptionFilter {
+        /// Filter by sensor kind.
+        pub(crate) fn with_kind(mut self, kind: SensorKind) -> SubscriptionFilter {
+            self.kind = Some(kind);
+            self
+        }
+    }
+
     fn ad(
         name: &str,
         theme: &str,
@@ -249,11 +239,13 @@ mod tests {
 
     #[test]
     fn kind_schema_name_period() {
-        let f = SubscriptionFilter::any()
-            .with_kind(SensorKind::Physical)
-            .require_attr("temperature", AttrType::Float)
-            .with_name_glob("osaka-*")
-            .with_max_period(Duration::from_secs(30));
+        let f = SubscriptionFilter {
+            kind: Some(SensorKind::Physical),
+            name_glob: Some("osaka-*".into()),
+            max_period: Some(Duration::from_secs(30)),
+            ..SubscriptionFilter::any()
+        }
+        .require_attr("temperature", AttrType::Float);
         let good = ad(
             "osaka-temp-1",
             "weather/temperature",

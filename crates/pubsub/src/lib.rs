@@ -17,11 +17,11 @@
 //! * [`enrich`] — spatio-temporal enrichment of tuples from sensors that
 //!   cannot produce their own position (paper §3).
 
-pub mod broker;
-pub mod credit;
+mod broker;
+mod credit;
 pub mod enrich;
-pub mod filter;
-pub mod message;
+mod filter;
+mod message;
 pub mod registry;
 
 pub use broker::{Broker, BrokerEvent, SubscriptionId};

@@ -10,7 +10,7 @@ use crate::filter::SubscriptionFilter;
 use crate::message::{SensorAdvertisement, SensorKind};
 use crate::PubSubError;
 use sl_netsim::NodeId;
-use sl_stt::{SensorId, SpatialGranularity, SpatialGranule};
+use sl_stt::{SensorId, SpatialGranularity};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -37,23 +37,12 @@ pub enum GroupCriterion {
 #[derive(Debug, Default)]
 pub struct SensorRegistry {
     sensors: BTreeMap<u64, Arc<SensorAdvertisement>>,
-    next_id: u64,
 }
 
 impl SensorRegistry {
     /// Empty registry.
     pub fn new() -> SensorRegistry {
         SensorRegistry::default()
-    }
-
-    /// Allocate a fresh sensor id (callers may also bring their own ids via
-    /// [`publish`]; allocation just avoids collisions).
-    ///
-    /// [`publish`]: SensorRegistry::publish
-    pub fn allocate_id(&mut self) -> SensorId {
-        let id = self.next_id;
-        self.next_id += 1;
-        SensorId(id)
     }
 
     /// Publish a sensor. Fails if the id is already present.
@@ -63,7 +52,6 @@ impl SensorRegistry {
         if self.sensors.contains_key(&id) {
             return Err(PubSubError::DuplicateSensor(id));
         }
-        self.next_id = self.next_id.max(id + 1);
         self.sensors.insert(id, ad);
         Ok(())
     }
@@ -150,15 +138,6 @@ impl SensorRegistry {
             groups.entry(key).or_default().push(ad.id);
         }
         groups
-    }
-
-    /// The spatial granule of each located sensor at granularity `g`
-    /// (used by the warehouse and by discovery heat-maps).
-    pub fn spatial_index(&self, g: SpatialGranularity) -> BTreeMap<u64, SpatialGranule> {
-        self.sensors
-            .iter()
-            .filter_map(|(id, ad)| ad.location.map(|p| (*id, g.granule_of(&p))))
-            .collect()
     }
 
     /// Candidate replacements for a departed sensor: published sensors whose
@@ -286,17 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn allocate_avoids_collisions() {
-        let mut r = populated();
-        let id = r.allocate_id();
-        assert!(id.0 >= 4);
-        // Publishing a high id bumps the allocator.
-        r.publish(make_ad(100, "x", "weather", SensorKind::Physical, 0, 34.0))
-            .unwrap();
-        assert!(r.allocate_id().0 > 100);
-    }
-
-    #[test]
     fn discovery_by_filter() {
         let r = populated();
         let weather = SubscriptionFilter::any().with_theme(Theme::new("weather").unwrap());
@@ -344,16 +312,5 @@ mod tests {
     fn census_counts() {
         let r = populated();
         assert_eq!(census(&r), (3, 1));
-    }
-
-    #[test]
-    fn spatial_index_skips_unlocated() {
-        let mut r = populated();
-        let mut ad = make_ad(10, "nowhere", "weather", SensorKind::Physical, 0, 34.0);
-        ad.location = None;
-        r.publish(ad).unwrap();
-        let idx = r.spatial_index(SpatialGranularity::grid(4));
-        assert_eq!(idx.len(), 4); // the located ones only
-        assert!(!idx.contains_key(&10));
     }
 }

@@ -9,7 +9,7 @@
 //!   different attribute sets; some temperature sensors report Fahrenheit
 //!   (the Transform operator's job to fix),
 //! * **heterogeneous wire formats** — CSV, JSON and key-value payloads
-//!   ([`formats`]), decoded by the extraction layer,
+//!   ([`WireFormat`]), decoded by the extraction layer,
 //! * **different rates and granularities** — from 1 s traffic probes to
 //!   10 min rain gauges,
 //! * **missing spatio-temporal metadata** — mobile tweet sources advertise
@@ -19,12 +19,12 @@
 //!
 //! Everything is deterministic per seed.
 
-pub mod driver;
-pub mod formats;
+mod driver;
+mod formats;
 pub mod gen;
 pub mod physical;
 pub mod scenario;
-pub mod social;
+mod social;
 
 pub use driver::SensorSim;
 pub use formats::{decode_payload, WireFormat};

@@ -194,11 +194,6 @@ impl RainSensor {
             rng: StdRng::seed_from_u64(seed),
         }
     }
-
-    /// Force the burst parameters (scenario storms).
-    pub fn set_process(&mut self, process: RainProcess) {
-        self.process = process;
-    }
 }
 
 impl SensorSim for RainSensor {
@@ -330,16 +325,15 @@ impl SensorSim for WaterLevelSensor {
     }
 }
 
-/// Convenience: is a value plausibly a temperature in the advertised unit?
-/// Used by tests and failure-injection checks.
-pub fn plausible_temperature(v: f64, unit: Unit) -> bool {
-    let celsius = unit.convert(v, Unit::Celsius).unwrap_or(f64::NAN);
-    (-40.0..=50.0).contains(&celsius)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Is a value plausibly a temperature in the advertised unit?
+    fn plausible_temperature(v: f64, unit: Unit) -> bool {
+        let celsius = unit.convert(v, Unit::Celsius).unwrap_or(f64::NAN);
+        (-40.0..=50.0).contains(&celsius)
+    }
 
     fn osaka() -> GeoPoint {
         GeoPoint::new_unchecked(34.6937, 135.5023)
@@ -433,13 +427,15 @@ mod tests {
             1,
         );
         // Force a violent process so we observe both states.
-        s.set_process(RainProcess::new(0.5, 0.1, 30.0));
+        s.process = RainProcess::new(0.5, 0.1, 30.0);
         let mut saw_torrential = false;
         let mut saw_dry = false;
         for i in 0..500 {
             let t = s.sample(Timestamp::from_secs(i * 60));
             let mm = t.get("rain").unwrap().as_f64().unwrap();
-            let flag = t.get("torrential").unwrap().as_bool().unwrap();
+            let &Value::Bool(flag) = t.get("torrential").unwrap() else {
+                panic!("torrential is not a Bool");
+            };
             assert_eq!(flag, mm > 20.0);
             saw_torrential |= flag;
             saw_dry |= mm == 0.0;

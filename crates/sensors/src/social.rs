@@ -75,12 +75,12 @@ fn sample_tuple(
 
 /// A geo-tagged microblog feed around an area.
 ///
-/// Rate and content react to an external *excitement* level (set from the
-/// scenario's weather): excited feeds tweet storm content more often. A
-/// fraction of tweets carry no position — mobile clients with GPS off —
+/// Content reacts to an *excitement* level: excited feeds tweet storm
+/// content more often (nothing outside this module's tests raises it from
+/// 0). A fraction of tweets carry no position — mobile clients with GPS off —
 /// exercising the pub/sub enrichment path; the advertisement itself also has
 /// no fixed location.
-pub struct TweetSensor {
+pub(crate) struct TweetSensor {
     ad: SensorAdvertisement,
     area: String,
     center: GeoPoint,
@@ -92,7 +92,7 @@ pub struct TweetSensor {
 
 impl TweetSensor {
     /// Build a feed centred on `center` for the named area.
-    pub fn new(
+    pub(crate) fn new(
         id: SensorId,
         name: &str,
         area: &str,
@@ -123,12 +123,6 @@ impl TweetSensor {
             geotag_prob: 0.7,
             rng: StdRng::seed_from_u64(seed),
         }
-    }
-
-    /// Set the excitement level in `[0, 1]` (scenario couples this to rain
-    /// intensity: storms make people tweet about storms).
-    pub fn set_excitement(&mut self, level: f64) {
-        self.excitement = level.clamp(0.0, 1.0);
     }
 }
 
@@ -164,7 +158,7 @@ impl SensorSim for TweetSensor {
 }
 
 /// A road-segment congestion probe.
-pub struct TrafficSensor {
+pub(crate) struct TrafficSensor {
     ad: SensorAdvertisement,
     congestion: BoundedWalk,
     road: String,
@@ -175,7 +169,7 @@ pub struct TrafficSensor {
 
 impl TrafficSensor {
     /// Build a probe for the named road segment.
-    pub fn new(
+    pub(crate) fn new(
         id: SensorId,
         name: &str,
         road: &str,
@@ -256,7 +250,7 @@ mod tests {
             Duration::from_secs(2),
             42,
         );
-        s.set_excitement(0.0);
+        s.excitement = 0.0;
         for i in 0..100 {
             let t = s.sample(Timestamp::from_secs(i * 2));
             assert_eq!(t.get("storm_related").unwrap(), &Value::Bool(false));
@@ -275,7 +269,7 @@ mod tests {
             Duration::from_secs(2),
             42,
         );
-        s.set_excitement(1.0);
+        s.excitement = 1.0;
         let t = s.sample(Timestamp::from_secs(0));
         assert_eq!(t.get("storm_related").unwrap(), &Value::Bool(true));
         let text = t.get("text").unwrap().as_str().unwrap().to_string();

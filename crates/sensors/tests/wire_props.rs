@@ -29,7 +29,7 @@ mod reference {
     use sl_sensors::WireFormat;
     use sl_stt::{AttrType, SchemaRef, SttError, SttMeta, Tuple, Value};
 
-    pub fn encode(format: WireFormat, tuple: &Tuple) -> Vec<u8> {
+    pub(crate) fn encode(format: WireFormat, tuple: &Tuple) -> Vec<u8> {
         let schema = tuple.schema();
         match format {
             WireFormat::Csv => {
@@ -66,7 +66,7 @@ mod reference {
         }
     }
 
-    pub fn csv_cell(v: &Value) -> String {
+    pub(crate) fn csv_cell(v: &Value) -> String {
         match v {
             Value::Null => String::new(),
             Value::Str(s) => {
@@ -110,7 +110,7 @@ mod reference {
         }
     }
 
-    pub fn decode_payload(
+    pub(crate) fn decode_payload(
         payload: &[u8],
         format: WireFormat,
         schema: &SchemaRef,
@@ -172,7 +172,7 @@ mod reference {
         Value::parse_as(cell, ty).unwrap_or(Value::Null)
     }
 
-    pub fn split_csv(line: &str) -> Vec<String> {
+    pub(crate) fn split_csv(line: &str) -> Vec<String> {
         let mut cells = Vec::new();
         let mut cur = String::new();
         let mut in_q = false;

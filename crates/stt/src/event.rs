@@ -12,7 +12,7 @@
 use crate::error::SttError;
 use crate::sgran::{SpatialGranularity, SpatialGranule};
 use crate::theme::Theme;
-use crate::time::{TemporalGranularity, TimeInterval, Timestamp};
+use crate::time::{TemporalGranularity, TimeInterval};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::fmt;
@@ -109,11 +109,6 @@ impl Event {
             theme: self.theme.clone(),
         })
     }
-
-    /// True if this event's granule overlaps the given timestamp.
-    pub fn covers_time(&self, t: Timestamp) -> bool {
-        self.time_interval().contains(t)
-    }
 }
 
 impl fmt::Display for Event {
@@ -131,6 +126,7 @@ mod tests {
     use super::*;
     use crate::schema::{AttrType, Field, Schema};
     use crate::space::GeoPoint;
+    use crate::time::Timestamp;
     use crate::tuple::{SensorId, SttMeta};
 
     fn sample_tuple(with_location: bool) -> Tuple {
@@ -163,7 +159,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(e.value, Value::Float(26.0));
-        assert!(e.covers_time(t.meta.timestamp));
+        assert!(e.time_interval().contains(t.meta.timestamp));
         assert_eq!(
             e.time_interval().start,
             Timestamp::from_civil(2016, 3, 15, 14, 0, 0)

@@ -13,7 +13,7 @@
 //!   dimension and its granularity lattice,
 //! * [`GeoPoint`] / [`CoordinateSystem`] / [`SpatialGranularity`] — the
 //!   spatial dimension, coordinate conversion and spatial granules,
-//! * [`Theme`] / [`ThemeTaxonomy`] — the thematic dimension,
+//! * [`Theme`] — the thematic dimension,
 //! * [`Unit`] / [`Quantity`] — units of measure and their conversions
 //!   (requirement §2: "changing the unit of measure"),
 //! * [`Event`] — the paper's *event* concept: "a value represented at a given
@@ -50,23 +50,23 @@
 //! ```
 #![warn(missing_docs)]
 
-pub mod error;
-pub mod event;
-pub mod schema;
-pub mod sgran;
-pub mod space;
-pub mod theme;
-pub mod time;
-pub mod tuple;
-pub mod units;
-pub mod value;
+mod error;
+mod event;
+mod schema;
+mod sgran;
+mod space;
+mod theme;
+mod time;
+mod tuple;
+mod units;
+mod value;
 
 pub use error::SttError;
 pub use event::Event;
 pub use schema::{AttrType, Field, Schema, SchemaRef};
 pub use sgran::{SpatialGranularity, SpatialGranule};
 pub use space::{BoundingBox, CoordinateSystem, GeoPoint};
-pub use theme::{Theme, ThemeTaxonomy};
+pub use theme::Theme;
 pub use time::{Duration, TemporalGranularity, TimeInterval, Timestamp};
 pub use tuple::{SensorId, SttMeta, Tuple};
 pub use units::{Quantity, Unit};

@@ -19,7 +19,7 @@ use crate::space::{BoundingBox, GeoPoint};
 use std::fmt;
 
 /// Maximum supported grid level (cell edge `1/2^20` degrees ≈ 10 cm).
-pub const MAX_GRID_LEVEL: u8 = 20;
+pub(crate) const MAX_GRID_LEVEL: u8 = 20;
 
 /// A spatial granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -11,7 +11,7 @@ use crate::error::SttError;
 use std::fmt;
 
 /// Mean Earth radius in metres (IUGG).
-pub const EARTH_RADIUS_M: f64 = 6_371_008.8;
+pub(crate) const EARTH_RADIUS_M: f64 = 6_371_008.8;
 
 /// A geographical position. Canonically stored as WGS84 latitude/longitude
 /// in degrees; other systems are converted on ingress.
@@ -241,7 +241,7 @@ mod tests {
     use super::*;
 
     /// Osaka city centre, used throughout the scenario tests.
-    pub fn osaka() -> GeoPoint {
+    pub(crate) fn osaka() -> GeoPoint {
         GeoPoint::new(34.6937, 135.5023).unwrap()
     }
 

@@ -1,4 +1,4 @@
-//! The thematic dimension: hierarchical theme paths and the theme taxonomy.
+//! The thematic dimension: hierarchical theme paths.
 //!
 //! Sensor data "are characterized both from the temporal, spatial and
 //! thematic dimensions" (paper §1) — data about traffic jams vs data about
@@ -8,7 +8,6 @@
 //! by theme.
 
 use crate::error::SttError;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -132,89 +131,6 @@ impl std::str::FromStr for Theme {
     }
 }
 
-/// A registry of known themes with descriptions — the vocabulary offered to
-/// users when organising sensors "according to different criteria
-/// (temporal/spatial, type/location)" (requirement §2).
-///
-/// The taxonomy is prefix-closed: registering `weather/rain/torrential`
-/// implicitly registers `weather` and `weather/rain`.
-#[derive(Debug, Default, Clone)]
-pub struct ThemeTaxonomy {
-    entries: BTreeMap<Theme, String>,
-}
-
-impl ThemeTaxonomy {
-    /// Empty taxonomy.
-    pub fn new() -> ThemeTaxonomy {
-        ThemeTaxonomy::default()
-    }
-
-    /// The default taxonomy for the paper's scenario: physical weather
-    /// phenomena, social streams and traffic.
-    pub fn standard() -> ThemeTaxonomy {
-        let mut t = ThemeTaxonomy::new();
-        for (path, desc) in [
-            ("weather/temperature", "air temperature measurements"),
-            ("weather/humidity", "relative humidity measurements"),
-            ("weather/rain", "precipitation measurements"),
-            ("weather/rain/torrential", "torrential rain events"),
-            ("weather/wind", "wind speed and direction"),
-            ("weather/pressure", "atmospheric pressure"),
-            ("weather/apparent_temperature", "perceived temperature"),
-            ("water/level", "sea and river water level"),
-            ("social/tweet", "geo-tagged microblog messages"),
-            ("traffic/congestion", "road congestion levels"),
-            ("traffic/accident", "accident reports"),
-            ("transit/train", "train schedule status"),
-            ("transit/flight", "flight schedule status"),
-        ] {
-            // Canonical literals, shared as they stand (as `unclassified`).
-            t.register(Theme { path: path.into() }, desc);
-        }
-        t
-    }
-
-    /// Register a theme (and, implicitly, all its ancestors).
-    pub fn register(&mut self, theme: Theme, description: &str) {
-        let mut ancestor = theme.parent();
-        while let Some(a) = ancestor {
-            self.entries.entry(a.clone()).or_default();
-            ancestor = a.parent();
-        }
-        self.entries.insert(theme, description.to_string());
-    }
-
-    /// True if the theme (or an ancestor prefix of it) is registered.
-    pub fn contains(&self, theme: &Theme) -> bool {
-        self.entries.contains_key(theme)
-    }
-
-    /// The description of a registered theme.
-    pub fn description(&self, theme: &Theme) -> Option<&str> {
-        self.entries.get(theme).map(String::as_str)
-    }
-
-    /// All registered themes under (and including) `root`, sorted.
-    pub fn subtree<'a>(&'a self, root: &'a Theme) -> impl Iterator<Item = &'a Theme> + 'a {
-        self.entries.keys().filter(move |t| t.is_a(root))
-    }
-
-    /// All registered themes, sorted.
-    pub fn all(&self) -> impl Iterator<Item = &Theme> {
-        self.entries.keys()
-    }
-
-    /// Number of registered themes.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no theme is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,49 +175,6 @@ mod tests {
         for same in [0, 3, 4] {
             assert_eq!(t.ancestor(same), t);
         }
-    }
-
-    #[test]
-    fn taxonomy_prefix_closed() {
-        let mut tax = ThemeTaxonomy::new();
-        tax.register(Theme::new("a/b/c").unwrap(), "leaf");
-        assert!(tax.contains(&Theme::new("a").unwrap()));
-        assert!(tax.contains(&Theme::new("a/b").unwrap()));
-        assert!(tax.contains(&Theme::new("a/b/c").unwrap()));
-        assert!(!tax.contains(&Theme::new("a/b/c/d").unwrap()));
-        assert_eq!(tax.len(), 3);
-    }
-
-    #[test]
-    fn standard_taxonomy_has_scenario_themes() {
-        let tax = ThemeTaxonomy::standard();
-        for path in [
-            "weather/temperature",
-            "weather/rain/torrential",
-            "social/tweet",
-            "traffic/congestion",
-        ] {
-            assert!(tax.contains(&Theme::new(path).unwrap()), "{path}");
-        }
-        // Every built-in path is already what `Theme::new` would make of it.
-        for theme in tax.entries.keys() {
-            assert_eq!(Theme::new(theme.as_str()).unwrap(), *theme);
-        }
-        let weather = Theme::new("weather").unwrap();
-        let under_weather: Vec<_> = tax.subtree(&weather).collect();
-        assert!(under_weather.len() >= 7);
-        assert!(under_weather.iter().all(|t| t.is_a(&weather)));
-    }
-
-    #[test]
-    fn descriptions() {
-        let tax = ThemeTaxonomy::standard();
-        assert_eq!(
-            tax.description(&Theme::new("social/tweet").unwrap()),
-            Some("geo-tagged microblog messages")
-        );
-        // Implicit ancestors have empty descriptions.
-        assert_eq!(tax.description(&Theme::new("social").unwrap()), Some(""));
     }
 
     #[test]

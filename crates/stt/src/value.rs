@@ -56,19 +56,6 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// True if this value is acceptable where `ty` is expected.
-    ///
-    /// Null matches every type, and `Int` is accepted where `Float` is
-    /// expected (the widening coercion applied implicitly throughout the
-    /// expression language).
-    pub fn conforms_to(&self, ty: AttrType) -> bool {
-        match (self, ty) {
-            (Value::Null, _) => true,
-            (Value::Int(_), AttrType::Float) => true,
-            (v, t) => v.attr_type() == Some(t),
-        }
-    }
-
     /// Numeric view of the value: `Int` and `Float` map to `f64`, `Bool`
     /// maps to 0.0/1.0, `Time` maps to its epoch-milliseconds.
     ///
@@ -93,17 +80,6 @@ impl Value {
             Value::Bool(b) => Ok(i64::from(*b)),
             other => Err(SttError::TypeMismatch {
                 expected: "Int".into(),
-                found: other.type_name().into(),
-            }),
-        }
-    }
-
-    /// Boolean view of the value.
-    pub fn as_bool(&self) -> Result<bool, SttError> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(SttError::TypeMismatch {
-                expected: "Bool".into(),
                 found: other.type_name().into(),
             }),
         }
@@ -341,19 +317,6 @@ mod tests {
             Value::Time(Timestamp::from_millis(0)).attr_type(),
             Some(AttrType::Time)
         );
-    }
-
-    #[test]
-    fn null_conforms_to_everything() {
-        for ty in AttrType::ALL {
-            assert!(Value::Null.conforms_to(ty), "{ty:?}");
-        }
-    }
-
-    #[test]
-    fn int_widens_to_float() {
-        assert!(Value::Int(3).conforms_to(AttrType::Float));
-        assert!(!Value::Float(3.0).conforms_to(AttrType::Int));
     }
 
     #[test]

@@ -9,17 +9,17 @@
 //! * a **temporal index** (B-tree over hour granules),
 //! * a **spatial index** (grid cells at a configurable granularity),
 //! * a **theme index** (prefix-matching over the theme hierarchy),
-//! * [`query`] — index-backed selection with a brute-force reference
+//! * [`EventQuery`] — index-backed selection with a brute-force reference
 //!   implementation for property testing,
-//! * [`cube`] — multigranular STT roll-ups (count/avg/sum/min/max per
+//! * [`CubeQuery`] — multigranular STT roll-ups (count/avg/sum/min/max per
 //!   coarser space–time–theme cell).
 //!
 //! [`Event`]: sl_stt::Event
 
-pub mod cube;
-pub mod query;
-pub mod store;
-pub mod viz;
+mod cube;
+mod query;
+mod store;
+mod viz;
 
 pub use cube::{
     cell_slot, numeric_value, CellAcc, CellKey, CellMap, CellSlot, CubeCell, CubeQuery,

@@ -241,18 +241,6 @@ impl EventWarehouse {
         self.segments.iter().flatten().flatten()
     }
 
-    /// Time range `(min, max)` of stored events' interval starts.
-    pub fn time_range(&self) -> Option<(Timestamp, Timestamp)> {
-        let mut min = None;
-        let mut max = None;
-        for e in self.iter() {
-            let s = e.time_interval().start;
-            min = Some(min.map_or(s, |m: Timestamp| m.min(s)));
-            max = Some(max.map_or(s, |m: Timestamp| m.max(s)));
-        }
-        min.zip(max)
-    }
-
     pub(crate) fn note_query(&self) {
         self.queries.set(self.queries.get() + 1);
     }
@@ -381,8 +369,6 @@ mod tests {
         assert_eq!(w.len(), 10);
         assert_eq!(w.iter().count(), 10);
         assert!(!w.is_empty());
-        let (min, max) = w.time_range().unwrap();
-        assert!(min < max);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 #   scripts/check.sh --fast   # the PR loop: release build, `cargo test -q`
 #                             # (every package's unit, integration and doc
 #                             # tests), fmt, clippy -D warnings (also the
-#                             # panic ban), rustdoc -D warnings
+#                             # panic ban and `unreachable_pub`), rustdoc
+#                             # -D warnings (the root and every library crate)
 #   scripts/check.sh          # the fast tier, then:
 #     - no durable scratch dir leaked under $TMPDIR;
 #     - the panic-ban guard: no clippy.toml outside the root, no
@@ -20,7 +21,9 @@
 #       and no `fn walk_frames` in non-test crates/durable/src), one glob
 #       matcher, no experiment crate, one-index hot queries, declared
 #       instruments, counters live with what they count (no name-keyed
-#       counter slots in crates/engine/src or src/);
+#       counter slots in crates/engine/src or src/), each crate names its
+#       API (a `pub mod` in a crate's lib.rs is one of the 16 that another
+#       crate, a test, an example or benchmark/ reaches by path);
 #     - the chaos_recovery, durable_edw and continuous_dashboard examples;
 #     - benchmark/: build, `run.sh --smoke` and its own tests
 #       (benchmark/Cargo.lock restored), then the smoke's five run digests
@@ -52,9 +55,11 @@ cargo fmt --check
 # the root Cargo.toml denies `unwrap_used` and `expect_used` in every
 # first-party library package, and the root clippy.toml lets tests through.
 cargo clippy --workspace --all-targets -- -D warnings
-# The root package only, as before `default-members`: its `sl-lint` binary
-# and the `sl_lint` library would otherwise write the same doc directory.
+# The root package on its own: its `sl-lint` binary and the `sl_lint`
+# library would otherwise write the same doc directory in one run. Then the
+# library crates, whose docs may link only to what they export.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p streamloader
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps $(printf -- '-p sl-%s ' $(ls crates))
 
 if [ "$FAST" = 1 ]; then
     echo "check.sh: fast tier green"
@@ -274,6 +279,26 @@ for f in $(find crates/engine/src src -name '*.rs'); do
         echo "check.sh: a name-keyed counter slot in non-test $f" >&2
         exit 1
     fi
+done
+
+# Owner grep: each crate names its API. A crate's lib.rs keeps its modules
+# private and re-exports what the system uses, so `unreachable_pub` (root
+# Cargo.toml) flags a `pub` item no exported path reaches and `dead_code`
+# sees it unused. The modules below stay public because another crate, a
+# test, an example or benchmark/ reaches into them by path; a new one
+# needs that reason.
+public_mods="dsn/ast dsn/printer dsn/validate durable/codec durable/compact engine/shard
+expr/functions expr/lexer lint/deployfile obs/json obs/text pubsub/enrich pubsub/registry
+sensors/gen sensors/physical sensors/scenario"
+for lib in crates/*/src/lib.rs; do
+    crate=$(basename "$(dirname "$(dirname "$lib")")")
+    for m in $(sed -nE 's/^[[:space:]]*pub mod ([a-z0-9_]+).*/\1/p' "$lib"); do
+        case " $(echo $public_mods) " in
+            *" $crate/$m "*) ;;
+            *) echo "check.sh: $lib: pub mod $m is not one of the exported modules" >&2
+               exit 1 ;;
+        esac
+    done
 done
 
 # Recovery end to end, each asserting what it restored: a node crash

@@ -234,7 +234,7 @@ mod reference_expr {
     use streamloader::stt::Value;
 
     /// Tokenise the whole source string.
-    pub fn tokenize(src: &str) -> Result<Vec<Token>, ExprError> {
+    pub(crate) fn tokenize(src: &str) -> Result<Vec<Token>, ExprError> {
         let bytes = src.as_bytes();
         let mut tokens = Vec::new();
         let mut i = 0;
@@ -463,7 +463,7 @@ mod reference_expr {
     }
 
     /// Parse a complete expression; trailing tokens are an error.
-    pub fn parse(src: &str) -> Result<Expr, ExprError> {
+    pub(crate) fn parse(src: &str) -> Result<Expr, ExprError> {
         let tokens = tokenize(src)?;
         let mut p = Parser {
             tokens,
@@ -700,7 +700,7 @@ mod reference_dsn {
     };
 
     /// Parse a DSN document from text.
-    pub fn parse_document(src: &str) -> Result<DsnDocument, DsnError> {
+    pub(crate) fn parse_document(src: &str) -> Result<DsnDocument, DsnError> {
         let mut c = Cursor::new(src);
         c.skip_ws();
         c.expect_word("dsn")?;
@@ -1050,7 +1050,7 @@ mod reference_dsn {
 
     /// Parse a DSN filter expression (the inverse of
     /// [`sl_dsn::printer::print_filter`]).
-    pub fn parse_filter(v: &str, line: usize) -> Result<SubscriptionFilter, DsnError> {
+    pub(crate) fn parse_filter(v: &str, line: usize) -> Result<SubscriptionFilter, DsnError> {
         let v = v.trim();
         if v == "any" {
             return Ok(SubscriptionFilter::any());
@@ -1092,7 +1092,7 @@ mod reference_dsn {
     }
 
     /// Parse a QoS value (the inverse of [`sl_dsn::printer::print_qos`]).
-    pub fn parse_qos(v: &str, line: usize) -> Result<QosSpec, DsnError> {
+    pub(crate) fn parse_qos(v: &str, line: usize) -> Result<QosSpec, DsnError> {
         let v = v.trim();
         if v == "best-effort" {
             return Ok(QosSpec::best_effort());
@@ -1258,7 +1258,7 @@ mod reference_json {
     use streamloader::obs::json::{Json, ParseError};
 
     /// Parse a complete JSON document (rejects trailing garbage).
-    pub fn parse(input: &str) -> Result<Json, ParseError> {
+    pub(crate) fn parse(input: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
