@@ -6,7 +6,7 @@ use sl_netsim::QosSpec;
 use sl_ops::OpSpec;
 use sl_pubsub::SubscriptionFilter;
 use sl_stt::SchemaRef;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// What a node is.
 #[derive(Debug, Clone)]
@@ -65,7 +65,7 @@ pub struct Dataflow {
     /// Dataflow name.
     pub name: String,
     nodes: Vec<DfNode>,
-    qos: HashMap<(String, String), QosSpec>,
+    qos: BTreeMap<(String, String), QosSpec>,
 }
 
 impl Dataflow {
@@ -74,7 +74,7 @@ impl Dataflow {
         Dataflow {
             name: name.to_string(),
             nodes: Vec::new(),
-            qos: HashMap::new(),
+            qos: BTreeMap::new(),
         }
     }
 
@@ -157,7 +157,7 @@ impl Dataflow {
             .unwrap_or_default()
     }
 
-    /// All declared QoS entries.
+    /// All declared QoS entries, in `(from, to)` order.
     pub fn qos_entries(&self) -> impl Iterator<Item = (&(String, String), &QosSpec)> {
         self.qos.iter()
     }
@@ -361,5 +361,20 @@ mod tests {
         // Removing the consumer clears the QoS entry.
         df.remove_node("f").unwrap();
         assert_eq!(df.qos_entries().count(), 0);
+    }
+
+    #[test]
+    fn the_same_flow_lists_its_channels_in_key_order_every_time() {
+        for _ in 0..8 {
+            let mut df = Dataflow::new("t");
+            df.add_node(source("s")).unwrap();
+            for name in ["c", "a", "b"] {
+                df.add_node(filter(name, "s")).unwrap();
+                let q = QosSpec::best_effort().with_min_bandwidth(5);
+                df.set_qos("s", name, q).unwrap();
+            }
+            let keys: Vec<_> = df.qos_entries().map(|(k, _)| k.1.as_str()).collect();
+            assert_eq!(keys, ["a", "b", "c"]);
+        }
     }
 }

@@ -44,10 +44,8 @@ pub fn to_dsn(df: &Dataflow) -> DsnDocument {
             }
         }
     }
-    // Channels, sorted for deterministic output.
-    let mut entries: Vec<_> = df.qos_entries().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    for ((from, to), qos) in entries {
+    // Channels, in key order.
+    for ((from, to), qos) in df.qos_entries() {
         doc.channels.push(ChannelDecl {
             from: from.clone(),
             to: to.clone(),

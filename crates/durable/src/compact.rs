@@ -43,43 +43,32 @@
 
 use sl_stt::Duration;
 
+/// Merge only runs of at least this many adjacent same-generation sealed
+/// segments (amortises the rewrite).
+const MIN_INPUTS: usize = 4;
+/// Merge at most this many segments per run (bounds pause time).
+const MAX_INPUTS: usize = 16;
+/// Only segments at or under this size are merge candidates — the size
+/// tier: each generation's output grows past it and eventually stops being
+/// picked up.
+const SMALL_BYTES: u64 = 4 * 1024 * 1024;
+
 /// When and what to compact. Carried by
 /// [`DurableConfig::compaction`](crate::DurableConfig::compaction);
 /// evaluated at every engine monitor tick (like retention eviction) and on
 /// explicit `compact_now` calls.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CompactionPolicy {
     /// Master switch. Off by default: compaction rewrites files, and a
     /// deployment must opt into that (lint SL092 flags retention-bearing
     /// durable deployments that forget to).
     pub enabled: bool,
-    /// Merge only runs of at least this many adjacent same-generation
-    /// sealed segments (amortises the rewrite).
-    pub min_inputs: usize,
-    /// Merge at most this many segments per run (bounds pause time).
-    pub max_inputs: usize,
-    /// Only segments at or under this size are merge candidates — the
-    /// size-tiered knob: each generation's output grows past it and
-    /// eventually stops being picked up.
-    pub small_bytes: u64,
     /// Age bound of the *cold* tier: compaction permanently drops cold
     /// events whose interval ended before `now - cold_retention`. `None`
     /// keeps cold events forever (and preserves byte-identical queries
     /// across compaction). Distinct from the engine's `retention`, which
     /// decides when events leave the *hot* tier.
     pub cold_retention: Option<Duration>,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> CompactionPolicy {
-        CompactionPolicy {
-            enabled: false,
-            min_inputs: 4,
-            max_inputs: 16,
-            small_bytes: 4 * 1024 * 1024,
-            cold_retention: None,
-        }
-    }
 }
 
 impl CompactionPolicy {
@@ -89,13 +78,6 @@ impl CompactionPolicy {
             enabled: true,
             ..CompactionPolicy::default()
         }
-    }
-
-    /// Replace the merge-run bounds.
-    pub fn with_inputs(mut self, min: usize, max: usize) -> CompactionPolicy {
-        self.min_inputs = min.max(2);
-        self.max_inputs = max.max(self.min_inputs);
-        self
     }
 
     /// Bound the cold tier's age.
@@ -134,27 +116,27 @@ pub struct MergeRun {
     pub inputs: usize,
 }
 
-/// Pick the next merge under `policy`: the earliest run of at least
-/// `min_inputs` adjacent sealed segments sharing the lowest qualifying
-/// generation, each at or under `small_bytes`. Returns `None` when nothing
+/// Pick the next merge: the earliest run of at least four (and at most
+/// sixteen) adjacent sealed segments sharing the lowest qualifying
+/// generation, each at or under 4 MiB. Returns `None` when nothing
 /// qualifies (steady state).
-pub fn plan(sealed: &[SegmentMeta], policy: &CompactionPolicy) -> Option<MergeRun> {
+pub fn plan(sealed: &[SegmentMeta]) -> Option<MergeRun> {
     let mut gens: Vec<u32> = sealed.iter().map(|m| m.generation).collect();
     gens.sort_unstable();
     gens.dedup();
     for g in gens {
         let mut i = 0;
         while i < sealed.len() {
-            let eligible = |m: &SegmentMeta| m.generation == g && m.bytes <= policy.small_bytes;
+            let eligible = |m: &SegmentMeta| m.generation == g && m.bytes <= SMALL_BYTES;
             if !eligible(&sealed[i]) {
                 i += 1;
                 continue;
             }
             let mut j = i + 1;
-            while j < sealed.len() && j - i < policy.max_inputs && eligible(&sealed[j]) {
+            while j < sealed.len() && j - i < MAX_INPUTS && eligible(&sealed[j]) {
                 j += 1;
             }
-            if j - i >= policy.min_inputs.max(2) {
+            if j - i >= MIN_INPUTS {
                 return Some(MergeRun {
                     first: sealed[i].first,
                     last: sealed[j - 1].last,
@@ -225,14 +207,6 @@ mod tests {
 
     use super::*;
 
-    impl CompactionPolicy {
-        /// Replace the size-tier bound.
-        pub(crate) fn with_small_bytes(mut self, bytes: u64) -> CompactionPolicy {
-            self.small_bytes = bytes;
-            self
-        }
-    }
-
     fn meta(first: u32, generation: u32, bytes: u64) -> SegmentMeta {
         SegmentMeta {
             first,
@@ -245,62 +219,60 @@ mod tests {
 
     #[test]
     fn plans_earliest_qualifying_run() {
-        let policy = CompactionPolicy::enabled().with_inputs(3, 8);
-        let sealed = vec![
-            meta(1, 0, 100),
-            meta(2, 0, 100),
-            meta(3, 0, 100),
-            meta(4, 0, 100),
-        ];
-        let run = plan(&sealed, &policy).unwrap();
+        let sealed: Vec<_> = (1..=MIN_INPUTS as u32).map(|n| meta(n, 0, 100)).collect();
+        let run = plan(&sealed).unwrap();
         assert_eq!(
             (run.first, run.last, run.generation, run.inputs),
             (1, 4, 1, 4)
+        );
+        assert_eq!(
+            plan(&sealed[..MIN_INPUTS - 1]),
+            None,
+            "one short of the minimum"
         );
     }
 
     #[test]
     fn short_runs_and_big_segments_do_not_qualify() {
-        let policy = CompactionPolicy::enabled()
-            .with_inputs(3, 8)
-            .with_small_bytes(500);
-        // A big segment splits the run: two short runs remain.
-        let sealed = vec![
-            meta(1, 0, 100),
-            meta(2, 0, 100),
-            meta(3, 0, 9_000),
-            meta(4, 0, 100),
-            meta(5, 0, 100),
-        ];
-        assert_eq!(plan(&sealed, &policy), None);
+        // A segment just over the size tier splits the run: two runs of
+        // three remain, each one short of the minimum.
+        let mut sealed: Vec<_> = (1..=7).map(|n| meta(n, 0, 100)).collect();
+        sealed[3].bytes = SMALL_BYTES + 1;
+        assert_eq!(plan(&sealed), None);
+        // At the bound itself the segment is still small: one run of seven.
+        sealed[3].bytes = SMALL_BYTES;
+        let run = plan(&sealed).unwrap();
+        assert_eq!((run.first, run.last, run.inputs), (1, 7, 7));
     }
 
     #[test]
     fn lower_generations_are_preferred_and_tiers_stack() {
-        let policy = CompactionPolicy::enabled().with_inputs(2, 8);
-        // A gen-1 product followed by fresh gen-0 segments: the gen-0 run
-        // is merged first (lowest qualifying generation).
-        let sealed = vec![
-            SegmentMeta {
-                first: 1,
-                last: 4,
+        // A qualifying gen-1 run followed by fresh gen-0 segments: the
+        // gen-0 run is merged first (lowest qualifying generation).
+        let mut sealed: Vec<_> = (0..4)
+            .map(|k| SegmentMeta {
+                first: 4 * k + 1,
+                last: 4 * k + 4,
                 generation: 1,
                 bytes: 400,
                 frames: 40,
-            },
-            meta(5, 0, 100),
-            meta(6, 0, 100),
-        ];
-        let run = plan(&sealed, &policy).unwrap();
-        assert_eq!((run.first, run.last, run.generation), (5, 6, 1));
+            })
+            .collect();
+        sealed.extend((17..=20).map(|n| meta(n, 0, 100)));
+        let run = plan(&sealed).unwrap();
+        assert_eq!((run.first, run.last, run.generation), (17, 20, 1));
+        // Once the gen-0 run is gone, the gen-1 run stacks into gen 2.
+        let run = plan(&sealed[..4]).unwrap();
+        assert_eq!((run.first, run.last, run.generation), (1, 16, 2));
     }
 
     #[test]
     fn max_inputs_bounds_the_run() {
-        let policy = CompactionPolicy::enabled().with_inputs(2, 3);
-        let sealed: Vec<_> = (1..=6).map(|n| meta(n, 0, 100)).collect();
-        let run = plan(&sealed, &policy).unwrap();
-        assert_eq!((run.first, run.last, run.inputs), (1, 3, 3));
+        let sealed: Vec<_> = (1..=2 * MAX_INPUTS as u32)
+            .map(|n| meta(n, 0, 100))
+            .collect();
+        let run = plan(&sealed).unwrap();
+        assert_eq!((run.first, run.last, run.inputs), (1, 16, 16));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! cold queries skip whole index blocks without decoding a single frame.
 //!
 //! Every segment already carries a sparse *time* index (min/max event time
-//! per block of [`DurableConfig::index_every`] frames, rebuilt from the
-//! recovery scan — see [`crate::SegmentLog`]). Compaction adds the second
+//! per block of 64 frames, rebuilt from the recovery scan — see
+//! [`crate::SegmentLog`]). Compaction adds the second
 //! dimension: a [`ThemeFilter`] per block, a small bloom-style summary over
 //! every *ancestor prefix* of every stored event's theme path. A query
 //! constrained to theme `t` matches an event `e` iff `t` is a prefix of
@@ -24,8 +24,6 @@
 //! set cannot answer "does any stored extent intersect this box", so area
 //! pruning would be unsound. Time and theme carry the selectivity in the
 //! paper's workloads.
-//!
-//! [`DurableConfig::index_every`]: crate::DurableConfig::index_every
 
 use sl_stt::{Theme, TimeInterval};
 

@@ -66,6 +66,8 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 5] = b"SLDUR";
 /// Full header: magic, codec version, two reserved bytes.
 const HEADER_LEN: u64 = 8;
+/// Sparse time index stride: one index block per this many frames.
+const INDEX_EVERY: u32 = 64;
 
 /// When to force written frames onto stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,21 +89,18 @@ pub struct DurableConfig {
     pub fsync: FsyncPolicy,
     /// Seal the active segment when it exceeds this many bytes.
     pub segment_max_bytes: u64,
-    /// Sparse time index stride: one index block per this many frames.
-    pub index_every: u32,
     /// Background storage maintenance: when and what to compact.
     pub compaction: CompactionPolicy,
 }
 
 impl DurableConfig {
     /// Defaults rooted at `dir`: fsync every write (the safe default),
-    /// 1 MiB segments, an index block every 64 frames, compaction off.
+    /// 1 MiB segments, compaction off.
     pub fn at(dir: impl Into<PathBuf>) -> DurableConfig {
         DurableConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::Always,
             segment_max_bytes: 1024 * 1024,
-            index_every: 64,
             compaction: CompactionPolicy::default(),
         }
     }
@@ -263,14 +262,8 @@ impl Segment {
     }
 
     /// Record one appended frame in the sparse index.
-    fn note_frame(
-        &mut self,
-        consumed: u64,
-        time: Option<(i64, i64)>,
-        theme: Option<&Theme>,
-        index_every: u32,
-    ) {
-        if self.frames.is_multiple_of(index_every.max(1)) {
+    fn note_frame(&mut self, consumed: u64, time: Option<(i64, i64)>, theme: Option<&Theme>) {
+        if self.frames.is_multiple_of(INDEX_EVERY) {
             self.blocks
                 .push(IndexBlock::at(self.bytes, self.generation > 0));
         }
@@ -425,7 +418,7 @@ impl SegmentLog {
         let mut segments = Vec::new();
         let mut refs = refs.into_iter();
         for r in refs.by_ref() {
-            let (seg, clean) = recover_segment(&r, &config, &mut reader, &mut report, &mut visit)?;
+            let (seg, clean) = recover_segment(&r, &mut reader, &mut report, &mut visit)?;
             segments.push(seg);
             if !clean {
                 break;
@@ -543,7 +536,6 @@ impl SegmentLog {
         }
 
         self.active.write_all(&self.frame)?;
-        let index_every = self.config.index_every;
         let pos = {
             let seg = self.active_segment()?;
             let pos = LogPos {
@@ -553,7 +545,7 @@ impl SegmentLog {
             // The active segment is generation 0, so no theme filter is
             // maintained here: summaries are computed at compaction time,
             // off the append path.
-            seg.note_frame(framed, time, None, index_every);
+            seg.note_frame(framed, time, None);
             pos
         };
         self.last_pos = Some(pos);
@@ -735,7 +727,6 @@ impl SegmentLog {
             seg: Segment::fresh(first, last, generation, path),
             out: BufWriter::with_capacity(PRODUCT_BUFFER_BYTES, file),
             tmp: Unpublished(tmp.into()),
-            index_every: self.config.index_every,
             frame: Vec::new(),
         };
         product.out.write_all(&header_bytes())?;
@@ -811,7 +802,6 @@ pub(crate) struct ProductWriter {
     seg: Segment,
     out: BufWriter<File>,
     tmp: Unpublished,
-    index_every: u32,
     frame: Vec<u8>,
 }
 
@@ -825,12 +815,8 @@ impl ProductWriter {
             segment: self.seg.number,
             frame: self.seg.frames,
         };
-        self.seg.note_frame(
-            consumed,
-            record_time(rec),
-            record_theme(rec),
-            self.index_every,
-        );
+        self.seg
+            .note_frame(consumed, record_time(rec), record_theme(rec));
         Ok(pos)
     }
 }
@@ -1133,7 +1119,6 @@ fn create_segment(dir: &Path, number: u32) -> Result<PathBuf, DurableError> {
 /// in-memory segment and whether the file was clean (nothing truncated).
 fn recover_segment(
     r: &SegRef,
-    config: &DurableConfig,
     reader: &mut BlockReader,
     report: &mut RecoveryReport,
     visit: &mut impl FnMut(LogPos, Record),
@@ -1144,12 +1129,7 @@ fn recover_segment(
             segment: r.first,
             frame: seg.frames,
         };
-        seg.note_frame(
-            consumed,
-            record_time(&rec),
-            record_theme(&rec),
-            config.index_every,
-        );
+        seg.note_frame(consumed, record_time(&rec), record_theme(&rec));
         match &rec {
             Record::Event(_) => report.events += 1,
             Record::Checkpoint { .. } | Record::CheckpointDelta { .. } => report.checkpoints += 1,
@@ -1327,17 +1307,18 @@ mod tests {
     #[test]
     fn time_pruned_scan_matches_full_scan() {
         let dir = TempDir::new("log-index").unwrap();
-        let config = DurableConfig {
-            index_every: 4,
-            ..cfg(&dir).with_segment_max_bytes(512)
-        };
+        // Segments of several index blocks each, so blocks are pruned both
+        // across and within segments.
+        let config = cfg(&dir).with_segment_max_bytes(16 * 1024);
         let (mut log, _, _) = SegmentLog::open(config).unwrap();
-        for m in 0..200 {
+        for m in 0..1000 {
             log.append(&event(m)).unwrap();
         }
+        assert!(log.segment_count() > 1);
+        assert!(log.segments[0].blocks.len() > 1);
         let range = TimeInterval::new(
-            Timestamp::from_millis(50 * 60_000),
-            Timestamp::from_millis(60 * 60_000),
+            Timestamp::from_millis(500 * 60_000),
+            Timestamp::from_millis(510 * 60_000),
         );
         let full: Vec<i64> = log
             .scan()
@@ -1366,10 +1347,7 @@ mod tests {
     fn broken_grammar_in_a_rejected_frame_still_fails_the_scan() {
         use crate::codec::crc32;
         let dir = TempDir::new("log-rejected-corrupt").unwrap();
-        let config = DurableConfig {
-            index_every: 4,
-            ..cfg(&dir).with_segment_max_bytes(512)
-        };
+        let config = cfg(&dir).with_segment_max_bytes(512);
         let (mut log, _, _) = SegmentLog::open(config).unwrap();
         for m in 0..40 {
             log.append(&event(m)).unwrap();
@@ -1482,12 +1460,11 @@ mod tests {
     #[test]
     fn replace_segments_round_trips_and_prunes_by_theme() {
         let dir = TempDir::new("log-replace").unwrap();
-        let config = DurableConfig {
-            index_every: 4,
-            ..cfg(&dir).with_segment_max_bytes(400)
-        };
+        let config = cfg(&dir).with_segment_max_bytes(400);
         let (mut log, _, _) = SegmentLog::open(config.clone()).unwrap();
-        for m in 0..60 {
+        // Enough records that the merged segment spans several index blocks.
+        const N: usize = 300;
+        for m in 0..N as i64 {
             let theme = if m % 2 == 0 {
                 "weather/rain"
             } else {
@@ -1517,6 +1494,7 @@ mod tests {
             .map(|(_, r)| format!("{r:?}"))
             .collect();
         assert_eq!(before, after, "record sequence survives the merge");
+        assert!(log.segments[0].blocks.len() > 1);
 
         // Theme pruning: a scan for an absent theme skips every block of
         // the compacted segment. The generation-0 active segment carries no
@@ -1553,7 +1531,7 @@ mod tests {
         drop(log);
         let (mut log, recs, report) = SegmentLog::open(config).unwrap();
         assert!(!report.lossy());
-        assert_eq!(recs.len(), 60);
+        assert_eq!(recs.len(), N);
         assert_only_segment_files(dir.path());
         let reopened: Vec<String> = log
             .scan()

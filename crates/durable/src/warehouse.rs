@@ -296,7 +296,7 @@ impl DurableWarehouse {
         if !policy.enabled {
             return Ok(None);
         }
-        match compact::plan(&self.log.sealed_metas(), &policy) {
+        match compact::plan(&self.log.sealed_metas()) {
             Some(run) => self.run_compaction(run, &policy, now).map(Some),
             None => Ok(None),
         }
@@ -1062,16 +1062,17 @@ mod tests {
         assert!(dw.maybe_compact(minutes(100)).unwrap().is_none());
         drop(dw);
 
-        // Enabled with a 2-segment minimum: the next tick merges.
+        // Enabled: a run of at least four small sealed segments merges on
+        // the next tick.
         let config = DurableConfig::at(dir.path())
             .with_segment_max_bytes(300)
-            .with_compaction(CompactionPolicy::enabled().with_inputs(2, 8));
+            .with_compaction(CompactionPolicy::enabled());
         let mut dw = DurableWarehouse::open(config).unwrap();
         assert!(dw.compaction_enabled());
         let segments = dw.segment_count();
-        assert!(segments >= 3);
+        assert!(segments >= 5, "four sealed segments under the active one");
         let stats = dw.maybe_compact(minutes(100)).unwrap().unwrap();
-        assert!(stats.segments_in >= 2);
+        assert!(stats.segments_in >= 4);
         assert_eq!(stats.generation, 1);
         assert!(dw.segment_count() < segments);
         let snap = dw.metrics_snapshot();
@@ -1105,12 +1106,9 @@ mod tests {
             (0, Tuple::new(schema, vec![Value::Str(text)], meta).unwrap())
         };
         let dir = TempDir::new("dw-big-fold").unwrap();
-        let policy = CompactionPolicy::enabled()
-            .with_inputs(2, 16)
-            .with_small_bytes(64 << 20);
         let config = DurableConfig::at(dir.path())
             .with_segment_max_bytes(1 << 20)
-            .with_compaction(policy);
+            .with_compaction(CompactionPolicy::enabled());
         let mut dw = DurableWarehouse::open(config.clone()).unwrap();
         let (base, appended) = (big(1), big(2));
         let mut delta = CheckpointDelta {

@@ -144,7 +144,7 @@ fn frame_kinds(dir: &Path, service: &str) -> String {
 #[test]
 fn a_run_that_straddles_a_base_or_holds_only_deltas_folds_the_same() {
     let dir = TempDir::new("ckpt-compact").unwrap();
-    let policy = CompactionPolicy::enabled().with_inputs(2, 16);
+    let policy = CompactionPolicy::enabled();
     let config = || small_config(dir.path(), policy.clone());
     let mut model: BTreeMap<(String, String), OpCheckpoint> = BTreeMap::new();
     let mut log = |dw: &mut DurableWarehouse, service: &str, d: CheckpointDelta| {
@@ -220,12 +220,12 @@ proptest! {
                 Just((2u8, 0, false, 0, 0)), // policy compaction
                 Just((3u8, 0, false, 0, 0)), // forced full merge
             ],
-            1..80,
+            40..240,
         ),
     ) {
         let dir_c = TempDir::new("ckpt-prop-compact").unwrap();
         let dir_p = TempDir::new("ckpt-prop-plain").unwrap();
-        let policy = CompactionPolicy::enabled().with_inputs(2, 4);
+        let policy = CompactionPolicy::enabled();
         let mut compacting = DurableWarehouse::open(small_config(dir_c.path(), policy.clone())).unwrap();
         let mut plain = DurableWarehouse::open(small_config(dir_p.path(), policy.clone())).unwrap();
         let now = Timestamp::from_secs(0);

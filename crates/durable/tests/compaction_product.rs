@@ -59,9 +59,7 @@ fn tuple(v: i64) -> Tuple {
 }
 
 fn policy() -> CompactionPolicy {
-    CompactionPolicy::enabled()
-        .with_inputs(2, 4)
-        .with_cold_retention(Duration::from_mins(60))
+    CompactionPolicy::enabled().with_cold_retention(Duration::from_mins(60))
 }
 
 fn config(dir: &Path) -> DurableConfig {
@@ -308,7 +306,7 @@ proptest! {
 
     #[test]
     fn the_streamed_product_is_the_materialized_product(
-        ops in proptest::collection::vec(arb_op(), 1..80),
+        ops in proptest::collection::vec(arb_op(), 40..240),
     ) {
         let dir = TempDir::new("cproduct").unwrap();
         let mut dw = DurableWarehouse::open(config(dir.path())).unwrap();
@@ -344,7 +342,7 @@ proptest! {
                     let planned = if *forced {
                         compact::plan_forced(&metas)
                     } else {
-                        compact::plan(&metas, &policy())
+                        compact::plan(&metas)
                     };
                     let got = if *forced {
                         dw.compact_now(minutes(*now)).unwrap()

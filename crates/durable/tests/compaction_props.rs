@@ -168,6 +168,13 @@ fn pruners() -> Vec<Pruner> {
     ]
 }
 
+/// The predicate-scan logs: segments of a few index blocks each.
+fn predicate_config(dir: &Path) -> DurableConfig {
+    small_config(dir)
+        .with_fsync(FsyncPolicy::OnSeal)
+        .with_segment_max_bytes(6 * 1024)
+}
+
 /// A predicate that reads both of its arguments and splits every block.
 fn keep(pos: LogPos, rec: &Record) -> bool {
     match rec {
@@ -181,12 +188,11 @@ fn keep(pos: LogPos, rec: &Record) -> bool {
 /// the collected scan would — positions and order included — on two passes
 /// over the same log.
 fn check_predicate_scans(dir: &Path) {
-    let config = DurableConfig {
-        index_every: 4,
-        ..small_config(dir)
-    };
-    let (mut log, _, report) = SegmentLog::open(config).unwrap();
+    let (mut log, _, report) = SegmentLog::open(predicate_config(dir)).unwrap();
     assert!(!report.lossy());
+    // Index blocks hold 64 frames: a sealed segment longer than one block
+    // splits blocks inside a segment, not only at segment boundaries.
+    assert!(log.sealed_metas().iter().any(|m| m.frames > 64));
     for pruner in &pruners() {
         for pass in 0..2 {
             let encoded = |records: Vec<(LogPos, Record)>| -> Vec<(LogPos, Vec<u8>)> {
@@ -226,11 +232,11 @@ proptest! {
                 ]).prop_map(|(m, t)| (0u8, m, t)),
                 (0i64..240).prop_map(|m| (1u8, m, "")),
             ],
-            64..120,
+            400..500,
         ),
     ) {
         let dir = TempDir::new("cprop-keep").unwrap();
-        let config = small_config(dir.path()).with_fsync(FsyncPolicy::OnSeal);
+        let config = predicate_config(dir.path());
         {
             let mut w = DurableWarehouse::open(config.clone()).unwrap();
             for (op, m, theme) in &ops {

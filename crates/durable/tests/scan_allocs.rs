@@ -43,7 +43,7 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Frames per index block under the default `DurableConfig::index_every`.
+/// Frames per index block (the log's fixed index stride).
 const BLOCK_FRAMES: u32 = 64;
 
 #[test]
@@ -52,7 +52,6 @@ fn a_query_matching_nothing_allocates_less_than_once_per_visited_block() {
     let config = DurableConfig::at(dir.path())
         .with_fsync(FsyncPolicy::OnSeal)
         .with_segment_max_bytes(16 * 1024);
-    assert_eq!(config.index_every, BLOCK_FRAMES);
     let mut dw = DurableWarehouse::open(config).unwrap();
     let osaka = SpatialGranularity::grid(8).granule_of(&GeoPoint::new_unchecked(34.7, 135.5));
     let themes = [

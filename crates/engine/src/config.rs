@@ -3,7 +3,6 @@
 
 use crate::shard::ShardKey;
 pub use sl_faults::OverflowPolicy;
-use sl_faults::RetryPolicy;
 use sl_ops::PriorityClass;
 use sl_stt::{Duration, SpatialGranularity, TemporalGranularity};
 use std::fmt;
@@ -53,10 +52,10 @@ pub struct EngineConfig {
     /// RNG seed (the `OverflowPolicy::Sample` coin and nothing else —
     /// sensors own their seeds).
     pub seed: u64,
-    /// Re-delivery attempts after a routing failure.
-    /// [`RetryPolicy::disabled`] sends failed deliveries straight to the
+    /// Re-delivery attempts after a routing failure, spaced by
+    /// [`sl_faults::backoff`]. `0` sends failed deliveries straight to the
     /// dead-letter queue as `NoRoute`.
-    pub retry: RetryPolicy,
+    pub retry_attempts: u32,
     /// Dead-letter queue capacity per engine (oldest entries evicted;
     /// drop *counters* are never evicted).
     pub dlq_capacity: usize,
@@ -86,7 +85,7 @@ impl Default for EngineConfig {
             migration_enabled: true,
             monitor_period: Duration::from_secs(1),
             seed: 7,
-            retry: RetryPolicy::new(),
+            retry_attempts: 6,
             dlq_capacity: 256,
             parallelism: 1,
             shard_key: ShardKey::Space,
@@ -232,7 +231,7 @@ mod tests {
         assert_eq!(c.placement, PlacementPolicy::LeastLoaded);
         assert!(c.migration_enabled);
         assert!(!c.monitor_period.is_zero());
-        assert!(c.retry.max_attempts > 0);
+        assert!(c.retry_attempts > 0);
         assert!(c.dlq_capacity > 0);
         assert_eq!(c.parallelism, 1);
         assert_eq!(c.shard_key, ShardKey::Space);

@@ -243,14 +243,14 @@ impl Engine {
                 return self.dead_letter_at(now, to, tuple, DropReason::BreakerOpen);
             }
         }
-        if attempt < self.config.retry.max_attempts {
-            let backoff = self.config.retry.backoff(attempt);
+        if attempt < self.config.retry_attempts {
+            let backoff = sl_faults::backoff(attempt);
             self.inst.retry_scheduled.inc();
             // Absolute time off the failing event's timestamp, so retries
             // fire at the same instant whether the failure was handled
             // sequentially or merged out of a parallel batch. (If a backoff
             // is ever shorter than the batch window the retry clamps to the
-            // clock — a bounded deviation the default policy never hits.)
+            // clock — a bounded deviation the fixed schedule never hits.)
             self.queue.schedule_at(
                 now + backoff,
                 Ev::RetryDeliver {
@@ -263,7 +263,7 @@ impl Engine {
                 },
             );
         } else {
-            let reason = if self.config.retry.enabled() {
+            let reason = if self.config.retry_attempts > 0 {
                 DropReason::RetriesExhausted
             } else {
                 DropReason::NoRoute
@@ -419,7 +419,6 @@ mod tests {
     use crate::config::{EngineConfig, CONSOLE_CAPACITY};
     use sl_dataflow::DataflowBuilder;
     use sl_dsn::SinkKind;
-    use sl_faults::RetryPolicy;
     use sl_netsim::{LinkId, NodeSpec, Topology};
     use sl_pubsub::SubscriptionFilter;
     use sl_stt::{
@@ -568,7 +567,7 @@ mod tests {
         assert_eq!(r.e.total_inflight(), 0);
 
         // With retrying off the same failure is terminal at once.
-        let mut r = rig(&["d"], |cfg| cfg.retry = RetryPolicy::disabled());
+        let mut r = rig(&["d"], |cfg| cfg.retry_attempts = 0);
         r.e.set_link_up(r.link, false).unwrap();
         r.send("d");
         assert_eq!(r.counter("retry/scheduled"), 0);
@@ -577,7 +576,7 @@ mod tests {
 
     #[test]
     fn the_recovery_log_stays_bounded_however_many_tuples_dead_letter() {
-        let mut r = rig(&["d"], |cfg| cfg.retry = RetryPolicy::disabled());
+        let mut r = rig(&["d"], |cfg| cfg.retry_attempts = 0);
         r.e.set_link_up(r.link, false).unwrap();
         for _ in 0..5 * CONSOLE_CAPACITY {
             r.send("d");
@@ -601,7 +600,7 @@ mod tests {
             cfg.dlq_capacity = 4;
             cfg.overload.queue_capacity = Some(1);
             cfg.overload.policy = OverflowPolicy::ShedNewest;
-            cfg.retry = RetryPolicy::disabled();
+            cfg.retry_attempts = 0;
         });
         for _ in 0..6 {
             r.send("d"); // one admitted, five shed

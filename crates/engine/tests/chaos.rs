@@ -19,7 +19,7 @@
 use sl_dataflow::DataflowBuilder;
 use sl_dsn::SinkKind;
 use sl_engine::{Engine, EngineConfig, OverflowPolicy};
-use sl_faults::{DropReason, FaultPlan, RetryPolicy};
+use sl_faults::{DropReason, FaultPlan};
 use sl_netsim::{LinkId, NodeId, NodeSpec, Topology};
 use sl_pubsub::SubscriptionFilter;
 use sl_sensors::physical::TemperatureSensor;
@@ -76,11 +76,7 @@ fn two_node_engine(retries: bool) -> (Engine, LinkId) {
         .unwrap();
     let cfg = EngineConfig {
         migration_enabled: false,
-        retry: if retries {
-            RetryPolicy::new()
-        } else {
-            RetryPolicy::disabled()
-        },
+        retry_attempts: if retries { 6 } else { 0 },
         ..Default::default()
     };
     let mut e = Engine::new(t, cfg, start());

@@ -7,7 +7,7 @@
 use sl_dataflow::DataflowBuilder;
 use sl_dsn::SinkKind;
 use sl_engine::{Engine, EngineConfig, CONSOLE_CAPACITY};
-use sl_faults::{DropReason, RetryPolicy};
+use sl_faults::DropReason;
 use sl_netsim::{NodeSpec, Topology};
 use sl_pubsub::SubscriptionFilter;
 use sl_sensors::physical::TemperatureSensor;
@@ -53,7 +53,7 @@ fn a_no_route_dead_letter_allocates_at_most_seventeen_times() {
         .unwrap();
     let config = EngineConfig {
         migration_enabled: false,
-        retry: RetryPolicy::disabled(),
+        retry_attempts: 0,
         ..EngineConfig::default()
     };
     let start = Timestamp::from_civil(2016, 7, 1, 8, 0, 0);

@@ -10,8 +10,8 @@
 //!   per-sensor clock skew). The engine consumes the plan as ordinary
 //!   scheduled events, so a chaos run replays identically for a given plan
 //!   and engine seed.
-//! * [`RetryPolicy`] — bounded exponential backoff in virtual time, used by
-//!   the engine's delivery retry queue.
+//! * [`backoff`] / [`budget`] — bounded exponential backoff in virtual time,
+//!   used by the engine's delivery retry queue.
 //! * [`DeadLetterQueue`] / [`DropReason`] — the terminal destination of
 //!   tuples that could not be delivered, with a drop-reason taxonomy.
 //!
@@ -27,4 +27,4 @@ mod retry;
 pub use breaker::{BreakerDecision, BreakerState, CircuitBreaker};
 pub use dlq::{DeadLetterQueue, DropReason, OverflowPolicy, ShedPolicy};
 pub use plan::{FaultAction, FaultEvent, FaultPlan};
-pub use retry::RetryPolicy;
+pub use retry::{backoff, budget};

@@ -1,84 +1,40 @@
 //! Bounded exponential backoff for delivery retries.
+//!
+//! Only the number of attempts is configurable (`EngineConfig::retry_attempts`);
+//! the schedule's shape is fixed: 500 ms, doubling, capped at 10 s. Backoff
+//! is computed in *virtual* time and is fully deterministic — no jitter — so
+//! chaos runs replay identically.
 
 use sl_stt::Duration;
 
-/// A retry policy: how many times to re-attempt a failed delivery and how
-/// long to wait between attempts (exponential backoff, capped).
-///
-/// Backoff is computed in *virtual* time and is fully deterministic — no
-/// jitter — so chaos runs replay identically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum delivery attempts after the initial failure (0 disables
-    /// retrying entirely).
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base_backoff: Duration,
-    /// Multiplier applied per subsequent attempt.
-    pub multiplier: u32,
-    /// Upper bound on any single backoff.
-    pub max_backoff: Duration,
+/// Backoff before the first retry.
+const BASE_BACKOFF: Duration = Duration::from_millis(500);
+/// Multiplier applied per subsequent attempt.
+const BACKOFF_MULTIPLIER: u64 = 2;
+/// Upper bound on any single backoff.
+const MAX_BACKOFF: Duration = Duration::from_secs(10);
+
+/// Backoff before retry number `attempt` (0-based):
+/// `min(BASE_BACKOFF * BACKOFF_MULTIPLIER^attempt, MAX_BACKOFF)`.
+pub fn backoff(attempt: u32) -> Duration {
+    let mut d = BASE_BACKOFF;
+    for _ in 0..attempt {
+        d = d.saturating_mul(BACKOFF_MULTIPLIER);
+        if d.as_millis() >= MAX_BACKOFF.as_millis() {
+            return MAX_BACKOFF;
+        }
+    }
+    d
 }
 
-impl RetryPolicy {
-    /// The default policy: 6 attempts starting at 500 ms, doubling, capped
-    /// at 10 s — a retry budget of roughly half a minute of virtual time.
-    pub fn new() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 6,
-            base_backoff: Duration::from_millis(500),
-            multiplier: 2,
-            max_backoff: Duration::from_secs(10),
-        }
+/// Total virtual time spent backing off if all `attempts` retries are used —
+/// the *retry budget*. An outage shorter than this is survivable.
+pub fn budget(attempts: u32) -> Duration {
+    let mut total = Duration::ZERO;
+    for a in 0..attempts {
+        total = total + backoff(a);
     }
-
-    /// A policy that never retries (failures go straight to the DLQ).
-    pub fn disabled() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 0,
-            base_backoff: Duration::ZERO,
-            multiplier: 1,
-            max_backoff: Duration::ZERO,
-        }
-    }
-
-    /// True if at least one retry is allowed.
-    pub fn enabled(&self) -> bool {
-        self.max_attempts > 0
-    }
-
-    /// Backoff before retry number `attempt` (0-based):
-    /// `min(base * multiplier^attempt, max_backoff)`.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let mut d = self.base_backoff;
-        for _ in 0..attempt {
-            d = d.saturating_mul(self.multiplier as u64);
-            if d.as_millis() >= self.max_backoff.as_millis() {
-                return self.max_backoff;
-            }
-        }
-        if d.as_millis() > self.max_backoff.as_millis() {
-            self.max_backoff
-        } else {
-            d
-        }
-    }
-
-    /// Total virtual time spent backing off if every attempt is used — the
-    /// *retry budget*. An outage shorter than this is survivable.
-    pub fn budget(&self) -> Duration {
-        let mut total = Duration::ZERO;
-        for a in 0..self.max_attempts {
-            total = total + self.backoff(a);
-        }
-        total
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::new()
-    }
+    total
 }
 
 #[cfg(test)]
@@ -87,38 +43,32 @@ mod tests {
 
     #[test]
     fn backoff_grows_and_caps() {
-        let p = RetryPolicy::new();
-        assert_eq!(p.backoff(0), Duration::from_millis(500));
-        assert_eq!(p.backoff(1), Duration::from_secs(1));
-        assert_eq!(p.backoff(2), Duration::from_secs(2));
-        assert_eq!(p.backoff(3), Duration::from_secs(4));
-        assert_eq!(p.backoff(4), Duration::from_secs(8));
+        assert_eq!(backoff(0), Duration::from_millis(500));
+        assert_eq!(backoff(1), Duration::from_secs(1));
+        assert_eq!(backoff(2), Duration::from_secs(2));
+        assert_eq!(backoff(3), Duration::from_secs(4));
+        assert_eq!(backoff(4), Duration::from_secs(8));
         // 16 s exceeds the 10 s cap.
-        assert_eq!(p.backoff(5), Duration::from_secs(10));
-        assert_eq!(p.backoff(50), Duration::from_secs(10));
+        assert_eq!(backoff(5), Duration::from_secs(10));
+        assert_eq!(backoff(50), Duration::from_secs(10));
     }
 
     #[test]
     fn budget_sums_backoffs() {
-        let p = RetryPolicy::new();
         // 0.5 + 1 + 2 + 4 + 8 + 10 = 25.5 s
-        assert_eq!(p.budget(), Duration::from_millis(25_500));
+        assert_eq!(budget(6), Duration::from_millis(25_500));
     }
 
     #[test]
     fn disabled_never_retries() {
-        let p = RetryPolicy::disabled();
-        assert!(!p.enabled());
-        assert_eq!(p.max_attempts, 0);
-        assert_eq!(p.budget(), Duration::ZERO);
-        assert!(RetryPolicy::default().enabled());
+        // `retry_attempts = 0` turns retrying off: no budget at all.
+        assert_eq!(budget(0), Duration::ZERO);
     }
 
     #[test]
     fn backoff_is_deterministic() {
-        let p = RetryPolicy::new();
         for a in 0..10 {
-            assert_eq!(p.backoff(a), p.backoff(a));
+            assert_eq!(backoff(a), backoff(a));
         }
     }
 }

@@ -101,7 +101,7 @@ pub fn parse_deploy_config(text: &str) -> Result<DeploySpec, String> {
                     n => Some(Duration::from_millis(parse_num(i, key, n)?)),
                 }
             }
-            "retry_attempts" => cfg.retry.max_attempts = parse_num(i, key, value)?,
+            "retry_attempts" => cfg.retry_attempts = parse_num(i, key, value)?,
             "breaker" => cfg.overload.breaker_enabled = parse_bool(i, key, value)?,
             "breaker_threshold" => cfg.overload.breaker_threshold = parse_num(i, key, value)?,
             "breaker_cooldown_ms" => {
@@ -279,7 +279,7 @@ mod tests {
             spec.config.overload.breaker_cooldown,
             Duration::from_millis(750)
         );
-        assert_eq!(spec.config.retry.max_attempts, 4);
+        assert_eq!(spec.config.retry_attempts, 4);
         assert_eq!(spec.config.dlq_capacity, 512);
     }
 

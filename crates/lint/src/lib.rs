@@ -38,8 +38,9 @@
 //! Every finding is a [`Diagnostic`] with a stable `SL0xx` [`LintCode`], a
 //! severity, and node + DSN-line attribution; a run never stops at the
 //! first problem. Entry points: [`lint_dataflow`] for conceptual dataflows
-//! (the `Session::lint` path) and [`lint_document`] for DSN text (the
-//! `sl-lint` CLI path).
+//! (the `Session::lint` and `Session::lint_deployment` paths) and
+//! [`lint_document`] for DSN text (the `sl-lint` CLI path); each takes an
+//! optional [`DeployModel`] that turns the deployment tier on.
 
 mod analysis;
 mod cq;
@@ -62,45 +63,6 @@ use sl_pubsub::SensorRegistry;
 use sl_stt::SchemaRef;
 use std::collections::{BTreeMap, HashMap};
 
-/// Thresholds for the heuristic passes.
-#[derive(Debug, Clone)]
-pub struct LintConfig {
-    /// Estimated tuples a blocking operator may cache per window before
-    /// `SL022` fires.
-    pub cache_budget_tuples: f64,
-    /// The deploying engine has an overload-control policy configured
-    /// (bounded queues with shedding or backpressure). Silences `SL034`:
-    /// demand overshoot is mitigated at run time instead of being a silent
-    /// unbounded queue.
-    pub overload_policy_configured: bool,
-    /// Peak-memory budget for `SL081` (in-flight queues plus blocking
-    /// window caches at advertised rates).
-    pub memory_budget_bytes: f64,
-}
-
-impl Default for LintConfig {
-    fn default() -> LintConfig {
-        LintConfig {
-            cache_budget_tuples: 100_000.0,
-            overload_policy_configured: false,
-            memory_budget_bytes: 256.0 * 1024.0 * 1024.0,
-        }
-    }
-}
-
-impl LintConfig {
-    /// Thresholds derived from an engine configuration: the overload flag
-    /// follows [`admission_enabled`](sl_engine::OverloadConfig::admission_enabled)
-    /// — bounded queues *or* a global capacity both mitigate demand
-    /// overshoot, so either silences `SL034`.
-    pub fn for_engine(config: &EngineConfig) -> LintConfig {
-        LintConfig {
-            overload_policy_configured: config.overload.admission_enabled(),
-            ..LintConfig::default()
-        }
-    }
-}
-
 /// What the analyzer knows about the deployment environment. Everything is
 /// optional: absent knowledge skips the passes that need it.
 #[derive(Default)]
@@ -109,8 +71,11 @@ pub struct LintContext<'a> {
     pub topology: Option<&'a Topology>,
     /// The live sensor registry (enables rate estimation and `SL033`).
     pub registry: Option<&'a SensorRegistry>,
-    /// Thresholds.
-    pub config: LintConfig,
+    /// The deploying engine's configuration. An admission layer there
+    /// (bounded queues or a global capacity, see
+    /// [`admission_enabled`](sl_engine::OverloadConfig::admission_enabled))
+    /// mitigates demand overshoot at run time and silences `SL034`.
+    pub engine: Option<&'a EngineConfig>,
 }
 
 impl<'a> LintContext<'a> {
@@ -121,18 +86,16 @@ impl<'a> LintContext<'a> {
     }
 }
 
-/// Lint a conceptual dataflow (the `Session::lint` path): translate to the
-/// canonical document, carry the sources' declared schemas over, and run
-/// the full pipeline.
-pub fn lint_dataflow(df: &Dataflow, ctx: &LintContext<'_>) -> LintReport {
-    let doc = to_dsn(df);
-    let mut schemas = HashMap::new();
-    for node in df.sources() {
-        if let NodeKind::Source { schema, .. } = &node.kind {
-            schemas.insert(node.name.clone(), schema.clone());
-        }
-    }
-    lint_document(&doc, &schemas, ctx)
+/// Lint a conceptual dataflow (the `Session::lint` and
+/// `Session::lint_deployment` paths): translate to the canonical document,
+/// carry the sources' declared schemas over, and run [`lint_document`].
+pub fn lint_dataflow(
+    df: &Dataflow,
+    ctx: &LintContext<'_>,
+    model: Option<&DeployModel<'_>>,
+) -> LintReport {
+    let (doc, schemas) = canonical(df);
+    lint_document(&doc, &schemas, ctx, model)
 }
 
 /// Lint a DSN document against the source schemas that are known.
@@ -141,71 +104,19 @@ pub fn lint_dataflow(df: &Dataflow, ctx: &LintContext<'_>) -> LintReport {
 /// CLI infers them from `has name:type` filter clauses); sources missing
 /// from `schemas` get an `SL009` note and the schema-dependent checks skip
 /// the affected region rather than guessing.
+///
+/// With a deployment model the `SL05x`–`SL08x` deployment passes run too
+/// (deadlock, shard-safety, recovery coverage, resource bounds), and
+/// `SL034` hands its question to `SL080`, which sees the real admission
+/// settings.
 pub fn lint_document(
-    doc: &DsnDocument,
-    schemas: &HashMap<String, SchemaRef>,
-    ctx: &LintContext<'_>,
-) -> LintReport {
-    lint_document_with_model(doc, schemas, ctx, None)
-}
-
-/// Lint a conceptual dataflow against a full deployment model: the
-/// document tier plus the `SL05x`–`SL08x` deployment passes (deadlock,
-/// shard-safety, recovery coverage, resource bounds). This is the
-/// `Session::lint_deployment` path.
-pub fn lint_deployment(
-    df: &Dataflow,
-    ctx: &LintContext<'_>,
-    model: &DeployModel<'_>,
-) -> LintReport {
-    let doc = to_dsn(df);
-    let mut schemas = HashMap::new();
-    for node in df.sources() {
-        if let NodeKind::Source { schema, .. } = &node.kind {
-            schemas.insert(node.name.clone(), schema.clone());
-        }
-    }
-    lint_document_with_model(&doc, &schemas, ctx, Some(model))
-}
-
-/// [`lint_document`] with an optional deployment model attached. With a
-/// model the deployment passes run and `SL034` hands its question to
-/// `SL080` (which sees the real admission settings).
-pub fn lint_document_with_model(
     doc: &DsnDocument,
     schemas: &HashMap<String, SchemaRef>,
     ctx: &LintContext<'_>,
     model: Option<&DeployModel<'_>>,
 ) -> LintReport {
     let mut diagnostics = Vec::new();
-
-    // Structural mapping (SL001–SL007) via the accumulating validator.
-    let structural = sl_dsn::validate::validate_full(doc);
-    passes::structure::from_dsn_errors(&structural.errors, &mut diagnostics);
-    let topo_order = structural.topo_order.unwrap_or_default();
-
-    // SL009 + source rate estimation.
-    for src in &doc.sources {
-        if !schemas.contains_key(&src.name) {
-            diagnostics.push(Diagnostic::new(
-                LintCode::NoSchema,
-                &src.name,
-                format!(
-                    "source `{}` has no known schema (no `has name:type` clauses and no \
-                     registry to infer from); schema-dependent checks are skipped \
-                     downstream of it",
-                    src.name
-                ),
-            ));
-        }
-    }
-    let source_rates = estimate_source_rates(doc, schemas, ctx);
-
-    // Property propagation + schema errors (SL008).
-    let propagation = analysis::propagate(doc, schemas, &source_rates, &topo_order);
-    for (service, err) in &propagation.schema_errors {
-        diagnostics.push(passes::structure::schema_error(service, err));
-    }
+    let propagation = front_half(doc, schemas, ctx, &mut diagnostics);
 
     // The pass pipeline.
     let consumers = consumer_map(doc);
@@ -218,7 +129,7 @@ pub fn lint_document_with_model(
         consumers: &consumers,
         topology: ctx.topology,
         registry: ctx.registry,
-        config: &ctx.config,
+        engine: ctx.engine,
         model,
         graph: graph.as_ref(),
     };
@@ -248,19 +159,58 @@ pub fn predicted_peak_depths(
     ctx: &LintContext<'_>,
     model: &DeployModel<'_>,
 ) -> BTreeMap<String, f64> {
-    let doc = to_dsn(df);
+    let (doc, schemas) = canonical(df);
+    let propagation = front_half(&doc, &schemas, ctx, &mut Vec::new());
+    model::DeployGraph::build(&doc, &propagation.props, ctx.registry, ctx.topology, model)
+        .peak_depth_bounds()
+}
+
+/// A dataflow's canonical document and its sources' declared schemas.
+fn canonical(df: &Dataflow) -> (DsnDocument, HashMap<String, SchemaRef>) {
     let mut schemas = HashMap::new();
     for node in df.sources() {
         if let NodeKind::Source { schema, .. } = &node.kind {
             schemas.insert(node.name.clone(), schema.clone());
         }
     }
-    let structural = sl_dsn::validate::validate_full(&doc);
+    (to_dsn(df), schemas)
+}
+
+/// What every analysis starts from: the structural mapping (`SL001`–`SL007`)
+/// via the accumulating validator, `SL009` for sources of unknown schema,
+/// source rate estimates, and property propagation with its schema errors
+/// (`SL008`). Findings are appended to `diagnostics`.
+fn front_half(
+    doc: &DsnDocument,
+    schemas: &HashMap<String, SchemaRef>,
+    ctx: &LintContext<'_>,
+    diagnostics: &mut Vec<Diagnostic>,
+) -> analysis::Propagation {
+    let structural = sl_dsn::validate::validate_full(doc);
+    passes::structure::from_dsn_errors(&structural.errors, diagnostics);
     let topo_order = structural.topo_order.unwrap_or_default();
-    let source_rates = estimate_source_rates(&doc, &schemas, ctx);
-    let propagation = analysis::propagate(&doc, &schemas, &source_rates, &topo_order);
-    model::DeployGraph::build(&doc, &propagation.props, ctx.registry, ctx.topology, model)
-        .peak_depth_bounds()
+
+    for src in &doc.sources {
+        if !schemas.contains_key(&src.name) {
+            diagnostics.push(Diagnostic::new(
+                LintCode::NoSchema,
+                &src.name,
+                format!(
+                    "source `{}` has no known schema (no `has name:type` clauses and no \
+                     registry to infer from); schema-dependent checks are skipped \
+                     downstream of it",
+                    src.name
+                ),
+            ));
+        }
+    }
+    let source_rates = estimate_source_rates(doc, schemas, ctx);
+
+    let propagation = analysis::propagate(doc, schemas, &source_rates, &topo_order);
+    for (service, err) in &propagation.schema_errors {
+        diagnostics.push(passes::structure::schema_error(service, err));
+    }
+    propagation
 }
 
 /// Advertised source rates from the registry: the sum of matching sensors'

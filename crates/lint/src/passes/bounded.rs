@@ -10,6 +10,10 @@ use crate::analysis::join_sides;
 use crate::diag::{Diagnostic, LintCode};
 use sl_ops::OpSpec;
 
+/// Estimated tuples a blocking operator may cache per window before `SL022`
+/// fires.
+const CACHE_BUDGET_TUPLES: f64 = 100_000.0;
+
 pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
     for svc in &cx.doc.services {
         match &svc.spec {
@@ -77,7 +81,7 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
                 None => known = false,
             }
         }
-        if known && est > cx.config.cache_budget_tuples {
+        if known && est > CACHE_BUDGET_TUPLES {
             let remedy = if has_cull_upstream(cx, &svc.name) {
                 "shorten the window or cull harder upstream"
             } else {
@@ -88,8 +92,8 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
                 &svc.name,
                 format!(
                     "blocking operator `{}` caches an estimated {est:.0} tuples per \
-                     {span} window (budget: {:.0}); {remedy}",
-                    svc.name, cx.config.cache_budget_tuples
+                     {span} window (budget: {CACHE_BUDGET_TUPLES:.0}); {remedy}",
+                    svc.name
                 ),
             ));
         }

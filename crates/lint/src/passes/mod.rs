@@ -15,8 +15,8 @@ pub(crate) mod structure;
 use crate::analysis::StreamProps;
 use crate::diag::Diagnostic;
 use crate::model::{DeployGraph, DeployModel};
-use crate::LintConfig;
 use sl_dsn::DsnDocument;
+use sl_engine::EngineConfig;
 use sl_netsim::Topology;
 use sl_pubsub::SensorRegistry;
 use sl_stt::SchemaRef;
@@ -36,8 +36,8 @@ pub(crate) struct PassCx<'a> {
     pub topology: Option<&'a Topology>,
     /// The live sensor registry, when known.
     pub registry: Option<&'a SensorRegistry>,
-    /// Thresholds.
-    pub config: &'a LintConfig,
+    /// The deploying engine's configuration, when known.
+    pub engine: Option<&'a EngineConfig>,
     /// The deployment model (engine config + fault plan + durability),
     /// when the deployment tier is running.
     pub model: Option<&'a DeployModel<'a>>,

@@ -149,11 +149,11 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
         // best *single* node's capacity. Such an operator falls behind on
         // every possible placement; without a shedding/backpressure policy
         // its ingress queue grows without bound. Silenced when the session
-        // has an overload policy configured — the overshoot is then
+        // engine has an admission layer configured — the overshoot is then
         // mitigated (shed or absorbed via credits) at run time, and when a
         // deployment model is attached — the resource pass (SL080) then
         // owns the question with the real admission settings in hand.
-        if !cx.config.overload_policy_configured && cx.model.is_none() {
+        if !cx.engine.is_some_and(|c| c.overload.admission_enabled()) && cx.model.is_none() {
             let best_node: f64 = topology
                 .node_ids()
                 .filter_map(|n| topology.node(n).ok())

@@ -65,11 +65,11 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
     // dead-letter on the first flap — retries and breaker cancel out.
     if model.flap_bearing() && cfg.overload.breaker_enabled {
         let threshold = cfg.overload.breaker_threshold;
-        if threshold < cfg.retry.max_attempts {
-            let mut remaining = Duration::ZERO;
-            for attempt in threshold..cfg.retry.max_attempts {
-                remaining = remaining + cfg.retry.backoff(attempt);
-            }
+        if threshold < cfg.retry_attempts {
+            let remaining = Duration::from_millis(
+                sl_faults::budget(cfg.retry_attempts).as_millis()
+                    - sl_faults::budget(threshold).as_millis(),
+            );
             let cooldown = cfg.overload.breaker_cooldown;
             if remaining.as_millis() < cooldown.as_millis() {
                 out.push(Diagnostic::global(
@@ -79,8 +79,8 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
                          {threshold} failures the breaker opens for {cooldown}, but the \
                          remaining retry backoff budget is only {remaining} — every \
                          remaining attempt fail-fasts against the open breaker and the \
-                         tuple dead-letters on the first flap; lengthen the backoff, \
-                         raise `breaker_threshold`, or shorten `breaker_cooldown`",
+                         tuple dead-letters on the first flap; raise `retry_attempts` or \
+                         `breaker_threshold`, or shorten `breaker_cooldown`",
                     ),
                 ));
             }

@@ -11,6 +11,10 @@
 use super::PassCx;
 use crate::diag::{Diagnostic, LintCode};
 
+/// Peak-memory budget for `SL081`: in-flight queues plus blocking window
+/// caches at advertised rates.
+const MEMORY_BUDGET_BYTES: f64 = 256.0 * 1024.0 * 1024.0;
+
 pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
     let Some(model) = cx.model else {
         return;
@@ -90,17 +94,16 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
             any_known = true;
         }
     }
-    if any_known && peak_bytes > cx.config.memory_budget_bytes {
+    if any_known && peak_bytes > MEMORY_BUDGET_BYTES {
         out.push(Diagnostic::global(
             LintCode::PeakMemoryExceedsBudget,
             format!(
                 "predicted peak memory is {:.1} MiB (in-flight queues + blocking window \
                  caches at advertised rates, burst factor {:.0}) against a budget of \
-                 {:.1} MiB — cull or aggregate earlier, shorten windows, or raise \
-                 `memory_budget_bytes` if the budget is wrong",
+                 {:.1} MiB — cull or aggregate earlier, or shorten windows",
                 peak_bytes / (1024.0 * 1024.0),
                 graph.burst_factor,
-                cx.config.memory_budget_bytes / (1024.0 * 1024.0)
+                MEMORY_BUDGET_BYTES / (1024.0 * 1024.0)
             ),
         ));
     }

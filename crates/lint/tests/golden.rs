@@ -10,10 +10,7 @@
 use sl_dsn::parse_document;
 use sl_engine::{EngineConfig, OverflowPolicy, ShardKey};
 use sl_faults::FaultPlan;
-use sl_lint::{
-    lint_document, lint_document_with_model, DeployModel, LintCode, LintConfig, LintContext,
-    LintReport,
-};
+use sl_lint::{lint_document, DeployModel, LintCode, LintContext, LintReport};
 use sl_netsim::{NodeSpec, Topology};
 use sl_pubsub::{SensorAdvertisement, SensorKind, SensorRegistry};
 use sl_stt::{AttrType, Duration, Field, GeoPoint, Schema, SchemaRef, SensorId, Theme};
@@ -39,7 +36,7 @@ fn infer_schemas(doc: &sl_dsn::DsnDocument) -> HashMap<String, SchemaRef> {
 
 fn lint_with(dsn: &str, ctx: &LintContext<'_>) -> LintReport {
     let doc = parse_document(dsn).unwrap_or_else(|e| panic!("parse failed: {e}\n{dsn}"));
-    lint_document(&doc, &infer_schemas(&doc), ctx)
+    lint_document(&doc, &infer_schemas(&doc), ctx, None)
 }
 
 fn lint(dsn: &str) -> LintReport {
@@ -514,15 +511,13 @@ fn sl034_unmitigated_overload() {
     );
     assert!(!report.has(LintCode::CpuOverload), "{:?}", report.codes());
 
-    // Near miss 1: the session has an overload policy — the overshoot is
+    // Near miss 1: the engine has an admission layer — the overshoot is
     // mitigated at run time, so the warning is silenced.
+    let bounded = block_cfg(64);
     let ctx = LintContext {
         topology: Some(&narrow),
         registry: Some(&reg),
-        config: LintConfig {
-            overload_policy_configured: true,
-            ..LintConfig::default()
-        },
+        engine: Some(&bounded),
     };
     assert!(!lint_with(&dsn, &ctx).has(LintCode::UnmitigatedOverload));
 
@@ -621,7 +616,7 @@ fn sl044_always_true() {
 
 fn lint_deploy(dsn: &str, ctx: &LintContext<'_>, model: &DeployModel<'_>) -> LintReport {
     let doc = parse_document(dsn).unwrap_or_else(|e| panic!("parse failed: {e}\n{dsn}"));
-    lint_document_with_model(&doc, &infer_schemas(&doc), ctx, Some(model))
+    lint_document(&doc, &infer_schemas(&doc), ctx, Some(model))
 }
 
 /// A model with no fault plan and no durability over `config`.
@@ -1037,7 +1032,7 @@ fn sl080_unbounded_queue_growth() {
     let ctx = LintContext {
         topology: Some(&narrow),
         registry: Some(&reg),
-        config: LintConfig::for_engine(&bounded),
+        engine: Some(&bounded),
     };
     let report = lint_deploy(&dsn, &ctx, &model(&bounded));
     assert!(!report.has(LintCode::UnboundedQueueGrowth));
@@ -1045,36 +1040,28 @@ fn sl080_unbounded_queue_growth() {
 
 #[test]
 fn sl081_peak_memory_exceeds_budget() {
-    // 1 kHz cached over a 60 s window ≈ 60k tuples × 56 B ≈ 3.4 MiB.
+    // 1 kHz cached over a 6 h window ≈ 21.6M tuples × 56 B ≈ 1.1 GiB,
+    // past the 256 MiB budget.
     let reg = registry(&[("weather/temperature", 1)]);
     let dsn = doc(&format!(
         "{TEMP_SOURCE}
   service avg {{
-    op: aggregate; period: 60000; group_by: temp; func: avg; attr: temp; inputs: temp;
+    op: aggregate; period: 21600000; group_by: temp; func: avg; attr: temp; inputs: temp;
   }}
   sink out {{ kind: console; inputs: avg; }}"
     ));
     let cfg = EngineConfig::default();
-    let strict = LintContext {
-        registry: Some(&reg),
-        config: LintConfig {
-            memory_budget_bytes: 1024.0 * 1024.0,
-            ..LintConfig::default()
-        },
-        ..LintContext::default()
-    };
-    let report = lint_deploy(&dsn, &strict, &model(&cfg));
+    let ctx = reg_ctx(&reg);
+    let report = lint_deploy(&dsn, &ctx, &model(&cfg));
     assert!(
         report.has(LintCode::PeakMemoryExceedsBudget),
         "{:?}",
         report.codes()
     );
-    // The default 256 MiB budget holds it comfortably.
-    let relaxed = LintContext {
-        registry: Some(&reg),
-        ..LintContext::default()
-    };
-    let report = lint_deploy(&dsn, &relaxed, &model(&cfg));
+    // A 60 s window ≈ 60k tuples × 56 B ≈ 3.4 MiB: the budget holds it
+    // comfortably.
+    let short = dsn.replace("period: 21600000;", "period: 60000;");
+    let report = lint_deploy(&short, &ctx, &model(&cfg));
     assert!(!report.has(LintCode::PeakMemoryExceedsBudget));
 }
 
@@ -1210,19 +1197,14 @@ fn config_threshold_is_respected() {
     let reg = registry(&[("weather/temperature", 1)]);
     let dsn = doc(&format!(
         "{TEMP_SOURCE}
-  service avg {{ op: aggregate; period: 10000; func: avg; attr: temp; inputs: temp; }}
+  service avg {{ op: aggregate; period: 99000; func: avg; attr: temp; inputs: temp; }}
   sink out {{ kind: console; inputs: avg; }}"
     ));
-    // 10 s × 1 kHz = 10k tuples: fine at the default budget, over a 5k one.
-    let strict = LintContext {
-        registry: Some(&reg),
-        config: LintConfig {
-            cache_budget_tuples: 5_000.0,
-            ..LintConfig::default()
-        },
-        ..LintContext::default()
-    };
-    assert!(lint_with(&dsn, &strict).has(LintCode::UnboundedCache));
+    // 99 s × 1 kHz = 99k tuples: under the 100k budget; 101 s is over it.
+    let ctx = reg_ctx(&reg);
+    assert!(!lint_with(&dsn, &ctx).has(LintCode::UnboundedCache));
+    let over = dsn.replace("period: 99000;", "period: 101000;");
+    assert!(lint_with(&over, &ctx).has(LintCode::UnboundedCache));
 }
 
 // ---------------------------------------------------------------------

@@ -14,8 +14,10 @@
 //!   10 min rain gauges,
 //! * **missing spatio-temporal metadata** — mobile tweet sources advertise
 //!   no fixed position (exercising pub/sub enrichment),
-//! * **event-driven dynamics** — diurnal temperature waves, bursty rain
-//!   fronts, tweet storms correlated with weather ([`gen`]).
+//! * **event-driven dynamics** — diurnal temperature waves and bursty rain
+//!   fronts ([`gen`]). Tweet feeds are not coupled to the weather: every
+//!   feed stays calm (excitement 0), so each tweet carries
+//!   `storm_related = false`.
 //!
 //! Everything is deterministic per seed.
 

@@ -15,7 +15,7 @@
 //! Queries also pre-select the events fed into cube roll-ups
 //! (`CubeQuery::select` in [`crate::cube`]).
 
-use crate::store::{EventWarehouse, Pos};
+use crate::store::{EventWarehouse, Pos, TIME_INDEX_GRAN};
 use sl_stt::{BoundingBox, Event, Theme, TimeInterval};
 
 /// A conjunctive selection over stored events. Equal queries select the
@@ -124,12 +124,11 @@ impl EventWarehouse {
     /// copies its positions. `None` means no index applies (full scan).
     fn pick_index(&self, q: &EventQuery) -> Option<Vec<Pos>> {
         let time = q.time.map(|range| {
-            let g = self.config().time_index_gran;
             // An event overlapping the range starts after `range.start`
             // minus its own length, so at most the longest stored interval
             // before it.
-            let lo = g.granule_of(range.start.saturating_sub(self.longest));
-            let hi = g.granule_of(range.end);
+            let lo = TIME_INDEX_GRAN.granule_of(range.start.saturating_sub(self.longest));
+            let hi = TIME_INDEX_GRAN.granule_of(range.end);
             self.time_index.range(lo..=hi).map(|(_, ps)| ps)
         });
         // All indexed themes under the queried subtree: range from the theme

@@ -10,16 +10,17 @@ use std::cmp::Reverse;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 
+/// Temporal granularity of the time index: one position list per granule,
+/// keyed by the granule an event starts in. A query counts the lists its
+/// range spans, so the finer the grain, the closer that count is to the
+/// events the range can hold.
+pub(crate) const TIME_INDEX_GRAN: TemporalGranularity = TemporalGranularity::Minute;
+/// Spatial granularity of the grid index.
+const SPACE_INDEX_GRAN: SpatialGranularity = SpatialGranularity::Grid { level: 5 };
+
 /// Store configuration.
 #[derive(Debug, Clone)]
 pub struct WarehouseConfig {
-    /// Temporal granularity of the time index: one position list per
-    /// granule, keyed by the granule an event starts in. A query counts the
-    /// lists its range spans, so the finer the grain, the closer that count
-    /// is to the events the range can hold.
-    pub time_index_gran: TemporalGranularity,
-    /// Spatial granularity of the grid index.
-    pub space_index_gran: SpatialGranularity,
     /// Events per segment (bounds per-segment scan cost).
     pub segment_capacity: usize,
 }
@@ -27,8 +28,6 @@ pub struct WarehouseConfig {
 impl Default for WarehouseConfig {
     fn default() -> Self {
         WarehouseConfig {
-            time_index_gran: TemporalGranularity::Minute,
-            space_index_gran: SpatialGranularity::grid(5),
             segment_capacity: 4096,
         }
     }
@@ -123,11 +122,6 @@ impl EventWarehouse {
         EventWarehouse::new(WarehouseConfig::default())
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &WarehouseConfig {
-        &self.config
-    }
-
     /// Usage counters.
     pub fn stats(&self) -> WarehouseStats {
         WarehouseStats {
@@ -163,17 +157,14 @@ impl EventWarehouse {
         // Index by the *start* of the event's interval at the index
         // granularity.
         let span = event.time_interval();
-        let t_idx = self.config.time_index_gran.granule_of(span.start);
+        let t_idx = TIME_INDEX_GRAN.granule_of(span.start);
         self.time_index.entry(t_idx).or_default().push(pos);
         self.longest = self.longest.max(span.length());
 
         if event.sgranule == SpatialGranule::World {
             self.world_events += 1;
         } else {
-            let cell = self
-                .config
-                .space_index_gran
-                .granule_of(&event.sgranule.center());
+            let cell = SPACE_INDEX_GRAN.granule_of(&event.sgranule.center());
             self.space_index.entry(cell).or_default().push(pos);
         }
         match self.theme_index.entry(event.theme) {
@@ -375,7 +366,6 @@ mod tests {
     fn segments_roll_over() {
         let mut w = EventWarehouse::new(WarehouseConfig {
             segment_capacity: 16,
-            ..Default::default()
         });
         for i in 0..100 {
             w.insert(event(i, "weather", 34.7, 0.0));
@@ -505,7 +495,6 @@ mod tests {
     fn eviction_keeps_memory_within_twice_live() {
         let mut w = EventWarehouse::new(WarehouseConfig {
             segment_capacity: 64,
-            ..Default::default()
         });
         w.insert(event(1_000_000_000, "weather", 34.7, 0.0));
         const WINDOW: i64 = 100; // minutes retained behind the newest event

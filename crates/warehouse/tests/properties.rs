@@ -109,10 +109,7 @@ proptest! {
         queries in proptest::collection::vec(arb_query(), 1..4),
         segment_capacity in 1usize..64,
     ) {
-        let mut w = EventWarehouse::new(WarehouseConfig {
-            segment_capacity,
-            ..Default::default()
-        });
+        let mut w = EventWarehouse::new(WarehouseConfig { segment_capacity });
         let mut model: Vec<Event> = Vec::new();
         for op in ops {
             let horizon = match op {
@@ -156,10 +153,7 @@ proptest! {
         queries in proptest::collection::vec(arb_query(), 1..6),
         segment_capacity in 1usize..64,
     ) {
-        let mut w = EventWarehouse::new(WarehouseConfig {
-            segment_capacity,
-            ..Default::default()
-        });
+        let mut w = EventWarehouse::new(WarehouseConfig { segment_capacity });
         for e in events {
             w.insert(e);
         }

@@ -1,8 +1,8 @@
 //! Events of every temporal granularity in one store: the indexed query
 //! and roll-up paths agree with the scans however long an event is against
-//! the time index's granule. The time index keys an event by the granule
-//! it starts in, so a query must read back as far as the longest stored
-//! interval, across inserts, evictions and the repacks they cause.
+//! the time index's minute granule. The time index keys an event by the
+//! minute it starts in, so a query must read back as far as the longest
+//! stored interval, across inserts, evictions and the repacks they cause.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // test helpers may panic freely
 
@@ -159,21 +159,10 @@ proptest! {
         events in proptest::collection::vec(arb_event(), 0..200),
         queries in proptest::collection::vec(arb_query(), 1..6),
         cubes in proptest::collection::vec(arb_cube(), 1..3),
-        index_gran in prop_oneof![
-            Just(TemporalGranularity::Minute),
-            Just(TemporalGranularity::Hour),
-            Just(TemporalGranularity::Day),
-            Just(TemporalGranularity::Month),
-            (1u64..10_000_000).prop_map(TemporalGranularity::Custom),
-        ],
         horizons in proptest::collection::vec(0..SPAN_MS, 0..3),
         segment_capacity in 1usize..64,
     ) {
-        let mut w = EventWarehouse::new(WarehouseConfig {
-            time_index_gran: index_gran,
-            segment_capacity,
-            ..Default::default()
-        });
+        let mut w = EventWarehouse::new(WarehouseConfig { segment_capacity });
         for e in events {
             w.insert(e);
         }

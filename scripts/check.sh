@@ -24,6 +24,12 @@
 #       counter slots in crates/engine/src or src/), each crate names its
 #       API (a `pub mod` in a crate's lib.rs is one of the 16 that another
 #       crate, a test, an example or benchmark/ reaches by path);
+#     - the options census: none of the twelve tuning values that became
+#       constants (retry backoff shape, index stride, compaction bounds,
+#       warehouse index grains, lint budgets) is a `pub` field again;
+#     - the test-module cut: every `#[cfg(test)]` in crates/*/src and src/
+#       is its file's only one and opens a `mod`, so the owner greps, which
+#       cut each file at it, read all of its non-test code;
 #     - the chaos_recovery, durable_edw and continuous_dashboard examples;
 #     - benchmark/: build, `run.sh --smoke` and its own tests
 #       (benchmark/Cargo.lock restored), then the smoke's five run digests
@@ -162,7 +168,7 @@ if sed '/#\[cfg(test)\]/,$d' crates/engine/src/storage.rs |
 fi
 
 # Owner grep: options only go down. Liveness, retrying and checkpointing
-# have no engine switch (retrying is off at `retry.max_attempts = 0`), and
+# have no engine switch (retrying is off at `retry_attempts = 0`), and
 # SL070, which warned about the checkpoint switch, is retired.
 if grep -rnE 'liveness_enabled|retry_enabled|checkpoint_enabled|UncheckpointedState' \
     crates src examples tests; then
@@ -299,6 +305,28 @@ for lib in crates/*/src/lib.rs; do
                exit 1 ;;
         esac
     done
+done
+
+# Options census: a value no caller outside tests and examples varies is a
+# constant. These twelve were config fields that only tests set; none comes
+# back as a `pub` field.
+if grep -rnE '^\s*pub(\([a-z]+\))? (base_backoff|multiplier|max_backoff|index_every|min_inputs|max_inputs|small_bytes|time_index_gran|space_index_gran|cache_budget_tuples|memory_budget_bytes|overload_policy_configured)\s*:' \
+    crates/*/src; then
+    echo "check.sh: a tuning value that is a constant is a pub field again (above)" >&2
+    exit 1
+fi
+
+# The test-module cut: the owner greps above read each file up to its first
+# `#[cfg(test)]` (`sed '/#\[cfg(test)\]/,$d'`). That reads all non-test code
+# only while the attribute opens the file's one test module: a mid-file
+# `#[cfg(test)] fn` would hide every line below it from the greps.
+for f in $(grep -rl --include='*.rs' '#\[cfg(test)\]' crates/*/src src); do
+    if [ "$(grep -c '#\[cfg(test)\]' "$f")" != 1 ] ||
+        ! grep -A1 '#\[cfg(test)\]' "$f" | sed -n 2p |
+            grep -qE '^[[:space:]]*(pub(\([a-z]+\))? )?mod [a-z_]+'; then
+        echo "check.sh: $f: #[cfg(test)] must open the file's one test module" >&2
+        exit 1
+    fi
 done
 
 # Recovery end to end, each asserting what it restored: a node crash

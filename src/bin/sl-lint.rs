@@ -20,7 +20,7 @@
 //! and no warnings under `--deny-warnings`); `1` — diagnostics at or above
 //! the failing threshold; `2` — usage, I/O, or config/plan parse problems.
 
-use sl_lint::{lint_document_with_model, DeployModel, LintContext, Severity};
+use sl_lint::{lint_document, DeployModel, LintContext, Severity};
 use sl_stt::{Field, Schema, SchemaRef};
 use std::collections::HashMap;
 use std::io::Read as _;
@@ -154,10 +154,7 @@ fn main() -> ExitCode {
     let topology = nict.then(sl_netsim::Topology::nict_testbed);
     let ctx = LintContext {
         topology: topology.as_ref(),
-        config: match &spec {
-            Some(spec) => sl_lint::LintConfig::for_engine(&spec.config),
-            None => sl_lint::LintConfig::default(),
-        },
+        engine: spec.as_ref().map(|spec| &spec.config),
         ..LintContext::default()
     };
     let model = spec.as_ref().map(|spec| DeployModel {
@@ -184,7 +181,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let report = lint_document_with_model(&doc, &inferred_schemas(&doc), &ctx, model.as_ref());
+        let report = lint_document(&doc, &inferred_schemas(&doc), &ctx, model.as_ref());
         if json {
             println!("{}", report.to_json());
         } else {

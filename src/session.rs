@@ -119,7 +119,7 @@ impl StreamLoader {
             registry: Some(self.engine.broker().registry()),
             // SL034 (unmitigated overload) is silenced when this session
             // already has an admission layer configured.
-            config: sl_lint::LintConfig::for_engine(self.engine.config()),
+            engine: Some(self.engine.config()),
         };
         let model = sl_lint::DeployModel {
             config: self.engine.config(),
@@ -137,7 +137,7 @@ impl StreamLoader {
     /// first problem — the report accumulates every finding.
     pub fn lint(&self, dataflow: &Dataflow) -> sl_lint::LintReport {
         let (ctx, _) = self.lint_inputs(None);
-        sl_lint::lint_dataflow(dataflow, &ctx)
+        sl_lint::lint_dataflow(dataflow, &ctx, None)
     }
 
     /// Pre-flight analysis of a *deployment*: everything
@@ -155,7 +155,7 @@ impl StreamLoader {
         fault_plan: Option<&sl_faults::FaultPlan>,
     ) -> sl_lint::LintReport {
         let (ctx, model) = self.lint_inputs(fault_plan);
-        sl_lint::lint_deployment(dataflow, &ctx, &model)
+        sl_lint::lint_dataflow(dataflow, &ctx, Some(&model))
     }
 
     /// The statically predicted per-service peak ingress-depth bounds the

@@ -273,7 +273,7 @@ fn example_dsn_documents_lint_clean() {
                 .collect();
             schemas.insert(src.name.clone(), Schema::new(fields).unwrap().into_ref());
         }
-        assert_clean(&lint_document(&doc, &schemas, &LintContext::bare()));
+        assert_clean(&lint_document(&doc, &schemas, &LintContext::bare(), None));
         checked += 1;
     }
     assert_eq!(checked, 3, "expected the three example DSN documents");
