@@ -22,8 +22,6 @@ pub enum DataflowError {
         /// The underlying operator error.
         error: OpError,
     },
-    /// The dataflow has not been validated yet but the operation requires it.
-    NotValidated,
     /// A sample-run input is missing or malformed.
     BadSample(String),
 }
@@ -36,7 +34,6 @@ impl fmt::Display for DataflowError {
             DataflowError::NotAProducer(n) => write!(f, "`{n}` cannot be used as an input"),
             DataflowError::Dsn(e) => write!(f, "{e}"),
             DataflowError::AtNode { node, error } => write!(f, "at node `{node}`: {error}"),
-            DataflowError::NotValidated => write!(f, "dataflow must be validated first"),
             DataflowError::BadSample(msg) => write!(f, "bad sample: {msg}"),
         }
     }

@@ -13,8 +13,9 @@
 //!   schemas), Table-1 operators, sinks, per-edge QoS,
 //! * [`DataflowBuilder`] — the fluent construction API (the
 //!   drag-and-drop analogue),
-//! * [`validate()`] / [`validate_full`] — schema propagation plus every
-//!   soundness check; only validated dataflows translate,
+//! * [`validate()`] — schema propagation plus the structural soundness
+//!   checks, failing at the first problem; only validated dataflows
+//!   translate (`sl-lint` reports every problem at once),
 //! * [`to_dsn`] — conceptual dataflow → DSN document ([`from_dsn`] back),
 //! * [`debug_run`] — sample-based step debugging ("check, step-by-step,
 //!   their results on samples", demo P1),
@@ -39,4 +40,4 @@ pub use graph::{Dataflow, DfNode, NodeKind};
 pub use optimize::{optimize, Rewrite};
 pub use render::render_ascii;
 pub use translate::{from_dsn, infer_source_schema, to_dsn};
-pub use validate::{validate, validate_full, FullValidation, ValidationReport};
+pub use validate::{validate, ValidationReport};

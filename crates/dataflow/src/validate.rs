@@ -4,9 +4,9 @@
 //! (i.e. it can be soundly activated at network level), the translation is
 //! automatically invoked" (paper §1). Validation computes the schema at
 //! every node — the information the Figure 2 bottom panel shows per
-//! operation. [`validate_full`] accumulates *every* inconsistency (the
-//! canvas shows all red nodes at once); [`validate`] keeps the historical
-//! fail-fast contract of returning the first node-attributed error.
+//! operation. [`validate`] fails fast on the first node-attributed error;
+//! reporting every inconsistency at once (the canvas shows all red nodes)
+//! is `sl-lint`'s job.
 
 use crate::error::DataflowError;
 use crate::graph::{Dataflow, NodeKind};
@@ -31,68 +31,16 @@ impl ValidationReport {
     }
 }
 
-/// The full outcome of validation: every inconsistency found, plus the
-/// schemas of all nodes that *did* resolve (the canvas colours bad nodes red
-/// but still annotates the good ones).
-#[derive(Debug, Clone, Default)]
-pub struct FullValidation {
-    /// Every problem found: structural DSN errors first, then node-attributed
-    /// schema errors in topological order. Downstream nodes starved of a
-    /// schema by an upstream failure are skipped, not re-reported.
-    pub errors: Vec<DataflowError>,
-    /// Output schema of every node that resolved (all sources, plus every
-    /// operator whose inputs resolved and whose spec type-checked).
-    pub schemas: BTreeMap<String, SchemaRef>,
-    /// Operator names in a valid execution order; empty when the dependency
-    /// graph is cyclic.
-    pub topo_order: Vec<String>,
-}
-
-impl FullValidation {
-    /// True when no problem was found.
-    pub fn is_clean(&self) -> bool {
-        self.errors.is_empty()
-    }
-
-    /// The first (worst) error, mirroring the historical fail-fast result.
-    pub fn worst(&self) -> Option<&DataflowError> {
-        self.errors.first()
-    }
-}
-
-/// Validate a dataflow. All DSN structural checks run first (via the
+/// Validate a dataflow. The DSN structural checks run first (via the
 /// translation path, which guarantees the conceptual graph and its DSN image
 /// are checked identically), then schemas are propagated source→sink.
 /// Fail-fast: the first problem found is returned.
 pub fn validate(df: &Dataflow) -> Result<ValidationReport, DataflowError> {
-    let mut full = validate_full(df);
-    if full.errors.is_empty() {
-        Ok(ValidationReport {
-            schemas: full.schemas,
-            topo_order: full.topo_order,
-        })
-    } else {
-        Err(full.errors.remove(0))
-    }
-}
-
-/// Run every check and collect all diagnostics, continuing schema
-/// propagation past failed nodes wherever inputs still resolve.
-pub fn validate_full(df: &Dataflow) -> FullValidation {
     // Structural pass (unique names, arity, cycles, trigger targets, gated
-    // sources, channels) — accumulated at the DSN layer.
-    let doc = to_dsn(df);
-    let structural = sl_dsn::validate::validate_full(&doc);
-    let mut errors: Vec<DataflowError> = structural
-        .errors
-        .into_iter()
-        .map(DataflowError::Dsn)
-        .collect();
-    let topo_order = structural.topo_order.unwrap_or_default();
+    // sources, channels) at the DSN layer.
+    let topo_order = sl_dsn::validate(&to_dsn(df))?;
 
-    // Schema propagation in topological order. A node whose inputs lack a
-    // schema (because an upstream node already failed, or the input does not
-    // exist — both already reported) is skipped rather than blamed again.
+    // Schema propagation in topological order.
     let mut schemas: BTreeMap<String, SchemaRef> = BTreeMap::new();
     for node in df.sources() {
         if let NodeKind::Source { schema, .. } = &node.kind {
@@ -112,21 +60,18 @@ pub fn validate_full(df: &Dataflow) -> FullValidation {
         else {
             continue;
         };
-        match spec.output_schema(&inputs) {
-            Ok(out) => {
-                schemas.insert(name.clone(), out);
-            }
-            Err(error) => errors.push(DataflowError::AtNode {
+        let out = spec
+            .output_schema(&inputs)
+            .map_err(|error| DataflowError::AtNode {
                 node: name.clone(),
                 error,
-            }),
-        }
+            })?;
+        schemas.insert(name.clone(), out);
     }
-    FullValidation {
-        errors,
+    Ok(ValidationReport {
         schemas,
         topo_order,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -277,52 +222,6 @@ mod tests {
             .build()
             .unwrap();
         assert!(matches!(validate(&df), Err(DataflowError::Dsn(_))));
-    }
-
-    #[test]
-    fn validate_full_accumulates_independent_failures() {
-        // Two independent bad branches off the same source: the fail-fast API
-        // reports one, the full report shows both — and the good branch's
-        // schema still resolves.
-        let df = DataflowBuilder::new("multi")
-            .source("temp", SubscriptionFilter::any(), schema())
-            .filter("bad_a", "temp", "wind_speed > 5") // unknown attribute
-            .transform("bad_b", "temp", &[("station", "station + 1")]) // str + int
-            .filter("good", "temp", "temperature > 25")
-            .sink("out", SinkKind::Console, &["bad_a", "bad_b", "good"])
-            .build()
-            .unwrap();
-        let full = validate_full(&df);
-        assert_eq!(full.errors.len(), 2, "{:?}", full.errors);
-        let nodes: Vec<_> = full
-            .errors
-            .iter()
-            .filter_map(|e| match e {
-                DataflowError::AtNode { node, .. } => Some(node.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert!(nodes.contains(&"bad_a") && nodes.contains(&"bad_b"));
-        assert!(full.schemas.contains_key("good"));
-        assert!(!full.schemas.contains_key("bad_a"));
-        assert!(matches!(validate(&df), Err(DataflowError::AtNode { .. })));
-    }
-
-    #[test]
-    fn validate_full_skips_starved_downstream_nodes() {
-        // `bad` fails, so `after` has no input schema: it must be skipped,
-        // not blamed for its upstream's failure.
-        let df = DataflowBuilder::new("cascade")
-            .source("temp", SubscriptionFilter::any(), schema())
-            .filter("bad", "temp", "wind_speed > 5")
-            .filter("after", "bad", "temperature > 0")
-            .sink("out", SinkKind::Console, &["after"])
-            .build()
-            .unwrap();
-        let full = validate_full(&df);
-        assert_eq!(full.errors.len(), 1, "{:?}", full.errors);
-        assert!(matches!(&full.errors[0], DataflowError::AtNode { node, .. } if node == "bad"));
-        assert!(!full.schemas.contains_key("after"));
     }
 
     #[test]

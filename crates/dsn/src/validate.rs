@@ -28,18 +28,6 @@ pub struct DsnValidation {
     pub topo_order: Option<Vec<String>>,
 }
 
-impl DsnValidation {
-    /// True when no structural problem was found.
-    pub fn is_clean(&self) -> bool {
-        self.errors.is_empty()
-    }
-
-    /// The first (worst) error, mirroring the historical fail-fast result.
-    pub fn worst(&self) -> Option<&DsnError> {
-        self.errors.first()
-    }
-}
-
 /// Validate a document's structure. Returns the service names in a valid
 /// topological execution order, or the first structural error found.
 pub fn validate(doc: &DsnDocument) -> Result<Vec<String>, DsnError> {
@@ -394,7 +382,7 @@ mod tests {
             inputs: vec![],
         });
         let full = validate_full(&d);
-        assert!(!full.is_clean());
+        assert!(!full.errors.is_empty());
         assert!(
             full.errors.len() >= 3,
             "expected 3+ accumulated errors, got {:?}",
@@ -421,8 +409,7 @@ mod tests {
     #[test]
     fn validate_full_clean_document_reports_nothing() {
         let full = validate_full(&valid_doc());
-        assert!(full.is_clean());
-        assert!(full.worst().is_none());
+        assert!(full.errors.is_empty());
         assert_eq!(
             full.topo_order.as_deref(),
             Some(&["f1".to_string(), "f2".to_string()][..])

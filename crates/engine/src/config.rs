@@ -138,6 +138,17 @@ impl OverloadConfig {
     pub fn admission_enabled(&self) -> bool {
         self.queue_capacity.is_some() || self.global_capacity.is_some()
     }
+
+    /// True when bounded queues run the zero-loss credit policy: sensors
+    /// feeding a full queue are throttled instead of shedding.
+    pub fn block_mode(&self) -> bool {
+        self.queue_capacity.is_some() && self.policy == OverflowPolicy::Block
+    }
+
+    /// True when bounded queues shed on overflow (any non-Block policy).
+    pub fn shed_mode(&self) -> bool {
+        self.queue_capacity.is_some() && self.policy != OverflowPolicy::Block
+    }
 }
 
 /// A rejected [`EngineConfig`], caught at `StreamLoader` build time instead
@@ -234,6 +245,8 @@ mod tests {
         assert!(c.retry_attempts > 0);
         assert!(c.dlq_capacity > 0);
         assert_eq!(c.parallelism, 1);
+        // Unbounded queues: neither bounded mode.
+        assert!(!c.overload.block_mode() && !c.overload.shed_mode());
         assert_eq!(c.shard_key, ShardKey::Space);
         // Overload control defaults off: unbounded queues, no breakers, so
         // seed behaviour is byte-identical.

@@ -9,7 +9,6 @@
 //! (decode, enrich, project, fan out into `crate::delivery`), `Block`-mode
 //! credits, and the acquisition gate that triggers flip.
 
-use crate::config::OverflowPolicy;
 use crate::deployment::{Deployment, EndpointId, SourceRuntime};
 use crate::engine::{Engine, Ev};
 use crate::error::EngineError;
@@ -285,9 +284,7 @@ impl Engine {
         // revoke the sensor's credit through the broker. The heartbeat
         // still goes out: a throttled sensor is alive, not dead, and must
         // not be expired by the liveness watchdog.
-        let block_mode = self.config.overload.queue_capacity.is_some()
-            && self.config.overload.policy == OverflowPolicy::Block;
-        if block_mode {
+        if self.config.overload.block_mode() {
             if self.blocked_by_backpressure(&ad) {
                 self.queue.schedule_in(period, Ev::SensorEmit(id));
                 self.broker.heartbeat(SensorId(id), now);
@@ -440,10 +437,7 @@ impl Engine {
     /// order would find the queue refilled by earlier emitters every time
     /// and starve permanently.
     pub(crate) fn regrant_credits(&mut self, now: Timestamp) {
-        if self.config.overload.queue_capacity.is_none()
-            || self.config.overload.policy != OverflowPolicy::Block
-            || self.broker.credits().revoked_count() == 0
-        {
+        if !self.config.overload.block_mode() || self.broker.credits().revoked_count() == 0 {
             return;
         }
         let revoked: Vec<SensorId> = self.broker.credits().revoked().collect();

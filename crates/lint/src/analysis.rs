@@ -21,32 +21,49 @@ const GROUPS_ESTIMATE: f64 = 8.0;
 
 /// Statically-known properties of the stream a producer emits.
 #[derive(Debug, Clone)]
-pub struct StreamProps {
+pub(crate) struct StreamProps {
     /// The tuple schema, when it resolved.
-    pub schema: Option<SchemaRef>,
+    pub(crate) schema: Option<SchemaRef>,
     /// Temporal granularity: raw sensor streams are millisecond-granular;
     /// aggregations coarsen to their window.
-    pub tgran: TemporalGranularity,
+    pub(crate) tgran: TemporalGranularity,
     /// Spatial granularity: located streams are point-granular; ungrouped
     /// aggregations collapse to the whole world.
-    pub sgran: SpatialGranularity,
+    pub(crate) sgran: SpatialGranularity,
     /// Estimated tuples per second, when advertised sensor frequencies are
     /// available.
-    pub rate_hz: Option<f64>,
+    pub(crate) rate_hz: Option<f64>,
 }
 
-/// The outcome of propagation: properties per producer, plus the
-/// schema-resolution errors found on the way (one per failing operator).
+/// What propagation learned about one service from its one instance.
+#[derive(Debug)]
+pub(crate) struct ServiceFacts {
+    /// The properties of its input streams, by port.
+    pub(crate) inputs: Vec<StreamProps>,
+    /// Estimated tuples per second summed over its inputs, when every
+    /// input's rate is known.
+    pub(crate) in_rate_hz: Option<f64>,
+    /// Estimated operator-ops/s (`in_rate_hz × cost_per_tuple`), when the
+    /// rate is known and the spec instantiated against its input schemas.
+    pub(crate) demand: Option<f64>,
+}
+
+/// The outcome of propagation: properties per producer, facts per service,
+/// plus the schema-resolution errors found on the way (one per failing
+/// operator).
 #[derive(Debug, Default)]
 pub(crate) struct Propagation {
     /// Properties for every producer whose inputs resolved.
-    pub props: BTreeMap<String, StreamProps>,
+    pub(crate) props: BTreeMap<String, StreamProps>,
+    /// Facts for every service whose inputs resolved.
+    pub(crate) services: BTreeMap<String, ServiceFacts>,
     /// `(service, error)` for every operator whose spec failed against its
     /// input schemas.
-    pub schema_errors: Vec<(String, sl_ops::OpError)>,
+    pub(crate) schema_errors: Vec<(String, sl_ops::OpError)>,
 }
 
-/// Propagate stream properties through `doc` in `topo_order`.
+/// Propagate stream properties through `doc` in `topo_order`, instantiating
+/// each service once against its input schemas.
 ///
 /// `schemas` maps source names to their declared schemas (possibly partial:
 /// hand-authored DSN text may not determine every schema); `source_rates`
@@ -81,30 +98,47 @@ pub(crate) fn propagate(
         else {
             continue; // starved by an upstream failure, already reported
         };
-        let schema = match inputs
+        let in_rate_hz = inputs.iter().map(|p| p.rate_hz).sum::<Option<f64>>();
+        let mut schema = None;
+        let mut demand = None;
+        if let Some(in_schemas) = inputs
             .iter()
             .map(|p| p.schema.clone())
             .collect::<Option<Vec<_>>>()
         {
-            Some(in_schemas) => match svc.spec.output_schema(&in_schemas) {
-                Ok(s) => Some(s),
-                Err(e) => {
-                    out.schema_errors.push((name.clone(), e));
-                    None
+            match svc.spec.instantiate(&in_schemas) {
+                Ok(op) => {
+                    schema = Some(op.output_schema());
+                    demand = in_rate_hz.map(|rate| rate * op.cost_per_tuple());
                 }
-            },
-            None => None,
+                Err(e) => out.schema_errors.push((name.clone(), e)),
+            }
+        }
+        let Some(props) = transfer(&svc.spec, schema, &inputs) else {
+            continue;
         };
-        let props = transfer(&svc.spec, schema, &inputs);
         out.props.insert(name.clone(), props);
+        out.services.insert(
+            name.clone(),
+            ServiceFacts {
+                inputs,
+                in_rate_hz,
+                demand,
+            },
+        );
     }
     out
 }
 
-/// The per-operator transfer function of the abstract domain.
-fn transfer(spec: &OpSpec, schema: Option<SchemaRef>, inputs: &[StreamProps]) -> StreamProps {
-    let first = &inputs[0];
-    match spec {
+/// The per-operator transfer function of the abstract domain. `None` for a
+/// service with no input at all (`SL003` reports it).
+fn transfer(
+    spec: &OpSpec,
+    schema: Option<SchemaRef>,
+    inputs: &[StreamProps],
+) -> Option<StreamProps> {
+    let first = inputs.first()?;
+    Some(match spec {
         OpSpec::Filter { .. }
         | OpSpec::Transform { .. }
         | OpSpec::VirtualProperty { .. }
@@ -167,7 +201,7 @@ fn transfer(spec: &OpSpec, schema: Option<SchemaRef>, inputs: &[StreamProps]) ->
                 rate_hz,
             }
         }
-    }
+    })
 }
 
 /// Which side of a join each predicate attribute constrains.
@@ -311,6 +345,22 @@ mod tests {
         assert_eq!(fold_constant("true or false"), Some(Value::Bool(true)));
         assert_eq!(fold_constant("temperature > 2"), None); // has attrs
         assert_eq!(fold_constant("1 / 0"), None); // eval error
+    }
+
+    #[test]
+    fn a_service_without_inputs_is_reported_not_propagated() {
+        let doc = sl_dsn::parse_document(
+            "dsn \"zero\" {
+               source temp { filter: has temp:float; mode: active; }
+               service f { op: filter; condition: 'temp > 1'; inputs: ; }
+               sink out { kind: console; inputs: f; }
+             }",
+        )
+        .unwrap();
+        let schemas = HashMap::from([("temp".to_string(), schema(&[("temp", AttrType::Float)]))]);
+        let out = propagate(&doc, &schemas, &HashMap::new(), &["f".to_string()]);
+        assert!(!out.props.contains_key("f") && !out.services.contains_key("f"));
+        assert_eq!(out.schema_errors.len(), 1, "{:?}", out.schema_errors);
     }
 
     #[test]

@@ -127,19 +127,19 @@ pub fn parse_fault_plan(text: &str) -> Result<FaultPlan, String> {
         let mut fields = Fields::parse(i, words)?;
         plan = match verb {
             "crash" => {
-                let node = fields.take(i, "node")?;
+                let node = fields.take_u32(i, "node")?;
                 let at = fields.take_ms(i, "at_ms")?;
-                plan.node_crash(node as u32, at)
+                plan.node_crash(node, at)
             }
             "restart" => {
-                let node = fields.take(i, "node")?;
+                let node = fields.take_u32(i, "node")?;
                 let at = fields.take_ms(i, "at_ms")?;
-                plan.node_restart(node as u32, at)
+                plan.node_restart(node, at)
             }
             "flap" => {
-                let link = fields.take(i, "link")?;
+                let link = fields.take_u32(i, "link")?;
                 let (at, outage) = fields.take_window(i, "outage_ms")?;
-                plan.link_flap(link as u32, at, outage)
+                plan.link_flap(link, at, outage)
             }
             "stall" => {
                 let sensor = fields.take(i, "sensor")?;
@@ -149,8 +149,8 @@ pub fn parse_fault_plan(text: &str) -> Result<FaultPlan, String> {
             "burst" => {
                 let sensor = fields.take(i, "sensor")?;
                 let (at, window) = fields.take_window(i, "window_ms")?;
-                let factor = fields.take(i, "factor")?;
-                plan.burst(sensor, at, window, factor as u32)
+                let factor = fields.take_u32(i, "factor")?;
+                plan.burst(sensor, at, window, factor)
             }
             other => return Err(err(i, &format!("unknown fault verb `{other}`"))),
         };
@@ -184,6 +184,12 @@ impl Fields {
             .position(|(k, _)| k == key)
             .ok_or_else(|| err(line, &format!("missing `{key}=`")))?;
         Ok(self.0.remove(pos).1)
+    }
+
+    /// A field that must fit a `u32` (node and link ids, burst factors).
+    fn take_u32(&mut self, line: usize, key: &str) -> Result<u32, String> {
+        let n = self.take(line, key)?;
+        u32::try_from(n).map_err(|_| err(line, &format!("bad number `{n}` for `{key}`")))
     }
 
     fn take_ms(&mut self, line: usize, key: &str) -> Result<Duration, String> {
@@ -330,5 +336,28 @@ mod tests {
         assert!(parse_fault_plan("crash node=one at_ms=0").is_err());
         let end = format!("flap link=0 at_ms={} outage_ms=1", u64::MAX);
         assert!(parse_fault_plan(&end).is_err());
+    }
+
+    #[test]
+    fn plan_rejects_ids_and_factors_past_u32() {
+        for (line, key) in [
+            ("crash node=4294967297 at_ms=1000", "node"),
+            ("restart node=4294967296 at_ms=1000", "node"),
+            ("flap link=4294967296 at_ms=0 outage_ms=1", "link"),
+            (
+                "burst sensor=1 at_ms=0 window_ms=1 factor=4294967296",
+                "factor",
+            ),
+        ] {
+            let e = parse_fault_plan(line).unwrap_err();
+            assert!(e.starts_with("line 1: bad number `42949672"), "{line}: {e}");
+            assert!(e.ends_with(&format!("for `{key}`")), "{line}: {e}");
+        }
+        // The largest value that fits is kept as written.
+        let plan = parse_fault_plan("crash node=4294967295 at_ms=0").unwrap();
+        assert_eq!(
+            plan.events()[0].action,
+            FaultAction::NodeCrash { node: u32::MAX }
+        );
     }
 }

@@ -1,11 +1,15 @@
 //! # sl-lint — static analysis for streamLoader dataflows
 //!
 //! The paper activates a dataflow only "once the dataflow is consistent
-//! (i.e. it can be soundly activated at network level)" (§1). The
-//! accumulating validators in `sl-dsn`/`sl-dataflow` implement the hard
-//! structural half of that gate; this crate layers the *advisory* half on
-//! top: a multi-pass static analyzer over the validated dataflow, its
-//! canonical DSN document, and the target netsim topology.
+//! (i.e. it can be soundly activated at network level)" (§1). The hard
+//! half of that gate is `sl-dsn`'s accumulating structural validator plus
+//! this crate's front half, which propagates schemas, rates and
+//! granularities source→sink and reports every schema error (`SL001`–`SL009`);
+//! `sl_dataflow::validate` is the fail-fast form of the same gate. Each
+//! service's operator is built once, by that propagation, which records
+//! what the passes read of it (input properties, summed input rate,
+//! demand). The *advisory* half is a multi-pass static analyzer over the
+//! dataflow, its canonical DSN document, and the target netsim topology.
 //!
 //! Passes (the `passes` module):
 //!
@@ -19,7 +23,8 @@
 //!
 //! A second, deployment tier analyzes the full `(dataflow, DSN,
 //! EngineConfig, optional FaultPlan)` tuple via [`DeployModel`] and the
-//! derived [`DeployGraph`]:
+//! per-service deployment facts derived from it (rates, widths, tick
+//! bursts, join lineage):
 //!
 //! 5. **deadlock** — trigger activation liveness and credit/backpressure
 //!    stalls under the `Block` policy (`SL050`–`SL053`);
@@ -49,11 +54,10 @@ mod diag;
 mod model;
 mod passes;
 
-pub use analysis::StreamProps;
 pub use cq::{lint_cq, CqModel, CqSubFacts, CqViewFacts};
 pub use deployfile::DeploySpec;
 pub use diag::{Diagnostic, LintCode, LintReport, Severity};
-pub use model::{BurstWindow, DeployGraph, DeployModel, OpFacts};
+pub use model::DeployModel;
 
 use sl_dataflow::{to_dsn, Dataflow, NodeKind};
 use sl_dsn::DsnDocument;
@@ -120,12 +124,12 @@ pub fn lint_document(
 
     // The pass pipeline.
     let consumers = consumer_map(doc);
-    let graph = model
-        .map(|m| model::DeployGraph::build(doc, &propagation.props, ctx.registry, ctx.topology, m));
+    let graph =
+        model.map(|m| model::DeployGraph::build(doc, &propagation, ctx.registry, ctx.topology, m));
     let cx = passes::PassCx {
         doc,
         schemas,
-        props: &propagation.props,
+        propagation: &propagation,
         consumers: &consumers,
         topology: ctx.topology,
         registry: ctx.registry,
@@ -161,7 +165,7 @@ pub fn predicted_peak_depths(
 ) -> BTreeMap<String, f64> {
     let (doc, schemas) = canonical(df);
     let propagation = front_half(&doc, &schemas, ctx, &mut Vec::new());
-    model::DeployGraph::build(&doc, &propagation.props, ctx.registry, ctx.topology, model)
+    model::DeployGraph::build(&doc, &propagation, ctx.registry, ctx.topology, model)
         .peak_depth_bounds()
 }
 
@@ -177,9 +181,10 @@ fn canonical(df: &Dataflow) -> (DsnDocument, HashMap<String, SchemaRef>) {
 }
 
 /// What every analysis starts from: the structural mapping (`SL001`–`SL007`)
-/// via the accumulating validator, `SL009` for sources of unknown schema,
-/// source rate estimates, and property propagation with its schema errors
-/// (`SL008`). Findings are appended to `diagnostics`.
+/// via `sl-dsn`'s accumulating validator, `SL009` for sources of unknown
+/// schema, source rate estimates, and property propagation, which builds
+/// each service once and reports its schema errors (`SL008`). Findings are
+/// appended to `diagnostics`.
 fn front_half(
     doc: &DsnDocument,
     schemas: &HashMap<String, SchemaRef>,
@@ -272,4 +277,77 @@ fn declaration_lines(doc: &DsnDocument) -> HashMap<String, usize> {
         }
     }
     lines
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sl_dataflow::DataflowBuilder;
+    use sl_dsn::SinkKind;
+    use sl_pubsub::SubscriptionFilter;
+    use sl_stt::{AttrType, Field, Schema};
+
+    fn schema() -> SchemaRef {
+        Schema::new(vec![
+            Field::new("temperature", AttrType::Float),
+            Field::new("humidity", AttrType::Float),
+            Field::new("station", AttrType::Str),
+        ])
+        .unwrap()
+        .into_ref()
+    }
+
+    /// The services blamed with `SL008`, and the propagated schemas.
+    fn schema_errors(df: &Dataflow) -> (Vec<String>, BTreeMap<String, bool>) {
+        let report = lint_dataflow(df, &LintContext::bare(), None);
+        let blamed = report
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == LintCode::SchemaError)
+            .filter_map(|d| d.node.clone())
+            .collect();
+        let (doc, schemas) = canonical(df);
+        let resolved = front_half(&doc, &schemas, &LintContext::bare(), &mut Vec::new())
+            .props
+            .into_iter()
+            .map(|(name, p)| (name, p.schema.is_some()))
+            .collect();
+        (blamed, resolved)
+    }
+
+    #[test]
+    fn independent_schema_errors_are_each_reported() {
+        // Two independent bad branches off the same source: both are
+        // reported, and the good branch's schema still resolves.
+        let df = DataflowBuilder::new("multi")
+            .source("temp", SubscriptionFilter::any(), schema())
+            .filter("bad_a", "temp", "wind_speed > 5") // unknown attribute
+            .transform("bad_b", "temp", &[("station", "station + 1")]) // str + int
+            .filter("good", "temp", "temperature > 25")
+            .sink("out", SinkKind::Console, &["bad_a", "bad_b", "good"])
+            .build()
+            .unwrap();
+        let (mut blamed, resolved) = schema_errors(&df);
+        blamed.sort();
+        assert_eq!(blamed, ["bad_a", "bad_b"]);
+        assert_eq!(resolved.get("good"), Some(&true));
+        assert_eq!(resolved.get("bad_a"), Some(&false));
+        assert!(sl_dataflow::validate(&df).is_err());
+    }
+
+    #[test]
+    fn a_starved_downstream_service_is_not_blamed() {
+        // `bad` fails, so `after` has no input schema: it is skipped, not
+        // blamed for its upstream's failure.
+        let df = DataflowBuilder::new("cascade")
+            .source("temp", SubscriptionFilter::any(), schema())
+            .filter("bad", "temp", "wind_speed > 5")
+            .filter("after", "bad", "temperature > 0")
+            .sink("out", SinkKind::Console, &["after"])
+            .build()
+            .unwrap();
+        let (blamed, resolved) = schema_errors(&df);
+        assert_eq!(blamed, ["bad"]);
+        assert_eq!(resolved.get("after"), Some(&false));
+    }
 }

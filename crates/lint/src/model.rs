@@ -4,12 +4,13 @@
 //! additionally see *how* the document will be run: the [`DeployModel`]
 //! (engine configuration, optional fault plan, durability) and the
 //! [`DeployGraph`] — per-operator facts joined from the document, the
-//! propagated stream properties, and the live sensor registry. Everything
-//! here is read-only and static: nothing is deployed to compute it.
+//! propagated stream properties and service facts (input rates), and the
+//! live sensor registry. Everything here is read-only and static: nothing
+//! is deployed to compute it.
 
-use crate::analysis::{width_bytes, StreamProps};
+use crate::analysis::{width_bytes, Propagation};
 use sl_dsn::DsnDocument;
-use sl_engine::{EngineConfig, OverflowPolicy, PROCESSING_DELAY};
+use sl_engine::{EngineConfig, PROCESSING_DELAY};
 use sl_faults::{FaultAction, FaultPlan};
 use sl_netsim::{LinkId, Topology};
 use sl_pubsub::{SensorRegistry, SubscriptionFilter};
@@ -34,40 +35,28 @@ pub struct DeployModel<'a> {
 
 /// One burst window extracted from the fault plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurstWindow {
+pub(crate) struct BurstWindow {
     /// The bursting sensor.
-    pub sensor: u64,
+    pub(crate) sensor: u64,
     /// Window length (BurstStart → BurstStop, or to the plan horizon).
-    pub window: Duration,
+    pub(crate) window: Duration,
     /// Rate multiplier.
-    pub factor: u32,
+    pub(crate) factor: u32,
 }
 
 impl DeployModel<'_> {
-    /// True when bounded queues run the zero-loss credit policy.
-    pub fn block_mode(&self) -> bool {
-        self.config.overload.queue_capacity.is_some()
-            && matches!(self.config.overload.policy, OverflowPolicy::Block)
-    }
-
-    /// True when bounded queues shed on overflow (any non-Block policy).
-    pub fn shed_mode(&self) -> bool {
-        self.config.overload.queue_capacity.is_some()
-            && !matches!(self.config.overload.policy, OverflowPolicy::Block)
-    }
-
     /// The plan crashes at least one node.
-    pub fn crash_bearing(&self) -> bool {
+    pub(crate) fn crash_bearing(&self) -> bool {
         self.has_action(|a| matches!(a, FaultAction::NodeCrash { .. }))
     }
 
     /// The plan takes at least one link down (a flap).
-    pub fn flap_bearing(&self) -> bool {
+    pub(crate) fn flap_bearing(&self) -> bool {
         self.has_action(|a| matches!(a, FaultAction::LinkDown { .. }))
     }
 
     /// The largest burst multiplier the plan schedules (1 when none).
-    pub fn burst_factor(&self) -> f64 {
+    pub(crate) fn burst_factor(&self) -> f64 {
         self.burst_windows()
             .iter()
             .map(|w| w.factor.max(1) as f64)
@@ -76,7 +65,7 @@ impl DeployModel<'_> {
 
     /// Every burst window in the plan, `BurstStart` paired with the next
     /// `BurstStop` for the same sensor (or the plan horizon).
-    pub fn burst_windows(&self) -> Vec<BurstWindow> {
+    pub(crate) fn burst_windows(&self) -> Vec<BurstWindow> {
         let Some(plan) = self.fault_plan else {
             return Vec::new();
         };
@@ -110,54 +99,52 @@ impl DeployModel<'_> {
 /// Static facts about one service, joined from the spec, the propagated
 /// stream properties, and the registry.
 #[derive(Debug, Clone)]
-pub struct OpFacts {
-    /// [`sl_ops::OpSpec::kind`].
-    pub kind: &'static str,
+pub(crate) struct OpFacts {
     /// Blocking (tick-driven window) operator.
-    pub blocking: bool,
+    pub(crate) blocking: bool,
     /// Safe to replicate across shard workers.
-    pub shardable: bool,
+    pub(crate) shardable: bool,
     /// Output depends on input arrival order (decimation counters).
-    pub order_sensitive: bool,
+    pub(crate) order_sensitive: bool,
     /// Tick period, in seconds, for blocking operators.
-    pub period_s: Option<f64>,
+    pub(crate) period_s: Option<f64>,
     /// Estimated steady-state input rate (sum over input ports), when the
     /// registry advertises the feeding sensors.
-    pub in_rate_hz: Option<f64>,
+    pub(crate) in_rate_hz: Option<f64>,
     /// Estimated bytes per input tuple (widest input schema).
-    pub in_width_bytes: Option<f64>,
+    pub(crate) in_width_bytes: Option<f64>,
     /// Sensors bound to this operator's direct source inputs (first-hop
     /// simultaneity: that many deliveries can land at one instant).
-    pub first_hop_sensors: usize,
+    pub(crate) first_hop_sensors: usize,
     /// Expected per-tick output batch of direct blocking producers (the
     /// abstract-domain estimate, `out_rate × period`).
-    pub tick_burst_est: f64,
+    pub(crate) tick_burst_est: f64,
     /// Worst-case per-tick batch of direct blocking producers (everything
     /// a producer buffered over one period released at once).
-    pub tick_burst_max: f64,
+    pub(crate) tick_burst_max: f64,
     /// A join lies transitively upstream (the stream is a merge of two
     /// independently-timed streams).
-    pub downstream_of_join: bool,
+    pub(crate) downstream_of_join: bool,
 }
 
 /// The deployment graph: [`OpFacts`] per service plus the model-derived
 /// constants the resource bounds need.
-pub struct DeployGraph {
+pub(crate) struct DeployGraph {
     /// Facts per service name.
-    pub ops: BTreeMap<String, OpFacts>,
+    pub(crate) ops: BTreeMap<String, OpFacts>,
     /// The largest burst multiplier of the analyzed plan (≥ 1).
-    pub burst_factor: f64,
+    pub(crate) burst_factor: f64,
     /// The in-flight window of one delivery, in seconds: processing delay
     /// plus worst-case route latency plus margin.
-    pub window_s: f64,
+    pub(crate) window_s: f64,
 }
 
 impl DeployGraph {
     /// Join the document, the propagated properties, and the environment
     /// into per-service facts.
-    pub fn build(
+    pub(crate) fn build(
         doc: &DsnDocument,
-        props: &BTreeMap<String, StreamProps>,
+        propagation: &Propagation,
         registry: Option<&SensorRegistry>,
         topology: Option<&Topology>,
         model: &DeployModel<'_>,
@@ -184,13 +171,10 @@ impl DeployGraph {
             }
         }
 
+        let props = &propagation.props;
+        let in_rate_of = |name: &str| propagation.services.get(name)?.in_rate_hz;
         let mut ops = BTreeMap::new();
         for svc in &doc.services {
-            let in_rate: Option<f64> = svc
-                .inputs
-                .iter()
-                .map(|i| props.get(i).and_then(|p| p.rate_hz))
-                .sum::<Option<f64>>();
             let in_width = svc
                 .inputs
                 .iter()
@@ -221,24 +205,18 @@ impl DeployGraph {
                 if let Some(out_rate) = props.get(input).and_then(|p| p.rate_hz) {
                     tick_burst_est += out_rate * period_s;
                 }
-                if let Some(prod_in) = producer
-                    .inputs
-                    .iter()
-                    .map(|i| props.get(i).and_then(|p| p.rate_hz))
-                    .sum::<Option<f64>>()
-                {
+                if let Some(prod_in) = in_rate_of(input) {
                     tick_burst_max += prod_in * period_s;
                 }
             }
             ops.insert(
                 svc.name.clone(),
                 OpFacts {
-                    kind: svc.spec.kind(),
                     blocking: svc.spec.is_blocking(),
                     shardable: svc.spec.is_shardable(),
                     order_sensitive: svc.spec.is_order_sensitive(),
                     period_s: svc.spec.period().map(|p| p.as_secs_f64()),
-                    in_rate_hz: in_rate,
+                    in_rate_hz: in_rate_of(&svc.name),
                     in_width_bytes: in_width,
                     first_hop_sensors,
                     tick_burst_est,
@@ -275,7 +253,7 @@ impl DeployGraph {
     /// blocking producers, plus slack. `None` when the input rate is
     /// unknown (no registry). The soundness property test holds measured
     /// peaks against exactly this number.
-    pub fn peak_depth_bound(&self, service: &str) -> Option<f64> {
+    pub(crate) fn peak_depth_bound(&self, service: &str) -> Option<f64> {
         let f = self.ops.get(service)?;
         let rate = f.in_rate_hz?;
         Some(
@@ -288,7 +266,7 @@ impl DeployGraph {
 
     /// [`DeployGraph::peak_depth_bound`] for every service with a known
     /// input rate.
-    pub fn peak_depth_bounds(&self) -> BTreeMap<String, f64> {
+    pub(crate) fn peak_depth_bounds(&self) -> BTreeMap<String, f64> {
         self.ops
             .keys()
             .filter_map(|name| self.peak_depth_bound(name).map(|b| (name.clone(), b)))
@@ -343,8 +321,5 @@ mod tests {
         assert!(!model.flap_bearing());
         assert_eq!(model.burst_factor(), 1.0);
         assert!(model.burst_windows().is_empty());
-        // Default config: unbounded queues, so neither bounded mode.
-        assert!(!model.block_mode());
-        assert!(!model.shed_mode());
     }
 }

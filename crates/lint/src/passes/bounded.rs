@@ -34,8 +34,9 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
                 ));
             }
             OpSpec::Join { predicate, .. } => {
-                if let Some(sides) =
-                    input_props(cx, svc).and_then(|props| join_sides(predicate, &props))
+                if let Some(sides) = cx
+                    .service(&svc.name)
+                    .and_then(|f| join_sides(predicate, &f.inputs))
                 {
                     let unconstrained =
                         match (sides.left_refs.is_empty(), sides.right_refs.is_empty()) {
@@ -98,13 +99,6 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
             ));
         }
     }
-}
-
-fn input_props(
-    cx: &PassCx<'_>,
-    svc: &sl_dsn::ServiceDecl,
-) -> Option<Vec<crate::analysis::StreamProps>> {
-    svc.inputs.iter().map(|i| cx.props_of(i).cloned()).collect()
 }
 
 /// True when any transitive input of `name` is a cull operator.

@@ -26,7 +26,7 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
     // instant regardless of queue depth, so the engine absorbs the
     // overflow past the bound (counted as `backpressure/block_overflow`)
     // and the configured capacity is fiction for this edge.
-    if model.block_mode() {
+    if model.config.overload.block_mode() {
         if let (Some(cap), Some(graph)) = (model.config.overload.queue_capacity, cx.graph) {
             for (name, facts) in &graph.ops {
                 if facts.tick_burst_est > cap as f64 {
@@ -51,7 +51,7 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
     // Revoking a sensor's generation credit to drain one source's queue
     // silences every stream that sensor feeds — the other source starves
     // through no fault of its own consumers.
-    if model.block_mode() {
+    if model.config.overload.block_mode() {
         if let Some(registry) = cx.registry {
             let bindings: Vec<(&str, BTreeSet<u64>)> = cx
                 .doc

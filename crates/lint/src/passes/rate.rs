@@ -119,19 +119,9 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
         let mut demand = 0.0;
         let mut known = true;
         for svc in &cx.doc.services {
-            let rate: Option<f64> = svc
-                .inputs
-                .iter()
-                .map(|i| cx.props_of(i).and_then(|p| p.rate_hz))
-                .sum::<Option<f64>>();
-            let schemas: Option<Vec<_>> = svc
-                .inputs
-                .iter()
-                .map(|i| cx.props_of(i).and_then(|p| p.schema.clone()))
-                .collect();
-            match (rate, schemas.and_then(|s| svc.spec.instantiate(&s).ok())) {
-                (Some(rate), Some(op)) => demand += rate * op.cost_per_tuple(),
-                _ => known = false,
+            match cx.service(&svc.name).and_then(|f| f.demand) {
+                Some(d) => demand += d,
+                None => known = false,
             }
         }
         if known && capacity > 0.0 && demand > capacity {
@@ -154,45 +144,19 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
         // deployment model is attached — the resource pass (SL080) then
         // owns the question with the real admission settings in hand.
         if !cx.engine.is_some_and(|c| c.overload.admission_enabled()) && cx.model.is_none() {
-            let best_node: f64 = topology
-                .node_ids()
-                .filter_map(|n| topology.node(n).ok())
-                .filter(|n| n.up)
-                .map(|n| n.cpu_capacity)
-                .fold(0.0, f64::max);
-            if best_node > 0.0 {
-                for svc in &cx.doc.services {
-                    let rate: Option<f64> = svc
-                        .inputs
-                        .iter()
-                        .map(|i| cx.props_of(i).and_then(|p| p.rate_hz))
-                        .sum::<Option<f64>>();
-                    let schemas: Option<Vec<_>> = svc
-                        .inputs
-                        .iter()
-                        .map(|i| cx.props_of(i).and_then(|p| p.schema.clone()))
-                        .collect();
-                    let (Some(rate), Some(op)) =
-                        (rate, schemas.and_then(|s| svc.spec.instantiate(&s).ok()))
-                    else {
-                        continue;
-                    };
-                    let svc_demand = rate * op.cost_per_tuple();
-                    if svc_demand > best_node {
-                        out.push(Diagnostic::new(
-                            LintCode::UnmitigatedOverload,
-                            &svc.name,
-                            format!(
-                                "service `{}` receives an estimated {svc_demand:.0} \
-                                 operator-ops/s but the fastest node provides {best_node:.0}: \
-                                 it will fall behind on any placement and no overload policy \
-                                 is configured — bound its queue with a shedding or \
-                                 backpressure policy, or slow the sensors",
-                                svc.name
-                            ),
-                        ));
-                    }
-                }
+            let (best_node, over) = cx.over_best_node();
+            for (name, svc_demand) in over {
+                out.push(Diagnostic::new(
+                    LintCode::UnmitigatedOverload,
+                    name,
+                    format!(
+                        "service `{name}` receives an estimated {svc_demand:.0} \
+                         operator-ops/s but the fastest node provides {best_node:.0}: \
+                         it will fall behind on any placement and no overload policy \
+                         is configured — bound its queue with a shedding or \
+                         backpressure policy, or slow the sensors"
+                    ),
+                ));
             }
         }
     }

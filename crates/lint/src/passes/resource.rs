@@ -30,47 +30,19 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
     // deployment-tier refinement of SL034 (which covers the no-model CLI
     // path and is silenced when a model is attached).
     if !cfg.overload.admission_enabled() {
-        if let Some(topology) = cx.topology {
-            let best_node: f64 = topology
-                .node_ids()
-                .filter_map(|n| topology.node(n).ok())
-                .filter(|n| n.up)
-                .map(|n| n.cpu_capacity)
-                .fold(0.0, f64::max);
-            if best_node > 0.0 {
-                for svc in &cx.doc.services {
-                    let rate: Option<f64> = svc
-                        .inputs
-                        .iter()
-                        .map(|i| cx.props_of(i).and_then(|p| p.rate_hz))
-                        .sum::<Option<f64>>();
-                    let schemas: Option<Vec<_>> = svc
-                        .inputs
-                        .iter()
-                        .map(|i| cx.props_of(i).and_then(|p| p.schema.clone()))
-                        .collect();
-                    let (Some(rate), Some(op)) =
-                        (rate, schemas.and_then(|s| svc.spec.instantiate(&s).ok()))
-                    else {
-                        continue;
-                    };
-                    let demand = rate * op.cost_per_tuple();
-                    if demand > best_node {
-                        out.push(Diagnostic::new(
-                            LintCode::UnboundedQueueGrowth,
-                            &svc.name,
-                            format!(
-                                "service `{}` demands an estimated {demand:.0} \
-                                 operator-ops/s against a best node of {best_node:.0} \
-                                 with admission control disabled: its ingress queue \
-                                 grows without bound at the advertised rates — set \
-                                 `overload.queue_capacity` or cull upstream",
-                                svc.name
-                            ),
-                        ));
-                    }
-                }
-            }
+        let (best_node, over) = cx.over_best_node();
+        for (name, demand) in over {
+            out.push(Diagnostic::new(
+                LintCode::UnboundedQueueGrowth,
+                name,
+                format!(
+                    "service `{name}` demands an estimated {demand:.0} \
+                     operator-ops/s against a best node of {best_node:.0} \
+                     with admission control disabled: its ingress queue \
+                     grows without bound at the advertised rates — set \
+                     `overload.queue_capacity` or cull upstream"
+                ),
+            ));
         }
     }
 
@@ -112,7 +84,7 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
     // producer's per-tick batch. The whole batch lands at one instant, the
     // queue keeps `cap`, and the rest is condemned — every tick, by
     // design, not just under bursts.
-    if model.shed_mode() {
+    if cfg.overload.shed_mode() {
         if let Some(cap) = cfg.overload.queue_capacity {
             for (name, facts) in &graph.ops {
                 if facts.tick_burst_est > cap as f64 {
@@ -137,7 +109,7 @@ pub(crate) fn run(cx: &PassCx<'_>, out: &mut Vec<Diagnostic>) {
     // SL083: shedding during a planned burst produces more dead letters
     // than the DLQ retains — the loss accounting the shed policy promises
     // is silently evicted.
-    if model.shed_mode() {
+    if cfg.overload.shed_mode() {
         if let Some(registry) = cx.registry {
             let mut shed_est = 0.0;
             for w in model.burst_windows() {

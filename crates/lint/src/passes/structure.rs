@@ -1,7 +1,7 @@
-//! Mapping of the accumulating validators' errors onto stable lint codes
+//! Mapping of the accumulating checks' errors onto stable lint codes
 //! (`SL001`–`SL008`). The structural checks themselves live in
-//! `sl_dsn::validate_full` / the schema propagation in `crate::analysis`;
-//! this module only attributes and classifies.
+//! `sl_dsn::validate_full`, the schema checks in `crate::analysis`'s
+//! propagation; this module only attributes and classifies.
 
 use crate::diag::{Diagnostic, LintCode};
 use sl_dsn::DsnError;

@@ -118,7 +118,6 @@ mod tests {
         let op = FilterOp::new("temperature > 0", &schema()).unwrap();
         assert_eq!(op.output_schema(), schema());
         assert!(!op.is_blocking());
-        assert_eq!(op.input_ports(), 1);
         assert_eq!(op.kind(), "filter");
     }
 

@@ -189,10 +189,6 @@ impl Operator for JoinOp {
         self.out_schema.clone()
     }
 
-    fn input_ports(&self) -> usize {
-        2
-    }
-
     fn on_tuple(&mut self, port: usize, tuple: Tuple, _ctx: &mut OpContext) -> Result<(), OpError> {
         match port {
             0 => self.left.push(tuple),
@@ -545,7 +541,6 @@ mod tests {
             &right_schema(),
         )
         .unwrap();
-        assert_eq!(op.input_ports(), 2);
         let mut ctx = OpContext::new(Timestamp::from_secs(0));
         assert!(matches!(
             op.on_tuple(2, ltuple("a", 1.0), &mut ctx),

@@ -135,11 +135,6 @@ pub trait Operator: Send {
         self.timer_period().is_some()
     }
 
-    /// Number of input ports (1, or 2 for Join).
-    fn input_ports(&self) -> usize {
-        1
-    }
-
     /// Approximate CPU cost per tuple in abstract ops, used by placement.
     fn cost_per_tuple(&self) -> f64 {
         1.0

@@ -40,13 +40,6 @@ pub enum SttError {
         /// Destination granularity.
         to: String,
     },
-    /// A conversion between coordinate systems is not supported.
-    UnsupportedCoordinateConversion {
-        /// Source coordinate system.
-        from: String,
-        /// Destination coordinate system.
-        to: String,
-    },
     /// A latitude/longitude pair was outside the valid WGS84 domain.
     InvalidCoordinates {
         /// Latitude in degrees.
@@ -79,9 +72,6 @@ impl fmt::Display for SttError {
             }
             SttError::IncomparableGranularities { from, to } => {
                 write!(f, "granularities {from} and {to} are not comparable")
-            }
-            SttError::UnsupportedCoordinateConversion { from, to } => {
-                write!(f, "unsupported coordinate conversion {from} -> {to}")
             }
             SttError::InvalidCoordinates { lat, lon } => {
                 write!(f, "invalid coordinates lat={lat} lon={lon}")

@@ -24,6 +24,10 @@
 #       counter slots in crates/engine/src or src/), each crate names its
 #       API (a `pub mod` in a crate's lib.rs is one of the 16 that another
 #       crate, a test, an example or benchmark/ reaches by path);
+#     - analyse once: in non-test crates/lint/src only analysis.rs calls
+#       `.instantiate(` or `.output_schema(` (each service is built once per
+#       lint run), and crates/dataflow/src has no `fn validate_full` or
+#       `FullValidation` (lint reports every error; `validate` fails fast);
 #     - the options census: none of the twelve tuning values that became
 #       constants (retry backoff shape, index stride, compaction bounds,
 #       warehouse index grains, lint budgets) is a `pub` field again;
@@ -313,6 +317,23 @@ done
 if grep -rnE '^\s*pub(\([a-z]+\))? (base_backoff|multiplier|max_backoff|index_every|min_inputs|max_inputs|small_bytes|time_index_gran|space_index_gran|cache_budget_tuples|memory_budget_bytes|overload_policy_configured)\s*:' \
     crates/*/src; then
     echo "check.sh: a tuning value that is a constant is a pub field again (above)" >&2
+    exit 1
+fi
+
+# Owner greps: analyse once. Lint's propagation (`analysis.rs`) builds each
+# service's operator once and records what the passes read of it (input
+# properties by port, summed input rate, demand); no other non-test code of
+# crates/lint/src builds one again. Reporting every schema error at once is
+# lint's job: sl-dataflow's `validate` fails fast, with no second,
+# accumulating validator beside it.
+for f in $(find crates/lint/src -name '*.rs' -not -path crates/lint/src/analysis.rs); do
+    if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE '\.(instantiate|output_schema)\('; then
+        echo "check.sh: non-test $f builds an operator; only analysis.rs's propagation does" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'fn validate_full|FullValidation' crates/dataflow/src; then
+    echo "check.sh: a second, accumulating dataflow validator in crates/dataflow/src" >&2
     exit 1
 fi
 
